@@ -350,6 +350,7 @@ func BenchmarkE12_ParallelClosure(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			s.Program.SetVectorize(false) // the worker pool is a row-engine path
 			s.Program.SetWorkers(workers)
 			s.Program.SetShards(shards)
 			b.ResetTimer()

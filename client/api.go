@@ -35,8 +35,8 @@ type CreateRequest struct {
 // DBOptions is the per-database configuration subset exposed on the
 // wire; zero fields keep the engine defaults.
 type DBOptions struct {
-	// Workers and Shards configure parallel evaluation
-	// (logres.WithWorkers / WithShards).
+	// Workers and Shards opt the row engine into parallel evaluation
+	// (logres.WithWorkers / WithShards); 0 keeps the serial default.
 	Workers int `json:"workers,omitempty"`
 	Shards  int `json:"shards,omitempty"`
 	// MaxRetries bounds optimistic commit retries
@@ -251,9 +251,12 @@ type StratumProfile struct {
 	// the columnar path.
 	Mode       string `json:"mode"`
 	Vectorized bool   `json:"vectorized,omitempty"`
-	Rounds     int    `json:"rounds"`
-	WallNS     int64  `json:"wall_ns"`
-	Firings    int    `json:"firings"`
+	// Reason is why the stratum stayed on the row engine: the rule and
+	// the construct in it that has no columnar kernel.
+	Reason  string `json:"reason,omitempty"`
+	Rounds  int    `json:"rounds"`
+	WallNS  int64  `json:"wall_ns"`
+	Firings int    `json:"firings"`
 	// Delta is the per-round delta curve.
 	Delta []int `json:"delta,omitempty"`
 	// Facts is the fact count when the stratum closed.

@@ -25,8 +25,19 @@ import (
 
 	"logres/internal/ast"
 	"logres/internal/bench"
+	"logres/internal/engine"
 	"logres/internal/obs"
 )
+
+// rowEngine pins a program to the row engine at the given fan-out. The
+// rows and columns named serial, semi, row or parN were recorded on that
+// engine and keep measuring it; the defaults (serial, columnar) are
+// what the unnamed ones and the gated benchmark run.
+func rowEngine(p *engine.Program, workers, shards int) {
+	p.SetVectorize(false)
+	p.SetWorkers(workers)
+	p.SetShards(shards)
+}
 
 type experiment struct {
 	id  string
@@ -113,8 +124,7 @@ func runSmoke(path string) error {
 			if err != nil {
 				return err
 			}
-			s.Program.SetWorkers(c.workers)
-			s.Program.SetShards(c.shards)
+			rowEngine(s.Program, c.workers, c.shards)
 			label := "off"
 			if traced {
 				s.Program.SetTracer(obs.NewJSONL(io.Discard))
@@ -149,9 +159,10 @@ func runSmoke(path string) error {
 			return err
 		}
 		name := "E17_tc_chain128_row"
+		rowEngine(s.Program, 1, 1)
 		if vec {
-			s.Program.SetVectorize(true)
 			name = "E17_tc_chain128_vectorized"
+			s.Program.SetVectorize(true)
 		}
 		if _, err := s.Run(); err != nil { // warm-up
 			return err
@@ -309,6 +320,7 @@ func runE1(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		rowEngine(ls.Program, 1, 1)
 		dSemi, err := bench.Timed(func() error { _, err := ls.Run(); return err })
 		if err != nil {
 			return nil, err
@@ -317,8 +329,7 @@ func runE1(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lp.Program.SetWorkers(4)
-		lp.Program.SetShards(4)
+		rowEngine(lp.Program, 4, 4)
 		dPar, err := bench.Timed(func() error { _, err := lp.Run(); return err })
 		if err != nil {
 			return nil, err
@@ -371,6 +382,7 @@ func runE2(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		rowEngine(s.Program, 1, 1)
 		var pairs int
 		d, err := bench.Timed(func() error {
 			var err error
@@ -384,7 +396,7 @@ func runE2(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp.Program.SetWorkers(4)
+		rowEngine(sp.Program, 4, 4)
 		dPar, err := bench.Timed(func() error { _, err := sp.RunSG(); return err })
 		if err != nil {
 			return nil, err
@@ -618,8 +630,7 @@ func runE12(quick bool) (*bench.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Program.SetWorkers(workers)
-			s.Program.SetShards(shards)
+			rowEngine(s.Program, workers, shards)
 			var derived int
 			d, err := bench.Timed(func() error {
 				var err error
@@ -649,6 +660,7 @@ func runE17(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		rowEngine(sr.Program, 1, 1)
 		var derived int
 		dRow, err := bench.Timed(func() error {
 			var err error

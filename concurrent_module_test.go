@@ -58,11 +58,12 @@ func saveBytes(t *testing.T, db *Database) []byte {
 	return buf.Bytes()
 }
 
-// serialState opens a fresh database and applies the modules in order with
-// the plain (write-locked) path, returning the Save snapshot.
-func serialState(t *testing.T, opts []Option, mods ...string) []byte {
+// serialState opens a fresh database on the row oracle and applies the
+// modules in order with the plain (write-locked) path, returning the
+// Save snapshot.
+func serialState(t *testing.T, mods ...string) []byte {
 	t.Helper()
-	db, err := Open(concurrentSchema, opts...)
+	db, err := Open(concurrentSchema, rowOracle()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,41 +104,39 @@ func concurrentState(t *testing.T, opts []Option, a, b string) ([]byte, *Metrics
 	return saveBytes(t, db), m
 }
 
+// The serial reference states come from the row oracle; the concurrent
+// side runs under the defaults and every explicit engine configuration.
 func TestConcurrentDisjointEquivalentToSerial(t *testing.T) {
 	preds := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			opts := []Option{WithWorkers(workers), WithShards(shards)}
-			rng := rand.New(rand.NewSource(int64(97*workers + shards)))
-			for trial := 0; trial < 5; trial++ {
-				// Split the predicates into two disjoint pools.
-				perm := rng.Perm(len(preds))
-				var poolA, poolB []string
-				for i, p := range perm {
-					if i < 3 {
-						poolA = append(poolA, preds[p])
-					} else {
-						poolB = append(poolB, preds[p])
-					}
+	for li, leg := range engineLegs() {
+		rng := rand.New(rand.NewSource(int64(97 + li)))
+		for trial := 0; trial < 5; trial++ {
+			// Split the predicates into two disjoint pools.
+			perm := rng.Perm(len(preds))
+			var poolA, poolB []string
+			for i, p := range perm {
+				if i < 3 {
+					poolA = append(poolA, preds[p])
+				} else {
+					poolB = append(poolB, preds[p])
 				}
-				a, b := randModule(rng, poolA), randModule(rng, poolB)
+			}
+			a, b := randModule(rng, poolA), randModule(rng, poolB)
 
-				ab := serialState(t, opts, a, b)
-				ba := serialState(t, opts, b, a)
-				if !bytes.Equal(ab, ba) {
-					t.Fatalf("w=%d s=%d trial %d: disjoint serial orders differ\nA:\n%s\nB:\n%s",
-						workers, shards, trial, a, b)
-				}
-				got, m := concurrentState(t, opts, a, b)
-				if !bytes.Equal(got, ab) {
-					t.Fatalf("w=%d s=%d trial %d: concurrent state differs from serial\nA:\n%s\nB:\n%s",
-						workers, shards, trial, a, b)
-				}
-				// Disjoint footprints must commit without a single conflict.
-				if n := m.Counter("logres_module_conflicts_total").Value(); n != 0 {
-					t.Fatalf("w=%d s=%d trial %d: %d conflicts on disjoint modules\nA:\n%s\nB:\n%s",
-						workers, shards, trial, n, a, b)
-				}
+			ab := serialState(t, a, b)
+			ba := serialState(t, b, a)
+			if !bytes.Equal(ab, ba) {
+				t.Fatalf("trial %d: disjoint serial orders differ\nA:\n%s\nB:\n%s", trial, a, b)
+			}
+			got, m := concurrentState(t, leg.opts, a, b)
+			if !bytes.Equal(got, ab) {
+				t.Fatalf("%s trial %d: concurrent state differs from serial\nA:\n%s\nB:\n%s",
+					leg.name, trial, a, b)
+			}
+			// Disjoint footprints must commit without a single conflict.
+			if n := m.Counter("logres_module_conflicts_total").Value(); n != 0 {
+				t.Fatalf("%s trial %d: %d conflicts on disjoint modules\nA:\n%s\nB:\n%s",
+					leg.name, trial, n, a, b)
 			}
 		}
 	}
@@ -145,26 +144,23 @@ func TestConcurrentDisjointEquivalentToSerial(t *testing.T) {
 
 func TestConcurrentConflictingSerializes(t *testing.T) {
 	preds := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			opts := []Option{WithWorkers(workers), WithShards(shards)}
-			rng := rand.New(rand.NewSource(int64(31*workers + shards)))
-			for trial := 0; trial < 5; trial++ {
-				// Overlapping pools: both modules may read and write the
-				// two shared predicates.
-				perm := rng.Perm(len(preds))
-				shared := []string{preds[perm[0]], preds[perm[1]]}
-				poolA := append([]string{preds[perm[2]], preds[perm[3]]}, shared...)
-				poolB := append([]string{preds[perm[4]], preds[perm[5]]}, shared...)
-				a, b := randModule(rng, poolA), randModule(rng, poolB)
+	for li, leg := range engineLegs() {
+		rng := rand.New(rand.NewSource(int64(31 + li)))
+		for trial := 0; trial < 5; trial++ {
+			// Overlapping pools: both modules may read and write the
+			// two shared predicates.
+			perm := rng.Perm(len(preds))
+			shared := []string{preds[perm[0]], preds[perm[1]]}
+			poolA := append([]string{preds[perm[2]], preds[perm[3]]}, shared...)
+			poolB := append([]string{preds[perm[4]], preds[perm[5]]}, shared...)
+			a, b := randModule(rng, poolA), randModule(rng, poolB)
 
-				ab := serialState(t, opts, a, b)
-				ba := serialState(t, opts, b, a)
-				got, _ := concurrentState(t, opts, a, b)
-				if !bytes.Equal(got, ab) && !bytes.Equal(got, ba) {
-					t.Fatalf("w=%d s=%d trial %d: concurrent state matches neither serial order\nA:\n%s\nB:\n%s",
-						workers, shards, trial, a, b)
-				}
+			ab := serialState(t, a, b)
+			ba := serialState(t, b, a)
+			got, _ := concurrentState(t, leg.opts, a, b)
+			if !bytes.Equal(got, ab) && !bytes.Equal(got, ba) {
+				t.Fatalf("%s trial %d: concurrent state matches neither serial order\nA:\n%s\nB:\n%s",
+					leg.name, trial, a, b)
 			}
 		}
 	}

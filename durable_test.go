@@ -362,8 +362,9 @@ func TestDurableCrashMatrix(t *testing.T) {
 				}
 
 				// Exactness: the recovered Save bytes equal a serial
-				// re-application of exactly the present ops.
-				ref, err := Open(durableSchema)
+				// re-application of exactly the present ops on the row
+				// oracle.
+				ref, err := Open(durableSchema, rowOracle()...)
 				if err != nil {
 					t.Fatal(err)
 				}

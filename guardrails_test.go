@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,8 +54,8 @@ func openGuarded(t *testing.T, options ...Option) *Database {
 }
 
 // Every budget axis must abort the divergent module with a *BudgetError
-// and leave the saved snapshot bit-identical, on the serial and parallel
-// evaluators alike.
+// and leave the saved snapshot bit-identical, under the defaults and on
+// the serial, parallel and columnar evaluators alike.
 func TestBudgetAbortLeavesDatabaseUntouched(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -68,26 +67,24 @@ func TestBudgetAbortLeavesDatabaseUntouched(t *testing.T) {
 		{"oids", Budget{MaxOIDs: 20}, AxisOIDs},
 		{"deadline", Budget{Timeout: 25 * time.Millisecond}, AxisDeadline},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			for _, c := range cases {
-				t.Run(fmt.Sprintf("%s/workers=%d/shards=%d", c.name, workers, shards), func(t *testing.T) {
-					db := openGuarded(t, WithBudget(c.budget), WithWorkers(workers), WithShards(shards))
-					before := snapshot(t, db)
-					_, err := db.Exec(divergentModule)
-					var be *BudgetError
-					if !errors.As(err, &be) {
-						t.Fatalf("err = %v (%T), want *BudgetError", err, err)
-					}
-					if be.Axis != c.axis {
-						t.Fatalf("axis = %q, want %q", be.Axis, c.axis)
-					}
-					after := snapshot(t, db)
-					if !bytes.Equal(before, after) {
-						t.Fatalf("aborted application mutated the database:\nbefore: %s\nafter:  %s", before, after)
-					}
-				})
-			}
+	for _, leg := range engineLegs() {
+		for _, c := range cases {
+			t.Run(c.name+"/"+leg.name, func(t *testing.T) {
+				db := openGuarded(t, append(leg.opts, WithBudget(c.budget))...)
+				before := snapshot(t, db)
+				_, err := db.Exec(divergentModule)
+				var be *BudgetError
+				if !errors.As(err, &be) {
+					t.Fatalf("err = %v (%T), want *BudgetError", err, err)
+				}
+				if be.Axis != c.axis {
+					t.Fatalf("axis = %q, want %q", be.Axis, c.axis)
+				}
+				after := snapshot(t, db)
+				if !bytes.Equal(before, after) {
+					t.Fatalf("aborted application mutated the database:\nbefore: %s\nafter:  %s", before, after)
+				}
+			})
 		}
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"logres/internal/engine"
 )
 
-// runWorkers evaluates a workload's program at a given worker count and
-// returns the full derived fact set.
+// runWorkers evaluates a workload's program on the row engine at a given
+// worker count (the columnar default has no worker pool) and returns the
+// full derived fact set.
 func runWorkers(t *testing.T, s *TCSetup, workers int) *engine.FactSet {
 	t.Helper()
+	s.Program.SetVectorize(false)
 	s.Program.SetWorkers(workers)
 	counter := int64(0)
 	f, err := s.Program.Run(s.EDB, &counter)

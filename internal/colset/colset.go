@@ -8,7 +8,8 @@
 // iff the values they encode are equal (value equality is Key equality,
 // so interning by Key is exact, not a hash). Kernels operate on code
 // slices and selection vectors; values are decoded back into tuples
-// only at the emit boundary.
+// only where a result leaves code space (the engine does it once per
+// stratum, at the fixpoint).
 //
 // The layout follows the type-structuring idea of deriving flat
 // relational shapes from the declared predicate schema: the engine

@@ -39,36 +39,44 @@ type Options struct {
 	// the result is undefined (an error) when no fixpoint is reached.
 	// Stratification and semi-naive evaluation do not apply.
 	NonInflationary bool
-	// Workers is the number of worker goroutines parallel semi-naive
-	// evaluation fans out to. Values ≤ 1 select the serial engine; 0 (the
-	// zero value) means runtime.GOMAXPROCS(0). Results are bit-identical
-	// for every worker count.
+	// Workers is the number of worker goroutines the row engine fans a
+	// stratum out to. 1 — what DefaultOptions sets — is the serial
+	// engine; values ≤ 0 (the zero value included) ask for
+	// runtime.GOMAXPROCS(0). Columnar strata never use the pool. Results
+	// are bit-identical for every worker count.
 	Workers int
-	// Shards is the number of FactSet shards parallel evaluation
+	// Shards is the number of FactSet shards parallel row evaluation
 	// partitions the current extension and deltas into; worker deltas are
-	// merged with one goroutine per shard. Values ≤ 0 (including the zero
-	// value) mean runtime.GOMAXPROCS(0); 1 keeps the serial merge. Results
-	// are bit-identical for every shard count.
+	// merged with one goroutine per shard. 1 — what DefaultOptions sets —
+	// keeps the serial merge; values ≤ 0 (the zero value included) ask
+	// for runtime.GOMAXPROCS(0). Results are bit-identical for every
+	// shard count.
 	Shards int
 	// Tracer receives typed evaluation events (stratum/round boundaries,
 	// rule firings, oid invention, merges, budget consumption, aborts).
 	// nil (the default) disables tracing; every emission site is behind a
 	// nil check, so the untraced hot path pays nothing.
 	Tracer obs.Tracer
-	// Vectorize evaluates eligible semi-naive strata over columnar
-	// batches (internal/colset): frozen snapshots are dictionary-encoded
-	// into per-predicate column batches and rule bodies run as vectorized
-	// select/join/anti-join kernels, decoding back to facts only at the
-	// emit boundary. Strata using oid invention, deletion, class heads,
-	// tuple variables, or active-domain negation stay on the row engine,
-	// which remains the semantics oracle; results are bit-identical
-	// either way.
+	// Vectorize (on in DefaultOptions) evaluates eligible semi-naive
+	// strata over columnar batches (internal/colset): frozen snapshots
+	// are dictionary-encoded into per-predicate column batches, rule
+	// bodies run as vectorized select/join/anti-join kernels, the
+	// semi-naive delta stays in code space between rounds, and facts are
+	// decoded once per stratum. Strata using oid invention, deletion,
+	// class heads, tuple variables, or active-domain negation stay on
+	// the row engine, which remains the semantics oracle; results are
+	// bit-identical either way.
 	Vectorize bool
 }
 
-// DefaultOptions returns the standard evaluation options.
+// DefaultOptions returns the standard evaluation options: stratified,
+// semi-naive, columnar wherever a stratum compiles to the kernels and
+// the serial row loop everywhere else. The parallel and sharded row
+// paths run only for a caller that sets Workers or Shards: on the gated
+// benchmark they have never measured faster than this (EXPERIMENTS.md,
+// "Workers×Shards×Vectorize verdict").
 func DefaultOptions() Options {
-	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Workers: runtime.GOMAXPROCS(0), Shards: runtime.GOMAXPROCS(0)}
+	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1, Vectorize: true}
 }
 
 // Program is a compiled rule set, ready to evaluate.
@@ -99,10 +107,10 @@ func (p *Program) Stratified() bool { return p.stratified }
 // constraint rules).
 func (p *Program) NumRules() int { return len(p.rules) }
 
-// SetWorkers overrides the evaluation worker count after compilation
-// (values ≤ 0 restore the runtime.GOMAXPROCS(0) default). Benchmarks and
-// determinism tests use it to compare serial and parallel runs of one
-// compiled program.
+// SetWorkers overrides the row engine's worker count after compilation
+// (values ≤ 0 select runtime.GOMAXPROCS(0)). Benchmarks and determinism
+// tests use it to compare serial and parallel runs of one compiled
+// program.
 func (p *Program) SetWorkers(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -114,7 +122,7 @@ func (p *Program) SetWorkers(n int) {
 func (p *Program) Workers() int { return p.opts.Workers }
 
 // SetShards overrides the FactSet shard count used by parallel evaluation
-// (values ≤ 0 restore the runtime.GOMAXPROCS(0) default).
+// (values ≤ 0 select runtime.GOMAXPROCS(0)).
 func (p *Program) SetShards(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

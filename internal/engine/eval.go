@@ -707,7 +707,7 @@ func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) 
 // fixpoint iterates oneStep to convergence.
 func (p *Program) fixpoint(rules []*crule, f *FactSet, counter *int64) (*FactSet, error) {
 	for step := 0; ; step++ {
-		if err := p.checkRound(step, f, "the inflationary semantics does not guarantee termination"); err != nil {
+		if err := p.checkRound(step, f.TotalSize, "the inflationary semantics does not guarantee termination"); err != nil {
 			return nil, err
 		}
 		p.traceRoundBegin(step)
@@ -802,19 +802,23 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 		var err error
 		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
 			p.stats.SemiNaiveStrata++
-			if vs, ok := p.vecPlan(stratum); ok {
+			if vs, why := p.vecPlan(stratum); vs != nil {
 				// Columnar path: same round structure, same results;
 				// worker/shard counts do not apply (the kernels are
 				// batch-at-a-time), so determinism is trivial here.
 				p.stats.VectorizedStrata++
-				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)")
+				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)", nil)
 				f, err = p.semiNaiveVectorized(vs, f, counter)
 			} else {
-				p.traceStratumBegin(i, stratum, "semi-naive")
+				p.traceStratumBegin(i, stratum, "semi-naive", why)
 				f, err = p.semiNaive(stratum, f, counter)
 			}
 		} else {
-			p.traceStratumBegin(i, stratum, "one-step inflationary")
+			var why *rowReason
+			if p.tracing() {
+				_, why = p.vecPlan(stratum)
+			}
+			p.traceStratumBegin(i, stratum, "one-step inflationary", why)
 			f, err = p.fixpoint(stratum, f, counter)
 		}
 		if err != nil {

@@ -811,10 +811,14 @@ func (s *FactSet) MaxOID() value.OID {
 // replaced (the newer o-value wins — the ⊕ bias); the method reports
 // whether the set changed. Add panics on a frozen set.
 func (s *FactSet) Add(f Fact) bool {
+	return s.addKeyed(f, f.Key())
+}
+
+// addKeyed is Add for a caller that already holds k == f.Key().
+func (s *FactSet) addKeyed(f Fact, k string) bool {
 	if s.frozen {
 		panic("engine: Add on frozen FactSet")
 	}
-	k := f.Key()
 	return s.addShard(s.shardOf(f, k), f, k, true)
 }
 

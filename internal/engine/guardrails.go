@@ -112,16 +112,18 @@ func (p *Program) invented() int {
 // checkRound enforces the guard between fixpoint rounds: the rounds
 // bound always, the cancellation/deadline/fact/oid axes only when a
 // context or budget is armed — one extra branch per round on the serial
-// fast path. detail is the caller's semantics note for the rounds axis.
-func (p *Program) checkRound(round int, cur *FactSet, detail string) error {
+// fast path. total reports the current fact count (read only when an
+// axis needs it); detail is the caller's semantics note for the rounds
+// axis.
+func (p *Program) checkRound(round int, total func() int, detail string) error {
 	g := p.curGuard()
 	if round >= p.opts.MaxSteps {
-		return g.RoundsExceeded(round, p.opts.MaxSteps, cur.TotalSize(), p.invented(), detail)
+		return g.RoundsExceeded(round, p.opts.MaxSteps, total(), p.invented(), detail)
 	}
 	if !g.Active() {
 		return nil
 	}
-	return g.Check(round, cur.TotalSize, p.invented())
+	return g.Check(round, total, p.invented())
 }
 
 // testWorkerPanic, when non-nil, runs at the start of every worker-pool

@@ -120,7 +120,7 @@ func TestMaintainerDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scratchProg, err := tryBuild(ivmSchema, tc.rules, DefaultOptions())
+			scratchProg, err := tryBuild(ivmSchema, tc.rules, rowOracle())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,9 +67,9 @@ func (p *Program) runNoninflationary(e *FactSet, counter *int64) (*FactSet, erro
 	for _, stratum := range p.strata {
 		rules = append(rules, stratum...)
 	}
-	p.traceStratumBegin(-1, rules, "non-inflationary")
+	p.traceStratumBegin(-1, rules, "non-inflationary", nil)
 	for step := 0; ; step++ {
-		if err := p.checkRound(step, f, "the non-inflationary semantics is undefined when no fixpoint is reached"); err != nil {
+		if err := p.checkRound(step, f.TotalSize, "the non-inflationary semantics is undefined when no fixpoint is reached"); err != nil {
 			return nil, err
 		}
 		p.traceRoundBegin(step)

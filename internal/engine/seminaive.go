@@ -77,7 +77,7 @@ func (p *Program) semiNaiveSerial(stratum []*crule, f *FactSet, counter *int64) 
 	}
 	p.traceRoundEnd(0, delta.TotalSize(), cur.TotalSize(), start)
 	for round := 0; delta.TotalSize() > 0; round++ {
-		if err := p.checkRound(round, cur, "semi-naive delta iteration"); err != nil {
+		if err := p.checkRound(round, cur.TotalSize, "semi-naive delta iteration"); err != nil {
 			return nil, err
 		}
 		if p.stats != nil {

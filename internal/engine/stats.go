@@ -132,9 +132,11 @@ func (p *Program) Explain() string {
 		mode := "one-step inflationary"
 		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
 			mode = "semi-naive"
-			if p.opts.Vectorize && stratumVectorizable(stratum) {
-				mode = "semi-naive (vectorized)"
-			}
+		}
+		if vs, why := p.vecPlan(stratum); vs != nil && mode == "semi-naive" {
+			mode = "semi-naive (vectorized)"
+		} else if why != nil {
+			mode += ", row (" + why.String() + ")"
 		}
 		if p.opts.NonInflationary {
 			mode = "non-inflationary"

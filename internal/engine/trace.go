@@ -110,12 +110,17 @@ func (p *Program) traceAbort(err error) {
 	p.emit(ev)
 }
 
-// traceStratumBegin opens one stratum's events.
-func (p *Program) traceStratumBegin(stratum int, rules []*crule, mode string) {
+// traceStratumBegin opens one stratum's events; why, when non-nil, is
+// what kept the stratum off the columnar kernels.
+func (p *Program) traceStratumBegin(stratum int, rules []*crule, mode string, why *rowReason) {
 	if !p.tracing() {
 		return
 	}
-	p.emit(obs.Event{Kind: obs.KindStratumBegin, Stratum: stratum, Count: len(rules), Detail: mode})
+	ev := obs.Event{Kind: obs.KindStratumBegin, Stratum: stratum, Count: len(rules), Detail: mode}
+	if why != nil {
+		ev.Reason = why.String()
+	}
+	p.emit(ev)
 }
 
 // traceStratumEnd closes one stratum's events.

@@ -170,30 +170,46 @@ func TestFlightRecorderSurvivesWorkerPanic(t *testing.T) {
 // The in-round check must stop a single fat round mid-flight: a
 // cross-product rule derives facts far past the budget within round 0,
 // so only the cooperative mid-round check can trip — surfacing the
-// typed *BudgetError and a guard.check trace event.
+// typed *BudgetError and a guard.check trace event. The row engine
+// polls it per candidate fact, the columnar emit loop per valuation
+// (its derived rows sit in code space, so the count it reports is kept
+// by the plan); both abort with the same attribution and leave the
+// input set untouched.
 func TestInRoundFactBudgetTrip(t *testing.T) {
 	saved := inRoundCheckInterval
 	inRoundCheckInterval = 16
 	defer func() { inRoundCheckInterval = saved }()
 
 	const crossRules = `same(a: X, b: Y) <- edge(src: X, dst: W), edge(src: Y, dst: Z).`
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, c := range []struct {
+		workers   int
+		vectorize bool
+	}{{1, false}, {4, false}, {1, true}} {
+		t.Run(fmt.Sprintf("workers=%d/vectorize=%v", c.workers, c.vectorize), func(t *testing.T) {
 			ct := &collectTracer{}
-			opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true,
-				Workers: workers, Shards: 1, Budget: Budget{MaxFacts: 50}, Tracer: ct}
+			opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Vectorize: c.vectorize,
+				Workers: c.workers, Shards: 1, Budget: Budget{MaxFacts: 50}, Tracer: ct}
 			p, err := tryBuild(edgeSchema, crossRules, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			edb := chainEdgeFacts(100)
 			counter := int64(0)
-			_, err = p.Run(chainEdgeFacts(100), &counter)
+			_, err = p.Run(edb, &counter)
 			var be *BudgetError
 			if !errors.As(err, &be) {
 				t.Fatalf("err = %v (%T), want *BudgetError", err, err)
 			}
-			if be.Axis != AxisFacts {
-				t.Fatalf("axis = %q, want %q", be.Axis, AxisFacts)
+			if be.Axis != AxisFacts || be.Stratum != 0 || be.Round != 0 {
+				t.Fatalf("abort on %q at stratum %d round %d, want %q at 0/0", be.Axis, be.Stratum, be.Round, AxisFacts)
+			}
+			if c.vectorize && (p.LastStats().VectorizedStrata != 1 || be.Facts != 64) {
+				// 64 = the first multiple of the check interval past the budget.
+				t.Fatalf("columnar abort: %d vectorized strata, %d facts reported; want 1, 64",
+					p.LastStats().VectorizedStrata, be.Facts)
+			}
+			if !edb.Equal(chainEdgeFacts(100)) {
+				t.Fatal("the aborted run changed its input set")
 			}
 			kinds := ct.kinds()
 			if kinds[obs.KindGuardCheck] == 0 {
@@ -208,35 +224,43 @@ func TestInRoundFactBudgetTrip(t *testing.T) {
 
 // Cancelling the context from a tracer callback at a round boundary
 // must abort inside the round through the cooperative check, not only
-// at the next round boundary.
+// at the next round boundary — on the row engine and in the columnar
+// emit loop alike.
 func TestInRoundCancellation(t *testing.T) {
 	saved := inRoundCheckInterval
 	inRoundCheckInterval = 16
 	defer func() { inRoundCheckInterval = saved }()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	canceler := tracerFunc(func(ev obs.Event) {
-		if ev.Kind == obs.KindRoundBegin {
-			cancel()
-		}
-	})
 	const crossRules = `same(a: X, b: Y) <- edge(src: X, dst: W), edge(src: Y, dst: Z).`
-	opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Workers: 1, Tracer: canceler}
-	p, err := tryBuild(edgeSchema, crossRules, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := int64(0)
-	_, err = p.RunContext(ctx, chainEdgeFacts(200), &counter)
-	var ce *CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v (%T), want *CanceledError", err, err)
-	}
-	// The cross product would derive ~40000 facts; a mid-round abort
-	// leaves the stats far below that.
-	if st := p.LastStats(); st.Abort != "canceled" {
-		t.Fatalf("Stats.Abort = %q, want canceled", st.Abort)
+	for _, vectorize := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		canceler := tracerFunc(func(ev obs.Event) {
+			if ev.Kind == obs.KindRoundBegin {
+				cancel()
+			}
+		})
+		opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Workers: 1,
+			Vectorize: vectorize, Tracer: canceler}
+		p, err := tryBuild(edgeSchema, crossRules, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edb := chainEdgeFacts(200)
+		counter := int64(0)
+		_, err = p.RunContext(ctx, edb, &counter)
+		cancel()
+		var ce *CanceledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("vectorize=%v: err = %v (%T), want *CanceledError", vectorize, err, err)
+		}
+		// The cross product would derive ~40000 facts; a mid-round abort
+		// stops in round 0, far below that.
+		if st := p.LastStats(); st.Abort != "canceled" || st.AbortRound != 0 {
+			t.Fatalf("vectorize=%v: Stats.Abort = %q at round %d, want canceled at 0", vectorize, st.Abort, st.AbortRound)
+		}
+		if !edb.Equal(chainEdgeFacts(200)) {
+			t.Fatalf("vectorize=%v: the canceled run changed its input set", vectorize)
+		}
 	}
 }
 

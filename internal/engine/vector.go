@@ -5,13 +5,15 @@ package engine
 // compiler turns each rule body into a sequence of steps executed at
 // their body-order positions — constant/duplicate selections, hash
 // joins on dictionary codes, anti-joins for negation, comparison
-// filters — and decodes codes back into facts only at the emit
-// boundary. The row engine remains the semantics oracle: a stratum is
-// vectorized only when every construct it uses has an exact columnar
-// counterpart (association atoms and heads with variable/constant
-// arguments, bound negation, bound comparisons), and everything else
-// falls back to the row paths. Results, Stats.Firings, and the
-// deterministic trace stream are identical to the serial row engine.
+// filters — and the semi-naive delta stays in code space from round to
+// round: codes are decoded back into facts once, when the stratum has
+// reached its fixpoint. The row engine remains the semantics oracle: a
+// stratum is vectorized only when every construct it uses has an exact
+// columnar counterpart (association atoms and heads with
+// variable/constant arguments, bound negation, bound comparisons), and
+// everything else falls back to the row paths. Results, Stats.Firings,
+// and the deterministic trace stream are identical to the serial row
+// engine.
 
 import (
 	"fmt"
@@ -25,15 +27,28 @@ import (
 	"logres/internal/value"
 )
 
-// vecPred is one tracked predicate: its effective-tuple labels, its
-// columnar batch (base extension + per-round delta appends, in
-// canonical order), and — for head predicates — the membership set of
-// packed code rows used for the emit-boundary duplicate filter.
+// vecPred is one tracked predicate: its effective-tuple labels and its
+// columnar batch — the base extension in canonical order, then the rows
+// each round derived, in emit order. Head predicates also carry the
+// membership set of packed code rows behind the emit-boundary duplicate
+// filter, and the round bookkeeping of the code-space delta: emit
+// appends past cur, and the next round boundary turns the appended rows
+// into that round's delta.
 type vecPred struct {
 	pred   string
 	labels []string
 	batch  *colset.Batch
 	member *colset.CodeSet // nil unless the pred is a head in this stratum
+
+	cur   *colset.Batch // the rows the running round reads: batch as of its start
+	delta *colset.Batch // the rows the previous round appended; nil when none
+}
+
+// vecSegment is the rows [lo, hi) of a head predicate's batch that one
+// round derived.
+type vecSegment struct {
+	hp     *vecPred
+	lo, hi int
 }
 
 type vecStepKind int
@@ -100,39 +115,60 @@ type vecStratum struct {
 	order []*vecPred // first-mention order, for deterministic binding
 	rules []*vecRule
 
+	heads   []*vecPred   // head predicates in name order, the order Merge walks a delta
+	derived []vecSegment // every round's delta, in the order the row loop merges them
+
 	dict    *colset.Dict
 	g       *guard.Guard
+	total   int // facts in the current set as of the running round's start
 	emitted int
 	kernels map[string]*kernelStat
 }
 
-// stratumVectorizable reports whether every rule of the stratum
-// compiles to a columnar plan (used by Explain; the dispatch path
-// compiles the plan once and keeps it).
-func stratumVectorizable(stratum []*crule) bool {
-	_, ok := compileVecStratum(stratum)
-	return ok
+// rowReason is why a stratum stays on the row engine although
+// vectorization is on: the first rule the plan compiler could not
+// express, and the construct in it that has no columnar counterpart.
+type rowReason struct {
+	rule      *crule
+	construct string
 }
 
-// vecPlan compiles the stratum's columnar plan when vectorization is
-// enabled and every rule is expressible.
-func (p *Program) vecPlan(stratum []*crule) (*vecStratum, bool) {
+func (r *rowReason) String() string {
+	return fmt.Sprintf("rule #%d: %s", r.rule.id, r.construct)
+}
+
+// vecPlan compiles the stratum's columnar plan. Both results are nil
+// when vectorization is off: the row engine was asked for, so there is
+// nothing to explain.
+func (p *Program) vecPlan(stratum []*crule) (*vecStratum, *rowReason) {
 	if !p.opts.Vectorize {
-		return nil, false
+		return nil, nil
 	}
 	return compileVecStratum(stratum)
 }
 
-func compileVecStratum(stratum []*crule) (*vecStratum, bool) {
+func compileVecStratum(stratum []*crule) (*vecStratum, *rowReason) {
 	vs := &vecStratum{preds: map[string]*vecPred{}}
 	for _, r := range stratum {
-		vr, ok := vs.compileVecRule(r)
-		if !ok {
-			return nil, false
+		vr, construct := vs.compileVecRule(r)
+		if vr == nil {
+			return nil, &rowReason{rule: r, construct: construct}
 		}
 		vs.rules = append(vs.rules, vr)
 	}
-	return vs, true
+	return vs, nil
+}
+
+// termConstruct names a term the columnar plan cannot hold in a code
+// column (anything but a variable, a constant or a wildcard).
+func termConstruct(t ast.Term) string {
+	switch t.(type) {
+	case ast.FuncApp:
+		return "data-function read"
+	case ast.BinExpr:
+		return "arithmetic"
+	}
+	return "constructed term"
 }
 
 func (vs *vecStratum) trackPred(pred string, eff types.Tuple) *vecPred {
@@ -149,11 +185,23 @@ func (vs *vecStratum) trackPred(pred string, eff types.Tuple) *vecPred {
 	return vp
 }
 
-func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
+// compileVecRule lowers one rule to columnar steps, or names the
+// construct that keeps it (and so its stratum) on the row engine.
+func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
 	h := r.head
-	if h == nil || h.kind != hAssoc || h.negated || h.tupleVar != "" ||
-		h.copyFrom != "" || h.selfTerm != nil {
-		return nil, false
+	switch {
+	case h == nil:
+		return nil, "denial"
+	case h.negated:
+		return nil, "deletion head"
+	case r.inventive:
+		return nil, "oid invention"
+	case h.kind == hClass:
+		return nil, "class head"
+	case h.kind == hFunc:
+		return nil, "data-function head"
+	case h.tupleVar != "" || h.copyFrom != "" || h.selfTerm != nil:
+		return nil, "head tuple variable"
 	}
 	vr := &vecRule{r: r}
 	varCols := map[string]int{}
@@ -162,10 +210,10 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
 		switch l.kind {
 		case pkAssoc:
 			if len(l.tupleVars) > 0 || l.selfTerm != nil {
-				return nil, false
+				return nil, "tuple variable"
 			}
 			if l.negated && len(l.adVars) > 0 {
-				return nil, false
+				return nil, "active-domain negation"
 			}
 			st := vecStep{kind: stepAtom, vp: vs.trackPred(l.pred, l.eff)}
 			if l.negated {
@@ -179,7 +227,7 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
 			for _, comp := range l.comps {
 				li, ok := labelIdx[comp.label]
 				if !ok {
-					return nil, false
+					return nil, "label outside the effective tuple"
 				}
 				switch t := comp.term.(type) {
 				case ast.Wildcard:
@@ -200,7 +248,7 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
 						if l.negated {
 							// Unbound variables in negation range over the
 							// active domain; the row engine keeps those.
-							return nil, false
+							return nil, "active-domain negation"
 						}
 						st.newAtom = append(st.newAtom, li)
 						st.newAccCols = append(st.newAccCols, ncols)
@@ -208,7 +256,7 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
 						ncols++
 					}
 				default:
-					return nil, false
+					return nil, termConstruct(t)
 				}
 			}
 			if !l.negated {
@@ -217,29 +265,34 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
 			vr.steps = append(vr.steps, st)
 		case pkCompare:
 			st := vecStep{kind: stepFilter, op: l.pred, neg: l.negated, lCol: -1, rCol: -1}
-			bindArg := func(t ast.Term, col *int, cv *value.Value) bool {
+			bindArg := func(t ast.Term, col *int, cv *value.Value) string {
 				switch x := t.(type) {
 				case ast.Var:
 					c, bound := varCols[x.Name]
 					if !bound {
 						// An unbound side of "=" binds through unification;
 						// keep that on the row engine.
-						return false
+						return "binding comparison"
 					}
 					*col = c
-					return true
+					return ""
 				case ast.Const:
 					*cv = x.Val
-					return true
+					return ""
 				}
-				return false
+				return termConstruct(t)
 			}
-			if !bindArg(l.args[0], &st.lCol, &st.lConst) || !bindArg(l.args[1], &st.rCol, &st.rConst) {
-				return nil, false
+			if why := bindArg(l.args[0], &st.lCol, &st.lConst); why != "" {
+				return nil, why
+			}
+			if why := bindArg(l.args[1], &st.rCol, &st.rConst); why != "" {
+				return nil, why
 			}
 			vr.steps = append(vr.steps, st)
+		case pkClass:
+			return nil, "class atom"
 		default:
-			return nil, false
+			return nil, "built-in predicate"
 		}
 	}
 	hp := vs.trackPred(h.pred, h.eff)
@@ -259,23 +312,23 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, bool) {
 			}
 		}
 		if li < 0 {
-			return nil, false
+			return nil, "label outside the effective tuple"
 		}
 		switch t := comp.term.(type) {
 		case ast.Var:
 			c, bound := varCols[t.Name]
 			if !bound {
-				return nil, false
+				return nil, "unbound head variable"
 			}
 			vr.headCols[li] = c
 		case ast.Const:
 			vr.headConsts[li] = t.Val
 		default:
-			return nil, false
+			return nil, termConstruct(t)
 		}
 	}
 	vr.nvars = ncols
-	return vr, true
+	return vr, ""
 }
 
 // bind builds the per-evaluation state: the shared dictionary, one
@@ -287,16 +340,23 @@ func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 	vs.g = p.armedGuard()
 	vs.dict = colset.NewDict()
 	vs.kernels = map[string]*kernelStat{}
-	headPreds := map[string]bool{}
+	vs.total = cur.TotalSize()
 	for _, vr := range vs.rules {
-		headPreds[vr.headPred.pred] = true
+		if hp := vr.headPred; hp.member == nil {
+			hp.member = colset.NewCodeSet(len(hp.labels))
+			vs.heads = append(vs.heads, hp)
+		}
 	}
+	sort.Slice(vs.heads, func(i, j int) bool { return vs.heads[i].pred < vs.heads[j].pred })
 	for _, vp := range vs.order {
 		vp.batch = colset.NewBatch(len(vp.labels))
-		if headPreds[vp.pred] {
-			vp.member = colset.NewCodeSet(len(vp.labels))
-		}
 		vs.appendFacts(vp, cur.Facts(vp.pred))
+		vp.cur = vp.batch
+	}
+	for _, hp := range vs.heads {
+		// A head's batch grows while a round runs; what the round reads
+		// is a view fixed at its start.
+		hp.cur = hp.batch.Slice(0, hp.batch.Len())
 	}
 	for _, vr := range vs.rules {
 		for si := range vr.steps {
@@ -326,11 +386,12 @@ func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 	}
 }
 
-// appendFacts encodes facts onto vp's batch. Only canonical facts —
-// association tuples with exactly the effective labels in declaration
-// order, the shape every derived fact has — enter the membership set:
-// a non-canonical base fact never Key-equals a derived fact, so the
-// row engine's Has filter would not suppress the derivation either.
+// appendFacts encodes the base extension onto vp's batch. Only
+// canonical facts — association tuples with exactly the effective labels
+// in declaration order, the shape every derived fact has — enter the
+// membership set: a non-canonical base fact never Key-equals a derived
+// fact, so the row engine's Has filter would not suppress the
+// derivation either.
 func (vs *vecStratum) appendFacts(vp *vecPred, facts []Fact) {
 	row := make([]uint32, len(vp.labels))
 	for _, fact := range facts {
@@ -352,20 +413,49 @@ func (vs *vecStratum) appendFacts(vp *vecPred, facts []Fact) {
 	}
 }
 
-// appendDelta appends the round's merged delta onto each tracked batch
-// and returns per-predicate views of just the appended rows, used as
-// the delta side of the round's passes.
-func (vs *vecStratum) appendDelta(delta *FactSet) map[string]*colset.Batch {
-	out := map[string]*colset.Batch{}
-	for _, vp := range vs.order {
-		if delta.Size(vp.pred) == 0 {
-			continue
+// advance closes a round: the rows emit appended since the last
+// boundary become the delta the next round's passes substitute, and
+// join the rows its other atoms read. It returns the size of that
+// delta.
+func (vs *vecStratum) advance() int {
+	n := 0
+	for _, hp := range vs.heads {
+		lo, hi := hp.cur.Len(), hp.batch.Len()
+		hp.delta = nil
+		if hi > lo {
+			hp.cur = hp.batch.Slice(0, hi)
+			hp.delta = hp.batch.Slice(lo, hi)
+			vs.derived = append(vs.derived, vecSegment{hp: hp, lo: lo, hi: hi})
+			n += hi - lo
 		}
-		start := vp.batch.Len()
-		vs.appendFacts(vp, delta.Facts(vp.pred))
-		out[vp.pred] = vp.batch.Slice(start, vp.batch.Len())
 	}
-	return out
+	return n
+}
+
+// materialize decodes the rows the stratum derived into cur. It replays
+// the merges the row engine does between rounds — one round's delta at
+// a time, predicates in name order, facts in key order — because the
+// order of insertion is the order of cur's component buckets, which
+// later strata enumerate (and number invented oids by).
+func (vs *vecStratum) materialize(cur *FactSet) {
+	var batch factsByKey
+	for _, seg := range vs.derived {
+		hp := seg.hp
+		batch.facts, batch.keys = batch.facts[:0], batch.keys[:0]
+		fields := make([]value.Field, len(hp.labels))
+		for r := seg.lo; r < seg.hi; r++ {
+			for li, lab := range hp.labels {
+				fields[li] = value.Field{Label: lab, Value: vs.dict.Value(hp.batch.Col(li)[r])}
+			}
+			fact := Fact{Pred: hp.pred, Tuple: value.NewTuple(fields...)} // NewTuple copies
+			batch.facts = append(batch.facts, fact)
+			batch.keys = append(batch.keys, fact.Key())
+		}
+		sort.Sort(&batch)
+		for i, fact := range batch.facts {
+			cur.addKeyed(fact, batch.keys[i])
+		}
+	}
 }
 
 func (vs *vecStratum) record(kernel string, rows int) {
@@ -394,20 +484,19 @@ func (vs *vecStratum) atomSel(st *vecStep, src *colset.Batch) []int32 {
 	return sel
 }
 
-// runPass evaluates one rule pass: the full pass (deltaStep < 0) or one
-// delta-substituted pass. New facts land in out; cur is the merged
-// current set (for guard reporting only — duplicate suppression runs on
-// the membership sets).
-func (vs *vecStratum) runPass(vr *vecRule, deltaStep int, dbatch *colset.Batch, round int, out, cur *FactSet) error {
+// runPass evaluates one rule pass: the full pass (deltaStep < 0) or the
+// pass with the atom at deltaStep reading its predicate's delta. New
+// rows land on the head predicate's batch, past what this round reads.
+func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
 	cols := make([][]uint32, vr.nvars)
 	n := 1 // the unit valuation: one row, no columns
 	for si := range vr.steps {
 		st := &vr.steps[si]
 		switch st.kind {
 		case stepAtom:
-			src := st.vp.batch
+			src := st.vp.cur
 			if si == deltaStep {
-				src = dbatch
+				src = st.vp.delta
 			}
 			sel := vs.atomSel(st, src)
 			lkeys := make([][]uint32, len(st.keyAccCols))
@@ -430,7 +519,7 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep int, dbatch *colset.Batch, 
 			}
 			n = len(lidx)
 		case stepAnti:
-			src := st.vp.batch
+			src := st.vp.cur
 			sel := vs.atomSel(st, src)
 			lkeys := make([][]uint32, len(st.keyAccCols))
 			for k, ac := range st.keyAccCols {
@@ -465,7 +554,7 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep int, dbatch *colset.Batch, 
 			return nil
 		}
 	}
-	return vs.emit(vr, cols, n, round, out, cur)
+	return vs.emit(vr, cols, n, round)
 }
 
 // runFilter evaluates a comparison step over the accumulated valuation
@@ -520,23 +609,22 @@ func (vs *vecStratum) runFilter(st *vecStep, cols [][]uint32, n int) ([]int32, e
 	return keep, nil
 }
 
-// emit decodes the surviving valuations into head facts. Firings count
+// emit turns the surviving valuations into head rows. Firings count
 // every valuation (exactly like instantiateHead); the membership set
-// suppresses facts already present in the merged current set or already
-// derived this stratum — the same facts the row engine's Has filter
-// suppresses — before any tuple is materialized.
-func (vs *vecStratum) emit(vr *vecRule, cols [][]uint32, n, round int, out, cur *FactSet) error {
+// suppresses rows already present in the current set or already derived
+// this stratum — the same facts the row engine's Has filter suppresses —
+// and the rest are appended to the head predicate's batch as codes.
+func (vs *vecStratum) emit(vr *vecRule, cols [][]uint32, n, round int) error {
 	if vs.p.stats != nil {
 		vs.p.stats.Firings[vr.r.id] += n
 	}
 	hp := vr.headPred
 	row := make([]uint32, len(hp.labels))
-	fields := make([]value.Field, len(hp.labels))
 	added := 0
 	for i := 0; i < n; i++ {
 		vs.emitted++
 		if vs.g != nil && vs.emitted%inRoundCheckInterval == 0 {
-			if err := vs.guardCheck(round, cur, hp.pred); err != nil {
+			if err := vs.guardCheck(round, hp.pred); err != nil {
 				return err
 			}
 		}
@@ -547,26 +635,22 @@ func (vs *vecStratum) emit(vr *vecRule, cols [][]uint32, n, round int, out, cur 
 				row[li] = vr.headCodes[li]
 			}
 		}
-		if !hp.member.Add(row) {
-			continue
+		if hp.member.Add(row) {
+			hp.batch.AppendRow(row)
+			added++
 		}
-		for li, lab := range hp.labels {
-			fields[li] = value.Field{Label: lab, Value: vs.dict.Value(row[li])}
-		}
-		out.Add(Fact{Pred: hp.pred, Tuple: value.NewTuple(fields...)})
-		added++
 	}
 	vs.record("emit", added)
 	return nil
 }
 
 // guardCheck mirrors evalCtx.inRoundCheck for the vectorized emit loop.
-func (vs *vecStratum) guardCheck(round int, cur *FactSet, pred string) error {
+func (vs *vecStratum) guardCheck(round int, pred string) error {
 	invented := 0
 	if st := vs.p.stats; st != nil {
 		invented = st.Invented
 	}
-	err := vs.g.Check(round, func() int { return cur.TotalSize() + vs.emitted }, invented)
+	err := vs.g.Check(round, func() int { return vs.total + vs.emitted }, invented)
 	if err != nil && vs.p.opts.Tracer != nil {
 		vs.p.emit(obs.Event{
 			Kind:    obs.KindGuardCheck,
@@ -607,13 +691,14 @@ func (vs *vecStratum) traceVecKernels(stratum int) {
 // semiNaiveVectorized is delta iteration over columnar batches. The
 // round structure — full round 0, then one delta-substituted pass per
 // positive atom position with a non-empty delta — and every trace/stat
-// boundary mirror semiNaiveSerial exactly.
+// boundary mirror semiNaiveSerial exactly; the fact counts those
+// boundaries report are kept by the plan (vs.total), since the derived
+// rows reach the fact set only when the fixpoint is reached.
 func (p *Program) semiNaiveVectorized(vs *vecStratum, f *FactSet, counter *int64) (*FactSet, error) {
 	cur := f.Clone()
 	// The freeze builds every tracked predicate's merged view once, and
-	// the batches are encoded from that canonical snapshot; after that
-	// the batches are maintained incrementally (delta appends), so the
-	// set is thawed again for the per-round merges.
+	// the batches are encoded from that canonical snapshot; the set is
+	// thawed again for the merge that closes the stratum.
 	cur.Freeze()
 	vs.bind(p, cur)
 	cur.Thaw()
@@ -621,15 +706,16 @@ func (p *Program) semiNaiveVectorized(vs *vecStratum, f *FactSet, counter *int64
 	stratum := p.curStratum()
 	p.traceRoundBegin(0)
 	start := p.traceNow()
-	delta := NewFactSet()
 	for _, vr := range vs.rules {
-		if err := vs.runPass(vr, -1, nil, 0, delta, cur); err != nil {
+		if err := vs.runPass(vr, -1, 0); err != nil {
 			return nil, fmt.Errorf("%w (in rule %s)", err, vr.r)
 		}
 	}
-	p.traceRoundEnd(0, delta.TotalSize(), cur.TotalSize(), start)
-	for round := 0; delta.TotalSize() > 0; round++ {
-		if err := p.checkRound(round, cur, "semi-naive delta iteration"); err != nil {
+	total := func() int { return vs.total }
+	delta := vs.advance()
+	p.traceRoundEnd(0, delta, vs.total, start)
+	for round := 0; delta > 0; round++ {
+		if err := p.checkRound(round, total, "semi-naive delta iteration"); err != nil {
 			return nil, err
 		}
 		if p.stats != nil {
@@ -637,25 +723,22 @@ func (p *Program) semiNaiveVectorized(vs *vecStratum, f *FactSet, counter *int64
 		}
 		p.traceRoundBegin(round + 1)
 		start := p.traceNow()
-		cur.Merge(delta)
-		dbatches := vs.appendDelta(delta)
+		vs.total += delta // the merge of the previous round's delta
 		vs.emitted = 0
-		next := NewFactSet()
 		for _, vr := range vs.rules {
 			for _, si := range vr.posSteps {
-				st := &vr.steps[si]
-				db := dbatches[st.vp.pred]
-				if db == nil {
+				if vr.steps[si].vp.delta == nil {
 					continue
 				}
-				if err := vs.runPass(vr, si, db, round+1, next, cur); err != nil {
+				if err := vs.runPass(vr, si, round+1); err != nil {
 					return nil, fmt.Errorf("%w (in rule %s)", err, vr.r)
 				}
 			}
 		}
-		p.traceRoundEnd(round+1, next.TotalSize(), cur.TotalSize(), start)
-		delta = next
+		delta = vs.advance()
+		p.traceRoundEnd(round+1, delta, vs.total, start)
 	}
+	vs.materialize(cur)
 	vs.traceVecKernels(stratum)
 	return cur, nil
 }

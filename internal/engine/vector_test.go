@@ -57,62 +57,72 @@ func vecEDBs() map[string]*FactSet {
 	}
 }
 
-// TestVectorizedMatrixDifferential is the satellite matrix: row serial
-// is the oracle; every {workers, shards} ∈ {1,4}² × vectorize {off,on}
-// configuration must agree on the result set, and the vectorized serial
-// run must also reproduce the oracle's Firings and DeltaCurve exactly
-// (same rounds, same per-rule valuation counts).
+// TestVectorizedMatrixDifferential is the matrix: the row oracle is the
+// reference; the defaults and every {workers, shards} ∈ {1,4}² ×
+// vectorize {off,on} configuration must agree on the result set, and the
+// serial columnar runs (the defaults among them) must also reproduce the
+// oracle's Firings, Steps and DeltaCurve exactly (same rounds, same
+// per-rule valuation counts).
 func TestVectorizedMatrixDifferential(t *testing.T) {
 	for pname, rules := range vecPrograms {
-		p, err := tryBuild(vecSchema, rules,
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1})
+		ref, err := tryBuild(vecSchema, rules, rowOracle())
+		if err != nil {
+			t.Fatalf("%s: %v", pname, err)
+		}
+		defaults, err := tryBuild(vecSchema, rules, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", pname, err)
+		}
+		p, err := tryBuild(vecSchema, rules, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", pname, err)
 		}
 		for ename, edb := range vecEDBs() {
 			c0 := int64(0)
-			p.SetVectorize(false)
-			p.SetWorkers(1)
-			p.SetShards(1)
-			oracle, err := p.Run(edb.Clone(), &c0)
+			oracle, err := ref.Run(edb.Clone(), &c0)
 			if err != nil {
 				t.Fatalf("%s/%s oracle: %v", pname, ename, err)
 			}
-			oracleStats := *p.LastStats()
+			oracleStats := ref.LastStats()
 
+			check := func(leg string, p *Program) {
+				t.Helper()
+				c := int64(0)
+				got, err := p.Run(edb.Clone(), &c)
+				if err != nil {
+					t.Fatalf("%s/%s %s: %v", pname, ename, leg, err)
+				}
+				if !got.Equal(oracle) {
+					t.Fatalf("%s/%s %s: diverged from the row oracle (%d vs %d facts)",
+						pname, ename, leg, got.TotalSize(), oracle.TotalSize())
+				}
+				st := p.LastStats()
+				if p.Vectorize() && p.Workers() == 1 && p.Shards() == 1 {
+					if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
+						t.Fatalf("%s/%s %s Firings = %v, row = %v",
+							pname, ename, leg, st.Firings, oracleStats.Firings)
+					}
+					if fmt.Sprint(st.DeltaCurve) != fmt.Sprint(oracleStats.DeltaCurve) {
+						t.Fatalf("%s/%s %s DeltaCurve = %v, row = %v",
+							pname, ename, leg, st.DeltaCurve, oracleStats.DeltaCurve)
+					}
+					if st.Steps != oracleStats.Steps {
+						t.Fatalf("%s/%s %s Steps = %d, row = %d",
+							pname, ename, leg, st.Steps, oracleStats.Steps)
+					}
+				}
+				if p.Vectorize() && ename == "chain" && st.VectorizedStrata == 0 && pname != "fallback-mix" {
+					t.Fatalf("%s/%s %s: vectorize on but VectorizedStrata = 0", pname, ename, leg)
+				}
+			}
+			check("defaults", defaults)
 			for _, workers := range []int{1, 4} {
 				for _, shards := range []int{1, 4} {
 					for _, vec := range []bool{false, true} {
-						c := int64(0)
 						p.SetWorkers(workers)
 						p.SetShards(shards)
 						p.SetVectorize(vec)
-						got, err := p.Run(edb.Clone(), &c)
-						if err != nil {
-							t.Fatalf("%s/%s w=%d s=%d vec=%v: %v", pname, ename, workers, shards, vec, err)
-						}
-						if !got.Equal(oracle) {
-							t.Fatalf("%s/%s w=%d s=%d vec=%v: diverged from row serial (%d vs %d facts)",
-								pname, ename, workers, shards, vec, got.TotalSize(), oracle.TotalSize())
-						}
-						st := p.LastStats()
-						if vec && workers == 1 && shards == 1 {
-							if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
-								t.Fatalf("%s/%s vectorized Firings = %v, row = %v",
-									pname, ename, st.Firings, oracleStats.Firings)
-							}
-							if fmt.Sprint(st.DeltaCurve) != fmt.Sprint(oracleStats.DeltaCurve) {
-								t.Fatalf("%s/%s vectorized DeltaCurve = %v, row = %v",
-									pname, ename, st.DeltaCurve, oracleStats.DeltaCurve)
-							}
-							if st.Steps != oracleStats.Steps {
-								t.Fatalf("%s/%s vectorized Steps = %d, row = %d",
-									pname, ename, st.Steps, oracleStats.Steps)
-							}
-						}
-						if vec && ename == "chain" && st.VectorizedStrata == 0 && pname != "fallback-mix" {
-							t.Fatalf("%s/%s: vectorize on but VectorizedStrata = 0", pname, ename)
-						}
+						check(fmt.Sprintf("w=%d s=%d vec=%v", workers, shards, vec), p)
 					}
 				}
 			}

@@ -58,26 +58,54 @@ func (st *State) Clone() *State {
 // M is partial, §4.1).
 func (st *State) Instance(opts engine.Options) (_ *engine.FactSet, _ *instance.Instance, err error) {
 	defer shieldPanic(&err)
+	f, in, _, err := st.derive(opts)
+	return f, in, err
+}
+
+// derive is Instance that also hands back the compiled (S, R) program,
+// so a caller with a goal to answer queries the program that derived
+// the facts instead of compiling the same pair again.
+func (st *State) derive(opts engine.Options) (*engine.FactSet, *instance.Instance, *engine.Program, error) {
 	prog, err := engine.Compile(st.S, st.R, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	counter := st.Counter
 	f, err := prog.Run(st.E, &counter)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Note: the advanced counter is NOT written back to st — Instance is a
 	// pure read (oids invented while deriving the instance are not part of
 	// the persistent state), which lets Database readers share a lock.
 	in := engine.ToInstance(f, st.S, counter)
 	if err := in.CheckConsistency(); err != nil {
-		return nil, nil, fmt.Errorf("module: instance inconsistent: %w", err)
+		return nil, nil, nil, fmt.Errorf("module: instance inconsistent: %w", err)
 	}
 	if err := prog.CheckDenials(f); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return f, in, nil
+	return f, in, prog, nil
+}
+
+// answer evaluates the module's goal, if it has one, over the derived
+// facts with the program that derived them.
+func (res *Result) answer(prog *engine.Program, f *engine.FactSet, goal []ast.Literal) error {
+	if len(goal) == 0 {
+		return nil
+	}
+	ans, err := prog.Query(f, goal)
+	if err != nil {
+		return err
+	}
+	res.Answer = ans
+	return nil
+}
+
+// declaresNothing reports whether a module schema adds no type equation
+// and no isa edge (nil counts).
+func declaresNothing(s *types.Schema) bool {
+	return s == nil || (len(s.Names()) == 0 && len(s.IsaEdges()) == 0)
 }
 
 // Result is the outcome of a module application: the new database state
@@ -95,9 +123,10 @@ type Result struct {
 // original state remains valid. mode overrides the module's declared
 // default; pass m.Mode (or use ApplyDeclared) to honour the declaration.
 func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
-	// Application is all-or-nothing: every mode works on a clone of st, so
-	// on any abort — budget, cancellation, or a panic converted here — the
-	// caller's state is bit-identical to its pre-application snapshot.
+	// Application is all-or-nothing: every mode that changes anything works
+	// on a clone of st, so on any abort — budget, cancellation, or a panic
+	// converted here — the caller's state is bit-identical to its
+	// pre-application snapshot.
 	defer shieldPanic(&err)
 	if t := opts.Tracer; t != nil {
 		t.Event(obs.Event{Kind: obs.KindModuleBegin, Pred: m.Name, Detail: mode.String(),
@@ -151,7 +180,7 @@ func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 	default:
 		return false
 	}
-	if m.Schema != nil && (len(m.Schema.Names()) > 0 || len(m.Schema.IsaEdges()) > 0) {
+	if !declaresNothing(m.Schema) {
 		return false
 	}
 	switch mode {
@@ -209,33 +238,28 @@ func ApplyDeclared(st *State, m *ast.Module, opts engine.Options) (*Result, erro
 // R_M are added temporarily, the goal is evaluated over R0 ∪ RM against
 // E0, and the state does not change.
 func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
-	work := st.Clone()
-	s1, err := work.S.Union(m.Schema)
-	if err != nil {
-		return nil, err
+	// A module that brings only a goal — every Database.Query — evaluates
+	// against the state as it is: deriving the instance is a pure read,
+	// so there is nothing to clone, union or re-validate.
+	work := st
+	if !declaresNothing(m.Schema) || len(m.Rules) > 0 {
+		work = st.Clone()
+		s1, err := work.S.Union(m.Schema)
+		if err != nil {
+			return nil, err
+		}
+		if err := s1.Validate(); err != nil {
+			return nil, err
+		}
+		work.S = s1
+		work.R = append(work.R, m.Rules...)
 	}
-	if err := s1.Validate(); err != nil {
-		return nil, err
-	}
-	work.S = s1
-	work.R = append(work.R, m.Rules...)
-	f, in, err := work.Instance(opts)
+	f, in, prog, err := work.derive(opts)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{State: st, Instance: in}
-	if len(m.Goal) > 0 {
-		prog, err := engine.Compile(work.S, work.R, opts)
-		if err != nil {
-			return nil, err
-		}
-		ans, err := prog.Query(f, m.Goal)
-		if err != nil {
-			return nil, err
-		}
-		res.Answer = ans
-	}
-	return res, nil
+	return res, res.answer(prog, f, m.Goal)
 }
 
 // applyRuleChange — RADI adds (RDDI deletes) rules and type equations in
@@ -257,23 +281,12 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 	if err := next.S.Validate(); err != nil {
 		return nil, fmt.Errorf("module: rejected, schema invalid: %w", err)
 	}
-	f, in, err := next.Instance(opts)
+	f, in, prog, err := next.derive(opts)
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
 	res := &Result{State: next, Instance: in}
-	if len(m.Goal) > 0 {
-		prog, err := engine.Compile(next.S, next.R, opts)
-		if err != nil {
-			return nil, err
-		}
-		ans, err := prog.Query(f, m.Goal)
-		if err != nil {
-			return nil, err
-		}
-		res.Answer = ans
-	}
-	return res, nil
+	return res, res.answer(prog, f, m.Goal)
 }
 
 // applyDataVariant — the three EDB-updating modes. E1 is computed by

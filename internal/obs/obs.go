@@ -191,6 +191,11 @@ type Event struct {
 	Duration time.Duration
 	// Detail is a short free-form annotation (mode names, abort causes).
 	Detail string
+	// Reason says why the stratum runs on the row engine although
+	// columnar evaluation is on: the rule and the construct in it that
+	// has no columnar counterpart (KindStratumBegin; empty for columnar
+	// strata and when columnar evaluation is off).
+	Reason string
 	// Req is the originating request's id when the event was emitted
 	// under a request span (Span.Instrument stamps it); empty for
 	// process-local evaluations. Request identity is not a property of

@@ -29,6 +29,7 @@ type jsonEvent struct {
 	Shard    int    `json:"shard,omitempty"`
 	Duration int64  `json:"duration_ns,omitempty"`
 	Detail   string `json:"detail,omitempty"`
+	Reason   string `json:"reason,omitempty"`
 	Req      string `json:"req,omitempty"`
 }
 
@@ -68,6 +69,7 @@ func (t *JSONL) Event(ev Event) {
 		Axis:    ev.Axis,
 		Limit:   ev.Limit,
 		Detail:  ev.Detail,
+		Reason:  ev.Reason,
 	}
 	if !t.canonical {
 		when := ev.Time
@@ -127,6 +129,9 @@ func FormatEvent(ev Event) string {
 	case KindEvalEnd:
 		return fmt.Sprintf("eval: end rounds=%d facts=%d in %s", ev.Count, ev.Total, ev.Duration)
 	case KindStratumBegin:
+		if ev.Reason != "" {
+			return fmt.Sprintf("stratum %d: begin rules=%d mode=%s row=(%s)", ev.Stratum, ev.Count, ev.Detail, ev.Reason)
+		}
 		return fmt.Sprintf("stratum %d: begin rules=%d mode=%s", ev.Stratum, ev.Count, ev.Detail)
 	case KindStratumEnd:
 		return fmt.Sprintf("stratum %d: end facts=%d", ev.Stratum, ev.Total)

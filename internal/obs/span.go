@@ -180,9 +180,12 @@ type StratumProfile struct {
 	// columnar path.
 	Mode       string `json:"mode"`
 	Vectorized bool   `json:"vectorized,omitempty"`
-	Rounds     int    `json:"rounds"`
-	WallNS     int64  `json:"wall_ns"`
-	Firings    int    `json:"firings"`
+	// Reason is why the stratum stayed on the row engine with columnar
+	// evaluation on: the rule and the construct that has no kernel.
+	Reason  string `json:"reason,omitempty"`
+	Rounds  int    `json:"rounds"`
+	WallNS  int64  `json:"wall_ns"`
+	Firings int    `json:"firings"`
 	// Delta is the per-round delta curve (facts added per round; signed
 	// under the general operator).
 	Delta []int `json:"delta,omitempty"`
@@ -245,6 +248,7 @@ func (c *ProfileCollector) Event(ev Event) {
 			Stratum:    ev.Stratum,
 			Mode:       ev.Detail,
 			Vectorized: strings.Contains(ev.Detail, "vector"),
+			Reason:     ev.Reason,
 		})
 		c.current = &c.strata[len(c.strata)-1]
 		c.stratumStart = time.Now()

@@ -295,6 +295,7 @@ func profileJSON(p *obs.Profile) *client.Profile {
 			Stratum:    st.Stratum,
 			Mode:       st.Mode,
 			Vectorized: st.Vectorized,
+			Reason:     st.Reason,
 			Rounds:     st.Rounds,
 			WallNS:     st.WallNS,
 			Firings:    st.Firings,

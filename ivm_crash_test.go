@@ -113,8 +113,9 @@ func TestIncrementalCrashMatrix(t *testing.T) {
 
 		// Cold recomputation of the recovered persistent state: load the
 		// Save bytes into a fresh non-incremental database and derive
-		// from scratch.
-		cold, err := Load(bytes.NewReader(incSave.Bytes()))
+		// from scratch on the row oracle (the recovered database runs the
+		// defaults).
+		cold, err := Load(bytes.NewReader(incSave.Bytes()), rowOracle()...)
 		if err != nil {
 			t.Fatalf("kill@%d(%s): load recovered snapshot: %v", k, killed, err)
 		}

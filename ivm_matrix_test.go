@@ -11,8 +11,9 @@ import (
 // database opened with WithIncremental must, after every commit of a
 // mixed workload (serial and optimistic applications, insertions and
 // RDDV deletions), render exactly the instance a from-scratch database
-// renders, and persist exactly the same Save bytes — for every workers
-// × shards × vectorize combination, over program classes covering
+// renders on the row oracle, and persist exactly the same Save bytes —
+// under the defaults and for every workers × shards × vectorize
+// combination (engineLegs), over program classes covering
 // counting, recursive closure (DRed), stratified negation (suffix
 // recomputation), and oid-inventing fallback strata.
 
@@ -93,12 +94,12 @@ func ivmMatrixCommits() []struct {
 	}
 }
 
-// ivmOracleRun replays the script on a plain (from-scratch) database
-// and records the instance rendering after every commit plus the final
-// Save bytes.
+// ivmOracleRun replays the script on a plain (from-scratch) database on
+// the row oracle and records the instance rendering after every commit
+// plus the final Save bytes.
 func ivmOracleRun(t *testing.T, rules string) (instances []string, save string) {
 	t.Helper()
-	db, err := Open(ivmMatrixSchema)
+	db, err := Open(ivmMatrixSchema, rowOracle()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,44 +131,37 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 			if !strings.Contains(wantInstances[0], "(") {
 				t.Fatal("oracle derived nothing")
 			}
-			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 4} {
-					for _, vec := range []bool{false, true} {
-						db, err := Open(ivmMatrixSchema, WithIncremental(true),
-							WithWorkers(workers), WithShards(shards), WithVectorize(vec))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if _, err := db.Exec(prog.rules); err != nil {
-							t.Fatal(err)
-						}
-						for i, c := range ivmMatrixCommits() {
-							if c.concurrent {
-								_, err = db.ExecConcurrent(c.src)
-							} else {
-								_, err = db.Exec(c.src)
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := db.InstanceString()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got != wantInstances[i] {
-								t.Fatalf("workers=%d shards=%d vectorize=%v commit %d: incremental instance diverges from scratch",
-									workers, shards, vec, i)
-							}
-						}
-						var sb strings.Builder
-						if err := db.Save(&sb2{&sb}); err != nil {
-							t.Fatal(err)
-						}
-						if sb.String() != wantSave {
-							t.Fatalf("workers=%d shards=%d vectorize=%v: Save bytes diverge from scratch",
-								workers, shards, vec)
-						}
+			for _, leg := range engineLegs() {
+				db, err := Open(ivmMatrixSchema, append(leg.opts, WithIncremental(true))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Exec(prog.rules); err != nil {
+					t.Fatal(err)
+				}
+				for i, c := range ivmMatrixCommits() {
+					if c.concurrent {
+						_, err = db.ExecConcurrent(c.src)
+					} else {
+						_, err = db.Exec(c.src)
 					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := db.InstanceString()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != wantInstances[i] {
+						t.Fatalf("%s commit %d: incremental instance diverges from scratch", leg.name, i)
+					}
+				}
+				var sb strings.Builder
+				if err := db.Save(&sb2{&sb}); err != nil {
+					t.Fatal(err)
+				}
+				if sb.String() != wantSave {
+					t.Fatalf("%s: Save bytes diverge from scratch", leg.name)
 				}
 			}
 		})
@@ -318,7 +312,7 @@ func TestIncrementalRuleChangeRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Open(ivmMatrixSchema)
+	plain, err := Open(ivmMatrixSchema, rowOracle()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,28 +153,34 @@ func WithNonInflationary(on bool) Option {
 	return func(db *Database) { db.opts.NonInflationary = on }
 }
 
-// WithWorkers sets the number of goroutines used for parallel semi-naive
-// evaluation (n <= 0 selects GOMAXPROCS, 1 forces serial). Results are
-// bit-identical to serial evaluation for any worker count.
+// WithWorkers sets the number of goroutines the row engine fans a
+// stratum's passes out to. The default is 1: evaluation is serial, and
+// strata the columnar kernels can run (see WithVectorize) never use the
+// pool. n > 1 opts the remaining row strata into the parallel path;
+// n <= 0 selects GOMAXPROCS. Results are bit-identical to serial
+// evaluation for any worker count.
 func WithWorkers(n int) Option {
 	return func(db *Database) { db.opts.Workers = n }
 }
 
-// WithShards sets the number of partitions parallel evaluation splits the
-// fact set into, so worker deltas merge concurrently — one goroutine per
-// shard (n <= 0 selects GOMAXPROCS, 1 keeps the serial merge). Results
-// are bit-identical for any shard count.
+// WithShards sets the number of partitions parallel row evaluation
+// (WithWorkers > 1) splits the fact set into, so worker deltas merge
+// concurrently — one goroutine per shard. The default is 1, the serial
+// merge; n <= 0 selects GOMAXPROCS. Results are bit-identical for any
+// shard count.
 func WithShards(n int) Option {
 	return func(db *Database) { db.opts.Shards = n }
 }
 
-// WithVectorize toggles columnar evaluation: eligible semi-naive strata
-// run over dictionary-encoded column batches with vectorized
-// select/join/anti-join/filter kernels instead of tuple-at-a-time row
-// evaluation. Strata the columnar compiler cannot handle (tuple
-// variables, oid invention, class predicates, …) silently fall back to
-// the row engine per stratum. Results are bit-identical either way —
-// the row engine remains the semantics oracle.
+// WithVectorize toggles columnar evaluation (default on): eligible
+// semi-naive strata run over dictionary-encoded column batches with
+// vectorized select/join/anti-join/filter kernels instead of
+// tuple-at-a-time row evaluation. Strata the columnar compiler cannot
+// handle (tuple variables, oid invention, class predicates, …) fall
+// back to the row engine per stratum; Explain and the call Profile name
+// the rule and construct that kept each one there. Results are
+// bit-identical either way — the row engine remains the semantics
+// oracle, and WithVectorize(false) selects it for every stratum.
 func WithVectorize(on bool) Option {
 	return func(db *Database) { db.opts.Vectorize = on }
 }

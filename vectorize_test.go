@@ -7,73 +7,173 @@ import (
 )
 
 // Top-level differential property: the persisted database — Save's
-// exact byte stream — must be identical whether evaluation ran on the
-// row engine or the columnar engine, for every workers × shards
-// combination. This is the end-to-end counterpart of the engine-level
-// matrix test (internal/engine/vector_test.go): it covers parsing,
-// module application, storage, and serialization on top of evaluation.
+// exact byte stream — and the rendered instance must be identical
+// whether evaluation ran on the row oracle, under the defaults, or on
+// any explicit workers × shards × vectorize combination. This is the
+// end-to-end counterpart of the engine-level matrix test
+// (internal/engine/vector_test.go): it covers parsing, module
+// application, storage, and serialization on top of evaluation.
 
-const vecMatrixSchema = `
+// vecMatrixCase is one database: a schema and the modules that build it.
+type vecMatrixCase struct {
+	name    string
+	schema  string
+	modules []string
+	derived string // a predicate the run must have derived
+}
+
+func vecMatrixCases() []vecMatrixCase {
+	var edges strings.Builder
+	edges.WriteString("mode ridv.\nrules\n")
+	for i := 0; i < 24; i++ {
+		fmt.Fprintf(&edges, "  edge(src: %d, dst: %d).\n", i, i+1)
+	}
+	// A back edge so the negation in SAME has both outcomes.
+	edges.WriteString("  edge(src: 24, dst: 0).\nend.\n")
+
+	// The gated benchmark's closure_batch shape: a chain with forward
+	// edges, a par tree, persistent rules (RADI) for linear closure,
+	// non-linear same-generation, a stratified negation and a
+	// class-headed stratum that invents oids — so the instance holds
+	// objects numbered by a row stratum that reads what two columnar
+	// strata derived.
+	var graph strings.Builder
+	graph.WriteString("mode ridv.\nrules\n")
+	for i := 0; i <= 32; i++ {
+		fmt.Fprintf(&graph, "  node(n: %d).\n", i)
+		if i > 0 {
+			fmt.Fprintf(&graph, "  par(child: %d, parent: %d).\n", i, (i-1)/2)
+			fmt.Fprintf(&graph, "  edge(src: %d, dst: %d).\n", i-1, i)
+		}
+		if i%16 == 0 {
+			fmt.Fprintf(&graph, "  root(n: %d).\n", i)
+		}
+		if i%5 == 0 && i+3 <= 32 {
+			fmt.Fprintf(&graph, "  edge(src: %d, dst: %d).\n", i, i+3)
+		}
+	}
+	graph.WriteString("end.\n")
+
+	return []vecMatrixCase{
+		{
+			name: "closure-negation",
+			schema: `
 associations
   EDGE = (src: integer, dst: integer);
   TC = (src: integer, dst: integer);
   SAME = (a: integer, b: integer);
-`
-
-const vecMatrixModule = `
+`,
+			modules: []string{edges.String(), `
 mode ridv.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
   same(a: X, b: Y) <- edge(src: X, dst: Y), not tc(src: Y, dst: X).
 end.
-`
-
-func vecMatrixEdges() string {
-	var sb strings.Builder
-	sb.WriteString("mode ridv.\nrules\n")
-	for i := 0; i < 24; i++ {
-		fmt.Fprintf(&sb, "  edge(src: %d, dst: %d).\n", i, i+1)
+`},
+			derived: "tc",
+		},
+		{
+			name: "benchmark-shape",
+			schema: `
+classes
+  VERTEX = (id: integer);
+  ORIGIN = (VERTEX, rank: integer);
+  ORIGIN isa VERTEX;
+associations
+  NODE = (n: integer);
+  ROOT = (n: integer);
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+  PAR = (child: integer, parent: integer);
+  SG = (a: integer, b: integer);
+  UNREACH = (a: integer, b: integer);
+`,
+			modules: []string{graph.String(), `
+mode radi.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+  sg(a: X, b: X) <- node(n: X).
+  sg(a: X, b: Y) <- par(child: X, parent: XP), sg(a: XP, b: YP), par(child: Y, parent: YP).
+  unreach(a: X, b: Y) <- root(n: X), node(n: Y), not tc(src: X, dst: Y).
+  origin(self: S, id: N, rank: 0) <- node(n: N), not unreach(a: 0, b: N).
+end.
+`},
+			derived: "origin",
+		},
 	}
-	// A back edge so the negation in SAME has both outcomes.
-	sb.WriteString("  edge(src: 24, dst: 0).\nend.\n")
-	return sb.String()
 }
 
-func vecMatrixSave(t *testing.T, workers, shards int, vectorize bool) string {
+// vecMatrixRun builds the case's database under the options and returns
+// its Save bytes and rendered instance.
+func vecMatrixRun(t *testing.T, c vecMatrixCase, opts []Option) (save, instance string) {
 	t.Helper()
-	db, err := Open(vecMatrixSchema,
-		WithWorkers(workers), WithShards(shards), WithVectorize(vectorize))
+	db, err := Open(c.schema, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(vecMatrixEdges()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(vecMatrixModule); err != nil {
-		t.Fatal(err)
+	for _, m := range c.modules {
+		if _, err := db.Exec(m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var sb strings.Builder
 	if err := db.Save(&sb2{&sb}); err != nil {
 		t.Fatal(err)
 	}
-	return sb.String()
+	instance, err = db.InstanceString()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sb.String(), instance
 }
 
 func TestVectorizedSaveBytesMatrix(t *testing.T) {
-	oracle := vecMatrixSave(t, 1, 1, false)
-	if !strings.Contains(oracle, "tc") {
-		t.Fatal("oracle run derived nothing")
-	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			for _, vec := range []bool{false, true} {
-				got := vecMatrixSave(t, workers, shards, vec)
-				if got != oracle {
-					t.Fatalf("workers=%d shards=%d vectorize=%v: Save bytes diverge from row serial",
-						workers, shards, vec)
-				}
+	for _, c := range vecMatrixCases() {
+		wantSave, wantInstance := vecMatrixRun(t, c, rowOracle())
+		if !strings.Contains(wantInstance, c.derived) {
+			t.Fatalf("%s: the oracle run derived no %s", c.name, c.derived)
+		}
+		for _, leg := range engineLegs() {
+			save, instance := vecMatrixRun(t, c, leg.opts)
+			if save != wantSave {
+				t.Fatalf("%s, %s: Save bytes diverge from the row oracle", c.name, leg.name)
+			}
+			if instance != wantInstance {
+				t.Fatalf("%s, %s: InstanceString diverges from the row oracle", c.name, leg.name)
 			}
 		}
+	}
+}
+
+// A call profile says which strata ran on the columnar kernels and, for
+// the ones that did not, which rule and construct kept them on the row
+// engine — under the defaults that is the only trace of the choice.
+func TestProfileNamesRowStrata(t *testing.T) {
+	c := vecMatrixCases()[1]
+	db, err := Open(c.schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range c.modules {
+		if _, err := db.Exec(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var p Profile
+	if _, err := db.Query("?- origin(self: S, id: 3).", WithCallProfile(&p)); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range p.Strata {
+		if st.Vectorized != (st.Reason == "") {
+			t.Fatalf("stratum %d: vectorized=%v with reason %q", st.Stratum, st.Vectorized, st.Reason)
+		}
+		got = append(got, st.Reason)
+	}
+	want := []string{"", "", "rule #5: oid invention", "rule #6: class head"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stratum reasons = %q, want %q", got, want)
 	}
 }
