@@ -46,11 +46,11 @@ func e16Server() (string, *obs.Metrics, func() error, error) {
 
 // e16Result carries one configuration's measurements.
 type e16Result struct {
-	elapsed                  time.Duration
-	applies                  int
-	conflicts                int64
+	elapsed                   time.Duration
+	applies                   int
+	conflicts                 int64
 	execP50, execP95, execP99 time.Duration
-	queryP50, queryP95       time.Duration
+	queryP50, queryP95        time.Duration
 }
 
 // e16Load drives appliers×perApplier module applications and one

@@ -70,7 +70,10 @@ func joinCase(ln, rn int) (*Relation, *Relation) {
 }
 
 func TestJoinSmallerSideBuild(t *testing.T) {
-	cases := []struct{ name string; ln, rn int }{
+	cases := []struct {
+		name   string
+		ln, rn int
+	}{
 		{"left-smaller", 4, 40},
 		{"right-smaller", 40, 4},
 		{"equal", 8, 8},

@@ -67,6 +67,13 @@ var nullKey = value.Null{}.Key()
 // pay an O(n log n) re-sort and an O(n) index rebuild of the recursive
 // predicate).
 //
+// Removal is lazy: cacheRemove only records a tombstone, and compact drops
+// every tombstone from the list, the keys and the touched buckets in one
+// pass the first time the cache is read, so a batch of removals (a DRed
+// overestimate, a ⊕ replacement wave) costs one O(n) pass, not one each.
+// Survivors keep their relative order, and a fact removed and re-added goes
+// to the end of its bucket, exactly as with eager removal.
+//
 // A predCache may be shared copy-on-write between a FactSet and its clones:
 // refs counts the owners beyond the first, and every mutation goes through
 // cow() so a shared cache is never written through.
@@ -76,8 +83,25 @@ type predCache struct {
 	sortedLen int                          // list[:sortedLen] is in strictly ascending key order
 	index     map[string]map[string][]Fact // label → value key → facts
 	labels    map[string]bool              // labels occurring in any fact
+	dead      map[string]Fact              // tombstones: removed key → fact, still listed until compact
+
+	// bucketKeys carries the keys of the buckets a compaction has touched
+	// (label → value key → keys, parallel to the index bucket), so the next
+	// compaction of that bucket matches tombstones without re-deriving
+	// Fact.Key. Buckets no removal ever reached carry none, so a set that
+	// only grows pays nothing for it.
+	bucketKeys map[string]map[string][]string
 
 	refs int32 // owners beyond the first (accessed atomically)
+}
+
+// componentKey is the bucket key of f under label (null when f lacks it).
+func componentKey(f Fact, label string) string {
+	cv, found := f.Tuple.Get(label)
+	if !found {
+		return nullKey
+	}
+	return cv.Key()
 }
 
 // share registers one more owner (used by Clone).
@@ -86,7 +110,9 @@ func (c *predCache) share() { atomic.AddInt32(&c.refs, 1) }
 // cow returns a cache safe to mutate: the receiver when it has a single
 // owner, otherwise a private copy (the bucket index is dropped and rebuilt
 // lazily — an O(n) build per queried label, never a re-sort). The caller
-// must store the returned cache back in place of the receiver.
+// must store the returned cache back in place of the receiver. A shared
+// cache never holds tombstones (Clone compacts before sharing), so the copy
+// and every read of a shared cache leave it untouched.
 func (c *predCache) cow() *predCache {
 	if atomic.LoadInt32(&c.refs) == 0 {
 		return c
@@ -103,6 +129,81 @@ func (c *predCache) cow() *predCache {
 		n.labels[l] = true
 	}
 	return n
+}
+
+// compact drops every tombstone: one pass over the list and one over each
+// bucket a tombstoned fact sits in. Survivors keep their order. A bucket
+// left empty is deleted from its index (a sliding window would otherwise
+// grow the index by one empty bucket per retired value); a surviving
+// touched bucket is reallocated at its exact size and from then on carries
+// its keys (derived here the first time only). All arrays are fresh, so
+// previously returned slices stay valid.
+func (c *predCache) compact() {
+	if len(c.dead) == 0 {
+		return
+	}
+	n := len(c.keys) - len(c.dead)
+	list, keys := make([]Fact, 0, n), make([]string, 0, n)
+	sorted := 0
+	for i, k := range c.keys {
+		if _, gone := c.dead[k]; gone {
+			continue
+		}
+		if i < c.sortedLen {
+			sorted++
+		}
+		list = append(list, c.list[i])
+		keys = append(keys, k)
+	}
+	c.list, c.keys, c.sortedLen = list, keys, sorted
+	touched := make(map[string]bool, len(c.dead))
+	for label, idx := range c.index {
+		clear(touched)
+		for _, f := range c.dead {
+			touched[componentKey(f, label)] = true
+		}
+		carried := c.bucketKeys[label]
+		for bk := range touched {
+			b, ok := idx[bk]
+			if !ok {
+				continue
+			}
+			bkeys, ok := carried[bk]
+			if !ok {
+				bkeys = make([]string, len(b))
+				for i, f := range b {
+					bkeys[i] = f.Key()
+				}
+			}
+			live := 0
+			for _, k := range bkeys {
+				if _, gone := c.dead[k]; !gone {
+					live++
+				}
+			}
+			if live == 0 {
+				delete(idx, bk)
+				delete(carried, bk)
+				continue
+			}
+			facts, keys := make([]Fact, 0, live), make([]string, 0, live)
+			for i, k := range bkeys {
+				if _, gone := c.dead[k]; !gone {
+					facts = append(facts, b[i])
+					keys = append(keys, k)
+				}
+			}
+			if carried == nil {
+				if c.bucketKeys == nil {
+					c.bucketKeys = map[string]map[string][]string{}
+				}
+				carried = map[string][]string{}
+				c.bucketKeys[label] = carried
+			}
+			idx[bk], carried[bk] = facts, keys
+		}
+	}
+	c.dead = nil
 }
 
 // dropCache releases one ownership reference when a cache is discarded
@@ -327,16 +428,13 @@ func (s *FactSet) mutableMerged(pred string) *predCache {
 	return c
 }
 
-// flushedMerged restores strict key order on the stored merged view
-// (copy-on-write when shared) and returns it.
+// flushedMerged compacts and restores strict key order on the stored
+// merged view c of pred (copy-on-write when shared) and returns it.
 func (s *FactSet) flushedMerged(pred string, c *predCache) *predCache {
-	if c.sortedLen == len(c.list) {
+	if c.sortedLen == len(c.list) && len(c.dead) == 0 {
 		return c
 	}
-	if cc := c.cow(); cc != c {
-		s.merged[pred] = cc
-		c = cc
-	}
+	c = s.mutableMerged(pred)
 	c.flushCache()
 	return c
 }
@@ -393,27 +491,25 @@ func (s *FactSet) mutableShardCache(si int, pred string) *predCache {
 	return c
 }
 
-// flushedShardCache restores key order on shard si's cache of pred.
+// flushedShardCache compacts and restores key order on shard si's cache of
+// pred.
 func (s *FactSet) flushedShardCache(si int, pred string) *predCache {
-	sh := &s.shards[si]
-	c := sh.caches[pred]
+	c := s.shards[si].caches[pred]
 	if c == nil {
 		return nil
 	}
-	if c.sortedLen != len(c.list) {
-		if cc := c.cow(); cc != c {
-			sh.caches[pred] = cc
-			c = cc
-		}
+	if c.sortedLen != len(c.list) || len(c.dead) > 0 {
+		c = s.mutableShardCache(si, pred)
 		c.flushCache()
 	}
 	return c
 }
 
-// flushCache restores strict key order by merging the insertion-ordered
-// tail into the sorted prefix (fresh backing arrays, so previously returned
-// slices stay valid).
+// flushCache compacts and restores strict key order by merging the
+// insertion-ordered tail into the sorted prefix (fresh backing arrays, so
+// previously returned slices stay valid).
 func (c *predCache) flushCache() {
+	c.compact()
 	n := len(c.list)
 	if c.sortedLen == n {
 		return
@@ -453,71 +549,45 @@ func (a *factsByKey) Swap(i, j int) {
 }
 
 // buildBucket constructs the component buckets of one label from the
-// current list order.
+// current list order (the cache must be compacted).
 func (c *predCache) buildBucket(label string) map[string][]Fact {
 	idx := map[string][]Fact{}
 	for _, f := range c.list {
-		cv, found := f.Tuple.Get(label)
-		if !found {
-			cv = value.Null{}
-		}
-		k := cv.Key()
-		idx[k] = append(idx[k], f)
+		bk := componentKey(f, label)
+		idx[bk] = append(idx[bk], f)
 	}
 	c.index[label] = idx
 	return idx
 }
 
 // cacheAdd maintains the cache for one inserted fact: O(1) list append plus
-// one bucket append per already-built label index.
+// one bucket append per already-built label index. Re-adding a tombstoned
+// key compacts first, so the stale entry cannot shadow the new one.
 func (c *predCache) cacheAdd(f Fact, key string) {
+	if _, ok := c.dead[key]; ok {
+		c.compact()
+	}
 	c.list = append(c.list, f)
 	c.keys = append(c.keys, key)
 	for label, idx := range c.index {
-		cv, found := f.Tuple.Get(label)
-		if !found {
-			cv = value.Null{}
+		bk := componentKey(f, label)
+		idx[bk] = append(idx[bk], f)
+		if bkeys, ok := c.bucketKeys[label][bk]; ok {
+			c.bucketKeys[label][bk] = append(bkeys, key)
 		}
-		k := cv.Key()
-		idx[k] = append(idx[k], f)
 	}
 	for _, fl := range f.Tuple.Fields() {
 		c.labels[fl.Label] = true
 	}
 }
 
-// cacheRemove maintains the cache for one removed fact (fresh slices so
-// previously returned ones stay valid).
+// cacheRemove records a tombstone for one removed fact, present in the
+// cache: O(1). The next read compacts.
 func (c *predCache) cacheRemove(f Fact, key string) {
-	pos := -1
-	for i, k := range c.keys {
-		if k == key {
-			pos = i
-			break
-		}
+	if c.dead == nil {
+		c.dead = map[string]Fact{}
 	}
-	if pos < 0 {
-		return
-	}
-	c.list = append(append([]Fact{}, c.list[:pos]...), c.list[pos+1:]...)
-	c.keys = append(append([]string{}, c.keys[:pos]...), c.keys[pos+1:]...)
-	if pos < c.sortedLen {
-		c.sortedLen--
-	}
-	for label, idx := range c.index {
-		cv, found := f.Tuple.Get(label)
-		if !found {
-			cv = value.Null{}
-		}
-		k := cv.Key()
-		bucket := idx[k]
-		for i := range bucket {
-			if bucket[i].Pred == f.Pred && bucket[i].Key() == key {
-				idx[k] = append(append([]Fact{}, bucket[:i]...), bucket[i+1:]...)
-				break
-			}
-		}
-	}
+	c.dead[key] = f
 }
 
 // --- freeze ---------------------------------------------------------------
@@ -603,10 +673,8 @@ func (s *FactSet) prepareFrozen(pred string) (*predCache, bool) {
 	if c == nil {
 		c, rebuilt = s.buildMergedView(pred)
 	}
-	if c.sortedLen != len(c.list) {
-		if cc := c.cow(); cc != c {
-			c = cc
-		}
+	if c.sortedLen != len(c.list) || len(c.dead) > 0 {
+		c = c.cow()
 		c.flushCache()
 	}
 	missing := false
@@ -617,9 +685,7 @@ func (s *FactSet) prepareFrozen(pred string) (*predCache, bool) {
 		}
 	}
 	if missing {
-		if cc := c.cow(); cc != c {
-			c = cc
-		}
+		c = c.cow()
 		for label := range c.labels {
 			if _, ok := c.index[label]; !ok {
 				c.buildBucket(label)
@@ -670,7 +736,8 @@ func (s *FactSet) Frozen() bool { return s.frozen }
 // equals v, through the component hash index. The returned slice must not
 // be mutated. On an unfrozen set the index is built on demand and bucket
 // order follows fact key order; on a frozen set all buckets are pre-built
-// and the lookup is read-only.
+// and the lookup is read-only. Pending removals are compacted first, but
+// the list is not re-sorted for a lookup on an existing index.
 func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 	c := s.merged[pred]
 	if c == nil {
@@ -679,6 +746,7 @@ func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 		}
 		c = s.mergedCache(pred)
 	}
+	c.compact() // only a private cache holds tombstones; frozen ones hold none
 	idx, ok := c.index[label]
 	if !ok {
 		if s.frozen {
@@ -689,21 +757,15 @@ func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 			}
 			return nil
 		}
-		c = s.flushedMerged(pred, c) // keep bucket order = key order
-		if cc := c.cow(); cc != c {
-			s.merged[pred] = cc
-			c = cc
-		}
-		idx = c.buildBucket(label)
+		s.flushedMerged(pred, c) // keep bucket order = key order
+		idx = s.mutableMerged(pred).buildBucket(label)
 	}
 	return idx[v.Key()]
 }
 
-// Facts returns the facts of a predicate. On an unfrozen set the slice is
-// in deterministic (key) order; on a frozen set it is the key-sorted prefix
-// followed by post-build insertions in insertion order (still deterministic
-// given the same mutation history — strict key order is restored on the
-// first unfrozen call). The returned slice must not be mutated.
+// Facts returns the facts of a predicate in strict key order. On a frozen
+// set the view was compacted and flushed by Freeze and the read never
+// mutates. The returned slice must not be mutated.
 func (s *FactSet) Facts(pred string) []Fact {
 	c := s.merged[pred]
 	if c == nil {
@@ -1067,9 +1129,10 @@ func (s *FactSet) MergeOrdered(deltas []*FactSet) MergeStats {
 // --- set operations -------------------------------------------------------
 
 // Clone returns a deep copy with the same shard layout. The copy is
-// unfrozen; the per-predicate views and shard caches are carried over and
-// shared copy-on-write, so reads after Compose/Minus keep the incremental
-// caches instead of paying a from-scratch O(n log n) rebuild per predicate.
+// unfrozen; the per-predicate views and shard caches are compacted, then
+// carried over and shared copy-on-write, so reads after Compose/Minus keep
+// the incremental caches instead of paying a from-scratch O(n log n)
+// rebuild per predicate.
 func (s *FactSet) Clone() *FactSet {
 	n := NewFactSetShards(len(s.shards))
 	for si := range s.shards {
@@ -1091,12 +1154,14 @@ func (s *FactSet) Clone() *FactSet {
 		if len(sh.caches) > 0 {
 			dst.caches = make(map[string]*predCache, len(sh.caches))
 			for p, c := range sh.caches {
+				c.compact()
 				c.share()
 				dst.caches[p] = c
 			}
 		}
 	}
 	for p, c := range s.merged {
+		c.compact()
 		c.share()
 		n.merged[p] = c
 	}

@@ -1,0 +1,663 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"sync/atomic"
+	"testing"
+
+	"logres/internal/value"
+)
+
+// Tests of the FactSet's incrementally maintained per-predicate caches:
+// ordering, copy-on-write sharing, and tombstone-and-compact removal.
+
+func edgeFact(a, b int) Fact {
+	return Fact{Pred: "edge", Tuple: value.NewTuple(
+		value.Field{Label: "src", Value: value.Int(int64(a))},
+		value.Field{Label: "dst", Value: value.Int(int64(b))},
+	)}
+}
+
+func classTagFact(oid int64, tag int64) Fact {
+	return Fact{Pred: "node", IsClass: true, OID: value.OID(oid), Tuple: value.NewTuple(
+		value.Field{Label: "tag", Value: value.Int(tag)},
+	)}
+}
+
+// chainEdgeFacts builds the EDB of a linear chain 0 → 1 → … → n.
+func chainEdgeFacts(n int) *FactSet {
+	fs := NewFactSet()
+	for i := 0; i < n; i++ {
+		fs.Add(edgeFact(i, i+1))
+	}
+	return fs
+}
+
+// Incremental cache maintenance: once a predicate's cache exists, interleaved
+// Add/lookup rounds must never trigger a from-scratch rebuild (the pre-PR
+// behaviour invalidated the whole cache on every Add).
+func TestFactSetIncrementalCache(t *testing.T) {
+	fs := NewFactSet()
+	for i := 0; i < 8; i++ {
+		fs.Add(edgeFact(i, i+1))
+	}
+	fs.Facts("edge") // build the cache
+	fs.FactsByComponent("edge", "src", value.Int(0))
+	base := fs.rebuilds
+	for i := 8; i < 200; i++ {
+		fs.Add(edgeFact(i, i+1))
+		if got := fs.FactsByComponent("edge", "src", value.Int(int64(i))); len(got) != 1 {
+			t.Fatalf("after add %d: bucket size %d, want 1", i, len(got))
+		}
+		if len(fs.Facts("edge")) != i+1 {
+			t.Fatalf("after add %d: list size %d, want %d", i, len(fs.Facts("edge")), i+1)
+		}
+	}
+	if fs.rebuilds != base {
+		t.Fatalf("interleaved Add/lookup rebuilt the cache %d times, want 0", fs.rebuilds-base)
+	}
+	// Removals must also maintain incrementally.
+	for i := 8; i < 50; i++ {
+		fs.Remove(edgeFact(i, i+1))
+		if got := fs.FactsByComponent("edge", "src", value.Int(int64(i))); len(got) != 0 {
+			t.Fatalf("after remove %d: bucket size %d, want 0", i, len(got))
+		}
+	}
+	if fs.rebuilds != base {
+		t.Fatalf("interleaved Remove/lookup rebuilt the cache %d times, want 0", fs.rebuilds-base)
+	}
+	if fs.Size("edge") != 158 {
+		t.Fatalf("size = %d, want 158", fs.Size("edge"))
+	}
+
+	// Clone must carry the caches copy-on-write: reads and incremental
+	// writes on the clone stay rebuild-free, and the source is untouched.
+	cl := fs.Clone()
+	if len(cl.Facts("edge")) != fs.Size("edge") {
+		t.Fatal("clone lost facts")
+	}
+	cl.Add(edgeFact(500, 501))
+	if got := cl.FactsByComponent("edge", "src", value.Int(500)); len(got) != 1 {
+		t.Fatalf("clone bucket size %d after add, want 1", len(got))
+	}
+	if cl.rebuilds != 0 {
+		t.Fatalf("reads on a clone rebuilt the cache %d times, want 0", cl.rebuilds)
+	}
+	if fs.Has(edgeFact(500, 501)) {
+		t.Fatal("clone mutation leaked into the source")
+	}
+	if got := fs.FactsByComponent("edge", "src", value.Int(500)); len(got) != 0 {
+		t.Fatalf("source bucket sees clone's fact: %v", got)
+	}
+	if fs.rebuilds != base {
+		t.Fatalf("cloning rebuilt the source cache %d times, want 0", fs.rebuilds-base)
+	}
+
+	// Compose and Minus clone internally; their results must keep the
+	// caches too (the pre-PR Clone dropped all predCache state, costing an
+	// O(n log n) rebuild per predicate on first read).
+	small := NewFactSet()
+	small.Add(edgeFact(600, 601))
+	comp := fs.Compose(small)
+	if got := comp.FactsByComponent("edge", "src", value.Int(600)); len(got) != 1 {
+		t.Fatalf("compose bucket size %d, want 1", len(got))
+	}
+	if comp.rebuilds != 0 {
+		t.Fatalf("Compose result rebuilt the cache %d times, want 0", comp.rebuilds)
+	}
+	min := fs.Minus(small)
+	_ = min.Facts("edge")
+	if min.rebuilds != 0 {
+		t.Fatalf("Minus result rebuilt the cache %d times, want 0", min.rebuilds)
+	}
+}
+
+// Facts() must stay in strict key order on an unfrozen set even after
+// incremental appends.
+func TestFactSetKeyOrderAfterAdds(t *testing.T) {
+	fs := NewFactSet()
+	for i := 0; i < 5; i++ {
+		fs.Add(edgeFact(9-i, i))
+	}
+	fs.Facts("edge")
+	for i := 5; i < 10; i++ {
+		fs.Add(edgeFact(9-i, i))
+	}
+	facts := fs.Facts("edge")
+	for i := 1; i < len(facts); i++ {
+		if facts[i-1].Key() >= facts[i].Key() {
+			t.Fatalf("facts out of key order at %d: %q >= %q", i, facts[i-1].Key(), facts[i].Key())
+		}
+	}
+}
+
+// Class-fact replacement (⊕ right bias) must keep the cache consistent.
+func TestFactSetCacheClassReplace(t *testing.T) {
+	fs := NewFactSet()
+	mk := func(oid int64, tag int64) Fact {
+		return Fact{Pred: "node", IsClass: true, OID: value.OID(oid), Tuple: value.NewTuple(
+			value.Field{Label: "tag", Value: value.Int(tag)},
+		)}
+	}
+	fs.Add(mk(1, 10))
+	fs.Add(mk(2, 20))
+	fs.Facts("node")
+	fs.FactsByComponent("node", "tag", value.Int(10))
+	fs.Add(mk(1, 11)) // same oid, new o-value: replace
+	if n := len(fs.Facts("node")); n != 2 {
+		t.Fatalf("list size %d after replace, want 2", n)
+	}
+	if got := fs.FactsByComponent("node", "tag", value.Int(10)); len(got) != 0 {
+		t.Fatalf("stale bucket for replaced o-value: %v", got)
+	}
+	if got := fs.FactsByComponent("node", "tag", value.Int(11)); len(got) != 1 {
+		t.Fatalf("missing bucket for new o-value: %v", got)
+	}
+}
+
+// A window sliding over the values of a label must not grow that label's
+// index: compaction deletes the bucket of every retired value instead of
+// leaving an empty one behind.
+func TestFactSetSlidingWindowIndexBounded(t *testing.T) {
+	const window = 96
+	fs := NewFactSet()
+	fs.FactsByComponent("edge", "src", value.Int(0))
+	for v := 0; v < 2000; v++ {
+		fs.Add(edgeFact(v, v+1))
+		if v >= window {
+			fs.Remove(edgeFact(v-window, v-window+1))
+		}
+		if got := fs.FactsByComponent("edge", "src", value.Int(int64(v))); len(got) != 1 {
+			t.Fatalf("value %d: bucket size %d, want 1", v, len(got))
+		}
+		if n := len(fs.merged["edge"].index["src"]); n > window {
+			t.Fatalf("value %d: src index holds %d buckets for a %d-wide window", v, n, window)
+		}
+	}
+}
+
+// The bytes a Remove allocates must not depend on the predicate's size
+// (eager removal copied the list, the keys and the touched buckets for
+// every fact removed).
+func TestFactSetRemoveAllocsFlat(t *testing.T) {
+	const removes = 200
+	perRemove := func(n int) (allocs, bytes float64) {
+		fs := chainEdgeFacts(n)
+		fs.FactsByComponent("edge", "src", value.Int(0))
+		fs.FactsByComponent("edge", "dst", value.Int(0))
+		victims := make([]Fact, removes+1) // AllocsPerRun makes one warm-up call
+		for i := range victims {
+			victims[i] = edgeFact(i, i+1)
+		}
+		next := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(removes, func() {
+			fs.Remove(victims[next])
+			next++
+		})
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / float64(len(victims))
+	}
+	smallAllocs, smallBytes := perRemove(1000)
+	largeAllocs, largeBytes := perRemove(16000)
+	if largeBytes > 2*smallBytes {
+		t.Fatalf("Remove allocates %.0f B/op (%.1f allocs) at 16k facts vs %.0f B/op (%.1f allocs) at 1k: removal cost grows with the predicate",
+			largeBytes, largeAllocs, smallBytes, smallAllocs)
+	}
+}
+
+// eagerView models one predicate's merged view as eager removal maintains
+// it: the component buckets built so far (fact keys in bucket order), the
+// labels seen, the keys appended since the last flush, and the number of
+// owners sharing the view beyond the first.
+type eagerView struct {
+	buckets map[string]map[string][]string
+	labels  map[string]bool
+	tail    map[string]bool
+	refs    int
+}
+
+// eagerModel is the reference the tombstoned FactSet is checked against:
+// the facts in plain maps, enumerated in key order, and the bucket policy
+// of eager removal — an index is built in key order on its first lookup
+// (or by Freeze), Add appends to it, Remove drops the entry in place, and
+// it is lost when a view shared with a clone is copied on write (by a
+// mutation, or by a read that has to restore key order).
+type eagerModel struct {
+	facts  map[string]Fact
+	oids   map[value.OID]string // class oid → key of its current fact (node is the only class)
+	stored map[string]bool      // predicates ever added to (Freeze builds their views)
+	views  map[string]*eagerView
+	frozen bool
+}
+
+func newEagerModel() *eagerModel {
+	return &eagerModel{
+		facts:  map[string]Fact{},
+		oids:   map[value.OID]string{},
+		stored: map[string]bool{},
+		views:  map[string]*eagerView{},
+	}
+}
+
+func copySet(m map[string]bool) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
+}
+
+func (m *eagerModel) clone() *eagerModel {
+	n := newEagerModel()
+	for k, f := range m.facts {
+		n.facts[k] = f
+	}
+	for o, k := range m.oids {
+		n.oids[o] = k
+	}
+	n.stored = copySet(m.stored)
+	for p, v := range m.views {
+		v.refs++
+		n.views[p] = v
+	}
+	return n
+}
+
+// own replaces a shared view by a private copy without buckets.
+func (m *eagerModel) own(p string) *eagerView {
+	v := m.views[p]
+	if v == nil || v.refs == 0 {
+		return v
+	}
+	v.refs--
+	nv := &eagerView{buckets: map[string]map[string][]string{}, labels: copySet(v.labels), tail: copySet(v.tail)}
+	m.views[p] = nv
+	return nv
+}
+
+// view returns p's view, building a missing one flushed and bucket-free.
+func (m *eagerModel) view(p string) *eagerView {
+	if v := m.views[p]; v != nil {
+		return v
+	}
+	v := &eagerView{buckets: map[string]map[string][]string{}, labels: map[string]bool{}, tail: map[string]bool{}}
+	for _, f := range m.facts {
+		if f.Pred == p {
+			for i := 0; i < f.Tuple.Len(); i++ {
+				v.labels[f.Tuple.Field(i).Label] = true
+			}
+		}
+	}
+	m.views[p] = v
+	return v
+}
+
+// flush restores key order on p's view (copying it first when shared).
+func (m *eagerModel) flush(p string) {
+	if len(m.views[p].tail) > 0 {
+		m.own(p).tail = map[string]bool{}
+	}
+}
+
+func (m *eagerModel) sortedKeys(p string) []string {
+	var keys []string
+	for k, f := range m.facts {
+		if f.Pred == p {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func (m *eagerModel) buildBucket(v *eagerView, p, label string) {
+	idx := map[string][]string{}
+	for _, k := range m.sortedKeys(p) {
+		bk := componentKey(m.facts[k], label)
+		idx[bk] = append(idx[bk], k)
+	}
+	v.buckets[label] = idx
+}
+
+func (m *eagerModel) add(f Fact) {
+	k := f.Key()
+	m.stored[f.Pred] = true
+	if f.IsClass {
+		pk, ok := m.oids[f.OID]
+		if ok && pk == k {
+			return
+		}
+		if ok {
+			m.drop(pk)
+		}
+		m.oids[f.OID] = k
+	} else if _, ok := m.facts[k]; ok {
+		return
+	}
+	m.facts[k] = f
+	if v := m.own(f.Pred); v != nil {
+		v.tail[k] = true
+		for label, idx := range v.buckets {
+			bk := componentKey(f, label)
+			idx[bk] = append(idx[bk], k)
+		}
+		for i := 0; i < f.Tuple.Len(); i++ {
+			v.labels[f.Tuple.Field(i).Label] = true
+		}
+	}
+}
+
+func (m *eagerModel) remove(f Fact) {
+	if _, ok := m.facts[f.Key()]; ok {
+		m.drop(f.Key())
+	}
+}
+
+func (m *eagerModel) drop(k string) {
+	f := m.facts[k]
+	delete(m.facts, k)
+	if f.IsClass && m.oids[f.OID] == k {
+		delete(m.oids, f.OID)
+	}
+	if v := m.own(f.Pred); v != nil {
+		delete(v.tail, k)
+		for label, idx := range v.buckets {
+			bk := componentKey(f, label)
+			var kept []string
+			for _, e := range idx[bk] {
+				if e != k {
+					kept = append(kept, e)
+				}
+			}
+			idx[bk] = kept
+		}
+	}
+}
+
+func (m *eagerModel) factsOf(p string) []string {
+	if m.frozen {
+		if m.views[p] == nil {
+			return nil
+		}
+		return m.sortedKeys(p)
+	}
+	m.view(p)
+	m.flush(p)
+	return m.sortedKeys(p)
+}
+
+func (m *eagerModel) bucket(p, label string, val value.Value) []string {
+	vk := val.Key()
+	if m.frozen {
+		v := m.views[p]
+		if v == nil {
+			return nil
+		}
+		if idx, ok := v.buckets[label]; ok {
+			return idx[vk]
+		}
+		if vk == nullKey {
+			return m.sortedKeys(p)
+		}
+		return nil
+	}
+	v := m.view(p)
+	if _, ok := v.buckets[label]; !ok {
+		m.flush(p)
+		v = m.own(p)
+		m.buildBucket(v, p, label)
+	}
+	return v.buckets[label][vk]
+}
+
+func (m *eagerModel) freeze() {
+	for p := range m.stored {
+		m.view(p)
+		m.flush(p)
+		v := m.views[p]
+		for label := range v.labels {
+			if _, ok := v.buckets[label]; !ok {
+				v = m.own(p)
+				m.buildBucket(v, p, label)
+			}
+		}
+	}
+	m.frozen = true
+}
+
+func factKeys(fs []Fact) []string {
+	keys := make([]string, len(fs))
+	for i, f := range fs {
+		keys[i] = f.Key()
+	}
+	return keys
+}
+
+// assertCacheInvariants checks what the lazy removal relies on: a shared
+// cache never holds tombstones, and a compacted cache has no empty bucket
+// and carries exactly its buckets' keys.
+// With flushShards, on an unfrozen set, it also flushes every shard cache
+// and checks it against its shard's facts.
+func assertCacheInvariants(t *testing.T, step int, fs *FactSet, flushShards bool) {
+	t.Helper()
+	check := func(where string, c *predCache) {
+		if atomic.LoadInt32(&c.refs) > 0 && len(c.dead) > 0 {
+			t.Fatalf("step %d: %s: shared cache holds %d tombstones", step, where, len(c.dead))
+		}
+		if len(c.dead) > 0 {
+			return
+		}
+		for label, idx := range c.index {
+			for bk, b := range idx {
+				if len(b) == 0 {
+					t.Fatalf("step %d: %s: empty bucket %s=%s", step, where, label, bk)
+				}
+			}
+		}
+		for label, carried := range c.bucketKeys {
+			for bk, keys := range carried {
+				if got := factKeys(c.index[label][bk]); !slices.Equal(got, keys) {
+					t.Fatalf("step %d: %s: bucket %s=%s carries keys %v for %v", step, where, label, bk, keys, got)
+				}
+			}
+		}
+	}
+	for p, c := range fs.merged {
+		check("merged "+p, c)
+	}
+	for si := range fs.shards {
+		for p, c := range fs.shards[si].caches {
+			check(fmt.Sprintf("shard %d %s", si, p), c)
+			if fs.frozen || !flushShards {
+				continue
+			}
+			var want []string
+			for k := range fs.shards[si].byPred[p] {
+				want = append(want, k)
+			}
+			sort.Strings(want)
+			if got := fs.flushedShardCache(si, p).keys; !slices.Equal(got, want) {
+				t.Fatalf("step %d: shard %d %s cache %v, shard facts %v", step, si, p, got, want)
+			}
+		}
+	}
+}
+
+// Property: tombstone-and-compact removal is invisible. Random sequences of
+// Add, Remove (single and batched), re-Add of a removed key, class ⊕
+// replacement, Clone then mutation of either side, Freeze/Thaw, Facts and
+// FactsByComponent give the same facts, in strict key order, and the same
+// bucket order as the eager reference model — on both sides of every
+// clone, so a clone's mutations never reach its source or vice versa.
+func TestFactSetTombstoneDifferential(t *testing.T) {
+	const vals = 10
+	labels := map[string][]string{"edge": {"src", "dst", "nolabel"}, "node": {"tag"}}
+	nodeFact := func(r *rand.Rand) Fact { return classTagFact(int64(r.Intn(8)+1), int64(r.Intn(5))) }
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(21 + shards)))
+			type side struct {
+				fs *FactSet
+				m  *eagerModel
+			}
+			sides := []*side{{NewFactSetShards(shards), newEagerModel()}}
+			var removed []Fact
+			readFacts := func(step int, s *side, p string) {
+				if got, want := factKeys(s.fs.Facts(p)), s.m.factsOf(p); !slices.Equal(got, want) {
+					t.Fatalf("step %d: Facts(%s)\n got %v\nwant %v", step, p, got, want)
+				}
+			}
+			readBucket := func(step int, s *side, p, label string, v value.Value) {
+				if got, want := factKeys(s.fs.FactsByComponent(p, label, v)), s.m.bucket(p, label, v); !slices.Equal(got, want) {
+					t.Fatalf("step %d: FactsByComponent(%s, %s, %v)\n got %v\nwant %v", step, p, label, v, got, want)
+				}
+			}
+			randomRead := func(step int, s *side) {
+				p := []string{"edge", "node"}[r.Intn(2)]
+				if r.Intn(3) == 0 {
+					readFacts(step, s, p)
+					return
+				}
+				ls := labels[p]
+				label := ls[r.Intn(len(ls))]
+				var v value.Value = value.Int(int64(r.Intn(vals)))
+				if label == "nolabel" {
+					v = value.Null{}
+				}
+				readBucket(step, s, p, label, v)
+			}
+			existing := func(s *side) (Fact, bool) {
+				if len(s.m.facts) == 0 {
+					return Fact{}, false
+				}
+				keys := s.m.sortedKeys("edge")
+				keys = append(keys, s.m.sortedKeys("node")...)
+				return s.m.facts[keys[r.Intn(len(keys))]], true
+			}
+			for step := 0; step < 4000; step++ {
+				i := r.Intn(len(sides))
+				s := sides[i]
+				op := r.Intn(20)
+				if s.m.frozen && op < 12 {
+					op = 14 + 5*r.Intn(2) // a frozen set only thaws or reads
+				}
+				mutated := true
+				switch {
+				case op < 4: // add
+					f := edgeFact(r.Intn(vals), r.Intn(vals))
+					if r.Intn(3) == 0 {
+						f = nodeFact(r)
+					}
+					s.fs.Add(f)
+					s.m.add(f)
+				case op < 7: // remove one present fact
+					if f, ok := existing(s); ok {
+						s.fs.Remove(f)
+						s.m.remove(f)
+						removed = append(removed, f)
+					}
+				case op == 7: // batch of removals, DRed-style, with no read between
+					for j := r.Intn(8); j >= 0; j-- {
+						if f, ok := existing(s); ok {
+							s.fs.Remove(f)
+							s.m.remove(f)
+							removed = append(removed, f)
+						}
+					}
+				case op < 10: // re-add a removed key
+					if len(removed) > 0 {
+						f := removed[r.Intn(len(removed))]
+						s.fs.Add(f)
+						s.m.add(f)
+					}
+				case op < 12: // class ⊕ replacement of a present oid
+					if len(s.m.oids) > 0 {
+						oids := make([]int, 0, len(s.m.oids))
+						for o := range s.m.oids {
+							oids = append(oids, int(o))
+						}
+						sort.Ints(oids)
+						f := classTagFact(int64(oids[r.Intn(len(oids))]), int64(r.Intn(5)))
+						s.fs.Add(f)
+						s.m.add(f)
+					}
+				case op == 12: // clone; either side mutates from here on
+					c := &side{s.fs.Clone(), s.m.clone()}
+					if len(sides) == 1 {
+						sides = append(sides, c)
+					} else {
+						sides[1-i] = c
+					}
+					mutated = false
+				case op == 13 || op == 14: // freeze / thaw
+					if s.m.frozen {
+						s.fs.Thaw()
+						s.m.frozen = false
+					} else {
+						s.fs.FreezeParallel(1 + r.Intn(3))
+						s.m.freeze()
+					}
+					mutated = false
+				default:
+					randomRead(step, s)
+					mutated = false
+				}
+				// The other side of a clone must not see the mutation.
+				if mutated && len(sides) == 2 && r.Intn(4) == 0 {
+					randomRead(step, sides[1-i])
+				}
+				assertCacheInvariants(t, step, s.fs, step%100 == 0)
+			}
+			for _, s := range sides {
+				for _, p := range []string{"edge", "node", "ghost"} {
+					readFacts(4000, s, p)
+					for _, label := range labels[p] {
+						for v := 0; v < vals; v++ {
+							readBucket(4000, s, p, label, value.Int(int64(v)))
+						}
+						readBucket(4000, s, p, label, value.Null{})
+					}
+				}
+				assertCacheInvariants(t, 4000, s.fs, true)
+			}
+		})
+	}
+}
+
+var benchBucket []Fact
+
+// BenchmarkFactSetSlidingWindow measures the monitor_ivm shape: a closure
+// over a 97-node window (4 656 facts, both labels indexed) slides by one
+// node per iteration — 96 removals of the retired node's out-edges and 96
+// insertions of the new node's in-edges — followed by a bucket lookup.
+// Eager removal paid an O(n) copy per removed fact; tombstones pay one
+// compaction per batch.
+func BenchmarkFactSetSlidingWindow(b *testing.B) {
+	const w = 97
+	fs := NewFactSet()
+	for a := 0; a < w; a++ {
+		for c := a + 1; c < w; c++ {
+			fs.Add(edgeFact(a, c))
+		}
+	}
+	fs.FactsByComponent("edge", "src", value.Int(0))
+	fs.FactsByComponent("edge", "dst", value.Int(0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo, hi := i, i+w
+		for c := lo + 1; c < hi; c++ {
+			fs.Remove(edgeFact(lo, c))
+		}
+		for a := lo + 1; a < hi; a++ {
+			fs.Add(edgeFact(a, hi))
+		}
+		benchBucket = fs.FactsByComponent("edge", "src", value.Int(int64(lo+1)))
+	}
+}

@@ -258,8 +258,8 @@ associations
   P = (n: integer);
 `
 	for _, rules := range []string{
-		"person(name: \"x\") <- p(n: X).",  // invention
-		"not p(n: X) <- p(n: X), X > 3.",   // deletion head
+		"person(name: \"x\") <- p(n: X).", // invention
+		"not p(n: X) <- p(n: X), X > 3.",  // deletion head
 	} {
 		prog, err := tryBuild(schema, rules, DefaultOptions())
 		if err != nil {

@@ -9,24 +9,8 @@ import (
 	"logres/internal/value"
 )
 
-// Tests of the parallel semi-naive engine and the incremental FactSet
-// caches that back it.
-
-func edgeFact(a, b int) Fact {
-	return Fact{Pred: "edge", Tuple: value.NewTuple(
-		value.Field{Label: "src", Value: value.Int(int64(a))},
-		value.Field{Label: "dst", Value: value.Int(int64(b))},
-	)}
-}
-
-// chainEdgeFacts builds the EDB of a linear chain 0 → 1 → … → n.
-func chainEdgeFacts(n int) *FactSet {
-	fs := NewFactSet()
-	for i := 0; i < n; i++ {
-		fs.Add(edgeFact(i, i+1))
-	}
-	return fs
-}
+// Tests of the parallel semi-naive engine and of the frozen FactSet it
+// reads (the cache maintenance tests are in facts_test.go).
 
 // Parallel evaluation must be bit-identical to serial for every worker
 // count, on both random graphs and deep chains (many rounds, small deltas).
@@ -191,128 +175,6 @@ func TestWorkersNormalization(t *testing.T) {
 	p.SetWorkers(3)
 	if p.Workers() != 3 {
 		t.Fatalf("SetWorkers(3) left workers = %d", p.Workers())
-	}
-}
-
-// Incremental cache maintenance: once a predicate's cache exists, interleaved
-// Add/lookup rounds must never trigger a from-scratch rebuild (the pre-PR
-// behaviour invalidated the whole cache on every Add).
-func TestFactSetIncrementalCache(t *testing.T) {
-	fs := NewFactSet()
-	for i := 0; i < 8; i++ {
-		fs.Add(edgeFact(i, i+1))
-	}
-	fs.Facts("edge") // build the cache
-	fs.FactsByComponent("edge", "src", value.Int(0))
-	base := fs.rebuilds
-	for i := 8; i < 200; i++ {
-		fs.Add(edgeFact(i, i+1))
-		if got := fs.FactsByComponent("edge", "src", value.Int(int64(i))); len(got) != 1 {
-			t.Fatalf("after add %d: bucket size %d, want 1", i, len(got))
-		}
-		if len(fs.Facts("edge")) != i+1 {
-			t.Fatalf("after add %d: list size %d, want %d", i, len(fs.Facts("edge")), i+1)
-		}
-	}
-	if fs.rebuilds != base {
-		t.Fatalf("interleaved Add/lookup rebuilt the cache %d times, want 0", fs.rebuilds-base)
-	}
-	// Removals must also maintain incrementally.
-	for i := 8; i < 50; i++ {
-		fs.Remove(edgeFact(i, i+1))
-		if got := fs.FactsByComponent("edge", "src", value.Int(int64(i))); len(got) != 0 {
-			t.Fatalf("after remove %d: bucket size %d, want 0", i, len(got))
-		}
-	}
-	if fs.rebuilds != base {
-		t.Fatalf("interleaved Remove/lookup rebuilt the cache %d times, want 0", fs.rebuilds-base)
-	}
-	if fs.Size("edge") != 158 {
-		t.Fatalf("size = %d, want 158", fs.Size("edge"))
-	}
-
-	// Clone must carry the caches copy-on-write: reads and incremental
-	// writes on the clone stay rebuild-free, and the source is untouched.
-	cl := fs.Clone()
-	if len(cl.Facts("edge")) != fs.Size("edge") {
-		t.Fatal("clone lost facts")
-	}
-	cl.Add(edgeFact(500, 501))
-	if got := cl.FactsByComponent("edge", "src", value.Int(500)); len(got) != 1 {
-		t.Fatalf("clone bucket size %d after add, want 1", len(got))
-	}
-	if cl.rebuilds != 0 {
-		t.Fatalf("reads on a clone rebuilt the cache %d times, want 0", cl.rebuilds)
-	}
-	if fs.Has(edgeFact(500, 501)) {
-		t.Fatal("clone mutation leaked into the source")
-	}
-	if got := fs.FactsByComponent("edge", "src", value.Int(500)); len(got) != 0 {
-		t.Fatalf("source bucket sees clone's fact: %v", got)
-	}
-	if fs.rebuilds != base {
-		t.Fatalf("cloning rebuilt the source cache %d times, want 0", fs.rebuilds-base)
-	}
-
-	// Compose and Minus clone internally; their results must keep the
-	// caches too (the pre-PR Clone dropped all predCache state, costing an
-	// O(n log n) rebuild per predicate on first read).
-	small := NewFactSet()
-	small.Add(edgeFact(600, 601))
-	comp := fs.Compose(small)
-	if got := comp.FactsByComponent("edge", "src", value.Int(600)); len(got) != 1 {
-		t.Fatalf("compose bucket size %d, want 1", len(got))
-	}
-	if comp.rebuilds != 0 {
-		t.Fatalf("Compose result rebuilt the cache %d times, want 0", comp.rebuilds)
-	}
-	min := fs.Minus(small)
-	_ = min.Facts("edge")
-	if min.rebuilds != 0 {
-		t.Fatalf("Minus result rebuilt the cache %d times, want 0", min.rebuilds)
-	}
-}
-
-// Facts() must stay in strict key order on an unfrozen set even after
-// incremental appends.
-func TestFactSetKeyOrderAfterAdds(t *testing.T) {
-	fs := NewFactSet()
-	for i := 0; i < 5; i++ {
-		fs.Add(edgeFact(9-i, i))
-	}
-	fs.Facts("edge")
-	for i := 5; i < 10; i++ {
-		fs.Add(edgeFact(9-i, i))
-	}
-	facts := fs.Facts("edge")
-	for i := 1; i < len(facts); i++ {
-		if facts[i-1].Key() >= facts[i].Key() {
-			t.Fatalf("facts out of key order at %d: %q >= %q", i, facts[i-1].Key(), facts[i].Key())
-		}
-	}
-}
-
-// Class-fact replacement (⊕ right bias) must keep the cache consistent.
-func TestFactSetCacheClassReplace(t *testing.T) {
-	fs := NewFactSet()
-	mk := func(oid int64, tag int64) Fact {
-		return Fact{Pred: "node", IsClass: true, OID: value.OID(oid), Tuple: value.NewTuple(
-			value.Field{Label: "tag", Value: value.Int(tag)},
-		)}
-	}
-	fs.Add(mk(1, 10))
-	fs.Add(mk(2, 20))
-	fs.Facts("node")
-	fs.FactsByComponent("node", "tag", value.Int(10))
-	fs.Add(mk(1, 11)) // same oid, new o-value: replace
-	if n := len(fs.Facts("node")); n != 2 {
-		t.Fatalf("list size %d after replace, want 2", n)
-	}
-	if got := fs.FactsByComponent("node", "tag", value.Int(10)); len(got) != 0 {
-		t.Fatalf("stale bucket for replaced o-value: %v", got)
-	}
-	if got := fs.FactsByComponent("node", "tag", value.Int(11)); len(got) != 1 {
-		t.Fatalf("missing bucket for new o-value: %v", got)
 	}
 }
 

@@ -12,12 +12,6 @@ import (
 // layout under randomized operation interleavings, and bit-identical
 // parallel evaluation across the worker × shard matrix.
 
-func classTagFact(oid int64, tag int64) Fact {
-	return Fact{Pred: "node", IsClass: true, OID: value.OID(oid), Tuple: value.NewTuple(
-		value.Field{Label: "tag", Value: value.Int(tag)},
-	)}
-}
-
 // randomFact draws either an association or a class fact, from a small
 // domain so Adds collide with Removes and class replacements actually
 // happen.
