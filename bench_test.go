@@ -339,34 +339,6 @@ func BenchmarkE11_Semantics(b *testing.B) {
 	}
 }
 
-// E12 — parallel semi-naive scaling: the same chain closure at several
-// worker × shard counts (results are bit-identical; only wall-clock
-// differs).
-func BenchmarkE12_ParallelClosure(b *testing.B) {
-	for _, cfg := range [][2]int{{1, 1}, {2, 2}, {4, 4}} {
-		workers, shards := cfg[0], cfg[1]
-		b.Run(fmt.Sprintf("workers=%d/shards=%d", workers, shards), func(b *testing.B) {
-			s, err := bench.NewLogresTC(bench.Chain(128), true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Program.SetVectorize(false) // the worker pool is a row-engine path
-			s.Program.SetWorkers(workers)
-			s.Program.SetShards(shards)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != 128*129/2 {
-					b.Fatalf("tc = %d", got)
-				}
-			}
-		})
-	}
-}
-
 // E14 — tracer overhead: the same chain closure untraced (the nil-check
 // fast path), under a JSONL tracer writing to io.Discard, and under the
 // metrics adapter. EXPERIMENTS.md records the measured gap; the

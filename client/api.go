@@ -35,10 +35,6 @@ type CreateRequest struct {
 // DBOptions is the per-database configuration subset exposed on the
 // wire; zero fields keep the engine defaults.
 type DBOptions struct {
-	// Workers and Shards opt the row engine into parallel evaluation
-	// (logres.WithWorkers / WithShards); 0 keeps the serial default.
-	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
 	// MaxRetries bounds optimistic commit retries
 	// (logres.WithMaxRetries): 0 = default, negative = fail on the
 	// first conflict.

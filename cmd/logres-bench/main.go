@@ -9,9 +9,9 @@
 //	logres-bench [-quick] [-only E1,E5]
 //	logres-bench -json BENCH_pr4.json
 //
-// The -json mode runs a small tracer-overhead smoke suite (the E1 and
-// E12 workloads with tracing off vs a JSONL tracer discarding its
-// output) and writes machine-readable ns/op results instead of tables.
+// The -json mode runs a small tracer-overhead smoke suite (the E1
+// workload with tracing off vs a JSONL tracer discarding its output)
+// and writes machine-readable ns/op results instead of tables.
 package main
 
 import (
@@ -29,15 +29,11 @@ import (
 	"logres/internal/obs"
 )
 
-// rowEngine pins a program to the row engine at the given fan-out. The
-// rows and columns named serial, semi, row or parN were recorded on that
-// engine and keep measuring it; the defaults (serial, columnar) are
-// what the unnamed ones and the gated benchmark run.
-func rowEngine(p *engine.Program, workers, shards int) {
-	p.SetVectorize(false)
-	p.SetWorkers(workers)
-	p.SetShards(shards)
-}
+// rowEngine pins a program to the row engine. The rows and columns named
+// serial, semi or row were recorded on that engine and keep measuring
+// it; the defaults (columnar-first) are what the unnamed ones and the
+// gated benchmark run.
+func rowEngine(p *engine.Program) { p.SetVectorize(false) }
 
 type experiment struct {
 	id  string
@@ -67,7 +63,7 @@ func main() {
 	experiments := []experiment{
 		{"E1", runE1}, {"E2", runE2}, {"E3", runE3}, {"E4", runE4},
 		{"E5", runE5}, {"E6", runE6}, {"E7", runE7}, {"E8", runE8},
-		{"E9", runE9}, {"E10", runE10}, {"E11", runE11}, {"E12", runE12},
+		{"E9", runE9}, {"E10", runE10}, {"E11", runE11},
 		{"E15", runE15}, {"E16", runE16}, {"E17", runE17}, {"E18", runE18},
 		{"E19", runE19}, {"E20", runE20},
 	}
@@ -99,57 +95,43 @@ type smokeResult struct {
 	P99Ns int64 `json:"p99_ns,omitempty"`
 }
 
-// smokeCase is one workload × tracer configuration of the smoke suite.
-type smokeCase struct {
-	name            string
-	workers, shards int
-	edges           int
-}
-
-// runSmoke measures the E1 (serial) and E12 (parallel) chain-closure
-// workloads with tracing off and with a JSONL tracer writing to
-// io.Discard, plus the E15 disjoint-module throughput comparison (serial
+// runSmoke measures the E1 chain-closure workload on the row engine with
+// tracing off and with a JSONL tracer writing to io.Discard, plus the E15 disjoint-module throughput comparison (serial
 // write-locked path vs four optimistic appliers), and writes the ns/op
 // comparison as JSON — the CI bench-smoke artifact guarding the tracer's
 // overhead and concurrent-commit contracts.
 func runSmoke(path string) error {
-	cases := []smokeCase{
-		{name: "E1_tc_chain128_serial", workers: 1, shards: 1, edges: 128},
-		{name: "E12_tc_chain256_par4", workers: 4, shards: 4, edges: 256},
-	}
 	var results []smokeResult
-	for _, c := range cases {
-		for _, traced := range []bool{false, true} {
-			s, err := bench.NewLogresTC(bench.Chain(c.edges), true)
-			if err != nil {
-				return err
-			}
-			rowEngine(s.Program, c.workers, c.shards)
-			label := "off"
-			if traced {
-				s.Program.SetTracer(obs.NewJSONL(io.Discard))
-				label = "jsonl"
-			}
-			if _, err := s.Run(); err != nil { // warm-up
-				return err
-			}
-			iters := 0
-			start := time.Now()
-			for time.Since(start) < 500*time.Millisecond || iters < 5 {
-				if _, err := s.Run(); err != nil {
-					return err
-				}
-				iters++
-			}
-			results = append(results, smokeResult{
-				Name:    c.name,
-				Tracer:  label,
-				Workers: c.workers,
-				Shards:  c.shards,
-				Iters:   iters,
-				NsPerOp: time.Since(start).Nanoseconds() / int64(iters),
-			})
+	for _, traced := range []bool{false, true} {
+		s, err := bench.NewLogresTC(bench.Chain(128), true)
+		if err != nil {
+			return err
 		}
+		rowEngine(s.Program)
+		label := "off"
+		if traced {
+			s.Program.SetTracer(obs.NewJSONL(io.Discard))
+			label = "jsonl"
+		}
+		if _, err := s.Run(); err != nil { // warm-up
+			return err
+		}
+		iters := 0
+		start := time.Now()
+		for time.Since(start) < 500*time.Millisecond || iters < 5 {
+			if _, err := s.Run(); err != nil {
+				return err
+			}
+			iters++
+		}
+		results = append(results, smokeResult{
+			Name:    "E1_tc_chain128_serial",
+			Tracer:  label,
+			Workers: 1,
+			Shards:  1,
+			Iters:   iters,
+			NsPerOp: time.Since(start).Nanoseconds() / int64(iters),
+		})
 	}
 	// E17 rows: row vs columnar evaluation on the E1 chain-128 closure.
 	// The pair is the artifact's record of the vectorized speedup.
@@ -159,7 +141,7 @@ func runSmoke(path string) error {
 			return err
 		}
 		name := "E17_tc_chain128_row"
-		rowEngine(s.Program, 1, 1)
+		rowEngine(s.Program)
 		if vec {
 			name = "E17_tc_chain128_vectorized"
 			s.Program.SetVectorize(true)
@@ -302,7 +284,7 @@ func sizes(quick bool, full, small []int) []int {
 func runE1(quick bool) (*bench.Table, error) {
 	t := &bench.Table{
 		Title:   "E1 — transitive closure (chain graphs)",
-		Columns: []string{"n", "edges", "derived", "logres-naive", "logres-semi", "logres-par4", "algres-naive", "algres-semi", "algres-par4", "datalog-semi"},
+		Columns: []string{"n", "edges", "derived", "logres-naive", "logres-semi", "algres-naive", "algres-semi", "algres-par4", "datalog-semi"},
 	}
 	for _, n := range sizes(quick, []int{32, 64, 128}, []int{16, 32}) {
 		edges := bench.Chain(n)
@@ -320,17 +302,8 @@ func runE1(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rowEngine(ls.Program, 1, 1)
+		rowEngine(ls.Program)
 		dSemi, err := bench.Timed(func() error { _, err := ls.Run(); return err })
-		if err != nil {
-			return nil, err
-		}
-		lp, err := bench.NewLogresTC(edges, true)
-		if err != nil {
-			return nil, err
-		}
-		rowEngine(lp.Program, 4, 4)
-		dPar, err := bench.Timed(func() error { _, err := lp.Run(); return err })
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +339,7 @@ func runE1(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(n, len(edges), derived, dNaive, dSemi, dPar, dAN, dAS, dAP, dDL)
+		t.AddRow(n, len(edges), derived, dNaive, dSemi, dAN, dAS, dAP, dDL)
 	}
 	return t, nil
 }
@@ -374,7 +347,7 @@ func runE1(quick bool) (*bench.Table, error) {
 func runE2(quick bool) (*bench.Table, error) {
 	t := &bench.Table{
 		Title:   "E2 — same generation (balanced binary trees)",
-		Columns: []string{"depth", "nodes", "sg-pairs", "logres-semi", "logres-par4", "datalog-semi"},
+		Columns: []string{"depth", "nodes", "sg-pairs", "logres-semi", "datalog-semi"},
 	}
 	for _, depth := range sizes(quick, []int{3, 4, 5}, []int{2, 3}) {
 		edges := bench.Tree(2, depth)
@@ -382,22 +355,13 @@ func runE2(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rowEngine(s.Program, 1, 1)
+		rowEngine(s.Program)
 		var pairs int
 		d, err := bench.Timed(func() error {
 			var err error
 			pairs, err = s.RunSG()
 			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		sp, err := bench.NewLogresSG(edges, true)
-		if err != nil {
-			return nil, err
-		}
-		rowEngine(sp.Program, 4, 4)
-		dPar, err := bench.Timed(func() error { _, err := sp.RunSG(); return err })
 		if err != nil {
 			return nil, err
 		}
@@ -411,7 +375,7 @@ func runE2(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(depth, len(edges)+1, pairs, d, dPar, dDL)
+		t.AddRow(depth, len(edges)+1, pairs, d, dDL)
 	}
 	return t, nil
 }
@@ -616,39 +580,6 @@ func runE10(quick bool) (*bench.Table, error) {
 	return t, nil
 }
 
-func runE12(quick bool) (*bench.Table, error) {
-	t := &bench.Table{
-		Title:   "E12 — parallel semi-naive scaling (chain closure)",
-		Columns: []string{"n", "workers", "shards", "derived", "time", "speedup"},
-	}
-	for _, n := range sizes(quick, []int{1024, 4096}, []int{128, 256}) {
-		edges := bench.Chain(n)
-		var serial time.Duration
-		for _, cfg := range [][2]int{{1, 1}, {2, 2}, {4, 4}, {8, 8}} {
-			workers, shards := cfg[0], cfg[1]
-			s, err := bench.NewLogresTC(edges, true)
-			if err != nil {
-				return nil, err
-			}
-			rowEngine(s.Program, workers, shards)
-			var derived int
-			d, err := bench.Timed(func() error {
-				var err error
-				derived, err = s.Run()
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			if workers == 1 {
-				serial = d
-			}
-			t.AddRow(n, workers, shards, derived, d, float64(serial)/float64(d))
-		}
-	}
-	return t, nil
-}
-
 func runE17(quick bool) (*bench.Table, error) {
 	t := &bench.Table{
 		Title:   "E17 — row vs columnar evaluation (chain closure + join micro)",
@@ -660,7 +591,7 @@ func runE17(quick bool) (*bench.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rowEngine(sr.Program, 1, 1)
+		rowEngine(sr.Program)
 		var derived int
 		dRow, err := bench.Timed(func() error {
 			var err error

@@ -15,12 +15,6 @@
 //	-schema file       open the preloaded database over this schema file
 //	-load file         load the preloaded database from a snapshot
 //	                   instead (in-memory servers only)
-//	-workers n         row-engine worker goroutines for the preloaded
-//	                   database (default 0: the serial, columnar-first
-//	                   engine; n > 1 opts strata the columnar kernels
-//	                   cannot run into the parallel row path)
-//	-shards n          fact-set shards the parallel row path merges
-//	                   deltas over (default 0: unsharded)
 //	-max-retries n     conflict retry bound for the preloaded database
 //	-grace d           shutdown grace period (default 30s): SIGINT/SIGTERM
 //	                   stops accepting work and drains in-flight
@@ -77,8 +71,6 @@ type config struct {
 	dbName        string
 	schemaPath    string
 	loadPath      string
-	workers       int
-	shards        int
 	maxRetries    int
 	grace         time.Duration
 	chunk         int
@@ -98,8 +90,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&cfg.dbName, "db", "default", "name for the preloaded database")
 	fs.StringVar(&cfg.schemaPath, "schema", "", "schema file for the preloaded database")
 	fs.StringVar(&cfg.loadPath, "load", "", "snapshot file for the preloaded database")
-	fs.IntVar(&cfg.workers, "workers", 0, "row-engine worker goroutines for the preloaded database (0 = the default: serial, columnar-first; n > 1 opts row strata into the parallel path)")
-	fs.IntVar(&cfg.shards, "shards", 0, "fact-set shards the parallel row path merges deltas over (0 = the default: unsharded)")
 	fs.IntVar(&cfg.maxRetries, "max-retries", 0, "conflict retry bound for the preloaded database")
 	fs.DurationVar(&cfg.grace, "grace", 30*time.Second, "shutdown grace period")
 	fs.IntVar(&cfg.chunk, "chunk", 0, "rows per streamed query chunk")
@@ -139,12 +129,6 @@ func preload(cfg *config, srv *server.Server, stderr *os.File) error {
 		return nil
 	}
 	opts := []logres.Option{logres.WithMetrics(srv.Metrics())}
-	if cfg.workers != 0 {
-		opts = append(opts, logres.WithWorkers(cfg.workers))
-	}
-	if cfg.shards != 0 {
-		opts = append(opts, logres.WithShards(cfg.shards))
-	}
 	if cfg.maxRetries != 0 {
 		opts = append(opts, logres.WithMaxRetries(cfg.maxRetries))
 	}

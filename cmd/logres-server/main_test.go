@@ -307,6 +307,13 @@ func TestParseFlags(t *testing.T) {
 	if err != nil || cfg.addr != ":0" || cfg.grace != time.Second {
 		t.Errorf("parseFlags = %+v, %v", cfg, err)
 	}
+	// The parallel row engine's flags are gone, not ignored.
+	for _, removed := range []string{"-workers", "-shards"} {
+		if _, err := parseFlags([]string{removed, "2"}); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined: "+removed) {
+			t.Errorf("%s 2: err = %v, want an undefined-flag error", removed, err)
+		}
+	}
 }
 
 // TestParseDurableFlags covers the durability flag surface.

@@ -19,7 +19,7 @@ domains NAME = string;
 associations
   EDGE = (src: NAME, dst: NAME);
   TC = (src: NAME, dst: NAME);
-`, WithWorkers(2))
+`)
 	if err != nil {
 		t.Fatal(err)
 	}

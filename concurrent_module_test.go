@@ -16,9 +16,9 @@ import (
 
 // ---------------------------------------------------------------------------
 // Property test: concurrent application of disjoint modules is equivalent to
-// serial application in either order (bit-identical Save output), across
-// workers × shards configurations; conflicting modules serialize to one of
-// the two serial orders.
+// serial application in either order (bit-identical Save output), on every
+// engine leg; conflicting modules serialize to one of the two serial
+// orders.
 // ---------------------------------------------------------------------------
 
 const concurrentSchema = `
@@ -105,7 +105,7 @@ func concurrentState(t *testing.T, opts []Option, a, b string) ([]byte, *Metrics
 }
 
 // The serial reference states come from the row oracle; the concurrent
-// side runs under the defaults and every explicit engine configuration.
+// side runs on every engine leg.
 func TestConcurrentDisjointEquivalentToSerial(t *testing.T) {
 	preds := []string{"p0", "p1", "p2", "p3", "p4", "p5"}
 	for li, leg := range engineLegs() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"logres/internal/engine"
 	"logres/internal/module"
 	"logres/internal/obs"
 	"logres/internal/storage"
@@ -94,14 +93,15 @@ func OpenDurable(schemaSrc string, d Durability, options ...Option) (*Database, 
 		return db, nil, nil
 	}
 
+	db, err := newDatabase(nil, options)
+	if err != nil {
+		return nil, nil, err
+	}
 	store, st, rec, err := storage.Open(d.Dir, sopts)
 	if err != nil {
 		return nil, nil, err
 	}
-	db := &Database{opts: engine.DefaultOptions(), log: storage.NewCommitLogAt(rec.Epoch, 0)}
-	for _, o := range options {
-		o(db)
-	}
+	db.log = storage.NewCommitLogAt(rec.Epoch, 0)
 	db.store = store
 	db.recovery = rec
 	store.SetTracer(db.opts.Tracer)

@@ -244,11 +244,11 @@ func durableOps() []durableOp {
 // runCrashWorkload applies ops concurrently against a durable database
 // and returns which ops were acked (committed without error). The
 // database is abandoned afterwards, as a crashed process would.
-func runCrashWorkload(t *testing.T, dir string, workers, shards int) (acked map[durableOp]bool) {
+func runCrashWorkload(t *testing.T, dir string) (acked map[durableOp]bool) {
 	t.Helper()
 	db, _, err := OpenDurable(durableSchema,
 		Durability{Dir: dir, Fsync: FsyncAlways, CompactEvery: 5},
-		WithWorkers(workers), WithShards(shards))
+		WithWorkers(1), WithShards(1))
 	if err != nil {
 		// The injected fault can land in Create/Open itself.
 		return map[durableOp]bool{}
@@ -277,111 +277,104 @@ func runCrashWorkload(t *testing.T, dir string, workers, shards int) (acked map[
 }
 
 func TestDurableCrashMatrix(t *testing.T) {
-	configs := []struct{ workers, shards int }{{1, 1}, {1, 4}, {4, 1}, {4, 4}}
-	for _, cfg := range configs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("w%dxs%d", cfg.workers, cfg.shards), func(t *testing.T) {
-			// Pass 1: count fault-point crossings in a clean run. Under
-			// concurrency the exact count varies slightly run to run
-			// (compaction timing); the clean count is a good census of
-			// the interesting window.
-			var mu sync.Mutex
-			crossings := 0
-			hooks.StorageFault = func(string) error {
+	// The one accepted Workers × Shards value, passed by name as
+	// benchmark/oracle.go passes it.
+	t.Run("w1xs1", func(t *testing.T) {
+		// Pass 1: count fault-point crossings in a clean run. Under
+		// concurrency the exact count varies slightly run to run
+		// (compaction timing); the clean count is a good census of
+		// the interesting window.
+		var mu sync.Mutex
+		crossings := 0
+		hooks.StorageFault = func(string) error {
+			mu.Lock()
+			crossings++
+			mu.Unlock()
+			return nil
+		}
+		runCrashWorkload(t, t.TempDir())
+		hooks.StorageFault = nil
+		if crossings == 0 {
+			t.Fatal("workload crossed no fault points")
+		}
+
+		// Pass 2: kill at every crossing.
+		for k := 0; k < crossings; k++ {
+			k := k
+			dir := t.TempDir()
+			n := 0
+			var killed string
+			hooks.StorageFault = func(point string) error {
 				mu.Lock()
-				crossings++
-				mu.Unlock()
+				defer mu.Unlock()
+				n++
+				if n-1 == k {
+					killed = point
+					return errors.New("injected crash")
+				}
 				return nil
 			}
-			runCrashWorkload(t, t.TempDir(), cfg.workers, cfg.shards)
+			acked := runCrashWorkload(t, dir)
 			hooks.StorageFault = nil
-			if crossings == 0 {
-				t.Fatal("workload crossed no fault points")
+
+			if ok, err := storage.Exists(dir); err != nil || !ok {
+				if len(acked) != 0 {
+					t.Fatalf("kill@%d(%s): acked %d ops but nothing durable", k, killed, len(acked))
+				}
+				continue
+			}
+			db, _, err := OpenDurable(durableSchema, Durability{Dir: dir})
+			if err != nil {
+				t.Fatalf("kill@%d(%s): recovery failed: %v", k, killed, err)
 			}
 
-			// Pass 2: kill at every crossing. Stride 1 for the serial
-			// config, wider for the rest to keep the matrix fast.
-			stride := 1
-			if cfg.workers*cfg.shards > 1 {
-				stride = 3
-			}
-			for k := 0; k < crossings; k += stride {
-				k := k
-				dir := t.TempDir()
-				n := 0
-				var killed string
-				hooks.StorageFault = func(point string) error {
-					mu.Lock()
-					defer mu.Unlock()
-					n++
-					if n-1 == k {
-						killed = point
-						return errors.New("injected crash")
-					}
-					return nil
-				}
-				acked := runCrashWorkload(t, dir, cfg.workers, cfg.shards)
-				hooks.StorageFault = nil
-
-				if ok, err := storage.Exists(dir); err != nil || !ok {
-					if len(acked) != 0 {
-						t.Fatalf("kill@%d(%s): acked %d ops but nothing durable", k, killed, len(acked))
-					}
-					continue
-				}
-				db, _, err := OpenDurable(durableSchema, Durability{Dir: dir})
+			// Which ops' facts survived?
+			present := map[durableOp]bool{}
+			extra := 0
+			for _, op := range durableOps() {
+				ans, err := db.Query(fmt.Sprintf("?- %s(x: %d).", op.pred, op.val))
 				if err != nil {
-					t.Fatalf("kill@%d(%s): recovery failed: %v", k, killed, err)
+					t.Fatalf("kill@%d(%s): query: %v", k, killed, err)
 				}
-
-				// Which ops' facts survived?
-				present := map[durableOp]bool{}
-				extra := 0
-				for _, op := range durableOps() {
-					ans, err := db.Query(fmt.Sprintf("?- %s(x: %d).", op.pred, op.val))
-					if err != nil {
-						t.Fatalf("kill@%d(%s): query: %v", k, killed, err)
-					}
-					if len(ans.Rows) > 0 {
-						present[op] = true
-						if !acked[op] {
-							extra++
-						}
+				if len(ans.Rows) > 0 {
+					present[op] = true
+					if !acked[op] {
+						extra++
 					}
 				}
-				// Durability: every acked op survived the crash.
-				for op := range acked {
-					if !present[op] {
-						t.Fatalf("kill@%d(%s): acked op %v lost", k, killed, op)
-					}
-				}
-				// Atomicity: at most the single in-flight op may appear
-				// beyond the acked set (WAL write completed, ack lost).
-				if extra > 1 {
-					t.Fatalf("kill@%d(%s): %d unacked ops surfaced", k, killed, extra)
-				}
-
-				// Exactness: the recovered Save bytes equal a serial
-				// re-application of exactly the present ops on the row
-				// oracle.
-				ref, err := Open(durableSchema, rowOracle()...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, op := range durableOps() {
-					if present[op] {
-						if _, err := ref.Exec(durableMod(op.pred, op.val)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if !bytes.Equal(saveBytesDurable(t, db), saveBytesDurable(t, ref)) {
-					t.Fatalf("kill@%d(%s): recovered state differs from the committed-set replay", k, killed)
-				}
-				db.Close()
 			}
-		})
-	}
+			// Durability: every acked op survived the crash.
+			for op := range acked {
+				if !present[op] {
+					t.Fatalf("kill@%d(%s): acked op %v lost", k, killed, op)
+				}
+			}
+			// Atomicity: at most the single in-flight op may appear
+			// beyond the acked set (WAL write completed, ack lost).
+			if extra > 1 {
+				t.Fatalf("kill@%d(%s): %d unacked ops surfaced", k, killed, extra)
+			}
+
+			// Exactness: the recovered Save bytes equal a serial
+			// re-application of exactly the present ops on the row
+			// oracle.
+			ref, err := Open(durableSchema, rowOracle()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range durableOps() {
+				if present[op] {
+					if _, err := ref.Exec(durableMod(op.pred, op.val)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !bytes.Equal(saveBytesDurable(t, db), saveBytesDurable(t, ref)) {
+				t.Fatalf("kill@%d(%s): recovered state differs from the committed-set replay", k, killed)
+			}
+			db.Close()
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

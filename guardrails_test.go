@@ -55,7 +55,7 @@ func openGuarded(t *testing.T, options ...Option) *Database {
 
 // Every budget axis must abort the divergent module with a *BudgetError
 // and leave the saved snapshot bit-identical, under the defaults and on
-// the serial, parallel and columnar evaluators alike.
+// the row oracle alike.
 func TestBudgetAbortLeavesDatabaseUntouched(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"logres/internal/ast"
 	"logres/internal/guard"
@@ -39,21 +38,18 @@ type Options struct {
 	// the result is undefined (an error) when no fixpoint is reached.
 	// Stratification and semi-naive evaluation do not apply.
 	NonInflationary bool
-	// Workers is the number of worker goroutines the row engine fans a
-	// stratum out to. 1 — what DefaultOptions sets — is the serial
-	// engine; values ≤ 0 (the zero value included) ask for
-	// runtime.GOMAXPROCS(0). Columnar strata never use the pool. Results
-	// are bit-identical for every worker count.
+	// Workers must be 0 (unset) or 1: evaluation is serial, and Compile
+	// rejects any other value.
+	//
+	// Deprecated: leave Workers unset.
 	Workers int
-	// Shards is the number of FactSet shards parallel row evaluation
-	// partitions the current extension and deltas into; worker deltas are
-	// merged with one goroutine per shard. 1 — what DefaultOptions sets —
-	// keeps the serial merge; values ≤ 0 (the zero value included) ask
-	// for runtime.GOMAXPROCS(0). Results are bit-identical for every
-	// shard count.
+	// Shards must be 0 (unset) or 1: a FactSet has one layout, and
+	// Compile rejects any other value.
+	//
+	// Deprecated: leave Shards unset.
 	Shards int
 	// Tracer receives typed evaluation events (stratum/round boundaries,
-	// rule firings, oid invention, merges, budget consumption, aborts).
+	// rule firings, oid invention, budget consumption, aborts).
 	// nil (the default) disables tracing; every emission site is behind a
 	// nil check, so the untraced hot path pays nothing.
 	Tracer obs.Tracer
@@ -71,12 +67,9 @@ type Options struct {
 
 // DefaultOptions returns the standard evaluation options: stratified,
 // semi-naive, columnar wherever a stratum compiles to the kernels and
-// the serial row loop everywhere else. The parallel and sharded row
-// paths run only for a caller that sets Workers or Shards: on the gated
-// benchmark they have never measured faster than this (EXPERIMENTS.md,
-// "Workers×Shards×Vectorize verdict").
+// the row loop everywhere else.
 func DefaultOptions() Options {
-	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1, Vectorize: true}
+	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Vectorize: true}
 }
 
 // Program is a compiled rule set, ready to evaluate.
@@ -107,32 +100,6 @@ func (p *Program) Stratified() bool { return p.stratified }
 // constraint rules).
 func (p *Program) NumRules() int { return len(p.rules) }
 
-// SetWorkers overrides the row engine's worker count after compilation
-// (values ≤ 0 select runtime.GOMAXPROCS(0)). Benchmarks and determinism
-// tests use it to compare serial and parallel runs of one compiled
-// program.
-func (p *Program) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p.opts.Workers = n
-}
-
-// Workers returns the effective evaluation worker count.
-func (p *Program) Workers() int { return p.opts.Workers }
-
-// SetShards overrides the FactSet shard count used by parallel evaluation
-// (values ≤ 0 select runtime.GOMAXPROCS(0)).
-func (p *Program) SetShards(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	p.opts.Shards = n
-}
-
-// Shards returns the effective FactSet shard count.
-func (p *Program) Shards() int { return p.opts.Shards }
-
 // SetTracer attaches (or, with nil, detaches) an evaluation tracer
 // after compilation. Benchmarks and the REPL's `.trace` toggle use it
 // to compare traced and untraced runs of one compiled program.
@@ -158,11 +125,11 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = DefaultOptions().MaxSteps
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
+	if opts.Workers != 0 && opts.Workers != 1 {
+		return nil, fmt.Errorf("engine: Options.Workers = %d: parallel evaluation was removed; only 0 or 1 is accepted", opts.Workers)
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
+	if opts.Shards != 0 && opts.Shards != 1 {
+		return nil, fmt.Errorf("engine: Options.Shards = %d: sharded fact sets were removed; only 0 or 1 is accepted", opts.Shards)
 	}
 	p := &Program{schema: schema, opts: opts}
 	all := append([]*ast.Rule{}, rules...)

@@ -12,12 +12,11 @@ import (
 )
 
 // rowOracle is the reference configuration every differential test
-// compares against: the serial row engine. DefaultOptions selects the
-// columnar kernels, so a reference side has to ask for the row engine by
-// name.
+// compares against: the row engine. DefaultOptions selects the columnar
+// kernels, so a reference side has to ask for the row engine by name.
 func rowOracle() Options {
 	o := DefaultOptions()
-	o.Vectorize, o.Workers, o.Shards = false, 1, 1
+	o.Vectorize = false
 	return o
 }
 
@@ -80,8 +79,7 @@ func closureShapeEDB(n, extra int, seed int64) *FactSet {
 }
 
 // Under the default options the benchmark's program runs its two
-// expressible strata on the columnar kernels, nothing on the worker
-// pool, and reproduces the row oracle's facts, invented oids, Firings,
+// expressible strata on the columnar kernels and reproduces the row oracle's facts, invented oids, Firings,
 // Steps and DeltaCurve exactly — the counts the code-space delta loop
 // keeps by hand instead of reading them off a fact set.
 func TestDefaultsMatchRowOracleOnClosureShape(t *testing.T) {
@@ -136,12 +134,6 @@ func TestDefaultsMatchRowOracleOnClosureShape(t *testing.T) {
 	if st.Strata != 4 || st.VectorizedStrata != 2 || refSt.VectorizedStrata != 0 {
 		t.Fatalf("strata %d, vectorized %d (row oracle %d); want 4, 2 (0)",
 			st.Strata, st.VectorizedStrata, refSt.VectorizedStrata)
-	}
-	if st.Workers != 1 {
-		t.Fatalf("default Workers = %d, want 1", st.Workers)
-	}
-	if n := ct.kinds()[obs.KindParallelDispatch]; n != 0 {
-		t.Fatalf("%d parallel.dispatch events under the default options", n)
 	}
 	// The two strata left on the row engine say why, in Explain and on
 	// their stratum.begin events (which is where a request Profile reads

@@ -21,11 +21,6 @@ type evalCtx struct {
 	ad      *activeDomain
 	counter *int64
 
-	// deltaIdx/delta implement semi-naive restriction: when deltaIdx ≥ 0,
-	// the body literal at that (ordered) position matches only delta.
-	deltaIdx int
-	delta    *FactSet
-
 	// reemit switches head instantiation to non-inflationary behaviour:
 	// heads already satisfied re-emit the satisfying facts (so they
 	// survive the step) instead of being suppressed.
@@ -42,13 +37,9 @@ type evalCtx struct {
 	round int
 	steps int
 	// emitted counts head instantiations in this context; the in-round
-	// fact-axis check adds it to the (frozen) base count, since facts
-	// derived mid-round live in private deltas the base set cannot see.
+	// fact-axis check adds it to the base count, since facts derived
+	// mid-round live in the round's Δ sets the base set cannot see.
 	emitted int
-	// orchestrator marks contexts running on the evaluation's
-	// coordinating goroutine: the only ones that invent oids, and the
-	// only ones allowed to emit invention trace events.
-	orchestrator bool
 }
 
 func (c *evalCtx) activeDom() *activeDomain {
@@ -652,8 +643,7 @@ func (c *evalCtx) instantiateDeletion(r *crule, e *env, dminus *FactSet) error {
 // the fixpoint round, used by the in-round guard check and trace
 // events.
 func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) (*FactSet, bool, error) {
-	c := &evalCtx{p: p, f: f, counter: counter, deltaIdx: -1, stats: p.stats,
-		g: p.armedGuard(), round: step, orchestrator: true}
+	c := &evalCtx{p: p, f: f, counter: counter, stats: p.stats, g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
 	for _, r := range rules {
 		yield := func(e *env) error {
@@ -712,16 +702,7 @@ func (p *Program) fixpoint(rules []*crule, f *FactSet, counter *int64) (*FactSet
 		}
 		p.traceRoundBegin(step)
 		start := p.traceNow()
-		var (
-			next    *FactSet
-			changed bool
-			err     error
-		)
-		if p.opts.Workers > 1 {
-			next, changed, err = p.oneStepParallel(step, rules, f, counter)
-		} else {
-			next, changed, err = p.oneStep(step, rules, f, counter)
-		}
+		next, changed, err := p.oneStep(step, rules, f, counter)
 		if err != nil {
 			return nil, err
 		}
@@ -764,7 +745,6 @@ func (p *Program) RunContext(ctx context.Context, f0 *FactSet, counter *int64) (
 func (p *Program) RunFrom(ctx context.Context, from int, f0 *FactSet, counter *int64) (*FactSet, error) {
 	p.stats = newStats()
 	p.stats.Strata = len(p.strata)
-	p.stats.Workers = p.opts.Workers
 	p.lastFirings = nil
 	p.guard = guard.New(ctx, p.opts.Budget, f0.TotalSize())
 	p.traceEvalBegin(f0)
@@ -803,9 +783,7 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
 			p.stats.SemiNaiveStrata++
 			if vs, why := p.vecPlan(stratum); vs != nil {
-				// Columnar path: same round structure, same results;
-				// worker/shard counts do not apply (the kernels are
-				// batch-at-a-time), so determinism is trivial here.
+				// Columnar path: same round structure, same results.
 				p.stats.VectorizedStrata++
 				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)", nil)
 				f, err = p.semiNaiveVectorized(vs, f, counter)
@@ -833,7 +811,7 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 // §4.2) against a fact set and reports every violated denial.
 func (p *Program) CheckDenials(f *FactSet) error {
 	var errs []error
-	c := &evalCtx{p: p, f: f, counter: new(int64), deltaIdx: -1}
+	c := &evalCtx{p: p, f: f, counter: new(int64)}
 	for _, d := range p.denials {
 		violated := false
 		err := c.matchBody(d.body, 0, newEnv(), func(*env) error {
@@ -881,7 +859,7 @@ func (p *Program) Query(f *FactSet, goal []ast.Literal) (*Answer, error) {
 	vars := ast.VarSet(goal)
 	ans := &Answer{Vars: vars}
 	seen := map[string]bool{}
-	c := &evalCtx{p: p, f: f, counter: new(int64), deltaIdx: -1}
+	c := &evalCtx{p: p, f: f, counter: new(int64)}
 	err = c.matchBody(cr.body, 0, newEnv(), func(e *env) error {
 		row := make([]value.Value, len(vars))
 		for i, v := range vars {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -159,6 +160,84 @@ func TestFactSetCacheClassReplace(t *testing.T) {
 	}
 }
 
+// A frozen FactSet must be safe for unsynchronized concurrent readers and
+// cloners (validated under -race), must reject mutation, and must not see
+// a clone's writes.
+func TestFrozenConcurrentReaders(t *testing.T) {
+	fs := randomEdgeFacts(20, 200, 5)
+	fs.Freeze()
+	if !fs.Frozen() {
+		t.Fatal("Frozen() = false after Freeze")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v := value.Int(int64((g*31 + i) % 20))
+				_ = fs.Facts("edge")
+				_ = fs.FactsByComponent("edge", "src", v)
+				_ = fs.FactsByComponent("edge", "dst", v)
+				_ = fs.FactsByComponent("edge", "missing", value.Null{})
+				_ = fs.Has(edgeFact(i%20, (i+1)%20))
+				_ = fs.Size("edge")
+			}
+			cl := fs.Clone()
+			cl.Add(edgeFact(100+g, 0))
+			if got := cl.FactsByComponent("edge", "src", value.Int(int64(100+g))); len(got) != 1 {
+				t.Errorf("clone %d: bucket size %d after add, want 1", g, len(got))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < 8; g++ {
+		if fs.Has(edgeFact(100+g, 0)) {
+			t.Fatalf("clone %d's add leaked into the frozen source", g)
+		}
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Add on frozen set did not panic")
+			}
+		}()
+		fs.Add(edgeFact(99, 99))
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Remove on frozen set did not panic")
+			}
+		}()
+		fs.Remove(edgeFact(0, 1))
+	}()
+
+	fs.Thaw()
+	if !fs.Add(edgeFact(99, 99)) {
+		t.Fatal("Add after Thaw failed")
+	}
+}
+
+// Freeze on a frozen set is a no-op; a missing label on a frozen set routes
+// null lookups to the whole extension.
+func TestFrozenNullComponent(t *testing.T) {
+	fs := chainEdgeFacts(5)
+	fs.Freeze()
+	fs.Freeze()
+	all := fs.FactsByComponent("edge", "nolabel", value.Null{})
+	if len(all) != 5 {
+		t.Fatalf("null lookup on absent label returned %d facts, want 5", len(all))
+	}
+	if got := fs.FactsByComponent("edge", "nolabel", value.Int(1)); got != nil {
+		t.Fatalf("non-null lookup on absent label returned %v, want nil", got)
+	}
+	if got := fs.Facts("ghost"); got != nil {
+		t.Fatalf("Facts on absent pred of frozen set returned %v, want nil", got)
+	}
+}
+
 // A window sliding over the values of a label must not grow that label's
 // index: compaction deletes the bucket of every retired value instead of
 // leaving an empty one behind.
@@ -174,7 +253,7 @@ func TestFactSetSlidingWindowIndexBounded(t *testing.T) {
 		if got := fs.FactsByComponent("edge", "src", value.Int(int64(v))); len(got) != 1 {
 			t.Fatalf("value %d: bucket size %d, want 1", v, len(got))
 		}
-		if n := len(fs.merged["edge"].index["src"]); n > window {
+		if n := len(fs.views["edge"].index["src"]); n > window {
 			t.Fatalf("value %d: src index holds %d buckets for a %d-wide window", v, n, window)
 		}
 	}
@@ -211,7 +290,7 @@ func TestFactSetRemoveAllocsFlat(t *testing.T) {
 	}
 }
 
-// eagerView models one predicate's merged view as eager removal maintains
+// eagerView models one predicate's view as eager removal maintains
 // it: the component buckets built so far (fact keys in bucket order), the
 // labels seen, the keys appended since the last flush, and the number of
 // owners sharing the view beyond the first.
@@ -442,48 +521,27 @@ func factKeys(fs []Fact) []string {
 // assertCacheInvariants checks what the lazy removal relies on: a shared
 // cache never holds tombstones, and a compacted cache has no empty bucket
 // and carries exactly its buckets' keys.
-// With flushShards, on an unfrozen set, it also flushes every shard cache
-// and checks it against its shard's facts.
-func assertCacheInvariants(t *testing.T, step int, fs *FactSet, flushShards bool) {
+func assertCacheInvariants(t *testing.T, step int, fs *FactSet) {
 	t.Helper()
-	check := func(where string, c *predCache) {
+	for p, c := range fs.views {
 		if atomic.LoadInt32(&c.refs) > 0 && len(c.dead) > 0 {
-			t.Fatalf("step %d: %s: shared cache holds %d tombstones", step, where, len(c.dead))
+			t.Fatalf("step %d: view %s: shared cache holds %d tombstones", step, p, len(c.dead))
 		}
 		if len(c.dead) > 0 {
-			return
+			continue
 		}
 		for label, idx := range c.index {
 			for bk, b := range idx {
 				if len(b) == 0 {
-					t.Fatalf("step %d: %s: empty bucket %s=%s", step, where, label, bk)
+					t.Fatalf("step %d: view %s: empty bucket %s=%s", step, p, label, bk)
 				}
 			}
 		}
 		for label, carried := range c.bucketKeys {
 			for bk, keys := range carried {
 				if got := factKeys(c.index[label][bk]); !slices.Equal(got, keys) {
-					t.Fatalf("step %d: %s: bucket %s=%s carries keys %v for %v", step, where, label, bk, keys, got)
+					t.Fatalf("step %d: view %s: bucket %s=%s carries keys %v for %v", step, p, label, bk, keys, got)
 				}
-			}
-		}
-	}
-	for p, c := range fs.merged {
-		check("merged "+p, c)
-	}
-	for si := range fs.shards {
-		for p, c := range fs.shards[si].caches {
-			check(fmt.Sprintf("shard %d %s", si, p), c)
-			if fs.frozen || !flushShards {
-				continue
-			}
-			var want []string
-			for k := range fs.shards[si].byPred[p] {
-				want = append(want, k)
-			}
-			sort.Strings(want)
-			if got := fs.flushedShardCache(si, p).keys; !slices.Equal(got, want) {
-				t.Fatalf("step %d: shard %d %s cache %v, shard facts %v", step, si, p, got, want)
 			}
 		}
 	}
@@ -499,138 +557,157 @@ func TestFactSetTombstoneDifferential(t *testing.T) {
 	const vals = 10
 	labels := map[string][]string{"edge": {"src", "dst", "nolabel"}, "node": {"tag"}}
 	nodeFact := func(r *rand.Rand) Fact { return classTagFact(int64(r.Intn(8)+1), int64(r.Intn(5))) }
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(21 + shards)))
-			type side struct {
-				fs *FactSet
-				m  *eagerModel
+	// One layout: a single map per predicate, the layout the sharded
+	// FactSet had at one shard, run from that case's seed.
+	t.Run("shards=1", func(t *testing.T) {
+		r := rand.New(rand.NewSource(22))
+		type side struct {
+			fs *FactSet
+			m  *eagerModel
+		}
+		sides := []*side{{NewFactSet(), newEagerModel()}}
+		var removed []Fact
+		readFacts := func(step int, s *side, p string) {
+			if got, want := factKeys(s.fs.Facts(p)), s.m.factsOf(p); !slices.Equal(got, want) {
+				t.Fatalf("step %d: Facts(%s)\n got %v\nwant %v", step, p, got, want)
 			}
-			sides := []*side{{NewFactSetShards(shards), newEagerModel()}}
-			var removed []Fact
-			readFacts := func(step int, s *side, p string) {
-				if got, want := factKeys(s.fs.Facts(p)), s.m.factsOf(p); !slices.Equal(got, want) {
-					t.Fatalf("step %d: Facts(%s)\n got %v\nwant %v", step, p, got, want)
-				}
+		}
+		readBucket := func(step int, s *side, p, label string, v value.Value) {
+			if got, want := factKeys(s.fs.FactsByComponent(p, label, v)), s.m.bucket(p, label, v); !slices.Equal(got, want) {
+				t.Fatalf("step %d: FactsByComponent(%s, %s, %v)\n got %v\nwant %v", step, p, label, v, got, want)
 			}
-			readBucket := func(step int, s *side, p, label string, v value.Value) {
-				if got, want := factKeys(s.fs.FactsByComponent(p, label, v)), s.m.bucket(p, label, v); !slices.Equal(got, want) {
-					t.Fatalf("step %d: FactsByComponent(%s, %s, %v)\n got %v\nwant %v", step, p, label, v, got, want)
-				}
+		}
+		randomRead := func(step int, s *side) {
+			p := []string{"edge", "node"}[r.Intn(2)]
+			if r.Intn(3) == 0 {
+				readFacts(step, s, p)
+				return
 			}
-			randomRead := func(step int, s *side) {
-				p := []string{"edge", "node"}[r.Intn(2)]
+			ls := labels[p]
+			label := ls[r.Intn(len(ls))]
+			var v value.Value = value.Int(int64(r.Intn(vals)))
+			if label == "nolabel" {
+				v = value.Null{}
+			}
+			readBucket(step, s, p, label, v)
+		}
+		existing := func(s *side) (Fact, bool) {
+			if len(s.m.facts) == 0 {
+				return Fact{}, false
+			}
+			keys := s.m.sortedKeys("edge")
+			keys = append(keys, s.m.sortedKeys("node")...)
+			return s.m.facts[keys[r.Intn(len(keys))]], true
+		}
+		for step := 0; step < 4000; step++ {
+			i := r.Intn(len(sides))
+			s := sides[i]
+			op := r.Intn(20)
+			if s.m.frozen && op < 12 {
+				op = 14 + 5*r.Intn(2) // a frozen set only thaws or reads
+			}
+			mutated := true
+			switch {
+			case op < 4: // add
+				f := edgeFact(r.Intn(vals), r.Intn(vals))
 				if r.Intn(3) == 0 {
-					readFacts(step, s, p)
-					return
+					f = nodeFact(r)
 				}
-				ls := labels[p]
-				label := ls[r.Intn(len(ls))]
-				var v value.Value = value.Int(int64(r.Intn(vals)))
-				if label == "nolabel" {
-					v = value.Null{}
+				s.fs.Add(f)
+				s.m.add(f)
+			case op < 7: // remove one present fact
+				if f, ok := existing(s); ok {
+					s.fs.Remove(f)
+					s.m.remove(f)
+					removed = append(removed, f)
 				}
-				readBucket(step, s, p, label, v)
-			}
-			existing := func(s *side) (Fact, bool) {
-				if len(s.m.facts) == 0 {
-					return Fact{}, false
-				}
-				keys := s.m.sortedKeys("edge")
-				keys = append(keys, s.m.sortedKeys("node")...)
-				return s.m.facts[keys[r.Intn(len(keys))]], true
-			}
-			for step := 0; step < 4000; step++ {
-				i := r.Intn(len(sides))
-				s := sides[i]
-				op := r.Intn(20)
-				if s.m.frozen && op < 12 {
-					op = 14 + 5*r.Intn(2) // a frozen set only thaws or reads
-				}
-				mutated := true
-				switch {
-				case op < 4: // add
-					f := edgeFact(r.Intn(vals), r.Intn(vals))
-					if r.Intn(3) == 0 {
-						f = nodeFact(r)
-					}
-					s.fs.Add(f)
-					s.m.add(f)
-				case op < 7: // remove one present fact
+			case op == 7: // batch of removals, DRed-style, with no read between
+				for j := r.Intn(8); j >= 0; j-- {
 					if f, ok := existing(s); ok {
 						s.fs.Remove(f)
 						s.m.remove(f)
 						removed = append(removed, f)
 					}
-				case op == 7: // batch of removals, DRed-style, with no read between
-					for j := r.Intn(8); j >= 0; j-- {
-						if f, ok := existing(s); ok {
-							s.fs.Remove(f)
-							s.m.remove(f)
-							removed = append(removed, f)
-						}
-					}
-				case op < 10: // re-add a removed key
-					if len(removed) > 0 {
-						f := removed[r.Intn(len(removed))]
-						s.fs.Add(f)
-						s.m.add(f)
-					}
-				case op < 12: // class ⊕ replacement of a present oid
-					if len(s.m.oids) > 0 {
-						oids := make([]int, 0, len(s.m.oids))
-						for o := range s.m.oids {
-							oids = append(oids, int(o))
-						}
-						sort.Ints(oids)
-						f := classTagFact(int64(oids[r.Intn(len(oids))]), int64(r.Intn(5)))
-						s.fs.Add(f)
-						s.m.add(f)
-					}
-				case op == 12: // clone; either side mutates from here on
-					c := &side{s.fs.Clone(), s.m.clone()}
-					if len(sides) == 1 {
-						sides = append(sides, c)
-					} else {
-						sides[1-i] = c
-					}
-					mutated = false
-				case op == 13 || op == 14: // freeze / thaw
-					if s.m.frozen {
-						s.fs.Thaw()
-						s.m.frozen = false
-					} else {
-						s.fs.FreezeParallel(1 + r.Intn(3))
-						s.m.freeze()
-					}
-					mutated = false
-				default:
-					randomRead(step, s)
-					mutated = false
 				}
-				// The other side of a clone must not see the mutation.
-				if mutated && len(sides) == 2 && r.Intn(4) == 0 {
-					randomRead(step, sides[1-i])
+			case op < 10: // re-add a removed key
+				if len(removed) > 0 {
+					f := removed[r.Intn(len(removed))]
+					s.fs.Add(f)
+					s.m.add(f)
 				}
-				assertCacheInvariants(t, step, s.fs, step%100 == 0)
+			case op < 12: // class ⊕ replacement of a present oid
+				if len(s.m.oids) > 0 {
+					oids := make([]int, 0, len(s.m.oids))
+					for o := range s.m.oids {
+						oids = append(oids, int(o))
+					}
+					sort.Ints(oids)
+					f := classTagFact(int64(oids[r.Intn(len(oids))]), int64(r.Intn(5)))
+					s.fs.Add(f)
+					s.m.add(f)
+				}
+			case op == 12: // clone; either side mutates from here on
+				c := &side{s.fs.Clone(), s.m.clone()}
+				if len(sides) == 1 {
+					sides = append(sides, c)
+				} else {
+					sides[1-i] = c
+				}
+				mutated = false
+			case op == 13 || op == 14: // freeze / thaw
+				if s.m.frozen {
+					s.fs.Thaw()
+					s.m.frozen = false
+				} else {
+					s.fs.Freeze()
+					s.m.freeze()
+				}
+				mutated = false
+			default:
+				randomRead(step, s)
+				mutated = false
 			}
-			for _, s := range sides {
-				for _, p := range []string{"edge", "node", "ghost"} {
-					readFacts(4000, s, p)
-					for _, label := range labels[p] {
-						for v := 0; v < vals; v++ {
-							readBucket(4000, s, p, label, value.Int(int64(v)))
-						}
-						readBucket(4000, s, p, label, value.Null{})
+			// The other side of a clone must not see the mutation.
+			if mutated && len(sides) == 2 && r.Intn(4) == 0 {
+				randomRead(step, sides[1-i])
+			}
+			assertCacheInvariants(t, step, s.fs)
+		}
+		for _, s := range sides {
+			for _, p := range []string{"edge", "node", "ghost"} {
+				readFacts(4000, s, p)
+				for _, label := range labels[p] {
+					for v := 0; v < vals; v++ {
+						readBucket(4000, s, p, label, value.Int(int64(v)))
 					}
+					readBucket(4000, s, p, label, value.Null{})
 				}
-				assertCacheInvariants(t, 4000, s.fs, true)
+			}
+			assertCacheInvariants(t, 4000, s.fs)
+		}
+	})
+}
+
+var benchBucket []Fact
+
+// BenchmarkFactSetIncremental measures interleaved Add + indexed lookup —
+// the access pattern of a semi-naive round: O(1) amortized per fact once
+// the view exists.
+func BenchmarkFactSetIncremental(b *testing.B) {
+	for _, n := range []int{256, 1024, 4096} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fs := NewFactSet()
+				fs.Facts("edge")
+				for j := 0; j < n; j++ {
+					fs.Add(edgeFact(j, j+1))
+					_ = fs.FactsByComponent("edge", "src", value.Int(int64(j)))
+				}
 			}
 		})
 	}
 }
-
-var benchBucket []Fact
 
 // BenchmarkFactSetSlidingWindow measures the monitor_ivm shape: a closure
 // over a 97-node window (4 656 facts, both labels indexed) slides by one

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
 	"logres/internal/guard"
 	"logres/internal/obs"
@@ -124,30 +122,4 @@ func (p *Program) checkRound(round int, total func() int, detail string) error {
 		return nil
 	}
 	return g.Check(round, total, p.invented())
-}
-
-// testWorkerPanic, when non-nil, runs at the start of every worker-pool
-// task — the panic-injection hook the guardrail tests use to poison a
-// rule body inside a worker.
-var testWorkerPanic func(r *crule)
-
-// runShielded executes one worker task with panic recovery: a panic
-// becomes a *PanicError and aborts the guard so sibling workers stop
-// claiming tasks promptly instead of deadlocking the ordered merge.
-// Ordinary errors abort siblings too — the evaluation fails either way.
-func (p *Program) runShielded(r *crule, task func() error) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.curGuard().Abort()
-			err = &PanicError{Value: rec, Stack: debug.Stack(), Context: fmt.Sprintf("rule %s", r)}
-		}
-	}()
-	if hook := testWorkerPanic; hook != nil {
-		hook(r)
-	}
-	if err := task(); err != nil {
-		p.curGuard().Abort()
-		return fmt.Errorf("%w (in rule %s)", err, r)
-	}
-	return nil
 }

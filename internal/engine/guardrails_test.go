@@ -3,15 +3,12 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
 
 // Tests of the evaluation guardrails: divergent programs must abort with
-// typed, attributable errors under every budget axis, on the serial and
-// the parallel engine alike, and a panicking worker must surface an
-// error instead of hanging the merge.
+// typed, attributable errors under every budget axis.
 
 // A semi-naive-eligible divergent program: the counting rule derives one
 // new fact per round forever.
@@ -22,8 +19,8 @@ n(v: Y) <- n(v: X), Y = X + 1.
 `
 
 // A divergent inventive program: every round derives a new value and
-// invents a fresh oid for it. Inventive strata run on the serial
-// one-step operator regardless of Workers.
+// invents a fresh oid for it. Inventive strata run on the one-step
+// operator.
 const inventiveSchema = `
 classes C = (v: integer);
 associations SEED = (k: integer);
@@ -33,13 +30,16 @@ c(self: S, v: 0) <- seed(k: 1).
 c(self: S, v: Y) <- c(v: X), Y = X + 1.
 `
 
-func guardOpts(workers, shards int, b Budget) Options {
+// guardOpts sets the deprecated Workers/Shards options to their one
+// accepted value, so the guarded runs also hold that value to the
+// unset behaviour.
+func guardOpts(b Budget) Options {
 	return Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true,
-		Workers: workers, Shards: shards, Budget: b}
+		Workers: 1, Shards: 1, Budget: b}
 }
 
-// Every budget axis must stop the counting program, for serial and
-// parallel workers and shard counts, with a *BudgetError naming the axis.
+// Every budget axis must stop the counting program with a *BudgetError
+// naming the axis.
 func TestDivergenceAbortsUnderEveryAxis(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -50,61 +50,54 @@ func TestDivergenceAbortsUnderEveryAxis(t *testing.T) {
 		{"facts", Budget{MaxFacts: 40}, AxisFacts},
 		{"deadline", Budget{Timeout: 20 * time.Millisecond}, AxisDeadline},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			for _, c := range cases {
-				t.Run(fmt.Sprintf("%s/workers=%d/shards=%d", c.name, workers, shards), func(t *testing.T) {
-					p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, shards, c.budget))
-					if err != nil {
-						t.Fatal(err)
-					}
-					counter := int64(0)
-					_, err = p.Run(NewFactSet(), &counter)
-					if err == nil {
-						t.Fatal("divergent program terminated")
-					}
-					var be *BudgetError
-					if !errors.As(err, &be) {
-						t.Fatalf("err = %v (%T), want *BudgetError", err, err)
-					}
-					if be.Axis != c.axis {
-						t.Fatalf("axis = %q, want %q (err: %v)", be.Axis, c.axis, err)
-					}
-					if st := p.LastStats(); st.Abort != string(c.axis) {
-						t.Fatalf("Stats.Abort = %q, want %q", st.Abort, c.axis)
-					}
-				})
+	for _, c := range cases {
+		t.Run(c.name+"/workers=1/shards=1", func(t *testing.T) {
+			p, err := tryBuild(countingSchema, countingRules, guardOpts(c.budget))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			counter := int64(0)
+			_, err = p.Run(NewFactSet(), &counter)
+			if err == nil {
+				t.Fatal("divergent program terminated")
+			}
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("err = %v (%T), want *BudgetError", err, err)
+			}
+			if be.Axis != c.axis {
+				t.Fatalf("axis = %q, want %q (err: %v)", be.Axis, c.axis, err)
+			}
+			if st := p.LastStats(); st.Abort != string(c.axis) {
+				t.Fatalf("Stats.Abort = %q, want %q", st.Abort, c.axis)
+			}
+		})
 	}
 }
 
 // The invented-oid axis must stop the inventive program; the abort error
 // carries the oid count for attribution.
 func TestDivergenceAbortsOnOIDBudget(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := guardOpts(workers, 1, Budget{MaxOIDs: 25})
-			p, err := tryBuild(inventiveSchema, inventiveRules, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			schema := schemaOf(t, inventiveSchema)
-			edb := seedEDB(t, schema, `seed(k: 1).`)
-			counter := int64(0)
-			_, err = p.Run(edb, &counter)
-			var be *BudgetError
-			if !errors.As(err, &be) {
-				t.Fatalf("err = %v (%T), want *BudgetError", err, err)
-			}
-			if be.Axis != AxisOIDs {
-				t.Fatalf("axis = %q, want oids", be.Axis)
-			}
-			if be.Invented <= 25 {
-				t.Fatalf("Invented = %d, want > 25", be.Invented)
-			}
-		})
-	}
+	t.Run("workers=1", func(t *testing.T) {
+		p, err := tryBuild(inventiveSchema, inventiveRules, guardOpts(Budget{MaxOIDs: 25}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		schema := schemaOf(t, inventiveSchema)
+		edb := seedEDB(t, schema, `seed(k: 1).`)
+		counter := int64(0)
+		_, err = p.Run(edb, &counter)
+		var be *BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("err = %v (%T), want *BudgetError", err, err)
+		}
+		if be.Axis != AxisOIDs {
+			t.Fatalf("axis = %q, want oids", be.Axis)
+		}
+		if be.Invented <= 25 {
+			t.Fatalf("Invented = %d, want > 25", be.Invented)
+		}
+	})
 }
 
 // The non-inflationary oscillator has no fixpoint: the rounds budget
@@ -137,7 +130,7 @@ n(v: Y) <- n(v: X), Y = X + 1.
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := guardOpts(1, 1, c.budget)
+			opts := guardOpts(c.budget)
 			opts.NonInflationary = true
 			p, err := tryBuild(schemaSrc, rulesSrc, opts)
 			if err != nil {
@@ -158,82 +151,51 @@ n(v: Y) <- n(v: X), Y = X + 1.
 }
 
 // Cancellation aborts the evaluation with a *CanceledError that unwraps
-// to the context's cause, on serial and parallel paths.
+// to the context's cause.
 func TestCancellationAborts(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("canceled/workers=%d", workers), func(t *testing.T) {
-			p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, 4, Budget{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			counter := int64(0)
-			_, err = p.RunContext(ctx, NewFactSet(), &counter)
-			var ce *CanceledError
-			if !errors.As(err, &ce) {
-				t.Fatalf("err = %v (%T), want *CanceledError", err, err)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err does not unwrap to context.Canceled: %v", err)
-			}
-			if st := p.LastStats(); st.Abort != "canceled" {
-				t.Fatalf("Stats.Abort = %q, want canceled", st.Abort)
-			}
-		})
-		t.Run(fmt.Sprintf("deadline/workers=%d", workers), func(t *testing.T) {
-			p, err := tryBuild(countingSchema, countingRules, guardOpts(workers, 4, Budget{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
-			counter := int64(0)
-			_, err = p.RunContext(ctx, NewFactSet(), &counter)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err does not unwrap to context.DeadlineExceeded: %v", err)
-			}
-		})
-	}
-}
-
-// A panic inside a worker-pool task must surface as a *PanicError — the
-// evaluation returns instead of deadlocking the ordered merge, and the
-// panic is attributed to the rule that blew up.
-func TestWorkerPanicBecomesError(t *testing.T) {
-	testWorkerPanic = func(r *crule) { panic("injected worker panic") }
-	defer func() { testWorkerPanic = nil }()
-
-	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4, Shards: 4}
-	p, err := tryBuild(edgeSchema, closureRules, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := int64(0)
-	_, err = p.Run(chainEdgeFacts(30), &counter)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v (%T), want *PanicError", err, err)
-	}
-	if pe.Value != "injected worker panic" {
-		t.Fatalf("panic value = %v", pe.Value)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("panic error lost the stack")
-	}
-	if st := p.LastStats(); st.Abort != "panic" {
-		t.Fatalf("Stats.Abort = %q, want panic", st.Abort)
-	}
+	t.Run("canceled/workers=1", func(t *testing.T) {
+		p, err := tryBuild(countingSchema, countingRules, guardOpts(Budget{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		counter := int64(0)
+		_, err = p.RunContext(ctx, NewFactSet(), &counter)
+		var ce *CanceledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("err = %v (%T), want *CanceledError", err, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err does not unwrap to context.Canceled: %v", err)
+		}
+		if st := p.LastStats(); st.Abort != "canceled" {
+			t.Fatalf("Stats.Abort = %q, want canceled", st.Abort)
+		}
+	})
+	t.Run("deadline/workers=1", func(t *testing.T) {
+		p, err := tryBuild(countingSchema, countingRules, guardOpts(Budget{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		counter := int64(0)
+		_, err = p.RunContext(ctx, NewFactSet(), &counter)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err does not unwrap to context.DeadlineExceeded: %v", err)
+		}
+	})
 }
 
 // An inactive guard must not change results: the same program run with
 // and without an (unexhausted) budget computes identical fact sets.
 func TestGuardrailsPreserveResults(t *testing.T) {
-	plain, err := tryBuild(edgeSchema, closureRules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4, Shards: 4})
+	plain, err := tryBuild(edgeSchema, closureRules, Options{MaxSteps: 10000, SemiNaive: true, Stratify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budgeted, err := tryBuild(edgeSchema, closureRules, guardOpts(4, 4, Budget{MaxFacts: 1 << 20, MaxOIDs: 1 << 20, Timeout: time.Minute}))
+	budgeted, err := tryBuild(edgeSchema, closureRules, guardOpts(Budget{MaxFacts: 1 << 20, MaxOIDs: 1 << 20, Timeout: time.Minute}))
 	if err != nil {
 		t.Fatal(err)
 	}

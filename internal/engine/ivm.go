@@ -228,7 +228,7 @@ func (m *Maintainer) Rebuild(e *FactSet, counter int64) error {
 // monotone, so the inflationary fixpoint is the classical least
 // fixpoint.
 func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
-	c := &evalCtx{p: m.prog, f: view, counter: new(int64), deltaIdx: -1}
+	c := &evalCtx{p: m.prog, f: view, counter: new(int64)}
 	if plan.kind == maintCounting {
 		// Non-recursive: a single pass per rule enumerates every
 		// derivation. Head facts cannot feed the stratum's own bodies.
@@ -586,7 +586,7 @@ func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldVie
 		d    int
 	}
 	delta := map[string]*deltaEntry{}
-	c := &evalCtx{p: m.prog, f: newView, counter: new(int64), deltaIdx: -1}
+	c := &evalCtx{p: m.prog, f: newView, counter: new(int64)}
 	for _, signed := range []struct {
 		fs *FactSet
 		d  int
@@ -671,7 +671,7 @@ func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldVie
 // (extensional or derivational) from surviving facts, to a fixpoint,
 // (3) propagate the insertions semi-naively over the new view.
 func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
-	c := &evalCtx{p: m.prog, f: newView, counter: new(int64), deltaIdx: -1}
+	c := &evalCtx{p: m.prog, f: newView, counter: new(int64)}
 	eAdd := map[string]bool{}
 	eRem := map[string]bool{}
 	for _, f := range pAdds {

@@ -22,8 +22,8 @@ import "fmt"
 // oneStepNoninf applies the non-inflationary operator once. step is the
 // fixpoint round, used to attribute trace events and in-round aborts.
 func (p *Program) oneStepNoninf(step int, rules []*crule, e, f *FactSet, counter *int64) (*FactSet, bool, error) {
-	c := &evalCtx{p: p, f: f, counter: counter, deltaIdx: -1, reemit: true, stats: p.stats,
-		g: p.armedGuard(), round: step, orchestrator: true}
+	c := &evalCtx{p: p, f: f, counter: counter, reemit: true, stats: p.stats,
+		g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
 	for _, r := range rules {
 		yield := func(env2 *env) error {

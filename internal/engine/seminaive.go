@@ -47,25 +47,15 @@ func stratumSemiNaiveEligible(stratum []*crule) bool {
 	return true
 }
 
-// semiNaive runs delta iteration over one stratum, fanning the per-round
-// passes across a worker pool when Options.Workers > 1.
+// semiNaive runs delta iteration over one stratum.
 func (p *Program) semiNaive(stratum []*crule, f *FactSet, counter *int64) (*FactSet, error) {
-	if p.opts.Workers > 1 {
-		return p.semiNaiveParallel(stratum, f, counter)
-	}
-	return p.semiNaiveSerial(stratum, f, counter)
-}
-
-// semiNaiveSerial is the single-goroutine delta iteration.
-func (p *Program) semiNaiveSerial(stratum []*crule, f *FactSet, counter *int64) (*FactSet, error) {
 	cur := f.Clone()
 
 	// Round 0: full evaluation of every rule against the initial set.
 	p.traceRoundBegin(0)
 	start := p.traceNow()
 	delta := NewFactSet()
-	c := &evalCtx{p: p, f: cur, counter: counter, deltaIdx: -1, stats: p.stats,
-		g: p.armedGuard(), orchestrator: true}
+	c := &evalCtx{p: p, f: cur, counter: counter, stats: p.stats, g: p.armedGuard()}
 	dminus := NewFactSet()
 	for _, r := range stratum {
 		err := c.matchBody(r.body, 0, newEnv(), func(e *env) error {
@@ -88,7 +78,7 @@ func (p *Program) semiNaiveSerial(stratum []*crule, f *FactSet, counter *int64) 
 		cur.Merge(delta)
 		next := NewFactSet()
 		c := &evalCtx{p: p, f: cur, counter: counter, stats: p.stats,
-			g: p.armedGuard(), round: round + 1, orchestrator: true}
+			g: p.armedGuard(), round: round + 1}
 		for _, r := range stratum {
 			// One pass per body literal position: that literal ranges over
 			// the delta, the others over the full current set.

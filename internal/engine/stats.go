@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Stats records what an evaluation did — the paper's §5 asks for "tools
@@ -27,25 +26,13 @@ type Stats struct {
 	Firings map[int]int
 	// Invented is the number of oids invented.
 	Invented int
-	// Workers is the worker count the evaluation ran with (1 = serial).
-	Workers int
-	// Shards is the FactSet shard count parallel evaluation partitioned
-	// the extension into (1 = unsharded serial merge).
-	Shards int
-	// RoundTimings records the wall-clock duration and task count of each
-	// parallel semi-naive round (empty for serial evaluations).
-	RoundTimings []RoundTiming
-	// MergeTimings records the per-shard wall-clock of each parallel
-	// ordered delta merge (empty for serial or single-shard evaluations).
-	MergeTimings []MergeTiming
 	// DeltaCurve records, per fixpoint round, how many facts the round
 	// contributed and the resulting total — the convergence curve of the
-	// run, in evaluation order across strata. Deterministic: parallel
-	// configurations record the same curve as serial.
+	// run, in evaluation order across strata.
 	DeltaCurve []RoundDelta
 	// Abort is "" when the run reached a fixpoint; otherwise the abort
 	// class: an exhausted budget axis ("rounds", "facts", "oids",
-	// "deadline"), "canceled", "panic", or "error".
+	// "deadline"), "canceled", or "error".
 	Abort string
 	// AbortStratum/AbortRound locate the abort (stratum -1 when strata
 	// do not apply). Meaningful only when Abort is non-empty.
@@ -56,7 +43,6 @@ type Stats struct {
 func (st *Stats) recordAbort(err error) {
 	var be *BudgetError
 	var ce *CanceledError
-	var pe *PanicError
 	switch {
 	case errors.As(err, &be):
 		st.Abort = string(be.Axis)
@@ -64,8 +50,6 @@ func (st *Stats) recordAbort(err error) {
 	case errors.As(err, &ce):
 		st.Abort = "canceled"
 		st.AbortStratum, st.AbortRound = ce.Stratum, ce.Round
-	case errors.As(err, &pe):
-		st.Abort = "panic"
 	default:
 		st.Abort = "error"
 	}
@@ -84,29 +68,6 @@ type RoundDelta struct {
 	Delta int
 	// Total is the fact count after the round.
 	Total int
-}
-
-// RoundTiming is the timing record of one parallel semi-naive round.
-type RoundTiming struct {
-	// Round is the round index within its stratum (0 = the full pass).
-	Round int
-	// Tasks is the number of (rule × delta-position × chunk) tasks the
-	// round fanned out.
-	Tasks int
-	// Duration is the round's wall-clock time, task generation included.
-	Duration time.Duration
-}
-
-// MergeTiming is the timing record of one parallel ordered delta merge:
-// how long each shard goroutine spent applying its partition.
-type MergeTiming struct {
-	// Round is the semi-naive round the merge belongs to (0 = round 0's
-	// task-result merge).
-	Round int
-	// Shards is the merge fan-out.
-	Shards int
-	// ShardDurations is the per-shard wall-clock, indexed by shard.
-	ShardDurations []time.Duration
 }
 
 func newStats() *Stats { return &Stats{Firings: map[int]int{}} }
@@ -160,37 +121,6 @@ func (p *Program) Explain() string {
 		fmt.Fprintf(&b, "last run: %d steps, %d oids invented\n", st.Steps, st.Invented)
 		if st.Abort != "" {
 			fmt.Fprintf(&b, "  aborted (%s) at stratum %d, round %d\n", st.Abort, st.AbortStratum, st.AbortRound)
-		}
-		if st.Workers > 1 {
-			// Workers/Shards are only informative when the last run actually
-			// fanned out; serial runs record Workers == 1.
-			fmt.Fprintf(&b, "workers: %d\n", st.Workers)
-			if st.Shards > 1 {
-				fmt.Fprintf(&b, "shards: %d\n", st.Shards)
-			}
-		}
-		if len(st.RoundTimings) > 0 {
-			var total time.Duration
-			var tasks int
-			for _, rt := range st.RoundTimings {
-				total += rt.Duration
-				tasks += rt.Tasks
-			}
-			fmt.Fprintf(&b, "  parallel semi-naive: %d rounds, %d tasks, %s total\n",
-				len(st.RoundTimings), tasks, total)
-		}
-		if len(st.MergeTimings) > 0 {
-			var longest, sum time.Duration
-			for _, mt := range st.MergeTimings {
-				for _, d := range mt.ShardDurations {
-					sum += d
-					if d > longest {
-						longest = d
-					}
-				}
-			}
-			fmt.Fprintf(&b, "  sharded merges: %d merges × %d shards, %s critical path, %s aggregate\n",
-				len(st.MergeTimings), st.Shards, longest, sum)
 		}
 		if len(st.DeltaCurve) > 0 {
 			b.WriteString("  delta curve:")

@@ -8,10 +8,10 @@ import (
 	"logres/internal/obs"
 )
 
-// Trace emission helpers. Every evaluation path — the serial and
-// parallel one-step operators, serial and parallel semi-naive
-// iteration, and the non-inflationary operator — reports through these
-// so the event stream has one shape regardless of configuration:
+// Trace emission helpers. Every evaluation path — the one-step
+// operator, row and columnar semi-naive iteration, and the
+// non-inflationary operator — reports through these so the event stream
+// has one shape regardless of configuration:
 //
 //	eval.begin
 //	  stratum.begin
@@ -24,11 +24,8 @@ import (
 //	eval.end | abort
 //
 // Deterministic kinds carry only evaluation-determined payloads, so for
-// a fixed program the canonical stream is byte-identical across
-// workers × shards configurations (the parallel operators already
-// guarantee bit-identical results and firing counts; these helpers emit
-// from the orchestrating goroutine at the same boundaries the serial
-// engine hits).
+// a fixed program the canonical stream is byte-identical from run to
+// run.
 //
 // The tracer-off fast path is a nil check per call site; no time.Now,
 // no allocation.
@@ -74,13 +71,7 @@ func (p *Program) traceEvalBegin(f0 *FactSet) {
 	if !p.tracing() {
 		return
 	}
-	p.emit(obs.Event{
-		Kind:    obs.KindEvalBegin,
-		Workers: p.opts.Workers,
-		Shards:  p.opts.Shards,
-		Count:   len(p.strata),
-		Total:   f0.TotalSize(),
-	})
+	p.emit(obs.Event{Kind: obs.KindEvalBegin, Count: len(p.strata), Total: f0.TotalSize()})
 }
 
 // traceEvalEnd closes a successful run.
@@ -223,14 +214,9 @@ func (p *Program) traceBudget(round, total int) {
 	}
 }
 
-// traceInvent reports one invented oid. Called from instantiateHead on
-// the orchestrating goroutine only (worker tasks never invent: parallel
-// semi-naive strata are invention-free and the parallel one-step
-// operator sequences inventive rules serially), so invention events are
-// emitted in the bit-identical serial order.
+// traceInvent reports one invented oid, in evaluation order.
 func (c *evalCtx) traceInvent(r *crule, pred string, oid int64) {
-	t := c.p.opts.Tracer
-	if t == nil || !c.orchestrator {
+	if !c.p.tracing() {
 		return
 	}
 	c.p.emit(obs.Event{
@@ -241,36 +227,4 @@ func (c *evalCtx) traceInvent(r *crule, pred string, oid int64) {
 		Pred:    pred,
 		OID:     oid,
 	})
-}
-
-// traceMerge reports one parallel sharded delta merge (a
-// nondeterministic-kind event: serial configurations never emit it).
-// traceParallelDispatch reports one round actually fanning out to the
-// worker pool (rounds under snParallelCutoff run inline and emit
-// nothing). Nondeterministic kind: present only on parallel
-// configurations.
-func (p *Program) traceParallelDispatch(round, tasks, probe int) {
-	if !p.tracing() {
-		return
-	}
-	p.emit(obs.Event{
-		Kind:    obs.KindParallelDispatch,
-		Stratum: p.curStratum(),
-		Round:   round,
-		Count:   tasks,
-		Total:   probe,
-	})
-}
-
-func (p *Program) traceMerge(round int, ms MergeStats) {
-	if !p.tracing() || len(ms.ShardDurations) == 0 {
-		return
-	}
-	var longest time.Duration
-	for _, d := range ms.ShardDurations {
-		if d > longest {
-			longest = d
-		}
-	}
-	p.emit(obs.Event{Kind: obs.KindMerge, Round: round, Shards: ms.Shards, Duration: longest})
 }

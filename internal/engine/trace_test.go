@@ -13,10 +13,8 @@ import (
 )
 
 // Tests of the evaluation tracing layer: the canonical event stream
-// must be byte-identical across workers × shards configurations, the
-// flight recorder must capture aborts (a panicking worker included),
-// and the in-round guard check must trip mid-round with a guard.check
-// event.
+// must be byte-identical from run to run, and the in-round guard check
+// must trip mid-round with a guard.check event.
 
 // A program exercising both evaluation operators: a semi-naive stratum
 // (transitive closure) and an inventive stratum (one class object per
@@ -35,8 +33,8 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 reached(self: S, v: Y) <- tc(src: 0, dst: Y).
 `
 
-// collectTracer records events for assertions. Safe for concurrent use
-// (in-round guard trips can arrive from worker goroutines).
+// collectTracer records events for assertions. Safe for concurrent use,
+// as the Tracer contract requires.
 type collectTracer struct {
 	mu     sync.Mutex
 	events []obs.Event
@@ -58,13 +56,12 @@ func (c *collectTracer) kinds() map[obs.Kind]int {
 	return m
 }
 
-// canonicalTrace runs the trace program at one workers × shards
-// configuration and returns the canonical JSONL stream.
-func canonicalTrace(t *testing.T, workers, shards int) string {
+// canonicalTrace runs the trace program under opts and returns the
+// canonical JSONL stream.
+func canonicalTrace(t *testing.T, opts Options) string {
 	t.Helper()
 	var buf bytes.Buffer
-	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true,
-		Workers: workers, Shards: shards, Tracer: obs.NewCanonicalJSONL(&buf)}
+	opts.Tracer = obs.NewCanonicalJSONL(&buf)
 	p, err := tryBuild(traceSchema, traceRules, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -76,38 +73,41 @@ func canonicalTrace(t *testing.T, workers, shards int) string {
 	return buf.String()
 }
 
-// The canonical event stream must be byte-identical across every
-// workers × shards configuration — the trace extension of the engine's
-// bit-identical-results contract.
+// The canonical event stream must be byte-identical from run to run, and
+// setting the deprecated Workers/Shards options to their one accepted
+// value must not change it.
 func TestTraceDeterminismAcrossConfigs(t *testing.T) {
-	want := canonicalTrace(t, 1, 1)
+	base := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true}
+	want := canonicalTrace(t, base)
 	if want == "" {
-		t.Fatal("serial trace is empty")
+		t.Fatal("trace is empty")
 	}
 	for _, kind := range []string{`"kind":"round.end"`, `"kind":"rule.fire"`, `"kind":"oid.invent"`, `"kind":"stratum.begin"`} {
 		if !strings.Contains(want, kind) {
-			t.Fatalf("serial trace missing %s:\n%s", kind, want)
+			t.Fatalf("trace missing %s:\n%s", kind, want)
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d/shards=%d", workers, shards), func(t *testing.T) {
-				got := canonicalTrace(t, workers, shards)
-				if got != want {
-					t.Fatalf("canonical trace diverged from serial\nserial:\n%s\ngot:\n%s", want, got)
-				}
-			})
-		}
+	ones := base
+	ones.Workers, ones.Shards = 1, 1
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"rerun", base}, {"workers=1/shards=1", ones}} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := canonicalTrace(t, c.opts); got != want {
+				t.Fatalf("canonical trace diverged\nfirst run:\n%s\ngot:\n%s", want, got)
+			}
+		})
 	}
 }
 
-// The per-round delta curve recorded on Stats must also be
-// configuration-independent (it is derived from the same boundaries the
-// trace reports).
+// The per-round delta curve recorded on Stats is derived from the same
+// round boundaries the trace reports, and both executors hit them: the
+// row engine and the columnar kernels record the same curve.
 func TestDeltaCurveDeterministic(t *testing.T) {
-	run := func(workers, shards int) []RoundDelta {
+	run := func(vectorize bool) []RoundDelta {
 		p, err := tryBuild(edgeSchema, closureRules,
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: workers, Shards: shards})
+			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Vectorize: vectorize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,53 +117,20 @@ func TestDeltaCurveDeterministic(t *testing.T) {
 		}
 		return p.LastStats().DeltaCurve
 	}
-	want := run(1, 1)
+	want := run(false)
 	if len(want) == 0 {
-		t.Fatal("serial run recorded no delta curve")
+		t.Fatal("row run recorded no delta curve")
 	}
-	for _, cfg := range [][2]int{{1, 4}, {4, 1}, {4, 4}} {
-		got := run(cfg[0], cfg[1])
+	for _, vectorize := range []bool{false, true} {
+		got := run(vectorize)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d shards=%d: %d curve points, want %d", cfg[0], cfg[1], len(got), len(want))
+			t.Fatalf("vectorize=%v: %d curve points, want %d", vectorize, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d shards=%d: curve[%d] = %+v, want %+v", cfg[0], cfg[1], i, got[i], want[i])
+				t.Fatalf("vectorize=%v: curve[%d] = %+v, want %+v", vectorize, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// A flight recorder attached as the tracer must capture the abort event
-// of a panicking worker and write its dump.
-func TestFlightRecorderSurvivesWorkerPanic(t *testing.T) {
-	testWorkerPanic = func(r *crule) {
-		if strings.Contains(r.String(), "tc") {
-			panic("poisoned rule body")
-		}
-	}
-	defer func() { testWorkerPanic = nil }()
-
-	fr := obs.NewFlightRecorder(64)
-	var dump bytes.Buffer
-	fr.SetDumpOnAbort(&dump)
-	opts := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true,
-		Workers: 4, Shards: 4, Tracer: fr}
-	p, err := tryBuild(edgeSchema, closureRules, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter := int64(0)
-	_, err = p.Run(chainEdgeFacts(16), &counter)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v (%T), want *PanicError", err, err)
-	}
-	if fr.Dumps() != 1 {
-		t.Fatalf("Dumps() = %d, want 1", fr.Dumps())
-	}
-	if !strings.Contains(dump.String(), "abort") || !strings.Contains(dump.String(), "flight recorder") {
-		t.Fatalf("dump missing abort event:\n%s", dump.String())
 	}
 }
 
@@ -181,14 +148,11 @@ func TestInRoundFactBudgetTrip(t *testing.T) {
 	defer func() { inRoundCheckInterval = saved }()
 
 	const crossRules = `same(a: X, b: Y) <- edge(src: X, dst: W), edge(src: Y, dst: Z).`
-	for _, c := range []struct {
-		workers   int
-		vectorize bool
-	}{{1, false}, {4, false}, {1, true}} {
-		t.Run(fmt.Sprintf("workers=%d/vectorize=%v", c.workers, c.vectorize), func(t *testing.T) {
+	for _, vectorize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("workers=1/vectorize=%v", vectorize), func(t *testing.T) {
 			ct := &collectTracer{}
-			opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Vectorize: c.vectorize,
-				Workers: c.workers, Shards: 1, Budget: Budget{MaxFacts: 50}, Tracer: ct}
+			opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Vectorize: vectorize,
+				Workers: 1, Budget: Budget{MaxFacts: 50}, Tracer: ct}
 			p, err := tryBuild(edgeSchema, crossRules, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +167,7 @@ func TestInRoundFactBudgetTrip(t *testing.T) {
 			if be.Axis != AxisFacts || be.Stratum != 0 || be.Round != 0 {
 				t.Fatalf("abort on %q at stratum %d round %d, want %q at 0/0", be.Axis, be.Stratum, be.Round, AxisFacts)
 			}
-			if c.vectorize && (p.LastStats().VectorizedStrata != 1 || be.Facts != 64) {
+			if vectorize && (p.LastStats().VectorizedStrata != 1 || be.Facts != 64) {
 				// 64 = the first multiple of the check interval past the budget.
 				t.Fatalf("columnar abort: %d vectorized strata, %d facts reported; want 1, 64",
 					p.LastStats().VectorizedStrata, be.Facts)
@@ -239,7 +203,7 @@ func TestInRoundCancellation(t *testing.T) {
 				cancel()
 			}
 		})
-		opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Workers: 1,
+		opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true,
 			Vectorize: vectorize, Tracer: canceler}
 		p, err := tryBuild(edgeSchema, crossRules, opts)
 		if err != nil {
@@ -268,12 +232,12 @@ type tracerFunc func(obs.Event)
 
 func (f tracerFunc) Event(ev obs.Event) { f(ev) }
 
-// Explain must print the workers/shards lines only when the last run
-// actually fanned out, and must attribute a budget abort to the rules
-// of the aborted stratum.
+// Explain must print the delta curve of the last run and no
+// configuration lines, and must attribute a budget abort to the rules of
+// the aborted stratum.
 func TestExplainWorkersAndAbortAttribution(t *testing.T) {
 	p, err := tryBuild(edgeSchema, closureRules,
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1})
+		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,22 +245,9 @@ func TestExplainWorkersAndAbortAttribution(t *testing.T) {
 	if _, err := p.Run(chainEdgeFacts(8), &counter); err != nil {
 		t.Fatal(err)
 	}
-	if out := p.Explain(); strings.Contains(out, "workers:") {
-		t.Fatalf("serial Explain prints workers:\n%s", out)
-	}
-
-	p4, err := tryBuild(edgeSchema, closureRules,
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 4, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter = 0
-	if _, err := p4.Run(chainEdgeFacts(8), &counter); err != nil {
-		t.Fatal(err)
-	}
-	out := p4.Explain()
-	if !strings.Contains(out, "workers: 4") || !strings.Contains(out, "shards: 4") {
-		t.Fatalf("parallel Explain missing workers/shards:\n%s", out)
+	out := p.Explain()
+	if strings.Contains(out, "workers:") || strings.Contains(out, "shards:") {
+		t.Fatalf("Explain prints configuration lines:\n%s", out)
 	}
 	if !strings.Contains(out, "delta curve:") {
 		t.Fatalf("Explain missing delta curve:\n%s", out)

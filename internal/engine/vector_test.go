@@ -11,8 +11,7 @@ import (
 
 // Differential tests of the columnar evaluation path: for every program
 // and EDB, the vectorized engine must produce the same facts, the same
-// Firings, and the same convergence curve as the row engine, across the
-// full workers × shards × vectorize matrix.
+// Firings, and the same convergence curve as the row engine.
 
 const vecSchema = `
 associations
@@ -58,11 +57,11 @@ func vecEDBs() map[string]*FactSet {
 }
 
 // TestVectorizedMatrixDifferential is the matrix: the row oracle is the
-// reference; the defaults and every {workers, shards} ∈ {1,4}² ×
-// vectorize {off,on} configuration must agree on the result set, and the
-// serial columnar runs (the defaults among them) must also reproduce the
-// oracle's Firings, Steps and DeltaCurve exactly (same rounds, same
-// per-rule valuation counts).
+// reference; the defaults and one compiled program toggled through
+// vectorize {off,on} must agree on the result set, and the columnar runs
+// (the defaults among them) must also reproduce the oracle's Firings,
+// Steps and DeltaCurve exactly (same rounds, same per-rule valuation
+// counts).
 func TestVectorizedMatrixDifferential(t *testing.T) {
 	for pname, rules := range vecPrograms {
 		ref, err := tryBuild(vecSchema, rules, rowOracle())
@@ -97,7 +96,7 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 						pname, ename, leg, got.TotalSize(), oracle.TotalSize())
 				}
 				st := p.LastStats()
-				if p.Vectorize() && p.Workers() == 1 && p.Shards() == 1 {
+				if p.Vectorize() {
 					if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
 						t.Fatalf("%s/%s %s Firings = %v, row = %v",
 							pname, ename, leg, st.Firings, oracleStats.Firings)
@@ -116,15 +115,9 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 				}
 			}
 			check("defaults", defaults)
-			for _, workers := range []int{1, 4} {
-				for _, shards := range []int{1, 4} {
-					for _, vec := range []bool{false, true} {
-						p.SetWorkers(workers)
-						p.SetShards(shards)
-						p.SetVectorize(vec)
-						check(fmt.Sprintf("w=%d s=%d vec=%v", workers, shards, vec), p)
-					}
-				}
+			for _, vec := range []bool{false, true} {
+				p.SetVectorize(vec)
+				check(fmt.Sprintf("vec=%v", vec), p)
 			}
 		}
 	}
@@ -134,7 +127,7 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 // engine while the closure stratum stays columnar.
 func TestVectorizedFallbackIsPerStratum(t *testing.T) {
 	p, err := tryBuild(vecSchema, vecPrograms["fallback-mix"],
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1, Vectorize: true})
+		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Vectorize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +154,7 @@ func TestVectorizedTraceDeterministic(t *testing.T) {
 	stream := func() string {
 		var buf bytes.Buffer
 		p, err := tryBuild(vecSchema, vecPrograms["negation"],
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1,
+			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true,
 				Vectorize: true, Tracer: obs.NewCanonicalJSONL(&buf)})
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +185,7 @@ func TestVectorizedEmptyBodyRule(t *testing.T) {
 	p, err := tryBuild(vecSchema, `
 hub(a: 5).
 loop(a: X) <- hub(a: X).
-`, Options{MaxSteps: 100, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1, Vectorize: true})
+`, Options{MaxSteps: 100, SemiNaive: true, Stratify: true, Vectorize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

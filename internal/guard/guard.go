@@ -15,7 +15,6 @@ package guard
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -143,8 +142,7 @@ func (e *CanceledError) Error() string {
 func (e *CanceledError) Unwrap() error { return e.Err }
 
 // PanicError reports a panic converted into an error by a panic-safe
-// evaluation boundary (a worker-pool task or the module application
-// shield).
+// evaluation boundary (the module application shield).
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -169,8 +167,7 @@ func location(stratum, round int) string {
 }
 
 // Guard is the per-evaluation check state: the context, the armed
-// budget, and the abort flag worker pools poll to stop claiming tasks
-// promptly once a sibling failed or the evaluation was canceled.
+// budget, the deadline, and the stratum under evaluation.
 type Guard struct {
 	ctx      context.Context
 	budget   Budget
@@ -178,7 +175,6 @@ type Guard struct {
 	baseline int // fact count of the initial extension
 	stratum  int
 	active   bool
-	aborted  atomic.Bool
 }
 
 // New arms a guard: the deadline starts now, derived-fact counting
@@ -215,40 +211,23 @@ func (g *Guard) Budget() Budget { return g.budget }
 // count the fact axis meters.
 func (g *Guard) Derived(total int) int { return g.derived(total) }
 
-// Abort marks the evaluation as aborted so sibling workers stop
-// claiming tasks. Safe for concurrent use.
-func (g *Guard) Abort() { g.aborted.Store(true) }
-
-// TaskAborted is the fast per-task check worker claim loops poll: one
-// atomic load, plus the context error when cancellation is armed.
-func (g *Guard) TaskAborted() bool {
-	if g.aborted.Load() {
-		return true
-	}
-	return g.active && g.ctx.Err() != nil
-}
-
 // Check enforces the cancellation, deadline, oid and fact axes at round
 // granularity. facts is called lazily — only when the fact axis is
 // armed or an abort needs its count for attribution.
 func (g *Guard) Check(round int, facts func() int, invented int) error {
 	if err := g.ctx.Err(); err != nil {
-		g.Abort()
 		return &CanceledError{Stratum: g.stratum, Round: round, Facts: g.derived(facts()), Invented: invented, Err: err}
 	}
 	if !g.deadline.IsZero() && time.Now().After(g.deadline) {
-		g.Abort()
 		return &BudgetError{Axis: AxisDeadline, Limit: int64(g.budget.Timeout), Stratum: g.stratum,
 			Round: round, Facts: g.derived(facts()), Invented: invented}
 	}
 	if g.budget.MaxOIDs > 0 && invented > g.budget.MaxOIDs {
-		g.Abort()
 		return &BudgetError{Axis: AxisOIDs, Limit: int64(g.budget.MaxOIDs), Stratum: g.stratum,
 			Round: round, Facts: g.derived(facts()), Invented: invented}
 	}
 	if g.budget.MaxFacts > 0 {
 		if d := g.derived(facts()); d > g.budget.MaxFacts {
-			g.Abort()
 			return &BudgetError{Axis: AxisFacts, Limit: int64(g.budget.MaxFacts), Stratum: g.stratum,
 				Round: round, Facts: d, Invented: invented}
 		}
@@ -256,11 +235,9 @@ func (g *Guard) Check(round int, facts func() int, invented int) error {
 	return nil
 }
 
-// RoundsExceeded builds the rounds-axis abort error and marks the guard
-// aborted. total is the current total fact count; detail is the
-// caller's semantics note.
+// RoundsExceeded builds the rounds-axis abort error. total is the
+// current total fact count; detail is the caller's semantics note.
 func (g *Guard) RoundsExceeded(round, limit, total, invented int, detail string) *BudgetError {
-	g.Abort()
 	return &BudgetError{Axis: AxisRounds, Limit: int64(limit), Stratum: g.stratum,
 		Round: round, Facts: g.derived(total), Invented: invented, Detail: detail}
 }

@@ -351,8 +351,8 @@ func (m *Metrics) PublishExpvar(name string) {
 }
 
 // Tracer returns an event adapter that maintains the standard engine
-// metrics from the trace stream: round, firing, oid, abort, merge,
-// module, and guard-trip counters plus round/merge duration histograms.
+// metrics from the trace stream: round, firing, oid, abort, module, and
+// guard-trip counters plus round duration histograms.
 // Attach it (usually via Multi, alongside a log sink) to get metrics
 // without a second instrumentation path.
 func (m *Metrics) Tracer() Tracer { return metricsTracer{m} }
@@ -375,9 +375,6 @@ func (t metricsTracer) Event(ev Event) {
 		m.Counter("logres_rule_firings_total").Add(int64(ev.Count))
 	case KindOIDInvent:
 		m.Counter("logres_oids_invented_total").Add(1)
-	case KindMerge:
-		m.Counter("logres_merges_total").Add(1)
-		m.Histogram("logres_merge_duration_ns").Observe(int64(ev.Duration))
 	case KindGuardCheck:
 		m.Counter("logres_guard_trips_total").Add(1)
 	case KindAbort:
@@ -400,8 +397,6 @@ func (t metricsTracer) Event(ev Event) {
 	case KindVecKernel:
 		m.Counter(fmt.Sprintf("logres_vec_kernel_invocations_total{kernel=%q}", ev.Pred)).Add(int64(ev.Count))
 		m.Counter(fmt.Sprintf("logres_vec_kernel_rows_total{kernel=%q}", ev.Pred)).Add(int64(ev.Total))
-	case KindParallelDispatch:
-		m.Counter("logres_parallel_dispatches_total").Add(1)
 	case KindWALAppend:
 		m.Counter("logres_wal_appends_total").Add(1)
 		m.Counter("logres_wal_bytes_total").Add(int64(ev.Count))

@@ -15,12 +15,10 @@
 // Determinism contract: events whose Kind is deterministic (stratum,
 // round, rule-firing, oid-invention, budget-axis, abort events) carry
 // only evaluation-determined payloads — for a fixed program and input,
-// their ordered stream is identical for every workers × shards
-// configuration. Wall-clock fields (Time, Duration) and
-// configuration-dependent fields (Workers, Shards, Shard) are excluded
-// from that contract; the canonical JSONL sink strips them (and skips
-// the nondeterministic kinds entirely) so two traces can be compared
-// byte for byte.
+// their ordered stream is identical on every run. Wall-clock fields
+// (Time, Duration) are excluded from that contract; the canonical JSONL
+// sink strips them (and skips the nondeterministic kinds entirely) so
+// two traces can be compared byte for byte.
 package obs
 
 import "time"
@@ -31,8 +29,8 @@ type Kind string
 // The event taxonomy. See DESIGN.md §8 for the full field contract of
 // each kind.
 const (
-	// KindEvalBegin opens one engine evaluation (Program.Run): Workers,
-	// Shards, Count = strata, Total = extensional facts.
+	// KindEvalBegin opens one engine evaluation (Program.Run):
+	// Count = strata, Total = extensional facts.
 	KindEvalBegin Kind = "eval.begin"
 	// KindEvalEnd closes a successful evaluation: Count = rounds run,
 	// Total = final fact count, Duration = wall-clock.
@@ -54,18 +52,13 @@ const (
 	// KindOIDInvent reports one invented oid: Rule, Pred = class,
 	// OID = the invented identifier.
 	KindOIDInvent Kind = "oid.invent"
-	// KindMerge reports one parallel sharded delta merge: Round,
-	// Shards, Duration = critical path (longest shard).
-	// Nondeterministic: present only on parallel configurations.
-	KindMerge Kind = "merge"
 	// KindBudget reports consumption against one armed budget axis at a
 	// round boundary: Axis, Count = used, Limit = the effective bound.
 	KindBudget Kind = "budget"
 	// KindGuardCheck reports an in-round guard trip: the coarse
 	// tuple-count check inside rule matching detected cancellation or an
 	// exhausted budget mid-round. Rule, Round, Detail = cause.
-	// Nondeterministic: on parallel configurations the trip can surface
-	// from any worker, and the first tripping predicate varies.
+	// Nondeterministic: where a wall-clock trip lands depends on timing.
 	KindGuardCheck Kind = "guard.check"
 	// KindAbort reports an aborted evaluation: Axis (budget aborts),
 	// Stratum, Round, Detail = the abort error.
@@ -96,15 +89,8 @@ const (
 	// vectorized stratum, emitted at the stratum boundary in kernel-name
 	// order: Stratum, Pred = kernel name (select/join/antijoin/filter/
 	// emit), Count = invocations, Total = rows produced,
-	// Detail = "vectorize". Deterministic: the columnar path is
-	// batch-at-a-time, so the counters do not depend on workers/shards.
+	// Detail = "vectorize". Deterministic.
 	KindVecKernel Kind = "vec.kernel"
-	// KindParallelDispatch reports one semi-naive round actually fanning
-	// out to the worker pool (rounds below the size cutoff run inline
-	// and emit nothing): Stratum, Round, Count = tasks, Total = the
-	// probe (delta) size that justified the fan-out. Nondeterministic:
-	// present only on parallel configurations.
-	KindParallelDispatch Kind = "parallel.dispatch"
 	// KindWALAppend reports one record appended to the write-ahead log:
 	// Round = the record's commit epoch (truncated to int), Pred = the
 	// record type ("delta", "replace", "register"), Count = framed bytes
@@ -143,12 +129,12 @@ const (
 )
 
 // Deterministic reports whether events of this kind are part of the
-// determinism contract: their ordered stream is identical for every
-// workers × shards configuration (wall-clock fields excluded).
+// determinism contract: their ordered stream is identical on every run
+// (wall-clock fields excluded).
 func (k Kind) Deterministic() bool {
 	switch k {
-	case KindMerge, KindGuardCheck, KindModuleCommit, KindModuleConflict, KindModuleRetry,
-		KindParallelDispatch, KindWALAppend, KindWALSync, KindWALRecover, KindWALCompact,
+	case KindGuardCheck, KindModuleCommit, KindModuleConflict, KindModuleRetry,
+		KindWALAppend, KindWALSync, KindWALRecover, KindWALCompact,
 		KindIVMPropagate, KindIVMRebuild, KindSubEmit:
 		return false
 	}
@@ -182,10 +168,6 @@ type Event struct {
 	Axis string
 	// Limit is the effective bound of the axis (KindBudget).
 	Limit int64
-	// Workers and Shards describe the evaluation configuration
-	// (KindEvalBegin); Shard indexes one merge goroutine (KindMerge).
-	// Configuration-dependent: excluded from the determinism contract.
-	Workers, Shards, Shard int
 	// Duration is the wall-clock measurement of timing-carrying kinds.
 	// Excluded from the determinism contract.
 	Duration time.Duration
@@ -205,9 +187,8 @@ type Event struct {
 }
 
 // Tracer receives trace events. Implementations must be safe for
-// concurrent use: most events are emitted from the evaluation's
-// orchestrating goroutine, but in-round guard trips (KindGuardCheck)
-// can surface from worker goroutines.
+// concurrent use: one tracer may be shared by evaluations running on
+// different goroutines.
 type Tracer interface {
 	Event(Event)
 }

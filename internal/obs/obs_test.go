@@ -141,14 +141,14 @@ func TestCanonicalJSONLStripsNondeterminism(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewCanonicalJSONL(&buf)
 	s.Event(Event{Kind: KindRoundEnd, Stratum: 1, Round: 2, Count: 3, Total: 4,
-		Duration: time.Second, Workers: 8, Shards: 8, Time: time.Now()})
-	s.Event(Event{Kind: KindMerge, Round: 2, Shards: 8, Duration: time.Second})
+		Duration: time.Second, Time: time.Now(), Req: "r1"})
+	s.Event(Event{Kind: KindWALSync, Duration: time.Second})
 	s.Event(Event{Kind: KindGuardCheck, Round: 2, Detail: "trip"})
 	out := buf.String()
 	if strings.Count(out, "\n") != 1 {
 		t.Fatalf("canonical sink kept nondeterministic kinds:\n%s", out)
 	}
-	for _, banned := range []string{"time", "duration", "workers", "shards"} {
+	for _, banned := range []string{"time", "duration", "req"} {
 		if strings.Contains(out, banned) {
 			t.Fatalf("canonical line carries %q:\n%s", banned, out)
 		}

@@ -10,8 +10,8 @@ import (
 
 // jsonEvent is the wire form of an Event. Field order is fixed by the
 // struct, omitempty keeps lines compact, and the canonical mode leaves
-// every wall-clock and configuration-dependent field zero so two traces
-// of the same program compare byte for byte.
+// every wall-clock field zero so two traces of the same program compare
+// byte for byte.
 type jsonEvent struct {
 	Time     string `json:"time,omitempty"`
 	Kind     Kind   `json:"kind"`
@@ -24,9 +24,6 @@ type jsonEvent struct {
 	Total    int    `json:"total,omitempty"`
 	Axis     string `json:"axis,omitempty"`
 	Limit    int64  `json:"limit,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
-	Shard    int    `json:"shard,omitempty"`
 	Duration int64  `json:"duration_ns,omitempty"`
 	Detail   string `json:"detail,omitempty"`
 	Reason   string `json:"reason,omitempty"`
@@ -46,10 +43,9 @@ type JSONL struct {
 func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
 
 // NewCanonicalJSONL returns a JSONL sink in canonical (deterministic)
-// mode: timestamps, durations, and configuration-dependent fields are
-// stripped and nondeterministic event kinds are skipped, so the output
-// for a fixed program is byte-identical across workers × shards
-// configurations.
+// mode: timestamps and durations are stripped and nondeterministic event
+// kinds are skipped, so the output for a fixed program is byte-identical
+// from run to run.
 func NewCanonicalJSONL(w io.Writer) *JSONL { return &JSONL{w: w, canonical: true} }
 
 // Event implements Tracer.
@@ -77,7 +73,6 @@ func (t *JSONL) Event(ev Event) {
 			when = time.Now()
 		}
 		je.Time = when.UTC().Format(time.RFC3339Nano)
-		je.Workers, je.Shards, je.Shard = ev.Workers, ev.Shards, ev.Shard
 		je.Duration = int64(ev.Duration)
 		je.Req = ev.Req
 	}
@@ -124,8 +119,7 @@ func (t *Text) Event(ev Event) {
 func FormatEvent(ev Event) string {
 	switch ev.Kind {
 	case KindEvalBegin:
-		return fmt.Sprintf("eval: begin workers=%d shards=%d strata=%d facts=%d",
-			ev.Workers, ev.Shards, ev.Count, ev.Total)
+		return fmt.Sprintf("eval: begin strata=%d facts=%d", ev.Count, ev.Total)
 	case KindEvalEnd:
 		return fmt.Sprintf("eval: end rounds=%d facts=%d in %s", ev.Count, ev.Total, ev.Duration)
 	case KindStratumBegin:
@@ -146,8 +140,6 @@ func FormatEvent(ev Event) string {
 	case KindOIDInvent:
 		return fmt.Sprintf("stratum %d round %d: rule #%d invented oid %d (%s)",
 			ev.Stratum, ev.Round, ev.Rule, ev.OID, ev.Pred)
-	case KindMerge:
-		return fmt.Sprintf("round %d: merged %d shards in %s", ev.Round, ev.Shards, ev.Duration)
 	case KindBudget:
 		return fmt.Sprintf("stratum %d round %d: budget %s %d/%d",
 			ev.Stratum, ev.Round, ev.Axis, ev.Count, ev.Limit)

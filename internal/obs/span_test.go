@@ -159,7 +159,7 @@ func TestCanonicalJSONLStripsReq(t *testing.T) {
 func TestTextSinkRendersEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewText(&buf)
-	tr.Event(Event{Kind: KindEvalBegin, Workers: 2, Shards: 4, Count: 1, Total: 10})
+	tr.Event(Event{Kind: KindEvalBegin, Count: 1, Total: 10})
 	tr.Event(Event{Kind: KindStratumBegin, Stratum: 0, Count: 3, Detail: "semi-naive"})
 	tr.Event(Event{Kind: KindRoundEnd, Stratum: 0, Round: 1, Count: 5, Total: 15, Duration: time.Millisecond})
 	tr.Event(Event{Kind: KindModuleConflict, Pred: "p", Round: 2, Detail: "mine: w(p); theirs: w(p)"})
@@ -167,7 +167,7 @@ func TestTextSinkRendersEvents(t *testing.T) {
 
 	out := buf.String()
 	for _, want := range []string{
-		"eval: begin workers=2 shards=4 strata=1 facts=10",
+		"eval: begin strata=1 facts=10",
 		"stratum 0: begin rules=3 mode=semi-naive",
 		"stratum 0 round 1: delta=5 facts=15 (1ms)",
 		"module p: conflict attempt 2: mine: w(p); theirs: w(p)",

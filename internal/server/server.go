@@ -457,12 +457,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := []logres.Option{logres.WithMetrics(s.metrics)}
 	if o := req.Options; o != nil {
-		if o.Workers != 0 {
-			opts = append(opts, logres.WithWorkers(o.Workers))
-		}
-		if o.Shards != 0 {
-			opts = append(opts, logres.WithShards(o.Shards))
-		}
 		if o.MaxRetries != 0 {
 			opts = append(opts, logres.WithMaxRetries(o.MaxRetries))
 		}
@@ -852,10 +846,19 @@ func diffFacts(fs []logres.Fact) []client.DiffFact {
 // Wire helpers.
 // ---------------------------------------------------------------------------
 
+// decodeJSON decodes a request body holding exactly one JSON value into
+// v: unknown fields and anything but whitespace after the value are
+// rejected with 400 invalid.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest,
 			client.ErrorResponse{Error: "malformed request body: " + err.Error(), Kind: client.KindInvalid})
 		return false

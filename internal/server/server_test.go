@@ -546,3 +546,100 @@ func TestConcurrentDisjointExecsNoConflicts(t *testing.T) {
 		}
 	}
 }
+
+// rawJSON sends body verbatim and decodes an error response, if any.
+func rawJSON(t *testing.T, method, url, body string) (int, client.ErrorResponse) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er client.ErrorResponse
+	if resp.StatusCode >= 400 {
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+	}
+	return resp.StatusCode, er
+}
+
+// The per-database workers and shards options are gone from the wire:
+// a create naming either is rejected as an unknown field, not accepted
+// and ignored, and no database is created.
+func TestCreateRejectsRemovedEngineOptions(t *testing.T) {
+	_, ts, c := newTestServer(t)
+	for _, field := range []string{"workers", "shards"} {
+		body := fmt.Sprintf(`{"schema":%q,"options":{%q:4}}`, testSchema, field)
+		status, er := rawJSON(t, http.MethodPut, ts.URL+"/v1/db/x", body)
+		if status != http.StatusBadRequest || er.Kind != client.KindInvalid {
+			t.Fatalf("%s: status %d kind %q, want 400 %q", field, status, er.Kind, client.KindInvalid)
+		}
+		if want := fmt.Sprintf("json: unknown field %q", field); !strings.Contains(er.Error, want) {
+			t.Fatalf("%s: error %q does not name the field (%s)", field, er.Error, want)
+		}
+	}
+	if names, err := c.List(context.Background()); err != nil || len(names) != 0 {
+		t.Fatalf("List = %v, %v; want no databases", names, err)
+	}
+}
+
+// Every JSON route decodes exactly one value: a body that carries more
+// than one value, or trailing bytes, is a 400 invalid and has no effect,
+// while a single value followed by whitespace is accepted.
+func TestJSONRoutesRejectTrailingData(t *testing.T) {
+	_, ts, c := newTestServer(t)
+	mustCreate(t, c, "db", &client.DBOptions{Incremental: true})
+	base := ts.URL + "/v1/db/"
+	module := "mode ridv.\nrules p(x: 1).\nend.\n"
+	routes := []struct {
+		name, method, url, body string
+	}{
+		{"create", http.MethodPut, base + "fresh", fmt.Sprintf(`{"schema":%q}`, testSchema)},
+		{"exec", http.MethodPost, base + "db/exec", fmt.Sprintf(`{"module":%q}`, module)},
+		{"query", http.MethodPost, base + "db/query", `{"goal":"?- p(x: X)."}`},
+		{"register", http.MethodPost, base + "db/register", fmt.Sprintf(`{"module":%q}`, "module m.\n"+module)},
+		{"subscribe", http.MethodPost, base + "db/subscribe", `{"preds":["p"]}`},
+	}
+	for _, r := range routes {
+		t.Run(r.name, func(t *testing.T) {
+			for _, tail := range []string{`{"options":{"workers":4}}`, ` trailing`, `}`, `{} trailing`} {
+				status, er := rawJSON(t, r.method, r.url, r.body+tail)
+				if status != http.StatusBadRequest || er.Kind != client.KindInvalid {
+					t.Fatalf("tail %q: status %d kind %q, want 400 %q", tail, status, er.Kind, client.KindInvalid)
+				}
+				if !strings.Contains(er.Error, "malformed request body") {
+					t.Fatalf("tail %q: error %q", tail, er.Error)
+				}
+			}
+		})
+	}
+	ctx := context.Background()
+	if _, err := c.Info(ctx, "fresh"); err == nil {
+		t.Fatal("a rejected create registered its database")
+	}
+	info, err := c.Info(ctx, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Epoch != 0 || len(info.Modules) != 0 {
+		t.Fatalf("rejected requests changed the database: %+v", info)
+	}
+	for _, r := range routes[:4] {
+		req, err := http.NewRequest(r.method, r.url, strings.NewReader(r.body+" \n\t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Fatalf("%s: a single value with trailing whitespace got %d", r.name, resp.StatusCode)
+		}
+	}
+}

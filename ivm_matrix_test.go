@@ -12,8 +12,8 @@ import (
 // mixed workload (serial and optimistic applications, insertions and
 // RDDV deletions), render exactly the instance a from-scratch database
 // renders on the row oracle, and persist exactly the same Save bytes —
-// under the defaults and for every workers × shards × vectorize
-// combination (engineLegs), over program classes covering
+// under the defaults and on the row oracle (engineLegs), over program
+// classes covering
 // counting, recursive closure (DRed), stratified negation (suffix
 // recomputation), and oid-inventing fallback strata.
 

@@ -153,21 +153,18 @@ func WithNonInflationary(on bool) Option {
 	return func(db *Database) { db.opts.NonInflationary = on }
 }
 
-// WithWorkers sets the number of goroutines the row engine fans a
-// stratum's passes out to. The default is 1: evaluation is serial, and
-// strata the columnar kernels can run (see WithVectorize) never use the
-// pool. n > 1 opts the remaining row strata into the parallel path;
-// n <= 0 selects GOMAXPROCS. Results are bit-identical to serial
-// evaluation for any worker count.
+// WithWorkers accepts only 1: evaluation is serial. Any other value
+// makes Open, Load and OpenDurable fail with an error naming the option.
+//
+// Deprecated: drop the option.
 func WithWorkers(n int) Option {
 	return func(db *Database) { db.opts.Workers = n }
 }
 
-// WithShards sets the number of partitions parallel row evaluation
-// (WithWorkers > 1) splits the fact set into, so worker deltas merge
-// concurrently — one goroutine per shard. The default is 1, the serial
-// merge; n <= 0 selects GOMAXPROCS. Results are bit-identical for any
-// shard count.
+// WithShards accepts only 1: a fact set has one layout. Any other value
+// makes Open, Load and OpenDurable fail with an error naming the option.
+//
+// Deprecated: drop the option.
 func WithShards(n int) Option {
 	return func(db *Database) { db.opts.Shards = n }
 }
@@ -228,6 +225,22 @@ type Database struct {
 	subID uint64
 }
 
+// newDatabase builds an unpublished database from the default options
+// and the caller's, rejecting the values the engine no longer supports.
+func newDatabase(log *storage.CommitLog, options []Option) (*Database, error) {
+	db := &Database{opts: engine.DefaultOptions(), log: log}
+	for _, o := range options {
+		o(db)
+	}
+	if n := db.opts.Workers; n != 0 && n != 1 {
+		return nil, fmt.Errorf("logres: WithWorkers(%d): parallel evaluation was removed; only 1 is accepted", n)
+	}
+	if n := db.opts.Shards; n != 0 && n != 1 {
+		return nil, fmt.Errorf("logres: WithShards(%d): sharded fact sets were removed; only 1 is accepted", n)
+	}
+	return db, nil
+}
+
 // publish freezes the state's extensional facts and installs it as the
 // current state. Callers must hold the write lock (or be the sole owner,
 // as in Open/Load).
@@ -250,9 +263,9 @@ func Open(src string, options ...Option) (*Database, error) {
 	if err := m.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	db := &Database{opts: engine.DefaultOptions(), log: storage.NewCommitLog(0)}
-	for _, o := range options {
-		o(db)
+	db, err := newDatabase(storage.NewCommitLog(0), options)
+	if err != nil {
+		return nil, err
 	}
 	db.publish(module.NewState(m.Schema))
 	if err := db.maintInit(); err != nil {
@@ -498,9 +511,9 @@ func Load(r io.Reader, options ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &Database{opts: engine.DefaultOptions(), log: storage.NewCommitLog(0)}
-	for _, o := range options {
-		o(db)
+	db, err := newDatabase(storage.NewCommitLog(0), options)
+	if err != nil {
+		return nil, err
 	}
 	db.publish(st)
 	if err := db.maintInit(); err != nil {

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"logres/internal/engine"
+	"logres/internal/parser"
 )
 
 const footballSchema = `
@@ -349,5 +352,68 @@ end.
 	}
 	if ans.Rows[0][0].String() != `"smith"` {
 		t.Fatalf("pair = %v", ans.Rows[0])
+	}
+}
+
+// The parallel row engine is gone: WithWorkers and WithShards accept only
+// 1, and any other value fails Open, Load, OpenDurable (fresh and
+// recovering) and engine.Compile with an error naming the option, rather
+// than being accepted and ignored.
+func TestRemovedEngineOptionsRejected(t *testing.T) {
+	const schema = `associations P = (x: integer);`
+	db, err := Open(schema, WithWorkers(1), WithShards(1))
+	if err != nil {
+		t.Fatalf("WithWorkers(1), WithShards(1): %v", err)
+	}
+	var snap bytes.Buffer
+	if err := db.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ddb, _, err := OpenDurable(schema, Durability{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ddb.Close()
+
+	for _, c := range []struct {
+		opt  Option
+		name string
+	}{{WithWorkers(4), "WithWorkers(4)"}, {WithShards(2), "WithShards(2)"}} {
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Fatalf("%s with %s: err = %v, want an error naming the option", how, c.name, err)
+			}
+		}
+		_, err := Open(schema, c.opt)
+		check("Open", err)
+		_, err = Load(bytes.NewReader(snap.Bytes()), c.opt)
+		check("Load", err)
+		_, _, err = OpenDurable(schema, Durability{Dir: t.TempDir()}, c.opt)
+		check("OpenDurable (fresh)", err)
+		_, _, err = OpenDurable(schema, Durability{Dir: dir}, c.opt)
+		check("OpenDurable (recovering)", err)
+	}
+	// The refused recovery left the directory usable.
+	if ddb, _, err = OpenDurable(schema, Durability{Dir: dir}); err != nil {
+		t.Fatalf("reopen after a refused open: %v", err)
+	}
+	ddb.Close()
+
+	m, err := parser.ParseModule(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts engine.Options
+		name string
+	}{{engine.Options{Workers: 2}, "Options.Workers"}, {engine.Options{Shards: 2}, "Options.Shards"}} {
+		if _, err := engine.Compile(m.Schema, nil, c.opts); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Fatalf("engine.Compile with %s = 2: err = %v, want an error naming it", c.name, err)
+		}
+	}
+	if _, err := engine.Compile(m.Schema, nil, engine.Options{Workers: 1, Shards: 1}); err != nil {
+		t.Fatalf("engine.Compile with Workers = Shards = 1: %v", err)
 	}
 }

@@ -40,8 +40,8 @@ type Metrics = obs.Metrics
 type FlightRecorder = obs.FlightRecorder
 
 // Stats is the record of what the last evaluation did, including the
-// per-round DeltaCurve (deterministic across serial and parallel
-// configurations).
+// per-round DeltaCurve (deterministic: the row engine and the columnar
+// kernels record the same curve).
 type Stats = engine.Stats
 
 // RoundDelta is one point on a Stats delta curve.
@@ -55,10 +55,9 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 func NewJSONLTracer(w io.Writer) *obs.JSONL { return obs.NewJSONL(w) }
 
 // NewCanonicalJSONLTracer is NewJSONLTracer in canonical mode:
-// timestamps, durations, and configuration-dependent fields are
-// stripped and nondeterministic kinds skipped, so the stream for a
-// fixed program is byte-identical across workers × shards
-// configurations.
+// timestamps and durations are stripped and nondeterministic kinds
+// skipped, so the stream for a fixed program is byte-identical from run
+// to run.
 func NewCanonicalJSONLTracer(w io.Writer) *obs.JSONL { return obs.NewCanonicalJSONL(w) }
 
 // NewTextTracer returns a tracer writing human-readable one-line

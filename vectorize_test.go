@@ -8,8 +8,8 @@ import (
 
 // Top-level differential property: the persisted database — Save's
 // exact byte stream — and the rendered instance must be identical
-// whether evaluation ran on the row oracle, under the defaults, or on
-// any explicit workers × shards × vectorize combination. This is the
+// whether evaluation ran on the row oracle or under the defaults
+// (engineLegs). This is the
 // end-to-end counterpart of the engine-level matrix test
 // (internal/engine/vector_test.go): it covers parsing, module
 // application, storage, and serialization on top of evaluation.

@@ -254,9 +254,8 @@ func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 }
 
 // maintOptions is the engine configuration of the maintainer's private
-// program: the database's evaluation settings (workers, shards,
-// vectorize, budget — results are bit-identical across the parallelism
-// axes) with observability and cancellation stripped. Maintenance runs
+// program: the database's evaluation settings (vectorize, budget) with
+// observability and cancellation stripped. Maintenance runs
 // after the commit landed; aborting it cannot un-commit — a budget
 // abort just falls back to recomputation, and if that aborts too the
 // fast path is disabled until a later rebuild succeeds. Its internal
