@@ -373,3 +373,36 @@ func BenchmarkE14_TracerOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkQueryClosureShape is the gated benchmark's closure_batch
+// workload through the public read path: goal queries against a
+// default-option database over the closure shape (64-node chain), each
+// a from-scratch derivation of the instance — compile, fixpoint, goal.
+func BenchmarkQueryClosureShape(b *testing.B) {
+	db, err := Open(closureShapeSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range closureShapeModules(64) {
+		if _, err := db.Exec(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	goals := []string{
+		"?- tc(src: 0, dst: X).",
+		"?- sg(a: 5, b: X).",
+		"?- unreach(a: 16, b: X).",
+		"?- origin(self: S, id: 3).",
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ans, err := db.Query(goals[i%len(goals)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(ans.Rows) == 0 {
+			b.Fatalf("%s: no answer", goals[i%len(goals)])
+		}
+	}
+}

@@ -105,11 +105,12 @@ func OpenDurable(schemaSrc string, d Durability, options ...Option) (*Database, 
 	db.store = store
 	db.recovery = rec
 	store.SetTracer(db.opts.Tracer)
-	db.publish(st)
-	// Maintenance state is derived, not persisted: recovery rebuilds it
-	// from the recovered (E, R, S) by recomputation, so the maintained
-	// set is byte-identical to a cold from-scratch evaluation.
-	if err := db.maintInit(); err != nil {
+	// The recovered state is audited once, and maintenance state — derived,
+	// not persisted — is rebuilt from it by recomputation, so the
+	// maintained set is byte-identical to a cold from-scratch evaluation.
+	// A failure closes the WAL the store holds open.
+	if err := db.publishDecoded(st); err != nil {
+		_ = store.Close()
 		return nil, nil, err
 	}
 	return db, rec, nil

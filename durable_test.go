@@ -6,11 +6,18 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
+	"logres/internal/engine"
 	"logres/internal/hooks"
+	"logres/internal/module"
+	"logres/internal/parser"
 	"logres/internal/storage"
+	"logres/internal/value"
 )
 
 const durableSchema = `
@@ -103,6 +110,136 @@ func saveBytesDurable(t *testing.T, db *Database) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// ---------------------------------------------------------------------------
+// Open-time audit: a state that enters without a commit is audited once
+// ---------------------------------------------------------------------------
+
+// inconsistentState builds, past every audit, a state no commit would
+// have accepted: its instance violates a persistent denial, or holds a
+// reference to an oid no class contains.
+func inconsistentState(t *testing.T, dangling bool) *module.State {
+	t.Helper()
+	m, err := parser.ParseModule(`
+domains NAME = string;
+classes
+  SCHOOL = (sname: NAME);
+associations
+  ENROLL = (school: SCHOOL, who: NAME);
+  ITALIAN = (name: NAME);
+  ROMAN = (name: NAME);
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := module.NewState(m.Schema)
+	name := func(s string) value.Tuple {
+		return value.NewTuple(value.Field{Label: "name", Value: value.Str(s)})
+	}
+	if dangling {
+		st.E.Add(engine.Fact{Pred: "enroll", Tuple: value.NewTuple(
+			value.Field{Label: "school", Value: value.Ref(99)},
+			value.Field{Label: "who", Value: value.Str("sara")},
+		)})
+		return st
+	}
+	st.E.Add(engine.Fact{Pred: "italian", Tuple: name("sara")})
+	st.E.Add(engine.Fact{Pred: "roman", Tuple: name("sara")})
+	if st.R, err = parser.ParseProgram(`<- italian(name: X), roman(name: X).`); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// Reads trust that every published state was audited, so Load and
+// OpenDurable's recovery audit the decoded state before publishing it
+// and refuse to open one whose instance is inconsistent.
+func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		dangling  bool
+		violation string
+	}{{"denial", false, "integrity violation"}, {"dangling", true, "dangling"}} {
+		for _, incremental := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/incremental=%v", c.name, incremental), func(t *testing.T) {
+				st := inconsistentState(t, c.dangling)
+				var buf bytes.Buffer
+				if err := storage.SaveState(&buf, st); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Load(&buf, WithIncremental(incremental)); err == nil || !strings.Contains(err.Error(), c.violation) {
+					t.Fatalf("Load = %v, want an error naming %q", err, c.violation)
+				}
+				dir := filepath.Join(t.TempDir(), "db")
+				store, err := storage.Create(dir, st, storage.StoreOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := OpenDurable("", Durability{Dir: dir}, WithIncremental(incremental)); err == nil || !strings.Contains(err.Error(), c.violation) {
+					t.Fatalf("OpenDurable recovery = %v, want an error naming %q", err, c.violation)
+				}
+			})
+		}
+	}
+}
+
+// An OpenDurable whose initialisation fails after the store recovered —
+// here the open-time audit (and, were it to pass, the maintainer build)
+// exceeding a tight budget — closes the WAL it opened; a normal reopen
+// then recovers the directory.
+func TestDurableFailedRecoveryClosesWAL(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts open descriptors through /proc/self/fd")
+	}
+	dir := t.TempDir()
+	db, _, err := OpenDurable(durableSchema, Durability{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := db.Exec(durableMod("q0", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Exec("mode radi.\nrules\n  q1(x: X) <- q0(x: X).\n  q2(x: X) <- q1(x: X).\nend.\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(entries)
+	}
+	before := openFDs()
+	for i := 0; i < 3; i++ {
+		_, _, err := OpenDurable("", Durability{Dir: dir}, WithIncremental(true), WithBudget(Budget{MaxFacts: 1}))
+		var be *BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("reopen under a one-fact budget = %v, want a *BudgetError", err)
+		}
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("open descriptors %d after three failed reopens, %d before", after, before)
+	}
+	db2, rec, err := OpenDurable("", Durability{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if rec == nil || rec.Epoch != 5 {
+		t.Fatalf("recovery = %+v, want epoch 5", rec)
+	}
+	if n, err := db2.Count("q1"); err != nil || n != 4 {
+		t.Fatalf("recovered q1 count = %d, %v; want 4", n, err)
+	}
 }
 
 func TestDurableStatusAndSync(t *testing.T) {

@@ -54,8 +54,8 @@ type Options struct {
 	// nil check, so the untraced hot path pays nothing.
 	Tracer obs.Tracer
 	// Vectorize (on in DefaultOptions) evaluates eligible semi-naive
-	// strata over columnar batches (internal/colset): frozen snapshots
-	// are dictionary-encoded into per-predicate column batches, rule
+	// strata over columnar batches (internal/colset): the run's fact set
+	// is dictionary-encoded into per-predicate column batches, rule
 	// bodies run as vectorized select/join/anti-join kernels, the
 	// semi-naive delta stays in code space between rounds, and facts are
 	// decoded once per stratum. Strata using oid invention, deletion,

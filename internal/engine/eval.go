@@ -775,6 +775,8 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	if m := int64(f0.MaxOID()); m > *counter {
 		*counter = m
 	}
+	// The run's one copy of f0: the semi-naive strata grow it in place,
+	// and f0 (often a frozen published set) is never written.
 	f := f0.Clone()
 	for i := from; i < len(p.strata); i++ {
 		stratum := p.strata[i]

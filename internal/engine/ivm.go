@@ -363,7 +363,8 @@ func (m *Maintainer) recomputeSuffix(counter int64) error {
 		return nil
 	}
 	c := counter
-	full, err := m.prog.RunFrom(context.Background(), m.suffix, m.view.Clone(), &c)
+	// RunFrom evaluates a copy of its input, so m.view stays untouched.
+	full, err := m.prog.RunFrom(context.Background(), m.suffix, m.view, &c)
 	if err != nil {
 		return err
 	}

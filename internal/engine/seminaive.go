@@ -47,10 +47,9 @@ func stratumSemiNaiveEligible(stratum []*crule) bool {
 	return true
 }
 
-// semiNaive runs delta iteration over one stratum.
-func (p *Program) semiNaive(stratum []*crule, f *FactSet, counter *int64) (*FactSet, error) {
-	cur := f.Clone()
-
+// semiNaive runs delta iteration over one stratum, growing cur in place:
+// cur is the run's private copy of E (runGuarded cloned it).
+func (p *Program) semiNaive(stratum []*crule, cur *FactSet, counter *int64) (*FactSet, error) {
 	// Round 0: full evaluation of every rule against the initial set.
 	p.traceRoundBegin(0)
 	start := p.traceNow()

@@ -332,9 +332,9 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
 }
 
 // bind builds the per-evaluation state: the shared dictionary, one
-// batch per tracked predicate from the frozen snapshot (canonical
-// key-sorted order), membership sets for head predicates, and interned
-// constant codes. cur must be frozen.
+// batch per tracked predicate in cur's canonical key order (Facts
+// returns it whether or not cur is frozen), membership sets for head
+// predicates, and interned constant codes.
 func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 	vs.p = p
 	vs.g = p.armedGuard()
@@ -350,7 +350,12 @@ func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 	sort.Slice(vs.heads, func(i, j int) bool { return vs.heads[i].pred < vs.heads[j].pred })
 	for _, vp := range vs.order {
 		vp.batch = colset.NewBatch(len(vp.labels))
-		vs.appendFacts(vp, cur.Facts(vp.pred))
+		// Facts stores a view of the predicate in cur. An empty one gets
+		// none, so the rows materialize adds to it go straight into the
+		// set, and its view is built once, sorted, when it is first read.
+		if cur.Size(vp.pred) > 0 {
+			vs.appendFacts(vp, cur.Facts(vp.pred))
+		}
 		vp.cur = vp.batch
 	}
 	for _, hp := range vs.heads {
@@ -691,17 +696,13 @@ func (vs *vecStratum) traceVecKernels(stratum int) {
 // semiNaiveVectorized is delta iteration over columnar batches. The
 // round structure — full round 0, then one delta-substituted pass per
 // positive atom position with a non-empty delta — and every trace/stat
-// boundary mirror semiNaiveSerial exactly; the fact counts those
-// boundaries report are kept by the plan (vs.total), since the derived
-// rows reach the fact set only when the fixpoint is reached.
-func (p *Program) semiNaiveVectorized(vs *vecStratum, f *FactSet, counter *int64) (*FactSet, error) {
-	cur := f.Clone()
-	// The freeze builds every tracked predicate's merged view once, and
-	// the batches are encoded from that canonical snapshot; the set is
-	// thawed again for the merge that closes the stratum.
-	cur.Freeze()
+// boundary mirror semiNaive exactly; the fact counts those boundaries
+// report are kept by the plan (vs.total), since the derived rows reach
+// the fact set only when the fixpoint is reached. cur is the run's
+// private copy of E (runGuarded cloned it): the batches are encoded from
+// it in key order, and materialize grows it in place.
+func (p *Program) semiNaiveVectorized(vs *vecStratum, cur *FactSet, counter *int64) (*FactSet, error) {
 	vs.bind(p, cur)
-	cur.Thaw()
 
 	stratum := p.curStratum()
 	p.traceRoundBegin(0)

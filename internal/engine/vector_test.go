@@ -2,11 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"logres/internal/obs"
+	"logres/internal/value"
 )
 
 // Differential tests of the columnar evaluation path: for every program
@@ -199,5 +201,76 @@ loop(a: X) <- hub(a: X).
 	}
 	if p.LastStats().VectorizedStrata == 0 {
 		t.Fatal("fact rules did not take the columnar path")
+	}
+}
+
+// A run copies its input once (runGuarded) and grows that copy in place:
+// RunFrom never writes f0, and a frozen f0 — a published state — stays
+// frozen with its views shared, not copied or rebuilt. Checked on the
+// defaults and on the row oracle, over the closure shape (two columnar
+// strata, then two row strata), from the first stratum and from the
+// first row stratum.
+func TestVectorizedRunFromLeavesInputUntouched(t *testing.T) {
+	render := func(f *FactSet) string {
+		var b strings.Builder
+		for _, pred := range f.Preds() {
+			fmt.Fprintln(&b, f.Facts(pred))
+			for _, label := range []string{"n", "src", "dst", "child", "parent"} {
+				for i := 0; i < 8; i++ {
+					fmt.Fprintln(&b, f.FactsByComponent(pred, label, value.Int(int64(i))))
+				}
+			}
+		}
+		return b.String()
+	}
+	for _, leg := range []struct {
+		name string
+		opts Options
+	}{{"defaults", DefaultOptions()}, {"row", rowOracle()}} {
+		p, err := tryBuild(closureShapeSchema, closureShapeRules, leg.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frozen := range []bool{false, true} {
+			for _, from := range []int{0, 2} {
+				name := fmt.Sprintf("%s/frozen=%v/from=%d", leg.name, frozen, from)
+				f0 := closureShapeEDB(32, 12, 1)
+				if frozen {
+					f0.Freeze()
+				}
+				want := render(f0)
+				lists := map[string]*Fact{}
+				for _, pred := range f0.Preds() {
+					lists[pred] = &f0.Facts(pred)[0]
+				}
+				counter := int64(0)
+				got, err := p.RunFrom(context.Background(), from, f0, &counter)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got == f0 || got.TotalSize() <= f0.TotalSize() {
+					t.Fatalf("%s: the run returned its input or derived nothing", name)
+				}
+				if render(f0) != want {
+					t.Fatalf("%s: the run changed its input", name)
+				}
+				if f0.Frozen() != frozen {
+					t.Fatalf("%s: input frozen = %v after the run, want %v", name, f0.Frozen(), frozen)
+				}
+				if !frozen {
+					continue
+				}
+				for pred, first := range lists {
+					if &f0.Facts(pred)[0] != first {
+						t.Fatalf("%s: the run replaced the frozen input's view of %s", name, pred)
+					}
+				}
+				// No stratum writes EDGE: the run reads the input's view of
+				// it, never a copy.
+				if &got.Facts("edge")[0] != lists["edge"] {
+					t.Fatalf("%s: the run copied the frozen input's view of edge", name)
+				}
+			}
+		}
 	}
 }

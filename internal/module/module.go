@@ -62,22 +62,42 @@ func (st *State) Instance(opts engine.Options) (_ *engine.FactSet, _ *instance.I
 	return f, in, err
 }
 
-// derive is Instance that also hands back the compiled (S, R) program,
-// so a caller with a goal to answer queries the program that derived
-// the facts instead of compiling the same pair again.
-func (st *State) derive(opts engine.Options) (*engine.FactSet, *instance.Instance, *engine.Program, error) {
+// Derive computes R(E) and the oid counter its evaluation leaves,
+// without the audit Instance performs: a read of a published state,
+// which was audited when it entered the database.
+func (st *State) Derive(opts engine.Options) (_ *engine.FactSet, _ int64, err error) {
+	defer shieldPanic(&err)
+	f, counter, _, err := st.run(opts)
+	return f, counter, err
+}
+
+// run compiles (S, R) and applies it to E, returning R(E), the advanced
+// oid counter and the program, so a caller with a goal to answer queries
+// the program that derived the facts instead of compiling the same pair
+// again. It does not audit R(E).
+func (st *State) run(opts engine.Options) (*engine.FactSet, int64, *engine.Program, error) {
 	prog, err := engine.Compile(st.S, st.R, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, nil, err
 	}
+	// The advanced counter is NOT written back to st — deriving the
+	// instance is a pure read (oids invented while deriving it are not
+	// part of the persistent state), which lets Database readers share a
+	// lock.
 	counter := st.Counter
 	f, err := prog.Run(st.E, &counter)
 	if err != nil {
+		return nil, 0, nil, err
+	}
+	return f, counter, prog, nil
+}
+
+// derive is run followed by the audit Instance performs.
+func (st *State) derive(opts engine.Options) (*engine.FactSet, *instance.Instance, *engine.Program, error) {
+	f, counter, prog, err := st.run(opts)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Note: the advanced counter is NOT written back to st — Instance is a
-	// pure read (oids invented while deriving the instance are not part of
-	// the persistent state), which lets Database readers share a lock.
 	in := engine.ToInstance(f, st.S, counter)
 	if err := in.CheckConsistency(); err != nil {
 		return nil, nil, nil, fmt.Errorf("module: instance inconsistent: %w", err)
@@ -112,9 +132,8 @@ func declaresNothing(s *types.Schema) bool {
 // (identical to the input state for data/rule-invariant aspects) and, for
 // the data-invariant modes, the goal answer.
 type Result struct {
-	State    *State
-	Instance *instance.Instance
-	Answer   *engine.Answer
+	State  *State
+	Answer *engine.Answer
 }
 
 // Apply applies module m to state st with the given mode. It never mutates
@@ -197,10 +216,10 @@ func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 }
 
 // ApplyDeferred is Apply with the final instance validation skipped:
-// the Result carries the new state but a nil Instance, and the caller
-// is responsible for verifying Definition 4 consistency and the
-// passive constraints against the new state before committing it. Only
-// legal when CanDeferValidation holds for the same arguments.
+// the Result carries the new, unaudited state, and the caller is
+// responsible for verifying Definition 4 consistency and the passive
+// constraints against it before committing it. Only legal when
+// CanDeferValidation holds for the same arguments.
 func ApplyDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
 	defer shieldPanic(&err)
 	if t := opts.Tracer; t != nil {
@@ -238,27 +257,33 @@ func ApplyDeclared(st *State, m *ast.Module, opts engine.Options) (*Result, erro
 // R_M are added temporarily, the goal is evaluated over R0 ∪ RM against
 // E0, and the state does not change.
 func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
-	// A module that brings only a goal — every Database.Query — evaluates
-	// against the state as it is: deriving the instance is a pure read,
-	// so there is nothing to clone, union or re-validate.
-	work := st
-	if !declaresNothing(m.Schema) || len(m.Rules) > 0 {
-		work = st.Clone()
-		s1, err := work.S.Union(m.Schema)
+	res := &Result{State: st}
+	if declaresNothing(m.Schema) && len(m.Rules) == 0 {
+		// A module that brings only a goal — every Database.Query — reads
+		// the state as it is. A state is audited once, when it enters the
+		// database (commit, Load, recovery), so its R(E) is consistent:
+		// compile, run and answer, nothing else.
+		f, _, prog, err := st.run(opts)
 		if err != nil {
 			return nil, err
 		}
-		if err := s1.Validate(); err != nil {
-			return nil, err
-		}
-		work.S = s1
-		work.R = append(work.R, m.Rules...)
+		return res, res.answer(prog, f, m.Goal)
 	}
-	f, in, prog, err := work.derive(opts)
+	// R0 ∪ RM over S0 ∪ SM is a program no commit ever audited.
+	work := st.Clone()
+	s1, err := work.S.Union(m.Schema)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{State: st, Instance: in}
+	if err := s1.Validate(); err != nil {
+		return nil, err
+	}
+	work.S = s1
+	work.R = append(work.R, m.Rules...)
+	f, _, prog, err := work.derive(opts)
+	if err != nil {
+		return nil, err
+	}
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -281,11 +306,11 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 	if err := next.S.Validate(); err != nil {
 		return nil, fmt.Errorf("module: rejected, schema invalid: %w", err)
 	}
-	f, in, prog, err := next.derive(opts)
+	f, _, prog, err := next.derive(opts)
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
-	res := &Result{State: next, Instance: in}
+	res := &Result{State: next}
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -293,8 +318,8 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 // applying the update rules R_M to E0 (with the active constraints
 // generated from the schema); the persistent rules evolve per mode. No
 // goal answer is provided (§4.1). With deferValidation the final
-// instance computation and audit are skipped (Result.Instance is nil)
-// and the caller must validate before committing.
+// instance computation and audit are skipped and the caller must
+// validate before committing.
 func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mode, deferValidation bool) (*Result, error) {
 	next := st.Clone()
 	var s1 *types.Schema
@@ -355,11 +380,10 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	if deferValidation {
 		return &Result{State: next}, nil
 	}
-	_, in, err := next.Instance(opts)
-	if err != nil {
+	if _, _, err := next.Instance(opts); err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
-	return &Result{State: next, Instance: in}, nil
+	return &Result{State: next}, nil
 }
 
 // shieldPanic converts an evaluation panic into a *guard.PanicError so a

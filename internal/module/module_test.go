@@ -290,6 +290,68 @@ associations
 	}
 }
 
+// A state is audited once, when it enters the database, so a goal-only
+// RIDI application trusts it and answers without re-auditing; a RIDI
+// module that brings rules derives over R0 ∪ RM, which no commit ever
+// audited, and is still rejected. The states here are built by hand past
+// every audit, one violating a persistent denial, one holding a dangling
+// reference.
+func TestGoalOnlyRIDITrustsTheStateAndRuleRIDIAudits(t *testing.T) {
+	denial := newState(t, italianSchema)
+	denial = seed(t, denial, `italian(name: "sara"). roman(name: "sara").`)
+	rules, err := parser.ParseProgram(`<- italian(name: X), roman(name: X).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	denial.R = rules
+
+	dangling := newState(t, `
+domains NAME = string;
+classes
+  SCHOOL = (sname: NAME);
+associations
+  ENROLL = (school: SCHOOL, who: NAME);
+  ITALIAN = (name: NAME);
+`)
+	dangling.E.Add(engine.Fact{Pred: "enroll", Tuple: value.NewTuple(
+		value.Field{Label: "school", Value: value.Ref(99)},
+		value.Field{Label: "who", Value: value.Str("sara")},
+	)})
+
+	for _, c := range []struct {
+		name      string
+		st        *State
+		goal      string
+		violation string
+	}{
+		{"denial", denial, "?- roman(name: X).", "integrity violation"},
+		{"dangling", dangling, "?- enroll(who: X).", "dangling"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, err := c.st.Instance(opts()); err == nil || !strings.Contains(err.Error(), c.violation) {
+				t.Fatalf("the hand-built state passes the audit: %v", err)
+			}
+			res, err := Apply(c.st, parseModule(t, "goal\n  "+c.goal+"\nend.\n"), ast.RIDI, opts())
+			if err != nil {
+				t.Fatalf("goal-only RIDI re-audited the state: %v", err)
+			}
+			if res.Answer == nil || len(res.Answer.Rows) != 1 {
+				t.Fatalf("answer = %+v", res.Answer)
+			}
+			_, err = Apply(c.st, parseModule(t, `
+rules
+  italian(name: X) <- italian(name: X).
+goal
+  ?- italian(name: X).
+end.
+`), ast.RIDI, opts())
+			if err == nil || !strings.Contains(err.Error(), c.violation) {
+				t.Fatalf("RIDI with a rule over an inconsistent state: %v, want %q", err, c.violation)
+			}
+		})
+	}
+}
+
 func TestMaterialize(t *testing.T) {
 	st := newState(t, italianSchema)
 	st = seed(t, st, `roman(name: "ugo").`)

@@ -418,13 +418,9 @@ func (db *Database) ctx() context.Context { return db.opts.Ctx }
 func (db *Database) Instance() ([]Fact, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	f, _, ok := db.maintRead()
-	if !ok {
-		var err error
-		f, _, err = db.st.Instance(db.opts)
-		if err != nil {
-			return nil, err
-		}
+	f, _, err := db.derived()
+	if err != nil {
+		return nil, err
 	}
 	var out []Fact
 	for _, p := range f.Preds() {
@@ -437,14 +433,11 @@ func (db *Database) Instance() ([]Fact, error) {
 func (db *Database) InstanceString() (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if f, counter, ok := db.maintRead(); ok {
-		return engine.ToInstance(f, db.st.S, counter).String(), nil
-	}
-	_, in, err := db.st.Instance(db.opts)
+	f, counter, err := db.derived()
 	if err != nil {
 		return "", err
 	}
-	return in.String(), nil
+	return engine.ToInstance(f, db.st.S, counter).String(), nil
 }
 
 // Count reports the number of facts of a predicate in the current
@@ -452,15 +445,23 @@ func (db *Database) InstanceString() (string, error) {
 func (db *Database) Count(pred string) (int, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	f, _, ok := db.maintRead()
-	if !ok {
-		var err error
-		f, _, err = db.st.Instance(db.opts)
-		if err != nil {
-			return 0, err
-		}
+	f, _, err := db.derived()
+	if err != nil {
+		return 0, err
 	}
 	return f.Size(types.Canon(pred)), nil
+}
+
+// derived returns R(E) of the published state and the oid counter its
+// evaluation leaves: the maintained set when the incremental fast path
+// can serve it, a from-scratch evaluation otherwise. Neither re-audits
+// the state, which was audited when it entered the database. Callers
+// hold the read lock.
+func (db *Database) derived() (*engine.FactSet, int64, error) {
+	if f, counter, ok := db.maintRead(); ok {
+		return f, counter, nil
+	}
+	return db.st.Derive(db.opts)
 }
 
 // EDBCount reports the number of extensional facts of a predicate.
@@ -515,11 +516,25 @@ func Load(r io.Reader, options ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.publish(st)
-	if err := db.maintInit(); err != nil {
+	if err := db.publishDecoded(st); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// publishDecoded publishes a state that enters the database without a
+// commit — a loaded snapshot, or a recovered snapshot plus WAL replay —
+// and builds the maintenance state over it. Reads trust that every
+// published state was audited, so this one is audited here, once:
+// Definition 4 consistency and the passive constraints, under the
+// database's budget but no context (maintOptions). The caller is the
+// sole owner of db.
+func (db *Database) publishDecoded(st *module.State) error {
+	db.publish(st)
+	if _, _, err := st.Instance(maintOptions(db.opts)); err != nil {
+		return err
+	}
+	return db.maintInit()
 }
 
 // Schema renders the current schema in LOGRES syntax.

@@ -31,28 +31,24 @@ func vecMatrixCases() []vecMatrixCase {
 	// A back edge so the negation in SAME has both outcomes.
 	edges.WriteString("  edge(src: 24, dst: 0).\nend.\n")
 
-	// The gated benchmark's closure_batch shape: a chain with forward
-	// edges, a par tree, persistent rules (RADI) for linear closure,
-	// non-linear same-generation, a stratified negation and a
-	// class-headed stratum that invents oids — so the instance holds
-	// objects numbered by a row stratum that reads what two columnar
-	// strata derived.
-	var graph strings.Builder
-	graph.WriteString("mode ridv.\nrules\n")
-	for i := 0; i <= 32; i++ {
-		fmt.Fprintf(&graph, "  node(n: %d).\n", i)
-		if i > 0 {
-			fmt.Fprintf(&graph, "  par(child: %d, parent: %d).\n", i, (i-1)/2)
-			fmt.Fprintf(&graph, "  edge(src: %d, dst: %d).\n", i-1, i)
+	// A chain with shortcuts, a few seeds, and two REACH facts stored
+	// extensionally, so the columnar stratum grows a predicate that
+	// already has facts; node 99 makes each sort after what the stratum
+	// derives into its bucket, so an order that appends derived facts to
+	// a prebuilt bucket shows. The grown edge set (third module)
+	// re-derives the instance over an extension the previous commit wrote.
+	var links strings.Builder
+	links.WriteString("mode ridv.\nrules\n")
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&links, "  link(s: %d, d: %d).\n", i, i+1)
+		if i%4 == 0 {
+			fmt.Fprintf(&links, "  link(s: %d, d: %d).\n", i, i+3)
 		}
-		if i%16 == 0 {
-			fmt.Fprintf(&graph, "  root(n: %d).\n", i)
-		}
-		if i%5 == 0 && i+3 <= 32 {
-			fmt.Fprintf(&graph, "  edge(src: %d, dst: %d).\n", i, i+3)
+		if i%5 == 0 {
+			fmt.Fprintf(&links, "  seed(n: %d).\n", i)
 		}
 	}
-	graph.WriteString("end.\n")
+	links.WriteString("  reach(s: 5, d: 99).\n  reach(s: 99, d: 15).\nend.\n")
 
 	return []vecMatrixCase{
 		{
@@ -74,8 +70,49 @@ end.
 			derived: "tc",
 		},
 		{
-			name: "benchmark-shape",
+			name:    "benchmark-shape",
+			schema:  closureShapeSchema,
+			modules: closureShapeModules(32),
+			derived: "origin",
+		},
+		{
+			// Row strata that invent oids over a columnar-derived predicate:
+			// HOP and BACK reach REACH through a bound component (one the
+			// recursive rule itself binds, one it does not), WALK through a
+			// full scan. The oids they number pin REACH's bucket and scan
+			// order as the columnar stratum leaves them.
+			name: "invention-over-columnar",
 			schema: `
+classes
+  HOP = (from: integer, to: integer);
+  BACK = (to: integer, from: integer);
+  WALK = (s: integer, d: integer);
+associations
+  LINK = (s: integer, d: integer);
+  REACH = (s: integer, d: integer);
+  SEED = (n: integer);
+`,
+			modules: []string{links.String(), `
+mode radi.
+rules
+  reach(s: X, d: Y) <- link(s: X, d: Y).
+  reach(s: X, d: Z) <- link(s: X, d: Y), reach(s: Y, d: Z).
+  hop(self: H, from: X, to: Y) <- seed(n: X), reach(s: X, d: Y).
+  back(self: B, to: Y, from: X) <- seed(n: Y), reach(s: X, d: Y).
+  walk(self: W, s: X, d: Y) <- reach(s: X, d: Y).
+end.
+`, "mode ridv.\nrules\n  link(s: 16, d: 2).\n  seed(n: 16).\nend.\n"},
+			derived: "back",
+		},
+	}
+}
+
+// The gated benchmark's closure_batch shape: a chain with forward
+// edges, a par tree, persistent rules (RADI) for linear closure,
+// non-linear same-generation, a stratified negation and a class-headed
+// stratum that invents oids — so the instance holds objects numbered by
+// a row stratum that reads what two columnar strata derived.
+const closureShapeSchema = `
 classes
   VERTEX = (id: integer);
   ORIGIN = (VERTEX, rank: integer);
@@ -88,8 +125,28 @@ associations
   PAR = (child: integer, parent: integer);
   SG = (a: integer, b: integer);
   UNREACH = (a: integer, b: integer);
-`,
-			modules: []string{graph.String(), `
+`
+
+// closureShapeModules builds the closure_batch shape over a chain of n
+// nodes: the data (RIDV), then the rules (RADI).
+func closureShapeModules(n int) []string {
+	var graph strings.Builder
+	graph.WriteString("mode ridv.\nrules\n")
+	for i := 0; i <= n; i++ {
+		fmt.Fprintf(&graph, "  node(n: %d).\n", i)
+		if i > 0 {
+			fmt.Fprintf(&graph, "  par(child: %d, parent: %d).\n", i, (i-1)/2)
+			fmt.Fprintf(&graph, "  edge(src: %d, dst: %d).\n", i-1, i)
+		}
+		if i%16 == 0 {
+			fmt.Fprintf(&graph, "  root(n: %d).\n", i)
+		}
+		if i%5 == 0 && i+3 <= n {
+			fmt.Fprintf(&graph, "  edge(src: %d, dst: %d).\n", i, i+3)
+		}
+	}
+	graph.WriteString("end.\n")
+	return []string{graph.String(), `
 mode radi.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
@@ -99,10 +156,7 @@ rules
   unreach(a: X, b: Y) <- root(n: X), node(n: Y), not tc(src: X, dst: Y).
   origin(self: S, id: N, rank: 0) <- node(n: N), not unreach(a: 0, b: N).
 end.
-`},
-			derived: "origin",
-		},
-	}
+`}
 }
 
 // vecMatrixRun builds the case's database under the options and returns

@@ -39,12 +39,13 @@ import (
 // InstanceString, Count, and option-free Query calls then serve from
 // the maintained set without re-deriving. Required for SubscribeView.
 //
-// Maintained reads skip the per-read consistency audit the scratch path
-// performs as a side effect of evaluating the instance; commits still
-// validate before landing — inside module application, or for
-// data-variant commits that change neither rules nor schema via an
-// incremental audit of the maintained instance staged ahead of the
-// commit (rejections roll the staged update back) — and
+// Reads in either mode trust the audit every state passed when it
+// entered the database (commit, Load, recovery) and never repeat it;
+// the two modes differ only in how they obtain the derived instance.
+// With WithIncremental, data-variant commits that change neither rules
+// nor schema validate through an incremental audit of the maintained
+// instance staged ahead of the commit (rejections roll the staged update
+// back); every other commit validates inside module application.
 // CheckConsistency remains available as an explicit audit.
 func WithIncremental(on bool) Option {
 	return func(db *Database) { db.incremental = on }
