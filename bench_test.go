@@ -13,6 +13,7 @@ package logres
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"logres/internal/ast"
@@ -371,6 +372,99 @@ func BenchmarkE14_TracerOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// registrarSchema is the §5 case study of examples/registrar.
+const registrarSchema = `
+domains
+  NAME = string;
+  CODE = string;
+  GRADE = integer;
+classes
+  PERSON = (name: NAME);
+  STUDENT = (PERSON, year: integer);
+  INSTRUCTOR = (PERSON, field: string);
+  STUDENT isa PERSON;
+  INSTRUCTOR isa PERSON;
+  SECTION = (code: CODE, teacher: INSTRUCTOR, capacity: integer);
+associations
+  ENROLLED = (student: STUDENT, section: SECTION);
+  MARK = (student: STUDENT, code: CODE, grade: GRADE);
+  INTAKE = (name: NAME, kind: string, detail: string);
+  OFFERING = (code: CODE, teacher_name: NAME, capacity: integer);
+`
+
+// registrarEnrol is the rule of one enrolment write of the case study.
+func registrarEnrol(student, section int) string {
+	return fmt.Sprintf("  enrolled(student: S, section: X) <- student(self: S, name: \"s%04d\"), section(self: X, code: \"c%03d\").\n",
+		student, section)
+}
+
+// registrarPreload opens a scratch database holding the case study at
+// the gated benchmark's registrar_http size: 300 students, 5
+// instructors, 15 sections, three enrolments and marks per student, and
+// the one-mark-per-course denial.
+func registrarPreload(b *testing.B) *Database {
+	const students, instructors, sections = 300, 5, 15
+	db, err := Open(registrarSchema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var facts, enrols strings.Builder
+	for i := 0; i < students; i++ {
+		fmt.Fprintf(&facts, "  intake(name: \"s%04d\", kind: \"student\", detail: \"\").\n", i)
+	}
+	for i := 0; i < instructors; i++ {
+		fmt.Fprintf(&facts, "  intake(name: \"t%02d\", kind: \"instructor\", detail: \"f\").\n", i)
+	}
+	for i := 0; i < sections; i++ {
+		fmt.Fprintf(&facts, "  offering(code: \"c%03d\", teacher_name: \"t%02d\", capacity: 1000).\n", i, i%instructors)
+	}
+	for i := 0; i < students; i++ {
+		for k := 0; k < 3; k++ {
+			c := (i + k*5) % sections
+			enrols.WriteString(registrarEnrol(i, c))
+			fmt.Fprintf(&enrols, "  mark(student: S, code: \"c%03d\", grade: %d) <- student(self: S, name: \"s%04d\").\n", c, 18+k, i)
+		}
+	}
+	for _, src := range []string{
+		"mode ridv.\nrules\n" + facts.String() + "end.\n",
+		`mode ridv.
+rules
+  student(self: S, name: N, year: 1) <- intake(name: N, kind: "student").
+  instructor(self: I, name: N, field: F) <- intake(name: N, kind: "instructor", detail: F).
+end.
+`, `mode ridv.
+rules
+  section(self: X, code: C, teacher: T, capacity: K) <- offering(code: C, teacher_name: TN, capacity: K), instructor(self: T, name: TN).
+end.
+`,
+		"mode ridv.\nrules\n" + enrols.String() + "end.\n",
+		`mode radi.
+rules
+  <- mark(student: S, code: C, grade: G1), mark(student: S, code: C, grade: G2), G1 != G2.
+end.
+`} {
+		if _, err := db.Exec(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// BenchmarkRegistrarEnrolCommit is one enrolment commit through
+// ExecConcurrent against the registrar preload on a scratch database:
+// the write path of the gated benchmark's registrar_http workload
+// without HTTP — apply, derive, audit the delta, commit.
+func BenchmarkRegistrarEnrolCommit(b *testing.B) {
+	db := registrarPreload(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.ExecConcurrent("mode ridv.\nrules\n" + registrarEnrol(i%300, (i/300+1)%15) + "end.\n"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

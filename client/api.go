@@ -230,6 +230,9 @@ type Profile struct {
 	// CommitPath is how the winning commit installed its result
 	// ("fast", "merge", "replace", "read-only").
 	CommitPath string `json:"commit_path,omitempty"`
+	// Audit is the consistency audit the committed application ran:
+	// "delta" (only what the commit changed) or "full: <why>".
+	Audit string `json:"audit,omitempty"`
 	// WAL accounting: appended records/bytes and the fsync waits this
 	// request paid for.
 	WALAppends    int   `json:"wal_appends,omitempty"`

@@ -272,7 +272,8 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 			start := time.Now()
 			vd, rollback, uerr := db.maint.UpdateStaged(sr.Adds, sr.Removes, next.E, next.Counter)
 			if uerr == nil {
-				if verr := db.maintValidate(next.S, vd); verr != nil {
+				audit, verr := db.maintValidate(next.S, vd)
+				if verr != nil {
 					rollback()
 					return nil, "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
 				}
@@ -287,7 +288,7 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 				if tracer != nil {
 					tracer.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(ep),
 						Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-						Duration: time.Since(start)})
+						Duration: time.Since(start), Reason: audit})
 				}
 				db.notifySubs(tracer, ep, vd)
 				return next, path, "", Footprint{}, true, nil

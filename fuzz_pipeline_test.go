@@ -1,6 +1,7 @@
 package logres
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -211,6 +212,83 @@ rules
   edge(src: 2, dst: 3).
 end.
 `)
+	// A class-bearing commit sequence under a denial: association writes
+	// take the delta audit, class writes the full one, and the last
+	// commit violates the denial.
+	f.Add(`
+domains NAME = string;
+classes
+  PERSON = (name: NAME);
+  STUDENT = (PERSON, year: integer);
+  STUDENT isa PERSON;
+  COURSE = (code: NAME);
+associations
+  INTAKE = (name: NAME);
+  ENROLLED = (student: STUDENT, course: COURSE);
+  MARK = (student: STUDENT, code: NAME, grade: integer);
+`, `
+mode ridv.
+rules
+  intake(name: "a").
+  intake(name: "b").
+  student(self: S, name: N, year: 1) <- intake(name: N).
+  course(self: C, code: "db") <- intake(name: "a").
+end.
+---
+mode radi.
+rules
+  <- mark(student: S, code: C, grade: G1), mark(student: S, code: C, grade: G2), G1 != G2.
+end.
+---
+mode ridv.
+rules
+  enrolled(student: S, course: C) <- student(self: S), course(self: C).
+  mark(student: S, code: "db", grade: 28) <- student(self: S, name: "a").
+end.
+---
+mode ridv.
+rules
+  not enrolled(student: S, course: C) <- student(self: S, name: "b"), enrolled(student: S, course: C).
+end.
+---
+mode ridv.
+rules
+  mark(student: S, code: "db", grade: 30) <- student(self: S, name: "a").
+end.
+`)
+	// Size-neutral swaps inside one data function under a denial that
+	// reads it: the delta must carry the function's facts, and the last
+	// swap violates the denial.
+	f.Add(`
+domains NAME = string;
+associations
+  PARENT = (par: NAME, chil: NAME);
+functions
+  KIDS: NAME -> {NAME};
+`, `
+mode ridv.
+rules
+  parent(par: "a", chil: "b").
+  member("b", kids("a")).
+end.
+---
+mode radi.
+rules
+  <- parent(par: P), member("z", kids(P)).
+end.
+---
+mode ridv.
+rules
+  member("c", kids("a")).
+  not member("b", kids(P)) <- parent(par: P).
+end.
+---
+mode ridv.
+rules
+  member("z", kids("a")).
+  not member("c", kids(P)) <- parent(par: P).
+end.
+`)
 	f.Fuzz(func(t *testing.T, schemaSrc, modSrc string) {
 		// db is the row oracle; dbv and dbi run the defaults (columnar
 		// kernels where a stratum compiles to them), dbi incrementally.
@@ -254,11 +332,15 @@ end.
 			// must be byte-identical. (Success can legitimately differ
 			// only through the wall-clock budget axis, so a one-sided
 			// abort is not comparable.)
+			// Every accepted commit passes the full audit, whichever audit
+			// admitted it.
+			fullAudit(t, "row oracle", db)
 			var row strings.Builder
 			if err := db.Save(&sb2{&row}); err != nil {
 				t.Fatalf("save row: %v", err)
 			}
 			if errVec == nil {
+				fullAudit(t, "defaults", dbv)
 				var vec strings.Builder
 				if err := dbv.Save(&sb2{&vec}); err != nil {
 					t.Fatalf("save vectorized: %v", err)
@@ -268,6 +350,7 @@ end.
 				}
 			}
 			if errInc == nil {
+				fullAudit(t, "incremental", dbi)
 				var inc strings.Builder
 				if err := dbi.Save(&sb2{&inc}); err != nil {
 					t.Fatalf("save incremental: %v", err)
@@ -299,6 +382,18 @@ end.
 		_, _ = db.Query(`?- parent(par: X).`)
 		_, _ = db.InstanceString()
 	})
+}
+
+// fullAudit fails the test unless the database's published state passes
+// the full audit from scratch. Only the wall-clock budget axis, which a
+// second derivation can trip where the first did not, excuses an error.
+func fullAudit(t *testing.T, leg string, db *Database) {
+	t.Helper()
+	err := db.CheckConsistency()
+	var be *BudgetError
+	if err != nil && !(errors.As(err, &be) && be.Axis == AxisDeadline) {
+		t.Fatalf("%s: an accepted commit fails the full audit: %v", leg, err)
+	}
 }
 
 // sb2 adapts strings.Builder to io.Writer without importing io in tests.

@@ -812,9 +812,27 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 // CheckDenials evaluates the passive constraints (rules with empty heads,
 // §4.2) against a fact set and reports every violated denial.
 func (p *Program) CheckDenials(f *FactSet) error {
+	return p.checkDenials(f, p.denials)
+}
+
+// CheckDenialsReading is CheckDenials restricted to the denials an update
+// of the changed predicates can newly violate: those whose body reads one
+// of them (see readsAny) or enumerates the active domain. Every other
+// denial holds on f whenever it held before the update.
+func (p *Program) CheckDenialsReading(f *FactSet, changed map[string]bool) error {
+	var ds []*crule
+	for _, d := range p.denials {
+		if enumeratesActiveDomain(d) || readsAny(d, changed) != "" {
+			ds = append(ds, d)
+		}
+	}
+	return p.checkDenials(f, ds)
+}
+
+func (p *Program) checkDenials(f *FactSet, denials []*crule) error {
 	var errs []error
 	c := &evalCtx{p: p, f: f, counter: new(int64)}
-	for _, d := range p.denials {
+	for _, d := range denials {
 		violated := false
 		err := c.matchBody(d.body, 0, newEnv(), func(*env) error {
 			violated = true

@@ -678,6 +678,27 @@ func (s *FactSet) Minus(d *FactSet) *FactSet {
 	return out
 }
 
+// DiffPred returns the facts of pred in s but not in old (adds) and in
+// old but not in s (removes), each in key order. Membership is tested by
+// the stored keys, so no fact's key is derived again.
+func (s *FactSet) DiffPred(old *FactSet, pred string) (adds, removes []Fact) {
+	cur, prev := s.byPred[pred], old.byPred[pred]
+	return missingFrom(cur, prev), missingFrom(prev, cur)
+}
+
+// missingFrom returns the facts of a whose keys b lacks, in key order.
+func missingFrom(a, b map[string]Fact) []Fact {
+	var out factsByKey
+	for k, f := range a {
+		if _, ok := b[k]; !ok {
+			out.facts = append(out.facts, f)
+			out.keys = append(out.keys, k)
+		}
+	}
+	sort.Sort(&out)
+	return out.facts
+}
+
 // Intersect returns s ∩ d (exact identity).
 func (s *FactSet) Intersect(d *FactSet) *FactSet {
 	out := NewFactSet()

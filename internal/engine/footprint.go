@@ -134,6 +134,59 @@ func (p *Program) Footprint() RuleFootprint {
 	return fp
 }
 
+// DeltaBlocker reports why the derived instance of an update that changes
+// exactly the given extensional predicates may differ from R(E) by more
+// than the extensional delta itself: the first rule (user-written or a
+// generated isa rule) that invents oids ("inventive rule"), enumerates the
+// active domain ("active domain"), or reads or heads a changed predicate
+// ("rule reads or heads <pred>"). "" means R(E′) − R(E) = E′ − E and
+// R(E) − R(E′) = E − E′: no rule sees the change, so every derivation is
+// the same on both sides.
+func (p *Program) DeltaBlocker(changed map[string]bool) string {
+	for _, r := range p.rules {
+		switch {
+		case r.inventive:
+			return "inventive rule"
+		case enumeratesActiveDomain(r):
+			return "active domain"
+		case changed[r.head.pred]:
+			return "rule reads or heads " + r.head.pred
+		}
+		if pred := readsAny(r, changed); pred != "" {
+			return "rule reads or heads " + pred
+		}
+	}
+	return ""
+}
+
+// readsAny returns the first predicate of changed that r reads — through
+// a body literal, positive or negated, or a data-function application —
+// or "".
+func readsAny(r *crule, changed map[string]bool) string {
+	for _, l := range r.body {
+		if (l.kind == pkClass || l.kind == pkAssoc) && changed[l.pred] {
+			return l.pred
+		}
+	}
+	for _, fn := range ruleFuncReadsAll(r) {
+		if changed[fn] {
+			return fn
+		}
+	}
+	return ""
+}
+
+// enumeratesActiveDomain reports whether some literal of r ranges a
+// variable over the active domain, which every predicate feeds.
+func enumeratesActiveDomain(r *crule) bool {
+	for _, l := range r.body {
+		if len(l.adVars) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 func sortedKeys(m map[string]bool) []string {
 	if len(m) == 0 {
 		return nil

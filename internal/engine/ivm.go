@@ -96,6 +96,17 @@ type ViewDelta struct {
 // Empty reports whether the delta changes nothing.
 func (d *ViewDelta) Empty() bool { return len(d.Adds) == 0 && len(d.Removes) == 0 }
 
+// Preds returns the predicates the delta changes.
+func (d *ViewDelta) Preds() map[string]bool {
+	preds := map[string]bool{}
+	for _, fs := range [][]Fact{d.Adds, d.Removes} {
+		for _, f := range fs {
+			preds[f.Pred] = true
+		}
+	}
+	return preds
+}
+
 // NewMaintainer builds the incremental maintenance state for prog over
 // the extensional set e (which must be the committed, frozen base) and
 // the committed oid counter. The program must be dedicated to the
@@ -200,9 +211,9 @@ func (m *Maintainer) Query(goal []ast.Literal) (*Answer, error) {
 	return m.prog.Query(m.full, goal)
 }
 
-// CheckDenials re-checks the program's passive constraints against the
-// maintained derived set.
-func (m *Maintainer) CheckDenials() error { return m.prog.CheckDenials(m.full) }
+// Program returns the maintained program, for auditing the maintained set
+// (its passive constraints) under the lock that serializes Update.
+func (m *Maintainer) Program() *Program { return m.prog }
 
 // Rebuild discards all incremental state and recomputes it from the
 // given committed base. Used at construction, after a fallback (an

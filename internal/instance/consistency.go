@@ -8,6 +8,10 @@ import (
 	"logres/internal/value"
 )
 
+// Membership reports oid ∈ π(class) for a canonical class name: the
+// lookup every reference check of Definition 4 resolves through.
+type Membership func(class string, oid value.OID) bool
+
 // CheckConsistency verifies the legality conditions of Definition 4:
 //
 //	(a) if C isa C' then π(C) ⊆ π(C');
@@ -19,7 +23,8 @@ import (
 //	    reference only existing objects (no nil oids); class-to-class
 //	    references point to existing objects or are nil.
 //
-// All violations found are returned, joined.
+// All violations found are returned, joined, in a fixed order: clause by
+// clause, declaration order within a clause, then oid or tuple-key order.
 func (in *Instance) CheckConsistency() error {
 	var errs []error
 	report := func(format string, args ...any) {
@@ -29,7 +34,7 @@ func (in *Instance) CheckConsistency() error {
 
 	// (a) isa containment.
 	for _, e := range s.IsaEdges() {
-		for o := range in.classes[e.Sub] {
+		for _, o := range in.Objects(e.Sub) {
 			if !in.classes[e.Super][o] {
 				report("oid %s is in %s but not in its superclass %s", o, e.Sub, e.Super)
 			}
@@ -39,7 +44,7 @@ func (in *Instance) CheckConsistency() error {
 	// (b) hierarchy disjointness.
 	owner := map[value.OID]string{}
 	for _, c := range s.NamesOf(types.DeclClass) {
-		for o := range in.classes[c] {
+		for _, o := range in.Objects(c) {
 			if prev, ok := owner[o]; ok && prev != c && !s.SameHierarchy(prev, c) {
 				report("oid %s belongs to %s and %s, which share no common ancestor", o, prev, c)
 			} else {
@@ -49,6 +54,7 @@ func (in *Instance) CheckConsistency() error {
 	}
 
 	// (ν) o-value typing + class-to-class references.
+	member := in.member
 	for _, c := range s.NamesOf(types.DeclClass) {
 		eff, err := s.EffectiveTuple(c)
 		if err != nil {
@@ -66,7 +72,7 @@ func (in *Instance) CheckConsistency() error {
 				report("o-value of %s in class %s: %v", o, c, err)
 				continue
 			}
-			in.checkRefs(c, eff, proj, true, report)
+			checkRefs(s, member, c, eff, proj, true, report)
 		}
 	}
 
@@ -78,52 +84,55 @@ func (in *Instance) CheckConsistency() error {
 			continue
 		}
 		for _, t := range in.Tuples(a) {
-			proj := Project(t, eff)
-			if err := s.CheckValue(eff, proj, types.NilForbidden); err != nil {
-				report("tuple of %s: %v", a, err)
-				continue
-			}
-			in.checkRefs(a, eff, proj, false, report)
+			errs = append(errs, CheckAssocTuple(s, a, eff, t, member)...)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// CheckTuple audits one association tuple against the schema in
-// isolation — the per-tuple fragment of CheckConsistency's clause (ρ).
-// When the schema declares no classes, clause (ρ) is the only one with
-// content and it decomposes per tuple (typing is local and there is no
-// referential state a deletion could invalidate), so a caller that
-// already knows the rest of the instance is consistent can audit a
-// commit by checking just the added tuples.
+// member is the instance's Membership.
+func (in *Instance) member(class string, oid value.OID) bool { return in.classes[class][oid] }
+
+// CheckTuple audits one association tuple against the instance — clause
+// (ρ) for that tuple alone.
 func (in *Instance) CheckTuple(assoc string, t value.Tuple) error {
 	eff, err := in.schema.EffectiveTuple(assoc)
 	if err != nil {
 		return err
 	}
+	return errors.Join(CheckAssocTuple(in.schema, assoc, eff, t, in.member)...)
+}
+
+// CheckAssocTuple is the per-tuple rule of clause (ρ), shared by the full
+// audit and every per-tuple audit: the projection of t on eff, the
+// association's effective type, must be a legal element of it with no
+// nil oids, and each class-typed position must name an object member
+// reports. It returns every violation, in the order CheckConsistency
+// reports them.
+func CheckAssocTuple(s *types.Schema, assoc string, eff types.Tuple, t value.Tuple, member Membership) []error {
 	proj := Project(t, eff)
-	if err := in.schema.CheckValue(eff, proj, types.NilForbidden); err != nil {
-		return fmt.Errorf("instance: tuple of %s: %v", assoc, err)
+	if err := s.CheckValue(eff, proj, types.NilForbidden); err != nil {
+		return []error{fmt.Errorf("instance: tuple of %s: %v", assoc, err)}
 	}
 	var errs []error
-	in.checkRefs(assoc, eff, proj, false, func(format string, args ...any) {
+	checkRefs(s, member, assoc, eff, proj, false, func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("instance: "+format, args...))
 	})
-	return errors.Join(errs...)
+	return errs
 }
 
 // checkRefs walks a typed value and verifies that every class-typed
 // position references an existing object of that class (or is nil when
 // nilOK holds).
-func (in *Instance) checkRefs(owner string, t types.Type, v value.Value, nilOK bool, report func(string, ...any)) {
+func checkRefs(s *types.Schema, member Membership, owner string, t types.Type, v value.Value, nilOK bool, report func(string, ...any)) {
 	switch x := t.(type) {
 	case types.Named:
 		// Expanded types only keep Named for class references.
-		if !in.schema.IsClass(x.Name) {
+		if !s.IsClass(x.Name) {
 			// Unexpanded domain: expand and recurse.
-			et, err := in.schema.ExpandDomains(x)
+			et, err := s.ExpandDomains(x)
 			if err == nil {
-				in.checkRefs(owner, et, v, nilOK, report)
+				checkRefs(s, member, owner, et, v, nilOK, report)
 			}
 			return
 		}
@@ -142,7 +151,7 @@ func (in *Instance) checkRefs(owner string, t types.Type, v value.Value, nilOK b
 			}
 			return
 		}
-		if !in.classes[types.Canon(x.Name)][oid] {
+		if !member(types.Canon(x.Name), oid) {
 			report("%s: dangling reference %s to class %s", owner, oid, x.Name)
 		}
 	case types.Tuple:
@@ -152,25 +161,25 @@ func (in *Instance) checkRefs(owner string, t types.Type, v value.Value, nilOK b
 		}
 		for _, f := range x.Fields {
 			if fv, found := tv.Get(f.Label); found {
-				in.checkRefs(owner, f.Type, fv, nilOK, report)
+				checkRefs(s, member, owner, f.Type, fv, nilOK, report)
 			}
 		}
 	case types.Set:
 		if sv, ok := v.(value.Set); ok {
 			for _, e := range sv.Elems() {
-				in.checkRefs(owner, x.Elem, e, nilOK, report)
+				checkRefs(s, member, owner, x.Elem, e, nilOK, report)
 			}
 		}
 	case types.Multiset:
 		if mv, ok := v.(value.Multiset); ok {
 			for _, e := range mv.Elems() {
-				in.checkRefs(owner, x.Elem, e, nilOK, report)
+				checkRefs(s, member, owner, x.Elem, e, nilOK, report)
 			}
 		}
 	case types.Sequence:
 		if qv, ok := v.(value.Sequence); ok {
 			for _, e := range qv.Elems() {
-				in.checkRefs(owner, x.Elem, e, nilOK, report)
+				checkRefs(s, member, owner, x.Elem, e, nilOK, report)
 			}
 		}
 	}

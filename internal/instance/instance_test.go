@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -168,6 +169,26 @@ func TestConsistencyIsaContainmentViolation(t *testing.T) {
 	err := in.CheckConsistency()
 	if err == nil || !strings.Contains(err.Error(), "superclass") {
 		t.Fatalf("isa containment violation missed: %v", err)
+	}
+}
+
+// Several violations come back in one deterministic order — oid order
+// within a clause — so a rejection reads the same on every run.
+func TestConsistencyErrorTextDeterministic(t *testing.T) {
+	in := New(universitySchema(t))
+	sv := personValue("ann", "milan").With("studschool", value.Ref(value.NilOID))
+	for _, o := range []value.OID{7, 3, 11, 5, 9} {
+		in.AddToClass("student", o, sv) // not added to person
+	}
+	var want []string
+	for _, o := range []value.OID{3, 5, 7, 9, 11} {
+		want = append(want, fmt.Sprintf("instance: oid %s is in student but not in its superclass person", o))
+	}
+	for i := 0; i < 50; i++ {
+		err := in.CheckConsistency()
+		if err == nil || err.Error() != strings.Join(want, "\n") {
+			t.Fatalf("call %d: got\n%v\nwant\n%s", i, err, strings.Join(want, "\n"))
+		}
 	}
 }
 

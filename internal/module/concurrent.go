@@ -1,6 +1,9 @@
 package module
 
 import (
+	"sort"
+	"strings"
+
 	"logres/internal/ast"
 	"logres/internal/engine"
 	"logres/internal/guard"
@@ -20,9 +23,9 @@ type SnapshotResult struct {
 	// Footprint is the effective access set: the static analysis widened
 	// by what the run actually touched ($oid$ when identity moved).
 	Footprint guard.Footprint
-	// Adds and Removes are the extensional delta E1 − E0 and E0 − E1,
-	// valid when neither ReadOnly nor Replace is set. Commit order is
-	// removes first, then adds.
+	// Adds and Removes are the extensional delta E1 − E0 and E0 − E1 —
+	// the slices Res.Delta() returns — valid when neither ReadOnly nor
+	// Replace is set. Commit order is removes first, then adds.
 	Adds, Removes []engine.Fact
 	// CounterDelta is the oid-counter advance of the run.
 	CounterDelta int64
@@ -89,7 +92,23 @@ func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options,
 	}
 
 	sr.CounterDelta = res.State.Counter - st.Counter
-	sr.Adds, sr.Removes = diffFacts(st.E, res.State.E, &sr.Footprint)
+	sr.Adds, sr.Removes = res.Delta()
+	// The delta widens the footprint with every predicate it touched
+	// outside the static writes (a missed write makes it universal).
+	d := res.delta
+	if d.missed {
+		sr.Footprint.Universal = true
+	}
+	widened := false
+	for p := range d.changed {
+		if res.State.S.IsFunction(p) {
+			p = engine.FunctionStore(p)
+		}
+		if !containsStr(sr.Footprint.Writes, p) {
+			sr.Footprint.Writes = append(sr.Footprint.Writes, p)
+			widened = true
+		}
+	}
 
 	touchedOID := sr.CounterDelta != 0
 	if !touchedOID {
@@ -107,74 +126,69 @@ func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options,
 	if touchedOID {
 		sr.Footprint.Reads = append(sr.Footprint.Reads, PredOID)
 		sr.Footprint.Writes = append(sr.Footprint.Writes, PredOID)
+		widened = true
+	}
+	if widened {
 		sr.Footprint.Normalize()
 	}
 	return sr, nil
 }
 
+// extDelta is the extensional delta of one data-variant application:
+// adds = E1 − E0, removes = E0 − E1, grouped by predicate in name order.
+type extDelta struct {
+	adds, removes []engine.Fact
+	// changed are the predicates the delta changes; missed reports that a
+	// predicate outside the static writes changed size, so the diff
+	// covered every predicate.
+	changed map[string]bool
+	missed  bool
+}
+
 // diffFacts computes the delta between the snapshot extension e0 and the
-// result extension e1. The candidate predicates come from the static
-// write analysis; a per-predicate size audit over the full predicate
+// result extension e1. The candidate predicates are the update program's
+// static writes; a per-predicate size audit over the full predicate
 // union catches any analysis miss (inflationary runs only grow and RDDV
 // only shrinks, so a missed write always shows as a size change) and
-// falls back to a full diff, widening the footprint with the missed
-// predicates.
-func diffFacts(e0, e1 *engine.FactSet, fp *guard.Footprint) (adds, removes []engine.Fact) {
+// falls back to a full diff.
+func diffFacts(e0, e1 *engine.FactSet, writes []string) *extDelta {
+	d := &extDelta{changed: map[string]bool{}}
 	candidates := map[string]bool{}
-	if !fp.Universal {
-		for _, p := range fp.Writes {
-			if !IsPseudoPred(p) {
-				candidates[p] = true
-			}
-		}
-		audit := map[string]bool{}
-		for _, p := range e0.Preds() {
-			audit[p] = true
-		}
-		for _, p := range e1.Preds() {
-			audit[p] = true
-		}
-		for p := range audit {
-			if !candidates[p] && e0.Size(p) != e1.Size(p) {
-				// Static analysis missed a write: be conservative.
-				fp.Universal = true
-				break
-			}
+	for _, p := range writes {
+		// The write analysis names a data function by its store; the fact
+		// set keeps its facts under the function's own name.
+		p, _ = strings.CutPrefix(p, engine.FunctionStore(""))
+		candidates[p] = true
+	}
+	union := map[string]bool{}
+	for _, p := range e0.Preds() {
+		union[p] = true
+	}
+	for _, p := range e1.Preds() {
+		union[p] = true
+	}
+	for p := range union {
+		if !candidates[p] && e0.Size(p) != e1.Size(p) {
+			// Static analysis missed a write: be conservative.
+			d.missed = true
+			candidates = union
+			break
 		}
 	}
-	if fp.Universal {
-		candidates = map[string]bool{}
-		for _, p := range e0.Preds() {
-			candidates[p] = true
-		}
-		for _, p := range e1.Preds() {
-			candidates[p] = true
-		}
-	}
-	widened := false
+	preds := make([]string, 0, len(candidates))
 	for p := range candidates {
-		touched := false
-		for _, f := range e1.Facts(p) {
-			if !e0.Has(f) {
-				adds = append(adds, f)
-				touched = true
-			}
-		}
-		for _, f := range e0.Facts(p) {
-			if !e1.Has(f) {
-				removes = append(removes, f)
-				touched = true
-			}
-		}
-		if touched && !containsStr(fp.Writes, p) {
-			fp.Writes = append(fp.Writes, p)
-			widened = true
+		preds = append(preds, p)
+	}
+	sort.Strings(preds)
+	for _, p := range preds {
+		adds, removes := e1.DiffPred(e0, p)
+		if len(adds)+len(removes) > 0 {
+			d.adds = append(d.adds, adds...)
+			d.removes = append(d.removes, removes...)
+			d.changed[p] = true
 		}
 	}
-	if widened {
-		fp.Normalize()
-	}
-	return adds, removes
+	return d
 }
 
 func containsStr(s []string, p string) bool {

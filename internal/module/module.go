@@ -99,10 +99,7 @@ func (st *State) derive(opts engine.Options) (*engine.FactSet, *instance.Instanc
 		return nil, nil, nil, err
 	}
 	in := engine.ToInstance(f, st.S, counter)
-	if err := in.CheckConsistency(); err != nil {
-		return nil, nil, nil, fmt.Errorf("module: instance inconsistent: %w", err)
-	}
-	if err := prog.CheckDenials(f); err != nil {
+	if err := auditFull(in, prog, f); err != nil {
 		return nil, nil, nil, err
 	}
 	return f, in, prog, nil
@@ -134,6 +131,24 @@ func declaresNothing(s *types.Schema) bool {
 type Result struct {
 	State  *State
 	Answer *engine.Answer
+	// Audit names the consistency audit the application ran on its new
+	// instance: AuditDelta, or "full: <why>". Empty when it ran none (a
+	// goal-only RIDI, or ApplyDeferred, whose caller audits).
+	Audit string
+
+	// delta is the extensional delta of an application CanDeferValidation
+	// admits, computed once: the audit and the commit both use it.
+	delta *extDelta
+}
+
+// Delta returns the extensional delta E′ − E (adds) and E − E′ (removes)
+// of a data-variant application that changes neither rules nor schema
+// (CanDeferValidation); both are nil for any other application.
+func (res *Result) Delta() (adds, removes []engine.Fact) {
+	if res.delta == nil {
+		return nil, nil
+	}
+	return res.delta.adds, res.delta.removes
 }
 
 // Apply applies module m to state st with the given mode. It never mutates
@@ -141,7 +156,15 @@ type Result struct {
 // (inconsistent new instance) the error describes the violation and the
 // original state remains valid. mode overrides the module's declared
 // default; pass m.Mode (or use ApplyDeclared) to honour the declaration.
-func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
+//
+// Apply trusts that st itself passed the audit — every state a database
+// publishes did, when it entered (commit, Load, recovery). A goal-only
+// RIDI therefore audits nothing, and a data-variant application that
+// changes neither rules nor schema audits only what its extensional
+// delta can have broken (see AuditInstanceDelta); against a state built
+// past the audit, such an application can be accepted although the full
+// audit of its result would fail on the inherited violation.
+func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (res *Result, err error) {
 	// Application is all-or-nothing: every mode that changes anything works
 	// on a clone of st, so on any abort — budget, cancellation, or a panic
 	// converted here — the caller's state is bit-identical to its
@@ -156,6 +179,8 @@ func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Res
 				Duration: time.Since(start)}
 			if err != nil {
 				ev.Detail = mode.String() + ": " + err.Error()
+			} else if res != nil { // nil while a panic unwinds to shieldPanic
+				ev.Reason = res.Audit
 			}
 			t.Event(ev)
 		}()
@@ -187,12 +212,13 @@ func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Res
 // CanDeferValidation reports whether applying m to st with mode is
 // eligible for deferred validation: a data-variant application that
 // changes neither the schema nor the persistent rules, so the new
-// state differs from st only in (E, Counter). For such applications a
-// caller maintaining the derived instance incrementally can skip the
-// from-scratch instance computation inside Apply and audit consistency
-// itself at commit time (ApplyDeferred). The predicate agrees exactly
-// with the delta/Replace split of ApplySnapshot: eligible applications
-// are the ones that would take the delta path.
+// state differs from st only in (E, Counter). Such an application
+// computes its extensional delta once and audits only what the delta
+// changed — inside Apply, or, for a caller maintaining the derived
+// instance incrementally, at commit time against the maintained set
+// (ApplyDeferred). The predicate agrees exactly with the delta/Replace
+// split of ApplySnapshot: eligible applications are the ones that would
+// take the delta path.
 func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 	switch mode {
 	case ast.RIDV, ast.RADV, ast.RDDV:
@@ -216,9 +242,11 @@ func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 }
 
 // ApplyDeferred is Apply with the final instance validation skipped:
-// the Result carries the new, unaudited state, and the caller is
-// responsible for verifying Definition 4 consistency and the passive
-// constraints against it before committing it. Only legal when
+// the Result carries the new, unaudited state and its extensional delta
+// (Result.Delta), and the caller is responsible for verifying
+// Definition 4 consistency and the passive constraints against it
+// before committing it — AuditInstanceDelta over the exact instance
+// delta is the audit Apply would have run. Only legal when
 // CanDeferValidation holds for the same arguments.
 func ApplyDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
 	defer shieldPanic(&err)
@@ -284,6 +312,7 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Audit = auditRulesSchema
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -310,7 +339,7 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
-	res := &Result{State: next}
+	res := &Result{State: next, Audit: auditRulesSchema}
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -321,7 +350,10 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 // instance computation and audit are skipped and the caller must
 // validate before committing.
 func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mode, deferValidation bool) (*Result, error) {
-	next := st.Clone()
+	// E1 replaces E0 below (Run and Minus build fresh sets, leaving E0
+	// untouched), so E0 is not copied; the schema is replaced too, and the
+	// library is copied on write by Register.
+	next := &State{E: st.E, R: append([]*ast.Rule{}, st.R...), S: st.S, Counter: st.Counter, Lib: st.Lib}
 	var s1 *types.Schema
 	var err error
 	switch mode {
@@ -348,42 +380,58 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		next.R = subtractRules(next.R, m.Rules)
 	}
 
+	prog, err := engine.Compile(s1, m.Rules, opts)
+	if err != nil {
+		return nil, err
+	}
+	counter := next.Counter
 	if mode == ast.RDDV {
 		// E1 = E0 − EM, where EM is the instance of (∅, R_M).
-		prog, err := engine.Compile(s1, m.Rules, opts)
-		if err != nil {
-			return nil, err
-		}
-		counter := next.Counter
 		em, err := prog.Run(engine.NewFactSet(), &counter)
 		if err != nil {
 			return nil, err
 		}
-		next.Counter = counter
 		next.E = next.E.Minus(em)
 	} else {
 		// E1 = R_M applied to E0.
-		prog, err := engine.Compile(s1, m.Rules, opts)
-		if err != nil {
+		if next.E, err = prog.Run(next.E, &counter); err != nil {
 			return nil, err
 		}
-		counter := next.Counter
-		e1, err := prog.Run(next.E, &counter)
-		if err != nil {
-			return nil, err
-		}
-		next.Counter = counter
-		next.E = e1
 	}
+	next.Counter = counter
 	next.S = s1
 
-	if deferValidation {
-		return &Result{State: next}, nil
+	res := &Result{State: next}
+	if !CanDeferValidation(st, m, mode) {
+		// New rules or schema: R(E1) comes from a program no commit audited.
+		if _, _, err := next.Instance(opts); err != nil {
+			return nil, fmt.Errorf("module: rejected: %w", err)
+		}
+		res.Audit = auditRulesSchema
+		return res, nil
 	}
-	if _, _, err := next.Instance(opts); err != nil {
+	// (R, S) unchanged: the state differs from st only in (E, Counter), so
+	// only what the delta changed can be inconsistent.
+	res.delta = diffFacts(st.E, next.E, prog.Footprint().Writes)
+	if deferValidation {
+		return res, nil
+	}
+	d := res.delta
+	f, fcounter, pprog, err := next.run(opts)
+	if err == nil {
+		// A persistent rule that sees the write can make the instance delta
+		// differ from the extensional one. A class fact in the delta takes
+		// AuditInstanceDelta's full audit, under that reason.
+		if why := pprog.DeltaBlocker(d.changed); why != "" && !classFactIn(next.S, d.changed) {
+			res.Audit, err = auditFullBecause(why, next.S, pprog, f, fcounter)
+		} else {
+			res.Audit, err = AuditInstanceDelta(next.S, pprog, f, fcounter, d.adds, d.changed)
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
-	return &Result{State: next}, nil
+	return res, nil
 }
 
 // shieldPanic converts an evaluation panic into a *guard.PanicError so a

@@ -293,11 +293,14 @@ associations
 // A state is audited once, when it enters the database, so a goal-only
 // RIDI application trusts it and answers without re-auditing; a RIDI
 // module that brings rules derives over R0 ∪ RM, which no commit ever
-// audited, and is still rejected. The states here are built by hand past
-// every audit, one violating a persistent denial, one holding a dangling
-// reference.
+// audited, and is still rejected. A RIDV trusts its input state too and
+// audits only what it changed: writing a predicate the violation does
+// not involve is accepted, while writing one the violated denial reads,
+// or a class fact (which takes the full audit), is rejected. The states
+// here are built by hand past every audit, one violating a persistent
+// denial, one holding a dangling reference.
 func TestGoalOnlyRIDITrustsTheStateAndRuleRIDIAudits(t *testing.T) {
-	denial := newState(t, italianSchema)
+	denial := newState(t, italianSchema+"  TUSCAN = (name: NAME);\n")
 	denial = seed(t, denial, `italian(name: "sara"). roman(name: "sara").`)
 	rules, err := parser.ParseProgram(`<- italian(name: X), roman(name: X).`)
 	if err != nil {
@@ -323,9 +326,14 @@ associations
 		st        *State
 		goal      string
 		violation string
+		// unrelated and related are RIDV updates: the first writes a
+		// predicate the violation does not involve, the second one it does.
+		unrelated, related string
 	}{
-		{"denial", denial, "?- roman(name: X).", "integrity violation"},
-		{"dangling", dangling, "?- enroll(who: X).", "dangling"},
+		{"denial", denial, "?- roman(name: X).", "integrity violation",
+			`tuscan(name: "dante").`, `roman(name: "ugo").`},
+		{"dangling", dangling, "?- enroll(who: X).", "dangling",
+			`italian(name: "sara").`, `italian(name: "sara"). school(self: S, sname: N) <- italian(name: N).`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, _, err := c.st.Instance(opts()); err == nil || !strings.Contains(err.Error(), c.violation) {
@@ -347,6 +355,19 @@ end.
 `), ast.RIDI, opts())
 			if err == nil || !strings.Contains(err.Error(), c.violation) {
 				t.Fatalf("RIDI with a rule over an inconsistent state: %v, want %q", err, c.violation)
+			}
+			ridv := func(src string) (*Result, error) {
+				return Apply(c.st, parseModule(t, "rules\n  "+src+"\nend.\n"), ast.RIDV, opts())
+			}
+			res, err = ridv(c.unrelated)
+			if err != nil {
+				t.Fatalf("RIDV of an unrelated predicate re-audited the state: %v", err)
+			}
+			if res.Audit != AuditDelta {
+				t.Fatalf("RIDV of an unrelated predicate ran audit %q", res.Audit)
+			}
+			if _, err := ridv(c.related); err == nil || !strings.Contains(err.Error(), c.violation) {
+				t.Fatalf("RIDV touching the violation: %v, want %q", err, c.violation)
 			}
 		})
 	}

@@ -64,7 +64,9 @@ const (
 	// Stratum, Round, Detail = the abort error.
 	KindAbort Kind = "abort"
 	// KindModuleBegin / KindModuleEnd bracket one module application:
-	// Detail = the application mode.
+	// Detail = the application mode. On a successful KindModuleEnd,
+	// Reason = the consistency audit the application ran ("delta" or
+	// "full: <why>"; empty when it ran none).
 	KindModuleBegin Kind = "module.begin"
 	KindModuleEnd   Kind = "module.end"
 	// KindModuleCommit reports one successful optimistic concurrent
@@ -114,8 +116,10 @@ const (
 	// propagation after a commit: Round = the commit epoch (truncated to
 	// int), Count = derived facts that changed (adds + removes), Total =
 	// the full derived set size afterwards, Duration = the propagation
-	// wall-clock. Nondeterministic: present only with incremental
-	// maintenance enabled and dependent on commit interleaving.
+	// wall-clock, Reason = the consistency audit of the maintained set
+	// when the commit was validated by it (deferred validation).
+	// Nondeterministic: present only with incremental maintenance enabled
+	// and dependent on commit interleaving.
 	KindIVMPropagate Kind = "ivm.propagate"
 	// KindIVMRebuild reports one full recomputation of the maintenance
 	// state (construction, whole-state replacement, or fallback after a
@@ -173,10 +177,12 @@ type Event struct {
 	Duration time.Duration
 	// Detail is a short free-form annotation (mode names, abort causes).
 	Detail string
-	// Reason says why the stratum runs on the row engine although
-	// columnar evaluation is on: the rule and the construct in it that
-	// has no columnar counterpart (KindStratumBegin; empty for columnar
-	// strata and when columnar evaluation is off).
+	// Reason explains a decision. On KindStratumBegin: why the stratum
+	// runs on the row engine although columnar evaluation is on — the rule
+	// and the construct in it that has no columnar counterpart (empty for
+	// columnar strata and when columnar evaluation is off). On
+	// KindModuleEnd and KindIVMPropagate: the consistency audit the commit
+	// ran.
 	Reason string
 	// Req is the originating request's id when the event was emitted
 	// under a request span (Span.Instrument stamps it); empty for

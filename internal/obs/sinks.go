@@ -151,6 +151,9 @@ func FormatEvent(ev Event) string {
 	case KindModuleBegin:
 		return fmt.Sprintf("module: begin mode=%s", ev.Detail)
 	case KindModuleEnd:
+		if ev.Reason != "" {
+			return fmt.Sprintf("module: end mode=%s audit=%s (%s)", ev.Detail, ev.Reason, ev.Duration)
+		}
 		return fmt.Sprintf("module: end mode=%s (%s)", ev.Detail, ev.Duration)
 	case KindModuleCommit:
 		return fmt.Sprintf("module %s: committed attempt %d delta=%d (%s)", ev.Pred, ev.Round, ev.Count, ev.Detail)

@@ -162,6 +162,10 @@ type Profile struct {
 	// CommitPath is how the winning commit installed its result
 	// ("fast", "merge", "replace", "read-only"); empty for serial calls.
 	CommitPath string `json:"commit_path,omitempty"`
+	// Audit is the consistency audit the committed application ran:
+	// "delta" (only what the commit changed) or "full: <why>"; empty when
+	// it ran none (goal-only queries).
+	Audit string `json:"audit,omitempty"`
 	// WAL accounting: appended records/bytes and the fsync waits this
 	// call paid for (interval-policy background syncs are not charged).
 	WALAppends    int   `json:"wal_appends,omitempty"`
@@ -281,6 +285,10 @@ func (c *ProfileCollector) Event(ev Event) {
 		c.p.Facts = ev.Total
 	case KindModuleCommit:
 		c.p.CommitPath = ev.Detail
+	case KindModuleEnd, KindIVMPropagate:
+		if ev.Reason != "" {
+			c.p.Audit = ev.Reason
+		}
 	case KindModuleConflict:
 		c.p.Conflicts = append(c.p.Conflicts, ConflictProfile{
 			Attempt: ev.Round, Pred: ev.Pred, Footprints: ev.Detail,

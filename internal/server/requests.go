@@ -284,6 +284,7 @@ func profileJSON(p *obs.Profile) *client.Profile {
 		Retries:       p.Retries,
 		BackoffNS:     p.BackoffNS,
 		CommitPath:    p.CommitPath,
+		Audit:         p.Audit,
 		WALAppends:    p.WALAppends,
 		WALBytes:      p.WALBytes,
 		WALSyncs:      p.WALSyncs,

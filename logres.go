@@ -334,7 +334,7 @@ func (db *Database) ApplyContext(ctx context.Context, m *Module, mode Mode, opti
 		if err != nil {
 			return nil, err
 		}
-		if err := db.commitSerialStaged(opts, res.State); err != nil {
+		if err := db.commitSerialStaged(opts, res); err != nil {
 			return nil, err
 		}
 		return &Result{Answer: res.Answer, Mode: mode}, nil

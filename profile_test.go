@@ -77,6 +77,46 @@ func TestWithCallProfileQuery(t *testing.T) {
 	}
 }
 
+// TestProfileNamesAudit: the call profile and the module.end event name
+// the consistency audit each commit ran; a goal-only query runs none.
+func TestProfileNamesAudit(t *testing.T) {
+	rt := &recordingTracer{}
+	db, err := Load(bytes.NewReader(auditPreloaded(t)), WithTracer(rt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ rules, audit string }{
+		{`enrolled(student: S, section: X) <- student(self: S, name: "bob"), section(self: X, code: "lp201").`, "delta"},
+		{`intake(name: "cho"). student(self: S, name: N, year: 1) <- intake(name: N).`, "full: class fact in delta"},
+	} {
+		var p Profile
+		if _, err := db.Exec("mode ridv.\nrules\n  "+c.rules+"\nend.\n", WithCallProfile(&p)); err != nil {
+			t.Fatal(err)
+		}
+		if p.Audit != c.audit {
+			t.Fatalf("profile audit = %q, want %q", p.Audit, c.audit)
+		}
+		rt.mu.Lock()
+		var end TraceEvent
+		for _, ev := range rt.events {
+			if ev.Kind == obs.KindModuleEnd {
+				end = ev
+			}
+		}
+		rt.mu.Unlock()
+		if end.Reason != c.audit {
+			t.Fatalf("module.end reason = %q, want %q", end.Reason, c.audit)
+		}
+	}
+	var p Profile
+	if _, err := db.Query(`?- enrolled(student: S).`, WithCallProfile(&p)); err != nil {
+		t.Fatal(err)
+	}
+	if p.Audit != "" {
+		t.Fatalf("a goal-only query reports audit %q", p.Audit)
+	}
+}
+
 // TestProfilingPreservesCanonicalTrace: the acceptance criterion's
 // determinism half — running the same module with profiling and a
 // request span produces a canonical JSONL stream byte-identical to an

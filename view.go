@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"logres/internal/engine"
-	"logres/internal/instance"
 	"logres/internal/module"
 	"logres/internal/obs"
 	"logres/internal/types"
@@ -42,11 +41,13 @@ import (
 // Reads in either mode trust the audit every state passed when it
 // entered the database (commit, Load, recovery) and never repeat it;
 // the two modes differ only in how they obtain the derived instance.
-// With WithIncremental, data-variant commits that change neither rules
-// nor schema validate through an incremental audit of the maintained
-// instance staged ahead of the commit (rejections roll the staged update
-// back); every other commit validates inside module application.
-// CheckConsistency remains available as an explicit audit.
+// Data-variant commits that change neither rules nor schema audit only
+// what they changed, in either mode: without WithIncremental the
+// extensional delta over a fresh derivation, with it the maintainer's
+// exact view delta over the maintained instance staged ahead of the
+// commit (rejections roll the staged update back). Every other commit
+// audits its whole new instance inside module application.
+// CheckConsistency remains available as an explicit full audit.
 func WithIncremental(on bool) Option {
 	return func(db *Database) { db.incremental = on }
 }
@@ -321,32 +322,13 @@ func (db *Database) maintDeferUsable() bool {
 		maintFingerprint(db.st) == db.maintFP
 }
 
-// maintValidate audits the maintained full set after a staged update:
-// Definition 4 consistency plus the passive constraints — exactly the
-// checks State.Instance performs on the scratch path, against the
-// byte-identical maintained set. With no class declarations in scope
-// the audit decomposes per tuple (clause (ρ) is the only one with
-// content, typing is tuple-local, and deletions cannot invalidate
-// anything), so it costs O(changed facts); class machinery falls back
-// to the full-instance audit.
-func (db *Database) maintValidate(s *types.Schema, vd *engine.ViewDelta) error {
-	if len(s.NamesOf(types.DeclClass)) == 0 {
-		in := instance.New(s)
-		for _, f := range vd.Adds {
-			if s.IsFunction(f.Pred) {
-				continue // not audited by CheckConsistency either
-			}
-			if err := in.CheckTuple(f.Pred, f.Tuple); err != nil {
-				return fmt.Errorf("module: instance inconsistent: %w", err)
-			}
-		}
-	} else {
-		in := engine.ToInstance(db.maint.Full(), s, db.maint.Counter())
-		if err := in.CheckConsistency(); err != nil {
-			return fmt.Errorf("module: instance inconsistent: %w", err)
-		}
-	}
-	return db.maint.CheckDenials()
+// maintValidate audits the maintained full set after a staged update by
+// the maintainer's exact view delta — the same delta audit a scratch
+// commit runs, against the byte-identical maintained set, so both modes
+// accept and reject alike (module.AuditInstanceDelta). It returns the
+// audit it ran.
+func (db *Database) maintValidate(s *types.Schema, vd *engine.ViewDelta) (string, error) {
+	return module.AuditInstanceDelta(s, db.maint.Program(), db.maint.Full(), db.maint.Counter(), vd.Adds, vd.Preds())
 }
 
 // commitSerialStaged commits a deferred-validation serial application
@@ -356,12 +338,10 @@ func (db *Database) maintValidate(s *types.Schema, vd *engine.ViewDelta) error {
 // update rolls back and the database is untouched. The maintainer ends
 // the commit already synced, so the usual post-publish maintenance
 // hook is skipped and subscribers are notified directly.
-func (db *Database) commitSerialStaged(opts engine.Options, next *module.State) error {
+func (db *Database) commitSerialStaged(opts engine.Options, res *module.Result) error {
 	t := opts.Tracer
-	if next == db.st {
-		return nil
-	}
-	adds, removes := diffFrozen(db.st.E, next.E)
+	next := res.State
+	adds, removes := res.Delta()
 	start := time.Now()
 	vd, rollback, uerr := db.maint.UpdateStaged(adds, removes, next.E, next.Counter)
 	if uerr != nil {
@@ -374,7 +354,8 @@ func (db *Database) commitSerialStaged(opts engine.Options, next *module.State) 
 		}
 		return db.commitSerial(t, next)
 	}
-	if verr := db.maintValidate(next.S, vd); verr != nil {
+	audit, verr := db.maintValidate(next.S, vd)
+	if verr != nil {
 		rollback()
 		return fmt.Errorf("module: rejected: %w", verr)
 	}
@@ -389,7 +370,7 @@ func (db *Database) commitSerialStaged(opts engine.Options, next *module.State) 
 	if t != nil {
 		t.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(epoch),
 			Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-			Duration: time.Since(start)})
+			Duration: time.Since(start), Reason: audit})
 	}
 	db.notifySubs(t, epoch, vd)
 	return nil
