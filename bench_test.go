@@ -14,10 +14,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"logres/internal/ast"
 	"logres/internal/bench"
+	"logres/internal/engine"
 	"logres/internal/obs"
 )
 
@@ -466,6 +469,79 @@ func BenchmarkRegistrarEnrolCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFactSetCloneWriteOne clones the registrar preload's E and adds
+// one enrolment to the clone: the copy an update program takes of its
+// input. Only the written predicate is copied, so the cost does not
+// scale with E.
+func BenchmarkFactSetCloneWriteOne(b *testing.B) {
+	e := registrarPreload(b).st.E
+	f := freshEnrolment(b, e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Clone().Add(f) {
+			b.Fatal("the clone already held the enrolment")
+		}
+	}
+}
+
+// freshEnrolment returns an enrolled fact that e lacks: the first
+// enrolment's student in another enrolment's section.
+func freshEnrolment(b *testing.B, e *engine.FactSet) engine.Fact {
+	enrolled := e.Facts("enrolled")
+	for _, other := range enrolled {
+		section, _ := other.Tuple.Get("section")
+		f := engine.Fact{Pred: "enrolled", Tuple: enrolled[0].Tuple.With("section", section)}
+		if !e.Has(f) {
+			return f
+		}
+	}
+	b.Fatal("the first student is enrolled in every section")
+	return engine.Fact{}
+}
+
+// BenchmarkExecConcurrentContended runs one-fact ExecConcurrent modules
+// from two goroutines over 8 shared predicates (64 values each, so the
+// state stops growing) and reports the conflict retries per module. Any error fails it: under contention the retry
+// budget's locked last attempt must land every module.
+func BenchmarkExecConcurrentContended(b *testing.B) {
+	const preds = 8
+	var schema strings.Builder
+	schema.WriteString("associations\n")
+	for p := 0; p < preds; p++ {
+		fmt.Fprintf(&schema, "  C%d = (x: integer);\n", p)
+	}
+	m := NewMetrics()
+	db, err := Open(schema.String(), WithMetrics(m))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var next atomic.Int64
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+				if _, err := db.ExecConcurrent(fmt.Sprintf("mode ridv.\nrules\n  c%d(x: %d).\nend.\n", i%preds, i%64)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(m.Counter("logres_module_retries_total").Value())/float64(b.N), "retries/op")
 }
 
 // BenchmarkQueryClosureShape is the gated benchmark's closure_batch

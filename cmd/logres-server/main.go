@@ -159,6 +159,16 @@ func preload(cfg *config, srv *server.Server, stderr *os.File) error {
 	return nil
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers; without it a client that never finishes them holds
+// the connection open forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the HTTP server of the listener.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // run serves until ctx is canceled (the first signal), then drains:
 // Server.Shutdown bounds the in-flight applications by cfg.grace, and
 // the http.Server shutdown closes the listener and idle connections.
@@ -194,7 +204,7 @@ func run(ctx context.Context, cfg *config, ln net.Listener, stderr *os.File) err
 	if err := preload(cfg, srv, stderr); err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "logres-server: listening on %s\n", ln.Addr())

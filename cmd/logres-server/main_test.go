@@ -316,6 +316,16 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestHTTPServerBoundsHeaderRead: the listener's server is built with
+// the header-read bound, so a client that never finishes its request
+// headers is timed out.
+func TestHTTPServerBoundsHeaderRead(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+}
+
 // TestParseDurableFlags covers the durability flag surface.
 func TestParseDurableFlags(t *testing.T) {
 	cfg, err := parseFlags([]string{"-data-dir", "/tmp/x", "-fsync", "interval",

@@ -45,6 +45,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"logres"
 )
@@ -128,8 +129,7 @@ func run(ctx context.Context, cfg config) error {
 		metrics.PublishExpvar("logres")
 		opts = append(opts, logres.WithMetrics(metrics))
 		go func() {
-			srv := &http.Server{Addr: cfg.metricsAddr, Handler: logres.MetricsHandler(metrics)}
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := metricsServer(cfg.metricsAddr, metrics).ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "logres: metrics server:", err)
 			}
 		}()
@@ -212,6 +212,16 @@ func run(ctx context.Context, cfg config) error {
 		fmt.Printf("saved snapshot to %s\n", cfg.savePath)
 	}
 	return nil
+}
+
+// readHeaderTimeout bounds how long a metrics connection may take to
+// send its request headers; without it a client that never finishes them
+// holds the connection open forever.
+const readHeaderTimeout = 10 * time.Second
+
+// metricsServer builds the -metrics-addr HTTP server.
+func metricsServer(addr string, m *logres.Metrics) *http.Server {
+	return &http.Server{Addr: addr, Handler: logres.MetricsHandler(m), ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // buildTracer assembles the tracer the -trace and -flight flags ask

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -304,6 +306,21 @@ func TestREPLInterrupt(t *testing.T) {
 	// The database is still usable.
 	if _, err := db.Query(`?- seed(k: X).`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMetricsServerBoundsHeaderRead: the -metrics-addr server is built
+// with the header-read bound, so a client that never finishes its
+// request headers is timed out, and it serves metrics.
+func TestMetricsServerBoundsHeaderRead(t *testing.T) {
+	hs := metricsServer("127.0.0.1:0", logres.NewMetrics())
+	if hs.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	rr := httptest.NewRecorder()
+	hs.Handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", rr.Code)
 	}
 }
 

@@ -27,8 +27,11 @@ import (
 //     the fact delta onto the current committed state (or install the
 //     result wholesale when nothing intervened);
 //  4. retry — on conflict, back off (capped exponential) and restart
-//     from a fresh snapshot, up to the retry budget; exhaustion surfaces
-//     a *ConflictError naming both footprints.
+//     from a fresh snapshot. The retry budget's last attempt runs steps
+//     1–3 under the write lock, so it cannot conflict and commits like
+//     any other (a delta with its own footprint). With retries disabled
+//     the first conflict surfaces a *ConflictError naming both
+//     footprints.
 //
 // Disjoint modules therefore evaluate in parallel and only serialize
 // for the (cheap) commit; conflicting modules serialize through
@@ -36,7 +39,9 @@ import (
 // order.
 
 // DefaultMaxRetries is the retry bound of ApplyConcurrent when neither
-// WithMaxRetries nor a per-call Budget.MaxRetries sets one.
+// WithMaxRetries nor a per-call Budget.MaxRetries sets one: up to 8
+// optimistic attempts conflict and retry, and the 9th runs under the
+// write lock.
 const DefaultMaxRetries = 8
 
 // Backoff schedule for conflict retries: capped exponential, starting
@@ -48,9 +53,11 @@ const (
 )
 
 // WithMaxRetries bounds the commit retries of every concurrent
-// application (Budget.MaxRetries). n > 0 sets the bound, n == 0
-// restores DefaultMaxRetries, n < 0 disables retries entirely — the
-// first conflict surfaces the *ConflictError.
+// application (Budget.MaxRetries). n > 0 sets the bound: after n
+// conflicts the application retries once more under the write lock,
+// where it cannot conflict. n == 0 restores DefaultMaxRetries, n < 0
+// disables retries entirely — the first conflict surfaces the
+// *ConflictError.
 func WithMaxRetries(n int) Option {
 	return func(db *Database) { db.opts.Budget.MaxRetries = n }
 }
@@ -78,10 +85,11 @@ func (db *Database) ExecConcurrentContext(ctx context.Context, src string, optio
 // footprint against commits since the snapshot, merge the delta under a
 // short critical section. Conflicts retry with capped exponential
 // backoff up to the retry budget (WithMaxRetries / Budget.MaxRetries,
-// default DefaultMaxRetries); exhaustion returns a *ConflictError
-// carrying both footprints. All other failure modes (rejection, budget,
-// cancellation, panic) are identical to Apply, and the database state
-// is untouched on any error.
+// default DefaultMaxRetries), whose last attempt evaluates and commits
+// under the write lock; with retries disabled a conflict returns a
+// *ConflictError carrying both footprints. All other failure modes
+// (rejection, budget, cancellation, panic) are identical to Apply, and
+// the database state is untouched on any error.
 func (db *Database) ApplyConcurrent(m *Module, mode Mode, options ...CallOption) (*Result, error) {
 	return db.ApplyConcurrentContext(db.ctx(), m, mode, options...)
 }
@@ -117,35 +125,36 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 	}
 
 	for attempt := 0; ; attempt++ {
-		// Snapshot: the published state is frozen and never mutated in
-		// place, so holding the pointer outside the lock is safe; the
-		// epoch read under the same lock tells validation exactly which
-		// commits this evaluation could not have seen.
-		db.mu.RLock()
-		st := db.st
-		epoch := db.log.Epoch()
-		deferOK := db.maintDeferUsable()
-		db.mu.RUnlock()
-
-		// Deferred validation (view.go): when the maintainer can audit the
-		// committed instance incrementally, skip the from-scratch instance
-		// computation inside the snapshot application — tryCommit stages
-		// the propagation and validates before the commit lands.
 		var sr *module.SnapshotResult
+		var path, pred string
+		var theirs Footprint
+		var ok bool
 		var err error
-		if deferOK {
-			sr, err = module.ApplySnapshotDeferred(st, m, mode, opts)
+		if maxRetries > 0 && attempt == maxRetries {
+			// The budget's last attempt cannot lose: a waiter's window
+			// spans its wait for the write lock, which the running
+			// committer can keep re-taking, so under steady contention
+			// every optimistic attempt may conflict.
+			sr, path, pred, theirs, ok, err = db.applyLocked(opts, m, mode)
 		} else {
-			sr, err = module.ApplySnapshot(st, m, mode, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if hook := hooks.ConcurrentPreCommit; hook != nil {
-			hook(attempt)
-		}
+			// Snapshot: the published state is frozen and never mutated
+			// in place, so holding the pointer outside the lock is safe;
+			// the epoch read under the same lock tells validation exactly
+			// which commits this evaluation could not have seen.
+			db.mu.RLock()
+			st := db.st
+			epoch := db.log.Epoch()
+			deferOK := db.maintDeferUsable()
+			db.mu.RUnlock()
 
-		_, path, pred, theirs, ok, err := db.tryCommit(opts, epoch, sr)
+			if sr, err = applySnapshot(st, deferOK, m, mode, opts); err != nil {
+				return nil, err
+			}
+			if hook := hooks.ConcurrentPreCommit; hook != nil {
+				hook(attempt)
+			}
+			path, pred, theirs, ok, err = db.tryCommit(opts, epoch, sr)
+		}
 		if err != nil {
 			// A WAL failure is not a conflict: the evaluation succeeded
 			// but could not be made durable. No retry — the store
@@ -164,8 +173,10 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 			tracer.Event(obs.Event{Kind: obs.KindModuleConflict, Pred: pred, Round: attempt,
 				Detail: "mine: " + sr.Footprint.String() + "; theirs: " + theirs.String()})
 		}
-		if attempt >= maxRetries {
-			cerr := &ConflictError{Pred: pred, Retries: attempt, Mine: sr.Footprint, Theirs: theirs}
+		if maxRetries == 0 {
+			// Only a disabled budget ends in a conflict: a positive one's
+			// locked last attempt cannot lose. So Retries is always 0.
+			cerr := &ConflictError{Pred: pred, Mine: sr.Footprint, Theirs: theirs}
 			if tracer != nil {
 				// The abort event is what flight recorders key their
 				// dump on and what the metrics adapter counts under
@@ -212,48 +223,80 @@ func retryBackoff(attempt int) time.Duration {
 	return d
 }
 
-// tryCommit is the commit critical section: validate the attempt's
-// footprint against the writes committed since its snapshot epoch and
-// install the outcome. It returns the committed state (nil for
-// read-only), the commit path for tracing, and on failure the
-// conflicting predicate plus the committed footprint it collided with.
-// On a durable database the commit is WAL-logged before it is
-// published; a logging failure (err != nil) fails the application
-// without a retry — the store refuses further writes until reopened.
-// opts is the applying call's (request-instrumented) configuration: its
-// tracer attributes the WAL append and any fsync wait to the request
-// that paid for them, and deferred-validation fallbacks validate under
-// the call's own budget.
-func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (next *module.State, path, pred string, theirs Footprint, ok bool, err error) {
-	tracer := opts.Tracer
+// applySnapshot evaluates one attempt against the state st. Deferred
+// validation (view.go): when the maintainer can audit the committed
+// instance incrementally (deferOK), it skips the from-scratch instance
+// computation — commitLocked stages the propagation and validates before
+// the commit lands.
+func applySnapshot(st *module.State, deferOK bool, m *Module, mode Mode, opts engine.Options) (*module.SnapshotResult, error) {
+	if deferOK {
+		return module.ApplySnapshotDeferred(st, m, mode, opts)
+	}
+	return module.ApplySnapshot(st, m, mode, opts)
+}
+
+// applyLocked is an attempt that holds the write lock from snapshot to
+// commit: nothing commits between them, so validation passes and the
+// commit is logged as a delta with the attempt's own footprint, exactly
+// as an optimistic one. The ConcurrentPreCommit test hook does not run:
+// it may commit, which would deadlock here.
+func (db *Database) applyLocked(opts engine.Options, m *Module, mode Mode) (sr *module.SnapshotResult, path, pred string, theirs Footprint, ok bool, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if sr, err = applySnapshot(db.st, db.maintDeferUsable(), m, mode, opts); err != nil {
+		return nil, "", "", Footprint{}, false, err
+	}
+	path, pred, theirs, ok, err = db.commitLocked(opts, db.log.Epoch(), sr)
+	return sr, path, pred, theirs, ok, err
+}
 
+// tryCommit is the commit critical section of an optimistic attempt:
+// commitLocked under the write lock.
+func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (path, pred string, theirs Footprint, ok bool, err error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.commitLocked(opts, epoch, sr)
+}
+
+// commitLocked validates the attempt's footprint against the writes
+// committed since its snapshot epoch and installs the outcome; the
+// caller holds the write lock. It returns the commit path for tracing,
+// and on failure the conflicting predicate plus the committed footprint
+// it collided with. On a durable database the commit is WAL-logged
+// before it is published; a logging failure (err != nil) fails the
+// application without a retry — the store refuses further writes until
+// reopened. opts is the applying call's (request-instrumented)
+// configuration: its tracer attributes the WAL append and any fsync wait
+// to the request that paid for them, and deferred-validation fallbacks
+// validate under the call's own budget.
+func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (path, pred string, theirs Footprint, ok bool, err error) {
+	tracer := opts.Tracer
 	if sr.ReadOnly {
 		// Queries validate nothing: the answer was computed against a
 		// consistent snapshot, which equals the serial order in which
 		// the query ran at its snapshot point.
-		return nil, "read-only", "", Footprint{}, true, nil
+		return "read-only", "", Footprint{}, true, nil
 	}
 	if sr.Replace {
 		// Whole-state replacement is only sound when nothing committed
 		// since the snapshot — it carries no mergeable delta.
 		if db.log.Epoch() != epoch {
-			return nil, "", "*", Footprint{Universal: true}, false, nil
+			return "", "*", Footprint{Universal: true}, false, nil
 		}
 		if err := db.walAppendReplace(tracer, epoch+1, sr.Res.State); err != nil {
-			return nil, "", "", Footprint{}, false, err
+			return "", "", Footprint{}, false, err
 		}
 		prev := db.st
 		db.publish(sr.Res.State)
 		db.log.Record(Footprint{Universal: true})
 		db.maybeCompact()
 		db.maintAfterReplace(tracer, prev)
-		return sr.Res.State, "replace", "", Footprint{}, true, nil
+		return "replace", "", Footprint{}, true, nil
 	}
 	if p, their, valid := db.log.Validate(epoch, sr.Footprint); !valid {
-		return nil, "", p, their, false, nil
+		return "", p, their, false, nil
 	}
+	var next *module.State
 	if db.log.Epoch() == epoch {
 		// Nothing committed since the snapshot: the evaluated result
 		// state is already the correct successor.
@@ -275,11 +318,11 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 				audit, verr := db.maintValidate(next.S, vd)
 				if verr != nil {
 					rollback()
-					return nil, "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
+					return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
 				}
 				if err := db.walAppendDelta(tracer, db.log.Epoch()+1, sr); err != nil {
 					rollback()
-					return nil, "", "", Footprint{}, false, err
+					return "", "", Footprint{}, false, err
 				}
 				db.publish(next)
 				db.log.Record(Footprint{Writes: sr.Footprint.Writes})
@@ -291,7 +334,7 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 						Duration: time.Since(start), Reason: audit})
 				}
 				db.notifySubs(tracer, ep, vd)
-				return next, path, "", Footprint{}, true, nil
+				return path, "", Footprint{}, true, nil
 			}
 			// Propagation failed: the maintainer is inconsistent; validate
 			// the scratch way below and let maintAfterDelta rebuild it.
@@ -300,20 +343,20 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 		// Staging unavailable (the maintainer went unhealthy since the
 		// snapshot): validate from scratch under the lock — rare.
 		if _, _, verr := next.Instance(opts); verr != nil {
-			return nil, "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
+			return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
 		}
 	}
 	// The delta record replays removes-then-adds onto the predecessor
 	// state — exactly what CommitDelta does — so recovery reproduces
 	// next byte for byte on both the fast and merge paths.
 	if err := db.walAppendDelta(tracer, db.log.Epoch()+1, sr); err != nil {
-		return nil, "", "", Footprint{}, false, err
+		return "", "", Footprint{}, false, err
 	}
 	db.publish(next)
 	db.log.Record(Footprint{Writes: sr.Footprint.Writes})
 	db.maybeCompact()
 	db.maintAfterDelta(tracer, sr.Adds, sr.Removes)
-	return next, path, "", Footprint{}, true, nil
+	return path, "", Footprint{}, true, nil
 }
 
 // CommitEpoch returns the database's current commit epoch — the number

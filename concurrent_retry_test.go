@@ -1,6 +1,7 @@
 package logres
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -124,6 +125,73 @@ func TestConflictRetryRoundNumbersAgree(t *testing.T) {
 	}
 }
 
+// TestLastRetryCommitsUnderLock: when every optimistic attempt loses to
+// a conflicting commit, the retry budget's last attempt evaluates and
+// commits under the write lock and cannot lose. The application
+// succeeds after exactly budget retries, and a durable database logs it
+// as a delta record that recovery replays.
+func TestLastRetryCommitsUnderLock(t *testing.T) {
+	const budget = 3
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "durable"}[durable], func(t *testing.T) {
+			rec := &eventRecorder{}
+			opts := []Option{WithTracer(rec), WithMaxRetries(budget)}
+			var db *Database
+			var err error
+			dir := t.TempDir()
+			if durable {
+				db, _, err = OpenDurable(durableSchema, Durability{Dir: dir}, opts...)
+			} else {
+				db, err = Open(durableSchema, opts...)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			hooks.ConcurrentPreCommit = func(attempt int) {
+				// The same predicate the application writes.
+				if _, err := db.Exec(durableMod("q1", 100+attempt)); err != nil {
+					t.Error(err)
+				}
+			}
+			defer func() { hooks.ConcurrentPreCommit = nil }()
+
+			if _, err := db.ExecConcurrent(durableMod("q1", 1)); err != nil {
+				t.Fatalf("ExecConcurrent with a positive budget failed: %v", err)
+			}
+			if n := len(rec.byKind(obs.KindModuleRetry)); n != budget {
+				t.Fatalf("retry events = %d, want %d", n, budget)
+			}
+			commits := rec.byKind(obs.KindModuleCommit)
+			if len(commits) != 1 || commits[0].Round != budget || commits[0].Detail != "fast" {
+				t.Fatalf("commit events = %+v, want one fast commit at attempt %d", commits, budget)
+			}
+			if got := db.EDBCount("q1"); got != budget+1 {
+				t.Fatalf("q1 holds %d facts, want %d", got, budget+1)
+			}
+			if !durable {
+				return
+			}
+			appends := rec.byKind(obs.KindWALAppend)
+			last := appends[len(appends)-1]
+			if last.Pred != "delta" || uint64(last.Round) != db.CommitEpoch() {
+				t.Fatalf("last WAL append = %s at epoch %d, want a delta at epoch %d", last.Pred, last.Round, db.CommitEpoch())
+			}
+			want := saveBytesDurable(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, _, err := OpenDurable(durableSchema, Durability{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			if got := saveBytesDurable(t, db2); !bytes.Equal(got, want) {
+				t.Fatal("recovered Save bytes differ from the committed state")
+			}
+		})
+	}
+}
+
 // TestRetryBackoffSleepsMonotonically drives a large-retry conflict loop
 // end to end and asserts the traced backoff durations are monotonically
 // non-decreasing and never negative — the observable symptom of the
@@ -135,15 +203,16 @@ func TestRetryBackoffSleepsMonotonically(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooks.ConcurrentPreCommit = func(int) {
-		// Conflict on every attempt until the budget exhausts.
+		// Conflict on every optimistic attempt; the locked last attempt
+		// runs no hook and commits.
 		if _, err := db.Exec("mode ridv.\nrules p0(x: 7).\nend.\n"); err != nil {
 			t.Error(err)
 		}
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	if _, err := db.ExecConcurrent("mode ridv.\nrules p1(x: 1).\nend.\n"); err == nil {
-		t.Fatal("want retry exhaustion, got success")
+	if _, err := db.ExecConcurrent("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
+		t.Fatalf("the budget's locked last attempt failed: %v", err)
 	}
 	retries := rec.byKind(obs.KindModuleRetry)
 	if len(retries) != 6 {

@@ -8,6 +8,7 @@
 package engine
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -90,7 +91,7 @@ type predCache struct {
 	// only grows pays nothing for it.
 	bucketKeys map[string]map[string][]string
 
-	refs int32 // owners beyond the first (accessed atomically)
+	refs atomic.Int64 // owners beyond the first (64 bits: see predStore)
 }
 
 // componentKey is the bucket key of f under label (null when f lacks it).
@@ -103,19 +104,21 @@ func componentKey(f Fact, label string) string {
 }
 
 // share registers one more owner (used by Clone).
-func (c *predCache) share() { atomic.AddInt32(&c.refs, 1) }
+func (c *predCache) share() { c.refs.Add(1) }
 
 // cow returns a cache safe to mutate: the receiver when it has a single
 // owner, otherwise a private copy (the bucket index is dropped and rebuilt
 // lazily — an O(n) build per queried label, never a re-sort). The caller
 // must store the returned cache back in place of the receiver. A shared
 // cache never holds tombstones (Clone compacts before sharing), so the copy
-// and every read of a shared cache leave it untouched.
+// and every read of a shared cache leave it untouched. The owner count
+// drops only once the copy is taken, so the last owner cannot start
+// writing in place while another is still copying.
 func (c *predCache) cow() *predCache {
-	if atomic.LoadInt32(&c.refs) == 0 {
+	if c.refs.Load() <= 0 {
 		return c
 	}
-	atomic.AddInt32(&c.refs, -1)
+	defer c.refs.Add(-1)
 	n := &predCache{
 		list:      append([]Fact{}, c.list...),
 		keys:      append([]string{}, c.keys...),
@@ -204,18 +207,52 @@ func (c *predCache) compact() {
 	c.dead = nil
 }
 
-// FactSet is a set of ground facts indexed by predicate. Class predicates
-// additionally index facts by oid so that the right-biased composition ⊕
-// can resolve o-value conflicts. Reads go through one view per predicate
-// (a predCache), maintained incrementally by Add/Remove once built.
+// predStore holds one predicate's facts by key and, for a class, by oid
+// (so the right-biased composition ⊕ can resolve o-value conflicts).
+//
+// A store is shared copy-on-write between a FactSet and its clones, like a
+// predCache: refs counts the owners beyond the first, and every write goes
+// through cow. Counts only grow: a clone dropped without writing never
+// gives its share back, so an owner that was ever cloned copies each
+// store once, on its next write to it, even when that clone is gone.
+// Because counts only grow, a store that is never written gains one per
+// query and commit for the life of the process; a 32-bit count would wrap
+// negative within days on a busy server and let a clone write into the
+// published set, so the count has 64 bits. It can reach -1, when every
+// owner copies at once, so cow tests for <= 0.
+type predStore struct {
+	facts map[string]Fact    // fact key → fact
+	byOID map[value.OID]Fact // class facts only: oid → fact (nil until one)
+	refs  atomic.Int64       // owners beyond the first
+}
+
+// share registers one more owner (used by Clone).
+func (st *predStore) share() { st.refs.Add(1) }
+
+// cow returns a store safe to write: the receiver when it has a single
+// owner, otherwise a private copy. The owner count drops only once the
+// copy is taken, so the last owner cannot start writing in place while
+// another is still copying.
+func (st *predStore) cow() *predStore {
+	if st.refs.Load() <= 0 {
+		return st
+	}
+	defer st.refs.Add(-1)
+	return &predStore{facts: maps.Clone(st.facts), byOID: maps.Clone(st.byOID)}
+}
+
+// FactSet is a set of ground facts indexed by predicate: one predStore per
+// predicate holds the facts, and reads go through one view per predicate
+// (a predCache), maintained incrementally by Add/Remove once built. Clone
+// shares both copy-on-write, so it costs O(#predicates) and a write copies
+// only the predicate it touches.
 //
 // A FactSet can be frozen (Freeze): all per-predicate views and component
 // buckets are pre-built, reads never mutate shared state (safe for
 // concurrent readers), and Add/Remove panic. Thaw re-enables mutation.
 type FactSet struct {
-	byPred map[string]map[string]Fact    // pred → fact key → fact
-	byOID  map[string]map[value.OID]Fact // class pred → oid → fact
-	views  map[string]*predCache         // pred → read view (absent = not built)
+	preds  map[string]*predStore // pred → its facts (kept once created, even empty)
+	views  map[string]*predCache // pred → read view (absent = not built)
 	frozen bool
 
 	// rebuilds counts from-scratch (sorting) constructions of views; the
@@ -227,10 +264,18 @@ type FactSet struct {
 // NewFactSet returns an empty fact set.
 func NewFactSet() *FactSet {
 	return &FactSet{
-		byPred: map[string]map[string]Fact{},
-		byOID:  map[string]map[value.OID]Fact{},
-		views:  map[string]*predCache{},
+		preds: map[string]*predStore{},
+		views: map[string]*predCache{},
 	}
+}
+
+// keyed returns pred's facts by key (nil when pred was never added to).
+// The map must not be mutated.
+func (s *FactSet) keyed(pred string) map[string]Fact {
+	if st := s.preds[pred]; st != nil {
+		return st.facts
+	}
+	return nil
 }
 
 // --- views ----------------------------------------------------------------
@@ -238,7 +283,7 @@ func NewFactSet() *FactSet {
 // buildView assembles the read view of one predicate from scratch, in
 // strict key order, without storing it.
 func (s *FactSet) buildView(pred string) *predCache {
-	m := s.byPred[pred]
+	m := s.keyed(pred)
 	facts := make([]Fact, 0, len(m))
 	keys := make([]string, 0, len(m))
 	for k, f := range m {
@@ -393,7 +438,7 @@ func (s *FactSet) Freeze() {
 	if s.frozen {
 		return
 	}
-	for pred := range s.byPred {
+	for pred := range s.preds {
 		c := s.view(pred)
 		if c.sortedLen != len(c.list) || len(c.dead) > 0 {
 			c = c.cow()
@@ -477,25 +522,29 @@ func (s *FactSet) Facts(pred string) []Fact {
 
 // Has reports exact membership.
 func (s *FactSet) Has(f Fact) bool {
-	_, ok := s.byPred[f.Pred][f.Key()]
+	_, ok := s.keyed(f.Pred)[f.Key()]
 	return ok
 }
 
 // HasOID reports whether the class predicate contains the oid, and returns
 // its current o-value projection.
 func (s *FactSet) HasOID(pred string, oid value.OID) (Fact, bool) {
-	f, ok := s.byOID[pred][oid]
+	st := s.preds[pred]
+	if st == nil {
+		return Fact{}, false
+	}
+	f, ok := st.byOID[oid]
 	return f, ok
 }
 
 // Size reports the number of facts for a predicate.
-func (s *FactSet) Size(pred string) int { return len(s.byPred[pred]) }
+func (s *FactSet) Size(pred string) int { return len(s.keyed(pred)) }
 
 // TotalSize reports the total number of facts.
 func (s *FactSet) TotalSize() int {
 	n := 0
-	for _, m := range s.byPred {
-		n += len(m)
+	for _, st := range s.preds {
+		n += len(st.facts)
 	}
 	return n
 }
@@ -503,8 +552,8 @@ func (s *FactSet) TotalSize() int {
 // Preds returns the predicates with at least one fact, sorted.
 func (s *FactSet) Preds() []string {
 	var out []string
-	for p, m := range s.byPred {
-		if len(m) > 0 {
+	for p, st := range s.preds {
+		if len(st.facts) > 0 {
 			out = append(out, p)
 		}
 	}
@@ -515,8 +564,8 @@ func (s *FactSet) Preds() []string {
 // MaxOID returns the largest oid mentioned by any class fact.
 func (s *FactSet) MaxOID() value.OID {
 	var max value.OID
-	for _, om := range s.byOID {
-		for o := range om {
+	for _, st := range s.preds {
+		for o := range st.byOID {
 			if o > max {
 				max = o
 			}
@@ -535,41 +584,57 @@ func (s *FactSet) Add(f Fact) bool {
 }
 
 // addKeyed is Add for a caller that already holds k == f.Key(). The view
-// of f's predicate, when built, is maintained in place.
+// of f's predicate, when built, is maintained in place. A store shared
+// with a clone is copied only when the add changes it.
 func (s *FactSet) addKeyed(f Fact, k string) bool {
 	if s.frozen {
 		panic("engine: Add on frozen FactSet")
 	}
-	m := s.byPred[f.Pred]
-	if m == nil {
-		m = map[string]Fact{}
-		s.byPred[f.Pred] = m
+	st := s.preds[f.Pred]
+	if st == nil {
+		st = &predStore{facts: map[string]Fact{}}
+		s.preds[f.Pred] = st
 	}
+	var prev Fact
+	var pk string
+	replaced := false
 	if f.IsClass {
-		om := s.byOID[f.Pred]
-		if om == nil {
-			om = map[value.OID]Fact{}
-			s.byOID[f.Pred] = om
-		}
-		if prev, ok := om[f.OID]; ok {
-			pk := prev.Key()
-			if pk == k {
+		if prev, replaced = st.byOID[f.OID]; replaced {
+			if pk = prev.Key(); pk == k {
 				return false
 			}
-			delete(m, pk)
+		}
+	} else if _, ok := st.facts[k]; ok {
+		return false
+	}
+	st = s.ownStore(f.Pred, st)
+	if f.IsClass {
+		if st.byOID == nil {
+			st.byOID = map[value.OID]Fact{}
+		}
+		if replaced {
+			delete(st.facts, pk)
 			if c := s.mutableView(f.Pred); c != nil {
 				c.cacheRemove(prev, pk)
 			}
 		}
-		om[f.OID] = f
-	} else if _, ok := m[k]; ok {
-		return false
+		st.byOID[f.OID] = f
 	}
-	m[k] = f
+	st.facts[k] = f
 	if c := s.mutableView(f.Pred); c != nil {
 		c.cacheAdd(f, k)
 	}
 	return true
+}
+
+// ownStore returns pred's store st ready to write, storing the private
+// copy in its place when st is shared.
+func (s *FactSet) ownStore(pred string, st *predStore) *predStore {
+	if cp := st.cow(); cp != st {
+		s.preds[pred] = cp
+		return cp
+	}
+	return st
 }
 
 // Remove deletes a fact by exact identity; it reports whether it was
@@ -579,19 +644,17 @@ func (s *FactSet) Remove(f Fact) bool {
 		panic("engine: Remove on frozen FactSet")
 	}
 	k := f.Key()
-	m := s.byPred[f.Pred]
-	if _, ok := m[k]; !ok {
+	if _, ok := s.keyed(f.Pred)[k]; !ok {
 		return false
 	}
-	delete(m, k)
+	st := s.ownStore(f.Pred, s.preds[f.Pred])
+	delete(st.facts, k)
 	if c := s.mutableView(f.Pred); c != nil {
 		c.cacheRemove(f, k)
 	}
 	if f.IsClass {
-		if om := s.byOID[f.Pred]; om != nil {
-			if cur, ok := om[f.OID]; ok && cur.Key() == k {
-				delete(om, f.OID)
-			}
+		if cur, ok := st.byOID[f.OID]; ok && cur.Key() == k {
+			delete(st.byOID, f.OID)
 		}
 	}
 	return true
@@ -599,25 +662,19 @@ func (s *FactSet) Remove(f Fact) bool {
 
 // --- set operations -------------------------------------------------------
 
-// Clone returns a deep copy. The copy is unfrozen; the per-predicate views
-// are compacted, then carried over and shared copy-on-write, so reads after
-// Compose/Minus keep the incremental caches instead of paying a
-// from-scratch O(n log n) rebuild per predicate.
+// Clone returns an unfrozen copy in O(#predicates): every predicate's
+// store and view is shared copy-on-write, so a write to the copy or the
+// original copies only the predicate it touches. Views are compacted
+// before sharing, so reads after Compose/Minus keep the incremental caches
+// instead of paying a from-scratch O(n log n) rebuild per predicate.
 func (s *FactSet) Clone() *FactSet {
-	n := NewFactSet()
-	for p, m := range s.byPred {
-		cp := make(map[string]Fact, len(m))
-		for k, f := range m {
-			cp[k] = f
-		}
-		n.byPred[p] = cp
+	n := &FactSet{
+		preds: make(map[string]*predStore, len(s.preds)),
+		views: make(map[string]*predCache, len(s.views)),
 	}
-	for p, om := range s.byOID {
-		cp := make(map[value.OID]Fact, len(om))
-		for o, f := range om {
-			cp[o] = f
-		}
-		n.byOID[p] = cp
+	for p, st := range s.preds {
+		st.share()
+		n.preds[p] = st
 	}
 	for p, c := range s.views {
 		c.compact()
@@ -627,14 +684,18 @@ func (s *FactSet) Clone() *FactSet {
 	return n
 }
 
-// Equal reports whether two sets contain exactly the same facts.
+// Equal reports whether two sets contain exactly the same facts. A
+// predicate whose store both sets share is equal without a look.
 func (s *FactSet) Equal(o *FactSet) bool {
 	if s.TotalSize() != o.TotalSize() {
 		return false
 	}
-	for p, m := range s.byPred {
-		om := o.byPred[p]
-		for k := range m {
+	for p, st := range s.preds {
+		if o.preds[p] == st {
+			continue
+		}
+		om := o.keyed(p)
+		for k := range st.facts {
 			if _, ok := om[k]; !ok {
 				return false
 			}
@@ -680,9 +741,13 @@ func (s *FactSet) Minus(d *FactSet) *FactSet {
 
 // DiffPred returns the facts of pred in s but not in old (adds) and in
 // old but not in s (removes), each in key order. Membership is tested by
-// the stored keys, so no fact's key is derived again.
+// the stored keys, so no fact's key is derived again; a store both sets
+// share differs in nothing and is not iterated.
 func (s *FactSet) DiffPred(old *FactSet, pred string) (adds, removes []Fact) {
-	cur, prev := s.byPred[pred], old.byPred[pred]
+	if s.preds[pred] == old.preds[pred] {
+		return nil, nil
+	}
+	cur, prev := s.keyed(pred), old.keyed(pred)
 	return missingFrom(cur, prev), missingFrom(prev, cur)
 }
 

@@ -2,12 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"logres/internal/value"
@@ -524,7 +525,7 @@ func factKeys(fs []Fact) []string {
 func assertCacheInvariants(t *testing.T, step int, fs *FactSet) {
 	t.Helper()
 	for p, c := range fs.views {
-		if atomic.LoadInt32(&c.refs) > 0 && len(c.dead) > 0 {
+		if c.refs.Load() > 0 && len(c.dead) > 0 {
 			t.Fatalf("step %d: view %s: shared cache holds %d tombstones", step, p, len(c.dead))
 		}
 		if len(c.dead) > 0 {
@@ -686,6 +687,258 @@ func TestFactSetTombstoneDifferential(t *testing.T) {
 			assertCacheInvariants(t, 4000, s.fs)
 		}
 	})
+}
+
+// refSet is the deep-copy reference of the sharing differential: a plain
+// key → fact map per set, copied whole on every clone.
+type refSet map[string]Fact
+
+func (r refSet) add(f Fact) {
+	k := f.Key()
+	if f.IsClass {
+		for pk, g := range r {
+			if g.IsClass && g.Pred == f.Pred && g.OID == f.OID {
+				delete(r, pk)
+			}
+		}
+	}
+	r[k] = f
+}
+
+func (r refSet) sameKeys(o refSet) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for k := range r {
+		if _, ok := o[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// keysOf returns the sorted keys of pred's facts accepted by keep.
+func (r refSet) keysOf(pred string, keep func(Fact) bool) []string {
+	var out []string
+	for k, f := range r {
+		if f.Pred == pred && keep(f) {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func sortedFactKeys(fs []Fact) []string {
+	keys := factKeys(fs)
+	sort.Strings(keys)
+	return keys
+}
+
+// Property: per-predicate copy-on-write sharing is invisible. Random
+// interleavings of Add, Remove, class-oid replacement, Clone, Freeze and
+// Thaw over a set and its clones agree with deep copies after every step,
+// on every live set: Facts, FactsByComponent, HasOID, Size, and Equal and
+// DiffPred between every pair.
+func TestFactSetCloneSharingDifferential(t *testing.T) {
+	const vals, oids, maxSets = 6, 6, 5
+	preds := []string{"edge", "node", "ghost"}
+	labels := map[string][]string{"edge": {"src", "dst", "nolabel"}, "node": {"tag"}}
+	r := rand.New(rand.NewSource(27))
+	sets := []*FactSet{NewFactSet()}
+	refs := []refSet{{}}
+	randomFact := func() Fact {
+		if r.Intn(3) == 0 {
+			return classTagFact(int64(r.Intn(oids)+1), int64(r.Intn(vals)))
+		}
+		return edgeFact(r.Intn(vals), r.Intn(vals))
+	}
+	check := func(step int) {
+		t.Helper()
+		for i, s := range sets {
+			ref := refs[i]
+			all := func(Fact) bool { return true }
+			for _, p := range preds {
+				want := ref.keysOf(p, all)
+				if got := factKeys(s.Facts(p)); !slices.Equal(got, want) {
+					t.Fatalf("step %d set %d: Facts(%s)\n got %v\nwant %v", step, i, p, got, want)
+				}
+				if s.Size(p) != len(want) {
+					t.Fatalf("step %d set %d: Size(%s) = %d, want %d", step, i, p, s.Size(p), len(want))
+				}
+				for _, label := range labels[p] {
+					v := value.Value(value.Int(int64(r.Intn(vals))))
+					if label == "nolabel" {
+						v = value.Null{}
+					}
+					want := ref.keysOf(p, func(f Fact) bool { return componentKey(f, label) == v.Key() })
+					if got := sortedFactKeys(s.FactsByComponent(p, label, v)); !slices.Equal(got, want) {
+						t.Fatalf("step %d set %d: FactsByComponent(%s, %s, %v)\n got %v\nwant %v", step, i, p, label, v, got, want)
+					}
+				}
+			}
+			for o := 1; o <= oids; o++ {
+				want := ref.keysOf("node", func(f Fact) bool { return f.OID == value.OID(o) })
+				f, ok := s.HasOID("node", value.OID(o))
+				if ok != (len(want) == 1) || ok && f.Key() != want[0] {
+					t.Fatalf("step %d set %d: HasOID(node, %d) = %v, %v; want %v", step, i, o, f, ok, want)
+				}
+			}
+			for j, o := range sets {
+				if got, want := s.Equal(o), ref.sameKeys(refs[j]); got != want {
+					t.Fatalf("step %d: set %d Equal set %d = %v, want %v", step, i, j, got, want)
+				}
+				for _, p := range preds {
+					adds, removes := s.DiffPred(o, p)
+					wantAdds := ref.keysOf(p, func(f Fact) bool { _, in := refs[j][f.Key()]; return !in })
+					wantRemoves := refs[j].keysOf(p, func(f Fact) bool { _, in := ref[f.Key()]; return !in })
+					if !slices.Equal(factKeys(adds), wantAdds) || !slices.Equal(factKeys(removes), wantRemoves) {
+						t.Fatalf("step %d: set %d DiffPred(set %d, %s) = +%v -%v, want +%v -%v",
+							step, i, j, p, factKeys(adds), factKeys(removes), wantAdds, wantRemoves)
+					}
+				}
+			}
+		}
+	}
+	for step := 0; step < 2500; step++ {
+		i := r.Intn(len(sets))
+		s, ref := sets[i], refs[i]
+		op := r.Intn(12)
+		if s.Frozen() && op < 7 {
+			op = 9 // a frozen set only clones, thaws or is read
+		}
+		switch {
+		case op < 3: // add, including a class fact replacing its oid's o-value
+			f := randomFact()
+			_, present := ref[f.Key()]
+			if got := s.Add(f); got == present {
+				t.Fatalf("step %d set %d: Add(%v) = %v, want %v", step, i, f, got, !present)
+			}
+			ref.add(f)
+		case op < 5: // remove a present fact
+			if len(ref) > 0 {
+				keys := ref.keysOf("edge", func(Fact) bool { return true })
+				keys = append(keys, ref.keysOf("node", func(Fact) bool { return true })...)
+				f := ref[keys[r.Intn(len(keys))]]
+				if !s.Remove(f) {
+					t.Fatalf("step %d set %d: Remove(%v) of a present fact = false", step, i, f)
+				}
+				delete(ref, f.Key())
+			}
+		case op < 7: // remove an absent fact: a no-op
+			f := randomFact()
+			if _, in := ref[f.Key()]; !in && s.Remove(f) {
+				t.Fatalf("step %d set %d: Remove(%v) of an absent fact = true", step, i, f)
+			}
+		case op < 9: // clone; replace a random set once the pool is full
+			c, cref := s.Clone(), maps.Clone(ref)
+			if len(sets) < maxSets {
+				sets, refs = append(sets, c), append(refs, cref)
+			} else {
+				j := r.Intn(len(sets))
+				sets[j], refs[j] = c, cref
+			}
+		case op < 11: // freeze / thaw
+			if s.Frozen() {
+				s.Thaw()
+			} else {
+				s.Freeze()
+			}
+		}
+		check(step)
+	}
+}
+
+// Eight goroutines clone one frozen set and write the same predicate of
+// their clones, under -race: every write copies the shared store, never
+// writes through it, and the frozen set is unchanged.
+func TestFactSetConcurrentCloneWrites(t *testing.T) {
+	fs := randomEdgeFacts(20, 200, 5)
+	for o := 1; o <= 8; o++ {
+		fs.Add(classTagFact(int64(o), 0))
+	}
+	fs.Freeze()
+	snapshot := func() []string {
+		return append(factKeys(fs.Facts("edge")), factKeys(fs.Facts("node"))...)
+	}
+	before := snapshot()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cl := fs.Clone()
+			cl.Add(edgeFact(100+g, 0))
+			cl.Remove(fs.Facts("edge")[g])
+			cl.Add(classTagFact(int64(g+1), int64(g+1))) // replaces oid g+1's o-value
+			if cl.Size("edge") != fs.Size("edge") || cl.Equal(fs) {
+				t.Errorf("clone %d: size %d (source %d), equal to source %v", g, cl.Size("edge"), fs.Size("edge"), cl.Equal(fs))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if after := snapshot(); !slices.Equal(after, before) {
+		t.Fatalf("clones' writes reached the frozen source:\nbefore %v\nafter  %v", before, after)
+	}
+	for o := 1; o <= 8; o++ {
+		if f, ok := fs.HasOID("node", value.OID(o)); !ok || f.Key() != classTagFact(int64(o), 0).Key() {
+			t.Fatalf("source oid %d now %v, %v", o, f, ok)
+		}
+	}
+}
+
+// Owner counts only grow, so a long-lived store passes the 32-bit limit.
+// Past it, a write to a clone must still copy the store and the view, and
+// leave the source untouched.
+func TestFactSetShareCountPastInt32(t *testing.T) {
+	fs := randomEdgeFacts(21, 50, 5)
+	fs.Add(classTagFact(1, 0))
+	fs.Freeze()
+	for _, st := range fs.preds {
+		st.refs.Store(math.MaxInt32)
+	}
+	for _, c := range fs.views {
+		c.refs.Store(math.MaxInt32)
+	}
+	before := append(factKeys(fs.Facts("edge")), factKeys(fs.Facts("node"))...)
+	cl := fs.Clone() // every count now exceeds math.MaxInt32
+	cl.Add(edgeFact(100, 0))
+	cl.Add(classTagFact(1, 1))
+	for _, p := range []string{"edge", "node"} {
+		if cl.preds[p] == fs.preds[p] {
+			t.Fatalf("write to %s past the 32-bit count went through the shared store", p)
+		}
+		if cl.views[p] == fs.views[p] {
+			t.Fatalf("write to %s past the 32-bit count went through the shared view", p)
+		}
+	}
+	if after := append(factKeys(fs.Facts("edge")), factKeys(fs.Facts("node"))...); !slices.Equal(after, before) {
+		t.Fatalf("clone's writes reached the source:\nbefore %v\nafter  %v", before, after)
+	}
+	if f, _ := fs.HasOID("node", 1); f.Key() != classTagFact(1, 0).Key() {
+		t.Fatalf("source oid 1 now %v", f)
+	}
+}
+
+// Clone costs O(#predicates): its allocations do not grow with the
+// number of facts.
+func TestFactSetCloneAllocsPerPredicate(t *testing.T) {
+	const preds = 20
+	build := func(facts int) *FactSet {
+		fs := NewFactSet()
+		for i := 0; i < facts; i++ {
+			fs.Add(Fact{Pred: fmt.Sprintf("p%02d", i%preds), Tuple: value.NewTuple(
+				value.Field{Label: "x", Value: value.Int(int64(i))})})
+		}
+		fs.Freeze()
+		return fs
+	}
+	for _, facts := range []int{1000, 10000} {
+		fs := build(facts)
+		if allocs := testing.AllocsPerRun(20, func() { fs.Clone() }); allocs > 2*preds {
+			t.Fatalf("Clone of %d predicates, %d facts: %.0f allocs, want ≤ %d", preds, facts, allocs, 2*preds)
+		}
+	}
 }
 
 var benchBucket []Fact

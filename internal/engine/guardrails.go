@@ -25,7 +25,7 @@ type CanceledError = guard.CanceledError
 type PanicError = guard.PanicError
 
 // ConflictError reports that an optimistic concurrent module application
-// exhausted its retries, naming both colliding footprints.
+// with retries disabled lost its commit, naming both colliding footprints.
 type ConflictError = guard.ConflictError
 
 // Footprint is the predicate-level access set concurrent commits

@@ -105,16 +105,19 @@ func (f Footprint) String() string {
 }
 
 // ConflictError reports that an optimistic concurrent module application
-// exhausted its retries: every attempt's footprint collided with writes
-// committed since the attempt's snapshot. It names both footprints — the
-// aborted application's and the committed writes it collided with — so a
-// conflict is attributable to specific predicates.
+// with retries disabled lost its commit validation: its footprint
+// collided with writes committed since its snapshot. (With a positive
+// retry budget the last attempt holds the write lock and cannot lose.)
+// It names both footprints — the aborted application's and the committed
+// writes it collided with — so a conflict is attributable to specific
+// predicates.
 type ConflictError struct {
 	// Pred is the first conflicting predicate (a declared predicate, a
 	// pseudo-predicate such as "$oid$", or "*" for universal conflicts).
 	Pred string
 	// Retries is the number of retry attempts beyond the first
-	// application (0 when retries were disabled or never permitted).
+	// application. It is always 0: only an application with retries
+	// disabled can end in a conflict.
 	Retries int
 	// Mine is the aborted application's footprint on its last attempt.
 	Mine Footprint

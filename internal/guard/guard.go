@@ -34,8 +34,10 @@ type Budget struct {
 	// is armed when the evaluation starts.
 	Timeout time.Duration
 	// MaxRetries bounds the commit retries of one optimistic concurrent
-	// module application; exhaustion surfaces as a *ConflictError rather
-	// than a *BudgetError (the conflict, not the budget, is the cause).
+	// module application; the last retry holds the write lock and cannot
+	// conflict. With retries disabled a conflict surfaces as a
+	// *ConflictError rather than a *BudgetError (the conflict, not the
+	// budget, is the cause).
 	MaxRetries int
 }
 

@@ -80,9 +80,9 @@ type CanceledError = engine.CanceledError
 type PanicError = engine.PanicError
 
 // ConflictError is the typed error an optimistic concurrent module
-// application (ApplyConcurrent / ExecConcurrent) surfaces when every
-// retry's commit validation failed; it names the conflicting predicate
-// and carries both footprints. Retrieve it with errors.As.
+// application (ApplyConcurrent / ExecConcurrent) with retries disabled
+// surfaces when its commit validation failed; it names the conflicting
+// predicate and carries both footprints. Retrieve it with errors.As.
 type ConflictError = engine.ConflictError
 
 // Footprint is the predicate-level read/write access set concurrent
@@ -93,8 +93,8 @@ type Footprint = engine.Footprint
 type Axis = engine.Axis
 
 // The budget axes a BudgetError can name (AxisRetries appears only in
-// the abort trace event of an exhausted concurrent application — the
-// error itself is a *ConflictError).
+// the abort trace event of a concurrent application that conflicted with
+// retries disabled — the error itself is a *ConflictError).
 const (
 	AxisRounds   = engine.AxisRounds
 	AxisFacts    = engine.AxisFacts
