@@ -92,26 +92,3 @@ func runE20(quick bool) (*bench.Table, error) {
 	}
 	return t, nil
 }
-
-// e20SmokeRows is the BENCH artifact's record of the incremental
-// speedup: the same commit+read stream scratch vs incremental, one
-// commit+read cycle per op.
-func e20SmokeRows() ([]smokeResult, error) {
-	const n, commits = 192, 16
-	var rows []smokeResult
-	for _, incremental := range []bool{false, true} {
-		d, err := e20Cycle(n, commits, incremental)
-		if err != nil {
-			return nil, err
-		}
-		name := "E20_ivm_chain192_scratch"
-		if incremental {
-			name = "E20_ivm_chain192_incremental"
-		}
-		rows = append(rows, smokeResult{
-			Name: name, Tracer: "off", Workers: 1, Shards: 1,
-			Iters: commits, NsPerOp: d.Nanoseconds() / commits,
-		})
-	}
-	return rows, nil
-}

@@ -7,18 +7,11 @@
 // Usage:
 //
 //	logres-bench [-quick] [-only E1,E5]
-//	logres-bench -json BENCH_pr4.json
-//
-// The -json mode runs a small tracer-overhead smoke suite (the E1
-// workload with tracing off vs a JSONL tracer discarding its output)
-// and writes machine-readable ns/op results instead of tables.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -26,7 +19,6 @@ import (
 	"logres/internal/ast"
 	"logres/internal/bench"
 	"logres/internal/engine"
-	"logres/internal/obs"
 )
 
 // rowEngine pins a program to the row engine. The rows and columns named
@@ -43,16 +35,7 @@ type experiment struct {
 func main() {
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E5)")
-	jsonPath := flag.String("json", "", "run the tracer-overhead smoke suite and write ns/op results to this file")
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runSmoke(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "logres-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
@@ -78,200 +61,6 @@ func main() {
 		}
 		t.Print(os.Stdout)
 	}
-}
-
-// smokeResult is one row of the -json report.
-type smokeResult struct {
-	Name    string `json:"name"`
-	Tracer  string `json:"tracer"`
-	Workers int    `json:"workers"`
-	Shards  int    `json:"shards"`
-	Iters   int    `json:"iters"`
-	NsPerOp int64  `json:"ns_per_op"`
-	// HTTP rows (E16) also report route latencies from the server's
-	// duration histograms.
-	P50Ns int64 `json:"p50_ns,omitempty"`
-	P95Ns int64 `json:"p95_ns,omitempty"`
-	P99Ns int64 `json:"p99_ns,omitempty"`
-}
-
-// runSmoke measures the E1 chain-closure workload on the row engine with
-// tracing off and with a JSONL tracer writing to io.Discard, plus the E15 disjoint-module throughput comparison (serial
-// write-locked path vs four optimistic appliers), and writes the ns/op
-// comparison as JSON — the CI bench-smoke artifact guarding the tracer's
-// overhead and concurrent-commit contracts.
-func runSmoke(path string) error {
-	var results []smokeResult
-	for _, traced := range []bool{false, true} {
-		s, err := bench.NewLogresTC(bench.Chain(128), true)
-		if err != nil {
-			return err
-		}
-		rowEngine(s.Program)
-		label := "off"
-		if traced {
-			s.Program.SetTracer(obs.NewJSONL(io.Discard))
-			label = "jsonl"
-		}
-		if _, err := s.Run(); err != nil { // warm-up
-			return err
-		}
-		iters := 0
-		start := time.Now()
-		for time.Since(start) < 500*time.Millisecond || iters < 5 {
-			if _, err := s.Run(); err != nil {
-				return err
-			}
-			iters++
-		}
-		results = append(results, smokeResult{
-			Name:    "E1_tc_chain128_serial",
-			Tracer:  label,
-			Workers: 1,
-			Shards:  1,
-			Iters:   iters,
-			NsPerOp: time.Since(start).Nanoseconds() / int64(iters),
-		})
-	}
-	// E17 rows: row vs columnar evaluation on the E1 chain-128 closure.
-	// The pair is the artifact's record of the vectorized speedup.
-	for _, vec := range []bool{false, true} {
-		s, err := bench.NewLogresTC(bench.Chain(128), true)
-		if err != nil {
-			return err
-		}
-		name := "E17_tc_chain128_row"
-		rowEngine(s.Program)
-		if vec {
-			name = "E17_tc_chain128_vectorized"
-			s.Program.SetVectorize(true)
-		}
-		if _, err := s.Run(); err != nil { // warm-up
-			return err
-		}
-		iters := 0
-		start := time.Now()
-		for time.Since(start) < 500*time.Millisecond || iters < 5 {
-			if _, err := s.Run(); err != nil {
-				return err
-			}
-			iters++
-		}
-		results = append(results, smokeResult{
-			Name:    name,
-			Tracer:  "off",
-			Workers: 1,
-			Shards:  1,
-			Iters:   iters,
-			NsPerOp: time.Since(start).Nanoseconds() / int64(iters),
-		})
-	}
-
-	// E15 throughput rows: one module application is one "op".
-	const e15Total = 96
-	dSerial, err := e15Serial(e15Total)
-	if err != nil {
-		return err
-	}
-	results = append(results, smokeResult{
-		Name: "E15_disjoint_serial", Tracer: "off", Workers: 1, Shards: 1,
-		Iters: e15Total, NsPerOp: dSerial.Nanoseconds() / e15Total,
-	})
-	dConc, _, err := e15Concurrent(e15Total, 4, 0)
-	if err != nil {
-		return err
-	}
-	results = append(results, smokeResult{
-		Name: "E15_disjoint_conc4", Tracer: "off", Workers: 4, Shards: 1,
-		Iters: e15Total, NsPerOp: dConc.Nanoseconds() / e15Total,
-	})
-
-	// E18 durability rows: the same workload over a durable database,
-	// one row per fsync policy — the artifact's record of what
-	// crash-safety costs per module application.
-	const e18Total = 64
-	for _, p := range e18Policies {
-		d, err := e18Durable(e18Total, 1, p)
-		if err != nil {
-			return err
-		}
-		results = append(results, smokeResult{
-			Name: "E18_wal_fsync_" + p.String(), Tracer: "off", Workers: 1, Shards: 1,
-			Iters: e18Total, NsPerOp: d.Nanoseconds() / e18Total,
-		})
-	}
-
-	// E16 HTTP rows: one module application over the wire is one "op";
-	// latencies are the server's own exec-route histogram quantiles.
-	for _, cfg := range [][2]int{{1, 0}, {4, 4}} {
-		appliers, readers := cfg[0], cfg[1]
-		base, m, shutdown, err := e16Server()
-		if err != nil {
-			return err
-		}
-		res, err := e16Load(base, m, appliers, readers, 12)
-		if err != nil {
-			_ = shutdown()
-			return err
-		}
-		if err := shutdown(); err != nil {
-			return err
-		}
-		results = append(results, smokeResult{
-			Name:    fmt.Sprintf("E16_http_apply%d_read%d", appliers, readers),
-			Tracer:  "off",
-			Workers: appliers,
-			Shards:  1,
-			Iters:   res.applies,
-			NsPerOp: res.elapsed.Nanoseconds() / int64(res.applies),
-			P50Ns:   res.execP50.Nanoseconds(),
-			P95Ns:   res.execP95.Nanoseconds(),
-			P99Ns:   res.execP99.Nanoseconds(),
-		})
-	}
-
-	// E19 rows: the profiling-overhead pair — the same exec workload
-	// with profiling off, per-request profiles, and the slow-query log
-	// armed. CI compares off vs profile to keep profiling within noise.
-	for _, cfg := range e19Configs {
-		base, m, shutdown, err := e19Server(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := e19Load(base, m, cfg, 24)
-		if err != nil {
-			_ = shutdown()
-			return err
-		}
-		if err := shutdown(); err != nil {
-			return err
-		}
-		results = append(results, smokeResult{
-			Name:    "E19_profile_" + cfg.name,
-			Tracer:  "off",
-			Workers: 1,
-			Shards:  1,
-			Iters:   res.applies,
-			NsPerOp: res.elapsed.Nanoseconds() / int64(res.applies),
-			P50Ns:   res.execP50.Nanoseconds(),
-			P95Ns:   res.execP95.Nanoseconds(),
-		})
-	}
-
-	// E20 rows: incremental maintenance vs from-scratch recomputation on
-	// the write-heavy commit+read stream — the artifact's record of the
-	// maintained view's speedup.
-	e20Rows, err := e20SmokeRows()
-	if err != nil {
-		return err
-	}
-	results = append(results, e20Rows...)
-
-	out, err := json.MarshalIndent(map[string]any{"suite": "tracer-overhead", "results": results}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 func sizes(quick bool, full, small []int) []int {

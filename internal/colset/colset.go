@@ -42,14 +42,16 @@ func NewDict() *Dict {
 	return &Dict{codes: make(map[string]uint32)}
 }
 
-// Code interns v and returns its code.
+// Code interns v and returns its code. Only a miss allocates (the
+// interned key).
 func (d *Dict) Code(v value.Value) uint32 {
-	k := v.Key()
-	if c, ok := d.codes[k]; ok {
+	var buf [value.KeyBufSize]byte
+	k := value.AppendKey(buf[:0], v)
+	if c, ok := d.codes[string(k)]; ok {
 		return c
 	}
 	c := uint32(len(d.vals))
-	d.codes[k] = c
+	d.codes[string(k)] = c
 	d.vals = append(d.vals, v)
 	return c
 }
@@ -58,7 +60,8 @@ func (d *Dict) Code(v value.Value) uint32 {
 // never been seen — useful for constant filters, where an unseen
 // constant means an empty selection.
 func (d *Dict) Lookup(v value.Value) (uint32, bool) {
-	c, ok := d.codes[v.Key()]
+	var buf [value.KeyBufSize]byte
+	c, ok := d.codes[string(value.AppendKey(buf[:0], v))]
 	return c, ok
 }
 

@@ -33,6 +33,26 @@ func TestDictInterning(t *testing.T) {
 	}
 }
 
+// Code on an interned value and Lookup allocate nothing; only a miss
+// interns (and allocates) the key.
+func TestDictHitAllocatesNothing(t *testing.T) {
+	d := NewDict()
+	vals := []value.Value{value.Int(1 << 40), value.Str("abc"), value.Null{},
+		value.NewTuple(value.Field{Label: "a", Value: value.Int(1)})}
+	for _, v := range vals {
+		c := d.Code(v)
+		if n := testing.AllocsPerRun(100, func() { d.Code(v) }); n != 0 {
+			t.Errorf("Code(%v) hit: %v allocations, want 0", v, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { d.Lookup(v) }); n != 0 {
+			t.Errorf("Lookup(%v): %v allocations, want 0", v, n)
+		}
+		if got, ok := d.Lookup(v); !ok || got != c {
+			t.Errorf("Lookup(%v) = %d, %v; want %d, true", v, got, ok, c)
+		}
+	}
+}
+
 func TestBatchAndSlice(t *testing.T) {
 	b := NewBatch(2)
 	for i := uint32(0); i < 10; i++ {

@@ -82,7 +82,7 @@ type crule struct {
 	src       *ast.Rule
 	head      *headSpec // nil for denials
 	body      []resolvedLit
-	vars      []string // all rule variables, for valuation-domain identity
+	vars      []string // all rule variables, sorted, for valuation-domain identity
 	inventive bool
 	generated bool // produced by constraint generation, not user-written
 }

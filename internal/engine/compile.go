@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"logres/internal/ast"
 	"logres/internal/guard"
@@ -209,6 +210,7 @@ func compileRule(schema *types.Schema, r *ast.Rule, id int) (*crule, error) {
 	}
 	lits = append(lits, r.Body...)
 	cr.vars = ast.VarSet(lits)
+	sort.Strings(cr.vars)
 	return cr, nil
 }
 

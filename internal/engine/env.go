@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"logres/internal/ast"
 	"logres/internal/value"
@@ -90,17 +88,20 @@ func (e *env) bindObject(name string, ob objBinding) bool {
 }
 
 // key renders a deterministic signature of the environment restricted to
-// the given variables; used as the valuation-domain identity b(r).
+// the given (sorted) variables, appended into one buffer; used as the
+// valuation-domain identity b(r).
 func (e *env) key(vars []string) string {
-	parts := make([]string, 0, len(vars))
-	sorted := append([]string{}, vars...)
-	sort.Strings(sorted)
-	for _, v := range sorted {
+	var buf [value.KeyBufSize]byte
+	out := buf[:0]
+	for _, v := range vars {
 		if b, ok := e.m[v]; ok {
-			parts = append(parts, v+"="+b.coerce().Key())
+			if len(out) > 0 {
+				out = append(out, ';')
+			}
+			out = value.AppendKey(append(append(out, v...), '='), b.coerce())
 		}
 	}
-	return strings.Join(parts, ";")
+	return string(out)
 }
 
 // evalTerm evaluates a term to a value. All variables must be bound;

@@ -614,7 +614,7 @@ func (c *evalCtx) instantiateDeletion(r *crule, e *env, dminus *FactSet) error {
 		if haveOID && fact.OID != wantOID {
 			continue
 		}
-		if haveTuple && fact.Tuple.Key() != wantTuple.Key() {
+		if haveTuple && !value.Equal(fact.Tuple, wantTuple) {
 			continue
 		}
 		matches := true
@@ -879,6 +879,7 @@ func (p *Program) Query(f *FactSet, goal []ast.Literal) (*Answer, error) {
 	vars := ast.VarSet(goal)
 	ans := &Answer{Vars: vars}
 	seen := map[string]bool{}
+	var keys []string // keys[i] is ans.Rows[i]'s rowKey
 	c := &evalCtx{p: p, f: f, counter: new(int64)}
 	err = c.matchBody(cr.body, 0, newEnv(), func(e *env) error {
 		row := make([]value.Value, len(vars))
@@ -893,20 +894,36 @@ func (p *Program) Query(f *FactSet, goal []ast.Literal) (*Answer, error) {
 		if !seen[key] {
 			seen[key] = true
 			ans.Rows = append(ans.Rows, row)
+			keys = append(keys, key)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ans.Rows, func(i, j int) bool { return rowKey(ans.Rows[i]) < rowKey(ans.Rows[j]) })
+	sort.Sort(rowsByKey{ans.Rows, keys})
 	return ans, nil
 }
 
+// rowKey is an answer row's identity: each value's key, NUL-terminated.
 func rowKey(row []value.Value) string {
-	k := ""
+	var buf [value.KeyBufSize]byte
+	k := buf[:0]
 	for _, v := range row {
-		k += v.Key() + "\x00"
+		k = append(value.AppendKey(k, v), 0)
 	}
-	return k
+	return string(k)
+}
+
+// rowsByKey sorts answer rows by their precomputed keys.
+type rowsByKey struct {
+	rows [][]value.Value
+	keys []string
+}
+
+func (r rowsByKey) Len() int           { return len(r.rows) }
+func (r rowsByKey) Less(i, j int) bool { return r.keys[i] < r.keys[j] }
+func (r rowsByKey) Swap(i, j int) {
+	r.rows[i], r.rows[j] = r.rows[j], r.rows[i]
+	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
 }

@@ -10,7 +10,7 @@ package engine
 import (
 	"maps"
 	"sort"
-	"strings"
+	"strconv"
 	"sync/atomic"
 
 	"logres/internal/instance"
@@ -36,17 +36,20 @@ const (
 	FuncMemberLabel = "member"
 )
 
-// Key returns the identity of the fact (pred + oid + tuple).
+// Key returns the identity of the fact (pred + oid + tuple), appended
+// into one stack buffer so that it costs a single allocation.
 func (f Fact) Key() string {
-	var b strings.Builder
-	b.WriteString(f.Pred)
-	b.WriteByte('/')
+	var buf [value.KeyBufSize]byte
+	b := append(append(buf[:0], f.Pred...), '/')
 	if f.IsClass {
-		b.WriteString(f.OID.String())
-		b.WriteByte('/')
+		if f.OID.IsNil() {
+			b = append(b, "nil"...)
+		} else {
+			b = strconv.AppendInt(append(b, '&'), int64(f.OID), 10)
+		}
+		b = append(b, '/')
 	}
-	b.WriteString(f.Tuple.Key())
-	return b.String()
+	return string(f.Tuple.AppendKey(b))
 }
 
 func (f Fact) String() string {
@@ -374,6 +377,15 @@ func (c *predCache) flushCache() {
 	c.list, c.keys, c.sortedLen = mergedF, mergedK, n
 }
 
+// SortFactsByKey sorts fs in fact key order, computing each key once.
+func SortFactsByKey(fs []Fact) {
+	keys := make([]string, len(fs))
+	for i, f := range fs {
+		keys[i] = f.Key()
+	}
+	sort.Sort(&factsByKey{facts: fs, keys: keys})
+}
+
 type factsByKey struct {
 	facts []Fact
 	keys  []string
@@ -492,7 +504,7 @@ func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 		if s.frozen {
 			// The label occurs in no fact of pred (Freeze pre-builds every
 			// occurring label), so every fact holds null for it.
-			if v.Key() == nullKey {
+			if _, isNull := v.(value.Null); isNull {
 				return c.list
 			}
 			return nil
@@ -500,7 +512,8 @@ func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 		s.flushedView(pred, c) // keep bucket order = key order
 		idx = s.mutableView(pred).buildBucket(label)
 	}
-	return idx[v.Key()]
+	var buf [value.KeyBufSize]byte
+	return idx[string(value.AppendKey(buf[:0], v))]
 }
 
 // Facts returns the facts of a predicate in strict key order. On a frozen

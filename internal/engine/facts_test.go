@@ -239,6 +239,49 @@ func TestFrozenNullComponent(t *testing.T) {
 	}
 }
 
+// A fact key is appended into one buffer: one allocation, with the bytes
+// of pred + "/" + oid + "/" + tuple key.
+func TestFactKeyOneAllocation(t *testing.T) {
+	tuple := value.NewTuple(
+		value.Field{Label: "a", Value: value.Int(1 << 40)},
+		value.Field{Label: "b", Value: value.Int(-7)},
+		value.Field{Label: "c", Value: value.Int(0)},
+	)
+	cases := []struct {
+		f    Fact
+		want string
+	}{
+		{Fact{Pred: "edge3", Tuple: tuple}, "edge3/" + tuple.Key()},
+		{Fact{Pred: "node", IsClass: true, OID: 42, Tuple: tuple}, "node/&42/" + tuple.Key()},
+		{Fact{Pred: "node", IsClass: true, Tuple: tuple}, "node/nil/" + tuple.Key()},
+	}
+	for _, c := range cases {
+		var k string
+		if n := testing.AllocsPerRun(100, func() { k = c.f.Key() }); n != 1 {
+			t.Errorf("%v.Key(): %v allocations, want 1", c.f, n)
+		}
+		if k != c.want {
+			t.Errorf("%v.Key() = %q, want %q", c.f, k, c.want)
+		}
+	}
+}
+
+// A lookup on a built bucket allocates nothing, frozen or not.
+func TestFactsByComponentAllocatesNothing(t *testing.T) {
+	fs := chainEdgeFacts(50)
+	var probe value.Value = value.Int(7)
+	var got []Fact
+	lookup := func() { got = fs.FactsByComponent("edge", "src", probe) }
+	lookup() // builds the bucket
+	if n := testing.AllocsPerRun(100, lookup); n != 0 || len(got) != 1 {
+		t.Errorf("FactsByComponent: %v allocations and %d facts, want 0 and 1", n, len(got))
+	}
+	fs.Freeze()
+	if n := testing.AllocsPerRun(100, lookup); n != 0 || len(got) != 1 {
+		t.Errorf("frozen FactsByComponent: %v allocations and %d facts, want 0 and 1", n, len(got))
+	}
+}
+
 // A window sliding over the values of a label must not grow that label's
 // index: compaction deletes the bucket of every retired value instead of
 // leaving an empty one behind.

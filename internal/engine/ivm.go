@@ -539,8 +539,8 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 			}
 		}
 	}
-	sort.Slice(vd.Adds, func(i, j int) bool { return vd.Adds[i].Key() < vd.Adds[j].Key() })
-	sort.Slice(vd.Removes, func(i, j int) bool { return vd.Removes[i].Key() < vd.Removes[j].Key() })
+	SortFactsByKey(vd.Adds)
+	SortFactsByKey(vd.Removes)
 	rollback := func() {
 		m.view, m.full = prevView, prevFull
 		m.baseE, m.fullCounter = prevBaseE, prevCounter

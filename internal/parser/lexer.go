@@ -51,12 +51,18 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer tokenizes on demand: the parser pulls tokens as it needs them, so
+// input that fails early (too deep, say) is never tokenized whole.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 	col  int
 	toks []token
+	done bool  // the EOF token has been emitted
+	err  error // the lexical error that ended the input, if any
+
+	discard bool // drop tokens instead of keeping them (set by drain)
 }
 
 // multi-character operators, longest first.
@@ -66,35 +72,64 @@ var operators = []string{
 	",", ";", ":", ".", "=", "+", "-", "*", "/", "_",
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	for {
-		l.skipSpaceAndComments()
-		if l.pos >= len(l.src) {
-			l.emit(token{kind: tokEOF, line: l.line, col: l.col})
-			return l.toks, nil
+// operatorsByFirst lists the operators by their first byte, longest first,
+// so a run of one-byte operators does not scan the whole list per byte.
+var operatorsByFirst = func() (t [256][]string) {
+	for _, op := range operators {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
+
+func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
+
+// step lexes one more token. At the end of the input, or at a lexical
+// error (recorded in err), it emits the EOF token and sets done.
+func (l *lexer) step() {
+	l.skipSpaceAndComments()
+	if l.pos >= len(l.src) {
+		l.emit(token{kind: tokEOF, line: l.line, col: l.col})
+		l.done = true
+		return
+	}
+	start := l.src[l.pos]
+	var err error
+	switch {
+	case isIdentStart(rune(start)):
+		l.lexIdent()
+	case unicode.IsDigit(rune(start)):
+		err = l.lexNumber()
+	case start == '"':
+		err = l.lexString()
+	default:
+		if !l.lexOperator() {
+			err = &Error{l.line, l.col, fmt.Sprintf("unexpected character %q", start)}
 		}
-		start := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(start)):
-			l.lexIdent()
-		case unicode.IsDigit(rune(start)):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
-		case start == '"':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		default:
-			if !l.lexOperator() {
-				return nil, &Error{l.line, l.col, fmt.Sprintf("unexpected character %q", start)}
-			}
-		}
+	}
+	if err != nil {
+		l.err = err
+		l.emit(token{kind: tokEOF, line: l.line, col: l.col})
+		l.done = true
 	}
 }
 
-func (l *lexer) emit(t token) { l.toks = append(l.toks, t) }
+// drain lexes the rest of the input without keeping its tokens and
+// returns the lexical error, if any. A parse reports that error in
+// preference to its own, so its result does not depend on how far the
+// parser read.
+func (l *lexer) drain() error {
+	l.discard = true
+	for !l.done {
+		l.step()
+	}
+	return l.err
+}
+
+func (l *lexer) emit(t token) {
+	if !l.discard {
+		l.toks = append(l.toks, t)
+	}
+}
 
 func (l *lexer) advance(n int) {
 	for i := 0; i < n && l.pos < len(l.src); i++ {
@@ -212,7 +247,7 @@ func (l *lexer) lexString() error {
 }
 
 func (l *lexer) lexOperator() bool {
-	for _, op := range operators {
+	for _, op := range operatorsByFirst[l.src[l.pos]] {
 		if strings.HasPrefix(l.src[l.pos:], op) {
 			l.emit(token{kind: tokPunct, text: op, line: l.line, col: l.col})
 			l.advance(len(op))

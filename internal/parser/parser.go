@@ -19,13 +19,9 @@ import (
 //
 // Sections may appear in any order and repeat.
 func ParseModule(src string) (*ast.Module, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	m, err := p.parseModule()
-	if err != nil {
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -33,18 +29,17 @@ func ParseModule(src string) (*ast.Module, error) {
 
 // ParseProgram parses a bare sequence of rules (no sections).
 func ParseProgram(src string) ([]*ast.Rule, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	var rules []*ast.Rule
-	for !p.at(tokEOF) {
-		r, err := p.parseRule()
-		if err != nil {
-			return nil, err
+	var err error
+	for err == nil && !p.at(tokEOF) {
+		var r *ast.Rule
+		if r, err = p.parseRule(); err == nil {
+			rules = append(rules, r)
 		}
-		rules = append(rules, r)
+	}
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return rules, nil
 }
@@ -52,29 +47,87 @@ func ParseProgram(src string) ([]*ast.Rule, error) {
 // ParseGoal parses a conjunctive goal `?- l1, …, ln.` (the `?-` is
 // optional).
 func ParseGoal(src string) ([]ast.Literal, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	g, err := p.parseGoal()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.at(tokEOF) {
+		err = p.errf("trailing input after goal: %s", p.peek())
 	}
-	if !p.at(tokEOF) {
-		return nil, p.errf("trailing input after goal: %s", p.peek())
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
 
-type parser struct {
-	toks []token
-	i    int
+// MaxNesting bounds the depth of the recursive descent. Every nested
+// term, argument and type takes a level (a parenthesised term takes two:
+// the parentheses and the argument inside them), so that hostile input
+// gets a NestingError instead of exhausting the goroutine stack, which Go
+// cannot recover from.
+const MaxNesting = 1000
+
+// NestingError reports input nested deeper than MaxNesting, at the token
+// where the limit was reached.
+type NestingError struct {
+	Line, Col int
 }
 
-func (p *parser) peek() token       { return p.toks[p.i] }
-func (p *parser) next() token       { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) at(k tokKind) bool { return p.toks[p.i].kind == k }
+func (e *NestingError) Error() string {
+	return fmt.Sprintf("parse error at %d:%d: nesting deeper than %d levels", e.Line, e.Col, MaxNesting)
+}
+
+type parser struct {
+	lx    *lexer
+	i     int
+	depth int // current recursion depth, at most MaxNesting
+
+	// calls memoises parseArg on `name(`, by token index and depth. Its
+	// nested-reference attempt re-parses as a function application when
+	// it fails, so without the memo alternating `(name(` nesting would
+	// cost time exponential in its depth.
+	calls map[[2]int]argResult
+}
+
+type argResult struct {
+	arg ast.Arg
+	err error
+	end int // token index after the argument
+}
+
+func newParser(src string) *parser { return &parser{lx: newLexer(src)} }
+
+// finish returns the input's lexical error, if any, in preference to err,
+// the parse's own result.
+func (p *parser) finish(err error) error {
+	if lexErr := p.lx.drain(); lexErr != nil {
+		return lexErr
+	}
+	return err
+}
+
+// tok returns the i-th token, lexing up to it; past the end of the input
+// it is the EOF token.
+func (p *parser) tok(i int) token {
+	for i >= len(p.lx.toks) && !p.lx.done {
+		p.lx.step()
+	}
+	return p.lx.toks[min(i, len(p.lx.toks)-1)]
+}
+
+// enter descends one nesting level; leave climbs back.
+func (p *parser) enter() error {
+	if p.depth >= MaxNesting {
+		t := p.peek()
+		return &NestingError{Line: t.line, Col: t.col}
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+func (p *parser) peek() token       { return p.tok(p.i) }
+func (p *parser) next() token       { t := p.tok(p.i); p.i++; return t }
+func (p *parser) at(k tokKind) bool { return p.peek().kind == k }
 
 func (p *parser) atPunct(s string) bool {
 	t := p.peek()
@@ -328,6 +381,10 @@ var elementaryTypes = map[string]types.Type{
 }
 
 func (p *parser) parseType() (types.Type, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch {
 	case p.at(tokIdent):
 		name := p.next()
@@ -386,7 +443,7 @@ func (p *parser) parseType() (types.Type, error) {
 // parseTypeComponent parses `label: type` or a bare type whose default
 // label is the lower-cased type name.
 func (p *parser) parseTypeComponent() (types.Field, error) {
-	if p.at(tokIdent) && p.toks[p.i+1].kind == tokPunct && p.toks[p.i+1].text == ":" {
+	if p.at(tokIdent) && p.tok(p.i+1).kind == tokPunct && p.tok(p.i+1).text == ":" {
 		label := p.next()
 		p.next() // ':'
 		t, err := p.parseType()
@@ -482,7 +539,7 @@ func (p *parser) parseLiteral() (ast.Literal, error) {
 	// Predicate literal: IDENT followed by '(' (or a bare nullary
 	// predicate followed by ',' '.' or a relational operator context).
 	if p.at(tokIdent) {
-		nextTok := p.toks[p.i+1]
+		nextTok := p.tok(p.i + 1)
 		if nextTok.kind == tokPunct && nextTok.text == "(" {
 			lit, err := p.parsePredLiteral()
 			if err != nil {
@@ -561,8 +618,12 @@ func (p *parser) parsePredLiteral() (ast.Literal, error) {
 //	label(args)        nested-reference sugar when args contain a label
 //	term               positional argument / tuple variable / function app
 func (p *parser) parseArg() (ast.Arg, error) {
+	if err := p.enter(); err != nil {
+		return ast.Arg{}, err
+	}
+	defer p.leave()
 	if p.at(tokIdent) {
-		nextTok := p.toks[p.i+1]
+		nextTok := p.tok(p.i + 1)
 		if nextTok.kind == tokPunct && nextTok.text == ":" {
 			label := p.next()
 			p.next() // ':'
@@ -573,52 +634,68 @@ func (p *parser) parseArg() (ast.Arg, error) {
 			return ast.Arg{Label: types.Canon(label.text), Term: t}, nil
 		}
 		if nextTok.kind == tokPunct && nextTok.text == "(" {
-			// Could be nested-reference sugar or a function application.
-			save := p.i
-			name := p.next()
-			p.next() // '('
-			var args []ast.Arg
-			ok := true
-			if !p.atPunct(")") {
-				for {
-					a, err := p.parseArg()
-					if err != nil {
-						ok = false
-						break
-					}
-					args = append(args, a)
-					if p.acceptPunct(",") {
-						continue
-					}
-					break
-				}
+			key := [2]int{p.i, p.depth}
+			if r, ok := p.calls[key]; ok {
+				p.i = r.end
+				return r.arg, r.err
 			}
-			if ok && p.acceptPunct(")") {
-				labelled := false
-				for _, a := range args {
-					if a.Label != "" {
-						labelled = true
-						break
-					}
-				}
-				if labelled {
-					// Nested reference: label(args) ≡ label: (args).
-					return ast.Arg{
-						Label: types.Canon(name.text),
-						Term:  ast.TupleTerm{Args: args},
-					}, nil
-				}
+			a, err := p.parseCallArg()
+			if p.calls == nil {
+				p.calls = map[[2]int]argResult{}
 			}
-			// Function application (or a parse that must be redone as a
-			// plain term, e.g. arithmetic on the result).
-			p.i = save
-			t, err := p.parseTerm()
-			if err != nil {
-				return ast.Arg{}, err
-			}
-			return ast.Arg{Term: t}, nil
+			p.calls[key] = argResult{a, err, p.i}
+			return a, err
 		}
 	}
+	t, err := p.parseTerm()
+	if err != nil {
+		return ast.Arg{}, err
+	}
+	return ast.Arg{Term: t}, nil
+}
+
+// parseCallArg parses an argument starting `name(`: nested-reference
+// sugar when the parenthesised arguments carry a label, else a term
+// (a function application, possibly with arithmetic on the result).
+func (p *parser) parseCallArg() (ast.Arg, error) {
+	save := p.i
+	name := p.next()
+	p.next() // '('
+	var args []ast.Arg
+	ok := true
+	if !p.atPunct(")") {
+		for {
+			a, err := p.parseArg()
+			if err != nil {
+				ok = false
+				break
+			}
+			args = append(args, a)
+			if p.acceptPunct(",") {
+				continue
+			}
+			break
+		}
+	}
+	if ok && p.acceptPunct(")") {
+		labelled := false
+		for _, a := range args {
+			if a.Label != "" {
+				labelled = true
+				break
+			}
+		}
+		if labelled {
+			// Nested reference: label(args) ≡ label: (args).
+			return ast.Arg{
+				Label: types.Canon(name.text),
+				Term:  ast.TupleTerm{Args: args},
+			}, nil
+		}
+	}
+	// Function application (or a parse that must be redone as a plain
+	// term, e.g. arithmetic on the result).
+	p.i = save
 	t, err := p.parseTerm()
 	if err != nil {
 		return ast.Arg{}, err
@@ -675,6 +752,10 @@ func (p *parser) parseMulExpr() (ast.Term, error) {
 }
 
 func (p *parser) parsePrimary() (ast.Term, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.peek()
 	switch {
 	case t.kind == tokInt:

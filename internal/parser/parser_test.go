@@ -528,3 +528,15 @@ func TestParseModeAfterModuleOnly(t *testing.T) {
 		t.Fatal("misplaced mode accepted")
 	}
 }
+
+// lex tokenizes all of src up front.
+func lex(src string) ([]token, error) {
+	l := newLexer(src)
+	for !l.done {
+		l.step()
+	}
+	if l.err != nil {
+		return nil, l.err
+	}
+	return l.toks, nil
+}

@@ -25,6 +25,7 @@ const StatusClientClosedRequest = 499
 //	*CanceledError → DeadlineExceeded 504 kind=deadline
 //	*PanicError                     500  kind=panic
 //	anything else (parse/reject)    400  kind=invalid
+//	  (including *parser.NestingError: input nested past parser.MaxNesting)
 func mapError(err error) (int, client.ErrorResponse) {
 	var conflict *logres.ConflictError
 	if errors.As(err, &conflict) {

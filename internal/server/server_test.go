@@ -261,6 +261,40 @@ func TestExecParseErrorMapsTo400(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// A body nested deeply enough to overflow an unbounded recursive
+// descent, but within the body limit, is a 400 invalid through exec and
+// query, and the server keeps serving. Under -short or the race
+// detector, which slows the lexer tenfold, the bodies are 1 MiB: still
+// far past parser.MaxNesting.
+func TestDeepNestingMapsTo400(t *testing.T) {
+	_, _, c := newTestServer(t)
+	ctx := context.Background()
+	mustCreate(t, c, "db", nil)
+	size := 15 << 20
+	if testing.Short() || raceEnabled {
+		size = 1 << 20
+	}
+	deep := strings.Repeat("-", size)
+	_, err := c.Exec(ctx, "db", "mode ridv.\nrules p(x: "+deep+"1).\nend.\n")
+	apiErr := asAPIError(t, err)
+	if apiErr.Status != http.StatusBadRequest || apiErr.Resp.Kind != client.KindInvalid || !strings.Contains(apiErr.Resp.Error, "nesting") {
+		t.Fatalf("deep exec = %d %q %q", apiErr.Status, apiErr.Resp.Kind, apiErr.Resp.Error)
+	}
+	_, err = c.Query(ctx, "db", "?- p(x: "+strings.Repeat("(", size)+"1).")
+	if apiErr := asAPIError(t, err); apiErr.Status != http.StatusBadRequest || apiErr.Resp.Kind != client.KindInvalid {
+		t.Fatalf("deep query = %d %q %q", apiErr.Status, apiErr.Resp.Kind, apiErr.Resp.Error)
+	}
+	if _, err := c.Exec(ctx, "db", "mode ridv.\nrules p(x: 1).\nend.\n"); err != nil {
+		t.Fatalf("exec after the deep bodies: %v", err)
+	}
+	if ans, err := c.Query(ctx, "db", "?- p(x: X)."); err != nil || len(ans.Rows) != 1 {
+		t.Fatalf("query after the deep bodies = %v, %v", ans, err)
+	}
+}
+
 // TestMapErrorCancellation pins the cancellation rows of the error
 // table: client cancel → 499, evaluation deadline → 504.
 func TestMapErrorCancellation(t *testing.T) {

@@ -9,6 +9,7 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -214,22 +215,24 @@ func NewSequence(elems ...Value) Sequence {
 }
 
 func canonicalize(elems []Value, dedup bool) []Value {
-	es := make([]Value, len(elems))
-	copy(es, elems)
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Key() < es[j].Key() })
-	if !dedup {
-		return es
+	keyed := make([]keyedValue, len(elems))
+	for i, e := range elems {
+		keyed[i] = keyedValue{e.Key(), e}
 	}
-	out := es[:0]
-	var prev string
-	for i, e := range es {
-		k := e.Key()
-		if i == 0 || k != prev {
-			out = append(out, e)
-			prev = k
+	sort.SliceStable(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
+	es := make([]Value, 0, len(keyed))
+	for i, kv := range keyed {
+		if !dedup || i == 0 || kv.key != keyed[i-1].key {
+			es = append(es, kv.v)
 		}
 	}
-	return out
+	return es
+}
+
+// keyedValue pairs a value with its key, computed once for a sort.
+type keyedValue struct {
+	key string
+	v   Value
 }
 
 // Tuple accessors.
@@ -279,11 +282,14 @@ func (s Set) Len() int { return len(s.elems) }
 // Elems returns the canonical element slice (not to be mutated).
 func (s Set) Elems() []Value { return s.elems }
 
-// Contains reports whether v is a member of the set.
+// Contains reports whether v is a member of the set. It binary-searches
+// by key order: v's key is appended once, each probe's into a second
+// buffer.
 func (s Set) Contains(v Value) bool {
-	k := v.Key()
-	i := sort.Search(len(s.elems), func(i int) bool { return s.elems[i].Key() >= k })
-	return i < len(s.elems) && s.elems[i].Key() == k
+	var kv, ke [KeyBufSize]byte
+	k := AppendKey(kv[:0], v)
+	i := sort.Search(len(s.elems), func(i int) bool { return bytes.Compare(AppendKey(ke[:0], s.elems[i]), k) >= 0 })
+	return i < len(s.elems) && Equal(s.elems[i], v)
 }
 
 // Add returns s ∪ {v}.
@@ -329,10 +335,9 @@ func (m Multiset) Elems() []Value { return m.elems }
 
 // Count reports the multiplicity of v.
 func (m Multiset) Count(v Value) int {
-	k := v.Key()
 	n := 0
 	for _, e := range m.elems {
-		if e.Key() == k {
+		if Equal(e, v) {
 			n++
 		}
 	}
@@ -358,12 +363,26 @@ func (q Sequence) Append(v Value) Sequence {
 	return Sequence{elems: append(append([]Value{}, q.elems...), v)}
 }
 
-// Equal reports deep structural equality of two values.
+// Equal reports deep structural equality of two values: whether their keys
+// are equal. Elementary values compare directly (reals by bit pattern, as
+// their keys do, so −0 ≠ 0 and a NaN equals itself); composites compare
+// their keys, appended into stack buffers.
 func Equal(a, b Value) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	return a.Key() == b.Key()
+	switch x := a.(type) {
+	case Real:
+		y, ok := b.(Real)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case Int, Str, Bool, Ref, Null:
+		return a == b
+	}
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	var ka, kb [KeyBufSize]byte
+	return bytes.Equal(AppendKey(ka[:0], a), AppendKey(kb[:0], b))
 }
 
 // Compare orders two values. Values of different kinds order by kind; within

@@ -3,7 +3,6 @@ package logres
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -461,8 +460,8 @@ func (db *Database) maintRebuild(t Tracer, epoch uint64, reason string) {
 		oldFull = engine.NewFactSet()
 	}
 	vd.Adds, vd.Removes = diffFrozen(oldFull, db.maint.Full())
-	sortFacts(vd.Adds)
-	sortFacts(vd.Removes)
+	engine.SortFactsByKey(vd.Adds)
+	engine.SortFactsByKey(vd.Removes)
 	db.notifySubs(t, epoch, vd)
 }
 
@@ -484,8 +483,4 @@ func diffFrozen(before, after *engine.FactSet) (adds, removes []Fact) {
 		}
 	}
 	return adds, removes
-}
-
-func sortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Key() < fs[j].Key() })
 }
