@@ -150,11 +150,11 @@ end.
 					}
 					// The reference: the full audit of the state the commit
 					// would install.
-					ref, err := module.ApplyDeferred(db.st, m, RIDV, db.opts)
+					ref, err := module.ApplySnapshotDeferred(db.st, m, RIDV, db.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, _, want := ref.State.Instance(db.opts)
+					_, _, want := ref.Res.State.Instance(db.opts)
 					if (want == nil) != c.accept {
 						t.Fatalf("the full audit says %v; the case expects accept=%v", want, c.accept)
 					}

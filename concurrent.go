@@ -29,7 +29,8 @@ import (
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot. The retry budget's last attempt runs steps
 //     1–3 under the write lock, so it cannot conflict and commits like
-//     any other (a delta with its own footprint). With retries disabled
+//     any other (a delta with its own footprint). A serial
+//     Exec/Apply/Call is that attempt, run first. With retries disabled
 //     the first conflict surfaces a *ConflictError naming both
 //     footprints.
 //
@@ -135,7 +136,12 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 			// spans its wait for the write lock, which the running
 			// committer can keep re-taking, so under steady contention
 			// every optimistic attempt may conflict.
-			sr, path, pred, theirs, ok, err = db.applyLocked(opts, m, mode)
+			sr, path, err = func() (*module.SnapshotResult, string, error) {
+				db.mu.Lock()
+				defer db.mu.Unlock()
+				return db.applyLocked(opts, m, mode)
+			}()
+			ok = true
 		} else {
 			// Snapshot: the published state is frozen and never mutated
 			// in place, so holding the pointer outside the lock is safe;
@@ -236,18 +242,19 @@ func applySnapshot(st *module.State, deferOK bool, m *Module, mode Mode, opts en
 }
 
 // applyLocked is an attempt that holds the write lock from snapshot to
-// commit: nothing commits between them, so validation passes and the
-// commit is logged as a delta with the attempt's own footprint, exactly
-// as an optimistic one. The ConcurrentPreCommit test hook does not run:
-// it may commit, which would deadlock here.
-func (db *Database) applyLocked(opts engine.Options, m *Module, mode Mode) (sr *module.SnapshotResult, path, pred string, theirs Footprint, ok bool, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if sr, err = applySnapshot(db.st, db.maintDeferUsable(), m, mode, opts); err != nil {
-		return nil, "", "", Footprint{}, false, err
+// commit — every serial application, and the retry budget's last
+// concurrent attempt. Nothing commits between them, so validation passes
+// and the commit is logged exactly as an optimistic one: a delta with
+// the attempt's own footprint, or a replacement. The caller holds the
+// write lock. The ConcurrentPreCommit test hook does not run: it may
+// commit, which would deadlock here.
+func (db *Database) applyLocked(opts engine.Options, m *Module, mode Mode) (*module.SnapshotResult, string, error) {
+	sr, err := applySnapshot(db.st, db.maintDeferUsable(), m, mode, opts)
+	if err != nil {
+		return nil, "", err
 	}
-	path, pred, theirs, ok, err = db.commitLocked(opts, db.log.Epoch(), sr)
-	return sr, path, pred, theirs, ok, err
+	path, _, _, _, err := db.commitLocked(opts, db.log.Epoch(), sr)
+	return sr, path, err
 }
 
 // tryCommit is the commit critical section of an optimistic attempt:
@@ -277,85 +284,93 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 		// the query ran at its snapshot point.
 		return "read-only", "", Footprint{}, true, nil
 	}
-	if sr.Replace {
+	// Validate: pick the successor state and the write set it records.
+	var next *module.State
+	written := Footprint{Universal: true}
+	switch {
+	case sr.Replace:
 		// Whole-state replacement is only sound when nothing committed
 		// since the snapshot — it carries no mergeable delta.
 		if db.log.Epoch() != epoch {
 			return "", "*", Footprint{Universal: true}, false, nil
 		}
-		if err := db.walAppendReplace(tracer, epoch+1, sr.Res.State); err != nil {
-			return "", "", Footprint{}, false, err
+		next, path = sr.Res.State, "replace"
+	default:
+		if p, their, valid := db.log.Validate(epoch, sr.Footprint); !valid {
+			return "", p, their, false, nil
 		}
-		prev := db.st
-		db.publish(sr.Res.State)
-		db.log.Record(Footprint{Universal: true})
-		db.maybeCompact()
-		db.maintAfterReplace(tracer, prev)
-		return "replace", "", Footprint{}, true, nil
+		if db.log.Epoch() == epoch {
+			// Nothing committed since the snapshot: the evaluated result
+			// state is already the correct successor.
+			next, path = sr.Res.State, "fast"
+		} else {
+			// Disjoint concurrent commits landed: replay the delta onto the
+			// current committed state.
+			next, path = module.CommitDelta(db.st, sr), "merge"
+		}
+		written = Footprint{Writes: sr.Footprint.Writes}
 	}
-	if p, their, valid := db.log.Validate(epoch, sr.Footprint); !valid {
-		return "", p, their, false, nil
-	}
-	var next *module.State
-	if db.log.Epoch() == epoch {
-		// Nothing committed since the snapshot: the evaluated result
-		// state is already the correct successor.
-		next, path = sr.Res.State, "fast"
-	} else {
-		// Disjoint concurrent commits landed: replay the delta onto the
-		// current committed state.
-		next, path = module.CommitDelta(db.st, sr), "merge"
-	}
-	if sr.Deferred {
-		// The snapshot application skipped its instance validation; stage
-		// the propagation through the maintainer and audit the maintained
-		// instance before the commit lands. On the merge path this audits
-		// the actually committed state, not just the snapshot result.
-		if db.maintDeferUsable() {
-			start := time.Now()
-			vd, rollback, uerr := db.maint.UpdateStaged(sr.Adds, sr.Removes, next.E, next.Counter)
-			if uerr == nil {
-				audit, verr := db.maintValidate(next.S, vd)
-				if verr != nil {
-					rollback()
-					return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
-				}
-				if err := db.walAppendDelta(tracer, db.log.Epoch()+1, sr); err != nil {
-					rollback()
-					return "", "", Footprint{}, false, err
-				}
-				db.publish(next)
-				db.log.Record(Footprint{Writes: sr.Footprint.Writes})
-				db.maybeCompact()
-				ep := db.log.Epoch()
-				if tracer != nil {
-					tracer.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(ep),
-						Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-						Duration: time.Since(start), Reason: audit})
-				}
-				db.notifySubs(tracer, ep, vd)
-				return path, "", Footprint{}, true, nil
-			}
+	// Stage and audit: a deferred application skipped its instance
+	// validation. Stage the propagation through the maintainer and audit
+	// the maintained instance before the commit lands — on the merge path
+	// this audits the actually committed state, not the snapshot result.
+	var vd *engine.ViewDelta
+	rollback := func() {}
+	var audit string
+	start := time.Now()
+	if sr.Deferred && db.maintDeferUsable() {
+		staged, undo, uerr := db.maint.UpdateStaged(sr.Adds, sr.Removes, next.E, next.Counter)
+		if uerr != nil {
 			// Propagation failed: the maintainer is inconsistent; validate
 			// the scratch way below and let maintAfterDelta rebuild it.
 			db.maintErr = uerr
+		} else {
+			if audit, err = db.maintValidate(next.S, staged); err != nil {
+				undo()
+				return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", err)
+			}
+			vd, rollback = staged, undo
 		}
+	}
+	if sr.Deferred && vd == nil {
 		// Staging unavailable (the maintainer went unhealthy since the
 		// snapshot): validate from scratch under the lock — rare.
-		if _, _, verr := next.Instance(opts); verr != nil {
-			return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", verr)
+		if _, _, err := next.Instance(opts); err != nil {
+			return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", err)
 		}
 	}
-	// The delta record replays removes-then-adds onto the predecessor
-	// state — exactly what CommitDelta does — so recovery reproduces
-	// next byte for byte on both the fast and merge paths.
-	if err := db.walAppendDelta(tracer, db.log.Epoch()+1, sr); err != nil {
+	// Log: the delta record replays removes-then-adds onto the predecessor
+	// state — exactly what CommitDelta does — so recovery reproduces next
+	// byte for byte on both the fast and merge paths.
+	if sr.Replace {
+		err = db.walAppendReplace(tracer, db.log.Epoch()+1, next)
+	} else {
+		err = db.walAppendDelta(tracer, db.log.Epoch()+1, sr)
+	}
+	if err != nil {
+		rollback()
 		return "", "", Footprint{}, false, err
 	}
+	prev := db.st
 	db.publish(next)
-	db.log.Record(Footprint{Writes: sr.Footprint.Writes})
+	db.log.Record(written)
 	db.maybeCompact()
-	db.maintAfterDelta(tracer, sr.Adds, sr.Removes)
+	// Notify: bring the maintenance state to the new epoch and fan the
+	// view diff out to subscribers.
+	switch {
+	case vd != nil:
+		ep := db.log.Epoch()
+		if tracer != nil {
+			tracer.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(ep),
+				Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
+				Duration: time.Since(start), Reason: audit})
+		}
+		db.notifySubs(tracer, ep, vd)
+	case sr.Replace:
+		db.maintAfterReplace(tracer, prev)
+	default:
+		db.maintAfterDelta(tracer, sr.Adds, sr.Removes)
+	}
 	return path, "", Footprint{}, true, nil
 }
 

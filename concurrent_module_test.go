@@ -171,8 +171,8 @@ func TestConcurrentConflictingSerializes(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestConflictRetrySucceeds forces exactly one conflict by committing a
-// serial write in the first attempt's validation window, then lets the
-// retry land.
+// serial write to the predicate the application writes in the first
+// attempt's validation window, then lets the retry land.
 func TestConflictRetrySucceeds(t *testing.T) {
 	m := NewMetrics()
 	db, err := Open(concurrentSchema, WithMetrics(m))
@@ -183,7 +183,7 @@ func TestConflictRetrySucceeds(t *testing.T) {
 		if attempt == 0 {
 			if _, err := db.Exec(`
 mode ridv.
-rules p0(x: 99).
+rules p1(x: 99).
 end.
 `); err != nil {
 				t.Error(err)
@@ -199,11 +199,8 @@ end.
 `); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
-	if n := db.EDBCount("p1"); n != 1 {
-		t.Fatalf("p1 count = %d", n)
-	}
-	if n := db.EDBCount("p0"); n != 1 {
-		t.Fatalf("serial write lost: p0 count = %d", n)
+	if n := db.EDBCount("p1"); n != 2 {
+		t.Fatalf("p1 count = %d, want the serial write and the retried one", n)
 	}
 	if n := m.Counter("logres_module_conflicts_total").Value(); n != 1 {
 		t.Fatalf("conflicts = %d, want 1", n)
@@ -213,6 +210,33 @@ end.
 	}
 	if n := m.Counter("logres_module_commits_total").Value(); n != 1 {
 		t.Fatalf("commits = %d, want 1", n)
+	}
+}
+
+// TestDisjointSerialWriteDoesNotConflict: a serial write records its real
+// write set, so one landing in an optimistic attempt's validation window
+// on a predicate the attempt neither reads nor writes costs no conflict.
+func TestDisjointSerialWriteDoesNotConflict(t *testing.T) {
+	m := NewMetrics()
+	db, err := Open(concurrentSchema, WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks.ConcurrentPreCommit = func(int) {
+		if _, err := db.Exec("mode ridv.\nrules p0(x: 99).\nend.\n"); err != nil {
+			t.Error(err)
+		}
+	}
+	defer func() { hooks.ConcurrentPreCommit = nil }()
+
+	if _, err := db.ExecConcurrent("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Counter("logres_module_conflicts_total").Value(); n != 0 {
+		t.Fatalf("conflicts = %d, want 0", n)
+	}
+	if db.EDBCount("p0") != 1 || db.EDBCount("p1") != 1 {
+		t.Fatalf("p0/p1 = %d/%d, want 1/1", db.EDBCount("p0"), db.EDBCount("p1"))
 	}
 }
 
@@ -226,7 +250,7 @@ func TestRetryExhaustionReturnsConflictError(t *testing.T) {
 	hooks.ConcurrentPreCommit = func(int) {
 		if _, err := db.Exec(`
 mode ridv.
-rules p0(x: 99).
+rules p1(x: 99).
 end.
 `); err != nil {
 			t.Error(err)
@@ -243,22 +267,24 @@ end.
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ConflictError", err)
 	}
-	// The serial competitor commits a universal write, so the conflict
-	// names the wildcard and the error renders both footprints.
-	if ce.Pred != "*" {
+	// The serial competitor records its real write set, so the conflict
+	// names the predicate both wrote and the error renders both
+	// footprints.
+	if ce.Pred != "p1" {
 		t.Fatalf("conflict pred = %q", ce.Pred)
 	}
-	if !ce.Theirs.Universal {
-		t.Fatalf("theirs = %+v, want universal", ce.Theirs)
+	if ce.Theirs.Universal || len(ce.Theirs.Writes) != 1 || ce.Theirs.Writes[0] != "p1" {
+		t.Fatalf("theirs = %+v, want writes=[p1]", ce.Theirs)
 	}
 	for _, want := range []string{"mine:", "theirs:", "writes=[p1]"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q missing %q", err, want)
 		}
 	}
-	// The failed application must not have leaked any facts.
-	if n := db.EDBCount("p1"); n != 0 {
-		t.Fatalf("aborted module left %d p1 facts", n)
+	// The failed application must not have leaked any facts: p1 holds
+	// only the competitor's.
+	if n := db.EDBCount("p1"); n != 1 {
+		t.Fatalf("p1 holds %d facts, want only the competitor's", n)
 	}
 }
 
@@ -275,7 +301,7 @@ func TestFlightRecorderDumpsOnRetryExhaustion(t *testing.T) {
 	hooks.ConcurrentPreCommit = func(int) {
 		if _, err := db.Exec(`
 mode ridv.
-rules p0(x: 99).
+rules p1(x: 99).
 end.
 `); err != nil {
 			t.Error(err)
@@ -315,7 +341,7 @@ func TestCanceledBackoffReturnsCanceledError(t *testing.T) {
 		// Force a conflict, then cancel: the retry backoff must notice.
 		if _, err := db.Exec(`
 mode ridv.
-rules p0(x: 99).
+rules p1(x: 99).
 end.
 `); err != nil {
 			t.Error(err)

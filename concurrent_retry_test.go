@@ -87,10 +87,11 @@ func TestConflictRetryRoundNumbersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force conflicts on the first two attempts; the third commits.
+	// Force conflicts on the first two attempts (a serial write to the
+	// predicate the application writes); the third commits.
 	hooks.ConcurrentPreCommit = func(attempt int) {
 		if attempt < 2 {
-			if _, err := db.Exec("mode ridv.\nrules p0(x: " + string(rune('0'+attempt)) + ").\nend.\n"); err != nil {
+			if _, err := db.Exec("mode ridv.\nrules p1(x: 1" + string(rune('0'+attempt)) + ").\nend.\n"); err != nil {
 				t.Error(err)
 			}
 		}
@@ -203,9 +204,10 @@ func TestRetryBackoffSleepsMonotonically(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooks.ConcurrentPreCommit = func(int) {
-		// Conflict on every optimistic attempt; the locked last attempt
-		// runs no hook and commits.
-		if _, err := db.Exec("mode ridv.\nrules p0(x: 7).\nend.\n"); err != nil {
+		// Conflict on every optimistic attempt (the same predicate the
+		// application writes); the locked last attempt runs no hook and
+		// commits.
+		if _, err := db.Exec("mode ridv.\nrules p1(x: 7).\nend.\n"); err != nil {
 			t.Error(err)
 		}
 	}

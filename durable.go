@@ -221,8 +221,8 @@ func (db *Database) walAppendReplace(t Tracer, epoch uint64, st *module.State) e
 	})
 }
 
-// walAppendDelta logs an optimistic delta commit at epoch, attributed
-// to the committing call's tracer. No-op without a store.
+// walAppendDelta logs a delta commit (serial or optimistic) at epoch,
+// attributed to the committing call's tracer. No-op without a store.
 func (db *Database) walAppendDelta(t Tracer, epoch uint64, sr *module.SnapshotResult) error {
 	if db.store == nil {
 		return nil

@@ -15,6 +15,7 @@ import (
 	"logres/internal/engine"
 	"logres/internal/hooks"
 	"logres/internal/module"
+	"logres/internal/obs"
 	"logres/internal/parser"
 	"logres/internal/storage"
 	"logres/internal/value"
@@ -110,6 +111,95 @@ func saveBytesDurable(t *testing.T, db *Database) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestSerialCommitsLogDeltas: a serial data-variant commit — Exec or Call
+// — logs a fact delta, exactly as an optimistic one; rule changes and
+// Materialize still log whole-state replacements. Recovery reproduces
+// the state, oid counter included: an inventing commit afterwards gives
+// the Save bytes an in-memory twin that never crashed gives.
+func TestSerialCommitsLogDeltas(t *testing.T) {
+	const schema = `
+domains NAME = string;
+classes PERSON = (name: NAME);
+associations
+  TAG = (t: NAME);
+  Q0 = (x: integer);
+`
+	dir := t.TempDir()
+	rec := &eventRecorder{}
+	db, _, err := OpenDurable(schema, Durability{Dir: dir, Fsync: FsyncOff}, WithTracer(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := Open(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(src string) func(*Database) error {
+		return func(d *Database) error { _, err := d.Exec(src); return err }
+	}
+	steps := []struct {
+		name string
+		do   func(*Database) error
+		want string // the record type of the commit's WAL append
+	}{
+		{"ridv exec", exec("mode ridv.\nrules\n  tag(t: \"a\"). tag(t: \"b\").\nend.\n"), "delta"},
+		{"inventing ridv exec", exec("mode ridv.\nrules\n  person(self: P, name: N) <- tag(t: N).\nend.\n"), "delta"},
+		{"register", func(d *Database) error { return d.Register("module fill.\nmode ridv.\nrules\n  q0(x: 7).\nend.\n") }, "register"},
+		{"call", func(d *Database) error { _, err := d.Call("fill"); return err }, "delta"},
+		{"radi exec", exec("mode radi.\nrules\n  q0(x: 1) <- tag(t: \"a\").\nend.\n"), "replace"},
+		{"materialize", (*Database).Materialize, "replace"},
+	}
+	for _, st := range steps {
+		if err := st.do(db); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if err := st.do(twin); err != nil {
+			t.Fatalf("%s on the twin: %v", st.name, err)
+		}
+		appends := rec.byKind(obs.KindWALAppend)
+		if last := appends[len(appends)-1]; last.Pred != st.want || uint64(last.Round) != db.CommitEpoch() {
+			t.Fatalf("%s: last WAL append = %s at epoch %d, want %s at epoch %d",
+				st.name, last.Pred, last.Round, st.want, db.CommitEpoch())
+		}
+	}
+	want := saveBytesDurable(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, _, err = OpenDurable(schema, Durability{Dir: dir, Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if got := saveBytesDurable(t, db); !bytes.Equal(got, want) {
+		t.Fatal("recovered Save bytes differ from the pre-close state")
+	}
+	invent := []struct {
+		name string
+		do   func(*Database) error
+	}{
+		{"serial", exec("mode ridv.\nrules\n  tag(t: \"c\"). person(self: P, name: N) <- tag(t: N), N = \"c\".\nend.\n")},
+		{"concurrent", func(d *Database) error {
+			_, err := d.ExecConcurrent("mode ridv.\nrules\n  tag(t: \"d\"). person(self: P, name: N) <- tag(t: N), N = \"d\".\nend.\n")
+			return err
+		}},
+	}
+	for _, inv := range invent {
+		if err := inv.do(db); err != nil {
+			t.Fatalf("%s: %v", inv.name, err)
+		}
+		if err := inv.do(twin); err != nil {
+			t.Fatalf("%s on the twin: %v", inv.name, err)
+		}
+		if !bytes.Equal(saveBytesDurable(t, db), saveBytesDurable(t, twin)) {
+			t.Fatalf("%s inventing commit: recovered database and in-memory twin differ", inv.name)
+		}
+	}
+	if n := db.EDBCount("person"); n != 4 {
+		t.Fatalf("person holds %d objects, want 4 invented", n)
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ type SnapshotResult struct {
 	// Footprint is the effective access set: the static analysis widened
 	// by what the run actually touched ($oid$ when identity moved).
 	Footprint guard.Footprint
-	// Adds and Removes are the extensional delta E1 − E0 and E0 − E1 —
-	// the slices Res.Delta() returns — valid when neither ReadOnly nor
-	// Replace is set. Commit order is removes first, then adds.
+	// Adds and Removes are the extensional delta E1 − E0 and E0 − E1,
+	// valid when neither ReadOnly nor Replace is set. Commit order is
+	// removes first, then adds.
 	Adds, Removes []engine.Fact
 	// CounterDelta is the oid-counter advance of the run.
 	CounterDelta int64
@@ -37,8 +37,8 @@ type SnapshotResult struct {
 	// since the snapshot.
 	Replace bool
 	// Deferred marks an application whose final instance validation was
-	// skipped (ApplyDeferred): the committer must audit consistency and
-	// the passive constraints before installing the state.
+	// skipped (ApplySnapshotDeferred): the committer must audit consistency
+	// and the passive constraints before installing the state.
 	Deferred bool
 }
 
@@ -51,7 +51,7 @@ func ApplySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options)
 }
 
 // ApplySnapshotDeferred is ApplySnapshot with deferred validation when
-// the application is eligible (CanDeferValidation — exactly the
+// the application is eligible (canDeferValidation — exactly the
 // delta-committing applications): the result carries Deferred=true and
 // the committer must audit the new state before installing it.
 // Ineligible applications validate inside Apply as usual.
@@ -60,42 +60,35 @@ func ApplySnapshotDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.
 }
 
 func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, allowDefer bool) (*SnapshotResult, error) {
-	fp, err := StaticFootprint(st, m, mode, opts)
+	// The application runs first, so a rejected module fails exactly as
+	// Apply does, and the footprint reuses the programs it compiled.
+	deferred := allowDefer && canDeferValidation(st, m, mode)
+	res, err := apply(st, m, mode, opts, deferred)
 	if err != nil {
 		return nil, err
 	}
-	deferred := allowDefer && CanDeferValidation(st, m, mode)
-	var res *Result
-	if deferred {
-		res, err = ApplyDeferred(st, m, mode, opts)
-	} else {
-		res, err = Apply(st, m, mode, opts)
-	}
+	fp, err := footprint(st, m, mode, opts, res.State.S, res.prog, res.updateFP)
 	if err != nil {
 		return nil, err
 	}
 	sr := &SnapshotResult{Res: res, Footprint: *fp, Deferred: deferred}
-	switch mode {
-	case ast.RIDI:
+	if mode == ast.RIDI {
 		sr.ReadOnly = true
 		return sr, nil
-	case ast.RADI, ast.RDDI:
-		sr.Replace = true
-		return sr, nil
 	}
-	// Schema- or rule-changing data variants replace the whole state;
-	// the remaining applications — exactly the deferral-eligible ones —
-	// commit as fact deltas.
-	if !CanDeferValidation(st, m, mode) {
+	// Rule- or schema-changing applications replace the whole state; the
+	// remaining ones — exactly the deferral-eligible data variants, which
+	// computed their extensional delta — commit as fact deltas.
+	d := res.delta
+	if d == nil {
 		sr.Replace = true
 		return sr, nil
 	}
 
 	sr.CounterDelta = res.State.Counter - st.Counter
-	sr.Adds, sr.Removes = res.Delta()
+	sr.Adds, sr.Removes = d.adds, d.removes
 	// The delta widens the footprint with every predicate it touched
 	// outside the static writes (a missed write makes it universal).
-	d := res.delta
 	if d.missed {
 		sr.Footprint.Universal = true
 	}

@@ -59,19 +59,14 @@ func IsPseudoPred(name string) bool {
 //   - non-inflationary semantics and active-domain enumeration read the
 //     whole extension (Universal).
 func StaticFootprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*guard.Footprint, error) {
-	reads := map[string]bool{PredSchema: true, PredRules: true}
-	writes := map[string]bool{}
-	fp := &guard.Footprint{}
-
 	// Mirror Apply's schema evolution so the analysis resolves against
 	// the schema the module actually runs under.
-	s0 := st.S.Clone()
 	var s1 *types.Schema
 	var err error
 	if mode == ast.RDDV || mode == ast.RDDI {
-		s1 = s0.Subtract(m.Schema)
+		s1 = st.S.Subtract(m.Schema)
 	} else {
-		s1, err = s0.Union(m.Schema)
+		s1, err = st.S.Union(m.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -79,9 +74,28 @@ func StaticFootprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Option
 	if err := s1.Validate(); err != nil {
 		return nil, err
 	}
+	var updateFP *engine.RuleFootprint
+	if mode.DataVariant() {
+		progM, err := engine.Compile(s1, m.Rules, opts)
+		if err != nil {
+			return nil, err
+		}
+		rf := progM.Footprint()
+		updateFP = &rf
+	}
+	return footprint(st, m, mode, opts, s1, nil, updateFP)
+}
 
-	schemaChanged := m.Schema != nil && (len(m.Schema.Names()) > 0 || len(m.Schema.IsaEdges()) > 0)
-	if schemaChanged && mode != ast.RIDI {
+// footprint layers the mode semantics of StaticFootprint over the
+// footprints of the application's programs, compiled under the schema s1
+// the module runs under: the persistent program prog (compiled here when
+// nil) and, for data-variant modes, the update program's rfM.
+func footprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, s1 *types.Schema, prog *engine.Program, rfM *engine.RuleFootprint) (*guard.Footprint, error) {
+	reads := map[string]bool{PredSchema: true, PredRules: true}
+	writes := map[string]bool{}
+	fp := &guard.Footprint{}
+
+	if !declaresNothing(m.Schema) && mode != ast.RIDI {
 		writes[PredSchema] = true
 	}
 	switch mode {
@@ -111,19 +125,19 @@ func StaticFootprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Option
 	// instance this application validated against.
 	persistent := st.R
 	switch mode {
-	case ast.RADI, ast.RADV:
+	case ast.RADI, ast.RADV, ast.RIDI:
 		persistent = append(append([]*ast.Rule{}, st.R...), m.Rules...)
 	case ast.RDDI, ast.RDDV:
 		persistent = subtractRules(append([]*ast.Rule{}, st.R...), m.Rules)
-	case ast.RIDI:
-		persistent = append(append([]*ast.Rule{}, st.R...), m.Rules...)
 	}
 	if len(persistent) > 0 {
-		progR, err := engine.Compile(s1, persistent, opts)
-		if err != nil {
-			return nil, err
+		if prog == nil {
+			var err error
+			if prog, err = engine.Compile(s1, persistent, opts); err != nil {
+				return nil, err
+			}
 		}
-		rfR := progR.Footprint()
+		rfR := prog.Footprint()
 		addAll(reads, rfR.Reads)
 		addAll(reads, rfR.Writes)
 		if rfR.Universal {
@@ -131,18 +145,9 @@ func StaticFootprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Option
 		}
 	}
 
-	switch mode {
-	case ast.RIDI:
-		// Read-only: the combined-program reads above are the footprint.
-	case ast.RADI, ast.RDDI:
-		// E untouched; the $rules$/$schema$ writes and combined-program
-		// reads cover it.
-	default:
-		progM, err := engine.Compile(s1, m.Rules, opts)
-		if err != nil {
-			return nil, err
-		}
-		rfM := progM.Footprint()
+	if rfM != nil {
+		// Data-variant modes (the others leave E untouched: the combined
+		// program's reads and the $rules$/$schema$ writes cover them).
 		addAll(reads, rfM.Reads)
 		addAll(writes, rfM.Writes)
 		if rfM.Universal {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"logres/internal/ast"
-	"logres/internal/engine"
 	"logres/internal/parser"
 )
 
@@ -66,14 +65,18 @@ func (l *Library) Names() []string {
 	return out
 }
 
-// Call applies the named module to a state with its declared mode.
-func (l *Library) Call(st *State, name string, opts engine.Options) (*Result, error) {
+// Lookup returns the named module for a call, or an error listing the
+// registered names. A nil library has none.
+func (l *Library) Lookup(name string) (*ast.Module, error) {
+	if l == nil {
+		return nil, fmt.Errorf("module: no module named %q; registered: none", name)
+	}
 	m, ok := l.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("module: no module named %q; registered: %s",
 			name, strings.Join(l.Names(), ", "))
 	}
-	return ApplyDeclared(st, m, opts)
+	return m, nil
 }
 
 // Clone returns a copy of the library (modules are immutable once

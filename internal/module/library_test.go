@@ -26,14 +26,18 @@ end.
 	if got := lib.Names(); len(got) != 1 || got[0] != "promote" {
 		t.Fatalf("names = %v", got)
 	}
-	res, err := lib.Call(st, "promote", opts())
+	m, err := lib.Lookup("promote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ApplyDeclared(st, m, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.State.E.Size("italian") != 1 {
 		t.Fatalf("italian = %d", res.State.E.Size("italian"))
 	}
-	if _, err := lib.Call(st, "nosuch", opts()); err == nil || !strings.Contains(err.Error(), "promote") {
+	if _, err := lib.Lookup("nosuch"); err == nil || !strings.Contains(err.Error(), "promote") {
 		t.Fatalf("unknown module call: %v", err)
 	}
 }

@@ -133,22 +133,18 @@ type Result struct {
 	Answer *engine.Answer
 	// Audit names the consistency audit the application ran on its new
 	// instance: AuditDelta, or "full: <why>". Empty when it ran none (a
-	// goal-only RIDI, or ApplyDeferred, whose caller audits).
+	// goal-only RIDI, or a deferred application, whose caller audits).
 	Audit string
 
-	// delta is the extensional delta of an application CanDeferValidation
+	// delta is the extensional delta of an application canDeferValidation
 	// admits, computed once: the audit and the commit both use it.
 	delta *extDelta
-}
-
-// Delta returns the extensional delta E′ − E (adds) and E − E′ (removes)
-// of a data-variant application that changes neither rules nor schema
-// (CanDeferValidation); both are nil for any other application.
-func (res *Result) Delta() (adds, removes []engine.Fact) {
-	if res.delta == nil {
-		return nil, nil
-	}
-	return res.delta.adds, res.delta.removes
+	// prog is the persistent program the application compiled (nil when
+	// it compiled none: a deferred one), and updateFP the footprint of
+	// the update program R_M of a data-variant mode. ApplySnapshot builds
+	// its footprint from them instead of compiling either again.
+	prog     *engine.Program
+	updateFP *engine.RuleFootprint
 }
 
 // Apply applies module m to state st with the given mode. It never mutates
@@ -164,7 +160,15 @@ func (res *Result) Delta() (adds, removes []engine.Fact) {
 // delta can have broken (see AuditInstanceDelta); against a state built
 // past the audit, such an application can be accepted although the full
 // audit of its result would fail on the inherited violation.
-func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (res *Result, err error) {
+func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*Result, error) {
+	return apply(st, m, mode, opts, false)
+}
+
+// apply is Apply; with deferValidation a data-variant application that
+// canDeferValidation admits skips its final instance audit, and the
+// caller must audit the new state before committing it
+// (ApplySnapshotDeferred).
+func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferValidation bool) (res *Result, err error) {
 	// Application is all-or-nothing: every mode that changes anything works
 	// on a clone of st, so on any abort — budget, cancellation, or a panic
 	// converted here — the caller's state is bit-identical to its
@@ -199,33 +203,24 @@ func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (res *R
 		return applyRuleChange(st, m, opts, true)
 	case ast.RDDI:
 		return applyRuleChange(st, m, opts, false)
-	case ast.RIDV:
-		return applyDataVariant(st, m, opts, ast.RIDV, false)
-	case ast.RADV:
-		return applyDataVariant(st, m, opts, ast.RADV, false)
-	case ast.RDDV:
-		return applyDataVariant(st, m, opts, ast.RDDV, false)
+	case ast.RIDV, ast.RADV, ast.RDDV:
+		return applyDataVariant(st, m, opts, mode, deferValidation)
 	}
 	return nil, fmt.Errorf("module: unknown mode %v", mode)
 }
 
-// CanDeferValidation reports whether applying m to st with mode is
+// canDeferValidation reports whether applying m to st with mode is
 // eligible for deferred validation: a data-variant application that
 // changes neither the schema nor the persistent rules, so the new
 // state differs from st only in (E, Counter). Such an application
 // computes its extensional delta once and audits only what the delta
 // changed — inside Apply, or, for a caller maintaining the derived
 // instance incrementally, at commit time against the maintained set
-// (ApplyDeferred). The predicate agrees exactly with the delta/Replace
-// split of ApplySnapshot: eligible applications are the ones that would
-// take the delta path.
-func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
-	switch mode {
-	case ast.RIDV, ast.RADV, ast.RDDV:
-	default:
-		return false
-	}
-	if !declaresNothing(m.Schema) {
+// (ApplySnapshotDeferred). The predicate agrees exactly with the
+// delta/Replace split of ApplySnapshot: eligible applications are the
+// ones that would take the delta path.
+func canDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
+	if !mode.DataVariant() || !declaresNothing(m.Schema) {
 		return false
 	}
 	switch mode {
@@ -239,40 +234,6 @@ func CanDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
 		}
 	}
 	return true
-}
-
-// ApplyDeferred is Apply with the final instance validation skipped:
-// the Result carries the new, unaudited state and its extensional delta
-// (Result.Delta), and the caller is responsible for verifying
-// Definition 4 consistency and the passive constraints against it
-// before committing it — AuditInstanceDelta over the exact instance
-// delta is the audit Apply would have run. Only legal when
-// CanDeferValidation holds for the same arguments.
-func ApplyDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (_ *Result, err error) {
-	defer shieldPanic(&err)
-	if t := opts.Tracer; t != nil {
-		t.Event(obs.Event{Kind: obs.KindModuleBegin, Pred: m.Name, Detail: mode.String(),
-			Count: len(m.Rules)})
-		start := time.Now()
-		defer func() {
-			ev := obs.Event{Kind: obs.KindModuleEnd, Pred: m.Name, Detail: mode.String(),
-				Duration: time.Since(start)}
-			if err != nil {
-				ev.Detail = mode.String() + ": " + err.Error()
-			}
-			t.Event(ev)
-		}()
-	}
-	if !CanDeferValidation(st, m, mode) {
-		return nil, fmt.Errorf("module: mode %s application is not eligible for deferred validation", mode)
-	}
-	if !mode.HasGoal() && len(m.Goal) > 0 {
-		return nil, fmt.Errorf("module: mode %s does not admit a goal (§4.1)", mode)
-	}
-	if m.NonInflationary {
-		opts.NonInflationary = true
-	}
-	return applyDataVariant(st, m, opts, mode, true)
 }
 
 // ApplyDeclared applies the module with its declared mode (RIDI when none
@@ -295,6 +256,7 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.prog = prog
 		return res, res.answer(prog, f, m.Goal)
 	}
 	// R0 ∪ RM over S0 ∪ SM is a program no commit ever audited.
@@ -312,7 +274,7 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Audit = auditRulesSchema
+	res.Audit, res.prog = auditRulesSchema, prog
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -339,7 +301,7 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
-	res := &Result{State: next, Audit: auditRulesSchema}
+	res := &Result{State: next, Audit: auditRulesSchema, prog: prog}
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -401,10 +363,11 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	next.Counter = counter
 	next.S = s1
 
-	res := &Result{State: next}
-	if !CanDeferValidation(st, m, mode) {
+	rf := prog.Footprint()
+	res := &Result{State: next, updateFP: &rf}
+	if !canDeferValidation(st, m, mode) {
 		// New rules or schema: R(E1) comes from a program no commit audited.
-		if _, _, err := next.Instance(opts); err != nil {
+		if _, _, res.prog, err = next.derive(opts); err != nil {
 			return nil, fmt.Errorf("module: rejected: %w", err)
 		}
 		res.Audit = auditRulesSchema
@@ -412,12 +375,13 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	}
 	// (R, S) unchanged: the state differs from st only in (E, Counter), so
 	// only what the delta changed can be inconsistent.
-	res.delta = diffFacts(st.E, next.E, prog.Footprint().Writes)
+	res.delta = diffFacts(st.E, next.E, rf.Writes)
 	if deferValidation {
 		return res, nil
 	}
 	d := res.delta
 	f, fcounter, pprog, err := next.run(opts)
+	res.prog = pprog
 	if err == nil {
 		// A persistent rule that sees the write can make the instance delta
 		// differ from the extensional one. A class fact in the delta takes

@@ -134,8 +134,9 @@ func asAPIError(t *testing.T, err error) *client.APIError {
 }
 
 // TestExecConflictMapsTo409 forces a deterministic commit conflict (a
-// serial write lands in the validation window, retries disabled
-// per-request) and checks the 409 body carries both footprints.
+// serial write to the same predicate lands in the validation window,
+// retries disabled per-request) and checks the 409 body carries both
+// footprints.
 func TestExecConflictMapsTo409(t *testing.T) {
 	s, _, c := newTestServer(t)
 	ctx := context.Background()
@@ -145,7 +146,7 @@ func TestExecConflictMapsTo409(t *testing.T) {
 	db := s.dbs["db"]
 	s.mu.RUnlock()
 	hooks.ConcurrentPreCommit = func(int) {
-		if _, err := db.Exec("mode ridv.\nrules q(x: 99).\nend.\n"); err != nil {
+		if _, err := db.Exec("mode ridv.\nrules p(x: 99).\nend.\n"); err != nil {
 			t.Error(err)
 		}
 	}
@@ -159,15 +160,15 @@ func TestExecConflictMapsTo409(t *testing.T) {
 	if apiErr.Status != http.StatusConflict || apiErr.Resp.Kind != client.KindConflict {
 		t.Fatalf("conflict response = %+v", apiErr)
 	}
-	// The serial competitor records a universal write.
-	if apiErr.Resp.Pred != "*" {
+	// The serial competitor records its real write set.
+	if apiErr.Resp.Pred != "p" {
 		t.Fatalf("conflict pred = %q", apiErr.Resp.Pred)
 	}
 	if apiErr.Resp.Mine == nil || apiErr.Resp.Theirs == nil {
 		t.Fatalf("conflict body missing footprints: %+v", apiErr.Resp)
 	}
-	if !apiErr.Resp.Theirs.Universal {
-		t.Fatalf("theirs = %+v, want universal", apiErr.Resp.Theirs)
+	if th := apiErr.Resp.Theirs; th.Universal || len(th.Writes) != 1 || th.Writes[0] != "p" {
+		t.Fatalf("theirs = %+v, want writes=[p]", th)
 	}
 	found := false
 	for _, w := range apiErr.Resp.Mine.Writes {
@@ -177,6 +178,56 @@ func TestExecConflictMapsTo409(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("mine.writes = %v, want p", apiErr.Resp.Mine.Writes)
+	}
+}
+
+// TestRejectedModuleSameErrorOnEveryPath: a module the application
+// rejects fails with the same text whichever path applies it — serial
+// or optimistic, embedded or over HTTP — because every path runs the
+// application before it computes a footprint.
+func TestRejectedModuleSameErrorOnEveryPath(t *testing.T) {
+	s, _, c := newTestServer(t)
+	ctx := context.Background()
+	const schema = `domains NAME = string;
+associations
+  P = (x: integer);
+  OWNS = (n: NAME);
+`
+	if err := c.Create(ctx, "db", schema, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.RLock()
+	db := s.dbs["db"]
+	s.mu.RUnlock()
+
+	cases := []struct{ name, src string }{
+		{"ridv undeclared", "mode ridv.\nassociations BAD = (x: NOPE);\nend.\n"},
+		{"radv undeclared", "mode radv.\nassociations BAD = (x: NOPE);\nend.\n"},
+		{"radi undeclared", "mode radi.\nassociations BAD = (x: NOPE);\nend.\n"},
+		{"rddv dangling", "mode rddv.\ndomains NAME = string;\nend.\n"},
+		{"rddi dangling", "mode rddi.\ndomains NAME = string;\nend.\n"},
+		{"compile error", "mode ridv.\nrules\n  nope(x: 1).\nend.\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, serr := db.Exec(tc.src)
+			if serr == nil {
+				t.Fatal("Exec accepted the module")
+			}
+			want := serr.Error()
+			if _, err := db.ExecConcurrent(tc.src); err == nil || err.Error() != want {
+				t.Errorf("ExecConcurrent: %v\nExec:           %s", err, want)
+			}
+			for _, serial := range []bool{true, false} {
+				_, err := c.ExecRequest(ctx, "db", client.ExecRequest{Module: tc.src, Serial: serial})
+				if apiErr := asAPIError(t, err); apiErr.Resp.Error != want {
+					t.Errorf("HTTP serial=%v: %s\nExec:           %s", serial, apiErr.Resp.Error, want)
+				}
+			}
+		})
+	}
+	if n := db.CommitEpoch(); n != 0 {
+		t.Fatalf("rejected modules committed: epoch %d", n)
 	}
 }
 
@@ -198,7 +249,7 @@ func TestClientConflictRetryKnob(t *testing.T) {
 		defer mu.Unlock()
 		if conflictsInjected == 0 {
 			conflictsInjected++
-			if _, err := db.Exec("mode ridv.\nrules q(x: 99).\nend.\n"); err != nil {
+			if _, err := db.Exec("mode ridv.\nrules p(x: 99).\nend.\n"); err != nil {
 				t.Error(err)
 			}
 		}
@@ -219,6 +270,9 @@ func TestClientConflictRetryKnob(t *testing.T) {
 	defer mu.Unlock()
 	if conflictsInjected != 1 {
 		t.Fatalf("conflicts injected = %d, want 1", conflictsInjected)
+	}
+	if n := s.metrics.Counter("logres_module_conflicts_total").Value(); n != 1 {
+		t.Fatalf("conflicts = %d, want the one the client retried", n)
 	}
 }
 

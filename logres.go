@@ -318,61 +318,31 @@ func (db *Database) Apply(m *Module, mode Mode, options ...CallOption) (*Result,
 	return db.ApplyContext(db.ctx(), m, mode, options...)
 }
 
-// ApplyContext is Apply under an explicit cancellation context.
+// ApplyContext is Apply under an explicit cancellation context. A serial
+// application is the locked attempt of the optimistic protocol
+// (applyLocked): it holds the write lock from snapshot to commit, so it
+// cannot conflict, and it commits exactly as a concurrent attempt does —
+// a data-variant module that changes neither rules nor schema as a fact
+// delta recording its own write set, any other state change as a
+// whole-state replacement.
 func (db *Database) ApplyContext(ctx context.Context, m *Module, mode Mode, options ...CallOption) (*Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.applySerial(ctx, m, mode, options)
+}
+
+// applySerial resolves the call's options and runs applyLocked; the
+// caller holds the write lock.
+func (db *Database) applySerial(ctx context.Context, m *Module, mode Mode, options []CallOption) (*Result, error) {
 	opts := applyCallOptions(db.opts, options)
 	opts.Ctx = ctx
 	finish := instrumentCall(ctx, &opts, options)
 	defer finish()
-	if db.maintDeferUsable() && module.CanDeferValidation(db.st, m, mode) {
-		// Deferred validation (view.go): skip the from-scratch instance
-		// computation inside Apply and audit the incrementally maintained
-		// instance at commit time instead.
-		res, err := module.ApplyDeferred(db.st, m, mode, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.commitSerialStaged(opts, res); err != nil {
-			return nil, err
-		}
-		return &Result{Answer: res.Answer, Mode: mode}, nil
-	}
-	res, err := module.Apply(db.st, m, mode, opts)
+	sr, _, err := db.applyLocked(opts, m, mode)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.commitSerial(opts.Tracer, res.State); err != nil {
-		return nil, err
-	}
-	return &Result{Answer: res.Answer, Mode: mode}, nil
-}
-
-// commitSerial publishes a state produced under the write lock by a
-// serial application and records the commit. Serial paths carry no
-// footprint analysis, so the recorded write set is universal — any
-// optimistic application in flight across this commit conservatively
-// conflicts and retries. Read-only applications (RIDI returns the input
-// state unchanged) record nothing. On a durable database the commit is
-// WAL-logged (as a whole-state replacement) before it is published; a
-// logging failure fails the commit and leaves the state untouched.
-// Callers hold the write lock; t is the committing call's tracer (for
-// WAL attribution — pass db.opts.Tracer when no per-call tracer
-// exists).
-func (db *Database) commitSerial(t Tracer, next *module.State) error {
-	if next == db.st {
-		return nil
-	}
-	if err := db.walAppendReplace(t, db.log.Epoch()+1, next); err != nil {
-		return err
-	}
-	prev := db.st
-	db.publish(next)
-	db.log.Record(engine.Footprint{Universal: true})
-	db.maybeCompact()
-	db.maintAfterReplace(t, prev)
-	return nil
+	return &Result{Answer: sr.Res.Answer, Mode: mode}, nil
 }
 
 // Query evaluates a goal (`?- lit, … .`) against the current instance —
@@ -487,7 +457,9 @@ func (db *Database) Materialize() error {
 	if err != nil {
 		return err
 	}
-	return db.commitSerial(db.opts.Tracer, st)
+	sr := &module.SnapshotResult{Res: &module.Result{State: st}, Replace: true}
+	_, _, _, _, err = db.commitLocked(db.opts, db.log.Epoch(), sr)
+	return err
 }
 
 // CheckConsistency verifies Definition 4 and the passive constraints
@@ -590,24 +562,11 @@ func (db *Database) Call(name string, options ...CallOption) (*Result, error) {
 func (db *Database) CallContext(ctx context.Context, name string, options ...CallOption) (*Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.st.Lib == nil {
-		// Never mutate the published state in place — concurrent
-		// snapshot holders may be cloning it outside the lock.
-		return nil, fmt.Errorf("module: no module named %q; registered: none", name)
-	}
-	opts := applyCallOptions(db.opts, options)
-	opts.Ctx = ctx
-	finish := instrumentCall(ctx, &opts, options)
-	defer finish()
-	res, err := db.st.Lib.Call(db.st, name, opts)
+	m, err := db.st.Lib.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	m, _ := db.st.Lib.Get(name)
-	if err := db.commitSerial(opts.Tracer, res.State); err != nil {
-		return nil, err
-	}
-	return &Result{Answer: res.Answer, Mode: m.Mode}, nil
+	return db.applySerial(ctx, m, m.Mode, options)
 }
 
 // Modules lists the registered module names.

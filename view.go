@@ -40,8 +40,9 @@ import (
 // Reads in either mode trust the audit every state passed when it
 // entered the database (commit, Load, recovery) and never repeat it;
 // the two modes differ only in how they obtain the derived instance.
-// Data-variant commits that change neither rules nor schema audit only
-// what they changed, in either mode: without WithIncremental the
+// Data-variant commits that change neither rules nor schema — serial
+// and concurrent alike, which share one commit path — audit only what
+// they changed, in either mode: without WithIncremental the
 // extensional delta over a fresh derivation, with it the maintainer's
 // exact view delta over the maintained instance staged ahead of the
 // commit (rejections roll the staged update back). Every other commit
@@ -330,54 +331,9 @@ func (db *Database) maintValidate(s *types.Schema, vd *engine.ViewDelta) (string
 	return module.AuditInstanceDelta(s, db.maint.Program(), db.maint.Full(), db.maint.Counter(), vd.Adds, vd.Preds())
 }
 
-// commitSerialStaged commits a deferred-validation serial application
-// (module.ApplyDeferred): the extensional delta is staged through the
-// maintainer first, the maintained instance is audited, and only then
-// does the commit land — on rejection or a WAL failure the staged
-// update rolls back and the database is untouched. The maintainer ends
-// the commit already synced, so the usual post-publish maintenance
-// hook is skipped and subscribers are notified directly.
-func (db *Database) commitSerialStaged(opts engine.Options, res *module.Result) error {
-	t := opts.Tracer
-	next := res.State
-	adds, removes := res.Delta()
-	start := time.Now()
-	vd, rollback, uerr := db.maint.UpdateStaged(adds, removes, next.E, next.Counter)
-	if uerr != nil {
-		// Propagation failed (e.g. budget abort mid-update): the
-		// maintainer is inconsistent. Validate the scratch way and let
-		// the post-commit hook rebuild it.
-		db.maintErr = uerr
-		if _, _, verr := next.Instance(opts); verr != nil {
-			return fmt.Errorf("module: rejected: %w", verr)
-		}
-		return db.commitSerial(t, next)
-	}
-	audit, verr := db.maintValidate(next.S, vd)
-	if verr != nil {
-		rollback()
-		return fmt.Errorf("module: rejected: %w", verr)
-	}
-	if err := db.walAppendReplace(t, db.log.Epoch()+1, next); err != nil {
-		rollback()
-		return err
-	}
-	db.publish(next)
-	db.log.Record(engine.Footprint{Universal: true})
-	db.maybeCompact()
-	epoch := db.log.Epoch()
-	if t != nil {
-		t.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(epoch),
-			Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-			Duration: time.Since(start), Reason: audit})
-	}
-	db.notifySubs(t, epoch, vd)
-	return nil
-}
-
-// maintAfterDelta propagates a fact-level commit (the concurrent fast
-// and merge paths) through the maintenance state. Called under the
-// write lock after the commit published and recorded its epoch.
+// maintAfterDelta propagates a fact-level commit (the fast and merge
+// paths) through the maintenance state. Called under the write lock
+// after the commit published and recorded its epoch.
 func (db *Database) maintAfterDelta(t Tracer, adds, removes []Fact) {
 	if !db.incremental {
 		return
@@ -390,11 +346,11 @@ func (db *Database) maintAfterDelta(t Tracer, adds, removes []Fact) {
 	db.maintPropagate(t, epoch, adds, removes)
 }
 
-// maintAfterReplace handles whole-state commits (serial applications,
-// rule/schema-changing concurrent commits): when the rules and schema
-// are unchanged the commit reduces to an extensional delta and
-// propagates; otherwise the maintenance state is rebuilt against the
-// new program. prev is the state published before the commit.
+// maintAfterReplace handles whole-state commits (rule/schema-changing
+// applications, Materialize): when the rules and schema are unchanged
+// the commit reduces to an extensional delta and propagates; otherwise
+// the maintenance state is rebuilt against the new program. prev is the
+// state published before the commit.
 func (db *Database) maintAfterReplace(t Tracer, prev *module.State) {
 	if !db.incremental {
 		return
