@@ -471,6 +471,38 @@ func BenchmarkRegistrarEnrolCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistrarEnrolDrop is the steady-state form of
+// BenchmarkRegistrarEnrolCommit: even operations enrol a student in a
+// section the preload does not enrol them in, odd ones drop that
+// enrolment again, so every commit starts from the preload's E or that
+// E plus one fact. BenchmarkRegistrarEnrolCommit grows enrolled by one
+// fact per operation instead, so copying and freezing the growing
+// predicate weigh on it more with every operation.
+func BenchmarkRegistrarEnrolDrop(b *testing.B) {
+	db := registrarPreload(b)
+	preload, err := db.Count("enrolled")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The preload enrols student s only in the sections ≡ s (mod 5).
+		s := (i / 2) % 300
+		rule := registrarEnrol(s, (s+1)%15)
+		if i%2 == 1 {
+			rule = "  not " + strings.TrimPrefix(rule, "  ")
+		}
+		if _, err := db.ExecConcurrent("mode ridv.\nrules\n" + rule + "end.\n"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n, err := db.Count("enrolled"); err != nil || n != preload+b.N%2 {
+		b.Fatalf("enrolled = %d (%v) after %d operations, want %d", n, err, b.N, preload+b.N%2)
+	}
+}
+
 // BenchmarkFactSetCloneWriteOne clones the registrar preload's E and adds
 // one enrolment to the clone: the copy an update program takes of its
 // input. Only the written predicate is copied, so the cost does not

@@ -256,6 +256,45 @@ rules
   mark(student: S, code: "db", grade: 30) <- student(self: S, name: "a").
 end.
 `)
+	// A three-level hierarchy (TA below STUDENT below PERSON below AGENT)
+	// with a diamond (TA isa STUDENT and EMPLOYEE, both isa PERSON): the
+	// generated isa rules propagate new objects up every path, and the
+	// later commits change inherited components of existing objects, so
+	// ⊕ overwrites their super objects level by level.
+	f.Add(`
+domains NAME = string;
+classes
+  AGENT = (name: NAME);
+  PERSON = (AGENT, age: integer);
+  STUDENT = (PERSON, year: integer);
+  EMPLOYEE = (PERSON, salary: integer);
+  TA = (STUDENT, EMPLOYEE, hours: integer);
+  PERSON isa AGENT;
+  STUDENT isa PERSON;
+  EMPLOYEE isa PERSON;
+  TA isa STUDENT;
+  TA isa EMPLOYEE;
+associations
+  INTAKE = (name: NAME);
+`, `
+mode ridv.
+rules
+  intake(name: "a").
+  intake(name: "b").
+  ta(self: T, name: N, age: 20, year: 1, salary: 100, hours: 10) <- intake(name: N).
+  student(self: S, name: "c", age: 19, year: 2) <- intake(name: "a").
+end.
+---
+mode ridv.
+rules
+  ta(self: T, age: 21) <- ta(self: T, name: "a").
+end.
+---
+mode ridv.
+rules
+  student(self: S, name: "d") <- student(self: S, name: "c").
+end.
+`)
 	// Size-neutral swaps inside one data function under a denial that
 	// reads it: the delta must carry the function's facts, and the last
 	// swap violates the denial.

@@ -84,7 +84,10 @@ type crule struct {
 	body      []resolvedLit
 	vars      []string // all rule variables, sorted, for valuation-domain identity
 	inventive bool
-	generated bool // produced by constraint generation, not user-written
+	// isa is set on the isa-propagation rules Compile generates (never on
+	// user-written rules): oneStep and oneStepNoninf evaluate it in place
+	// of body and head.
+	isa *isaStep
 }
 
 func (r *crule) String() string {

@@ -141,7 +141,9 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 		if err != nil {
 			return nil, fmt.Errorf("%v (in rule %s)", err, r)
 		}
-		cr.generated = i >= len(rules)
+		if i >= len(rules) {
+			cr.isa = newIsaStep(cr)
+		}
 		if cr.head == nil {
 			p.denials = append(p.denials, cr)
 		} else {

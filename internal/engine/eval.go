@@ -85,7 +85,7 @@ func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield fu
 	for _, fact := range facts {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
-			if err := c.inRoundCheck(l); err != nil {
+			if err := c.inRoundCheck(l.pred); err != nil {
 				return err
 			}
 		}
@@ -209,7 +209,7 @@ func (c *evalCtx) noFactMatches(l resolvedLit, e *env) (bool, error) {
 	for _, fact := range c.candidateFacts(l, c.f, e) {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
-			if err := c.inRoundCheck(l); err != nil {
+			if err := c.inRoundCheck(l.pred); err != nil {
 				return false, err
 			}
 		}
@@ -519,25 +519,7 @@ func headSatisfiedBy(h *headSpec, comps []value.Field, source *objBinding, exist
 			return false
 		}
 	}
-	if source != nil {
-		specified := map[string]bool{}
-		for _, f := range comps {
-			specified[f.Label] = true
-		}
-		for _, f := range source.tuple.Fields() {
-			if specified[f.Label] {
-				continue
-			}
-			if _, inEff := h.eff.Get(f.Label); !inEff {
-				continue
-			}
-			got, ok := existing.Get(f.Label)
-			if !ok || !value.Equal(got, f.Value) {
-				return false
-			}
-		}
-	}
-	return true
+	return source == nil || agreesOn(h.eff, source.tuple, existing, comps)
 }
 
 // asObject resolves a binding to an object, looking the o-value up in the
@@ -646,6 +628,12 @@ func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) 
 	c := &evalCtx{p: p, f: f, counter: counter, stats: p.stats, g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
 	for _, r := range rules {
+		if r.isa != nil {
+			if err := c.isaPass(r, dplus); err != nil {
+				return nil, false, fmt.Errorf("%w (in rule %s)", err, r)
+			}
+			continue
+		}
 		yield := func(e *env) error {
 			return c.instantiateHead(r, e, dplus, dminus)
 		}

@@ -73,7 +73,7 @@ func (p *Program) Footprint() RuleFootprint {
 	// Seeds: every user-written rule may fire; generated rules only
 	// chain.
 	for _, r := range p.rules {
-		if r.generated {
+		if r.isa != nil {
 			continue
 		}
 		scanBody(r)

@@ -80,7 +80,7 @@ var inRoundCheckInterval = 1 << 12
 // base set cannot see, and duplicates are counted) — an overestimate
 // never more than one interval stale. A trip emits a guard.check trace
 // event before surfacing the typed abort error.
-func (c *evalCtx) inRoundCheck(l resolvedLit) error {
+func (c *evalCtx) inRoundCheck(pred string) error {
 	invented := 0
 	if c.stats != nil {
 		invented = c.stats.Invented
@@ -92,7 +92,7 @@ func (c *evalCtx) inRoundCheck(l resolvedLit) error {
 				Kind:    obs.KindGuardCheck,
 				Stratum: c.g.Stratum(),
 				Round:   c.round,
-				Pred:    l.pred,
+				Pred:    pred,
 				Detail:  err.Error(),
 			})
 		}

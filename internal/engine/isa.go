@@ -1,0 +1,130 @@
+package engine
+
+import (
+	"logres/internal/types"
+	"logres/internal/value"
+)
+
+// isaStep is the compiled form of a generated isa-propagation rule
+// `super(X) <- sub(X)` (§2.1, §3.1): every object of sub is an object of
+// super with the same oid, whose super o-value is the sub's o-value
+// projected onto super's effective type. A class fact is keyed by its oid
+// (objects as flat predicates keyed by oid, *Mapping Objects to
+// Persistent Predicates*), so checking one object is an oid lookup and a
+// comparison of the labels super declares; no environment is built.
+//
+// The step replaces the rule's compiled body and head in oneStep and
+// oneStepNoninf, and is equivalent to matchBody + instantiateHead over
+// them: the same facts enter Δ+ in the same order, and Stats.Firings,
+// the in-round step count, the in-round guard checks and the
+// non-inflationary re-emission advance exactly as the matcher's would.
+// The compiled body and head stay on the crule for the analyses
+// (stratification, footprints, Explain) and the differential test.
+type isaStep struct {
+	sub, super string
+	eff        types.Tuple // super's effective type
+}
+
+// newIsaStep compiles the generated rule r, `super(X) <- sub(X)`.
+func newIsaStep(r *crule) *isaStep {
+	return &isaStep{sub: r.body[0].pred, super: r.head.pred, eff: r.head.eff}
+}
+
+// isaPass evaluates the generated rule r in one pass over the objects of
+// its sub class, adding to dplus every super fact that is missing or
+// disagrees with the sub object (or, under the non-inflationary
+// operator, re-emitting the super fact that agrees).
+func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
+	s := r.isa
+	for _, obj := range c.f.Facts(s.sub) {
+		c.steps++
+		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
+			if err := c.inRoundCheck(s.sub); err != nil {
+				return err
+			}
+		}
+		if c.stats != nil {
+			c.stats.Firings[r.id]++
+		}
+		c.emitted++
+		if obj.OID.IsNil() {
+			c.isaInvent(r, obj.Tuple, dplus)
+			continue
+		}
+		cur, ok := c.f.HasOID(s.super, obj.OID)
+		if ok && agreesOn(s.eff, obj.Tuple, cur.Tuple, nil) {
+			if c.reemit {
+				dplus.Add(cur)
+			}
+			continue
+		}
+		dplus.Add(Fact{Pred: s.super, IsClass: true, OID: obj.OID, Tuple: overlay(s.eff, obj.Tuple, cur.Tuple)})
+	}
+	return nil
+}
+
+// isaInvent is the step for a sub object with a nil oid, which has no
+// identity to share: as in instantiateClassHead, the head is then an
+// invention (Definition 8 point b), suppressed when some super object
+// already agrees with the sub's o-value.
+func (c *evalCtx) isaInvent(r *crule, src value.Tuple, dplus *FactSet) {
+	s := r.isa
+	for _, fact := range c.f.Facts(s.super) {
+		if agreesOn(s.eff, src, fact.Tuple, nil) {
+			if c.reemit {
+				dplus.Add(fact)
+			}
+			return
+		}
+	}
+	*c.counter++
+	oid := value.OID(*c.counter)
+	if c.stats != nil {
+		c.stats.Invented++
+	}
+	c.traceInvent(r, s.super, int64(oid))
+	dplus.Add(Fact{Pred: s.super, IsClass: true, OID: oid, Tuple: overlay(s.eff, src, value.Tuple{})})
+}
+
+// agreesOn reports whether existing holds, with an equal value, every
+// component of src whose label eff declares, except the labels of skip
+// (a head's explicitly specified components, which the caller checks
+// against their own values). It allocates nothing.
+func agreesOn(eff types.Tuple, src, existing value.Tuple, skip []value.Field) bool {
+	for i := 0; i < src.Len(); i++ {
+		f := src.Field(i)
+		if _, inEff := eff.Get(f.Label); !inEff || specifies(skip, f.Label) {
+			continue
+		}
+		got, ok := existing.Get(f.Label)
+		if !ok || !value.Equal(got, f.Value) {
+			return false
+		}
+	}
+	return true
+}
+
+func specifies(comps []value.Field, label string) bool {
+	for _, f := range comps {
+		if f.Label == label {
+			return true
+		}
+	}
+	return false
+}
+
+// overlay is instance.Project(base overwritten by src's components, eff):
+// each label of eff takes src's value, else base's, else null.
+func overlay(eff types.Tuple, src, base value.Tuple) value.Tuple {
+	fields := make([]value.Field, len(eff.Fields))
+	for i, f := range eff.Fields {
+		v, ok := src.Get(f.Label)
+		if !ok {
+			if v, ok = base.Get(f.Label); !ok {
+				v = value.Null{}
+			}
+		}
+		fields[i] = value.Field{Label: f.Label, Value: v}
+	}
+	return value.NewTuple(fields...)
+}

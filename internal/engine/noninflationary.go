@@ -26,6 +26,12 @@ func (p *Program) oneStepNoninf(step int, rules []*crule, e, f *FactSet, counter
 		g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
 	for _, r := range rules {
+		if r.isa != nil {
+			if err := c.isaPass(r, dplus); err != nil {
+				return nil, false, fmt.Errorf("%w (in rule %s)", err, r)
+			}
+			continue
+		}
 		yield := func(env2 *env) error {
 			return c.instantiateHead(r, env2, dplus, dminus)
 		}

@@ -105,7 +105,7 @@ func (p *Program) Explain() string {
 		fmt.Fprintf(&b, "stratum %d (%s):\n", i, mode)
 		for _, r := range stratum {
 			tag := ""
-			if r.generated {
+			if r.isa != nil {
 				tag = "  [generated]"
 			}
 			if r.inventive {
