@@ -1,8 +1,10 @@
 package logres
 
-// The benchmark harness: one testing.B family per experiment of
-// EXPERIMENTS.md (E1–E12). The same workloads back cmd/logres-bench,
-// which prints the result tables. Run with:
+// The benchmark harness: one testing.B family per experiment E1–E11 and
+// E14 of EXPERIMENTS.md, plus in-process shapes of the gated workloads
+// under benchmark/ (registrar commits, contended concurrent commits, the
+// closure_batch read path, durable serial commits), which measure the
+// end-to-end experiments. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -74,25 +76,23 @@ func BenchmarkE1_TC_Algres(b *testing.B) {
 		if !semi {
 			name = "naive"
 		}
-		for _, workers := range []int{1, 4} {
-			for _, n := range []int{32, 128} {
-				b.Run(fmt.Sprintf("%s/workers=%d/n=%d", name, workers, n), func(b *testing.B) {
-					s, err := bench.NewAlgresTCWorkers(bench.Chain(n), semi, workers)
+		for _, n := range []int{32, 128} {
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+				s, err := bench.NewAlgresTC(bench.Chain(n), semi)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					got, err := s.Run()
 					if err != nil {
 						b.Fatal(err)
 					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						got, err := s.Run()
-						if err != nil {
-							b.Fatal(err)
-						}
-						if got != n*(n+1)/2 {
-							b.Fatalf("tc = %d", got)
-						}
+					if got != n*(n+1)/2 {
+						b.Fatalf("tc = %d", got)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -409,20 +409,29 @@ end.
 
 // TestApplyCallOptionsRoundsCoupleToMaxSteps covers the MaxRounds →
 // MaxSteps coupling of per-call budgets: the rounds axis lowers the
-// always-on step bound, never raises it.
+// database's round bound (Budget.MaxRounds, else MaxSteps), never raises
+// it.
 func TestApplyCallOptionsRoundsCoupleToMaxSteps(t *testing.T) {
+	// bound is the round bound Compile enforces: Budget.MaxRounds when
+	// armed, else MaxSteps.
+	bound := func(o engine.Options) int {
+		if o.Budget.MaxRounds > 0 {
+			return o.Budget.MaxRounds
+		}
+		return o.MaxSteps
+	}
 	base := engine.Options{MaxSteps: 10}
-	if got := applyCallOptions(base, []CallOption{WithCallBudget(Budget{MaxRounds: 3})}); got.MaxSteps != 3 {
-		t.Fatalf("stricter rounds did not lower MaxSteps: %d", got.MaxSteps)
+	if got := applyCallOptions(base, []CallOption{WithCallBudget(Budget{MaxRounds: 3})}); bound(got) != 3 {
+		t.Fatalf("stricter rounds did not lower the round bound: %d", bound(got))
 	}
-	if got := applyCallOptions(base, []CallOption{WithCallBudget(Budget{MaxRounds: 20})}); got.MaxSteps != 10 {
-		t.Fatalf("looser rounds changed MaxSteps: %d", got.MaxSteps)
+	if got := applyCallOptions(base, []CallOption{WithCallBudget(Budget{MaxRounds: 20})}); bound(got) != 10 {
+		t.Fatalf("looser rounds changed the round bound: %d", bound(got))
 	}
-	if got := applyCallOptions(engine.Options{}, []CallOption{WithCallBudget(Budget{MaxRounds: 7})}); got.MaxSteps != 7 {
-		t.Fatalf("unbounded base did not adopt the rounds bound: %d", got.MaxSteps)
+	if got := applyCallOptions(engine.Options{}, []CallOption{WithCallBudget(Budget{MaxRounds: 7})}); bound(got) != 7 {
+		t.Fatalf("unbounded base did not adopt the rounds bound: %d", bound(got))
 	}
-	if got := applyCallOptions(base, nil); got.MaxSteps != 10 {
-		t.Fatalf("no options changed MaxSteps: %d", got.MaxSteps)
+	if got := applyCallOptions(base, nil); bound(got) != 10 {
+		t.Fatalf("no options changed the round bound: %d", bound(got))
 	}
 	// The budget itself still tightens per axis.
 	got := applyCallOptions(engine.Options{Budget: Budget{MaxRounds: 5}},

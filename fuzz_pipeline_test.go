@@ -441,7 +441,7 @@ type sb2 struct{ b *strings.Builder }
 func (w *sb2) Write(p []byte) (int, error) { return w.b.Write(p) }
 
 func TestPipelineUnmutatedModulesWork(t *testing.T) {
-	db, err := Open(fuzzSchemas[1], WithMaxSteps(500))
+	db, err := Open(fuzzSchemas[1], WithBudget(Budget{MaxRounds: 500}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,8 @@ func CompileRules(schemas map[string][]string, rules []*ast.Rule) (*RuleProgram,
 }
 
 // CompileRulesOpts is CompileRules configured by an options struct:
-// opts.JoinWorkers is threaded into every join and anti-join the compiled
-// rules evaluate, and opts.MaxSteps is the default fixpoint bound.
+// opts.MaxSteps is the default fixpoint bound, and the context and
+// budget axes bound every evaluation.
 func CompileRulesOpts(schemas map[string][]string, rules []*ast.Rule, opts Opts) (*RuleProgram, error) {
 	rp := &RuleProgram{schemas: schemas, opts: opts}
 	for _, r := range rules {
@@ -241,7 +241,7 @@ func (rp *RuleProgram) evalRule(db *DB, ar *algRule, deltaPred string, delta *Re
 		if joined == nil {
 			joined = rel
 		} else {
-			joined = rp.opts.join(joined, rel)
+			joined = Join(joined, rel)
 		}
 	}
 	if joined == nil {
@@ -294,7 +294,7 @@ func (rp *RuleProgram) evalRule(db *DB, ar *algRule, deltaPred string, delta *Re
 		if err != nil {
 			return nil, err
 		}
-		joined = rp.opts.antiJoin(joined, rel)
+		joined = AntiJoin(joined, rel)
 	}
 	// Head projection.
 	out := NewRelation(rp.schemas[ar.headPred]...)

@@ -128,12 +128,8 @@ type RenameE struct {
 	Mapping map[string]string
 }
 
-// JoinE is the natural join. Workers > 1 partitions the probe side across
-// a worker pool (see JoinWorkers); the result is identical either way.
-type JoinE struct {
-	L, R    Expr
-	Workers int
-}
+// JoinE is the natural join.
+type JoinE struct{ L, R Expr }
 
 // UnionE, DiffE, IntersectE are the set operations.
 type UnionE struct{ L, R Expr }
@@ -219,7 +215,7 @@ func (e JoinE) Eval(db *DB) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return JoinWorkers(l, r, e.Workers), nil
+	return Join(l, r), nil
 }
 
 func (e UnionE) Eval(db *DB) (*Relation, error) { return evalBinary(db, e.L, e.R, Union) }

@@ -22,16 +22,6 @@ import (
 type Opts struct {
 	// MaxSteps bounds fixpoint iteration (0 = the package default, 1e6).
 	MaxSteps int
-	// JoinWorkers is the worker count threaded into every join and
-	// anti-join (≤ 1 = serial). Results are identical for any value — the
-	// parallel operators merge partition buffers in order.
-	JoinWorkers int
-	// Vectorize routes every join and anti-join through the columnar
-	// kernels (JoinVec/AntiJoinVec: dictionary-encoded key columns, hash
-	// join on uint32 codes) instead of the row operators. Results are
-	// identical; JoinWorkers is ignored on the vectorized path (the
-	// kernels are batch-at-a-time).
-	Vectorize bool
 	// Ctx cancels the closure between rounds; aborts surface as
 	// *guard.CanceledError. nil means no cancellation.
 	Ctx context.Context
@@ -157,8 +147,7 @@ func TransitiveClosure(edges *Relation, from, to string) (*Relation, error) {
 	return TransitiveClosureOpts(edges, from, to, Opts{})
 }
 
-// TransitiveClosureOpts is TransitiveClosure with the step's join running
-// on opts.JoinWorkers workers and the closure under opts' context and
+// TransitiveClosureOpts is TransitiveClosure under opts' context and
 // budget.
 func TransitiveClosureOpts(edges *Relation, from, to string, opts Opts) (*Relation, error) {
 	if !edges.HasAttr(from) || !edges.HasAttr(to) {
@@ -177,7 +166,7 @@ func TransitiveClosureOpts(edges *Relation, from, to string, opts Opts) (*Relati
 		// tc(from, to) ⋈ edge(to=from', to') — rename to line up the join.
 		mid := Rename(tc, map[string]string{from: "$a", to: "$m"})
 		step := Rename(e, map[string]string{from: "$m", to: "$b"})
-		joined := opts.join(mid, step)
+		joined := Join(mid, step)
 		proj, err := Project(joined, "$a", "$b")
 		if err != nil {
 			return nil, err

@@ -79,24 +79,20 @@ func TestJoinSmallerSideBuild(t *testing.T) {
 		{"equal", 8, 8},
 		{"left-empty", 0, 8},
 		{"right-empty", 8, 0},
-		{"parallel-sized", 600, 20},
+		{"large-left", 600, 20},
 	}
 	for _, tc := range cases {
 		l, r := joinCase(tc.ln, tc.rn)
 		want := nestedLoopJoin(l, r)
-		for _, workers := range []int{1, 4} {
-			got := JoinWorkers(l, r, workers)
-			if !got.Equal(want) {
-				t.Fatalf("%s workers=%d: join = %d tuples, reference = %d",
-					tc.name, workers, got.Len(), want.Len())
-			}
-			// Canonical order: Tuples() must enumerate identically.
-			gt, wt := got.Tuples(), want.Tuples()
-			for i := range wt {
-				if gt[i].Key() != wt[i].Key() {
-					t.Fatalf("%s workers=%d: tuple order diverges at %d: %s vs %s",
-						tc.name, workers, i, gt[i], wt[i])
-				}
+		got := Join(l, r)
+		if !got.Equal(want) {
+			t.Fatalf("%s: join = %d tuples, reference = %d", tc.name, got.Len(), want.Len())
+		}
+		// Canonical order: Tuples() must enumerate identically.
+		gt, wt := got.Tuples(), want.Tuples()
+		for i := range wt {
+			if gt[i].Key() != wt[i].Key() {
+				t.Fatalf("%s: tuple order diverges at %d: %s vs %s", tc.name, i, gt[i], wt[i])
 			}
 		}
 	}
@@ -112,8 +108,8 @@ func TestJoinCartesianEitherBuildSide(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		big.InsertValues(value.Str(fmt.Sprintf("v%d", i)))
 	}
-	ab := JoinWorkers(small, big, 1)
-	ba := JoinWorkers(big, small, 1)
+	ab := Join(small, big)
+	ba := Join(big, small)
 	if ab.Len() != 18 || ba.Len() != 18 {
 		t.Fatalf("cartesian sizes = %d, %d, want 18", ab.Len(), ba.Len())
 	}
@@ -131,7 +127,7 @@ func TestJoinAttrOrderWithLeftBuild(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.InsertValues(value.Int(7), value.Int(int64(i)))
 	}
-	out := JoinWorkers(l, r, 1)
+	out := Join(l, r)
 	if got, want := fmt.Sprint(out.Attrs()), "[x k y]"; got != want {
 		t.Fatalf("attrs = %s, want %s", got, want)
 	}

@@ -3,7 +3,6 @@ package algres
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"logres/internal/value"
 )
@@ -85,15 +84,6 @@ func Rename(r *Relation, mapping map[string]string) *Relation {
 	return out
 }
 
-// Join computes the natural join: tuples agreeing on all shared
-// attributes, concatenated. With no shared attributes it degenerates to
-// the Cartesian product.
-func Join(l, rR *Relation) *Relation { return JoinWorkers(l, rR, 1) }
-
-// joinParallelCutoff is the left-side size below which JoinWorkers stays
-// serial: partitioning tiny probes costs more than it saves.
-const joinParallelCutoff = 256
-
 // appendKey appends t's packed join key on the shared attributes to
 // buf (reused across tuples: the repeated string-concatenation key
 // builder allocated per tuple per probe).
@@ -107,14 +97,12 @@ func appendKey(buf []byte, t value.Tuple, shared []string) []byte {
 	return buf
 }
 
-// JoinWorkers is Join with the probe side partitioned across a worker
-// pool. The hash index is built once on the smaller relation and shared
-// read-only; each worker probes a contiguous slice of the larger side's
-// tuples (taken in canonical order) into a private buffer with a
-// private key buffer, and the buffers are merged in partition order.
-// The result relation is canonical (a set keyed by tuple identity), so
-// it is identical for any worker count and either build side.
-func JoinWorkers(l, rR *Relation, workers int) *Relation {
+// Join computes the natural join: tuples agreeing on all shared
+// attributes, concatenated. With no shared attributes it degenerates to
+// the Cartesian product. The hash index is built on the smaller side and
+// the larger side probes it; the result relation is canonical (a set
+// keyed by tuple identity), so it is the same for either build side.
+func Join(l, rR *Relation) *Relation {
 	var shared []string
 	for _, a := range l.attrs {
 		if rR.HasAttr(a) {
@@ -160,42 +148,14 @@ func JoinWorkers(l, rR *Relation, workers int) *Relation {
 		}
 		return value.NewTuple(fields...)
 	}
-	probe := func(pts []value.Tuple, emit func(value.Tuple)) {
-		buf := make([]byte, 0, 64)
-		for _, pt := range pts {
-			buf = appendKey(buf, pt, shared)
-			for _, bt := range index[string(buf)] {
-				if buildIsRight {
-					emit(combine(pt, bt))
-				} else {
-					emit(combine(bt, pt))
-				}
+	for _, pt := range probeRel.Tuples() {
+		buf = appendKey(buf, pt, shared)
+		for _, bt := range index[string(buf)] {
+			if buildIsRight {
+				out.Insert(combine(pt, bt))
+			} else {
+				out.Insert(combine(bt, pt))
 			}
-		}
-	}
-
-	probeTuples := probeRel.Tuples()
-	if workers > len(probeTuples) {
-		workers = len(probeTuples)
-	}
-	if workers <= 1 || len(probeTuples) < joinParallelCutoff {
-		probe(probeTuples, func(t value.Tuple) { out.Insert(t) })
-		return out
-	}
-	parts := make([][]value.Tuple, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(probeTuples)/workers, (w+1)*len(probeTuples)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			probe(probeTuples[lo:hi], func(t value.Tuple) { parts[w] = append(parts[w], t) })
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for _, t := range part {
-			out.Insert(t)
 		}
 	}
 	return out
@@ -203,15 +163,7 @@ func JoinWorkers(l, rR *Relation, workers int) *Relation {
 
 // AntiJoin returns the tuples of l with no join partner in r (the
 // complement used for safe negation).
-func AntiJoin(l, rR *Relation) *Relation { return AntiJoinWorkers(l, rR, 1) }
-
-// AntiJoinWorkers is AntiJoin with the probe side partitioned across a
-// worker pool, mirroring JoinWorkers: the membership index is built once
-// and shared read-only, each worker filters a contiguous slice of the left
-// tuples into a private buffer, and the buffers are concatenated in
-// partition order — identical to the serial anti-join for any worker
-// count.
-func AntiJoinWorkers(l, rR *Relation, workers int) *Relation {
+func AntiJoin(l, rR *Relation) *Relation {
 	var shared []string
 	for _, a := range l.attrs {
 		if rR.HasAttr(a) {
@@ -219,8 +171,7 @@ func AntiJoinWorkers(l, rR *Relation, workers int) *Relation {
 		}
 	}
 	// Membership is asymmetric (which left tuples have partners), so the
-	// index is always on the right; only the key building is shared with
-	// JoinWorkers' reused-buffer scheme.
+	// index is always on the right.
 	present := make(map[string]bool, rR.Len())
 	var buf []byte
 	for _, t := range rR.Tuples() {
@@ -228,38 +179,9 @@ func AntiJoinWorkers(l, rR *Relation, workers int) *Relation {
 		present[string(buf)] = true
 	}
 	out := NewRelation(l.attrs...)
-	left := l.Tuples()
-	if workers > len(left) {
-		workers = len(left)
-	}
-	if workers <= 1 || len(left) < joinParallelCutoff {
-		for _, t := range left {
-			buf = appendKey(buf, t, shared)
-			if !present[string(buf)] {
-				out.Insert(t)
-			}
-		}
-		return out
-	}
-	parts := make([][]value.Tuple, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*len(left)/workers, (w+1)*len(left)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf := make([]byte, 0, 64)
-			for _, t := range left[lo:hi] {
-				buf = appendKey(buf, t, shared)
-				if !present[string(buf)] {
-					parts[w] = append(parts[w], t)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for _, t := range part {
+	for _, t := range l.Tuples() {
+		buf = appendKey(buf, t, shared)
+		if !present[string(buf)] {
 			out.Insert(t)
 		}
 	}

@@ -89,7 +89,7 @@ func rewrite(e Expr, cat map[string][]string) (Expr, bool) {
 					if len(pushR) > 0 {
 						r = SelectE{Input: r, Cond: conjoin(pushR)}
 					}
-					var out Expr = JoinE{L: l, R: r, Workers: j.Workers}
+					var out Expr = JoinE{L: l, R: r}
 					if len(keep) > 0 {
 						out = SelectE{Input: out, Cond: conjoin(keep)}
 					}
@@ -148,9 +148,8 @@ func rewrite(e Expr, cat map[string][]string) (Expr, bool) {
 				if len(lKeep) < len(lAttrs) || len(rKeep) < len(rAttrs) {
 					return ProjectE{
 						Input: JoinE{
-							L:       ProjectE{Input: j.L, Cols: lKeep},
-							R:       ProjectE{Input: j.R, Cols: rKeep},
-							Workers: j.Workers,
+							L: ProjectE{Input: j.L, Cols: lKeep},
+							R: ProjectE{Input: j.R, Cols: rKeep},
 						},
 						Cols: x.Cols,
 					}, true
@@ -165,7 +164,7 @@ func rewrite(e Expr, cat map[string][]string) (Expr, bool) {
 	case JoinE:
 		l, cl := rewrite(x.L, cat)
 		r, cr := rewrite(x.R, cat)
-		return JoinE{L: l, R: r, Workers: x.Workers}, cl || cr
+		return JoinE{L: l, R: r}, cl || cr
 	case UnionE:
 		l, cl := rewrite(x.L, cat)
 		r, cr := rewrite(x.R, cat)

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
-	"time"
 
 	"logres/internal/ast"
 )
@@ -219,27 +216,5 @@ func TestAlgebraOpsWorkload(t *testing.T) {
 	n, err := a.NestUnnest()
 	if err != nil || n != 100 {
 		t.Fatalf("nest/unnest = %d (%v)", n, err)
-	}
-}
-
-func TestTablePrinter(t *testing.T) {
-	tb := &Table{Title: "demo", Columns: []string{"n", "time"}}
-	tb.AddRow(10, 1500*time.Microsecond)
-	tb.AddRow(20, 2*time.Second)
-	tb.AddRow(30, 500*time.Nanosecond)
-	var buf bytes.Buffer
-	tb.Print(&buf)
-	out := buf.String()
-	for _, want := range []string{"== demo", "1.50ms", "2.00s", "0.5µs"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTimed(t *testing.T) {
-	d, err := Timed(func() error { time.Sleep(time.Millisecond); return nil })
-	if err != nil || d < time.Millisecond {
-		t.Fatalf("timed = %v (%v)", d, err)
 	}
 }

@@ -65,14 +65,8 @@ type AlgresTC struct {
 	Semi    bool
 }
 
-// NewAlgresTC compiles the closure rules to algebra (serial joins).
+// NewAlgresTC compiles the closure rules to algebra.
 func NewAlgresTC(edges []Edge, semiNaive bool) (*AlgresTC, error) {
-	return NewAlgresTCWorkers(edges, semiNaive, 1)
-}
-
-// NewAlgresTCWorkers compiles the closure rules to algebra with every
-// join/anti-join running on the given worker count.
-func NewAlgresTCWorkers(edges []Edge, semiNaive bool, joinWorkers int) (*AlgresTC, error) {
 	rules, err := parser.ParseProgram(`
 tc(src: X, dst: Y) <- edge(src: X, dst: Y).
 tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
@@ -80,10 +74,10 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 	if err != nil {
 		return nil, err
 	}
-	rp, err := algres.CompileRulesOpts(map[string][]string{
+	rp, err := algres.CompileRules(map[string][]string{
 		"edge": {"src", "dst"},
 		"tc":   {"src", "dst"},
-	}, rules, algres.Opts{JoinWorkers: joinWorkers})
+	}, rules)
 	if err != nil {
 		return nil, err
 	}
@@ -244,15 +238,6 @@ func NewAlgebraOps(n int) *AlgebraOps {
 
 // Join runs the natural join and returns its cardinality.
 func (a *AlgebraOps) Join() int { return algres.Join(a.L, a.R).Len() }
-
-// JoinWorkers runs the partitioned parallel join and returns its
-// cardinality.
-func (a *AlgebraOps) JoinWorkers(workers int) int {
-	return algres.JoinWorkers(a.L, a.R, workers).Len()
-}
-
-// JoinVec runs the vectorized columnar join and returns its cardinality.
-func (a *AlgebraOps) JoinVec() int { return algres.JoinVec(a.L, a.R).Len() }
 
 // NestUnnest nests then unnests and returns the restored cardinality.
 func (a *AlgebraOps) NestUnnest() (int, error) {

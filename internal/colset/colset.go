@@ -1,6 +1,5 @@
 // Package colset implements the columnar snapshot layout and the
-// vectorized kernels behind the engine's and the ALGRES compiler's
-// vectorized evaluation paths.
+// vectorized kernels behind the engine's vectorized evaluation path.
 //
 // A Batch holds one predicate extension (or one relation) as
 // fixed-width columns of uint32 codes — one column per attribute — with
@@ -86,16 +85,10 @@ func NewBatch(ncols int) *Batch {
 // Len reports the number of rows.
 func (b *Batch) Len() int { return b.n }
 
-// NumCols reports the number of columns.
-func (b *Batch) NumCols() int { return len(b.cols) }
-
 // Col returns the i-th column (not to be mutated).
 func (b *Batch) Col(i int) []uint32 { return b.cols[i] }
 
-// Cols returns the column slice (not to be mutated).
-func (b *Batch) Cols() [][]uint32 { return b.cols }
-
-// AppendRow appends one row; len(row) must equal NumCols.
+// AppendRow appends one row; len(row) must equal the column count.
 func (b *Batch) AppendRow(row []uint32) {
 	for i, c := range row {
 		b.cols[i] = append(b.cols[i], c)
@@ -113,15 +106,6 @@ func (b *Batch) Slice(i, j int) *Batch {
 		cols[c] = b.cols[c][i:j:j]
 	}
 	return &Batch{cols: cols, n: j - i}
-}
-
-// Identity returns the selection vector [0, 1, …, n-1].
-func Identity(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
 }
 
 // selCount returns the effective row count of a (rows, sel) pair: nil
@@ -336,14 +320,6 @@ func DedupRows(cols [][]uint32, rows int, sel []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// DiffRows returns the selected left rows whose full packed row does
-// not occur among the selected right rows (set difference over whole
-// rows; both sides must have the same column count).
-func DiffRows(lcols [][]uint32, lrows int, lsel []int32,
-	rcols [][]uint32, rrows int, rsel []int32) []int32 {
-	return AntiJoin(lcols, lrows, lsel, rcols, rrows, rsel)
 }
 
 // CodeSet is a set of packed code rows, used for membership tests at

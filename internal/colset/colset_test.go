@@ -2,7 +2,6 @@ package colset
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"logres/internal/value"
@@ -178,17 +177,13 @@ func TestJoinRespectsSelections(t *testing.T) {
 	}
 }
 
-func TestDedupAndDiffRows(t *testing.T) {
+func TestDedupRows(t *testing.T) {
 	cols := [][]uint32{{1, 2, 1, 3, 2}, {0, 0, 0, 1, 0}}
 	if got := DedupRows(cols, 5, nil); fmt.Sprint(got) != "[0 1 3]" {
 		t.Fatalf("DedupRows = %v", got)
 	}
 	if got := DedupRows(nil, 5, nil); fmt.Sprint(got) != "[0]" {
 		t.Fatalf("0-col DedupRows = %v", got)
-	}
-	r := [][]uint32{{1, 9}, {0, 9}}
-	if got := DiffRows(cols, 5, nil, r, 2, nil); fmt.Sprint(got) != "[1 3 4]" {
-		t.Fatalf("DiffRows = %v", got)
 	}
 }
 
@@ -218,14 +213,9 @@ func TestCodeSetWidths(t *testing.T) {
 	}
 }
 
-func TestGatherAndIdentity(t *testing.T) {
+func TestGather(t *testing.T) {
 	col := []uint32{10, 11, 12, 13}
 	if got := Gather(col, []int32{3, 0, 3}); fmt.Sprint(got) != "[13 10 13]" {
 		t.Fatalf("Gather = %v", got)
-	}
-	id := Identity(4)
-	sorted := sort.SliceIsSorted(id, func(i, j int) bool { return id[i] < id[j] })
-	if !sorted || len(id) != 4 || id[3] != 3 {
-		t.Fatalf("Identity = %v", id)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"logres/internal/types"
 	"logres/internal/value"
@@ -99,6 +100,12 @@ func (r *reader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
 
 func (r *reader) varint() (int64, error) { return binary.ReadVarint(r.r) }
 
+// maxPrealloc caps what a decoded length may preallocate. Lengths are
+// untrusted input: a corrupt one must fail at the end of the input, not
+// in one huge allocation, so longer collections and strings grow as
+// their bytes actually arrive.
+const maxPrealloc = 1 << 12
+
 func (r *reader) str() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -107,9 +114,14 @@ func (r *reader) str() (string, error) {
 	if n > 1<<30 {
 		return "", fmt.Errorf("storage: string length %d too large", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return "", err
+	buf := make([]byte, 0, min(n, maxPrealloc))
+	for uint64(len(buf)) < n {
+		read := len(buf)
+		chunk := int(min(n-uint64(read), uint64(max(read, maxPrealloc))))
+		buf = slices.Grow(buf, chunk)[:read+chunk]
+		if _, err := io.ReadFull(r.r, buf[read:]); err != nil {
+			return "", err
+		}
 	}
 	return string(buf), nil
 }
@@ -241,8 +253,8 @@ func (r *reader) value() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		fields := make([]value.Field, n)
-		for i := range fields {
+		fields := make([]value.Field, 0, min(n, maxPrealloc))
+		for i := uint64(0); i < n; i++ {
 			label, err := r.str()
 			if err != nil {
 				return nil, err
@@ -251,7 +263,7 @@ func (r *reader) value() (value.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			fields[i] = value.Field{Label: label, Value: v}
+			fields = append(fields, value.Field{Label: label, Value: v})
 		}
 		return value.NewTuple(fields...), nil
 	case tagSet, tagMultiset, tagSequence:
@@ -259,11 +271,13 @@ func (r *reader) value() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		elems := make([]value.Value, n)
-		for i := range elems {
-			if elems[i], err = r.value(); err != nil {
+		elems := make([]value.Value, 0, min(n, maxPrealloc))
+		for i := uint64(0); i < n; i++ {
+			v, err := r.value()
+			if err != nil {
 				return nil, err
 			}
+			elems = append(elems, v)
 		}
 		switch tag {
 		case tagSet:
@@ -360,8 +374,8 @@ func (r *reader) typ() (types.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		fields := make([]types.Field, n)
-		for i := range fields {
+		fields := make([]types.Field, 0, min(n, maxPrealloc))
+		for i := uint64(0); i < n; i++ {
 			label, err := r.str()
 			if err != nil {
 				return nil, err
@@ -370,7 +384,7 @@ func (r *reader) typ() (types.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			fields[i] = types.Field{Label: label, Type: ft}
+			fields = append(fields, types.Field{Label: label, Type: ft})
 		}
 		return types.Tuple{Fields: fields}, nil
 	case tySet:

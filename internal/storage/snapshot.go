@@ -19,7 +19,7 @@ import (
 //	magic "LGRS", version byte,
 //	schema, rule text (canonical syntax), fact set, oid counter,
 //	module library sources,
-//	CRC32-C trailer (v3+) over every preceding byte.
+//	CRC32-C trailer over every preceding byte.
 //
 // Corruption — a failed trailer check, truncation mid-structure, a bad
 // magic or version — surfaces as a typed *ErrCorrupt carrying the byte
@@ -27,8 +27,6 @@ import (
 const (
 	magic   = "LGRS"
 	version = 3 // v3 added the CRC32-C integrity trailer
-	// legacyVersion snapshots (no trailer) are still readable.
-	legacyVersion = 2
 )
 
 // SaveState writes a complete database state.
@@ -141,7 +139,7 @@ func LoadState(src io.Reader) (*module.State, error) {
 	if err != nil {
 		return nil, cr.corrupt("version", err)
 	}
-	if v != version && v != legacyVersion {
+	if v != version {
 		return nil, &ErrCorrupt{Offset: cr.n, Detail: fmt.Sprintf("unsupported snapshot version %d", v)}
 	}
 	schema, err := r.schema()
@@ -153,13 +151,6 @@ func LoadState(src io.Reader) (*module.State, error) {
 		return nil, cr.corrupt("rule text", err)
 	}
 	st := module.NewState(schema)
-	if strings.TrimSpace(ruleText) != "" {
-		rules, err := parser.ParseProgram(ruleText)
-		if err != nil {
-			return nil, fmt.Errorf("storage: reparsing rules: %w", err)
-		}
-		st.R = rules
-	}
 	fs, err := readFactSet(r)
 	if err != nil {
 		return nil, cr.corrupt("fact set", err)
@@ -175,7 +166,7 @@ func LoadState(src io.Reader) (*module.State, error) {
 	if err != nil {
 		return nil, cr.corrupt("library", err)
 	}
-	sources := make([]string, 0, nLib)
+	sources := make([]string, 0, min(nLib, maxPrealloc))
 	for i := uint64(0); i < nLib; i++ {
 		src, err := r.str()
 		if err != nil {
@@ -183,31 +174,30 @@ func LoadState(src io.Reader) (*module.State, error) {
 		}
 		sources = append(sources, src)
 	}
-	if err := st.Lib.LoadSources(sources); err != nil {
-		return nil, err
+
+	// The body checksum stops here; the trailer bytes that follow are
+	// read outside the hash comparison.
+	sum := cr.crc.Sum32()
+	var trailer [4]byte
+	if _, err := io.ReadFull(cr, trailer[:]); err != nil {
+		return nil, cr.corrupt("snapshot trailer", err)
+	}
+	if got := binary.LittleEndian.Uint32(trailer[:]); got != sum {
+		return nil, &ErrCorrupt{Offset: cr.n - 4,
+			Detail: fmt.Sprintf("snapshot checksum mismatch: trailer %08x, computed %08x", got, sum)}
 	}
 
-	if v >= version {
-		// The body checksum stops here; the trailer bytes that follow
-		// are read outside the hash comparison.
-		sum := cr.crc.Sum32()
-		var trailer [4]byte
-		if _, err := io.ReadFull(cr, trailer[:]); err != nil {
-			return nil, cr.corrupt("snapshot trailer", err)
+	// Rules and library modules are source text: they are parsed only
+	// once the checksum has vouched for the bytes.
+	if strings.TrimSpace(ruleText) != "" {
+		rules, err := parser.ParseProgram(ruleText)
+		if err != nil {
+			return nil, fmt.Errorf("storage: reparsing rules: %w", err)
 		}
-		if got := binary.LittleEndian.Uint32(trailer[:]); got != sum {
-			return nil, &ErrCorrupt{Offset: cr.n - 4,
-				Detail: fmt.Sprintf("snapshot checksum mismatch: trailer %08x, computed %08x", got, sum)}
-		}
-	} else {
-		// A genuine legacy snapshot ends exactly at the body. Trailing
-		// bytes mean this is a v3 file whose version byte was damaged
-		// into the legacy value — which would silently skip the checksum
-		// — so they are corruption, not slack.
-		if _, err := cr.ReadByte(); err != io.EOF {
-			return nil, &ErrCorrupt{Offset: cr.n,
-				Detail: fmt.Sprintf("trailing data after legacy (v%d) snapshot body", v)}
-		}
+		st.R = rules
+	}
+	if err := st.Lib.LoadSources(sources); err != nil {
+		return nil, fmt.Errorf("storage: loading module library: %w", err)
 	}
 	return st, nil
 }

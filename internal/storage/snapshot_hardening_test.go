@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
 // ---------------------------------------------------------------------------
 // Snapshot codec hardening: CRC trailer, typed corruption errors,
-// legacy-version compatibility.
+// version checks.
 // ---------------------------------------------------------------------------
 
 func TestSnapshotChecksumDetectsBitFlips(t *testing.T) {
@@ -104,32 +105,43 @@ func TestSnapshotBadMagicAndVersion(t *testing.T) {
 	if err := SaveState(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	mut := buf.Bytes()
-	mut[5] = 200 // the version byte follows the length-prefixed magic
-	_, err = LoadState(bytes.NewReader(mut))
-	if !errors.As(err, &ce) || !bytes.Contains([]byte(ce.Detail), []byte("unsupported snapshot version")) {
-		t.Fatalf("bad version: %v", err)
+	full := buf.Bytes()
+	// The version byte follows the length-prefixed magic. Version 2 (the
+	// v3 body without the CRC trailer) is no longer readable either.
+	for _, mut := range [][]byte{
+		append(append([]byte(nil), full[:5]...), append([]byte{200}, full[6:]...)...),
+		append(append([]byte(nil), full[:5]...), append([]byte{2}, full[6:len(full)-4]...)...),
+	} {
+		_, err = LoadState(bytes.NewReader(mut))
+		if !errors.As(err, &ce) || !bytes.Contains([]byte(ce.Detail), []byte("unsupported snapshot version")) {
+			t.Fatalf("version %d: %v", mut[5], err)
+		}
 	}
 }
 
-func TestSnapshotLegacyVersionLoads(t *testing.T) {
-	st := buildState(t)
+// FuzzLoadState feeds arbitrary bytes to the snapshot decoder: no input
+// may panic, and every rejection is a typed *ErrCorrupt or a wrapped
+// storage/parse error, as in TestSnapshotChecksumDetectsBitFlips.
+func FuzzLoadState(f *testing.F) {
 	var buf bytes.Buffer
-	if err := SaveState(&buf, st); err != nil {
-		t.Fatal(err)
+	if err := SaveState(&buf, buildState(f)); err != nil {
+		f.Fatal(err)
 	}
-	// A v2 snapshot is the v3 body without the trailer: rewrite the
-	// version byte and strip the 4-byte CRC.
-	legacy := append([]byte(nil), buf.Bytes()...)
-	legacy[5] = legacyVersion
-	legacy = legacy[:len(legacy)-4]
-	got, err := LoadState(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
+	full := buf.Bytes()
+	for _, cut := range []int{0, 5, 6, len(full) / 2, len(full) - 4, len(full) - 1, len(full)} {
+		f.Add(full[:cut])
 	}
-	if got.Counter != st.Counter || !got.E.Equal(st.E) {
-		t.Fatal("legacy snapshot decoded incorrectly")
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, err := LoadState(bytes.NewReader(data))
+		if err == nil {
+			return
+		}
+		var ce *ErrCorrupt
+		if !errors.As(err, &ce) && !strings.Contains(err.Error(), "storage:") &&
+			!strings.Contains(err.Error(), "parse") {
+			t.Fatalf("untyped rejection: %v", err)
+		}
+	})
 }
 
 func TestErrCorruptFormatting(t *testing.T) {

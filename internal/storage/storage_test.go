@@ -117,7 +117,7 @@ func TestTypeRoundTrip(t *testing.T) {
 	}
 }
 
-func buildState(t *testing.T) *module.State {
+func buildState(t testing.TB) *module.State {
 	t.Helper()
 	m, err := parser.ParseModule(`
 domains NAME = string;

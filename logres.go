@@ -106,19 +106,6 @@ const (
 // Option configures a Database.
 type Option func(*Database)
 
-// WithMaxSteps bounds the number of one-step applications per fixpoint
-// (the inflationary semantics does not guarantee termination).
-//
-// Deprecated: WithMaxSteps is a view onto Budget.MaxRounds; prefer
-// WithBudget, which also bounds facts, invented oids, and wall-clock
-// time. Both overflow with the same typed *BudgetError.
-func WithMaxSteps(n int) Option {
-	return func(db *Database) {
-		db.opts.MaxSteps = n
-		db.opts.Budget.MaxRounds = n
-	}
-}
-
 // WithBudget bounds every evaluation the database runs; aborts surface
 // as *BudgetError and never mutate the database.
 func WithBudget(b Budget) Option {

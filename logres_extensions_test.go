@@ -52,7 +52,7 @@ func TestWithNonInflationaryOption(t *testing.T) {
 associations
   SEED = (k: integer);
   FLIP = (k: integer);
-`, WithNonInflationary(true), WithMaxSteps(50))
+`, WithNonInflationary(true), WithBudget(Budget{MaxRounds: 50}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestPerCallBudgetOverride(t *testing.T) {
 		t.Fatalf("query after per-call abort: %v", err)
 	}
 
-	// A per-call rounds budget tightens MaxSteps as well.
+	// A per-call rounds budget tightens the round bound as well.
 	_, err = db.Exec(divergentModule, WithCallBudget(Budget{MaxRounds: 10}))
 	if !errors.As(err, &be) || be.Axis != AxisRounds {
 		t.Fatalf("err = %v, want rounds *BudgetError", err)
@@ -200,5 +200,16 @@ func TestPerCallBudgetCannotWiden(t *testing.T) {
 	}
 	if be.Axis != AxisFacts || be.Limit != 30 {
 		t.Fatalf("axis = %q limit = %d, want facts/30", be.Axis, be.Limit)
+	}
+
+	// A looser rounds axis must not widen the MaxSteps round bound,
+	// which applies when the database budget leaves rounds unarmed.
+	db.opts.MaxSteps = 10
+	_, err = db.Exec(divergentModule, WithCallBudget(Budget{MaxRounds: 20}))
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v (%T), want *BudgetError", err, err)
+	}
+	if be.Axis != AxisRounds || be.Limit != 10 {
+		t.Fatalf("axis = %q limit = %d, want rounds/10", be.Axis, be.Limit)
 	}
 }

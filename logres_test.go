@@ -265,7 +265,7 @@ end.
 
 func TestOptions(t *testing.T) {
 	db, err := Open(`associations N = (v: integer);`,
-		WithMaxSteps(5), WithSemiNaive(false), WithStratification(false))
+		WithBudget(Budget{MaxRounds: 5}), WithSemiNaive(false), WithStratification(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ rules
 end.
 `)
 	if err == nil || !strings.Contains(err.Error(), "fixpoint") {
-		t.Fatalf("MaxSteps option ignored: %v", err)
+		t.Fatalf("rounds budget ignored: %v", err)
 	}
 	// MaxSteps exhaustion is a budget abort like any other: the typed
 	// error carries the axis and the round it tripped at.

@@ -193,8 +193,9 @@ func WithCallProfile(dst *Profile) CallOption {
 }
 
 // applyCallOptions folds per-call options into a copy of the engine
-// options. The rounds axis also lowers MaxSteps, which backs the
-// always-on round bound.
+// options. The database's round bound is Budget.MaxRounds when set,
+// else MaxSteps, and an armed Budget.MaxRounds overrides MaxSteps at
+// compile time; so a call's rounds axis counts only below that bound.
 func applyCallOptions(opts engine.Options, cos []CallOption) engine.Options {
 	if len(cos) == 0 {
 		return opts
@@ -203,10 +204,14 @@ func applyCallOptions(opts engine.Options, cos []CallOption) engine.Options {
 	for _, o := range cos {
 		o(&c)
 	}
-	opts.Budget = opts.Budget.Tighten(c.budget)
-	if n := c.budget.MaxRounds; n > 0 && (opts.MaxSteps == 0 || n < opts.MaxSteps) {
-		opts.MaxSteps = n
+	bound := opts.Budget.MaxRounds
+	if bound == 0 {
+		bound = opts.MaxSteps
 	}
+	if bound > 0 && c.budget.MaxRounds >= bound {
+		c.budget.MaxRounds = 0
+	}
+	opts.Budget = opts.Budget.Tighten(c.budget)
 	if c.maxRetries != 0 {
 		opts.Budget.MaxRetries = c.maxRetries
 	}
