@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"logres/internal/ast"
 	"logres/internal/guard"
@@ -59,10 +60,13 @@ type Options struct {
 	// is dictionary-encoded into per-predicate column batches, rule
 	// bodies run as vectorized select/join/anti-join kernels, the
 	// semi-naive delta stays in code space between rounds, and facts are
-	// decoded once per stratum. Strata using oid invention, deletion,
-	// class heads, tuple variables, or active-domain negation stay on
-	// the row engine, which remains the semantics oracle; results are
-	// bit-identical either way.
+	// decoded once per stratum. A stratum stays on the row engine, which
+	// remains the semantics oracle, when a rule uses a construct with no
+	// columnar counterpart: oid invention, deletion, class or
+	// data-function heads, head or body tuple variables, class atoms,
+	// built-ins, data-function reads, arithmetic, binding comparisons or
+	// active-domain negation. Results are bit-identical either way. The
+	// choice is made once per program (see Program.Explain).
 	Vectorize bool
 }
 
@@ -82,8 +86,13 @@ type Program struct {
 
 	strata     [][]*crule
 	stratified bool
-	stats      *Stats
-	guard      *guard.Guard
+	// plans and prefix are the stratum plans and the maintained
+	// prefix, set once, on first use (see plan).
+	planOnce sync.Once
+	plans    []stratumPlan
+	prefix   int
+	stats    *Stats
+	guard    *guard.Guard
 
 	// lastFirings is the cumulative Firings snapshot at the previous
 	// round boundary; traceFirings diffs against it to emit per-round
@@ -105,14 +114,6 @@ func (p *Program) NumRules() int { return len(p.rules) }
 // after compilation. Benchmarks and the REPL's `.trace` toggle use it
 // to compare traced and untraced runs of one compiled program.
 func (p *Program) SetTracer(t obs.Tracer) { p.opts.Tracer = t }
-
-// SetVectorize toggles columnar evaluation of eligible semi-naive
-// strata after compilation. Benchmarks and differential tests use it to
-// compare the row and vectorized paths of one compiled program.
-func (p *Program) SetVectorize(on bool) { p.opts.Vectorize = on }
-
-// Vectorize reports whether columnar evaluation is enabled.
-func (p *Program) Vectorize() bool { return p.opts.Vectorize }
 
 // Compile analyses a rule set against a schema: it resolves predicates and
 // labels, orders rule bodies, checks the safety requirements of §3.1 and

@@ -627,10 +627,40 @@ func (c *evalCtx) instantiateDeletion(r *crule, e *env, dminus *FactSet) error {
 func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) (*FactSet, bool, error) {
 	c := &evalCtx{p: p, f: f, counter: counter, stats: p.stats, g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
+	if err := c.applyRules(rules, dplus, dminus); err != nil {
+		return nil, false, err
+	}
+	if dplus.TotalSize() == 0 && dminus.TotalSize() == 0 {
+		return f, false, nil
+	}
+	// keep = F ∩ Δ+ ∩ Δ−: facts both re-derived and deleted in this step
+	// that were already present survive.
+	keep := NewFactSet()
+	for _, p := range dminus.Preds() {
+		for _, fact := range dminus.Facts(p) {
+			if f.Has(fact) && dplus.Has(fact) {
+				keep.Add(fact)
+			}
+		}
+	}
+	next := f.Clone()
+	next.Merge(dplus)
+	for _, p := range dminus.Preds() {
+		for _, fact := range dminus.Facts(p) {
+			next.Remove(fact)
+		}
+	}
+	next.Merge(keep)
+	return next, !next.Equal(f), nil
+}
+
+// applyRules matches every rule once against c.f and collects the
+// firings' Δ+ and Δ−.
+func (c *evalCtx) applyRules(rules []*crule, dplus, dminus *FactSet) error {
 	for _, r := range rules {
 		if r.isa != nil {
 			if err := c.isaPass(r, dplus); err != nil {
-				return nil, false, fmt.Errorf("%w (in rule %s)", err, r)
+				return fmt.Errorf("%w (in rule %s)", err, r)
 			}
 			continue
 		}
@@ -655,31 +685,10 @@ func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) 
 			}
 		}
 		if err := c.matchBody(r.body, 0, newEnv(), yield); err != nil {
-			return nil, false, fmt.Errorf("%w (in rule %s)", err, r)
+			return fmt.Errorf("%w (in rule %s)", err, r)
 		}
 	}
-	if dplus.TotalSize() == 0 && dminus.TotalSize() == 0 {
-		return f, false, nil
-	}
-	// keep = F ∩ Δ+ ∩ Δ−: facts both re-derived and deleted in this step
-	// that were already present survive.
-	keep := NewFactSet()
-	for _, p := range dminus.Preds() {
-		for _, fact := range dminus.Facts(p) {
-			if f.Has(fact) && dplus.Has(fact) {
-				keep.Add(fact)
-			}
-		}
-	}
-	next := f.Clone()
-	next.Merge(dplus)
-	for _, p := range dminus.Preds() {
-		for _, fact := range dminus.Facts(p) {
-			next.Remove(fact)
-		}
-	}
-	next.Merge(keep)
-	return next, !next.Equal(f), nil
+	return nil
 }
 
 // fixpoint iterates oneStep to convergence.
@@ -766,28 +775,23 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	// The run's one copy of f0: the semi-naive strata grow it in place,
 	// and f0 (often a frozen published set) is never written.
 	f := f0.Clone()
-	for i := from; i < len(p.strata); i++ {
-		stratum := p.strata[i]
+	strata, _ := p.plan()
+	for i := from; i < len(strata); i++ {
+		sp := &strata[i]
 		p.guard.SetStratum(i)
+		p.traceStratumBegin(i, sp.rules, sp.exec.String(), sp.row)
 		var err error
-		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
+		switch sp.exec {
+		case execColumnar:
+			// Same round structure as the row loop, same results.
 			p.stats.SemiNaiveStrata++
-			if vs, why := p.vecPlan(stratum); vs != nil {
-				// Columnar path: same round structure, same results.
-				p.stats.VectorizedStrata++
-				p.traceStratumBegin(i, stratum, "semi-naive (vectorized)", nil)
-				f, err = p.semiNaiveVectorized(vs, f, counter)
-			} else {
-				p.traceStratumBegin(i, stratum, "semi-naive", why)
-				f, err = p.semiNaive(stratum, f, counter)
-			}
-		} else {
-			var why *rowReason
-			if p.tracing() {
-				_, why = p.vecPlan(stratum)
-			}
-			p.traceStratumBegin(i, stratum, "one-step inflationary", why)
-			f, err = p.fixpoint(stratum, f, counter)
+			p.stats.VectorizedStrata++
+			f, err = p.semiNaiveVectorized(sp.vec, f, counter)
+		case execSemiNaive:
+			p.stats.SemiNaiveStrata++
+			f, err = p.semiNaive(sp.rules, f, counter)
+		default:
+			f, err = p.fixpoint(sp.rules, f, counter)
 		}
 		if err != nil {
 			return nil, err

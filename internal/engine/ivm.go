@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"logres/internal/ast"
@@ -17,33 +18,25 @@ import (
 // Subrahmanian, "Maintaining Views Incrementally").
 //
 // Only a prefix of the stratification is maintained incrementally: the
-// first stratum whose rules fall outside the eligible fragment (oid
-// invention, class or function heads, deletions, negated predicate
-// literals, data-function reads) starts the *suffix*, which is always
-// recomputed from scratch via Program.RunFrom on top of the maintained
-// prefix. The split is per database, decided once at build time; a
-// program with no eligible stratum degenerates to caching the last full
-// evaluation, which is still enough to serve reads and subscriptions
-// without re-deriving per query.
+// program's stratum plan (plan.go) marks each stratum counting, DRed or
+// none with a reason, and the first stratum outside the maintained
+// fragment starts the *suffix*, which is always recomputed from scratch
+// via Program.RunFrom on top of the maintained prefix. A program with no
+// maintained stratum degenerates to caching the last full evaluation,
+// which is still enough to serve reads and subscriptions without
+// re-deriving per query. Propagation joins through deltaPass, the
+// semi-naive row loop's delta pass.
 //
 // A Maintainer is single-writer: Update and Rebuild must be externally
 // serialized (the Database holds its write lock across them). The
 // maintained full set is frozen after every update, so any number of
 // readers may consult Full() concurrently with each other.
 
-const (
-	maintCounting = iota // non-recursive stratum: derivation counts
-	maintDRed            // recursive stratum: delete/rederive
-)
-
-// maintPlan is the maintenance strategy and support state of one
-// eligible stratum.
+// maintPlan is one maintained stratum: its plan and, for counting, the
+// derivations per head-fact key.
 type maintPlan struct {
-	kind      int
-	stratum   []*crule
-	heads     map[string]bool // predicates this stratum defines
-	bodyPreds map[string]bool // positive predicate literals read by the stratum
-	counts    map[string]int  // counting only: derivations per head-fact key
+	*stratumPlan
+	counts map[string]int
 }
 
 // Maintainer holds the incremental state of one program over one
@@ -59,10 +52,6 @@ type Maintainer struct {
 	// with the same head predicate share a dependency-graph node, hence
 	// an SCC, hence a stratum).
 	owner map[string]int
-	// suffixHeads are the predicates the suffix recomputation can
-	// change — the head predicates (including deletion targets) of every
-	// suffix stratum.
-	suffixHeads map[string]bool
 
 	baseE *FactSet // the committed extensional set the state is synced to
 	view  *FactSet // the materialized eligible prefix
@@ -113,84 +102,21 @@ func (d *ViewDelta) Preds() map[string]bool {
 // maintainer — Update and Rebuild run it — so callers compile their own
 // Program rather than sharing one that serves queries concurrently.
 func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error) {
-	m := &Maintainer{prog: prog, owner: map[string]int{}, suffixHeads: map[string]bool{}}
-	m.suffix = len(prog.strata)
-	if prog.opts.NonInflationary {
-		// The non-inflationary operator deletes non-rederivable facts on
-		// every step; no stratum is incrementally maintainable, and the
-		// maintainer degenerates to a full-evaluation cache.
-		m.suffix = 0
-	} else {
-		for i, stratum := range prog.strata {
-			plan, ok := maintClassify(stratum)
-			if !ok {
-				m.suffix = i
-				break
-			}
-			m.plans = append(m.plans, plan)
-		}
+	m := &Maintainer{prog: prog, owner: map[string]int{}}
+	strata, prefix := prog.plan()
+	m.suffix = prefix
+	for i := range strata[:prefix] {
+		m.plans = append(m.plans, &maintPlan{stratumPlan: &strata[i]})
 	}
-	for i, stratum := range prog.strata {
-		for _, r := range stratum {
-			if r.head != nil {
-				m.owner[r.head.pred] = i
-				if i >= m.suffix {
-					m.suffixHeads[r.head.pred] = true
-				}
-			}
+	for i := range strata {
+		for _, pred := range strata[i].heads {
+			m.owner[pred] = i
 		}
 	}
 	if err := m.Rebuild(e, counter); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// maintClassify decides whether a stratum is incrementally maintainable
-// and, if so, by which algorithm. The fragment is deliberately
-// conservative — falling back to recomputation is always correct:
-// association heads only (no oid invention, no o-value composition, no
-// function-extension definitions), no deletions, no head tuple
-// variables, no negated predicate literals, and no data-function reads.
-// Non-recursive strata use counting; recursive ones use DRed.
-func maintClassify(stratum []*crule) (*maintPlan, bool) {
-	if len(stratum) == 0 {
-		return &maintPlan{kind: maintCounting, heads: map[string]bool{}, bodyPreds: map[string]bool{}, counts: map[string]int{}}, true
-	}
-	heads := map[string]bool{}
-	bodyPreds := map[string]bool{}
-	for _, r := range stratum {
-		h := r.head
-		if h == nil || h.kind != hAssoc || h.negated || h.tupleVar != "" || r.inventive {
-			return nil, false
-		}
-		for _, l := range r.body {
-			switch l.kind {
-			case pkClass, pkAssoc:
-				if l.negated {
-					return nil, false
-				}
-				bodyPreds[l.pred] = true
-			case pkCompare, pkBuiltin:
-				// Pure given the no-function-read condition below: they
-				// evaluate over the bindings, never over the fact set.
-			default:
-				return nil, false
-			}
-		}
-		if len(ruleFuncReadsAll(r)) > 0 {
-			return nil, false
-		}
-		heads[h.pred] = true
-	}
-	kind := maintCounting
-	for p := range heads {
-		if bodyPreds[p] {
-			kind = maintDRed
-			break
-		}
-	}
-	return &maintPlan{kind: kind, stratum: stratum, heads: heads, bodyPreds: bodyPreds, counts: map[string]int{}}, true
 }
 
 // EligibleStrata returns how many leading strata are incrementally
@@ -240,35 +166,22 @@ func (m *Maintainer) Rebuild(e *FactSet, counter int64) error {
 // fixpoint.
 func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
 	c := &evalCtx{p: m.prog, f: view, counter: new(int64)}
-	if plan.kind == maintCounting {
-		// Non-recursive: a single pass per rule enumerates every
-		// derivation. Head facts cannot feed the stratum's own bodies.
-		for _, r := range plan.stratum {
-			err := c.matchBody(r.body, 0, newEnv(), func(e *env) error {
-				fact, err := c.buildAssocFact(r.head, e)
-				if err != nil {
-					return err
-				}
-				plan.counts[fact.Key()]++
-				view.Add(fact)
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("%w (in rule %s)", err, r)
-			}
-		}
-		return nil
-	}
-	// Recursive: a small semi-naive least fixpoint. DRed keeps no
-	// per-derivation state; deletions rediscover support by rederivation.
+	// One full pass per rule enumerates every derivation of a
+	// non-recursive stratum, whose heads cannot feed its own bodies; a
+	// recursive one continues semi-naively to its least fixpoint. DRed
+	// keeps no per-derivation state: deletions rediscover support by
+	// rederivation.
 	delta := NewFactSet()
-	for _, r := range plan.stratum {
+	for _, r := range plan.rules {
 		err := c.matchBody(r.body, 0, newEnv(), func(e *env) error {
 			fact, err := c.buildAssocFact(r.head, e)
 			if err != nil {
 				return err
 			}
-			if view.Add(fact) {
+			if plan.maint == maintCounting {
+				plan.counts[fact.Key()]++
+			}
+			if view.Add(fact) && plan.maint == maintDRed {
 				delta.Add(fact)
 			}
 			return nil
@@ -279,7 +192,7 @@ func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
 	}
 	for delta.TotalSize() > 0 {
 		next := NewFactSet()
-		if err := m.deltaRound(c, plan, delta, view, view, func(fact Fact) error {
+		if err := deltaRound(c, plan, delta, view, view, func(fact Fact) error {
 			if view.Add(fact) {
 				next.Add(fact)
 			}
@@ -292,72 +205,16 @@ func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
 	return nil
 }
 
-// deltaRound runs one delta-restricted round over a stratum: for every
-// rule and every positive predicate position whose predicate occurs in
-// delta, enumerate the valuations with that position over delta,
-// earlier positions over pre, and later positions over post, and hand
-// each derived head fact to emit.
-func (m *Maintainer) deltaRound(c *evalCtx, plan *maintPlan, delta, pre, post *FactSet, emit func(Fact) error) error {
-	for _, r := range plan.stratum {
-		for pos, l := range r.body {
-			if l.kind != pkClass && l.kind != pkAssoc {
-				continue
-			}
-			if delta.Size(l.pred) == 0 {
-				continue
-			}
-			err := c.matchBodyDeltaFirst(r.body, pos, delta, pre, post, newEnv(), func(e *env) error {
-				fact, err := c.buildAssocFact(r.head, e)
-				if err != nil {
-					return err
-				}
-				return emit(fact)
-			})
-			if err != nil {
-				return fmt.Errorf("%w (in rule %s)", err, r)
-			}
+// deltaRound is deltaPass over a maintained stratum, handing each
+// derived head fact to emit.
+func deltaRound(c *evalCtx, plan *maintPlan, delta, pre, post *FactSet, emit func(Fact) error) error {
+	return c.deltaPass(plan.rules, delta, pre, post, true, func(r *crule, e *env) error {
+		fact, err := c.buildAssocFact(r.head, e)
+		if err != nil {
+			return err
 		}
-	}
-	return nil
-}
-
-// matchBodyDeltaFirst enumerates the valuations of body with the
-// positive predicate literal at position pos over delta, positions
-// before it over pre, and positions after it over post. The delta
-// literal — usually far more selective than a leading unbound scan —
-// is enumerated first; the remaining literals keep their relative
-// order, so every comparison and builtin still evaluates after all the
-// predicate literals originally to its left, and the valuation set is
-// order-independent (the eligible fragment has no negation).
-func (c *evalCtx) matchBodyDeltaFirst(body []resolvedLit, pos int, delta, pre, post *FactSet, e *env, yield func(*env) error) error {
-	return c.matchPositive(body[pos], delta, e, func(e2 *env) error {
-		return c.matchBodyMixed(body, 0, pos, pre, post, e2, yield)
+		return emit(fact)
 	})
-}
-
-// matchBodyMixed walks every body position except pos (already bound by
-// matchBodyDeltaFirst): positions before pos match pre, positions after
-// it match post. Non-predicate literals (comparisons, builtins)
-// evaluate as usual.
-func (c *evalCtx) matchBodyMixed(body []resolvedLit, i, pos int, pre, post *FactSet, e *env, yield func(*env) error) error {
-	if i >= len(body) {
-		return yield(e)
-	}
-	if i == pos {
-		return c.matchBodyMixed(body, i+1, pos, pre, post, e, yield)
-	}
-	next := func(e2 *env) error {
-		return c.matchBodyMixed(body, i+1, pos, pre, post, e2, yield)
-	}
-	l := body[i]
-	if (l.kind == pkClass || l.kind == pkAssoc) && !l.negated {
-		src := post
-		if i < pos {
-			src = pre
-		}
-		return c.matchPositive(l, src, e, next)
-	}
-	return c.matchLit(l, e, next)
 }
 
 // recomputeSuffix re-evaluates the ineligible suffix (if any) on top of
@@ -463,7 +320,7 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 
 	for si, plan := range m.plans {
 		var err error
-		if plan.kind == maintCounting {
+		if plan.maint == maintCounting {
 			undo := map[string]int{}
 			undoCounts[plan] = undo
 			err = m.updateCounting(plan, pendAdds[si], pendRemoves[si], oldView, newView, waveAdds, waveRemoves, undo)
@@ -508,12 +365,15 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 		vd.Adds, vd.Removes = viewDiff.Adds, viewDiff.Removes
 		m.spare, m.catchUp = oldView, viewDiff
 	} else {
-		// The suffix can only change its own head predicates; everything
-		// else changed exactly as the wave says. Diffing the affected
-		// predicates of the two frozen full sets covers both.
+		// The suffix can only change its own head predicates (deletion
+		// targets included); everything else changed exactly as the wave
+		// says. Diffing the affected predicates of the two frozen full
+		// sets covers both.
 		cand := map[string]bool{}
-		for p := range m.suffixHeads {
-			cand[p] = true
+		for p, si := range m.owner {
+			if si >= m.suffix {
+				cand[p] = true
+			}
 		}
 		for _, p := range waveAdds.Preds() {
 			cand[p] = true
@@ -604,7 +464,7 @@ func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldVie
 		d  int
 	}{{waveAdds, 1}, {waveRemoves, -1}} {
 		sign := signed.d
-		if err := m.deltaRound(c, plan, signed.fs, newView, oldView, func(fact Fact) error {
+		if err := deltaRound(c, plan, signed.fs, newView, oldView, func(fact Fact) error {
 			k := fact.Key()
 			de := delta[k]
 			if de == nil {
@@ -702,24 +562,16 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 
 	// Phase 1: deletion overestimate over the old view.
 	overdel := NewFactSet()
-	frontier := NewFactSet()
+	frontier := plan.reads(waveRemoves) // own heads enter via the closure below
 	for _, f := range pRems {
 		if oldView.Has(f) {
 			overdel.Add(f)
 			frontier.Add(f)
 		}
 	}
-	for p := range plan.bodyPreds {
-		if plan.heads[p] {
-			continue // own heads enter via the closure below
-		}
-		for _, f := range waveRemoves.Facts(p) {
-			frontier.Add(f)
-		}
-	}
 	for frontier.TotalSize() > 0 {
 		next := NewFactSet()
-		if err := m.deltaRound(c, plan, frontier, oldView, oldView, func(fact Fact) error {
+		if err := deltaRound(c, plan, frontier, oldView, oldView, func(fact Fact) error {
 			if oldView.Has(fact) && overdel.Add(fact) {
 				next.Add(fact)
 			}
@@ -769,15 +621,7 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 
 	// Phase 3: insertions, semi-naive over the new view (which already
 	// contains each frontier).
-	frontier = NewFactSet()
-	for p := range plan.bodyPreds {
-		if plan.heads[p] {
-			continue
-		}
-		for _, f := range waveAdds.Facts(p) {
-			frontier.Add(f)
-		}
-	}
+	frontier = plan.reads(waveAdds)
 	for _, f := range pAdds {
 		if newView.Add(f) {
 			frontier.Add(f)
@@ -786,7 +630,7 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 	}
 	for frontier.TotalSize() > 0 {
 		next := NewFactSet()
-		if err := m.deltaRound(c, plan, frontier, newView, newView, func(fact Fact) error {
+		if err := deltaRound(c, plan, frontier, newView, newView, func(fact Fact) error {
 			if newView.Add(fact) {
 				next.Add(fact)
 				waveAdds.Add(fact)
@@ -800,6 +644,22 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 	return nil
 }
 
+// reads returns the facts of wave over the predicates the stratum reads
+// but does not define.
+func (plan *maintPlan) reads(wave *FactSet) *FactSet {
+	out := NewFactSet()
+	for _, r := range plan.rules {
+		for _, l := range r.body {
+			if (l.kind == pkClass || l.kind == pkAssoc) && !slices.Contains(plan.heads, l.pred) {
+				for _, f := range wave.Facts(l.pred) {
+					out.Add(f)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // derivable reports whether some rule of the stratum derives target
 // from view. The head is pre-unified with the target where that is
 // cheap (constant and variable components); every candidate valuation
@@ -809,7 +669,7 @@ func (m *Maintainer) derivable(c *evalCtx, plan *maintPlan, target Fact, view *F
 	c.f = view
 	defer func() { c.f = saved }()
 	targetKey := target.Key()
-	for _, r := range plan.stratum {
+	for _, r := range plan.rules {
 		if r.head.pred != target.Pred {
 			continue
 		}

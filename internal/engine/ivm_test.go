@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"logres/internal/value"
@@ -59,6 +61,18 @@ same(a: X, b: X) <- node(n: X).
 		rules: `
 tc(src: X, dst: Y) <- edge(src: X, dst: Y).
 tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+`,
+		wantPrefix: 1,
+		wantTotal:  1,
+	},
+	{
+		// A recursive literal whose argument needs an earlier literal's
+		// binding: the delta join matches it at its body position rather
+		// than first.
+		name: "late-bound-delta",
+		rules: `
+tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+tc(src: X, dst: Y) <- tc(src: X, dst: Z), tc(src: Z + 1, dst: Y).
 `,
 		wantPrefix: 1,
 		wantTotal:  1,
@@ -248,41 +262,89 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 	}
 }
 
-// TestMaintainerIneligible pins the fallback classification: oid
-// invention and deletions force the suffix from stratum zero.
+// TestMaintainerIneligible pins the maintenance classification: which
+// construct forces recomputation from which stratum on, the reason the
+// plan records for it, and the line Explain prints per stratum.
 func TestMaintainerIneligible(t *testing.T) {
 	const schema = `
 classes
   PERSON = (name: string);
 associations
   P = (n: integer);
+  Q = (n: integer);
+  R = (n: integer);
+  S = (n: integer);
+  PAIR = (a: integer, b: integer);
+  PAIR2 = (a: integer, b: integer);
+functions
+  F: integer -> {integer};
 `
-	for _, rules := range []string{
-		"person(name: \"x\") <- p(n: X).", // invention
-		"not p(n: X) <- p(n: X), X > 3.",  // deletion head
+	for _, c := range []struct {
+		name    string
+		rules   string
+		noninf  bool
+		prefix  int
+		explain []string // maintenance lines, one per stratum
+	}{
+		{"invention", `person(name: "x") <- p(n: X).`, false, 0,
+			[]string{"none (rule #0: oid invention)"}},
+		{"deletion head", `not p(n: X) <- p(n: X), X > 3.`, false, 0,
+			[]string{"none (rule #0: deletion head)"}},
+		{"negated literal", `q(n: X) <- p(n: X), not r(n: X).`, false, 0,
+			[]string{"none (rule #0: negation)"}},
+		{"data-function read", `q(n: Y) <- p(n: X), member(Y, f(X)).`, false, 0,
+			[]string{"none (rule #0: data-function read)"}},
+		{"function head", `member(X, f(X)) <- p(n: X).`, false, 0,
+			[]string{"none (rule #0: data-function head)"}},
+		{"class head", `person(self: X, name: "y") <- person(self: X, name: "x").`, false, 0,
+			[]string{"none (rule #0: class head)"}},
+		{"head tuple variable", `pair2(T) <- pair(T).`, false, 0,
+			[]string{"none (rule #0: head tuple variable)"}},
+		{"non-inflationary", `q(n: X) <- p(n: X).`, true, 0,
+			[]string{"none (non-inflationary semantics)"}},
+		{"eligible after ineligible", `
+q(n: X) <- p(n: X), not r(n: X).
+s(n: X) <- q(n: X).
+`, false, 0, []string{"none (rule #0: negation)", "none (after stratum 0)"}},
+		{"counting then DRed", `
+q(n: X) <- p(n: X), X > 0.
+s(n: X) <- q(n: X).
+s(n: Y) <- s(n: X), p(n: Y), Y = X + 1.
+`, false, 2, []string{"counting", "DRed"}},
 	} {
-		prog, err := tryBuild(schema, rules, DefaultOptions())
+		opts := DefaultOptions()
+		opts.NonInflationary = c.noninf
+		prog, err := tryBuild(schema, c.rules, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		e := NewFactSet()
 		e.Add(Fact{Pred: "p", Tuple: value.NewTuple(value.Field{Label: "n", Value: value.Int(1)})})
 		e.Freeze()
 		m, err := NewMaintainer(prog, e, 0)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if prefix, _ := m.EligibleStrata(); prefix != 0 {
-			t.Fatalf("rules %q: eligible prefix = %d, want 0", rules, prefix)
+		if prefix, total := m.EligibleStrata(); prefix != c.prefix || total != len(c.explain) {
+			t.Fatalf("%s: eligible strata = %d of %d, want %d of %d", c.name, prefix, total, c.prefix, len(c.explain))
+		}
+		var lines []string
+		for _, line := range strings.Split(prog.Explain(), "\n") {
+			if m, ok := strings.CutPrefix(line, "  maintenance: "); ok {
+				lines = append(lines, m)
+			}
+		}
+		if !reflect.DeepEqual(lines, c.explain) {
+			t.Fatalf("%s: Explain maintenance lines = %q, want %q", c.name, lines, c.explain)
 		}
 		// The degenerate maintainer must still track the full set.
-		var c int64
-		scratch, err := prog.Run(e, &c)
+		var counter int64
+		scratch, err := prog.Run(e, &counter)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !m.Full().Equal(scratch) {
-			t.Fatal("cached full set diverged from scratch")
+			t.Fatalf("%s: cached full set diverged from scratch", c.name)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package engine
 
-import "fmt"
-
 // Non-inflationary semantics. The paper's introduction makes modules and
 // databases "parametric with respect to the semantics of the rules they
 // support (e.g. inflationary vs non-inflationary)" and describes only the
@@ -25,31 +23,8 @@ func (p *Program) oneStepNoninf(step int, rules []*crule, e, f *FactSet, counter
 	c := &evalCtx{p: p, f: f, counter: counter, reemit: true, stats: p.stats,
 		g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
-	for _, r := range rules {
-		if r.isa != nil {
-			if err := c.isaPass(r, dplus); err != nil {
-				return nil, false, fmt.Errorf("%w (in rule %s)", err, r)
-			}
-			continue
-		}
-		yield := func(env2 *env) error {
-			return c.instantiateHead(r, env2, dplus, dminus)
-		}
-		if r.inventive {
-			seen := map[string]bool{}
-			inner := yield
-			yield = func(env2 *env) error {
-				k := env2.key(r.vars)
-				if seen[k] {
-					return nil
-				}
-				seen[k] = true
-				return inner(env2)
-			}
-		}
-		if err := c.matchBody(r.body, 0, newEnv(), yield); err != nil {
-			return nil, false, fmt.Errorf("%w (in rule %s)", err, r)
-		}
+	if err := c.applyRules(rules, dplus, dminus); err != nil {
+		return nil, false, err
 	}
 	next := e.Clone()
 	next.Merge(dplus)
@@ -73,7 +48,7 @@ func (p *Program) runNoninflationary(e *FactSet, counter *int64) (*FactSet, erro
 	for _, stratum := range p.strata {
 		rules = append(rules, stratum...)
 	}
-	p.traceStratumBegin(-1, rules, "non-inflationary", nil)
+	p.traceStratumBegin(-1, rules, execNonInflationary.String(), nil)
 	for step := 0; ; step++ {
 		if err := p.checkRound(step, f.TotalSize, "the non-inflationary semantics is undefined when no fixpoint is reached"); err != nil {
 			return nil, err

@@ -1,0 +1,199 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+)
+
+// Stratum plans. Appendix B gives each stratum one operator. Which
+// executor runs it, and how the incremental maintainer keeps it, is
+// decided here once per program, by one classifier that runs lazily on
+// the first Run, Explain or NewMaintainer: a program compiled and never
+// run pays nothing for it or for the columnar lowering.
+
+// executor is the evaluation path of one stratum.
+type executor int
+
+const (
+	execOneStep         executor = iota // the one-step inflationary operator to a fixpoint
+	execSemiNaive                       // delta iteration on the row loop
+	execColumnar                        // delta iteration on the columnar kernels
+	execNonInflationary                 // the whole-program non-inflationary operator
+)
+
+var execNames = [...]string{"one-step inflationary", "semi-naive", "semi-naive (vectorized)", "non-inflationary"}
+
+func (x executor) String() string { return execNames[x] }
+
+// maintKind is how the incremental maintainer keeps one stratum: not at
+// all (recomputed from scratch), by derivation counts (non-recursive) or
+// by delete/rederive (recursive).
+type maintKind int
+
+const (
+	maintNone maintKind = iota
+	maintCounting
+	maintDRed
+)
+
+var maintNames = [...]string{"none", "counting", "DRed"}
+
+func (k maintKind) String() string { return maintNames[k] }
+
+// reason is why a plan takes a slower path: the first rule that forces
+// it and the construct in it, or, without a rule, the program's
+// semantics or an earlier stratum left unmaintained.
+type reason struct {
+	rule      *crule
+	construct string
+}
+
+func (r *reason) String() string {
+	if r.rule == nil {
+		return r.construct
+	}
+	return fmt.Sprintf("rule #%d: %s", r.rule.id, r.construct)
+}
+
+// stratumPlan is the classification of one stratum.
+type stratumPlan struct {
+	rules []*crule
+	exec  executor
+	vec   *vecStratum // the columnar lowering, when exec is execColumnar
+	// row is what kept the stratum off the kernels: nil on them, and
+	// when vectorization is off, since the row engine was asked for.
+	row *reason
+
+	maint    maintKind
+	maintWhy *reason  // why maint is maintNone
+	heads    []string // predicates the stratum defines
+}
+
+// plan returns the program's stratum plans, classifying on first use,
+// and its maintained prefix: the strata below prefix are maintained
+// incrementally, the rest are recomputed.
+func (p *Program) plan() (strata []stratumPlan, prefix int) {
+	p.planOnce.Do(func() {
+		p.plans = make([]stratumPlan, len(p.strata))
+		p.prefix = len(p.strata)
+		for i, rules := range p.strata {
+			sp := &p.plans[i]
+			p.classify(sp, rules)
+			if sp.maint == maintNone {
+				p.prefix = min(p.prefix, i)
+			} else if p.prefix < i {
+				sp.maint = maintNone
+				sp.maintWhy = &reason{construct: fmt.Sprintf("after stratum %d", p.prefix)}
+			}
+		}
+	})
+	return p.plans, p.prefix
+}
+
+// classify fills in one stratum's plan, walking its rules once. The
+// maintained fragment is deliberately conservative, since recomputation
+// is always correct (see maintConstruct); a maintained stratum whose
+// heads feed its own bodies is recursive and uses DRed, the others use
+// counting.
+func (p *Program) classify(sp *stratumPlan, rules []*crule) {
+	sp.rules = rules
+	for _, r := range rules {
+		if !slices.Contains(sp.heads, r.head.pred) {
+			sp.heads = append(sp.heads, r.head.pred)
+		}
+	}
+	if p.opts.NonInflationary {
+		// The operator deletes non-rederivable facts on every step; no
+		// stratum is maintainable.
+		sp.exec = execNonInflationary
+		sp.maintWhy = &reason{construct: "non-inflationary semantics"}
+		return
+	}
+	var vs *vecStratum
+	if p.opts.Vectorize {
+		vs, sp.row = compileVecStratum(rules)
+	}
+	sound, recursive := p.opts.SemiNaive, false
+	for _, r := range rules {
+		reads := ruleFuncReadsAll(r)
+		sound = sound && semiNaiveSound(r, reads, sp.heads)
+		if construct := maintConstruct(r, reads); construct != "" && sp.maintWhy == nil {
+			sp.maintWhy = &reason{rule: r, construct: construct}
+		}
+		for _, l := range r.body {
+			recursive = recursive || (l.kind == pkClass || l.kind == pkAssoc) && slices.Contains(sp.heads, l.pred)
+		}
+	}
+	switch {
+	case sound && vs != nil:
+		sp.exec, sp.vec = execColumnar, vs
+	case sound:
+		sp.exec = execSemiNaive
+	}
+	if sp.maintWhy == nil {
+		sp.maint = maintCounting
+		if recursive {
+			sp.maint = maintDRed
+		}
+	}
+}
+
+// headConstruct names a head outside the association-only fragment the
+// kernels and the maintainer share, or "" for a plain association head.
+func headConstruct(r *crule) string {
+	switch h := r.head; {
+	case h.negated:
+		return "deletion head"
+	case r.inventive:
+		return "oid invention"
+	case h.kind == hClass:
+		return "class head"
+	case h.kind == hFunc:
+		return "data-function head"
+	case h.tupleVar != "":
+		return "head tuple variable"
+	}
+	return ""
+}
+
+// semiNaiveSound reports whether delta iteration is sound for a rule of
+// a stratum defining heads, given the data functions the rule reads:
+// with no deletions, oid invention, class heads (o-value overwrites) or
+// active-domain negation the inflationary fixpoint is the least one,
+// and the rule may not read a data function the stratum defines, whose
+// new facts reach it through no positive literal.
+func semiNaiveSound(r *crule, reads, heads []string) bool {
+	if r.head.negated || r.inventive || r.head.kind == hClass {
+		return false
+	}
+	for _, l := range r.body {
+		if l.negated && len(l.adVars) > 0 {
+			return false
+		}
+	}
+	for _, fn := range reads {
+		if slices.Contains(heads, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// maintConstruct names the first construct of r outside the maintained
+// fragment, or "": plain association heads, no negated predicate
+// literals and no data-function reads. Comparisons and built-ins
+// evaluate over the bindings only.
+func maintConstruct(r *crule, reads []string) string {
+	if construct := headConstruct(r); construct != "" {
+		return construct
+	}
+	for _, l := range r.body {
+		if l.negated && (l.kind == pkClass || l.kind == pkAssoc) {
+			return "negation"
+		}
+	}
+	if len(reads) > 0 {
+		return "data-function read"
+	}
+	return ""
+}

@@ -2,132 +2,126 @@ package engine
 
 import "fmt"
 
-// Semi-naive evaluation. Inside a stratum whose rules are monotone — no
-// deletions, no oid invention, no o-value overwrites (class heads), and no
-// active-domain enumeration in negations — the inflationary fixpoint
-// coincides with the classical least fixpoint, and delta iteration applies:
-// each round only joins derivations that use at least one fact discovered
-// in the previous round. This is the optimization the ALGRES closure
-// operator enables in the paper's prototype; experiment E1 quantifies the
-// gap against naive iteration.
-
-// stratumSemiNaiveEligible reports whether delta iteration is sound for
-// every rule of the stratum.
-func stratumSemiNaiveEligible(stratum []*crule) bool {
-	headPreds := map[string]bool{}
-	for _, r := range stratum {
-		if r.head == nil {
-			return false
-		}
-		headPreds[r.head.pred] = true
-	}
-	for _, r := range stratum {
-		if r.head.negated || r.inventive {
-			return false
-		}
-		if r.head.kind == hClass {
-			// Class heads may overwrite o-values through ⊕; keep them on
-			// the general operator.
-			return false
-		}
-		for _, l := range r.body {
-			if l.negated && len(l.adVars) > 0 {
-				return false
-			}
-		}
-		// A rule that reads a data function defined in this stratum sees
-		// new facts without a positive literal over them; delta
-		// restriction would miss those derivations.
-		for _, fn := range ruleFuncReadsAll(r) {
-			if headPreds[fn] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// Semi-naive evaluation. Inside a stratum where delta iteration is sound
+// (semiNaiveSound), each round only joins derivations that use at least
+// one fact discovered in the previous round. This is the optimization
+// the ALGRES closure operator enables in the paper's prototype;
+// experiment E1 quantifies the gap against naive iteration. The
+// incremental maintainer runs the same delta pass.
 
 // semiNaive runs delta iteration over one stratum, growing cur in place:
 // cur is the run's private copy of E (runGuarded cloned it).
 func (p *Program) semiNaive(stratum []*crule, cur *FactSet, counter *int64) (*FactSet, error) {
-	// Round 0: full evaluation of every rule against the initial set.
-	p.traceRoundBegin(0)
-	start := p.traceNow()
 	delta := NewFactSet()
-	c := &evalCtx{p: p, f: cur, counter: counter, stats: p.stats, g: p.armedGuard()}
-	dminus := NewFactSet()
-	for _, r := range stratum {
-		err := c.matchBody(r.body, 0, newEnv(), func(e *env) error {
-			return c.instantiateHead(r, e, delta, dminus)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w (in rule %s)", err, r)
+	err := p.deltaRounds(cur.TotalSize, func(round int) (int, error) {
+		c := &evalCtx{p: p, f: cur, counter: counter, stats: p.stats, g: p.armedGuard(), round: round}
+		if round == 0 {
+			err := c.applyRules(stratum, delta, nil)
+			return delta.TotalSize(), err
 		}
-	}
-	p.traceRoundEnd(0, delta.TotalSize(), cur.TotalSize(), start)
-	for round := 0; delta.TotalSize() > 0; round++ {
-		if err := p.checkRound(round, cur.TotalSize, "semi-naive delta iteration"); err != nil {
-			return nil, err
-		}
-		if p.stats != nil {
-			p.stats.Steps++
-		}
-		p.traceRoundBegin(round + 1)
-		start := p.traceNow()
 		cur.Merge(delta)
 		next := NewFactSet()
-		c := &evalCtx{p: p, f: cur, counter: counter, stats: p.stats,
-			g: p.armedGuard(), round: round + 1}
-		for _, r := range stratum {
-			// One pass per body literal position: that literal ranges over
-			// the delta, the others over the full current set.
-			for pos, l := range r.body {
-				if l.kind != pkClass && l.kind != pkAssoc {
-					continue
-				}
-				if l.negated {
-					continue
-				}
-				if delta.Size(l.pred) == 0 {
-					continue
-				}
-				err := c.matchBodyDelta(r.body, 0, pos, delta, newEnv(), func(e *env) error {
-					dplus := NewFactSet()
-					if err := c.instantiateHead(r, e, dplus, NewFactSet()); err != nil {
-						return err
-					}
-					for _, pred := range dplus.Preds() {
-						for _, fact := range dplus.Facts(pred) {
-							if !cur.Has(fact) {
-								next.Add(fact)
-							}
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%w (in rule %s)", err, r)
-				}
-			}
-		}
-		p.traceRoundEnd(round+1, next.TotalSize(), cur.TotalSize(), start)
+		// A head already in cur is suppressed by instantiateHead, so next
+		// receives exactly the round's new facts.
+		err := c.deltaPass(stratum, delta, cur, cur, false, func(r *crule, e *env) error {
+			return c.instantiateHead(r, e, next, nil)
+		})
 		delta = next
+		return next.TotalSize(), err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cur, nil
 }
 
-// matchBodyDelta is matchBody with the literal at deltaPos restricted to
-// the delta fact set.
-func (c *evalCtx) matchBodyDelta(body []resolvedLit, i, deltaPos int, delta *FactSet, e *env, yield func(*env) error) error {
+// deltaRounds drives the rounds of delta iteration for the row loop and
+// the columnar kernels alike: round 0 is the full pass, and each later
+// round runs while the previous one derived facts. round runs one round
+// and reports how many facts it derived; total reports the fact count
+// as of the running round's start. Round boundaries, the rounds budget
+// and the stats are kept here.
+func (p *Program) deltaRounds(total func() int, round func(int) (int, error)) error {
+	p.traceRoundBegin(0)
+	start := p.traceNow()
+	delta, err := round(0)
+	if err != nil {
+		return err
+	}
+	p.traceRoundEnd(0, delta, total(), start)
+	for r := 1; delta > 0; r++ {
+		if err := p.checkRound(r-1, total, "semi-naive delta iteration"); err != nil {
+			return err
+		}
+		if p.stats != nil {
+			p.stats.Steps++
+		}
+		p.traceRoundBegin(r)
+		start := p.traceNow()
+		if delta, err = round(r); err != nil {
+			return err
+		}
+		p.traceRoundEnd(r, delta, total(), start)
+	}
+	return nil
+}
+
+// deltaPass runs one delta-restricted pass over rules: for every rule
+// and every positive predicate literal with facts in delta, it hands
+// yield the valuations with that literal over delta, earlier ones over
+// pre and later ones over post. With first, a delta literal whose
+// arguments need no earlier binding is enumerated before the others.
+// The valuations are the same (negation is bound; comparisons and
+// built-ins unify bound outputs), but the other literals' lookups are
+// not, and an index a lookup builds on the growing set keeps insertion
+// order, which later strata number invented oids by; so the row loop
+// keeps body order.
+func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, first bool, yield func(*crule, *env) error) error {
+	for _, r := range rules {
+		emit := func(e *env) error { return yield(r, e) }
+		for pos, l := range r.body {
+			if l.kind != pkClass && l.kind != pkAssoc || l.negated || delta.Size(l.pred) == 0 {
+				continue
+			}
+			var err error
+			if first && allTermsEvaluableOrPattern(l, nil) {
+				err = c.matchPositive(l, delta, newEnv(), func(e *env) error {
+					return c.matchBodyMixed(r.body, 0, pos, nil, pre, post, e, emit)
+				})
+			} else {
+				err = c.matchBodyMixed(r.body, 0, pos, delta, pre, post, newEnv(), emit)
+			}
+			if err != nil {
+				return fmt.Errorf("%w (in rule %s)", err, r)
+			}
+		}
+	}
+	return nil
+}
+
+// matchBodyMixed walks body from position i: positions before pos match
+// pre, positions after it match post, and pos itself matches delta, or
+// is skipped when delta is nil because the caller bound it already.
+// Comparisons, built-ins and negations evaluate as usual.
+func (c *evalCtx) matchBodyMixed(body []resolvedLit, i, pos int, delta, pre, post *FactSet, e *env, yield func(*env) error) error {
 	if i >= len(body) {
 		return yield(e)
 	}
 	next := func(e2 *env) error {
-		return c.matchBodyDelta(body, i+1, deltaPos, delta, e2, yield)
+		return c.matchBodyMixed(body, i+1, pos, delta, pre, post, e2, yield)
 	}
 	l := body[i]
-	if i == deltaPos && (l.kind == pkClass || l.kind == pkAssoc) && !l.negated {
+	switch {
+	case i == pos && delta == nil:
+		return next(e)
+	case i == pos:
 		return c.matchPositive(l, delta, e, next)
+	case (l.kind == pkClass || l.kind == pkAssoc) && !l.negated:
+		src := post
+		if i < pos {
+			src = pre
+		}
+		return c.matchPositive(l, src, e, next)
 	}
 	return c.matchLit(l, e, next)
 }

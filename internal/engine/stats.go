@@ -89,21 +89,20 @@ func (p *Program) Explain() string {
 	} else {
 		b.WriteString(", NOT stratified (whole-program inflationary)\n")
 	}
-	for i, stratum := range p.strata {
-		mode := "one-step inflationary"
-		if p.opts.SemiNaive && stratumSemiNaiveEligible(stratum) {
-			mode = "semi-naive"
-		}
-		if vs, why := p.vecPlan(stratum); vs != nil && mode == "semi-naive" {
-			mode = "semi-naive (vectorized)"
-		} else if why != nil {
-			mode += ", row (" + why.String() + ")"
-		}
-		if p.opts.NonInflationary {
-			mode = "non-inflationary"
+	strata, _ := p.plan()
+	for i := range strata {
+		sp := &strata[i]
+		mode := sp.exec.String()
+		if sp.row != nil {
+			mode += ", row (" + sp.row.String() + ")"
 		}
 		fmt.Fprintf(&b, "stratum %d (%s):\n", i, mode)
-		for _, r := range stratum {
+		maint := sp.maint.String()
+		if sp.maintWhy != nil {
+			maint += " (" + sp.maintWhy.String() + ")"
+		}
+		fmt.Fprintf(&b, "  maintenance: %s\n", maint)
+		for _, r := range sp.rules {
 			tag := ""
 			if r.isa != nil {
 				tag = "  [generated]"

@@ -103,7 +103,7 @@ func (p *Program) traceAbort(err error) {
 
 // traceStratumBegin opens one stratum's events; why, when non-nil, is
 // what kept the stratum off the columnar kernels.
-func (p *Program) traceStratumBegin(stratum int, rules []*crule, mode string, why *rowReason) {
+func (p *Program) traceStratumBegin(stratum int, rules []*crule, mode string, why *reason) {
 	if !p.tracing() {
 		return
 	}

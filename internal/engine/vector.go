@@ -7,16 +7,14 @@ package engine
 // joins on dictionary codes, anti-joins for negation, comparison
 // filters — and the semi-naive delta stays in code space from round to
 // round: codes are decoded back into facts once, when the stratum has
-// reached its fixpoint. The row engine remains the semantics oracle: a
-// stratum is vectorized only when every construct it uses has an exact
-// columnar counterpart (association atoms and heads with
-// variable/constant arguments, bound negation, bound comparisons), and
-// everything else falls back to the row paths. Results, Stats.Firings,
-// and the deterministic trace stream are identical to the serial row
-// engine.
+// reached its fixpoint. A stratum whose rules use a construct with no
+// exact columnar counterpart stays on the row engine, the semantics
+// oracle (see compileVecRule); results, Stats.Firings and the
+// deterministic trace stream are identical to it.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"logres/internal/ast"
@@ -125,37 +123,23 @@ type vecStratum struct {
 	kernels map[string]*kernelStat
 }
 
-// rowReason is why a stratum stays on the row engine although
-// vectorization is on: the first rule the plan compiler could not
-// express, and the construct in it that has no columnar counterpart.
-type rowReason struct {
-	rule      *crule
-	construct string
-}
-
-func (r *rowReason) String() string {
-	return fmt.Sprintf("rule #%d: %s", r.rule.id, r.construct)
-}
-
-// vecPlan compiles the stratum's columnar plan. Both results are nil
-// when vectorization is off: the row engine was asked for, so there is
-// nothing to explain.
-func (p *Program) vecPlan(stratum []*crule) (*vecStratum, *rowReason) {
-	if !p.opts.Vectorize {
-		return nil, nil
-	}
-	return compileVecStratum(stratum)
-}
-
-func compileVecStratum(stratum []*crule) (*vecStratum, *rowReason) {
+// compileVecStratum lowers a stratum to its columnar plan, or names the
+// first rule it could not express and the construct in it that has no
+// columnar counterpart. The lowering is static: bind attaches each run's
+// dictionary and batches.
+func compileVecStratum(stratum []*crule) (*vecStratum, *reason) {
 	vs := &vecStratum{preds: map[string]*vecPred{}}
 	for _, r := range stratum {
 		vr, construct := vs.compileVecRule(r)
 		if vr == nil {
-			return nil, &rowReason{rule: r, construct: construct}
+			return nil, &reason{rule: r, construct: construct}
 		}
 		vs.rules = append(vs.rules, vr)
+		if !slices.Contains(vs.heads, vr.headPred) {
+			vs.heads = append(vs.heads, vr.headPred)
+		}
 	}
+	sort.Slice(vs.heads, func(i, j int) bool { return vs.heads[i].pred < vs.heads[j].pred })
 	return vs, nil
 }
 
@@ -188,21 +172,10 @@ func (vs *vecStratum) trackPred(pred string, eff types.Tuple) *vecPred {
 // compileVecRule lowers one rule to columnar steps, or names the
 // construct that keeps it (and so its stratum) on the row engine.
 func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
-	h := r.head
-	switch {
-	case h == nil:
-		return nil, "denial"
-	case h.negated:
-		return nil, "deletion head"
-	case r.inventive:
-		return nil, "oid invention"
-	case h.kind == hClass:
-		return nil, "class head"
-	case h.kind == hFunc:
-		return nil, "data-function head"
-	case h.tupleVar != "" || h.copyFrom != "" || h.selfTerm != nil:
-		return nil, "head tuple variable"
+	if construct := headConstruct(r); construct != "" {
+		return nil, construct
 	}
+	h := r.head
 	vr := &vecRule{r: r}
 	varCols := map[string]int{}
 	ncols := 0
@@ -334,20 +307,19 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
 // bind builds the per-evaluation state: the shared dictionary, one
 // batch per tracked predicate in cur's canonical key order (Facts
 // returns it whether or not cur is frozen), membership sets for head
-// predicates, and interned constant codes.
+// predicates, and interned constant codes. It resets every field a run
+// writes, so a program reused after any run, aborted or not, starts
+// clean.
 func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 	vs.p = p
 	vs.g = p.armedGuard()
 	vs.dict = colset.NewDict()
 	vs.kernels = map[string]*kernelStat{}
 	vs.total = cur.TotalSize()
-	for _, vr := range vs.rules {
-		if hp := vr.headPred; hp.member == nil {
-			hp.member = colset.NewCodeSet(len(hp.labels))
-			vs.heads = append(vs.heads, hp)
-		}
+	vs.derived = vs.derived[:0]
+	for _, hp := range vs.heads {
+		hp.member = colset.NewCodeSet(len(hp.labels))
 	}
-	sort.Slice(vs.heads, func(i, j int) bool { return vs.heads[i].pred < vs.heads[j].pred })
 	for _, vp := range vs.order {
 		vp.batch = colset.NewBatch(len(vp.labels))
 		// Facts stores a view of the predicate in cur. An empty one gets
@@ -693,53 +665,43 @@ func (vs *vecStratum) traceVecKernels(stratum int) {
 	}
 }
 
-// semiNaiveVectorized is delta iteration over columnar batches. The
-// round structure — full round 0, then one delta-substituted pass per
-// positive atom position with a non-empty delta — and every trace/stat
-// boundary mirror semiNaive exactly; the fact counts those boundaries
-// report are kept by the plan (vs.total), since the derived rows reach
-// the fact set only when the fixpoint is reached. cur is the run's
-// private copy of E (runGuarded cloned it): the batches are encoded from
-// it in key order, and materialize grows it in place.
+// semiNaiveVectorized is delta iteration over columnar batches, driven
+// by the rounds semiNaive uses (deltaRounds): a full round 0, then one
+// delta-substituted pass per positive atom position with a non-empty
+// delta. The fact counts the round boundaries report are kept by the
+// plan (vs.total), since the derived rows reach the fact set only when
+// the fixpoint is reached. cur is the run's private copy of E
+// (runGuarded cloned it): the batches are encoded from it in key order,
+// and materialize grows it in place.
 func (p *Program) semiNaiveVectorized(vs *vecStratum, cur *FactSet, counter *int64) (*FactSet, error) {
 	vs.bind(p, cur)
-
-	stratum := p.curStratum()
-	p.traceRoundBegin(0)
-	start := p.traceNow()
-	for _, vr := range vs.rules {
-		if err := vs.runPass(vr, -1, 0); err != nil {
-			return nil, fmt.Errorf("%w (in rule %s)", err, vr.r)
-		}
-	}
-	total := func() int { return vs.total }
-	delta := vs.advance()
-	p.traceRoundEnd(0, delta, vs.total, start)
-	for round := 0; delta > 0; round++ {
-		if err := p.checkRound(round, total, "semi-naive delta iteration"); err != nil {
-			return nil, err
-		}
-		if p.stats != nil {
-			p.stats.Steps++
-		}
-		p.traceRoundBegin(round + 1)
-		start := p.traceNow()
+	delta := 0
+	err := p.deltaRounds(func() int { return vs.total }, func(round int) (int, error) {
 		vs.total += delta // the merge of the previous round's delta
 		vs.emitted = 0
 		for _, vr := range vs.rules {
+			if round == 0 {
+				if err := vs.runPass(vr, -1, 0); err != nil {
+					return 0, fmt.Errorf("%w (in rule %s)", err, vr.r)
+				}
+				continue
+			}
 			for _, si := range vr.posSteps {
 				if vr.steps[si].vp.delta == nil {
 					continue
 				}
-				if err := vs.runPass(vr, si, round+1); err != nil {
-					return nil, fmt.Errorf("%w (in rule %s)", err, vr.r)
+				if err := vs.runPass(vr, si, round); err != nil {
+					return 0, fmt.Errorf("%w (in rule %s)", err, vr.r)
 				}
 			}
 		}
 		delta = vs.advance()
-		p.traceRoundEnd(round+1, delta, vs.total, start)
+		return delta, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	vs.materialize(cur)
-	vs.traceVecKernels(stratum)
+	vs.traceVecKernels(p.curStratum())
 	return cur, nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -59,18 +60,12 @@ func vecEDBs() map[string]*FactSet {
 }
 
 // TestVectorizedMatrixDifferential is the matrix: the row oracle is the
-// reference; the defaults and one compiled program toggled through
-// vectorize {off,on} must agree on the result set, and the columnar runs
-// (the defaults among them) must also reproduce the oracle's Firings,
-// Steps and DeltaCurve exactly (same rounds, same per-rule valuation
-// counts).
+// reference, and the defaults must agree with it on the result set and
+// reproduce its Firings, Steps and DeltaCurve exactly (same rounds, same
+// per-rule valuation counts).
 func TestVectorizedMatrixDifferential(t *testing.T) {
 	for pname, rules := range vecPrograms {
 		ref, err := tryBuild(vecSchema, rules, rowOracle())
-		if err != nil {
-			t.Fatalf("%s: %v", pname, err)
-		}
-		defaults, err := tryBuild(vecSchema, rules, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", pname, err)
 		}
@@ -86,40 +81,27 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 			}
 			oracleStats := ref.LastStats()
 
-			check := func(leg string, p *Program) {
-				t.Helper()
-				c := int64(0)
-				got, err := p.Run(edb.Clone(), &c)
-				if err != nil {
-					t.Fatalf("%s/%s %s: %v", pname, ename, leg, err)
-				}
-				if !got.Equal(oracle) {
-					t.Fatalf("%s/%s %s: diverged from the row oracle (%d vs %d facts)",
-						pname, ename, leg, got.TotalSize(), oracle.TotalSize())
-				}
-				st := p.LastStats()
-				if p.Vectorize() {
-					if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
-						t.Fatalf("%s/%s %s Firings = %v, row = %v",
-							pname, ename, leg, st.Firings, oracleStats.Firings)
-					}
-					if fmt.Sprint(st.DeltaCurve) != fmt.Sprint(oracleStats.DeltaCurve) {
-						t.Fatalf("%s/%s %s DeltaCurve = %v, row = %v",
-							pname, ename, leg, st.DeltaCurve, oracleStats.DeltaCurve)
-					}
-					if st.Steps != oracleStats.Steps {
-						t.Fatalf("%s/%s %s Steps = %d, row = %d",
-							pname, ename, leg, st.Steps, oracleStats.Steps)
-					}
-				}
-				if p.Vectorize() && ename == "chain" && st.VectorizedStrata == 0 && pname != "fallback-mix" {
-					t.Fatalf("%s/%s %s: vectorize on but VectorizedStrata = 0", pname, ename, leg)
-				}
+			c := int64(0)
+			got, err := p.Run(edb.Clone(), &c)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", pname, ename, err)
 			}
-			check("defaults", defaults)
-			for _, vec := range []bool{false, true} {
-				p.SetVectorize(vec)
-				check(fmt.Sprintf("vec=%v", vec), p)
+			if !got.Equal(oracle) {
+				t.Fatalf("%s/%s: diverged from the row oracle (%d vs %d facts)",
+					pname, ename, got.TotalSize(), oracle.TotalSize())
+			}
+			st := p.LastStats()
+			if fmt.Sprint(st.Firings) != fmt.Sprint(oracleStats.Firings) {
+				t.Fatalf("%s/%s Firings = %v, row = %v", pname, ename, st.Firings, oracleStats.Firings)
+			}
+			if fmt.Sprint(st.DeltaCurve) != fmt.Sprint(oracleStats.DeltaCurve) {
+				t.Fatalf("%s/%s DeltaCurve = %v, row = %v", pname, ename, st.DeltaCurve, oracleStats.DeltaCurve)
+			}
+			if st.Steps != oracleStats.Steps {
+				t.Fatalf("%s/%s Steps = %d, row = %d", pname, ename, st.Steps, oracleStats.Steps)
+			}
+			if ename == "chain" && st.VectorizedStrata == 0 && pname != "fallback-mix" {
+				t.Fatalf("%s/%s: vectorize on but VectorizedStrata = 0", pname, ename)
 			}
 		}
 	}
@@ -273,4 +255,103 @@ func TestVectorizedRunFromLeavesInputUntouched(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cancelAt cancels a run's context when the first round of a stratum
+// ends, and forwards every event to next.
+type cancelAt struct {
+	stratum int
+	cancel  context.CancelFunc
+	next    obs.Tracer
+}
+
+func (c *cancelAt) Event(ev obs.Event) {
+	if ev.Kind == obs.KindRoundEnd && ev.Stratum == c.stratum {
+		c.cancel()
+	}
+	c.next.Event(ev)
+}
+
+// One compiled program lowers its columnar strata once and binds them
+// afresh on every run. Reused over several EDBs, after a fact-budget
+// abort inside a columnar stratum and after a run canceled inside one,
+// it must give the facts, Firings and canonical trace (vec.kernel
+// counters included) of a freshly compiled program.
+func TestProgramReuseAcrossRuns(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Budget = Budget{MaxFacts: 600}
+	compile := func() *Program {
+		p, err := tryBuild(closureShapeSchema, closureShapeRules, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	reused := compile()
+	if strata, _ := reused.plan(); strata[0].exec != execColumnar {
+		t.Fatalf("stratum 0 runs %s, want the columnar kernels", strata[0].exec)
+	}
+	type result struct {
+		facts   string
+		firings string
+		trace   string
+		err     error
+	}
+	runOn := func(p *Program, ctx context.Context, edb *FactSet, wrap func(obs.Tracer) obs.Tracer) result {
+		var buf bytes.Buffer
+		var tr obs.Tracer = obs.NewCanonicalJSONL(&buf)
+		if wrap != nil {
+			tr = wrap(tr)
+		}
+		p.SetTracer(tr)
+		counter := int64(0)
+		f, err := p.RunContext(ctx, edb, &counter)
+		r := result{firings: fmt.Sprint(p.LastStats().Firings), trace: buf.String(), err: err}
+		if f != nil {
+			r.facts = renderBuckets(f)
+		}
+		return r
+	}
+	same := func(step string, edb *FactSet) {
+		t.Helper()
+		got := runOn(reused, context.Background(), edb, nil)
+		want := runOn(compile(), context.Background(), edb, nil)
+		if got.err != nil || want.err != nil {
+			t.Fatalf("%s: %v / fresh %v", step, got.err, want.err)
+		}
+		if got.facts != want.facts {
+			t.Fatalf("%s: facts differ from a fresh program's", step)
+		}
+		if got.firings != want.firings {
+			t.Fatalf("%s: Firings = %s, fresh %s", step, got.firings, want.firings)
+		}
+		if got.trace != want.trace {
+			t.Fatalf("%s: canonical trace differs from a fresh program's:\n%s\nfresh:\n%s", step, got.trace, want.trace)
+		}
+		if !strings.Contains(got.trace, string(obs.KindVecKernel)) {
+			t.Fatalf("%s: no vec.kernel counters", step)
+		}
+	}
+	small, other := closureShapeEDB(12, 4, 1), closureShapeEDB(16, 6, 3)
+	same("first run", small)
+	same("second EDB", other)
+
+	r := runOn(reused, context.Background(), closureShapeEDB(48, 20, 1), nil)
+	var be *BudgetError
+	if !errors.As(r.err, &be) || be.Axis != AxisFacts || be.Stratum != 0 {
+		t.Fatalf("big EDB: %v, want a fact-budget abort in stratum 0", r.err)
+	}
+	same("after a budget abort", small)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r = runOn(reused, ctx, other, func(next obs.Tracer) obs.Tracer {
+		return &cancelAt{stratum: 0, cancel: cancel, next: next}
+	})
+	var ce *CanceledError
+	if !errors.As(r.err, &ce) || ce.Stratum != 0 {
+		t.Fatalf("canceled run: %v, want a cancellation in stratum 0", r.err)
+	}
+	same("after a canceled run", other)
+	same("after a canceled run, first EDB", small)
 }

@@ -120,18 +120,6 @@ func WithContext(ctx context.Context) Option {
 	return func(db *Database) { db.opts.Ctx = ctx }
 }
 
-// WithSemiNaive toggles the semi-naive optimization (default on).
-func WithSemiNaive(on bool) Option {
-	return func(db *Database) { db.opts.SemiNaive = on }
-}
-
-// WithStratification toggles perfect-model (stratified) evaluation
-// (default on); when off, programs evaluate as a single inflationary
-// block.
-func WithStratification(on bool) Option {
-	return func(db *Database) { db.opts.Stratify = on }
-}
-
 // WithNonInflationary selects the non-inflationary rule semantics for the
 // whole database (modules may also opt in individually with a
 // `semantics noninflationary.` declaration): derived facts persist only
