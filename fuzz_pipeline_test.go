@@ -328,6 +328,46 @@ rules
   not member("c", kids(P)) <- parent(par: P).
 end.
 `)
+	// Oids invented over a non-linear closure: the columnar kernels, the
+	// row oracle and the maintainer each grow TC's buckets in their own
+	// order, and all three must number MARK's objects alike, after the
+	// rules arrive and after edges are added and deleted.
+	f.Add(`
+classes
+  MARK = (tag: integer);
+associations
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+`, `
+mode ridv.
+rules
+  edge(src: 0, dst: 1).
+  edge(src: 1, dst: 2).
+  edge(src: 2, dst: 3).
+  edge(src: 3, dst: 4).
+  edge(src: 4, dst: 5).
+  edge(src: 5, dst: 6).
+  edge(src: 6, dst: 0).
+end.
+---
+mode radv.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), tc(src: Y, dst: Z).
+  mark(tag: Y) <- tc(src: 1, dst: Y).
+end.
+---
+mode ridv.
+rules
+  edge(src: 1, dst: 7).
+  edge(src: 7, dst: 3).
+end.
+---
+mode rddv.
+rules
+  edge(src: 6, dst: 0).
+end.
+`)
 	f.Fuzz(func(t *testing.T, schemaSrc, modSrc string) {
 		// db is the row oracle; dbv and dbi run the defaults (columnar
 		// kernels where a stratum compiles to them), dbi incrementally.

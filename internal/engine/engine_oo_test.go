@@ -441,3 +441,56 @@ student(self: X, name: N, school: "polimi") <- enrolling(name: N).
 		t.Fatal("instance round trip lost facts")
 	}
 }
+
+// An invented oid is a function of its valuation (Definitions 7–8), not
+// of the order the body's buckets yield valuations in. Here the rule
+// reads EDGE through its src bucket; in one input that bucket was built
+// before the smaller edges were added, so it holds them last, and in the
+// other every edge was added before the bucket was built, so it holds
+// them in key order. Both number HOP's objects alike.
+func TestInventionIgnoresBucketHistory(t *testing.T) {
+	const schema = `
+classes
+  HOP = (from: integer, to: integer);
+associations
+  EDGE = (src: integer, dst: integer);
+  SEED = (n: integer);
+`
+	const rules = `hop(self: H, from: X, to: Y) <- seed(n: X), edge(src: X, dst: Y).`
+	seed := Fact{Pred: "seed", Tuple: value.NewTuple(value.Field{Label: "n", Value: value.Int(1)})}
+	built := NewFactSet()
+	built.Add(seed)
+	for dst := 5; dst < 10; dst++ {
+		built.Add(edgeFact(1, dst))
+	}
+	if n := len(built.FactsByComponent("edge", "src", value.Int(1))); n != 5 {
+		t.Fatalf("bucket holds %d edges, want 5", n)
+	}
+	for dst := 0; dst < 5; dst++ {
+		built.Add(edgeFact(1, dst))
+	}
+	fresh := NewFactSet()
+	for dst := 9; dst >= 0; dst-- {
+		fresh.Add(edgeFact(1, dst))
+	}
+	fresh.Add(seed)
+
+	for name, opts := range map[string]Options{"defaults": DefaultOptions(), "row oracle": rowOracle()} {
+		p, err := tryBuild(schema, rules, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1, c2 := int64(0), int64(0)
+		got, err := p.Run(built, &c1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Run(fresh, &c2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Size("hop") != 10 || !got.Equal(want) || c1 != c2 {
+			t.Fatalf("%s: oids depend on bucket history:\n%s\nvs\n%s", name, dump(got), dump(want))
+		}
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"logres/internal/ast"
 	"logres/internal/guard"
@@ -40,6 +42,15 @@ type evalCtx struct {
 	// fact-axis check adds it to the base count, since facts derived
 	// mid-round live in the round's Δ sets the base set cannot see.
 	emitted int
+	// inventions await their oids until the running rule's enumeration
+	// ends (numberInventions); the in-round check counts them as invented.
+	inventions []invention
+}
+
+// invention is a head fact awaiting its oid, under its valuation's key.
+type invention struct {
+	key  string
+	fact Fact
 }
 
 func (c *evalCtx) activeDom() *activeDomain {
@@ -322,12 +333,6 @@ func boundSet(e *env) map[string]bool {
 
 // --- head instantiation -------------------------------------------------
 
-// headEffect is one head firing: a fact to add or facts to delete.
-type headEffect struct {
-	add Fact
-	ok  bool // false when the VD condition suppressed the firing
-}
-
 // instantiateHead builds the Δ contributions of one valuation.
 func (c *evalCtx) instantiateHead(r *crule, e *env, dplus, dminus *FactSet) error {
 	if c.stats != nil {
@@ -499,14 +504,40 @@ func (c *evalCtx) instantiateClassHead(r *crule, e *env, dplus *FactSet) error {
 			return nil
 		}
 	}
-	// One fresh oid per valuation-domain element.
-	*c.counter++
-	oid = value.OID(*c.counter)
-	if c.stats != nil {
-		c.stats.Invented++
+	// One fresh oid per valuation-domain element, numbered at rule end.
+	c.inventions = append(c.inventions, invention{key: e.key(r.vars), fact: Fact{Pred: h.pred, IsClass: true, Tuple: tuple}})
+	return nil
+}
+
+// numberInventions gives the inventions rule r left pending one fresh
+// oid each, in valuation-key order, and adds them to dplus: an invented
+// oid depends on its valuation (Definitions 7–8), not on the order the
+// body's buckets yielded it in, so every executor numbers alike.
+func (c *evalCtx) numberInventions(r *crule, dplus *FactSet) error {
+	slices.SortFunc(c.inventions, func(a, b invention) int {
+		if a.key != b.key {
+			return strings.Compare(a.key, b.key)
+		}
+		// Equal keys: a rule without the Definition 7 dedup, or objects
+		// keyed by the nil oid.
+		return strings.Compare(a.fact.Key(), b.fact.Key())
+	})
+	for n := 1; len(c.inventions) > 0; n++ {
+		fact := c.inventions[0].fact
+		c.inventions = c.inventions[1:]
+		*c.counter++
+		fact.OID = value.OID(*c.counter)
+		if c.stats != nil {
+			c.stats.Invented++
+		}
+		c.traceInvent(r, fact.Pred, int64(fact.OID))
+		dplus.Add(fact)
+		if c.g != nil && n%inRoundCheckInterval == 0 {
+			if err := c.inRoundCheck(fact.Pred); err != nil {
+				return err
+			}
+		}
 	}
-	c.traceInvent(r, h.pred, int64(oid))
-	dplus.Add(Fact{Pred: h.pred, IsClass: true, OID: oid, Tuple: tuple})
 	return nil
 }
 
@@ -658,33 +689,36 @@ func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) 
 // firings' Δ+ and Δ−.
 func (c *evalCtx) applyRules(rules []*crule, dplus, dminus *FactSet) error {
 	for _, r := range rules {
+		var err error
 		if r.isa != nil {
-			if err := c.isaPass(r, dplus); err != nil {
-				return fmt.Errorf("%w (in rule %s)", err, r)
+			err = c.isaPass(r, dplus)
+		} else {
+			yield := func(e *env) error {
+				return c.instantiateHead(r, e, dplus, dminus)
 			}
-			continue
-		}
-		yield := func(e *env) error {
-			return c.instantiateHead(r, e, dplus, dminus)
-		}
-		if r.inventive {
-			// Valuation-domain identity (Definition 7): two fact-level
-			// matches inducing the same substitution are ONE valuation-
-			// domain element — invention fires once per b(r). For non-
-			// inventive rules duplicate valuations are harmless (the head
-			// fact is identical), so the dedup is skipped.
-			seen := map[string]bool{}
-			inner := yield
-			yield = func(e *env) error {
-				k := e.key(r.vars)
-				if seen[k] {
-					return nil
+			if r.inventive {
+				// Valuation-domain identity (Definition 7): two fact-level
+				// matches inducing the same substitution are ONE valuation-
+				// domain element — invention fires once per b(r). For non-
+				// inventive rules duplicate valuations are harmless (the
+				// head fact is identical), so the dedup is skipped.
+				seen := map[string]bool{}
+				inner := yield
+				yield = func(e *env) error {
+					k := e.key(r.vars)
+					if seen[k] {
+						return nil
+					}
+					seen[k] = true
+					return inner(e)
 				}
-				seen[k] = true
-				return inner(e)
 			}
+			err = c.matchBody(r.body, 0, newEnv(), yield)
 		}
-		if err := c.matchBody(r.body, 0, newEnv(), yield); err != nil {
+		if err == nil {
+			err = c.numberInventions(r, dplus)
+		}
+		if err != nil {
 			return fmt.Errorf("%w (in rule %s)", err, r)
 		}
 	}

@@ -591,18 +591,14 @@ func (s *FactSet) MaxOID() value.OID {
 
 // Add inserts a fact. For class facts an existing fact with the same oid is
 // replaced (the newer o-value wins — the ⊕ bias); the method reports
-// whether the set changed. Add panics on a frozen set.
+// whether the set changed. The view of f's predicate, when built, is
+// maintained in place, and a store shared with a clone is copied only
+// when the add changes it. Add panics on a frozen set.
 func (s *FactSet) Add(f Fact) bool {
-	return s.addKeyed(f, f.Key())
-}
-
-// addKeyed is Add for a caller that already holds k == f.Key(). The view
-// of f's predicate, when built, is maintained in place. A store shared
-// with a clone is copied only when the add changes it.
-func (s *FactSet) addKeyed(f Fact, k string) bool {
 	if s.frozen {
 		panic("engine: Add on frozen FactSet")
 	}
+	k := f.Key()
 	st := s.preds[f.Pred]
 	if st == nil {
 		st = &predStore{facts: map[string]Fact{}}

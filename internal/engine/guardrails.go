@@ -78,12 +78,13 @@ var inRoundCheckInterval = 1 << 12
 // reports is coarse: the frozen base extension plus this context's head
 // instantiations (facts derived mid-round live in private deltas the
 // base set cannot see, and duplicates are counted) — an overestimate
-// never more than one interval stale. A trip emits a guard.check trace
-// event before surfacing the typed abort error.
+// never more than one interval stale. The oid count includes the
+// inventions still waiting for numberInventions. A trip emits a
+// guard.check trace event before surfacing the typed abort error.
 func (c *evalCtx) inRoundCheck(pred string) error {
-	invented := 0
+	invented := len(c.inventions)
 	if c.stats != nil {
-		invented = c.stats.Invented
+		invented += c.stats.Invented
 	}
 	err := c.g.Check(c.round, func() int { return c.f.TotalSize() + c.emitted }, invented)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"logres/internal/value"
 )
 
 // Tests of the evaluation guardrails: divergent programs must abort with
@@ -98,6 +100,54 @@ func TestDivergenceAbortsOnOIDBudget(t *testing.T) {
 			t.Fatalf("Invented = %d, want > 25", be.Invented)
 		}
 	})
+}
+
+// One inventive round over a cross product: the oids wait for their
+// numbers until the rule's enumeration ends, so the in-round check
+// counts them as they are found, and the round aborts within one check
+// interval of the oid or fact bound, before any oid is numbered.
+func TestInventiveRoundInRoundBudgetAbort(t *testing.T) {
+	saved := inRoundCheckInterval
+	inRoundCheckInterval = 3
+	defer func() { inRoundCheckInterval = saved }()
+
+	const schema = `
+classes PAIR = (a: integer, b: integer);
+associations N = (v: integer);
+`
+	edb := NewFactSet()
+	for i := 0; i < 10; i++ {
+		edb.Add(Fact{Pred: "n", Tuple: value.NewTuple(value.Field{Label: "v", Value: value.Int(int64(i))})})
+	}
+	const bound = 10
+	for _, c := range []struct {
+		budget Budget
+		axis   Axis
+	}{
+		{Budget{MaxOIDs: bound}, AxisOIDs},
+		{Budget{MaxFacts: bound}, AxisFacts},
+	} {
+		p, err := tryBuild(schema, `pair(a: X, b: Y) <- n(v: X), n(v: Y).`, guardOpts(c.budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter := int64(0)
+		_, err = p.Run(edb, &counter)
+		var be *BudgetError
+		if !errors.As(err, &be) || be.Axis != c.axis || be.Round != 0 {
+			t.Fatalf("err = %v, want a %s budget abort in round 0", err, c.axis)
+		}
+		got := be.Invented
+		if c.axis == AxisFacts {
+			got = be.Facts
+		}
+		if got <= bound || got > bound+inRoundCheckInterval {
+			t.Fatalf("%s abort at %d, want within one interval above %d", c.axis, got, bound)
+		}
+		if counter != 0 || p.LastStats().Invented != 0 {
+			t.Fatalf("%s abort numbered oids: counter %d, invented %d", c.axis, counter, p.LastStats().Invented)
+		}
+	}
 }
 
 // The non-inflationary oscillator has no fixpoint: the rounds budget

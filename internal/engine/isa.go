@@ -66,7 +66,7 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 // isaInvent is the step for a sub object with a nil oid, which has no
 // identity to share: as in instantiateClassHead, the head is then an
 // invention (Definition 8 point b), suppressed when some super object
-// already agrees with the sub's o-value.
+// already agrees with the sub's o-value, and numbered at rule end.
 func (c *evalCtx) isaInvent(r *crule, src value.Tuple, dplus *FactSet) {
 	s := r.isa
 	for _, fact := range c.f.Facts(s.super) {
@@ -77,13 +77,7 @@ func (c *evalCtx) isaInvent(r *crule, src value.Tuple, dplus *FactSet) {
 			return
 		}
 	}
-	*c.counter++
-	oid := value.OID(*c.counter)
-	if c.stats != nil {
-		c.stats.Invented++
-	}
-	c.traceInvent(r, s.super, int64(oid))
-	dplus.Add(Fact{Pred: s.super, IsClass: true, OID: oid, Tuple: overlay(s.eff, src, value.Tuple{})})
+	c.inventions = append(c.inventions, invention{fact: Fact{Pred: s.super, IsClass: true, Tuple: overlay(s.eff, src, value.Tuple{})}})
 }
 
 // agreesOn reports whether existing holds, with an equal value, every

@@ -96,6 +96,9 @@ func evalGenerated(p *Program, f *FactSet, reemit, viaStep bool, g *guard.Guard)
 				return c.instantiateHead(r, e, dplus, NewFactSet())
 			})
 		}
+		if err == nil {
+			err = c.numberInventions(r, dplus)
+		}
 		if err != nil {
 			break
 		}

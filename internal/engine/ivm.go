@@ -208,7 +208,7 @@ func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
 // deltaRound is deltaPass over a maintained stratum, handing each
 // derived head fact to emit.
 func deltaRound(c *evalCtx, plan *maintPlan, delta, pre, post *FactSet, emit func(Fact) error) error {
-	return c.deltaPass(plan.rules, delta, pre, post, true, func(r *crule, e *env) error {
+	return c.deltaPass(plan.rules, delta, pre, post, func(r *crule, e *env) error {
 		fact, err := c.buildAssocFact(r.head, e)
 		if err != nil {
 			return err

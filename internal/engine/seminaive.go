@@ -22,8 +22,9 @@ func (p *Program) semiNaive(stratum []*crule, cur *FactSet, counter *int64) (*Fa
 		cur.Merge(delta)
 		next := NewFactSet()
 		// A head already in cur is suppressed by instantiateHead, so next
-		// receives exactly the round's new facts.
-		err := c.deltaPass(stratum, delta, cur, cur, false, func(r *crule, e *env) error {
+		// receives exactly the round's new facts. A semi-naive stratum
+		// has no class heads, so no invention waits for numbering.
+		err := c.deltaPass(stratum, delta, cur, cur, func(r *crule, e *env) error {
 			return c.instantiateHead(r, e, next, nil)
 		})
 		delta = next
@@ -69,14 +70,11 @@ func (p *Program) deltaRounds(total func() int, round func(int) (int, error)) er
 // deltaPass runs one delta-restricted pass over rules: for every rule
 // and every positive predicate literal with facts in delta, it hands
 // yield the valuations with that literal over delta, earlier ones over
-// pre and later ones over post. With first, a delta literal whose
-// arguments need no earlier binding is enumerated before the others.
-// The valuations are the same (negation is bound; comparisons and
-// built-ins unify bound outputs), but the other literals' lookups are
-// not, and an index a lookup builds on the growing set keeps insertion
-// order, which later strata number invented oids by; so the row loop
-// keeps body order.
-func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, first bool, yield func(*crule, *env) error) error {
+// pre and later ones over post. A delta literal whose arguments need no
+// earlier binding is enumerated first; that changes the order of the
+// valuations, not the valuations (negation is bound; comparisons and
+// built-ins unify bound outputs).
+func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, yield func(*crule, *env) error) error {
 	for _, r := range rules {
 		emit := func(e *env) error { return yield(r, e) }
 		for pos, l := range r.body {
@@ -84,7 +82,7 @@ func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, first boo
 				continue
 			}
 			var err error
-			if first && allTermsEvaluableOrPattern(l, nil) {
+			if allTermsEvaluableOrPattern(l, nil) {
 				err = c.matchPositive(l, delta, newEnv(), func(e *env) error {
 					return c.matchBodyMixed(r.body, 0, pos, nil, pre, post, e, emit)
 				})

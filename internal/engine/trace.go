@@ -16,7 +16,7 @@ import (
 //	eval.begin
 //	  stratum.begin
 //	    round.begin
-//	    (oid.invent …)        — in evaluation order
+//	    (oid.invent …)        — in numbering order
 //	    (rule.fire …)         — per-round firing diffs, rule-id order
 //	    round.end             — delta size and new total
 //	    (budget …)            — consumption against each armed axis
@@ -214,7 +214,7 @@ func (p *Program) traceBudget(round, total int) {
 	}
 }
 
-// traceInvent reports one invented oid, in evaluation order.
+// traceInvent reports one invented oid, in numbering order.
 func (c *evalCtx) traceInvent(r *crule, pred string, oid int64) {
 	if !c.p.tracing() {
 		return

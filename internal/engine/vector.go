@@ -42,13 +42,6 @@ type vecPred struct {
 	delta *colset.Batch // the rows the previous round appended; nil when none
 }
 
-// vecSegment is the rows [lo, hi) of a head predicate's batch that one
-// round derived.
-type vecSegment struct {
-	hp     *vecPred
-	lo, hi int
-}
-
 type vecStepKind int
 
 const (
@@ -113,8 +106,7 @@ type vecStratum struct {
 	order []*vecPred // first-mention order, for deterministic binding
 	rules []*vecRule
 
-	heads   []*vecPred   // head predicates in name order, the order Merge walks a delta
-	derived []vecSegment // every round's delta, in the order the row loop merges them
+	heads []*vecPred // head predicates, in rule order
 
 	dict    *colset.Dict
 	g       *guard.Guard
@@ -139,7 +131,6 @@ func compileVecStratum(stratum []*crule) (*vecStratum, *reason) {
 			vs.heads = append(vs.heads, vr.headPred)
 		}
 	}
-	sort.Slice(vs.heads, func(i, j int) bool { return vs.heads[i].pred < vs.heads[j].pred })
 	return vs, nil
 }
 
@@ -316,7 +307,6 @@ func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 	vs.dict = colset.NewDict()
 	vs.kernels = map[string]*kernelStat{}
 	vs.total = cur.TotalSize()
-	vs.derived = vs.derived[:0]
 	for _, hp := range vs.heads {
 		hp.member = colset.NewCodeSet(len(hp.labels))
 	}
@@ -402,35 +392,22 @@ func (vs *vecStratum) advance() int {
 		if hi > lo {
 			hp.cur = hp.batch.Slice(0, hi)
 			hp.delta = hp.batch.Slice(lo, hi)
-			vs.derived = append(vs.derived, vecSegment{hp: hp, lo: lo, hi: hi})
 			n += hi - lo
 		}
 	}
 	return n
 }
 
-// materialize decodes the rows the stratum derived into cur. It replays
-// the merges the row engine does between rounds — one round's delta at
-// a time, predicates in name order, facts in key order — because the
-// order of insertion is the order of cur's component buckets, which
-// later strata enumerate (and number invented oids by).
+// materialize decodes the rows the stratum derived — each head's rows
+// after those bind encoded from cur — into cur, in emit order.
 func (vs *vecStratum) materialize(cur *FactSet) {
-	var batch factsByKey
-	for _, seg := range vs.derived {
-		hp := seg.hp
-		batch.facts, batch.keys = batch.facts[:0], batch.keys[:0]
+	for _, hp := range vs.heads {
 		fields := make([]value.Field, len(hp.labels))
-		for r := seg.lo; r < seg.hi; r++ {
+		for r := cur.Size(hp.pred); r < hp.batch.Len(); r++ {
 			for li, lab := range hp.labels {
 				fields[li] = value.Field{Label: lab, Value: vs.dict.Value(hp.batch.Col(li)[r])}
 			}
-			fact := Fact{Pred: hp.pred, Tuple: value.NewTuple(fields...)} // NewTuple copies
-			batch.facts = append(batch.facts, fact)
-			batch.keys = append(batch.keys, fact.Key())
-		}
-		sort.Sort(&batch)
-		for i, fact := range batch.facts {
-			cur.addKeyed(fact, batch.keys[i])
+			cur.Add(Fact{Pred: hp.pred, Tuple: value.NewTuple(fields...)}) // NewTuple copies
 		}
 	}
 }

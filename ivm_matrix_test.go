@@ -12,10 +12,10 @@ import (
 // mixed workload (serial and optimistic applications, insertions and
 // RDDV deletions), render exactly the instance a from-scratch database
 // renders on the row oracle, and persist exactly the same Save bytes —
-// under the defaults and on the row oracle (engineLegs), over program
-// classes covering
-// counting, recursive closure (DRed), stratified negation (suffix
-// recomputation), and oid-inventing fallback strata.
+// under the defaults and on the row oracle (engineLegs), each also from
+// scratch, over program classes covering counting, recursive closure
+// (DRed), stratified negation (suffix recomputation), and oid-inventing
+// fallback strata, one of them over a non-linear closure.
 
 const ivmMatrixSchema = `
 classes
@@ -60,6 +60,14 @@ rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
   mark(tag: X) <- node(n: X), not tc(src: X, dst: X).
+end.
+`},
+	{"nonlinear-invention", `
+mode radv.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), tc(src: Y, dst: Z).
+  mark(tag: Y) <- tc(src: 1, dst: Y).
 end.
 `},
 }
@@ -132,36 +140,38 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 				t.Fatal("oracle derived nothing")
 			}
 			for _, leg := range engineLegs() {
-				db, err := Open(ivmMatrixSchema, append(leg.opts, WithIncremental(true))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := db.Exec(prog.rules); err != nil {
-					t.Fatal(err)
-				}
-				for i, c := range ivmMatrixCommits() {
-					if c.concurrent {
-						_, err = db.ExecConcurrent(c.src)
-					} else {
-						_, err = db.Exec(c.src)
-					}
+				for _, incremental := range []bool{false, true} {
+					db, err := Open(ivmMatrixSchema, append(leg.opts, WithIncremental(incremental))...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := db.InstanceString()
-					if err != nil {
+					if _, err := db.Exec(prog.rules); err != nil {
 						t.Fatal(err)
 					}
-					if got != wantInstances[i] {
-						t.Fatalf("%s commit %d: incremental instance diverges from scratch", leg.name, i)
+					for i, c := range ivmMatrixCommits() {
+						if c.concurrent {
+							_, err = db.ExecConcurrent(c.src)
+						} else {
+							_, err = db.Exec(c.src)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := db.InstanceString()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != wantInstances[i] {
+							t.Fatalf("%s, incremental=%v, commit %d: instance diverges from scratch", leg.name, incremental, i)
+						}
 					}
-				}
-				var sb strings.Builder
-				if err := db.Save(&sb2{&sb}); err != nil {
-					t.Fatal(err)
-				}
-				if sb.String() != wantSave {
-					t.Fatalf("%s: Save bytes diverge from scratch", leg.name)
+					var sb strings.Builder
+					if err := db.Save(&sb2{&sb}); err != nil {
+						t.Fatal(err)
+					}
+					if sb.String() != wantSave {
+						t.Fatalf("%s, incremental=%v: Save bytes diverge from scratch", leg.name, incremental)
+					}
 				}
 			}
 		})

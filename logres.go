@@ -151,8 +151,11 @@ func WithShards(n int) Option {
 // handle (tuple variables, oid invention, class predicates, …) fall
 // back to the row engine per stratum; Explain and the call Profile name
 // the rule and construct that kept each one there. Results are
-// bit-identical either way — the row engine remains the semantics
-// oracle, and WithVectorize(false) selects it for every stratum.
+// bit-identical either way, invented oids included: a later stratum
+// numbers its oids by valuation, not by the order the columnar kernels
+// or the row engine derived its input in. The row engine remains the
+// semantics oracle, and WithVectorize(false) selects it for every
+// stratum.
 func WithVectorize(on bool) Option {
 	return func(db *Database) { db.opts.Vectorize = on }
 }

@@ -9,7 +9,7 @@ import (
 // Top-level differential property: the persisted database — Save's
 // exact byte stream — and the rendered instance must be identical
 // whether evaluation ran on the row oracle or under the defaults
-// (engineLegs). This is the
+// (engineLegs), from scratch or maintained incrementally. This is the
 // end-to-end counterpart of the engine-level matrix test
 // (internal/engine/vector_test.go): it covers parsing, module
 // application, storage, and serialization on top of evaluation.
@@ -34,8 +34,9 @@ func vecMatrixCases() []vecMatrixCase {
 	// A chain with shortcuts, a few seeds, and two REACH facts stored
 	// extensionally, so the columnar stratum grows a predicate that
 	// already has facts; node 99 makes each sort after what the stratum
-	// derives into its bucket, so an order that appends derived facts to
-	// a prebuilt bucket shows. The grown edge set (third module)
+	// derives into its bucket, so oids numbered in the order derived
+	// facts were appended to a prebuilt bucket would show. The grown edge
+	// set (third module)
 	// re-derives the instance over an extension the previous commit wrote.
 	var links strings.Builder
 	links.WriteString("mode ridv.\nrules\n")
@@ -49,6 +50,38 @@ func vecMatrixCases() []vecMatrixCase {
 		}
 	}
 	links.WriteString("  reach(s: 5, d: 99).\n  reach(s: 99, d: 15).\nend.\n")
+
+	// Row strata that invent oids over a columnar-derived predicate:
+	// HOP and BACK reach REACH through a bound component (one the
+	// recursive rule itself binds, one it does not), WALK through a full
+	// scan. The closure is linear or non-linear; the oids must not
+	// depend on the order REACH's buckets grew in.
+	inventionOverColumnar := func(name, recursive string) vecMatrixCase {
+		return vecMatrixCase{
+			name: name,
+			schema: `
+classes
+  HOP = (from: integer, to: integer);
+  BACK = (to: integer, from: integer);
+  WALK = (s: integer, d: integer);
+associations
+  LINK = (s: integer, d: integer);
+  REACH = (s: integer, d: integer);
+  SEED = (n: integer);
+`,
+			modules: []string{links.String(), `
+mode radi.
+rules
+  reach(s: X, d: Y) <- link(s: X, d: Y).
+  ` + recursive + `
+  hop(self: H, from: X, to: Y) <- seed(n: X), reach(s: X, d: Y).
+  back(self: B, to: Y, from: X) <- seed(n: Y), reach(s: X, d: Y).
+  walk(self: W, s: X, d: Y) <- reach(s: X, d: Y).
+end.
+`, "mode ridv.\nrules\n  link(s: 16, d: 2).\n  seed(n: 16).\nend.\n"},
+			derived: "back",
+		}
+	}
 
 	return []vecMatrixCase{
 		{
@@ -75,35 +108,10 @@ end.
 			modules: closureShapeModules(32),
 			derived: "origin",
 		},
-		{
-			// Row strata that invent oids over a columnar-derived predicate:
-			// HOP and BACK reach REACH through a bound component (one the
-			// recursive rule itself binds, one it does not), WALK through a
-			// full scan. The oids they number pin REACH's bucket and scan
-			// order as the columnar stratum leaves them.
-			name: "invention-over-columnar",
-			schema: `
-classes
-  HOP = (from: integer, to: integer);
-  BACK = (to: integer, from: integer);
-  WALK = (s: integer, d: integer);
-associations
-  LINK = (s: integer, d: integer);
-  REACH = (s: integer, d: integer);
-  SEED = (n: integer);
-`,
-			modules: []string{links.String(), `
-mode radi.
-rules
-  reach(s: X, d: Y) <- link(s: X, d: Y).
-  reach(s: X, d: Z) <- link(s: X, d: Y), reach(s: Y, d: Z).
-  hop(self: H, from: X, to: Y) <- seed(n: X), reach(s: X, d: Y).
-  back(self: B, to: Y, from: X) <- seed(n: Y), reach(s: X, d: Y).
-  walk(self: W, s: X, d: Y) <- reach(s: X, d: Y).
-end.
-`, "mode ridv.\nrules\n  link(s: 16, d: 2).\n  seed(n: 16).\nend.\n"},
-			derived: "back",
-		},
+		inventionOverColumnar("invention-over-columnar",
+			"reach(s: X, d: Z) <- link(s: X, d: Y), reach(s: Y, d: Z)."),
+		inventionOverColumnar("invention-over-columnar-nonlinear",
+			"reach(s: X, d: Z) <- reach(s: X, d: Y), reach(s: Y, d: Z)."),
 	}
 }
 
@@ -190,12 +198,14 @@ func TestVectorizedSaveBytesMatrix(t *testing.T) {
 			t.Fatalf("%s: the oracle run derived no %s", c.name, c.derived)
 		}
 		for _, leg := range engineLegs() {
-			save, instance := vecMatrixRun(t, c, leg.opts)
-			if save != wantSave {
-				t.Fatalf("%s, %s: Save bytes diverge from the row oracle", c.name, leg.name)
-			}
-			if instance != wantInstance {
-				t.Fatalf("%s, %s: InstanceString diverges from the row oracle", c.name, leg.name)
+			for _, incremental := range []bool{false, true} {
+				save, instance := vecMatrixRun(t, c, append(leg.opts, WithIncremental(incremental)))
+				if save != wantSave {
+					t.Fatalf("%s, %s, incremental=%v: Save bytes diverge from the row oracle", c.name, leg.name, incremental)
+				}
+				if instance != wantInstance {
+					t.Fatalf("%s, %s, incremental=%v: InstanceString diverges from the row oracle", c.name, leg.name, incremental)
+				}
 			}
 		}
 	}
