@@ -405,14 +405,17 @@ func registrarEnrol(student, section int) string {
 }
 
 // registrarPreload opens a scratch database holding the case study at
-// the gated benchmark's registrar_http size: 300 students, 5
-// instructors, 15 sections, three enrolments and marks per student, and
-// the one-mark-per-course denial.
-func registrarPreload(b *testing.B) *Database {
-	const students, instructors, sections = 300, 5, 15
+// scale times the gated benchmark's registrar_http size: 300 students, 5
+// instructors and 15×scale sections, instructor t teaching the sections
+// ≡ t (mod 5). Each student is enrolled in every section of one
+// instructor (3×scale enrolments, by one rule) and has three marks, under
+// the one-mark-per-course denial. Scale 1 is registrar_http's preload.
+func registrarPreload(tb testing.TB, scale int) *Database {
+	const students, instructors, baseSections = 300, 5, 15
+	sections := baseSections * scale
 	db, err := Open(registrarSchema)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var facts, enrols strings.Builder
 	for i := 0; i < students; i++ {
@@ -425,9 +428,10 @@ func registrarPreload(b *testing.B) *Database {
 		fmt.Fprintf(&facts, "  offering(code: \"c%03d\", teacher_name: \"t%02d\", capacity: 1000).\n", i, i%instructors)
 	}
 	for i := 0; i < students; i++ {
+		fmt.Fprintf(&enrols, "  enrolled(student: S, section: X) <- student(self: S, name: \"s%04d\"), section(self: X, teacher: T), instructor(self: T, name: \"t%02d\").\n",
+			i, i%instructors)
 		for k := 0; k < 3; k++ {
-			c := (i + k*5) % sections
-			enrols.WriteString(registrarEnrol(i, c))
+			c := (i + k*instructors) % baseSections
 			fmt.Fprintf(&enrols, "  mark(student: S, code: \"c%03d\", grade: %d) <- student(self: S, name: \"s%04d\").\n", c, 18+k, i)
 		}
 	}
@@ -450,7 +454,7 @@ rules
 end.
 `} {
 		if _, err := db.Exec(src); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return db
@@ -461,7 +465,7 @@ end.
 // the write path of the gated benchmark's registrar_http workload
 // without HTTP — apply, derive, audit the delta, commit.
 func BenchmarkRegistrarEnrolCommit(b *testing.B) {
-	db := registrarPreload(b)
+	db := registrarPreload(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -477,29 +481,43 @@ func BenchmarkRegistrarEnrolCommit(b *testing.B) {
 // enrolment again, so every commit starts from the preload's E or that
 // E plus one fact. BenchmarkRegistrarEnrolCommit grows enrolled by one
 // fact per operation instead, so copying and freezing the growing
-// predicate weigh on it more with every operation.
+// predicate weigh on it more with every operation. The sub-benchmarks
+// scale the preload's enrolments (and sections) by 1, 4 and 16 with
+// the rules, students and marks unchanged: how a commit's cost grows
+// with the predicate it writes.
 func BenchmarkRegistrarEnrolDrop(b *testing.B) {
-	db := registrarPreload(b)
-	preload, err := db.Count("enrolled")
-	if err != nil {
-		b.Fatal(err)
+	for _, scale := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("enrolled=x%d", scale), func(b *testing.B) {
+			db := registrarPreload(b, scale)
+			preload, err := db.Count("enrolled")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				registrarEnrolDrop(b, db, i)
+			}
+			b.StopTimer()
+			if n, err := db.Count("enrolled"); err != nil || n != preload+b.N%2 {
+				b.Fatalf("enrolled = %d (%v) after %d operations, want %d", n, err, b.N, preload+b.N%2)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The preload enrols student s only in the sections ≡ s (mod 5).
-		s := (i / 2) % 300
-		rule := registrarEnrol(s, (s+1)%15)
-		if i%2 == 1 {
-			rule = "  not " + strings.TrimPrefix(rule, "  ")
-		}
-		if _, err := db.ExecConcurrent("mode ridv.\nrules\n" + rule + "end.\n"); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// registrarEnrolDrop is operation i of BenchmarkRegistrarEnrolDrop: an
+// even i enrols student i/2 in a section the preload does not enrol them
+// in, an odd i drops that enrolment again.
+func registrarEnrolDrop(tb testing.TB, db *Database, i int) {
+	// The preload enrols student s only in the sections ≡ s (mod 5).
+	s := (i / 2) % 300
+	rule := registrarEnrol(s, (s+1)%15)
+	if i%2 == 1 {
+		rule = "  not " + strings.TrimPrefix(rule, "  ")
 	}
-	b.StopTimer()
-	if n, err := db.Count("enrolled"); err != nil || n != preload+b.N%2 {
-		b.Fatalf("enrolled = %d (%v) after %d operations, want %d", n, err, b.N, preload+b.N%2)
+	if _, err := db.ExecConcurrent("mode ridv.\nrules\n" + rule + "end.\n"); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -508,7 +526,7 @@ func BenchmarkRegistrarEnrolDrop(b *testing.B) {
 // input. Only the written predicate is copied, so the cost does not
 // scale with E.
 func BenchmarkFactSetCloneWriteOne(b *testing.B) {
-	e := registrarPreload(b).st.E
+	e := registrarPreload(b, 1).st.E
 	f := freshEnrolment(b, e)
 	b.ReportAllocs()
 	b.ResetTimer()

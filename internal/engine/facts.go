@@ -11,6 +11,7 @@ import (
 	"maps"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"logres/internal/instance"
@@ -79,6 +80,11 @@ var nullKey = value.Null{}.Key()
 // A predCache may be shared copy-on-write between a FactSet and its clones:
 // refs counts the owners beyond the first, and every mutation goes through
 // cow() so a shared cache is never written through.
+//
+// Freeze seals a cache whose index lacks some occurring label: its list is
+// flushed, holds no tombstones and never changes again, and each missing
+// label waits in pending until its first probe builds it (see lazyBucket).
+// A sole owner that writes a sealed cache unseals it first (unseal).
 type predCache struct {
 	list      []Fact
 	keys      []string                     // keys[i] == list[i].Key(), kept to avoid re-deriving
@@ -94,7 +100,26 @@ type predCache struct {
 	// only grows pays nothing for it.
 	bucketKeys map[string]map[string][]string
 
+	// pending is non-nil on a sealed cache only: label → its buckets,
+	// built once from the sealed list by the first probe of any owner.
+	// Neither pending nor index is written while the cache is sealed, so
+	// every owner reads both without a lock.
+	pending map[string]*lazyBucket
+
+	// builds counts the bucket indexes built on this cache, one per
+	// label built; the tests pin how many a freeze, a probe and an unseal
+	// cost.
+	builds atomic.Int64
+
 	refs atomic.Int64 // owners beyond the first (64 bits: see predStore)
+}
+
+// lazyBucket is one label's buckets on a sealed cache, built by the first
+// probe. Concurrent probes, through the frozen set or any clone sharing
+// the cache, wait for that one build and share its result.
+type lazyBucket struct {
+	once sync.Once
+	idx  map[string][]Fact
 }
 
 // componentKey is the bucket key of f under label (null when f lacks it).
@@ -110,12 +135,13 @@ func componentKey(f Fact, label string) string {
 func (c *predCache) share() { c.refs.Add(1) }
 
 // cow returns a cache safe to mutate: the receiver when it has a single
-// owner, otherwise a private copy (the bucket index is dropped and rebuilt
-// lazily — an O(n) build per queried label, never a re-sort). The caller
-// must store the returned cache back in place of the receiver. A shared
-// cache never holds tombstones (Clone compacts before sharing), so the copy
-// and every read of a shared cache leave it untouched. The owner count
-// drops only once the copy is taken, so the last owner cannot start
+// owner, otherwise a private, unsealed copy (the bucket index, built and
+// pending alike, is dropped and rebuilt lazily — an O(n) build per queried
+// label, never a re-sort). The caller must store the returned cache back
+// in place of the receiver, and unseal the receiver before writing it. A
+// shared cache never holds tombstones (Clone compacts before sharing), so
+// the copy and every read of a shared cache leave it untouched. The owner
+// count drops only once the copy is taken, so the last owner cannot start
 // writing in place while another is still copying.
 func (c *predCache) cow() *predCache {
 	if c.refs.Load() <= 0 {
@@ -250,9 +276,11 @@ func (st *predStore) cow() *predStore {
 // shares both copy-on-write, so it costs O(#predicates) and a write copies
 // only the predicate it touches.
 //
-// A FactSet can be frozen (Freeze): all per-predicate views and component
-// buckets are pre-built, reads never mutate shared state (safe for
-// concurrent readers), and Add/Remove panic. Thaw re-enables mutation.
+// A FactSet can be frozen (Freeze): every per-predicate view is built and
+// its list sealed, and each component bucket is built once, on the first
+// probe of its label, by whichever owner of the view probes first. Reads
+// never mutate shared state otherwise (safe for concurrent readers), and
+// Add/Remove panic. Thaw re-enables mutation.
 type FactSet struct {
 	preds  map[string]*predStore // pred → its facts (kept once created, even empty)
 	views  map[string]*predCache // pred → read view (absent = not built)
@@ -322,7 +350,8 @@ func (s *FactSet) view(pred string) *predCache {
 }
 
 // mutableView returns the view of pred ready for in-place cache
-// maintenance (copy-on-write when shared), or nil when no view is stored.
+// maintenance (copy-on-write when shared, unsealed when sealed), or nil
+// when no view is stored.
 func (s *FactSet) mutableView(pred string) *predCache {
 	c := s.views[pred]
 	if c == nil {
@@ -330,8 +359,9 @@ func (s *FactSet) mutableView(pred string) *predCache {
 	}
 	if cc := c.cow(); cc != c {
 		s.views[pred] = cc
-		c = cc
+		return cc
 	}
+	c.unseal()
 	return c
 }
 
@@ -398,16 +428,56 @@ func (a *factsByKey) Swap(i, j int) {
 	a.keys[i], a.keys[j] = a.keys[j], a.keys[i]
 }
 
-// buildBucket constructs the component buckets of one label from the
-// current list order (the cache must be compacted).
+// buildBucket constructs and stores the component buckets of one label
+// from the current list order (the cache must be compacted and unsealed).
 func (c *predCache) buildBucket(label string) map[string][]Fact {
+	idx := c.bucketsOf(label)
+	c.index[label] = idx
+	return idx
+}
+
+// bucketsOf builds the component buckets of one label from the current
+// list order without storing them.
+func (c *predCache) bucketsOf(label string) map[string][]Fact {
+	c.builds.Add(1)
 	idx := map[string][]Fact{}
 	for _, f := range c.list {
 		bk := componentKey(f, label)
 		idx[bk] = append(idx[bk], f)
 	}
-	c.index[label] = idx
 	return idx
+}
+
+// lazy returns label's buckets on a sealed cache, building them from the
+// sealed list on the first call for lb by any owner.
+func (c *predCache) lazy(lb *lazyBucket, label string) map[string][]Fact {
+	lb.once.Do(func() { lb.idx = c.bucketsOf(label) })
+	return lb.idx
+}
+
+// seal marks a flushed cache read-only: every occurring label without a
+// bucket becomes pending, to be built on its first probe. A cache with
+// every bucket already built stays unsealed; nothing about it is pending.
+func (c *predCache) seal() {
+	for label := range c.labels {
+		if _, ok := c.index[label]; !ok {
+			if c.pending == nil {
+				c.pending = map[string]*lazyBucket{}
+			}
+			c.pending[label] = &lazyBucket{}
+		}
+	}
+}
+
+// unseal readies a sealed cache for its sole owner's in-place writes:
+// every pending label is built, from the sealed list, before any write
+// lands, so the buckets then maintained in place start in the order
+// Freeze would have built them in.
+func (c *predCache) unseal() {
+	for label, lb := range c.pending {
+		c.index[label] = c.lazy(lb, label)
+	}
+	c.pending = nil
 }
 
 // cacheAdd maintains the cache for one inserted fact: O(1) list append plus
@@ -442,33 +512,31 @@ func (c *predCache) cacheRemove(f Fact, key string) {
 
 // --- freeze ---------------------------------------------------------------
 
-// Freeze pre-builds every predicate's view and component buckets and marks
-// the set read-only: subsequent Facts/FactsByComponent calls never mutate
-// shared state, making the set safe for concurrent readers; Add and Remove
-// panic until Thaw. Freezing an already frozen set is a no-op.
+// Freeze builds, compacts and flushes every predicate's view, seals the
+// views that lack some bucket, and marks the set read-only: Facts never
+// mutates, FactsByComponent builds a missing label's buckets once per
+// sealed view (see lazyBucket), so the set is safe for concurrent readers;
+// Add and Remove panic until Thaw. A view still shared with an owner that
+// may write it is copied before sealing, so that owner's buckets are never
+// sealed under it. Freezing an already frozen set is a no-op.
 func (s *FactSet) Freeze() {
 	if s.frozen {
 		return
 	}
 	for pred := range s.preds {
 		c := s.view(pred)
+		if c.pending != nil {
+			continue // sealed by an earlier Freeze: nothing can have changed
+		}
 		if c.sortedLen != len(c.list) || len(c.dead) > 0 {
 			c = c.cow()
 			c.flushCache()
 		}
-		missing := false
 		for label := range c.labels {
 			if _, ok := c.index[label]; !ok {
-				missing = true
+				c = c.cow()
+				c.seal()
 				break
-			}
-		}
-		if missing {
-			c = c.cow()
-			for label := range c.labels {
-				if _, ok := c.index[label]; !ok {
-					c.buildBucket(label)
-				}
 			}
 		}
 		s.views[pred] = c
@@ -486,10 +554,11 @@ func (s *FactSet) Frozen() bool { return s.frozen }
 
 // FactsByComponent returns the facts of pred whose labelled component
 // equals v, through the component hash index. The returned slice must not
-// be mutated. On an unfrozen set the index is built on demand and bucket
-// order follows fact key order; on a frozen set all buckets are pre-built
-// and the lookup is read-only. Pending removals are compacted first, but
-// the list is not re-sorted for a lookup on an existing index.
+// be mutated. A missing index is built on the first lookup of its label,
+// so bucket order follows fact key order. On a sealed view that build is
+// shared by every owner, at most once per label, and otherwise the lookup
+// is read-only. Pending removals are compacted first, but the list is not
+// re-sorted for a lookup on an existing index.
 func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 	c := s.views[pred]
 	if c == nil {
@@ -501,16 +570,19 @@ func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 	c.compact() // only a private cache holds tombstones; frozen ones hold none
 	idx, ok := c.index[label]
 	if !ok {
-		if s.frozen {
-			// The label occurs in no fact of pred (Freeze pre-builds every
+		if lb := c.pending[label]; lb != nil {
+			idx = c.lazy(lb, label)
+		} else if s.frozen {
+			// The label occurs in no fact of pred (Freeze seals every
 			// occurring label), so every fact holds null for it.
 			if _, isNull := v.(value.Null); isNull {
 				return c.list
 			}
 			return nil
+		} else {
+			s.flushedView(pred, c) // keep bucket order = key order
+			idx = s.mutableView(pred).buildBucket(label)
 		}
-		s.flushedView(pred, c) // keep bucket order = key order
-		idx = s.mutableView(pred).buildBucket(label)
 	}
 	var buf [value.KeyBufSize]byte
 	return idx[string(value.AppendKey(buf[:0], v))]

@@ -163,36 +163,65 @@ func TestFactSetCacheClassReplace(t *testing.T) {
 
 // A frozen FactSet must be safe for unsynchronized concurrent readers and
 // cloners (validated under -race), must reject mutation, and must not see
-// a clone's writes.
+// a clone's writes. Every goroutine starts behind one barrier, so the first
+// probes of the unbuilt labels race: half probe the frozen set, half a
+// clone sharing its sealed view, and all get the same buckets, built once
+// per label.
 func TestFrozenConcurrentReaders(t *testing.T) {
 	fs := randomEdgeFacts(20, 200, 5)
 	fs.Freeze()
 	if !fs.Frozen() {
 		t.Fatal("Frozen() = false after Freeze")
 	}
+	const readers, cloners = 8, 8
+	probe := fs.Facts("edge")[0].Tuple
+	src, _ := probe.Get("src")
+	dst, _ := probe.Get("dst")
+	first := make([][2][]Fact, readers+cloners) // each goroutine's first src and dst bucket
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < readers+cloners; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			set := fs
+			if g >= readers {
+				set = fs.Clone()
+			}
+			<-start
+			first[g] = [2][]Fact{set.FactsByComponent("edge", "src", src), set.FactsByComponent("edge", "dst", dst)}
 			for i := 0; i < 200; i++ {
 				v := value.Int(int64((g*31 + i) % 20))
-				_ = fs.Facts("edge")
-				_ = fs.FactsByComponent("edge", "src", v)
-				_ = fs.FactsByComponent("edge", "dst", v)
-				_ = fs.FactsByComponent("edge", "missing", value.Null{})
-				_ = fs.Has(edgeFact(i%20, (i+1)%20))
-				_ = fs.Size("edge")
+				_ = set.Facts("edge")
+				_ = set.FactsByComponent("edge", "src", v)
+				_ = set.FactsByComponent("edge", "dst", v)
+				if set == fs {
+					// On an unfrozen clone this probe copies the view.
+					_ = fs.FactsByComponent("edge", "missing", value.Null{})
+				}
+				_ = set.Has(edgeFact(i%20, (i+1)%20))
+				_ = set.Size("edge")
 			}
-			cl := fs.Clone()
+			cl := set.Clone()
 			cl.Add(edgeFact(100+g, 0))
 			if got := cl.FactsByComponent("edge", "src", value.Int(int64(100+g))); len(got) != 1 {
 				t.Errorf("clone %d: bucket size %d after add, want 1", g, len(got))
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
-	for g := 0; g < 8; g++ {
+	for g, b := range first {
+		for i, label := range []string{"src", "dst"} {
+			if len(b[i]) == 0 || &b[i][0] != &first[0][i][0] {
+				t.Fatalf("goroutine %d got another %s bucket than goroutine 0 (%d facts)", g, label, len(b[i]))
+			}
+		}
+	}
+	if n := fs.views["edge"].builds.Load(); n != 2 {
+		t.Fatalf("%d bucket builds on the shared view, want 1 per label (2)", n)
+	}
+	for g := 0; g < readers+cloners; g++ {
 		if fs.Has(edgeFact(100+g, 0)) {
 			t.Fatalf("clone %d's add leaked into the frozen source", g)
 		}
@@ -236,6 +265,192 @@ func TestFrozenNullComponent(t *testing.T) {
 	}
 	if got := fs.Facts("ghost"); got != nil {
 		t.Fatalf("Facts on absent pred of frozen set returned %v, want nil", got)
+	}
+}
+
+// bucketBuilds sums the bucket builds counted on s's views of preds.
+func bucketBuilds(s *FactSet, preds ...string) int64 {
+	var n int64
+	for _, p := range preds {
+		if c := s.views[p]; c != nil {
+			n += c.builds.Load()
+		}
+	}
+	return n
+}
+
+// Freeze builds no bucket. The first probe of a label builds it once, on
+// the sealed view, for the frozen set and every clone sharing that view; a
+// sole owner's first write after Thaw builds the labels still missing,
+// once, and maintains them in place from then on.
+func TestFactSetBucketsBuiltOnFirstProbe(t *testing.T) {
+	mk := func() *FactSet {
+		fs := chainEdgeFacts(20)
+		for o := 1; o <= 5; o++ {
+			fs.Add(classTagFact(int64(o), int64(o%2)))
+		}
+		fs.Freeze()
+		return fs
+	}
+	fs := mk()
+	expect := func(what string, want int64) {
+		t.Helper()
+		if got := bucketBuilds(fs, "edge", "node"); got != want {
+			t.Fatalf("%s: %d bucket builds, want %d", what, got, want)
+		}
+	}
+	lookup := func(s *FactSet, label string, v int64, want int) {
+		t.Helper()
+		if got := s.FactsByComponent("edge", label, value.Int(v)); len(got) != want {
+			t.Fatalf("edge.%s = %d: %d facts, want %d", label, v, len(got), want)
+		}
+	}
+	expect("Freeze", 0)
+	lookup(fs, "src", 3, 1)
+	expect("first probe of edge.src", 1)
+	lookup(fs, "src", 4, 1)
+	expect("second probe of edge.src", 1)
+	cl := fs.Clone()
+	lookup(cl, "src", 5, 1)
+	expect("probe of edge.src through a clone", 1)
+	cl.Add(classTagFact(9, 1))
+	lookup(cl, "src", 6, 1)
+	expect("probe after the clone wrote node", 1)
+	if cl.views["edge"] != fs.views["edge"] {
+		t.Fatal("the clone no longer shares the edge view it never wrote")
+	}
+
+	fs = mk()
+	lookup(fs, "src", 3, 1)
+	fs.Thaw()
+	lookup(fs, "src", 4, 1)
+	expect("probe after Thaw", 1)
+	fs.Add(edgeFact(50, 51))
+	expect("first write after Thaw (builds edge.dst)", 2)
+	fs.Add(edgeFact(60, 61))
+	lookup(fs, "dst", 51, 1)
+	lookup(fs, "src", 60, 1)
+	expect("second write and probes", 2)
+	if c := fs.views["edge"]; c.pending != nil || len(c.index) != 2 {
+		t.Fatalf("after the write: %d pending and %d built labels, want 0 and 2", len(c.pending), len(c.index))
+	}
+}
+
+// modelPair runs a FactSet beside the eager reference model of
+// TestFactSetTombstoneDifferential, which builds every bucket at freeze. A
+// pair whose model is nil is checked against explicit orders only.
+type modelPair struct {
+	fs *FactSet
+	m  *eagerModel
+}
+
+func newModelPair(facts ...Fact) *modelPair {
+	p := &modelPair{NewFactSet(), newEagerModel()}
+	p.add(facts...)
+	return p
+}
+
+func (p *modelPair) add(facts ...Fact) {
+	for _, f := range facts {
+		p.fs.Add(f)
+		p.m.add(f)
+	}
+}
+
+func (p *modelPair) clone() *modelPair { return &modelPair{p.fs.Clone(), p.m.clone()} }
+
+func (p *modelPair) freeze() { p.fs.Freeze(); p.m.freeze() }
+
+func (p *modelPair) thaw() { p.fs.Thaw(); p.m.frozen = false }
+
+// bucket probes edge's label for v and checks the bucket, order included,
+// against the model and against want, given as "src-dst" pairs.
+func (p *modelPair) bucket(t *testing.T, label string, v value.Value, want ...string) {
+	t.Helper()
+	got := factKeys(p.fs.FactsByComponent("edge", label, v))
+	if p.m != nil {
+		if model := p.m.bucket("edge", label, v); !slices.Equal(got, model) {
+			t.Fatalf("edge.%s = %v: got %v, model %v", label, v, got, model)
+		}
+	}
+	var wantKeys []string
+	for _, w := range want {
+		var a, b int
+		fmt.Sscanf(w, "%d-%d", &a, &b)
+		wantKeys = append(wantKeys, edgeFact(a, b).Key())
+	}
+	if !slices.Equal(got, wantKeys) {
+		t.Fatalf("edge.%s = %v: got %v, want %v", label, v, got, wantKeys)
+	}
+}
+
+// Bucket order across seal and unseal: the three transitions where a
+// lazily built bucket could come out in another order than the one Freeze
+// used to build eagerly, each checked against the eager model.
+func TestFactSetSealTransitions(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{{
+		// The frozen "every fact holds null" answer would leave the view
+		// shared; the clone's write would then copy it and rebuild its
+		// buckets in key order instead of appending to them.
+		name: "null probe of an absent label through an unfrozen clone copies",
+		run: func(t *testing.T) {
+			a := newModelPair(edgeFact(1, 2), edgeFact(3, 4), edgeFact(5, 6))
+			a.freeze()
+			b := a.clone()
+			b.bucket(t, "nolabel", value.Null{}, "1-2", "3-4", "5-6")
+			if b.fs.views["edge"] == a.fs.views["edge"] {
+				t.Fatal("the unfrozen clone still shares the sealed view after building a bucket")
+			}
+			b.bucket(t, "src", value.Int(1), "1-2")
+			b.add(edgeFact(0, 9))
+			b.bucket(t, "nolabel", value.Null{}, "1-2", "3-4", "5-6", "0-9")
+			a.bucket(t, "nolabel", value.Null{}, "1-2", "3-4", "5-6")
+		},
+	}, {
+		// Sealing the shared view in place would leave the other owner
+		// sharing it; its next write would copy the view and lose the src
+		// bucket it maintains in place.
+		name: "Freeze copies a shared view that lacks a bucket",
+		run: func(t *testing.T) {
+			a := newModelPair(edgeFact(1, 5), edgeFact(3, 4))
+			a.bucket(t, "src", value.Int(1), "1-5")
+			b := a.clone()
+			shared := a.fs.views["edge"]
+			a.freeze()
+			if a.fs.views["edge"] == shared {
+				t.Fatal("Freeze sealed a view shared with an unfrozen owner")
+			}
+			// The model's freeze, copying the shared view partway through
+			// its label loop, leaves the labels it already passed unbuilt,
+			// depending on map order; the frozen side is checked on its own.
+			a.m = nil
+			b.add(edgeFact(1, 2))
+			if b.fs.views["edge"] != shared {
+				t.Fatal("the remaining owner copied the view it now owns alone")
+			}
+			b.bucket(t, "src", value.Int(1), "1-5", "1-2")
+			a.bucket(t, "src", value.Int(1), "1-5")
+			a.bucket(t, "dst", value.Int(5), "1-5")
+		},
+	}, {
+		// The labels nobody probed while sealed are built from the sealed
+		// list before the write lands, so the write appends to them.
+		name: "Thaw then write after only some labels were probed",
+		run: func(t *testing.T) {
+			a := newModelPair(edgeFact(1, 5), edgeFact(3, 4), edgeFact(2, 5))
+			a.freeze()
+			a.bucket(t, "src", value.Int(1), "1-5")
+			a.thaw()
+			a.add(edgeFact(0, 5), edgeFact(1, 0))
+			a.bucket(t, "dst", value.Int(5), "1-5", "2-5", "0-5")
+			a.bucket(t, "src", value.Int(1), "1-5", "1-0")
+		},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, c.run)
 	}
 }
 

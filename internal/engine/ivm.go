@@ -64,6 +64,10 @@ type Maintainer struct {
 	// that brings it up to the current view. Reusing it makes an update
 	// O(delta): the spare's merged views and component indexes are
 	// maintained in place instead of being cloned and rebuilt per commit.
+	// Its Freeze sealed the views it published; a bucket readers never
+	// probed is built when the catch-up first writes its view (unseal),
+	// once, from the sealed list, so the spare's buckets are the ones an
+	// eager Freeze would have built.
 	spare   *FactSet
 	catchUp *ViewDelta
 	// fullCounter is the oid counter after the full evaluation — what a
@@ -423,10 +427,12 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 // takeScratch returns the working copy an update mutates: the spare
 // view double-buffer caught up to the current view when one is
 // available — an O(delta) replay that preserves the spare's
-// incrementally maintained merged views and component indexes — or a
-// fresh clone otherwise. The spare is consumed either way, so an
-// update that fails mid-propagation never leaves a half-mutated spare
-// behind (the next update falls back to cloning).
+// incrementally maintained merged views and component indexes, after
+// unsealing each view it writes (building the buckets still pending
+// since the spare's Freeze) — or a fresh clone otherwise. The spare is
+// consumed either way, so an update that fails mid-propagation never
+// leaves a half-mutated spare behind (the next update falls back to
+// cloning).
 func (m *Maintainer) takeScratch() *FactSet {
 	sp, cu := m.spare, m.catchUp
 	m.spare, m.catchUp = nil, nil

@@ -165,8 +165,8 @@ func WithVectorize(on bool) Option {
 // methods (Query, Instance, Count, Save, …) share an RWMutex read lock
 // and run concurrently with each other; module applications take the
 // write lock and serialize. The published extensional fact set is kept
-// frozen (engine.FactSet.Freeze) so concurrent readers share its indexes
-// without lazy mutation.
+// frozen (engine.FactSet.Freeze) so concurrent readers share its indexes,
+// each built once, on its first probe.
 type Database struct {
 	mu   sync.RWMutex
 	st   *module.State
