@@ -1,10 +1,10 @@
 package logres
 
-// The benchmark harness: one testing.B family per experiment E1–E11 and
-// E14 of EXPERIMENTS.md, plus in-process shapes of the gated workloads
-// under benchmark/ (registrar commits, contended concurrent commits, the
-// closure_batch read path, durable serial commits), which measure the
-// end-to-end experiments. Run with:
+// The benchmark harness: one testing.B family per experiment E1–E9, E11
+// and E14 of EXPERIMENTS.md, plus in-process shapes of the gated
+// workloads under benchmark/ (registrar commits, contended concurrent
+// commits, the closure_batch read path, durable serial commits), which
+// measure the end-to-end experiments. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -26,8 +26,7 @@ import (
 	"logres/internal/obs"
 )
 
-// E1 — transitive closure: LOGRES naive vs semi-naive vs ALGRES-compiled
-// vs the flat Datalog baseline, over chains.
+// E1 — transitive closure: LOGRES naive vs semi-naive, over chains.
 func BenchmarkE1_TC_LogresSemiNaive(b *testing.B) { benchE1Logres(b, true) }
 func BenchmarkE1_TC_LogresNaive(b *testing.B)     { benchE1Logres(b, false) }
 
@@ -50,50 +49,6 @@ func benchE1Logres(b *testing.B, semi bool) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkE1_TC_Datalog(b *testing.B) {
-	for _, n := range []int{32, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, err := bench.NewDatalogTC(bench.Chain(n), true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := s.Run(); got != n*(n+1)/2 {
-					b.Fatalf("tc = %d", got)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE1_TC_Algres(b *testing.B) {
-	for _, semi := range []bool{true, false} {
-		name := "seminaive"
-		if !semi {
-			name = "naive"
-		}
-		for _, n := range []int{32, 128} {
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				s, err := bench.NewAlgresTC(bench.Chain(n), semi)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, err := s.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got != n*(n+1)/2 {
-						b.Fatalf("tc = %d", got)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -280,35 +235,6 @@ func BenchmarkE9_SnapshotDecode(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Decode(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// E10 — ALGRES operator microbenchmarks.
-func BenchmarkE10_AlgebraJoin(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			a := bench.NewAlgebraOps(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if a.Join() == 0 {
-					b.Fatal("empty join")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE10_AlgebraNestUnnest(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			a := bench.NewAlgebraOps(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.NestUnnest(); err != nil {
 					b.Fatal(err)
 				}
 			}

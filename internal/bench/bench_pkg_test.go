@@ -6,8 +6,8 @@ import (
 	"logres/internal/ast"
 )
 
-// Correctness tests of the harness itself: all systems must agree on the
-// workloads before their timings mean anything.
+// Correctness tests of the harness itself: every runner must return the
+// expected counts before its timings mean anything.
 
 func TestGenerators(t *testing.T) {
 	if got := len(Chain(5)); got != 5 {
@@ -51,27 +51,6 @@ func TestAllTCSystemsAgree(t *testing.T) {
 	}
 	if got, err := lgN.Run(); err != nil || got != want {
 		t.Fatalf("logres naive = %d (%v)", got, err)
-	}
-	dl, err := NewDatalogTC(edges, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dl.Run(); got != want {
-		t.Fatalf("datalog = %d", got)
-	}
-	al, err := NewAlgresTC(edges, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := al.Run(); err != nil || got != want {
-		t.Fatalf("algres = %d (%v)", got, err)
-	}
-	alN, err := NewAlgresTC(edges, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := alN.Run(); err != nil || got != want {
-		t.Fatalf("algres naive = %d (%v)", got, err)
 	}
 }
 
@@ -205,16 +184,5 @@ func TestSnapshotWorkload(t *testing.T) {
 	facts, err := s.Decode()
 	if err != nil || facts != 39 { // 20 items + 19 links
 		t.Fatalf("decode = %d (%v)", facts, err)
-	}
-}
-
-func TestAlgebraOpsWorkload(t *testing.T) {
-	a := NewAlgebraOps(100)
-	if a.Join() == 0 {
-		t.Fatal("join empty")
-	}
-	n, err := a.NestUnnest()
-	if err != nil || n != 100 {
-		t.Fatalf("nest/unnest = %d (%v)", n, err)
 	}
 }

@@ -6,57 +6,73 @@ import (
 	"testing"
 	"testing/quick"
 
-	"logres/internal/algres"
 	"logres/internal/datalog"
 	"logres/internal/engine"
 	"logres/internal/parser"
 	"logres/internal/value"
 )
 
-// Three-way differential testing: random flat Datalog programs evaluated
-// by the LOGRES engine, the ALGRES algebra compiler, and the flat Datalog
-// baseline must produce identical relations. This pins the three
-// implementations of the shared fragment against each other.
+// Differential testing against an independent oracle: random flat
+// Datalog programs with stratified negation, evaluated by the LOGRES
+// engine (columnar defaults and the row executor) and by the flat
+// Datalog reference in internal/datalog, which shares no code with the
+// engine, must produce identical relations.
 
-// randProgram generates a random positive program over binary relations
-// r0..r2 and two IDB predicates p0, p1 with 2–5 rules.
-type randProgram struct {
-	src   string
-	rules int
-}
-
-func genProgram(r *rand.Rand) randProgram {
+// genProgram returns a random program over binary relations r0..r2 and
+// two IDB predicates p0, p1 with 2–5 rules. p0 rules never mention p1,
+// so every program is stratifiable.
+func genProgram(r *rand.Rand) string {
 	edbs := []string{"r0", "r1", "r2"}
 	idbs := []string{"p0", "p1"}
 	nRules := 2 + r.Intn(4)
 	src := ""
 	for i := 0; i < nRules; i++ {
 		head := idbs[r.Intn(len(idbs))]
+		// IDBs a body may read: p0 rules only p0, p1 rules both.
+		reads := idbs[:1]
+		if head == "p1" {
+			reads = idbs
+		}
 		// 1–3 body literals over EDBs and (for recursion) IDBs.
 		nLits := 1 + r.Intn(3)
-		vars := []string{"X", "Y", "Z", "W"}
+		vars := []string{"X", "Y", "Z"}
 		headA := vars[r.Intn(2)]
 		headB := vars[r.Intn(2)+1]
 		body := ""
+		bound := map[string]bool{headA: true, headB: true}
 		for j := 0; j < nLits; j++ {
 			var pred string
 			if j == 0 || r.Intn(3) > 0 {
 				pred = edbs[r.Intn(len(edbs))]
 			} else {
-				pred = idbs[r.Intn(len(idbs))]
+				pred = reads[r.Intn(len(reads))]
 			}
 			a := vars[r.Intn(3)]
 			b := vars[r.Intn(3)]
-			if j > 0 {
-				body += ", "
-			}
-			body += fmt.Sprintf("%s(a: %s, b: %s)", pred, a, b)
+			bound[a], bound[b] = true, true
+			body += fmt.Sprintf("%s(a: %s, b: %s), ", pred, a, b)
 		}
 		// Ensure head variables are bound: append one literal binding both.
-		body += fmt.Sprintf(", %s(a: %s, b: %s)", edbs[r.Intn(len(edbs))], headA, headB)
+		body += fmt.Sprintf("%s(a: %s, b: %s)", edbs[r.Intn(len(edbs))], headA, headB)
+		// One optional negated literal over bound variables: an EDB, or
+		// p0 inside a p1 rule.
+		if r.Intn(2) == 0 {
+			var bv []string
+			for _, v := range vars {
+				if bound[v] {
+					bv = append(bv, v)
+				}
+			}
+			negs := edbs
+			if head == "p1" {
+				negs = []string{"r0", "r1", "r2", "p0"}
+			}
+			body += fmt.Sprintf(", not %s(a: %s, b: %s)",
+				negs[r.Intn(len(negs))], bv[r.Intn(len(bv))], bv[r.Intn(len(bv))])
+		}
 		src += fmt.Sprintf("%s(a: %s, b: %s) <- %s.\n", head, headA, headB, body)
 	}
-	return randProgram{src: src, rules: nRules}
+	return src
 }
 
 func genFacts(r *rand.Rand, n int) [][3]int {
@@ -67,11 +83,7 @@ func genFacts(r *rand.Rand, n int) [][3]int {
 	return out
 }
 
-func TestDifferentialThreeWay(t *testing.T) {
-	schemas := map[string][]string{
-		"r0": {"a", "b"}, "r1": {"a", "b"}, "r2": {"a", "b"},
-		"p0": {"a", "b"}, "p1": {"a", "b"},
-	}
+func TestDifferentialDatalog(t *testing.T) {
 	moduleSrc := `
 associations
   R0 = (a: integer, b: integer);
@@ -84,53 +96,23 @@ associations
 	if err != nil {
 		t.Fatal(err)
 	}
+	rowOpts := engine.DefaultOptions()
+	rowOpts.Vectorize = false
+	executors := []struct {
+		name string
+		opts engine.Options
+	}{{"defaults", engine.DefaultOptions()}, {"row", rowOpts}}
 
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		prog := genProgram(r)
+		src := genProgram(r)
 		facts := genFacts(r, 6+r.Intn(10))
-		rules, err := parser.ParseProgram(prog.src)
+		rules, err := parser.ParseProgram(src)
 		if err != nil {
-			t.Fatalf("generated program does not parse: %v\n%s", err, prog.src)
+			t.Fatalf("generated program does not parse: %v\n%s", err, src)
 		}
 
-		// 1. LOGRES engine.
-		eng, err := engine.Compile(m.Schema, rules, engine.DefaultOptions())
-		if err != nil {
-			t.Fatalf("engine compile: %v\n%s", err, prog.src)
-		}
-		edb := engine.NewFactSet()
-		for _, f := range facts {
-			edb.Add(engine.Fact{Pred: fmt.Sprintf("r%d", f[0]), Tuple: value.NewTuple(
-				value.Field{Label: "a", Value: value.Int(int64(f[1]))},
-				value.Field{Label: "b", Value: value.Int(int64(f[2]))},
-			)})
-		}
-		counter := int64(0)
-		engOut, err := eng.Run(edb, &counter)
-		if err != nil {
-			t.Fatalf("engine run: %v\n%s", err, prog.src)
-		}
-
-		// 2. ALGRES compiler.
-		rp, err := algres.CompileRules(schemas, rules)
-		if err != nil {
-			t.Fatalf("algres compile: %v\n%s", err, prog.src)
-		}
-		adb := algres.NewDB()
-		for i := 0; i < 3; i++ {
-			adb.Set(fmt.Sprintf("r%d", i), algres.NewRelation("a", "b"))
-		}
-		for _, f := range facts {
-			rel, _ := adb.Get(fmt.Sprintf("r%d", f[0]))
-			rel.InsertValues(value.Int(int64(f[1])), value.Int(int64(f[2])))
-		}
-		aOut, err := rp.EvalSemiNaive(adb, 0)
-		if err != nil {
-			t.Fatalf("algres run: %v\n%s", err, prog.src)
-		}
-
-		// 3. Flat Datalog baseline.
+		// The oracle: flat Datalog.
 		var dlRules []datalog.Rule
 		for _, ru := range rules {
 			dr := datalog.Rule{Head: datalog.Atom{
@@ -139,15 +121,16 @@ associations
 			}}
 			for _, l := range ru.Body {
 				dr.Body = append(dr.Body, datalog.Atom{
-					Pred: l.Pred,
-					Args: []datalog.Term{datalog.V(l.Args[0].Term.String()), datalog.V(l.Args[1].Term.String())},
+					Pred:    l.Pred,
+					Negated: l.Negated,
+					Args:    []datalog.Term{datalog.V(l.Args[0].Term.String()), datalog.V(l.Args[1].Term.String())},
 				})
 			}
 			dlRules = append(dlRules, dr)
 		}
 		dp, err := datalog.NewProgram(dlRules)
 		if err != nil {
-			t.Fatalf("datalog compile: %v\n%s", err, prog.src)
+			t.Fatalf("datalog compile: %v\n%s", err, src)
 		}
 		ddb := datalog.NewDB()
 		for _, f := range facts {
@@ -155,34 +138,42 @@ associations
 		}
 		dOut := dp.EvalSemiNaive(ddb)
 
-		// Compare the IDB relations across all three.
-		for _, pred := range []string{"p0", "p1"} {
-			engSet := map[string]bool{}
-			for _, fact := range engOut.Facts(pred) {
-				a, _ := fact.Tuple.Get("a")
-				b, _ := fact.Tuple.Get("b")
-				engSet[a.String()+","+b.String()] = true
+		edb := engine.NewFactSet()
+		for _, f := range facts {
+			edb.Add(engine.Fact{Pred: fmt.Sprintf("r%d", f[0]), Tuple: value.NewTuple(
+				value.Field{Label: "a", Value: value.Int(int64(f[1]))},
+				value.Field{Label: "b", Value: value.Int(int64(f[2]))},
+			)})
+		}
+		for _, ex := range executors {
+			eng, err := engine.Compile(m.Schema, rules, ex.opts)
+			if err != nil {
+				t.Fatalf("%s: engine compile: %v\n%s", ex.name, err, src)
 			}
-			aRel, _ := aOut.Get(pred)
-			aSet := map[string]bool{}
-			if aRel != nil {
-				for _, tup := range aRel.Tuples() {
-					a, _ := tup.Get("a")
-					b, _ := tup.Get("b")
-					aSet[a.String()+","+b.String()] = true
+			counter := int64(0)
+			engOut, err := eng.Run(edb, &counter)
+			if err != nil {
+				t.Fatalf("%s: engine run: %v\n%s", ex.name, err, src)
+			}
+			for _, pred := range []string{"p0", "p1"} {
+				engSet := map[string]bool{}
+				for _, fact := range engOut.Facts(pred) {
+					a, _ := fact.Tuple.Get("a")
+					b, _ := fact.Tuple.Get("b")
+					engSet[a.String()+","+b.String()] = true
 				}
-			}
-			dSet := map[string]bool{}
-			for _, tup := range dOut.Tuples(pred) {
-				dSet[tup[0]+","+tup[1]] = true
-			}
-			if len(engSet) != len(aSet) || len(engSet) != len(dSet) {
-				t.Fatalf("size mismatch on %s: engine=%d algres=%d datalog=%d\nprogram:\n%s",
-					pred, len(engSet), len(aSet), len(dSet), prog.src)
-			}
-			for k := range engSet {
-				if !aSet[k] || !dSet[k] {
-					t.Fatalf("tuple %s of %s missing in a baseline\nprogram:\n%s", k, pred, prog.src)
+				dSet := map[string]bool{}
+				for _, tup := range dOut.Tuples(pred) {
+					dSet[tup[0]+","+tup[1]] = true
+				}
+				if len(engSet) != len(dSet) {
+					t.Fatalf("%s: size mismatch on %s: engine=%d datalog=%d\nprogram:\n%s",
+						ex.name, pred, len(engSet), len(dSet), src)
+				}
+				for k := range engSet {
+					if !dSet[k] {
+						t.Fatalf("%s: tuple %s of %s missing in the oracle\nprogram:\n%s", ex.name, k, pred, src)
+					}
 				}
 			}
 		}

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
-	"logres/internal/algres"
 	"logres/internal/ast"
-	"logres/internal/datalog"
 	"logres/internal/engine"
 	"logres/internal/module"
 	"logres/internal/parser"
@@ -14,97 +12,6 @@ import (
 	"logres/internal/types"
 	"logres/internal/value"
 )
-
-// Baseline runners: the flat Datalog engine and the ALGRES algebra
-// compiler, on the same closure workloads as the LOGRES engine.
-
-// DatalogTC builds the flat-Datalog closure workload.
-type DatalogTC struct {
-	Program *datalog.Program
-	DB      *datalog.DB
-	Semi    bool
-}
-
-// NewDatalogTC compiles the baseline closure program.
-func NewDatalogTC(edges []Edge, semiNaive bool) (*DatalogTC, error) {
-	rules := []datalog.Rule{
-		{Head: datalog.Atom{Pred: "tc", Args: []datalog.Term{datalog.V("X"), datalog.V("Y")}},
-			Body: []datalog.Atom{{Pred: "edge", Args: []datalog.Term{datalog.V("X"), datalog.V("Y")}}}},
-		{Head: datalog.Atom{Pred: "tc", Args: []datalog.Term{datalog.V("X"), datalog.V("Z")}},
-			Body: []datalog.Atom{
-				{Pred: "tc", Args: []datalog.Term{datalog.V("X"), datalog.V("Y")}},
-				{Pred: "edge", Args: []datalog.Term{datalog.V("Y"), datalog.V("Z")}},
-			}},
-	}
-	p, err := datalog.NewProgram(rules)
-	if err != nil {
-		return nil, err
-	}
-	db := datalog.NewDB()
-	for _, e := range edges {
-		db.Add("edge", datalog.Tuple{fmt.Sprint(e.From), fmt.Sprint(e.To)})
-	}
-	return &DatalogTC{Program: p, DB: db, Semi: semiNaive}, nil
-}
-
-// Run evaluates once and returns |tc|.
-func (d *DatalogTC) Run() int {
-	var out *datalog.DB
-	if d.Semi {
-		out = d.Program.EvalSemiNaive(d.DB)
-	} else {
-		out = d.Program.EvalNaive(d.DB)
-	}
-	return out.Size("tc")
-}
-
-// AlgresTC builds the algebra-compiled closure workload.
-type AlgresTC struct {
-	Program *algres.RuleProgram
-	DB      *algres.DB
-	Semi    bool
-}
-
-// NewAlgresTC compiles the closure rules to algebra.
-func NewAlgresTC(edges []Edge, semiNaive bool) (*AlgresTC, error) {
-	rules, err := parser.ParseProgram(`
-tc(src: X, dst: Y) <- edge(src: X, dst: Y).
-tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
-`)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := algres.CompileRules(map[string][]string{
-		"edge": {"src", "dst"},
-		"tc":   {"src", "dst"},
-	}, rules)
-	if err != nil {
-		return nil, err
-	}
-	db := algres.NewDB()
-	rel := algres.NewRelation("src", "dst")
-	for _, e := range edges {
-		rel.InsertValues(value.Int(int64(e.From)), value.Int(int64(e.To)))
-	}
-	db.Set("edge", rel)
-	return &AlgresTC{Program: rp, DB: db, Semi: semiNaive}, nil
-}
-
-// Run evaluates once and returns |tc|.
-func (a *AlgresTC) Run() (int, error) {
-	var out *algres.DB
-	var err error
-	if a.Semi {
-		out, err = a.Program.EvalSemiNaive(a.DB.Clone(), 0)
-	} else {
-		out, err = a.Program.EvalNaive(a.DB.Clone(), 0)
-	}
-	if err != nil {
-		return 0, err
-	}
-	tc, _ := out.Get("tc")
-	return tc.Len(), nil
-}
 
 // ModeSetup is the E6 workload: the same n-fact update applied through
 // each module mode.
@@ -218,36 +125,4 @@ func (s *SnapshotSetup) Decode() (int, error) {
 		return 0, err
 	}
 	return st.E.TotalSize(), nil
-}
-
-// AlgebraOps is the E10 microbench input: two joinable relations.
-type AlgebraOps struct {
-	L, R *algres.Relation
-}
-
-// NewAlgebraOps builds relations of n tuples.
-func NewAlgebraOps(n int) *AlgebraOps {
-	l := algres.NewRelation("a", "b")
-	r := algres.NewRelation("b", "c")
-	for i := 0; i < n; i++ {
-		l.InsertValues(value.Int(int64(i)), value.Int(int64(i%97)))
-		r.InsertValues(value.Int(int64(i%97)), value.Int(int64(i)))
-	}
-	return &AlgebraOps{L: l, R: r}
-}
-
-// Join runs the natural join and returns its cardinality.
-func (a *AlgebraOps) Join() int { return algres.Join(a.L, a.R).Len() }
-
-// NestUnnest nests then unnests and returns the restored cardinality.
-func (a *AlgebraOps) NestUnnest() (int, error) {
-	n, err := algres.Nest(a.L, []string{"a"}, "g")
-	if err != nil {
-		return 0, err
-	}
-	u, err := algres.Unnest(n, "g", "a")
-	if err != nil {
-		return 0, err
-	}
-	return u.Len(), nil
 }

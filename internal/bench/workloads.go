@@ -1,8 +1,8 @@
 // Package bench provides the workload generators and single-shot runners
-// behind the benchmark harness (bench_test.go): the E1–E10 experiments of
-// EXPERIMENTS.md. Each runner performs one complete evaluation and
-// returns checkable result counts, so the same code backs the testing.B
-// benchmarks and the correctness tests.
+// behind the benchmark harness (bench_test.go): the E1–E9 and E11
+// experiments of EXPERIMENTS.md. Each runner performs one complete
+// evaluation and returns checkable result counts, so the same code backs
+// the testing.B benchmarks and the correctness tests.
 package bench
 
 import (

@@ -1,9 +1,12 @@
-// Package datalog is a compact, value-oriented flat Datalog engine used as
-// the "conventional deductive database" baseline in the benchmark harness:
-// positional atoms over flat relations, stratified negation, naive and
-// semi-naive bottom-up evaluation. It deliberately has none of LOGRES's
-// object features (no oids, no constructors, no inheritance), so
-// comparisons isolate the cost of the object machinery.
+// Package datalog is a compact, value-oriented flat Datalog engine kept as
+// the LOGRES engine's independent test oracle: the differential test in
+// internal/bench evaluates random stratified programs on both and
+// compares the relations. It has positional atoms over flat relations,
+// stratified negation, and naive and semi-naive bottom-up evaluation, and
+// none of LOGRES's object features (no oids, no constructors, no
+// inheritance). It imports only the standard library and shares no code
+// with the engine, which is what makes it a reference; nothing outside
+// tests uses it.
 package datalog
 
 import (

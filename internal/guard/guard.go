@@ -87,7 +87,7 @@ type BudgetError struct {
 	// nanoseconds for the deadline axis.
 	Limit int64
 	// Stratum is the evaluation stratum at the abort (-1 when strata do
-	// not apply: non-inflationary evaluation, algres closures).
+	// not apply: non-inflationary evaluation).
 	Stratum int
 	// Round is the fixpoint round at the abort.
 	Round int

@@ -392,8 +392,6 @@ func (t metricsTracer) Event(ev Event) {
 		m.Counter("logres_module_conflicts_total").Add(1)
 	case KindModuleRetry:
 		m.Counter("logres_module_retries_total").Add(1)
-	case KindClosureRound:
-		m.Counter("logres_closure_rounds_total").Add(1)
 	case KindVecKernel:
 		m.Counter(fmt.Sprintf("logres_vec_kernel_invocations_total{kernel=%q}", ev.Pred)).Add(int64(ev.Count))
 		m.Counter(fmt.Sprintf("logres_vec_kernel_rows_total{kernel=%q}", ev.Pred)).Add(int64(ev.Total))

@@ -84,9 +84,6 @@ const (
 	// index the paired KindModuleConflict carries), Duration = the
 	// backoff slept. Nondeterministic.
 	KindModuleRetry Kind = "module.retry"
-	// KindClosureRound reports one algres closure round: Round,
-	// Count = tuples inserted this round, Total = cumulative insertions.
-	KindClosureRound Kind = "closure.round"
 	// KindVecKernel reports one columnar kernel's aggregate work over a
 	// vectorized stratum, emitted at the stratum boundary in kernel-name
 	// order: Stratum, Pred = kernel name (select/join/antijoin/filter/

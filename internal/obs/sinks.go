@@ -161,8 +161,6 @@ func FormatEvent(ev Event) string {
 		return fmt.Sprintf("module %s: conflict attempt %d: %s", ev.Pred, ev.Round, ev.Detail)
 	case KindModuleRetry:
 		return fmt.Sprintf("module %s: retry attempt %d after %s", ev.Pred, ev.Round, ev.Duration)
-	case KindClosureRound:
-		return fmt.Sprintf("closure round %d: inserted=%d total=%d", ev.Round, ev.Count, ev.Total)
 	}
 	return fmt.Sprintf("%s stratum=%d round=%d count=%d detail=%s", ev.Kind, ev.Stratum, ev.Round, ev.Count, ev.Detail)
 }
