@@ -37,3 +37,49 @@ func TestRegistrarEnrolDropAllocs(t *testing.T) {
 	}
 	t.Logf("%.0f allocations per enrol/drop commit (at most %d)", allocs, maxAllocs)
 }
+
+// One goal of BenchmarkQueryClosureShape — compile, fixpoint over the
+// 64-node closure shape, answer — allocates at most maxAllocs on
+// average over its four goals: 9 879 measured, plus an 11 % margin.
+// Columnar heads reach the fact set in code space and are decoded only
+// when read; decoding every head at its stratum's fixpoint cost 19 810
+// allocations per goal.
+func TestQueryClosureShapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not compared under -race")
+	}
+	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
+		t.Skipf("allocation counts are pinned for %s, not compared under %s", allocsToolchain, v)
+	}
+	const maxAllocs = 11000
+	db, err := Open(closureShapeSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range closureShapeModules(64) {
+		if _, err := db.Exec(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goals := []string{
+		"?- tc(src: 0, dst: X).",
+		"?- sg(a: 5, b: X).",
+		"?- unreach(a: 16, b: X).",
+		"?- origin(self: S, id: 3).",
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(4*25, func() {
+		ans, err := db.Query(goals[i%len(goals)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans.Rows) == 0 {
+			t.Fatalf("%s: no answer", goals[i%len(goals)])
+		}
+		i++
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("%.0f allocations per closure-shape goal, want at most %d", allocs, maxAllocs)
+	}
+	t.Logf("%.0f allocations per closure-shape goal (at most %d)", allocs, maxAllocs)
+}

@@ -8,7 +8,7 @@
 // so interning by Key is exact, not a hash). Kernels operate on code
 // slices and selection vectors; values are decoded back into tuples
 // only where a result leaves code space (the engine does it once per
-// stratum, at the fixpoint).
+// predicate, when something first reads it).
 //
 // The layout follows the type-structuring idea of deriving flat
 // relational shapes from the declared predicate schema: the engine

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"logres/internal/ast"
+	"logres/internal/colset"
 	"logres/internal/guard"
 	"logres/internal/instance"
 	"logres/internal/value"
@@ -809,6 +810,9 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	// The run's one copy of f0: the semi-naive strata grow it in place,
 	// and f0 (often a frozen published set) is never written.
 	f := f0.Clone()
+	// The run's columnar state, made by its first columnar stratum and
+	// shared by the rest; the run's result keeps only what it handed over.
+	var run *vecRun
 	strata, _ := p.plan()
 	for i := from; i < len(strata); i++ {
 		sp := &strata[i]
@@ -820,7 +824,10 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 			// Same round structure as the row loop, same results.
 			p.stats.SemiNaiveStrata++
 			p.stats.VectorizedStrata++
-			f, err = p.semiNaiveVectorized(sp.vec, f, counter)
+			if run == nil {
+				run = &vecRun{p: p, g: p.armedGuard(), dict: colset.NewDict()}
+			}
+			f, err = p.semiNaiveVectorized(sp.vec, run, f)
 		case execSemiNaive:
 			p.stats.SemiNaiveStrata++
 			f, err = p.semiNaive(sp.rules, f, counter)

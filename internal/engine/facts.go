@@ -8,12 +8,15 @@
 package engine
 
 import (
+	"bytes"
 	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"logres/internal/colset"
 	"logres/internal/instance"
 	"logres/internal/types"
 	"logres/internal/value"
@@ -41,7 +44,12 @@ const (
 // into one stack buffer so that it costs a single allocation.
 func (f Fact) Key() string {
 	var buf [value.KeyBufSize]byte
-	b := append(append(buf[:0], f.Pred...), '/')
+	return string(f.appendKey(buf[:0]))
+}
+
+// appendKey appends the fact's Key to b.
+func (f Fact) appendKey(b []byte) []byte {
+	b = append(append(b, f.Pred...), '/')
 	if f.IsClass {
 		if f.OID.IsNil() {
 			b = append(b, "nil"...)
@@ -50,7 +58,7 @@ func (f Fact) Key() string {
 		}
 		b = append(b, '/')
 	}
-	return string(f.Tuple.AppendKey(b))
+	return f.Tuple.AppendKey(b)
 }
 
 func (f Fact) String() string {
@@ -270,11 +278,38 @@ func (st *predStore) cow() *predStore {
 	return &predStore{facts: maps.Clone(st.facts), byOID: maps.Clone(st.byOID)}
 }
 
+// codedPred is the part of an association predicate still in code space:
+// the rows a columnar stratum derived, handed over at its fixpoint
+// instead of being decoded into the predicate's store. batch is the
+// predicate's whole extension as that stratum saw it: rows [0, base)
+// encode the facts the store already held, rows [base, Len) are the
+// derived ones, in emit order, each distinct from every stored fact and
+// from each other (the emit filter saw them all). A codedPred is never
+// written after the hand-off, so the owners of a cloned set share it,
+// and the run that made it interns into dict no more once it returns.
+type codedPred struct {
+	dict   *colset.Dict
+	labels []string // the effective labels, in declaration order
+	batch  *colset.Batch
+	base   int
+}
+
+// pending reports the rows not yet in the store.
+func (cp *codedPred) pending() int { return cp.batch.Len() - cp.base }
+
 // FactSet is a set of ground facts indexed by predicate: one predStore per
 // predicate holds the facts, and reads go through one view per predicate
 // (a predCache), maintained incrementally by Add/Remove once built. Clone
 // shares both copy-on-write, so it costs O(#predicates) and a write copies
 // only the predicate it touches.
+//
+// An association predicate a columnar stratum derived may also hold rows
+// in code space (a codedPred) on top of its store. They are decoded into
+// the store once, by the first read of that predicate (Facts,
+// FactsByComponent, Has, DiffPred, Equal) or write to it (Add, Remove);
+// Size, TotalSize and Preds count them without decoding, and HasOID and
+// MaxOID, which read class facts only, never need them. Clone shares
+// them; Freeze decodes every one, so a frozen set holds none.
 //
 // A FactSet can be frozen (Freeze): every per-predicate view is built and
 // its list sealed, and each component bucket is built once, on the first
@@ -284,12 +319,16 @@ func (st *predStore) cow() *predStore {
 type FactSet struct {
 	preds  map[string]*predStore // pred → its facts (kept once created, even empty)
 	views  map[string]*predCache // pred → read view (absent = not built)
+	coded  map[string]*codedPred // pred → its rows still in code space (nil when none)
 	frozen bool
 
 	// rebuilds counts from-scratch (sorting) constructions of views; the
 	// incremental-maintenance regression test asserts it stays flat
 	// across mutations and clones.
 	rebuilds int
+	// decodes counts the code-space predicates decoded into this set and
+	// the sets it was cloned from; the tests pin which reads decode.
+	decodes int
 }
 
 // NewFactSet returns an empty fact set.
@@ -300,13 +339,178 @@ func NewFactSet() *FactSet {
 	}
 }
 
-// keyed returns pred's facts by key (nil when pred was never added to).
-// The map must not be mutated.
+// keyed returns pred's facts by key (nil when pred was never added to),
+// decoding its code-space rows first. The map must not be mutated.
 func (s *FactSet) keyed(pred string) map[string]Fact {
+	s.decode(pred)
 	if st := s.preds[pred]; st != nil {
 		return st.facts
 	}
 	return nil
+}
+
+// --- code space -----------------------------------------------------------
+
+// setCoded hands pred's rows past cp.base over in code space, in place of
+// decoding them now. pred must hold exactly the first cp.base rows of
+// cp.batch in its store, and no code-space rows. A hand-off with nothing
+// derived records nothing.
+func (s *FactSet) setCoded(pred string, cp *codedPred) {
+	if s.frozen {
+		panic("engine: setCoded on frozen FactSet")
+	}
+	if cp.pending() == 0 {
+		return
+	}
+	if s.preds[pred] == nil {
+		s.preds[pred] = &predStore{facts: map[string]Fact{}}
+	}
+	if s.coded == nil {
+		s.coded = map[string]*codedPred{}
+	}
+	s.coded[pred] = cp
+}
+
+// codedBatch returns pred's whole extension as a batch encoded in dict —
+// its stored facts first, then its code-space rows — when it is still
+// pending in code space from a run interning into dict, or nil.
+func (s *FactSet) codedBatch(pred string, dict *colset.Dict) *colset.Batch {
+	if cp := s.coded[pred]; cp != nil && cp.dict == dict {
+		return cp.batch
+	}
+	return nil
+}
+
+// decode moves pred's code-space rows, if any, into its store and into
+// its view, in key order. When the store held nothing else and no view
+// was built, the decode builds the view: it is already flushed.
+func (s *FactSet) decode(pred string) {
+	if cp := s.coded[pred]; cp != nil {
+		s.decodeCoded(pred, cp)
+	}
+}
+
+func (s *FactSet) decodeCoded(pred string, cp *codedPred) {
+	delete(s.coded, pred)
+	s.decodes++
+	n := cp.pending()
+	st := s.preds[pred]
+	fresh := len(st.facts) == 0
+	if fresh {
+		// Nothing to copy, whoever else holds the empty store.
+		st = &predStore{facts: make(map[string]Fact, n)}
+		s.preds[pred] = st
+	} else {
+		st = s.ownStore(pred, st)
+	}
+	c := s.mutableView(pred)
+	built := c == nil && fresh
+	if built {
+		c = &predCache{
+			list:      make([]Fact, 0, n),
+			keys:      make([]string, 0, n),
+			sortedLen: n,
+			index:     map[string]map[string][]Fact{},
+			labels:    make(map[string]bool, len(cp.labels)),
+		}
+		for _, lab := range cp.labels {
+			c.labels[lab] = true
+		}
+		s.views[pred] = c
+	}
+	// The rows are decoded in fact key order, so a view built here is
+	// flushed. The tuples share one allocation, and so do the keys: one
+	// string the keys are cut from.
+	order := cp.keyOrder()
+	tuples := value.NewTuples(cp.labels, n, func(i, li int) value.Value {
+		if order != nil {
+			i = int(order[i])
+		}
+		return cp.dict.Value(cp.batch.Col(li)[cp.base+i])
+	})
+	var buf []byte
+	ends := make([]int, n)
+	for i, t := range tuples {
+		buf = Fact{Pred: pred, Tuple: t}.appendKey(buf)
+		if i == 0 {
+			buf = slices.Grow(buf, len(buf)*(n-1)*9/8) // keys of one shape are about as long
+		}
+		ends[i] = len(buf)
+	}
+	keys, start := string(buf), 0
+	for i, t := range tuples {
+		f, k := Fact{Pred: pred, Tuple: t}, keys[start:ends[i]]
+		start = ends[i]
+		st.facts[k] = f
+		switch {
+		case built:
+			c.list, c.keys = append(c.list, f), append(c.keys, k)
+		case c != nil:
+			c.cacheAdd(f, k)
+		}
+	}
+}
+
+// keyOrder returns the pending rows, as offsets from base, in the key
+// order of the facts they decode to; nil stands for a single row. Every
+// pending row decodes to a tuple with the same labels in the same order,
+// so two rows' keys compare as their values' field parts do, column by
+// column (value.AppendFieldKey). The rows are therefore ordered by the
+// rank of each column's value among the distinct values: a counting sort
+// per column, last column first, with no key built.
+func (cp *codedPred) keyOrder() []int32 {
+	lo, hi := cp.base, cp.batch.Len()
+	if hi-lo < 2 {
+		return nil
+	}
+	rank := map[uint32]int32{}
+	var codes []uint32
+	for li := range cp.labels {
+		for _, c := range cp.batch.Col(li)[lo:hi] {
+			if _, ok := rank[c]; !ok {
+				rank[c] = 0
+				codes = append(codes, c)
+			}
+		}
+	}
+	slices.SortFunc(codes, func(a, b uint32) int {
+		var x, y [value.KeyBufSize]byte
+		return bytes.Compare(value.AppendFieldKey(x[:0], cp.dict.Value(a)), value.AppendFieldKey(y[:0], cp.dict.Value(b)))
+	})
+	for i, c := range codes {
+		rank[c] = int32(i)
+	}
+	n := hi - lo
+	scratch := make([]int32, 3*n+len(codes)+1)
+	order, next, col, count := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	for li := len(cp.labels) - 1; li >= 0; li-- {
+		for r, c := range cp.batch.Col(li)[lo:hi] {
+			col[r] = rank[c]
+		}
+		clear(count)
+		for _, k := range col {
+			count[k+1]++
+		}
+		for k := 1; k < len(count); k++ {
+			count[k] += count[k-1]
+		}
+		for _, r := range order { // stable: ties keep the later columns' order
+			next[count[col[r]]] = r
+			count[col[r]]++
+		}
+		order, next = next, order
+	}
+	return order
+}
+
+// decodeAll decodes every code-space predicate.
+func (s *FactSet) decodeAll() {
+	for pred, cp := range s.coded {
+		s.decodeCoded(pred, cp)
+	}
 }
 
 // --- views ----------------------------------------------------------------
@@ -512,10 +716,12 @@ func (c *predCache) cacheRemove(f Fact, key string) {
 
 // --- freeze ---------------------------------------------------------------
 
-// Freeze builds, compacts and flushes every predicate's view, seals the
-// views that lack some bucket, and marks the set read-only: Facts never
-// mutates, FactsByComponent builds a missing label's buckets once per
-// sealed view (see lazyBucket), so the set is safe for concurrent readers;
+// Freeze decodes every code-space predicate, builds, compacts and
+// flushes every predicate's view, seals the views that lack some bucket,
+// and marks the set read-only: a frozen set holds no code-space rows,
+// Facts never mutates, FactsByComponent builds a missing label's buckets
+// once per sealed view (see lazyBucket), so the set is safe for
+// concurrent readers;
 // Add and Remove panic until Thaw. A view still shared with an owner that
 // may write it is copied before sealing, so that owner's buckets are never
 // sealed under it. Freezing an already frozen set is a no-op.
@@ -523,6 +729,7 @@ func (s *FactSet) Freeze() {
 	if s.frozen {
 		return
 	}
+	s.decodeAll()
 	for pred := range s.preds {
 		c := s.view(pred)
 		if c.pending != nil {
@@ -560,6 +767,7 @@ func (s *FactSet) Frozen() bool { return s.frozen }
 // is read-only. Pending removals are compacted first, but the list is not
 // re-sorted for a lookup on an existing index.
 func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
+	s.decode(pred)
 	c := s.views[pred]
 	if c == nil {
 		if s.frozen {
@@ -588,10 +796,12 @@ func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 	return idx[string(value.AppendKey(buf[:0], v))]
 }
 
-// Facts returns the facts of a predicate in strict key order. On a frozen
-// set the view was compacted and flushed by Freeze and the read never
-// mutates. The returned slice must not be mutated.
+// Facts returns the facts of a predicate in strict key order, decoding
+// its code-space rows on the first read. On a frozen set the view was
+// compacted and flushed by Freeze and the read never mutates. The
+// returned slice must not be mutated.
 func (s *FactSet) Facts(pred string) []Fact {
+	s.decode(pred)
 	c := s.views[pred]
 	if c == nil {
 		if s.frozen {
@@ -612,7 +822,8 @@ func (s *FactSet) Has(f Fact) bool {
 }
 
 // HasOID reports whether the class predicate contains the oid, and returns
-// its current o-value projection.
+// its current o-value projection. Code-space rows are association facts,
+// so it never decodes them.
 func (s *FactSet) HasOID(pred string, oid value.OID) (Fact, bool) {
 	st := s.preds[pred]
 	if st == nil {
@@ -622,23 +833,38 @@ func (s *FactSet) HasOID(pred string, oid value.OID) (Fact, bool) {
 	return f, ok
 }
 
-// Size reports the number of facts for a predicate.
-func (s *FactSet) Size(pred string) int { return len(s.keyed(pred)) }
+// Size reports the number of facts for a predicate, code-space rows
+// included, without decoding them.
+func (s *FactSet) Size(pred string) int {
+	n := 0
+	if st := s.preds[pred]; st != nil {
+		n = len(st.facts)
+	}
+	if cp := s.coded[pred]; cp != nil {
+		n += cp.pending()
+	}
+	return n
+}
 
-// TotalSize reports the total number of facts.
+// TotalSize reports the total number of facts, code-space rows included,
+// without decoding them.
 func (s *FactSet) TotalSize() int {
 	n := 0
 	for _, st := range s.preds {
 		n += len(st.facts)
 	}
+	for _, cp := range s.coded {
+		n += cp.pending()
+	}
 	return n
 }
 
-// Preds returns the predicates with at least one fact, sorted.
+// Preds returns the predicates with at least one fact, sorted, without
+// decoding code-space rows.
 func (s *FactSet) Preds() []string {
 	var out []string
 	for p, st := range s.preds {
-		if len(st.facts) > 0 {
+		if len(st.facts) > 0 || s.coded[p] != nil {
 			out = append(out, p)
 		}
 	}
@@ -646,7 +872,8 @@ func (s *FactSet) Preds() []string {
 	return out
 }
 
-// MaxOID returns the largest oid mentioned by any class fact.
+// MaxOID returns the largest oid mentioned by any class fact (code-space
+// rows hold none).
 func (s *FactSet) MaxOID() value.OID {
 	var max value.OID
 	for _, st := range s.preds {
@@ -670,6 +897,7 @@ func (s *FactSet) Add(f Fact) bool {
 	if s.frozen {
 		panic("engine: Add on frozen FactSet")
 	}
+	s.decode(f.Pred)
 	k := f.Key()
 	st := s.preds[f.Pred]
 	if st == nil {
@@ -745,13 +973,19 @@ func (s *FactSet) Remove(f Fact) bool {
 
 // Clone returns an unfrozen copy in O(#predicates): every predicate's
 // store and view is shared copy-on-write, so a write to the copy or the
-// original copies only the predicate it touches. Views are compacted
-// before sharing, so reads after Compose/Minus keep the incremental caches
-// instead of paying a from-scratch O(n log n) rebuild per predicate.
+// original copies only the predicate it touches, and code-space rows,
+// never written, are shared as they are: each owner decodes its own on
+// its first read. Views are compacted before sharing, so reads after
+// Compose/Minus keep the incremental caches instead of paying a
+// from-scratch O(n log n) rebuild per predicate.
 func (s *FactSet) Clone() *FactSet {
 	n := &FactSet{
-		preds: make(map[string]*predStore, len(s.preds)),
-		views: make(map[string]*predCache, len(s.views)),
+		preds:   make(map[string]*predStore, len(s.preds)),
+		views:   make(map[string]*predCache, len(s.views)),
+		decodes: s.decodes,
+	}
+	if len(s.coded) > 0 {
+		n.coded = maps.Clone(s.coded)
 	}
 	for p, st := range s.preds {
 		st.share()
@@ -766,10 +1000,20 @@ func (s *FactSet) Clone() *FactSet {
 }
 
 // Equal reports whether two sets contain exactly the same facts. A
-// predicate whose store both sets share is equal without a look.
+// predicate whose store and code-space rows both sets share is equal
+// without a look; any other predicate with code-space rows is decoded on
+// both sides.
 func (s *FactSet) Equal(o *FactSet) bool {
 	if s.TotalSize() != o.TotalSize() {
 		return false
+	}
+	for _, a := range [2]*FactSet{s, o} {
+		for p := range a.coded {
+			if s.coded[p] != o.coded[p] || s.preds[p] != o.preds[p] {
+				s.decode(p)
+				o.decode(p)
+			}
+		}
 	}
 	for p, st := range s.preds {
 		if o.preds[p] == st {
@@ -822,10 +1066,11 @@ func (s *FactSet) Minus(d *FactSet) *FactSet {
 
 // DiffPred returns the facts of pred in s but not in old (adds) and in
 // old but not in s (removes), each in key order. Membership is tested by
-// the stored keys, so no fact's key is derived again; a store both sets
-// share differs in nothing and is not iterated.
+// the stored keys, so no fact's key is derived again; a store and
+// code-space rows both sets share differ in nothing and are not
+// iterated. Other code-space rows of pred are decoded on both sides.
 func (s *FactSet) DiffPred(old *FactSet, pred string) (adds, removes []Fact) {
-	if s.preds[pred] == old.preds[pred] {
+	if s.preds[pred] == old.preds[pred] && s.coded[pred] == old.coded[pred] {
 		return nil, nil
 	}
 	cur, prev := s.keyed(pred), old.keyed(pred)

@@ -423,10 +423,6 @@ func TestFactSetSealTransitions(t *testing.T) {
 			if a.fs.views["edge"] == shared {
 				t.Fatal("Freeze sealed a view shared with an unfrozen owner")
 			}
-			// The model's freeze, copying the shared view partway through
-			// its label loop, leaves the labels it already passed unbuilt,
-			// depending on map order; the frozen side is checked on its own.
-			a.m = nil
 			b.add(edgeFact(1, 2))
 			if b.fs.views["edge"] != shared {
 				t.Fatal("the remaining owner copied the view it now owns alone")
@@ -754,6 +750,10 @@ func (m *eagerModel) bucket(p, label string, val value.Value) []string {
 	return v.buckets[label][vk]
 }
 
+// freeze builds every missing bucket. A view that lacks one is taken
+// over once, before any is built: copying a shared view drops its
+// buckets, so taking it over inside the label loop would lose the
+// buckets the loop had already passed.
 func (m *eagerModel) freeze() {
 	for p := range m.stored {
 		m.view(p)
@@ -762,6 +762,11 @@ func (m *eagerModel) freeze() {
 		for label := range v.labels {
 			if _, ok := v.buckets[label]; !ok {
 				v = m.own(p)
+				break
+			}
+		}
+		for label := range v.labels {
+			if _, ok := v.buckets[label]; !ok {
 				m.buildBucket(v, p, label)
 			}
 		}

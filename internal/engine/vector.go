@@ -6,15 +6,17 @@ package engine
 // their body-order positions — constant/duplicate selections, hash
 // joins on dictionary codes, anti-joins for negation, comparison
 // filters — and the semi-naive delta stays in code space from round to
-// round: codes are decoded back into facts once, when the stratum has
-// reached its fixpoint. A stratum whose rules use a construct with no
-// exact columnar counterpart stays on the row engine, the semantics
-// oracle (see compileVecRule); results, Stats.Firings and the
-// deterministic trace stream are identical to it.
+// round. Every columnar stratum of one run encodes into the run's one
+// dictionary (vecRun), and at its fixpoint a stratum hands each head
+// over to the fact set in code space (FactSet.setCoded): a later
+// columnar stratum binds that batch as it is, and the rows are decoded
+// into facts only when something reads the predicate. A stratum whose
+// rules use a construct with no exact columnar counterpart stays on the
+// row engine, the semantics oracle (see compileVecRule); results,
+// Stats.Firings and the deterministic trace stream are identical to it.
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"logres/internal/ast"
@@ -25,21 +27,14 @@ import (
 	"logres/internal/value"
 )
 
-// vecPred is one tracked predicate: its effective-tuple labels and its
-// columnar batch — the base extension in canonical order, then the rows
-// each round derived, in emit order. Head predicates also carry the
-// membership set of packed code rows behind the emit-boundary duplicate
-// filter, and the round bookkeeping of the code-space delta: emit
-// appends past cur, and the next round boundary turns the appended rows
-// into that round's delta.
+// vecPred is one tracked predicate of a lowered stratum: its
+// effective-tuple labels, its index in the stratum's binding order, and
+// whether the stratum derives it.
 type vecPred struct {
+	id     int
 	pred   string
 	labels []string
-	batch  *colset.Batch
-	member *colset.CodeSet // nil unless the pred is a head in this stratum
-
-	cur   *colset.Batch // the rows the running round reads: batch as of its start
-	delta *colset.Batch // the rows the previous round appended; nil when none
+	head   bool
 }
 
 type vecStepKind int
@@ -60,7 +55,6 @@ type vecStep struct {
 	vp         *vecPred
 	constCols  []int // atom label indices filtered to a constant
 	constVals  []value.Value
-	constCodes []uint32
 	dupA, dupB []int // intra-atom duplicate-variable label pairs
 	keyAccCols []int // join keys: accumulated valuation columns …
 	keyAtom    []int // … against these atom label indices
@@ -72,8 +66,6 @@ type vecStep struct {
 	neg            bool
 	lCol, rCol     int // valuation column, or -1 for a constant
 	lConst, rConst value.Value
-	lCode, rCode   uint32
-	cmpCache       map[uint64]cmpResult // order-op memo, keyed by code pair
 }
 
 type cmpResult struct {
@@ -93,32 +85,22 @@ type vecRule struct {
 	headPred   *vecPred
 	headCols   []int // per label: valuation column, or -1
 	headConsts []value.Value
-	headCodes  []uint32
 }
 
-type kernelStat struct{ calls, rows int }
-
-// vecStratum is the compiled plan plus per-evaluation state (dictionary,
-// batches, kernel counters) for one stratum.
+// vecStratum is the compiled plan of one stratum. It is static: every
+// run binds its own state to it (vecEval), so a program holds no batch
+// between runs.
 type vecStratum struct {
-	p     *Program
 	preds map[string]*vecPred
 	order []*vecPred // first-mention order, for deterministic binding
 	rules []*vecRule
 
 	heads []*vecPred // head predicates, in rule order
-
-	dict    *colset.Dict
-	g       *guard.Guard
-	total   int // facts in the current set as of the running round's start
-	emitted int
-	kernels map[string]*kernelStat
 }
 
 // compileVecStratum lowers a stratum to its columnar plan, or names the
 // first rule it could not express and the construct in it that has no
-// columnar counterpart. The lowering is static: bind attaches each run's
-// dictionary and batches.
+// columnar counterpart.
 func compileVecStratum(stratum []*crule) (*vecStratum, *reason) {
 	vs := &vecStratum{preds: map[string]*vecPred{}}
 	for _, r := range stratum {
@@ -127,11 +109,69 @@ func compileVecStratum(stratum []*crule) (*vecStratum, *reason) {
 			return nil, &reason{rule: r, construct: construct}
 		}
 		vs.rules = append(vs.rules, vr)
-		if !slices.Contains(vs.heads, vr.headPred) {
+		if !vr.headPred.head {
+			vr.headPred.head = true
 			vs.heads = append(vs.heads, vr.headPred)
 		}
 	}
 	return vs, nil
+}
+
+// vecRun is the columnar state of one Program run, shared by all its
+// columnar strata: the dictionary every one of them encodes into, so a
+// head one stratum derived reaches the next as the codes it was derived
+// in. It lives as long as the run and the code-space rows the run hands
+// to its fact set.
+type vecRun struct {
+	p    *Program
+	g    *guard.Guard
+	dict *colset.Dict
+}
+
+// vecPredRows is one tracked predicate's rows in one evaluation: the
+// batch holds its extension as bound, then the rows each round derived,
+// in emit order. A head also carries the membership set of packed code
+// rows behind the emit-boundary duplicate filter, and the round
+// bookkeeping of the code-space delta: emit appends past cur, and the
+// next round boundary turns the appended rows into that round's delta.
+type vecPredRows struct {
+	batch  *colset.Batch
+	base   int             // rows bound from the fact set
+	member *colset.CodeSet // nil unless the pred is a head in this stratum
+
+	cur   *colset.Batch // the rows the running round reads: batch as of its start
+	delta *colset.Batch // the rows the previous round appended; nil when none
+}
+
+// vecCodes are one rule's constants interned in the run's dictionary:
+// per step, and per head label.
+type vecCodes struct {
+	steps []stepCodes
+	head  []uint32 // per head label: its constant's code
+}
+
+// stepCodes are one step's constants' codes and, for an order
+// comparison, its memo keyed by code pair.
+type stepCodes struct {
+	consts []uint32 // stepAtom, stepAnti: constVals' codes
+	l, r   uint32   // stepFilter: the constant sides' codes
+	cmp    map[uint64]cmpResult
+}
+
+type kernelStat struct{ calls, rows int }
+
+// vecEval is one columnar stratum evaluated in one run: the plan, the
+// run, and the state bind attached — rows per tracked predicate, codes
+// per rule, kernel counters and the counts the guard reads.
+type vecEval struct {
+	*vecRun
+	vs    *vecStratum
+	rows  []vecPredRows // by vecPred.id
+	codes []vecCodes    // by rule index
+
+	total   int // facts in the current set as of the running round's start
+	emitted int
+	kernels map[string]*kernelStat
 }
 
 // termConstruct names a term the columnar plan cannot hold in a code
@@ -154,7 +194,7 @@ func (vs *vecStratum) trackPred(pred string, eff types.Tuple) *vecPred {
 	for i, f := range eff.Fields {
 		labels[i] = f.Label
 	}
-	vp := &vecPred{pred: pred, labels: labels}
+	vp := &vecPred{id: len(vs.order), pred: pred, labels: labels}
 	vs.preds[pred] = vp
 	vs.order = append(vs.order, vp)
 	return vp
@@ -295,62 +335,75 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
 	return vr, ""
 }
 
-// bind builds the per-evaluation state: the shared dictionary, one
-// batch per tracked predicate in cur's canonical key order (Facts
-// returns it whether or not cur is frozen), membership sets for head
-// predicates, and interned constant codes. It resets every field a run
-// writes, so a program reused after any run, aborted or not, starts
-// clean.
-func (vs *vecStratum) bind(p *Program, cur *FactSet) {
-	vs.p = p
-	vs.g = p.armedGuard()
-	vs.dict = colset.NewDict()
-	vs.kernels = map[string]*kernelStat{}
-	vs.total = cur.TotalSize()
-	for _, hp := range vs.heads {
-		hp.member = colset.NewCodeSet(len(hp.labels))
+// bind builds one evaluation's state: a batch per tracked predicate,
+// membership sets for head predicates, and the rule constants interned
+// in the run's dictionary. A predicate an earlier columnar stratum of
+// the same run handed over in code space is taken as that batch; any
+// other is encoded from cur in its canonical key order (Facts returns it
+// whether or not cur is frozen).
+func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
+	ev := &vecEval{
+		vecRun:  run,
+		vs:      vs,
+		rows:    make([]vecPredRows, len(vs.order)),
+		codes:   make([]vecCodes, len(vs.rules)),
+		kernels: map[string]*kernelStat{},
+		total:   cur.TotalSize(),
 	}
 	for _, vp := range vs.order {
-		vp.batch = colset.NewBatch(len(vp.labels))
-		// Facts stores a view of the predicate in cur. An empty one gets
-		// none, so the rows materialize adds to it go straight into the
-		// set, and its view is built once, sorted, when it is first read.
-		if cur.Size(vp.pred) > 0 {
-			vs.appendFacts(vp, cur.Facts(vp.pred))
+		pr := &ev.rows[vp.id]
+		if vp.head {
+			pr.member = colset.NewCodeSet(len(vp.labels))
+		} else if b := cur.codedBatch(vp.pred, run.dict); b != nil {
+			// A head of an earlier stratum of this run: nothing has read
+			// or written it since, so its batch is still its extension.
+			pr.batch = b
 		}
-		vp.cur = vp.batch
+		if pr.batch == nil {
+			pr.batch = colset.NewBatch(len(vp.labels))
+			// Facts stores a view of the predicate in cur. An empty one
+			// gets none: decoding the rows handed over builds it.
+			if cur.Size(vp.pred) > 0 {
+				ev.appendFacts(vp, pr, cur.Facts(vp.pred))
+			}
+		}
+		pr.base = pr.batch.Len()
+		pr.cur = pr.batch
+		if vp.head {
+			// A head's batch grows while a round runs; what the round
+			// reads is a view fixed at its start.
+			pr.cur = pr.batch.Slice(0, pr.base)
+		}
 	}
-	for _, hp := range vs.heads {
-		// A head's batch grows while a round runs; what the round reads
-		// is a view fixed at its start.
-		hp.cur = hp.batch.Slice(0, hp.batch.Len())
-	}
-	for _, vr := range vs.rules {
+	dict := run.dict
+	for ri, vr := range vs.rules {
+		vc := &ev.codes[ri]
+		vc.steps = make([]stepCodes, len(vr.steps))
 		for si := range vr.steps {
-			st := &vr.steps[si]
+			st, sc := &vr.steps[si], &vc.steps[si]
 			switch st.kind {
 			case stepAtom, stepAnti:
-				st.constCodes = make([]uint32, len(st.constVals))
+				sc.consts = make([]uint32, len(st.constVals))
 				for k, v := range st.constVals {
-					st.constCodes[k] = vs.dict.Code(v)
+					sc.consts[k] = dict.Code(v)
 				}
 			case stepFilter:
 				if st.lCol < 0 {
-					st.lCode = vs.dict.Code(st.lConst)
+					sc.l = dict.Code(st.lConst)
 				}
 				if st.rCol < 0 {
-					st.rCode = vs.dict.Code(st.rConst)
+					sc.r = dict.Code(st.rConst)
 				}
-				st.cmpCache = nil
 			}
 		}
-		vr.headCodes = make([]uint32, len(vr.headConsts))
+		vc.head = make([]uint32, len(vr.headConsts))
 		for li, v := range vr.headConsts {
 			if vr.headCols[li] < 0 {
-				vr.headCodes[li] = vs.dict.Code(v)
+				vc.head[li] = dict.Code(v)
 			}
 		}
 	}
+	return ev
 }
 
 // appendFacts encodes the base extension onto vp's batch. Only
@@ -359,23 +412,23 @@ func (vs *vecStratum) bind(p *Program, cur *FactSet) {
 // membership set: a non-canonical base fact never Key-equals a derived
 // fact, so the row engine's Has filter would not suppress the
 // derivation either.
-func (vs *vecStratum) appendFacts(vp *vecPred, facts []Fact) {
+func (ev *vecEval) appendFacts(vp *vecPred, pr *vecPredRows, facts []Fact) {
 	row := make([]uint32, len(vp.labels))
 	for _, fact := range facts {
-		canonical := vp.member != nil && !fact.IsClass && fact.Tuple.Len() == len(vp.labels)
+		canonical := pr.member != nil && !fact.IsClass && fact.Tuple.Len() == len(vp.labels)
 		for li, lab := range vp.labels {
 			v, ok := fact.Tuple.Get(lab)
 			if !ok {
 				v = value.Null{}
 			}
-			row[li] = vs.dict.Code(v)
+			row[li] = ev.dict.Code(v)
 			if canonical && fact.Tuple.Field(li).Label != lab {
 				canonical = false
 			}
 		}
-		vp.batch.AppendRow(row)
+		pr.batch.AppendRow(row)
 		if canonical {
-			vp.member.Add(row)
+			pr.member.Add(row)
 		}
 	}
 }
@@ -384,39 +437,36 @@ func (vs *vecStratum) appendFacts(vp *vecPred, facts []Fact) {
 // boundary become the delta the next round's passes substitute, and
 // join the rows its other atoms read. It returns the size of that
 // delta.
-func (vs *vecStratum) advance() int {
+func (ev *vecEval) advance() int {
 	n := 0
-	for _, hp := range vs.heads {
-		lo, hi := hp.cur.Len(), hp.batch.Len()
-		hp.delta = nil
+	for _, hp := range ev.vs.heads {
+		pr := &ev.rows[hp.id]
+		lo, hi := pr.cur.Len(), pr.batch.Len()
+		pr.delta = nil
 		if hi > lo {
-			hp.cur = hp.batch.Slice(0, hi)
-			hp.delta = hp.batch.Slice(lo, hi)
+			pr.cur = pr.batch.Slice(0, hi)
+			pr.delta = pr.batch.Slice(lo, hi)
 			n += hi - lo
 		}
 	}
 	return n
 }
 
-// materialize decodes the rows the stratum derived — each head's rows
-// after those bind encoded from cur — into cur, in emit order.
-func (vs *vecStratum) materialize(cur *FactSet) {
-	for _, hp := range vs.heads {
-		fields := make([]value.Field, len(hp.labels))
-		for r := cur.Size(hp.pred); r < hp.batch.Len(); r++ {
-			for li, lab := range hp.labels {
-				fields[li] = value.Field{Label: lab, Value: vs.dict.Value(hp.batch.Col(li)[r])}
-			}
-			cur.Add(Fact{Pred: hp.pred, Tuple: value.NewTuple(fields...)}) // NewTuple copies
-		}
+// handOff gives cur each head's derived rows in code space, past the
+// rows bind encoded from cur; they are decoded only when something reads
+// the predicate.
+func (ev *vecEval) handOff(cur *FactSet) {
+	for _, hp := range ev.vs.heads {
+		pr := &ev.rows[hp.id]
+		cur.setCoded(hp.pred, &codedPred{dict: ev.dict, labels: hp.labels, batch: pr.batch, base: pr.base})
 	}
 }
 
-func (vs *vecStratum) record(kernel string, rows int) {
-	ks := vs.kernels[kernel]
+func (ev *vecEval) record(kernel string, rows int) {
+	ks := ev.kernels[kernel]
 	if ks == nil {
 		ks = &kernelStat{}
-		vs.kernels[kernel] = ks
+		ev.kernels[kernel] = ks
 	}
 	ks.calls++
 	ks.rows += rows
@@ -424,35 +474,38 @@ func (vs *vecStratum) record(kernel string, rows int) {
 
 // atomSel applies the constant and duplicate-variable filters of an
 // atom step; nil means every row.
-func (vs *vecStratum) atomSel(st *vecStep, src *colset.Batch) []int32 {
+func (ev *vecEval) atomSel(st *vecStep, consts []uint32, src *colset.Batch) []int32 {
 	var sel []int32
 	rows := src.Len()
 	for k, li := range st.constCols {
-		sel = colset.SelectEq(src.Col(li), rows, sel, st.constCodes[k])
-		vs.record("select", len(sel))
+		sel = colset.SelectEq(src.Col(li), rows, sel, consts[k])
+		ev.record("select", len(sel))
 	}
 	for k := range st.dupA {
 		sel = colset.SelectColEq(src.Col(st.dupA[k]), src.Col(st.dupB[k]), rows, sel)
-		vs.record("select", len(sel))
+		ev.record("select", len(sel))
 	}
 	return sel
 }
 
-// runPass evaluates one rule pass: the full pass (deltaStep < 0) or the
-// pass with the atom at deltaStep reading its predicate's delta. New
-// rows land on the head predicate's batch, past what this round reads.
-func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
+// runPass evaluates one pass of rule ri: the full pass (deltaStep < 0)
+// or the pass with the atom at deltaStep reading its predicate's delta.
+// New rows land on the head predicate's batch, past what this round
+// reads.
+func (ev *vecEval) runPass(ri, deltaStep, round int) error {
+	vr, vc := ev.vs.rules[ri], &ev.codes[ri]
 	cols := make([][]uint32, vr.nvars)
 	n := 1 // the unit valuation: one row, no columns
 	for si := range vr.steps {
 		st := &vr.steps[si]
 		switch st.kind {
 		case stepAtom:
-			src := st.vp.cur
+			pr := &ev.rows[st.vp.id]
+			src := pr.cur
 			if si == deltaStep {
-				src = st.vp.delta
+				src = pr.delta
 			}
-			sel := vs.atomSel(st, src)
+			sel := ev.atomSel(st, vc.steps[si].consts, src)
 			lkeys := make([][]uint32, len(st.keyAccCols))
 			for k, ac := range st.keyAccCols {
 				lkeys[k] = cols[ac]
@@ -462,7 +515,7 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
 				rkeys[k] = src.Col(li)
 			}
 			lidx, ridx := colset.Join(lkeys, n, nil, rkeys, src.Len(), sel)
-			vs.record("join", len(lidx))
+			ev.record("join", len(lidx))
 			for ci, col := range cols {
 				if col != nil {
 					cols[ci] = colset.Gather(col, lidx)
@@ -473,8 +526,8 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
 			}
 			n = len(lidx)
 		case stepAnti:
-			src := st.vp.cur
-			sel := vs.atomSel(st, src)
+			src := ev.rows[st.vp.id].cur
+			sel := ev.atomSel(st, vc.steps[si].consts, src)
 			lkeys := make([][]uint32, len(st.keyAccCols))
 			for k, ac := range st.keyAccCols {
 				lkeys[k] = cols[ac]
@@ -484,7 +537,7 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
 				rkeys[k] = src.Col(li)
 			}
 			keep := colset.AntiJoin(lkeys, n, nil, rkeys, src.Len(), sel)
-			vs.record("antijoin", len(keep))
+			ev.record("antijoin", len(keep))
 			for ci, col := range cols {
 				if col != nil {
 					cols[ci] = colset.Gather(col, keep)
@@ -492,11 +545,11 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
 			}
 			n = len(keep)
 		case stepFilter:
-			keep, err := vs.runFilter(st, cols, n)
+			keep, err := ev.runFilter(st, &vc.steps[si], cols, n)
 			if err != nil {
 				return err
 			}
-			vs.record("filter", len(keep))
+			ev.record("filter", len(keep))
 			for ci, col := range cols {
 				if col != nil {
 					cols[ci] = colset.Gather(col, keep)
@@ -508,20 +561,22 @@ func (vs *vecStratum) runPass(vr *vecRule, deltaStep, round int) error {
 			return nil
 		}
 	}
-	return vs.emit(vr, cols, n, round)
+	return ev.emit(vr, vc.head, cols, n, round)
 }
 
-// runFilter evaluates a comparison step over the accumulated valuation
-// rows. Equality is code equality; ordering comparisons decode through
-// the dictionary and reuse compareValues, so type errors surface
-// exactly as on the row engine. Results are memoized per code pair.
-func (vs *vecStratum) runFilter(st *vecStep, cols [][]uint32, n int) ([]int32, error) {
+// runFilter evaluates a comparison step, with codes sc, over the
+// accumulated valuation rows. Equality is code equality; ordering
+// comparisons decode through the dictionary and reuse compareValues, so
+// type errors surface exactly as on the row engine. Results are
+// memoized per code pair.
+func (ev *vecEval) runFilter(st *vecStep, sc *stepCodes, cols [][]uint32, n int) ([]int32, error) {
 	code := func(col int, c uint32, i int) uint32 {
 		if col >= 0 {
 			return cols[col][i]
 		}
 		return c
 	}
+	lCode, rCode := sc.l, sc.r
 	keep := make([]int32, 0, n)
 	if st.op == "=" || st.op == "!=" {
 		want := st.op == "="
@@ -529,25 +584,25 @@ func (vs *vecStratum) runFilter(st *vecStep, cols [][]uint32, n int) ([]int32, e
 			want = !want
 		}
 		for i := 0; i < n; i++ {
-			eq := code(st.lCol, st.lCode, i) == code(st.rCol, st.rCode, i)
+			eq := code(st.lCol, lCode, i) == code(st.rCol, rCode, i)
 			if eq == want {
 				keep = append(keep, int32(i))
 			}
 		}
 		return keep, nil
 	}
-	if st.cmpCache == nil {
-		st.cmpCache = map[uint64]cmpResult{}
+	if sc.cmp == nil {
+		sc.cmp = map[uint64]cmpResult{}
 	}
 	for i := 0; i < n; i++ {
-		lc := code(st.lCol, st.lCode, i)
-		rc := code(st.rCol, st.rCode, i)
+		lc := code(st.lCol, lCode, i)
+		rc := code(st.rCol, rCode, i)
 		k := uint64(lc)<<32 | uint64(rc)
-		res, ok := st.cmpCache[k]
+		res, ok := sc.cmp[k]
 		if !ok {
-			holds, err := compareValues(st.op, vs.dict.Value(lc), vs.dict.Value(rc))
+			holds, err := compareValues(st.op, ev.dict.Value(lc), ev.dict.Value(rc))
 			res = cmpResult{holds: holds, err: err}
-			st.cmpCache[k] = res
+			sc.cmp[k] = res
 		}
 		if res.err != nil {
 			return nil, res.err
@@ -568,17 +623,18 @@ func (vs *vecStratum) runFilter(st *vecStep, cols [][]uint32, n int) ([]int32, e
 // suppresses rows already present in the current set or already derived
 // this stratum — the same facts the row engine's Has filter suppresses —
 // and the rest are appended to the head predicate's batch as codes.
-func (vs *vecStratum) emit(vr *vecRule, cols [][]uint32, n, round int) error {
-	if vs.p.stats != nil {
-		vs.p.stats.Firings[vr.r.id] += n
+func (ev *vecEval) emit(vr *vecRule, headCodes []uint32, cols [][]uint32, n, round int) error {
+	if ev.p.stats != nil {
+		ev.p.stats.Firings[vr.r.id] += n
 	}
 	hp := vr.headPred
+	pr := &ev.rows[hp.id]
 	row := make([]uint32, len(hp.labels))
 	added := 0
 	for i := 0; i < n; i++ {
-		vs.emitted++
-		if vs.g != nil && vs.emitted%inRoundCheckInterval == 0 {
-			if err := vs.guardCheck(round, hp.pred); err != nil {
+		ev.emitted++
+		if ev.g != nil && ev.emitted%inRoundCheckInterval == 0 {
+			if err := ev.guardCheck(round, hp.pred); err != nil {
 				return err
 			}
 		}
@@ -586,29 +642,29 @@ func (vs *vecStratum) emit(vr *vecRule, cols [][]uint32, n, round int) error {
 			if c := vr.headCols[li]; c >= 0 {
 				row[li] = cols[c][i]
 			} else {
-				row[li] = vr.headCodes[li]
+				row[li] = headCodes[li]
 			}
 		}
-		if hp.member.Add(row) {
-			hp.batch.AppendRow(row)
+		if pr.member.Add(row) {
+			pr.batch.AppendRow(row)
 			added++
 		}
 	}
-	vs.record("emit", added)
+	ev.record("emit", added)
 	return nil
 }
 
 // guardCheck mirrors evalCtx.inRoundCheck for the vectorized emit loop.
-func (vs *vecStratum) guardCheck(round int, pred string) error {
+func (ev *vecEval) guardCheck(round int, pred string) error {
 	invented := 0
-	if st := vs.p.stats; st != nil {
+	if st := ev.p.stats; st != nil {
 		invented = st.Invented
 	}
-	err := vs.g.Check(round, func() int { return vs.total + vs.emitted }, invented)
-	if err != nil && vs.p.opts.Tracer != nil {
-		vs.p.emit(obs.Event{
+	err := ev.g.Check(round, func() int { return ev.total + ev.emitted }, invented)
+	if err != nil && ev.p.opts.Tracer != nil {
+		ev.p.emit(obs.Event{
 			Kind:    obs.KindGuardCheck,
-			Stratum: vs.g.Stratum(),
+			Stratum: ev.g.Stratum(),
 			Round:   round,
 			Pred:    pred,
 			Detail:  err.Error(),
@@ -619,18 +675,18 @@ func (vs *vecStratum) guardCheck(round int, pred string) error {
 
 // traceVecKernels reports the stratum's kernel counters as
 // deterministic vec.kernel events, in kernel-name order.
-func (vs *vecStratum) traceVecKernels(stratum int) {
-	p := vs.p
+func (ev *vecEval) traceVecKernels(stratum int) {
+	p := ev.p
 	if !p.tracing() {
 		return
 	}
-	names := make([]string, 0, len(vs.kernels))
-	for name := range vs.kernels {
+	names := make([]string, 0, len(ev.kernels))
+	for name := range ev.kernels {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ks := vs.kernels[name]
+		ks := ev.kernels[name]
 		p.emit(obs.Event{
 			Kind:    obs.KindVecKernel,
 			Stratum: stratum,
@@ -646,39 +702,39 @@ func (vs *vecStratum) traceVecKernels(stratum int) {
 // by the rounds semiNaive uses (deltaRounds): a full round 0, then one
 // delta-substituted pass per positive atom position with a non-empty
 // delta. The fact counts the round boundaries report are kept by the
-// plan (vs.total), since the derived rows reach the fact set only when
-// the fixpoint is reached. cur is the run's private copy of E
-// (runGuarded cloned it): the batches are encoded from it in key order,
-// and materialize grows it in place.
-func (p *Program) semiNaiveVectorized(vs *vecStratum, cur *FactSet, counter *int64) (*FactSet, error) {
-	vs.bind(p, cur)
+// plan (ev.total), since the derived rows reach the fact set only at
+// the fixpoint, and then in code space (handOff). cur is the run's
+// private copy of E (runGuarded cloned it): the batches not handed over
+// are encoded from it in key order, and handOff grows it in place.
+func (p *Program) semiNaiveVectorized(vs *vecStratum, run *vecRun, cur *FactSet) (*FactSet, error) {
+	ev := vs.bind(run, cur)
 	delta := 0
-	err := p.deltaRounds(func() int { return vs.total }, func(round int) (int, error) {
-		vs.total += delta // the merge of the previous round's delta
-		vs.emitted = 0
-		for _, vr := range vs.rules {
+	err := p.deltaRounds(func() int { return ev.total }, func(round int) (int, error) {
+		ev.total += delta // the merge of the previous round's delta
+		ev.emitted = 0
+		for ri, vr := range vs.rules {
 			if round == 0 {
-				if err := vs.runPass(vr, -1, 0); err != nil {
+				if err := ev.runPass(ri, -1, 0); err != nil {
 					return 0, fmt.Errorf("%w (in rule %s)", err, vr.r)
 				}
 				continue
 			}
 			for _, si := range vr.posSteps {
-				if vr.steps[si].vp.delta == nil {
+				if ev.rows[vr.steps[si].vp.id].delta == nil {
 					continue
 				}
-				if err := vs.runPass(vr, si, round); err != nil {
+				if err := ev.runPass(ri, si, round); err != nil {
 					return 0, fmt.Errorf("%w (in rule %s)", err, vr.r)
 				}
 			}
 		}
-		delta = vs.advance()
+		delta = ev.advance()
 		return delta, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	vs.materialize(cur)
-	vs.traceVecKernels(p.curStratum())
+	ev.handOff(cur)
+	ev.traceVecKernels(p.curStratum())
 	return cur, nil
 }

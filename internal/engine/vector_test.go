@@ -276,7 +276,9 @@ func (c *cancelAt) Event(ev obs.Event) {
 // afresh on every run. Reused over several EDBs, after a fact-budget
 // abort inside a columnar stratum and after a run canceled inside one,
 // it must give the facts, Firings and canonical trace (vec.kernel
-// counters included) of a freshly compiled program.
+// counters included) of a freshly compiled program. The program pins no
+// run's batches: a result left in code space reads the same after later
+// runs, aborted ones included, as it would have at once.
 func TestProgramReuseAcrossRuns(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Budget = Budget{MaxFacts: 600}
@@ -333,8 +335,27 @@ func TestProgramReuseAcrossRuns(t *testing.T) {
 		}
 	}
 	small, other := closureShapeEDB(12, 4, 1), closureShapeEDB(16, 6, 3)
+	// kept runs the reused program and returns its result unread, so its
+	// columnar heads are still in code space.
+	kept := func(edb *FactSet) *FactSet {
+		reused.SetTracer(nil)
+		counter := int64(0)
+		f, err := reused.Run(edb, &counter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.coded) == 0 {
+			t.Fatal("the run left no head in code space")
+		}
+		return f
+	}
+	keptSmall := kept(small)
 	same("first run", small)
 	same("second EDB", other)
+	if renderBuckets(keptSmall) != runOn(compile(), context.Background(), small, nil).facts {
+		t.Fatal("a result read after two later runs differs from a fresh program's")
+	}
+	keptOther := kept(other)
 
 	r := runOn(reused, context.Background(), closureShapeEDB(48, 20, 1), nil)
 	var be *BudgetError
@@ -342,6 +363,10 @@ func TestProgramReuseAcrossRuns(t *testing.T) {
 		t.Fatalf("big EDB: %v, want a fact-budget abort in stratum 0", r.err)
 	}
 	same("after a budget abort", small)
+	if renderBuckets(keptOther) != runOn(compile(), context.Background(), other, nil).facts {
+		t.Fatal("a result read after an aborted run differs from a fresh program's")
+	}
+	keptOther = kept(other)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -351,6 +376,9 @@ func TestProgramReuseAcrossRuns(t *testing.T) {
 	var ce *CanceledError
 	if !errors.As(r.err, &ce) || ce.Stratum != 0 {
 		t.Fatalf("canceled run: %v, want a cancellation in stratum 0", r.err)
+	}
+	if renderBuckets(keptOther) != runOn(compile(), context.Background(), other, nil).facts {
+		t.Fatal("a result read after a canceled run differs from a fresh program's")
 	}
 	same("after a canceled run", other)
 	same("after a canceled run, first EDB", small)

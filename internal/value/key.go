@@ -133,6 +133,12 @@ func appendElemsKey(b []byte, tag byte, elems []Value) []byte {
 	return b
 }
 
+// AppendFieldKey appends v the way a tuple key holds a field's value: one
+// length-prefixed part. No part is a prefix of another (the length is
+// ended by ':'), so the keys of two tuples with the same labels in the
+// same order compare as their values' parts do, field by field.
+func AppendFieldKey(b []byte, v Value) []byte { return appendChild(b, v) }
+
 // appendChild appends one length-prefixed part holding v's key.
 func appendChild(b []byte, v Value) []byte {
 	b = append(b, '|')

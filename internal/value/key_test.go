@@ -337,3 +337,44 @@ func TestEqualElementaryAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// Tuples with the same labels in the same order: their keys compare as
+// their values' field parts (AppendFieldKey) do, field by field.
+func TestFieldKeysOrderTupleKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	labels := []string{"a", "bb", "a2"}
+	tuple := func() Tuple {
+		fs := make([]Field, len(labels))
+		for i, l := range labels {
+			fs[i] = Field{Label: l, Value: genValue(r, 1)}
+			if r.Intn(3) == 0 {
+				fs[i].Value = Str(strings.Repeat("x", r.Intn(12)))
+			}
+		}
+		return NewTuple(fs...)
+	}
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < 5000; i++ {
+		x, y := tuple(), tuple()
+		if i%7 == 0 {
+			y = x.With("bb", genValue(r, 1))
+		}
+		want := 0
+		for j := range labels {
+			if want = bytes.Compare(AppendFieldKey(nil, x.Field(j).Value), AppendFieldKey(nil, y.Field(j).Value)); want != 0 {
+				break
+			}
+		}
+		if got := sign(strings.Compare(x.Key(), y.Key())); got != want {
+			t.Fatalf("%v vs %v: keys compare %d, field parts %d", x, y, got, want)
+		}
+	}
+}

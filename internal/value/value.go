@@ -195,6 +195,22 @@ func NewTuple(fields ...Field) Tuple {
 	return Tuple{fields: fs}
 }
 
+// NewTuples builds n tuples over the same labels, with all their fields
+// in one allocation: tuple i's field j is (labels[j], val(i, j)).
+func NewTuples(labels []string, n int, val func(i, j int) Value) []Tuple {
+	w := len(labels)
+	fs := make([]Field, n*w)
+	ts := make([]Tuple, n)
+	for i := range ts {
+		row := fs[i*w : (i+1)*w : (i+1)*w]
+		for j, l := range labels {
+			row[j] = Field{Label: l, Value: val(i, j)}
+		}
+		ts[i] = Tuple{fields: row}
+	}
+	return ts
+}
+
 // NewSet builds a set, deduplicating and canonically ordering elems.
 func NewSet(elems ...Value) Set {
 	es := canonicalize(elems, true)
