@@ -83,3 +83,49 @@ func TestQueryClosureShapeAllocs(t *testing.T) {
 	}
 	t.Logf("%.0f allocations per closure-shape goal (at most %d)", allocs, maxAllocs)
 }
+
+// One unshort commit of BenchmarkIVMChainCommit — deleting the shortcut
+// planted across monitor_ivm's maintained closure, on either numbering of
+// the chain — allocates at most maxAllocs: 42 480 and 43 716 measured,
+// plus about 10 %. DRed probes each over-deleted closure fact once and
+// lets the insertion pass restore what a probe cannot rederive in one
+// step; re-probing the over-deletion until nothing changed cost 298 485
+// allocations (682 409 on the mirrored chain).
+func TestIVMUnshortAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not compared under -race")
+	}
+	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
+		t.Skipf("allocation counts are pinned for %s, not compared under %s", allocsToolchain, v)
+	}
+	const maxAllocs = 48000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range ivmChainCommits() {
+		if !strings.HasPrefix(c.name, "unshort") {
+			continue
+		}
+		db := ivmChainOpen(t, c.edges)
+		const runs = 10
+		var total uint64
+		var ms runtime.MemStats
+		for i := 0; i <= runs; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if _, err := db.Exec(c.do); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			if i > 0 { // the first commit warms up
+				total += ms.Mallocs - before
+			}
+			if _, err := db.Exec(c.undo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := total / runs
+		if allocs > maxAllocs {
+			t.Fatalf("%s: %d allocations per commit, want at most %d", c.name, allocs, maxAllocs)
+		}
+		t.Logf("%s: %d allocations per commit (at most %d)", c.name, allocs, maxAllocs)
+	}
+}

@@ -3,7 +3,8 @@ package logres
 // The benchmark harness: one testing.B family per experiment E1–E9, E11
 // and E14 of EXPERIMENTS.md, plus in-process shapes of the gated
 // workloads under benchmark/ (registrar commits, contended concurrent
-// commits, the closure_batch read path, durable serial commits), which
+// commits, the closure_batch read path, durable serial commits, the
+// monitor_ivm commit kinds), which
 // measure the end-to-end experiments. Run with:
 //
 //	go test -bench=. -benchmem
@@ -15,6 +16,7 @@ package logres
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -589,4 +591,152 @@ func BenchmarkSerialExecDurable(b *testing.B) {
 	b.StopTimer()
 	after, _ := db.Durability()
 	b.ReportMetric(float64(after.WALBytes-before.WALBytes)/float64(b.N), "wal_bytes/op")
+}
+
+// ivmChainSchema and ivmChainRules are the gated benchmark's monitor_ivm
+// program: a maintained transitive closure (DRed).
+const ivmChainSchema = `
+associations
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+`
+
+const ivmChainRules = `mode radi.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+end.
+`
+
+const ivmChainWindow = 96
+
+// ivmChainEdges is monitor_ivm's base graph: a chain over nodes
+// 0..ivmChainWindow plus ivmChainWindow/2 forward shortcuts, and one more
+// shortcut, planted a quarter of the window in from each end, for the
+// unshort commit to delete (the last of edges, and planted). mirror
+// renumbers node i as ivmChainWindow−i.
+func ivmChainEdges(mirror bool) (edges [][2]int, planted [2]int) {
+	r := rand.New(rand.NewSource(1))
+	num := func(i int) int {
+		if mirror {
+			return ivmChainWindow - i
+		}
+		return i
+	}
+	short := map[[2]int]bool{}
+	for i := 0; i < ivmChainWindow; i++ {
+		edges = append(edges, [2]int{num(i), num(i + 1)})
+	}
+	for len(short) < ivmChainWindow/2 {
+		a := r.Intn(ivmChainWindow - 1)
+		e := [2]int{a, a + 2 + r.Intn(ivmChainWindow-a-1)}
+		if !short[e] {
+			short[e] = true
+			edges = append(edges, [2]int{num(e[0]), num(e[1])})
+		}
+	}
+	planted = [2]int{ivmChainWindow / 4, ivmChainWindow - ivmChainWindow/4}
+	for short[planted] {
+		planted[1]--
+	}
+	planted = [2]int{num(planted[0]), num(planted[1])}
+	return append(edges, planted), planted
+}
+
+// ivmEdgeModule inserts (mode ridv) the given edges, or deletes them
+// (del).
+func ivmEdgeModule(del bool, edges ...[2]int) string {
+	var sb strings.Builder
+	sb.WriteString("mode ridv.\nrules\n")
+	for _, e := range edges {
+		if del {
+			fmt.Fprintf(&sb, "  not edge(src: %d, dst: %d) <- edge(src: %d, dst: %d).\n", e[0], e[1], e[0], e[1])
+		} else {
+			fmt.Fprintf(&sb, "  edge(src: %d, dst: %d).\n", e[0], e[1])
+		}
+	}
+	sb.WriteString("end.\n")
+	return sb.String()
+}
+
+// ivmChainOpen opens an incremental database holding edges and the
+// closure rules.
+func ivmChainOpen(tb testing.TB, edges [][2]int) *Database {
+	db, err := Open(ivmChainSchema, WithIncremental(true))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, m := range []string{ivmEdgeModule(false, edges...), ivmChainRules} {
+		if _, err := db.Exec(m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// ivmChainCommits are the commit kinds of monitor_ivm, each with the
+// commit that undoes it: a frontier edge past the window's end, a
+// shortcut that derives nothing new, the deletion of the tail node's
+// out-edges, and the deletion of the planted shortcut (on both
+// numberings of the chain).
+func ivmChainCommits() []struct {
+	name     string
+	edges    [][2]int
+	do, undo string
+} {
+	edges, planted := ivmChainEdges(false)
+	mirrored, mirPlanted := ivmChainEdges(true)
+	var tail [][2]int
+	for _, e := range edges {
+		if e[0] == 0 {
+			tail = append(tail, e)
+		}
+	}
+	frontier := [2]int{ivmChainWindow, ivmChainWindow + 1}
+	// The shortcut nearest the window's end that is not an edge yet.
+	present := map[[2]int]bool{}
+	for _, e := range edges {
+		present[e] = true
+	}
+	shortcut := [2]int{ivmChainWindow - 2, ivmChainWindow}
+	for present[shortcut] {
+		shortcut[0]--
+	}
+	return []struct {
+		name     string
+		edges    [][2]int
+		do, undo string
+	}{
+		{"frontier", edges, ivmEdgeModule(false, frontier), ivmEdgeModule(true, frontier)},
+		{"shortcut", edges, ivmEdgeModule(false, shortcut), ivmEdgeModule(true, shortcut)},
+		{"tail", edges, "mode ridv.\nrules\n  not edge(src: 0, dst: Y) <- edge(src: 0, dst: Y).\nend.\n", ivmEdgeModule(false, tail...)},
+		{"unshort", edges, ivmEdgeModule(true, planted), ivmEdgeModule(false, planted)},
+		{"unshort/descending", mirrored, ivmEdgeModule(true, mirPlanted), ivmEdgeModule(false, mirPlanted)},
+	}
+}
+
+// BenchmarkIVMChainCommit is one commit of each monitor_ivm kind against
+// a WithIncremental database over monitor_ivm's graph: propagation by
+// DRed, the audit of the view delta, the commit. Each timed commit is
+// undone outside the timer, so every one starts from the same state.
+// unshort/descending mirrors the node ids, so the closure's key order
+// runs against the chain.
+func BenchmarkIVMChainCommit(b *testing.B) {
+	for _, c := range ivmChainCommits() {
+		b.Run(c.name, func(b *testing.B) {
+			db := ivmChainOpen(b, c.edges)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec(c.do); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, err := db.Exec(c.undo); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
+	}
 }

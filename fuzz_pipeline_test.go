@@ -212,6 +212,41 @@ rules
   edge(src: 2, dst: 3).
 end.
 `)
+	// A shortcut inserted into and then deleted from a closure over a
+	// chain numbered downwards, so the closure's key order runs against
+	// the chain: DRed probes each over-deleted fact once and the
+	// insertion pass restores the facts whose support is itself
+	// over-deleted.
+	f.Add(fuzzSchemas[1], `
+mode ridv.
+rules
+  edge(src: 8, dst: 7).
+  edge(src: 7, dst: 6).
+  edge(src: 6, dst: 5).
+  edge(src: 5, dst: 4).
+  edge(src: 4, dst: 3).
+  edge(src: 3, dst: 2).
+  edge(src: 2, dst: 1).
+  edge(src: 1, dst: 0).
+  edge(src: 8, dst: 5).
+end.
+---
+mode radv.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+end.
+---
+mode ridv.
+rules
+  edge(src: 6, dst: 2).
+end.
+---
+mode rddv.
+rules
+  edge(src: 6, dst: 2).
+end.
+`)
 	// A class-bearing commit sequence under a denial: association writes
 	// take the delta audit, class writes the full one, and the last
 	// commit violates the denial.

@@ -338,49 +338,61 @@ func isPattern(t ast.Term) bool {
 }
 
 // termVars collects the variable names of a term, in order.
-func termVars(t ast.Term) []string {
-	var out []string
-	var walk func(ast.Term)
-	walk = func(t ast.Term) {
-		switch x := t.(type) {
-		case ast.Var:
-			out = append(out, x.Name)
-		case ast.FuncApp:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case ast.BinExpr:
-			walk(x.L)
-			walk(x.R)
-		case ast.TupleTerm:
-			for _, a := range x.Args {
-				walk(a.Term)
-			}
-		case ast.SetTerm:
-			for _, e := range x.Elems {
-				walk(e)
-			}
-		case ast.MultisetTerm:
-			for _, e := range x.Elems {
-				walk(e)
-			}
-		case ast.SeqTerm:
-			for _, e := range x.Elems {
-				walk(e)
-			}
+func termVars(t ast.Term) []string { return appendTermVars(nil, t) }
+
+// appendTermVars appends the variable names of t to out, in order.
+func appendTermVars(out []string, t ast.Term) []string {
+	switch x := t.(type) {
+	case ast.Var:
+		out = append(out, x.Name)
+	case ast.FuncApp:
+		for _, a := range x.Args {
+			out = appendTermVars(out, a)
+		}
+	case ast.BinExpr:
+		out = appendTermVars(appendTermVars(out, x.L), x.R)
+	case ast.TupleTerm:
+		for _, a := range x.Args {
+			out = appendTermVars(out, a.Term)
+		}
+	case ast.SetTerm:
+		for _, e := range x.Elems {
+			out = appendTermVars(out, e)
+		}
+	case ast.MultisetTerm:
+		for _, e := range x.Elems {
+			out = appendTermVars(out, e)
+		}
+	case ast.SeqTerm:
+		for _, e := range x.Elems {
+			out = appendTermVars(out, e)
 		}
 	}
-	walk(t)
 	return out
 }
 
 // evaluable reports whether all variables of t are in bound.
 func evaluable(t ast.Term, bound map[string]bool) bool {
-	if _, isWild := t.(ast.Wildcard); isWild {
+	return allBound(t, func(v string) bool { return bound[v] })
+}
+
+// evaluable is evaluable over the variables e binds.
+func (e *env) evaluable(t ast.Term) bool { return allBound(t, e.bound) }
+
+// allBound reports whether t is no wildcard and bound holds for each of
+// its variables.
+func allBound(t ast.Term, bound func(string) bool) bool {
+	switch x := t.(type) {
+	case ast.Var:
+		return bound(x.Name)
+	case ast.Const:
+		return true
+	case ast.Wildcard:
 		return false
 	}
-	for _, v := range termVars(t) {
-		if !bound[v] {
+	var buf [8]string
+	for _, v := range appendTermVars(buf[:0], t) {
+		if !bound(v) {
 			return false
 		}
 	}

@@ -93,7 +93,17 @@ func (c *evalCtx) matchLit(l resolvedLit, e *env, yield func(*env) error) error 
 // bindings, the lookup goes through the fact set's component hash index
 // instead of scanning the whole extension.
 func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield func(*env) error) error {
-	facts := c.candidateFacts(l, source, e)
+	return c.matchFacts(l, c.candidateFacts(l, source, e), e, yield)
+}
+
+// matchFacts unifies l with each candidate fact and yields every
+// extension of e. A candidate that disagrees with an argument the
+// bindings already fix is rejected before e is cloned, and when those
+// arguments are all of l's, an admitted candidate yields e itself: the
+// match binds nothing new.
+func (c *evalCtx) matchFacts(l resolvedLit, facts []Fact, e *env, yield func(*env) error) error {
+	var buf [8]fixedArg
+	fixed, all := fixedArgs(l, e, buf[:0])
 	for _, fact := range facts {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
@@ -101,13 +111,19 @@ func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield fu
 				return err
 			}
 		}
-		e2 := e.clone()
-		ok, err := c.matchFact(l, fact, e2)
-		if err != nil {
-			return err
-		}
-		if !ok {
+		if !admits(fixed, fact) {
 			continue
+		}
+		e2 := e
+		if !all {
+			e2 = e.clone()
+			ok, err := c.matchFact(l, fact, e2)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
 		}
 		if err := yield(e2); err != nil {
 			return err
@@ -121,8 +137,7 @@ func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield fu
 // through the component index; otherwise the full (cached, sorted)
 // extension is scanned.
 func (c *evalCtx) candidateFacts(l resolvedLit, source *FactSet, e *env) []Fact {
-	bound := boundSet(e)
-	if l.selfTerm != nil && evaluable(l.selfTerm, bound) {
+	if l.selfTerm != nil && e.evaluable(l.selfTerm) {
 		if v, err := evalTerm(l.selfTerm, e, c.f); err == nil {
 			if ref, ok := v.(value.Ref); ok {
 				if fact, ok := source.HasOID(l.pred, value.OID(ref)); ok {
@@ -133,10 +148,7 @@ func (c *evalCtx) candidateFacts(l resolvedLit, source *FactSet, e *env) []Fact 
 		}
 	}
 	for _, comp := range l.comps {
-		if !evaluable(comp.term, bound) {
-			continue
-		}
-		if _, isWild := comp.term.(ast.Wildcard); isWild {
+		if !e.evaluable(comp.term) {
 			continue
 		}
 		v, err := evalTerm(comp.term, e, c.f)
@@ -146,6 +158,77 @@ func (c *evalCtx) candidateFacts(l resolvedLit, source *FactSet, e *env) []Fact 
 		return source.FactsByComponent(l.pred, comp.label, v)
 	}
 	return source.Facts(l.pred)
+}
+
+// fixedArg is an argument of a predicate literal whose value the
+// bindings already fix: a constant or a bound variable, under a
+// component label or, with self set, as the oid.
+type fixedArg struct {
+	label string
+	self  bool
+	v     value.Value
+}
+
+// fixedArgs appends to out the arguments of l that e fixes, in the order
+// matchFact unifies them. It stops at the first argument matchFact has
+// to evaluate, since that evaluation may fail with an error the match
+// must still report. all reports that the fixed arguments are every
+// argument of l save wildcards, and that l has no tuple variable: a fact
+// they admit matches without binding anything.
+func fixedArgs(l resolvedLit, e *env, out []fixedArg) (fixed []fixedArg, all bool) {
+	all = len(l.tupleVars) == 0
+	arg := func(t ast.Term) (value.Value, bool) {
+		switch x := t.(type) {
+		case ast.Const:
+			return x.Val, true
+		case ast.Var:
+			if b, ok := e.lookup(x.Name); ok {
+				return b.coerce(), true
+			}
+		case ast.Wildcard:
+			return nil, false
+		}
+		all = false
+		return nil, false
+	}
+	if l.selfTerm != nil {
+		if !isPattern(l.selfTerm) {
+			return out, false
+		}
+		if v, ok := arg(l.selfTerm); ok {
+			out = append(out, fixedArg{self: true, v: v})
+		}
+	}
+	for _, comp := range l.comps {
+		if !isPattern(comp.term) {
+			return out, false
+		}
+		if v, ok := arg(comp.term); ok {
+			out = append(out, fixedArg{label: comp.label, v: v})
+		}
+	}
+	return out, all
+}
+
+// admits reports whether fact agrees with every fixed argument, as
+// matchFact would compare them (a missing component is null).
+func admits(fixed []fixedArg, fact Fact) bool {
+	for _, a := range fixed {
+		if a.self {
+			if r, ok := a.v.(value.Ref); !ok || value.OID(r) != fact.OID {
+				return false
+			}
+			continue
+		}
+		v, found := fact.Tuple.Get(a.label)
+		if !found {
+			v = value.Null{}
+		}
+		if !value.Equal(a.v, v) {
+			return false
+		}
+	}
+	return true
 }
 
 // matchFact unifies one literal against one fact.
@@ -217,13 +300,24 @@ func (c *evalCtx) matchNegated(l resolvedLit, e *env, yield func(*env) error) er
 	return enumerate(0, e)
 }
 
+// noFactMatches reports whether no fact matches l under e. Like
+// matchFacts, it rejects a candidate on the fixed arguments before it
+// clones e, and accepts one without cloning when they are all of l's.
 func (c *evalCtx) noFactMatches(l resolvedLit, e *env) (bool, error) {
+	var buf [8]fixedArg
+	fixed, all := fixedArgs(l, e, buf[:0])
 	for _, fact := range c.candidateFacts(l, c.f, e) {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
 			if err := c.inRoundCheck(l.pred); err != nil {
 				return false, err
 			}
+		}
+		if !admits(fixed, fact) {
+			continue
+		}
+		if all {
+			return false, nil
 		}
 		probe := e.clone()
 		ok, err := c.matchFact(l, fact, probe)
@@ -242,9 +336,8 @@ func (c *evalCtx) matchCompare(l resolvedLit, e *env, yield func(*env) error) er
 	if l.pred == "=" && !l.negated {
 		// Directional unification: evaluate the evaluable side, match the
 		// other as a pattern.
-		bound := boundSet(e)
 		switch {
-		case evaluable(left, bound):
+		case e.evaluable(left):
 			lv, err := evalTerm(left, e, c.f)
 			if err != nil {
 				return err
@@ -258,7 +351,7 @@ func (c *evalCtx) matchCompare(l resolvedLit, e *env, yield func(*env) error) er
 				return yield(e2)
 			}
 			return nil
-		case evaluable(right, bound):
+		case e.evaluable(right):
 			rv, err := evalTerm(right, e, c.f)
 			if err != nil {
 				return err
@@ -322,14 +415,6 @@ func compareValues(op string, l, r value.Value) (bool, error) {
 		return cmp >= 0, nil
 	}
 	return false, fmt.Errorf("engine: unknown comparison %q", op)
-}
-
-func boundSet(e *env) map[string]bool {
-	out := make(map[string]bool, len(e.m))
-	for k := range e.m {
-		out[k] = true
-	}
-	return out
 }
 
 // --- head instantiation -------------------------------------------------

@@ -75,6 +75,8 @@ type Maintainer struct {
 	// leave behind, so ToInstance(full, schema, fullCounter) is
 	// byte-identical to a recomputation.
 	fullCounter int64
+	// probes counts derivable calls over the maintainer's life.
+	probes int
 }
 
 // ViewDelta is the exact fact-level difference of the full derived set
@@ -343,22 +345,14 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 	}
 
 	// The net view change: the wave records every presence transition,
-	// except that DRed's delete-then-rederive can put one fact in both
-	// halves (net unchanged).
+	// each fact at most once (DRed takes a fact it removed and then
+	// restored back out of the wave).
 	viewDiff := &ViewDelta{}
 	for _, p := range waveAdds.Preds() {
-		for _, f := range waveAdds.Facts(p) {
-			if !waveRemoves.Has(f) {
-				viewDiff.Adds = append(viewDiff.Adds, f)
-			}
-		}
+		viewDiff.Adds = append(viewDiff.Adds, waveAdds.Facts(p)...)
 	}
 	for _, p := range waveRemoves.Preds() {
-		for _, f := range waveRemoves.Facts(p) {
-			if !waveAdds.Has(f) {
-				viewDiff.Removes = append(viewDiff.Removes, f)
-			}
-		}
+		viewDiff.Removes = append(viewDiff.Removes, waveRemoves.Facts(p)...)
 	}
 
 	vd := &ViewDelta{}
@@ -544,10 +538,13 @@ func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldVie
 
 // updateDRed propagates a delta through one recursive stratum with
 // delete/rederive: (1) overestimate the deletions by closing the
-// removed facts under the rules over the *old* view, (2) remove the
-// overestimate and rederive every member that still has support
-// (extensional or derivational) from surviving facts, to a fixpoint,
-// (3) propagate the insertions semi-naively over the new view.
+// removed facts under the rules over the *old* view; (2) remove the
+// overestimate and probe each of its facts once against what survives,
+// keeping those still extensional or derivable in one step; (3)
+// propagate the insertions and the kept facts semi-naively over the new
+// view, which restores every other overestimated fact that still holds.
+// The wave ends up holding each presence change once: a fact phase 2
+// removes and phase 3 restores leaves it again.
 func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
 	c := &evalCtx{p: m.prog, f: newView, counter: new(int64)}
 	eAdd := map[string]bool{}
@@ -588,58 +585,59 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 		frontier = next
 	}
 
-	// Phase 2: delete the overestimate, then rederive survivors to a
-	// fixpoint (a rederived fact can support further rederivations).
-	pending := map[string]Fact{}
+	// Phase 2: delete the overestimate, then probe every member once
+	// against the survivors. A fact a rederived one supports is left to
+	// phase 3, so no probe waits on another's outcome.
 	for _, p := range overdel.Preds() {
 		for _, f := range overdel.Facts(p) {
 			newView.Remove(f)
-			pending[f.Key()] = f
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		keys := make([]string, 0, len(pending))
-		for k := range pending {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f := pending[k]
+	var rederived []Fact
+	for _, p := range overdel.Preds() {
+		for _, f := range overdel.Facts(p) {
 			ok := inEnew(f)
 			if !ok {
 				var err error
-				ok, err = m.derivable(c, plan, f, newView)
-				if err != nil {
+				if ok, err = m.derivable(c, plan, f, newView); err != nil {
 					return err
 				}
 			}
 			if ok {
-				newView.Add(f)
-				delete(pending, k)
-				changed = true
+				rederived = append(rederived, f)
+			} else {
+				waveRemoves.Add(f)
 			}
 		}
 	}
-	for _, f := range pending {
-		waveRemoves.Add(f)
-	}
 
 	// Phase 3: insertions, semi-naive over the new view (which already
-	// contains each frontier).
+	// contains each frontier), starting from the stratum's new inputs,
+	// its base adds and the rederived facts.
 	frontier = plan.reads(waveAdds)
-	for _, f := range pAdds {
-		if newView.Add(f) {
-			frontier.Add(f)
+	for _, f := range rederived {
+		newView.Add(f)
+		frontier.Add(f)
+	}
+	restore := func(f Fact) bool {
+		if !newView.Add(f) {
+			return false
+		}
+		if !waveRemoves.Remove(f) {
 			waveAdds.Add(f)
+		}
+		return true
+	}
+	for _, f := range pAdds {
+		if restore(f) {
+			frontier.Add(f)
 		}
 	}
 	for frontier.TotalSize() > 0 {
 		next := NewFactSet()
 		if err := deltaRound(c, plan, frontier, newView, newView, func(fact Fact) error {
-			if newView.Add(fact) {
+			if restore(fact) {
 				next.Add(fact)
-				waveAdds.Add(fact)
 			}
 			return nil
 		}); err != nil {
@@ -667,10 +665,12 @@ func (plan *maintPlan) reads(wave *FactSet) *FactSet {
 }
 
 // derivable reports whether some rule of the stratum derives target
-// from view. The head is pre-unified with the target where that is
-// cheap (constant and variable components); every candidate valuation
-// is verified by rebuilding the head fact.
+// from view in one step. The head is pre-unified with the target where
+// that is cheap (constant and variable components), the body is matched
+// cheapest literal first from those bindings (matchCheapest), and every
+// valuation found is verified by rebuilding the head fact.
 func (m *Maintainer) derivable(c *evalCtx, plan *maintPlan, target Fact, view *FactSet) (bool, error) {
+	m.probes++
 	saved := c.f
 	c.f = view
 	defer func() { c.f = saved }()
@@ -701,7 +701,7 @@ func (m *Maintainer) derivable(c *evalCtx, plan *maintPlan, target Fact, view *F
 			continue
 		}
 		found := false
-		err := c.matchBody(r.body, 0, e, func(e2 *env) error {
+		err := c.matchCheapest(r.body, 0, e, func(e2 *env) error {
 			h, err := c.buildAssocFact(r.head, e2)
 			if err != nil {
 				return err
@@ -720,4 +720,63 @@ func (m *Maintainer) derivable(c *evalCtx, plan *maintPlan, target Fact, view *F
 		}
 	}
 	return false, nil
+}
+
+// matchCheapest enumerates the valuations of body that extend e, as
+// matchBody does, in an order chosen by cost; done marks the literals
+// already matched. Each step runs the first pending filter (comparison,
+// built-in or negation) whose positive predicate literals to the left
+// have all run, the order delta-first joins keep too (DESIGN §14), and
+// otherwise the ready positive predicate literal with the fewest
+// candidate facts, ties in compiled order. The compiled order is one of
+// the orders this rule allows, so some literal is always ready.
+func (c *evalCtx) matchCheapest(body []resolvedLit, done uint64, e *env, yield func(*env) error) error {
+	if len(body) > 64 {
+		return c.matchBody(body, 0, e, yield) // more literals than done has bits
+	}
+	best, pending := -1, false
+	var bestFacts []Fact
+	for i, l := range body {
+		if done&(1<<i) != 0 {
+			continue
+		}
+		if l.negated || l.kind != pkClass && l.kind != pkAssoc {
+			if pending {
+				continue // a predicate literal to its left has not run
+			}
+			return c.matchLit(l, e, func(e2 *env) error {
+				return c.matchCheapest(body, done|1<<i, e2, yield)
+			})
+		}
+		pending = true
+		if !readyPositive(l, e) {
+			continue
+		}
+		if facts := c.candidateFacts(l, c.f, e); best < 0 || len(facts) < len(bestFacts) {
+			best, bestFacts = i, facts
+		}
+	}
+	if best >= 0 {
+		return c.matchFacts(body[best], bestFacts, e, func(e2 *env) error {
+			return c.matchCheapest(body, done|1<<best, e2, yield)
+		})
+	}
+	if pending {
+		return fmt.Errorf("engine: no literal of the body is ready")
+	}
+	return yield(e)
+}
+
+// readyPositive reports whether every argument of the positive predicate
+// literal l is a pattern or evaluable under e.
+func readyPositive(l resolvedLit, e *env) bool {
+	if l.selfTerm != nil && !isPattern(l.selfTerm) && !e.evaluable(l.selfTerm) {
+		return false
+	}
+	for _, comp := range l.comps {
+		if !isPattern(comp.term) && !e.evaluable(comp.term) {
+			return false
+		}
+	}
+	return true
 }

@@ -78,6 +78,21 @@ tc(src: X, dst: Y) <- tc(src: X, dst: Z), tc(src: Z + 1, dst: Y).
 		wantTotal:  1,
 	},
 	{
+		// Comparisons and arithmetic in a recursive stratum and in the
+		// counting stratum above it: the filters run after the predicate
+		// literals to their left in every join order, and Y != W reads
+		// variables no head binds.
+		name: "filters-and-arithmetic",
+		rules: `
+tc(src: X, dst: Y) <- edge(src: X, dst: Y), X != Y.
+tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: W), Y != W, Z = W, Z < X + 5.
+same(a: X, b: Y) <- tc(src: X, dst: Y), Y = X + 1.
+same(a: X, b: Y) <- node(n: X), tc(src: Y, dst: X), Y * 2 <= X + 1.
+`,
+		wantPrefix: 2,
+		wantTotal:  2,
+	},
+	{
 		// Eligible closure prefix plus a negation stratum, which is
 		// ineligible and recomputed as the suffix.
 		name: "mixed-fallback",
