@@ -129,3 +129,36 @@ func TestIVMUnshortAllocs(t *testing.T) {
 		t.Logf("%s: %d allocations per commit (at most %d)", c.name, allocs, maxAllocs)
 	}
 }
+
+// One enrol/drop commit of BenchmarkRegistrarEnrolDrop at x16 (the
+// preload's 240 sections) allocates at most maxBytes: 3.20 MB measured,
+// plus about 12 %. The commit path-copies the few store nodes it writes;
+// copying the written predicate's whole store made it 5.82 MB, and the
+// bytes per commit grew with |enrolled| (x1 → x16: 0.43 → 5.82 MB). What
+// still grows is the written predicate's view, copied on its first write
+// after a clone.
+func TestRegistrarEnrolDropBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocated bytes are not compared under -race")
+	}
+	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
+		t.Skipf("allocated bytes are pinned for %s, not compared under %s", allocsToolchain, v)
+	}
+	const maxBytes = 3_600_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	db := registrarPreload(t, 16)
+	registrarEnrolDrop(t, db, 0) // warm up
+	const runs = 40
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 1; i <= runs; i++ {
+		registrarEnrolDrop(t, db, i)
+	}
+	runtime.ReadMemStats(&ms)
+	bytes := (ms.TotalAlloc - before) / runs
+	if bytes > maxBytes {
+		t.Fatalf("%d bytes per x16 enrol/drop commit, want at most %d", bytes, maxBytes)
+	}
+	t.Logf("%d bytes per x16 enrol/drop commit (at most %d)", bytes, maxBytes)
+}

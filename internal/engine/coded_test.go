@@ -116,7 +116,7 @@ func codedDifferential(t *testing.T, p *Program, seed int64, ops []byte) {
 		return f
 	}
 	lazy, eager := run(), run()
-	if lazy.coded["tc"] == nil || lazy.preds["tc"] == nil || len(lazy.preds["tc"].facts) == 0 {
+	if lazy.coded["tc"] == nil || lazy.preds["tc"].facts.Len() == 0 {
 		t.Fatalf("seed %d: the run left no code-space tc over base facts", seed)
 	}
 	eager.decodeAll()

@@ -18,6 +18,7 @@ import (
 
 	"logres/internal/colset"
 	"logres/internal/instance"
+	"logres/internal/pmap"
 	"logres/internal/types"
 	"logres/internal/value"
 )
@@ -119,7 +120,13 @@ type predCache struct {
 	// cost.
 	builds atomic.Int64
 
-	refs atomic.Int64 // owners beyond the first (64 bits: see predStore)
+	// refs counts the owners beyond the first. Counts only grow: a clone
+	// dropped without writing never gives its share back, so a view that
+	// is never written gains one per query and commit for the life of the
+	// process, and the count has 64 bits so that it cannot wrap negative
+	// and let a clone write into the published set. It can reach -1, when
+	// every owner copies at once, so cow tests for <= 0.
+	refs atomic.Int64
 }
 
 // lazyBucket is one label's buckets on a sealed cache, built by the first
@@ -244,38 +251,15 @@ func (c *predCache) compact() {
 	c.dead = nil
 }
 
-// predStore holds one predicate's facts by key and, for a class, by oid
-// (so the right-biased composition ⊕ can resolve o-value conflicts).
-//
-// A store is shared copy-on-write between a FactSet and its clones, like a
-// predCache: refs counts the owners beyond the first, and every write goes
-// through cow. Counts only grow: a clone dropped without writing never
-// gives its share back, so an owner that was ever cloned copies each
-// store once, on its next write to it, even when that clone is gone.
-// Because counts only grow, a store that is never written gains one per
-// query and commit for the life of the process; a 32-bit count would wrap
-// negative within days on a busy server and let a clone write into the
-// published set, so the count has 64 bits. It can reach -1, when every
-// owner copies at once, so cow tests for <= 0.
+// predStore holds one predicate's facts by canonical key and, for a
+// class, by oid (so the right-biased composition ⊕ can resolve o-value
+// conflicts, and MaxOID reads the largest oid off the last key). Both are
+// persistent ordered maps: a FactSet writes them with its owner tag, a
+// clone shares them as they are, and a write copies the O(log n) nodes
+// on its path that the writer does not own.
 type predStore struct {
-	facts map[string]Fact    // fact key → fact
-	byOID map[value.OID]Fact // class facts only: oid → fact (nil until one)
-	refs  atomic.Int64       // owners beyond the first
-}
-
-// share registers one more owner (used by Clone).
-func (st *predStore) share() { st.refs.Add(1) }
-
-// cow returns a store safe to write: the receiver when it has a single
-// owner, otherwise a private copy. The owner count drops only once the
-// copy is taken, so the last owner cannot start writing in place while
-// another is still copying.
-func (st *predStore) cow() *predStore {
-	if st.refs.Load() <= 0 {
-		return st
-	}
-	defer st.refs.Add(-1)
-	return &predStore{facts: maps.Clone(st.facts), byOID: maps.Clone(st.byOID)}
+	facts pmap.Map[string, Fact]
+	byOID pmap.Map[value.OID, Fact] // class facts only
 }
 
 // codedPred is the part of an association predicate still in code space:
@@ -300,8 +284,15 @@ func (cp *codedPred) pending() int { return cp.batch.Len() - cp.base }
 // FactSet is a set of ground facts indexed by predicate: one predStore per
 // predicate holds the facts, and reads go through one view per predicate
 // (a predCache), maintained incrementally by Add/Remove once built. Clone
-// shares both copy-on-write, so it costs O(#predicates) and a write copies
-// only the predicate it touches.
+// shares both, so it costs O(#predicates). A write to a store copies the
+// O(log n) nodes on its path that the set's owner tag does not own; a
+// write to a shared view copies the view.
+//
+// The stores need no share counts: a set writes every store with one
+// owner tag, and Clone retires it, so a node built before a clone is
+// never written in place again by either side. Telling whether
+// two sets share a predicate's store is one pointer comparison, and
+// DiffPred and Equal walk only the subtrees two stores do not share.
 //
 // An association predicate a columnar stratum derived may also hold rows
 // in code space (a codedPred) on top of its store. They are decoded into
@@ -317,10 +308,17 @@ func (cp *codedPred) pending() int { return cp.batch.Len() - cp.base }
 // never mutate shared state otherwise (safe for concurrent readers), and
 // Add/Remove panic. Thaw re-enables mutation.
 type FactSet struct {
-	preds  map[string]*predStore // pred → its facts (kept once created, even empty)
+	preds  map[string]predStore  // pred → its facts (kept once created, even empty)
 	views  map[string]*predCache // pred → read view (absent = not built)
 	coded  map[string]*codedPred // pred → its rows still in code space (nil when none)
 	frozen bool
+
+	// owner tags the store nodes this set may write in place; nil until
+	// the first write after NewFactSet or Clone. It is atomic because
+	// concurrent readers of a frozen set may clone it: the first clone
+	// retires the tag, so a set that was never cloned while frozen
+	// writes its own nodes in place again after Thaw.
+	owner atomic.Pointer[pmap.Owner]
 
 	// rebuilds counts from-scratch (sorting) constructions of views; the
 	// incremental-maintenance regression test asserts it stays flat
@@ -334,19 +332,27 @@ type FactSet struct {
 // NewFactSet returns an empty fact set.
 func NewFactSet() *FactSet {
 	return &FactSet{
-		preds: map[string]*predStore{},
+		preds: map[string]predStore{},
 		views: map[string]*predCache{},
 	}
 }
 
-// keyed returns pred's facts by key (nil when pred was never added to),
-// decoding its code-space rows first. The map must not be mutated.
-func (s *FactSet) keyed(pred string) map[string]Fact {
+// keyed returns pred's facts by key (empty when pred was never added to),
+// decoding its code-space rows first.
+func (s *FactSet) keyed(pred string) pmap.Map[string, Fact] {
 	s.decode(pred)
-	if st := s.preds[pred]; st != nil {
-		return st.facts
+	return s.preds[pred].facts
+}
+
+// tag returns the owner the set writes its stores with, taking a fresh
+// one when a Clone retired the last.
+func (s *FactSet) tag() *pmap.Owner {
+	o := s.owner.Load()
+	if o == nil {
+		o = pmap.NewOwner()
+		s.owner.Store(o)
 	}
-	return nil
+	return o
 }
 
 // --- code space -----------------------------------------------------------
@@ -362,8 +368,8 @@ func (s *FactSet) setCoded(pred string, cp *codedPred) {
 	if cp.pending() == 0 {
 		return
 	}
-	if s.preds[pred] == nil {
-		s.preds[pred] = &predStore{facts: map[string]Fact{}}
+	if _, ok := s.preds[pred]; !ok {
+		s.preds[pred] = predStore{}
 	}
 	if s.coded == nil {
 		s.coded = map[string]*codedPred{}
@@ -395,14 +401,7 @@ func (s *FactSet) decodeCoded(pred string, cp *codedPred) {
 	s.decodes++
 	n := cp.pending()
 	st := s.preds[pred]
-	fresh := len(st.facts) == 0
-	if fresh {
-		// Nothing to copy, whoever else holds the empty store.
-		st = &predStore{facts: make(map[string]Fact, n)}
-		s.preds[pred] = st
-	} else {
-		st = s.ownStore(pred, st)
-	}
+	fresh := st.facts.Len() == 0
 	c := s.mutableView(pred)
 	built := c == nil && fresh
 	if built {
@@ -419,8 +418,9 @@ func (s *FactSet) decodeCoded(pred string, cp *codedPred) {
 		s.views[pred] = c
 	}
 	// The rows are decoded in fact key order, so a view built here is
-	// flushed. The tuples share one allocation, and so do the keys: one
-	// string the keys are cut from.
+	// flushed, and a store that held nothing is built in one pass. The
+	// tuples share one allocation, and so do the keys: one string the
+	// keys are cut from.
 	order := cp.keyOrder()
 	tuples := value.NewTuples(cp.labels, n, func(i, li int) value.Value {
 		if order != nil {
@@ -438,17 +438,27 @@ func (s *FactSet) decodeCoded(pred string, cp *codedPred) {
 		ends[i] = len(buf)
 	}
 	keys, start := string(buf), 0
-	for i, t := range tuples {
-		f, k := Fact{Pred: pred, Tuple: t}, keys[start:ends[i]]
+	at := func(i int) (string, Fact) {
+		f, k := Fact{Pred: pred, Tuple: tuples[i]}, keys[start:ends[i]]
 		start = ends[i]
-		st.facts[k] = f
 		switch {
 		case built:
 			c.list, c.keys = append(c.list, f), append(c.keys, k)
 		case c != nil:
 			c.cacheAdd(f, k)
 		}
+		return k, f
 	}
+	if fresh {
+		st.facts = pmap.Build(s.tag(), n, at)
+	} else {
+		o := s.tag()
+		for i := range tuples {
+			k, f := at(i)
+			st.facts.Insert(o, k, f)
+		}
+	}
+	s.preds[pred] = st
 }
 
 // keyOrder returns the pending rows, as offsets from base, in the key
@@ -516,16 +526,16 @@ func (s *FactSet) decodeAll() {
 // --- views ----------------------------------------------------------------
 
 // buildView assembles the read view of one predicate from scratch, in
-// strict key order, without storing it.
+// strict key order (the store's own), without storing it.
 func (s *FactSet) buildView(pred string) *predCache {
 	m := s.keyed(pred)
-	facts := make([]Fact, 0, len(m))
-	keys := make([]string, 0, len(m))
-	for k, f := range m {
+	facts := make([]Fact, 0, m.Len())
+	keys := make([]string, 0, m.Len())
+	m.Ascend(func(k string, f Fact) bool {
 		keys = append(keys, k)
 		facts = append(facts, f)
-	}
-	sort.Sort(&factsByKey{facts: facts, keys: keys})
+		return true
+	})
 	c := &predCache{
 		list:      facts,
 		keys:      keys,
@@ -817,7 +827,7 @@ func (s *FactSet) Facts(pred string) []Fact {
 
 // Has reports exact membership.
 func (s *FactSet) Has(f Fact) bool {
-	_, ok := s.keyed(f.Pred)[f.Key()]
+	_, ok := s.keyed(f.Pred).Get(f.Key())
 	return ok
 }
 
@@ -825,21 +835,13 @@ func (s *FactSet) Has(f Fact) bool {
 // its current o-value projection. Code-space rows are association facts,
 // so it never decodes them.
 func (s *FactSet) HasOID(pred string, oid value.OID) (Fact, bool) {
-	st := s.preds[pred]
-	if st == nil {
-		return Fact{}, false
-	}
-	f, ok := st.byOID[oid]
-	return f, ok
+	return s.preds[pred].byOID.Get(oid)
 }
 
 // Size reports the number of facts for a predicate, code-space rows
 // included, without decoding them.
 func (s *FactSet) Size(pred string) int {
-	n := 0
-	if st := s.preds[pred]; st != nil {
-		n = len(st.facts)
-	}
+	n := s.preds[pred].facts.Len()
 	if cp := s.coded[pred]; cp != nil {
 		n += cp.pending()
 	}
@@ -851,7 +853,7 @@ func (s *FactSet) Size(pred string) int {
 func (s *FactSet) TotalSize() int {
 	n := 0
 	for _, st := range s.preds {
-		n += len(st.facts)
+		n += st.facts.Len()
 	}
 	for _, cp := range s.coded {
 		n += cp.pending()
@@ -864,7 +866,7 @@ func (s *FactSet) TotalSize() int {
 func (s *FactSet) Preds() []string {
 	var out []string
 	for p, st := range s.preds {
-		if len(st.facts) > 0 || s.coded[p] != nil {
+		if st.facts.Len() > 0 || s.coded[p] != nil {
 			out = append(out, p)
 		}
 	}
@@ -873,14 +875,12 @@ func (s *FactSet) Preds() []string {
 }
 
 // MaxOID returns the largest oid mentioned by any class fact (code-space
-// rows hold none).
+// rows hold none): the last oid of each class predicate.
 func (s *FactSet) MaxOID() value.OID {
 	var max value.OID
 	for _, st := range s.preds {
-		for o := range st.byOID {
-			if o > max {
-				max = o
-			}
+		if o, _, ok := st.byOID.Max(); ok && o > max {
+			max = o
 		}
 	}
 	return max
@@ -891,8 +891,8 @@ func (s *FactSet) MaxOID() value.OID {
 // Add inserts a fact. For class facts an existing fact with the same oid is
 // replaced (the newer o-value wins — the ⊕ bias); the method reports
 // whether the set changed. The view of f's predicate, when built, is
-// maintained in place, and a store shared with a clone is copied only
-// when the add changes it. Add panics on a frozen set.
+// maintained in place, and the store is written only when the add
+// changes it. Add panics on a frozen set.
 func (s *FactSet) Add(f Fact) bool {
 	if s.frozen {
 		panic("engine: Add on frozen FactSet")
@@ -900,50 +900,34 @@ func (s *FactSet) Add(f Fact) bool {
 	s.decode(f.Pred)
 	k := f.Key()
 	st := s.preds[f.Pred]
-	if st == nil {
-		st = &predStore{facts: map[string]Fact{}}
-		s.preds[f.Pred] = st
-	}
 	var prev Fact
 	var pk string
 	replaced := false
 	if f.IsClass {
-		if prev, replaced = st.byOID[f.OID]; replaced {
+		if prev, replaced = st.byOID.Get(f.OID); replaced {
 			if pk = prev.Key(); pk == k {
 				return false
 			}
 		}
-	} else if _, ok := st.facts[k]; ok {
+	}
+	o := s.tag()
+	if !st.facts.Insert(o, k, f) {
 		return false
 	}
-	st = s.ownStore(f.Pred, st)
 	if f.IsClass {
-		if st.byOID == nil {
-			st.byOID = map[value.OID]Fact{}
-		}
 		if replaced {
-			delete(st.facts, pk)
+			st.facts.Delete(o, pk)
 			if c := s.mutableView(f.Pred); c != nil {
 				c.cacheRemove(prev, pk)
 			}
 		}
-		st.byOID[f.OID] = f
+		st.byOID.Set(o, f.OID, f)
 	}
-	st.facts[k] = f
+	s.preds[f.Pred] = st
 	if c := s.mutableView(f.Pred); c != nil {
 		c.cacheAdd(f, k)
 	}
 	return true
-}
-
-// ownStore returns pred's store st ready to write, storing the private
-// copy in its place when st is shared.
-func (s *FactSet) ownStore(pred string, st *predStore) *predStore {
-	if cp := st.cow(); cp != st {
-		s.preds[pred] = cp
-		return cp
-	}
-	return st
 }
 
 // Remove deletes a fact by exact identity; it reports whether it was
@@ -952,44 +936,47 @@ func (s *FactSet) Remove(f Fact) bool {
 	if s.frozen {
 		panic("engine: Remove on frozen FactSet")
 	}
+	s.decode(f.Pred)
 	k := f.Key()
-	if _, ok := s.keyed(f.Pred)[k]; !ok {
+	st := s.preds[f.Pred]
+	o := s.tag()
+	if _, ok := st.facts.Delete(o, k); !ok {
 		return false
 	}
-	st := s.ownStore(f.Pred, s.preds[f.Pred])
-	delete(st.facts, k)
+	if f.IsClass {
+		if cur, ok := st.byOID.Get(f.OID); ok && cur.Key() == k {
+			st.byOID.Delete(o, f.OID)
+		}
+	}
+	s.preds[f.Pred] = st
 	if c := s.mutableView(f.Pred); c != nil {
 		c.cacheRemove(f, k)
-	}
-	if f.IsClass {
-		if cur, ok := st.byOID[f.OID]; ok && cur.Key() == k {
-			delete(st.byOID, f.OID)
-		}
 	}
 	return true
 }
 
 // --- set operations -------------------------------------------------------
 
-// Clone returns an unfrozen copy in O(#predicates): every predicate's
-// store and view is shared copy-on-write, so a write to the copy or the
-// original copies only the predicate it touches, and code-space rows,
-// never written, are shared as they are: each owner decodes its own on
-// its first read. Views are compacted before sharing, so reads after
-// Compose/Minus keep the incremental caches instead of paying a
-// from-scratch O(n log n) rebuild per predicate.
+// Clone returns an unfrozen copy in O(#predicates). Every predicate's
+// store is shared as it is, and the receiver's owner tag is retired, so
+// a write to either side path-copies the store nodes it touches. Every
+// view is shared copy-on-write, so a write copies only the view of the
+// predicate it touches, and code-space rows, never written, are shared
+// as they are: each owner decodes its own on its first read. Views are
+// compacted before sharing, so reads after Compose/Minus keep the
+// incremental caches instead of paying a from-scratch O(n log n) rebuild
+// per predicate.
 func (s *FactSet) Clone() *FactSet {
+	if s.owner.Load() != nil {
+		s.owner.Store(nil)
+	}
 	n := &FactSet{
-		preds:   make(map[string]*predStore, len(s.preds)),
+		preds:   maps.Clone(s.preds),
 		views:   make(map[string]*predCache, len(s.views)),
 		decodes: s.decodes,
 	}
 	if len(s.coded) > 0 {
 		n.coded = maps.Clone(s.coded)
-	}
-	for p, st := range s.preds {
-		st.share()
-		n.preds[p] = st
 	}
 	for p, c := range s.views {
 		c.compact()
@@ -1001,29 +988,25 @@ func (s *FactSet) Clone() *FactSet {
 
 // Equal reports whether two sets contain exactly the same facts. A
 // predicate whose store and code-space rows both sets share is equal
-// without a look; any other predicate with code-space rows is decoded on
-// both sides.
+// without a look, any other predicate with code-space rows is decoded on
+// both sides, and two stores are compared over the subtrees they do not
+// share.
 func (s *FactSet) Equal(o *FactSet) bool {
 	if s.TotalSize() != o.TotalSize() {
 		return false
 	}
 	for _, a := range [2]*FactSet{s, o} {
 		for p := range a.coded {
-			if s.coded[p] != o.coded[p] || s.preds[p] != o.preds[p] {
+			if s.coded[p] != o.coded[p] || !s.preds[p].facts.Same(o.preds[p].facts) {
 				s.decode(p)
 				o.decode(p)
 			}
 		}
 	}
+	differs := func(string, Fact, bool) bool { return false }
 	for p, st := range s.preds {
-		if o.preds[p] == st {
-			continue
-		}
-		om := o.keyed(p)
-		for k := range st.facts {
-			if _, ok := om[k]; !ok {
-				return false
-			}
+		if !pmap.Diff(st.facts, o.preds[p].facts, differs) {
+			return false
 		}
 	}
 	return true
@@ -1065,29 +1048,24 @@ func (s *FactSet) Minus(d *FactSet) *FactSet {
 }
 
 // DiffPred returns the facts of pred in s but not in old (adds) and in
-// old but not in s (removes), each in key order. Membership is tested by
-// the stored keys, so no fact's key is derived again; a store and
-// code-space rows both sets share differ in nothing and are not
-// iterated. Other code-space rows of pred are decoded on both sides.
+// old but not in s (removes), each in key order. A store and code-space
+// rows both sets share differ in nothing and are not looked at; two
+// stores are compared by their stored keys over the subtrees they do not
+// share, so diffing a set against the one it was cloned from costs
+// O(|Δ| log n). Other code-space rows of pred are decoded on both sides.
 func (s *FactSet) DiffPred(old *FactSet, pred string) (adds, removes []Fact) {
-	if s.preds[pred] == old.preds[pred] && s.coded[pred] == old.coded[pred] {
+	if s.preds[pred].facts.Same(old.preds[pred].facts) && s.coded[pred] == old.coded[pred] {
 		return nil, nil
 	}
-	cur, prev := s.keyed(pred), old.keyed(pred)
-	return missingFrom(cur, prev), missingFrom(prev, cur)
-}
-
-// missingFrom returns the facts of a whose keys b lacks, in key order.
-func missingFrom(a, b map[string]Fact) []Fact {
-	var out factsByKey
-	for k, f := range a {
-		if _, ok := b[k]; !ok {
-			out.facts = append(out.facts, f)
-			out.keys = append(out.keys, k)
+	pmap.Diff(s.keyed(pred), old.keyed(pred), func(_ string, f Fact, inS bool) bool {
+		if inS {
+			adds = append(adds, f)
+		} else {
+			removes = append(removes, f)
 		}
-	}
-	sort.Sort(&out)
-	return out.facts
+		return true
+	})
+	return adds, removes
 }
 
 // Intersect returns s ∩ d (exact identity).

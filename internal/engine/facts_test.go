@@ -1113,8 +1113,8 @@ func TestFactSetCloneSharingDifferential(t *testing.T) {
 }
 
 // Eight goroutines clone one frozen set and write the same predicate of
-// their clones, under -race: every write copies the shared store, never
-// writes through it, and the frozen set is unchanged.
+// their clones, under -race: every write copies the shared store nodes it
+// touches, never writes through them, and the frozen set is unchanged.
 func TestFactSetConcurrentCloneWrites(t *testing.T) {
 	fs := randomEdgeFacts(20, 200, 5)
 	for o := 1; o <= 8; o++ {
@@ -1150,16 +1150,14 @@ func TestFactSetConcurrentCloneWrites(t *testing.T) {
 	}
 }
 
-// Owner counts only grow, so a long-lived store passes the 32-bit limit.
-// Past it, a write to a clone must still copy the store and the view, and
-// leave the source untouched.
+// View owner counts only grow, so a long-lived view passes the 32-bit
+// limit. Past it, a write to a clone must still copy the view, and leave
+// the source untouched. (Stores keep no counts: they are persistent maps
+// written under one owner tag per set.)
 func TestFactSetShareCountPastInt32(t *testing.T) {
 	fs := randomEdgeFacts(21, 50, 5)
 	fs.Add(classTagFact(1, 0))
 	fs.Freeze()
-	for _, st := range fs.preds {
-		st.refs.Store(math.MaxInt32)
-	}
 	for _, c := range fs.views {
 		c.refs.Store(math.MaxInt32)
 	}
@@ -1168,9 +1166,6 @@ func TestFactSetShareCountPastInt32(t *testing.T) {
 	cl.Add(edgeFact(100, 0))
 	cl.Add(classTagFact(1, 1))
 	for _, p := range []string{"edge", "node"} {
-		if cl.preds[p] == fs.preds[p] {
-			t.Fatalf("write to %s past the 32-bit count went through the shared store", p)
-		}
 		if cl.views[p] == fs.views[p] {
 			t.Fatalf("write to %s past the 32-bit count went through the shared view", p)
 		}

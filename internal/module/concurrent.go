@@ -131,27 +131,26 @@ func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options,
 // adds = E1 − E0, removes = E0 − E1, grouped by predicate in name order.
 type extDelta struct {
 	adds, removes []engine.Fact
-	// changed are the predicates the delta changes; missed reports that a
-	// predicate outside the static writes changed size, so the diff
-	// covered every predicate.
+	// changed are the predicates the delta changes; missed reports that
+	// one of them is outside the static writes.
 	changed map[string]bool
 	missed  bool
 }
 
 // diffFacts computes the delta between the snapshot extension e0 and the
-// result extension e1. The candidate predicates are the update program's
-// static writes; a per-predicate size audit over the full predicate
-// union catches any analysis miss (inflationary runs only grow and RDDV
-// only shrinks, so a missed write always shows as a size change) and
-// falls back to a full diff.
+// result extension e1, which the update program derived from a clone of
+// e0. Every predicate is diffed: one whose store e1 still shares with e0
+// costs one comparison, and any other is walked over the parts the two
+// do not share, so the diff costs O(|Δ| log n) whatever the static writes
+// say. A change outside them is an analysis miss, reported as missed.
 func diffFacts(e0, e1 *engine.FactSet, writes []string) *extDelta {
 	d := &extDelta{changed: map[string]bool{}}
-	candidates := map[string]bool{}
+	static := map[string]bool{}
 	for _, p := range writes {
 		// The write analysis names a data function by its store; the fact
 		// set keeps its facts under the function's own name.
 		p, _ = strings.CutPrefix(p, engine.FunctionStore(""))
-		candidates[p] = true
+		static[p] = true
 	}
 	union := map[string]bool{}
 	for _, p := range e0.Preds() {
@@ -160,16 +159,8 @@ func diffFacts(e0, e1 *engine.FactSet, writes []string) *extDelta {
 	for _, p := range e1.Preds() {
 		union[p] = true
 	}
+	preds := make([]string, 0, len(union))
 	for p := range union {
-		if !candidates[p] && e0.Size(p) != e1.Size(p) {
-			// Static analysis missed a write: be conservative.
-			d.missed = true
-			candidates = union
-			break
-		}
-	}
-	preds := make([]string, 0, len(candidates))
-	for p := range candidates {
 		preds = append(preds, p)
 	}
 	sort.Strings(preds)
@@ -179,6 +170,9 @@ func diffFacts(e0, e1 *engine.FactSet, writes []string) *extDelta {
 			d.adds = append(d.adds, adds...)
 			d.removes = append(d.removes, removes...)
 			d.changed[p] = true
+			if !static[p] {
+				d.missed = true
+			}
 		}
 	}
 	return d

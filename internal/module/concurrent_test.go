@@ -7,6 +7,7 @@ import (
 	"logres/internal/ast"
 	"logres/internal/engine"
 	"logres/internal/guard"
+	"logres/internal/value"
 )
 
 const footprintSchema = `
@@ -314,5 +315,47 @@ end.
 	}
 	if strings.Join(rf.Deletes, ",") != "" {
 		t.Fatalf("deletes = %v", rf.Deletes)
+	}
+}
+
+// A missed write need not change a predicate's size: a deletion head can
+// remove one fact while another rule adds one. diffFacts must still find
+// the swap in a predicate outside the static writes, and report the miss.
+func TestDiffFactsSeesSizeNeutralMiss(t *testing.T) {
+	order := func(id int64) engine.Fact {
+		return engine.Fact{Pred: "orders", Tuple: value.NewTuple(value.Field{Label: "id", Value: value.Int(id)})}
+	}
+	audit := engine.Fact{Pred: "audit", Tuple: value.NewTuple(value.Field{Label: "id", Value: value.Int(9)})}
+	e0 := engine.NewFactSet()
+	for id := int64(1); id <= 5; id++ {
+		e0.Add(order(id))
+	}
+	e0.Freeze()
+	e1 := e0.Clone()
+	e1.Add(audit)       // the static write
+	e1.Remove(order(2)) // the missed one, size-neutral
+	e1.Add(order(7))
+	d := diffFacts(e0, e1, []string{"audit"})
+	if !d.missed {
+		t.Fatal("a size-neutral change to an unwritten predicate went unreported")
+	}
+	if !d.changed["orders"] || !d.changed["audit"] || len(d.changed) != 2 {
+		t.Fatalf("changed = %v, want audit and orders", d.changed)
+	}
+	keys := func(fs []engine.Fact) []string {
+		var out []string
+		for _, f := range fs {
+			out = append(out, f.Key())
+		}
+		return out
+	}
+	if got, want := keys(d.adds), []string{audit.Key(), order(7).Key()}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("adds = %v, want %v", got, want)
+	}
+	if got, want := keys(d.removes), []string{order(2).Key()}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("removes = %v, want %v", got, want)
+	}
+	if d := diffFacts(e0, e1, []string{"audit", "orders"}); d.missed {
+		t.Fatal("a change inside the static writes was reported as missed")
 	}
 }
