@@ -30,23 +30,24 @@ associations
 
 var ivmMatrixPrograms = []struct {
 	name  string
+	setup string // a module run before rules, when set
 	rules string
 }{
-	{"counting", `
+	{"counting", "", `
 mode radv.
 rules
   same(a: X, b: Y) <- edge(src: X, dst: Y), edge(src: Y, dst: X).
   same(a: X, b: X) <- node(n: X).
 end.
 `},
-	{"closure", `
+	{"closure", "", `
 mode radv.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 end.
 `},
-	{"negation", `
+	{"negation", "", `
 mode radv.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
@@ -54,7 +55,7 @@ rules
   unreach(a: X, b: Y) <- node(n: X), node(n: Y), not tc(src: X, dst: Y).
 end.
 `},
-	{"mixed-fallback", `
+	{"mixed-fallback", "", `
 mode radv.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
@@ -62,12 +63,24 @@ rules
   mark(tag: X) <- node(n: X), not tc(src: X, dst: X).
 end.
 `},
-	{"nonlinear-invention", `
+	{"nonlinear-invention", "", `
 mode radv.
 rules
   tc(src: X, dst: Y) <- edge(src: X, dst: Y).
   tc(src: X, dst: Z) <- tc(src: X, dst: Y), tc(src: Y, dst: Z).
   mark(tag: Y) <- tc(src: 1, dst: Y).
+end.
+`},
+	// Every commit gives the one MARK object, in one step, a tag per node
+	// reachable from node 1 and per node reaching it: an in-step ⊕
+	// conflict, which the greatest valuation key decides.
+	{"in-step-conflict", "mode ridv.\nrules\n  mark(tag: 0).\nend.\n", `
+mode radi.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+  mark(self: M, tag: Y) <- mark(self: M, tag: 0), tc(src: 1, dst: Y).
+  mark(self: M, tag: X) <- mark(self: M, tag: 0), tc(src: X, dst: 1).
 end.
 `},
 }
@@ -105,15 +118,13 @@ func ivmMatrixCommits() []struct {
 // ivmOracleRun replays the script on a plain (from-scratch) database on
 // the row oracle and records the instance rendering after every commit
 // plus the final Save bytes.
-func ivmOracleRun(t *testing.T, rules string) (instances []string, save string) {
+func ivmOracleRun(t *testing.T, setup, rules string) (instances []string, save string) {
 	t.Helper()
 	db, err := Open(ivmMatrixSchema, rowOracle()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(rules); err != nil {
-		t.Fatal(err)
-	}
+	ivmMatrixInstall(t, db, setup, rules)
 	for _, c := range ivmMatrixCommits() {
 		if _, err := db.Exec(c.src); err != nil {
 			t.Fatal(err)
@@ -131,11 +142,25 @@ func ivmOracleRun(t *testing.T, rules string) (instances []string, save string) 
 	return instances, sb.String()
 }
 
+// ivmMatrixInstall runs a program's setup module, when it has one, and
+// then its rules.
+func ivmMatrixInstall(t *testing.T, db *Database, setup, rules string) {
+	t.Helper()
+	for _, m := range []string{setup, rules} {
+		if m == "" {
+			continue
+		}
+		if _, err := db.Exec(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestIncrementalSaveBytesMatrix(t *testing.T) {
 	for _, prog := range ivmMatrixPrograms {
 		prog := prog
 		t.Run(prog.name, func(t *testing.T) {
-			wantInstances, wantSave := ivmOracleRun(t, prog.rules)
+			wantInstances, wantSave := ivmOracleRun(t, prog.setup, prog.rules)
 			if !strings.Contains(wantInstances[0], "(") {
 				t.Fatal("oracle derived nothing")
 			}
@@ -145,9 +170,7 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := db.Exec(prog.rules); err != nil {
-						t.Fatal(err)
-					}
+					ivmMatrixInstall(t, db, prog.setup, prog.rules)
 					for i, c := range ivmMatrixCommits() {
 						if c.concurrent {
 							_, err = db.ExecConcurrent(c.src)

@@ -112,6 +112,7 @@ end.
 			"reach(s: X, d: Z) <- link(s: X, d: Y), reach(s: Y, d: Z)."),
 		inventionOverColumnar("invention-over-columnar-nonlinear",
 			"reach(s: X, d: Z) <- reach(s: X, d: Y), reach(s: Y, d: Z)."),
+		conflictCase(),
 	}
 }
 
