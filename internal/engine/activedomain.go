@@ -61,21 +61,23 @@ func buildActiveDomain(schema *types.Schema, f *FactSet) *activeDomain {
 			if err != nil {
 				continue
 			}
-			for _, fact := range f.Facts(pred) {
+			f.Each(pred, func(fact Fact) bool {
 				ad.add(pred, value.Ref(fact.OID))
 				ad.walkTuple(schema, eff, fact.Tuple)
-			}
+				return true
+			})
 		case types.DeclAssociation:
 			eff, err := schema.EffectiveTuple(pred)
 			if err != nil {
 				continue
 			}
-			for _, fact := range f.Facts(pred) {
+			f.Each(pred, func(fact Fact) bool {
 				ad.add("$tuple$"+pred, fact.Tuple)
 				ad.walkTuple(schema, eff, fact.Tuple)
-			}
+				return true
+			})
 		case types.DeclFunction:
-			for _, fact := range f.Facts(pred) {
+			f.Each(pred, func(fact Fact) bool {
 				if d.Arg != nil {
 					if av, ok := fact.Tuple.Get(FuncArgLabel); ok {
 						ad.walkTyped(schema, d.Arg, av)
@@ -84,7 +86,8 @@ func buildActiveDomain(schema *types.Schema, f *FactSet) *activeDomain {
 				if mv, ok := fact.Tuple.Get(FuncMemberLabel); ok {
 					ad.walkTyped(schema, d.Result, mv)
 				}
-			}
+				return true
+			})
 		}
 	}
 	return ad

@@ -189,17 +189,17 @@ func evalFuncApp(app ast.FuncApp, e *env, f *FactSet) (value.Value, error) {
 		return nil, fmt.Errorf("engine: function %q applied to %d arguments", app.Name, len(app.Args))
 	}
 	var members []value.Value
-	for _, fact := range f.Facts(app.Name) {
+	f.Each(app.Name, func(fact Fact) bool {
 		if argVal != nil {
-			got, ok := fact.Tuple.Get(FuncArgLabel)
-			if !ok || !value.Equal(got, argVal) {
-				continue
+			if got, ok := fact.Tuple.Get(FuncArgLabel); !ok || !value.Equal(got, argVal) {
+				return true
 			}
 		}
 		if m, ok := fact.Tuple.Get(FuncMemberLabel); ok {
 			members = append(members, m)
 		}
-	}
+		return true
+	})
 	return value.NewSet(members...), nil
 }
 

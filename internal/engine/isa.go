@@ -36,11 +36,12 @@ func newIsaStep(r *crule) *isaStep {
 // operator, re-emitting the super fact that agrees).
 func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 	s := r.isa
-	for _, obj := range c.f.Facts(s.sub) {
+	var err error
+	c.f.Each(s.sub, func(obj Fact) bool {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
-			if err := c.inRoundCheck(s.sub); err != nil {
-				return err
+			if err = c.inRoundCheck(s.sub); err != nil {
+				return false
 			}
 		}
 		if c.stats != nil {
@@ -49,18 +50,19 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 		c.emitted++
 		if obj.OID.IsNil() {
 			c.isaInvent(r, obj.Tuple, dplus)
-			continue
+			return true
 		}
 		cur, ok := c.f.HasOID(s.super, obj.OID)
 		if ok && agreesOn(s.eff, obj.Tuple, cur.Tuple, nil) {
 			if c.reemit {
 				dplus.Add(cur)
 			}
-			continue
+			return true
 		}
 		dplus.Add(Fact{Pred: s.super, IsClass: true, OID: obj.OID, Tuple: overlay(s.eff, obj.Tuple, cur.Tuple)})
-	}
-	return nil
+		return true
+	})
+	return err
 }
 
 // isaInvent is the step for a sub object with a nil oid, which has no
@@ -69,13 +71,17 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 // already agrees with the sub's o-value, and numbered at rule end.
 func (c *evalCtx) isaInvent(r *crule, src value.Tuple, dplus *FactSet) {
 	s := r.isa
-	for _, fact := range c.f.Facts(s.super) {
-		if agreesOn(s.eff, src, fact.Tuple, nil) {
-			if c.reemit {
-				dplus.Add(fact)
-			}
-			return
+	agreed := !c.f.Each(s.super, func(fact Fact) bool {
+		if !agreesOn(s.eff, src, fact.Tuple, nil) {
+			return true
 		}
+		if c.reemit {
+			dplus.Add(fact)
+		}
+		return false
+	})
+	if agreed {
+		return
 	}
 	c.inventions = append(c.inventions, invention{fact: Fact{Pred: s.super, IsClass: true, Tuple: overlay(s.eff, src, value.Tuple{})}})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -55,8 +54,6 @@ func isaObj(t *testing.T, p *Program, pred string, oid value.OID, kv ...string) 
 // isaRun is what one evaluation of the generated rules left behind.
 type isaRun struct {
 	dplus    *FactSet
-	order    map[string][]string // pred → Δ+ keys in insertion order, tombstoned ones included
-	dead     map[string][]string // pred → Δ+ keys a later ⊕ replaced
 	firings  map[int]int
 	invented int
 	steps    int
@@ -77,13 +74,6 @@ func evalGenerated(p *Program, f *FactSet, reemit, viaStep bool, g *guard.Guard)
 	stats := newStats()
 	c := &evalCtx{p: p, f: f, counter: &counter, stats: stats, reemit: reemit, g: g}
 	dplus := NewFactSet()
-	var supers []string
-	for _, r := range p.rules {
-		if r.isa != nil {
-			supers = append(supers, r.isa.super)
-			dplus.view(r.isa.super) // a stored view records insertion order
-		}
-	}
 	var err error
 	for _, r := range p.rules {
 		if r.isa == nil {
@@ -103,27 +93,17 @@ func evalGenerated(p *Program, f *FactSet, reemit, viaStep bool, g *guard.Guard)
 			break
 		}
 	}
-	out := isaRun{dplus: dplus, order: map[string][]string{}, dead: map[string][]string{},
-		firings: stats.Firings, invented: stats.Invented, steps: c.steps, emitted: c.emitted,
+	out := isaRun{dplus: dplus, firings: stats.Firings, invented: stats.Invented, steps: c.steps, emitted: c.emitted,
 		counter: counter, events: ct.events}
 	if err != nil {
 		out.err = err.Error()
-	}
-	for _, s := range supers {
-		v := dplus.views[s]
-		out.order[s] = append([]string(nil), v.keys...)
-		for k := range v.dead {
-			out.dead[s] = append(out.dead[s], k)
-		}
-		sort.Strings(out.dead[s])
 	}
 	return out
 }
 
 // assertIsaEquivalent evaluates the generated rules both ways and
-// requires the same Δ+ (content and insertion order), the same firing,
-// step, emission and invention counts, the same trace events and the
-// same error.
+// requires the same Δ+, the same firing, step, emission and invention
+// counts, the same trace events and the same error.
 func assertIsaEquivalent(t *testing.T, p *Program, f *FactSet, reemit bool, g func() *guard.Guard) isaRun {
 	t.Helper()
 	var gs, gm *guard.Guard
@@ -134,10 +114,6 @@ func assertIsaEquivalent(t *testing.T, p *Program, f *FactSet, reemit bool, g fu
 	match := evalGenerated(p, f, reemit, false, gm)
 	if !step.dplus.Equal(match.dplus) {
 		t.Fatalf("Δ+ differs:\nstep:    %v\nmatcher: %v", dump(step.dplus), dump(match.dplus))
-	}
-	if !reflect.DeepEqual(step.order, match.order) || !reflect.DeepEqual(step.dead, match.dead) {
-		t.Fatalf("Δ+ insertion order differs:\nstep:    %v (replaced %v)\nmatcher: %v (replaced %v)",
-			step.order, step.dead, match.order, match.dead)
 	}
 	if !reflect.DeepEqual(step.firings, match.firings) {
 		t.Fatalf("Stats.Firings: step %v, matcher %v", step.firings, match.firings)

@@ -28,11 +28,7 @@ func (p *Program) oneStepNoninf(step int, rules []*crule, e, f *FactSet, counter
 	}
 	next := e.Clone()
 	next.Merge(dplus)
-	for _, pr := range dminus.Preds() {
-		for _, fact := range dminus.Facts(pr) {
-			next.Remove(fact)
-		}
-	}
+	next.Drop(dminus)
 	return next, !next.Equal(f), nil
 }
 

@@ -339,8 +339,8 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
 // membership sets for head predicates, and the rule constants interned
 // in the run's dictionary. A predicate an earlier columnar stratum of
 // the same run handed over in code space is taken as that batch; any
-// other is encoded from cur in its canonical key order (Facts returns it
-// whether or not cur is frozen).
+// other is encoded from cur by a walk of its store, in key order; no
+// result depends on the order rows are bound in.
 func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
 	ev := &vecEval{
 		vecRun:  run,
@@ -361,11 +361,7 @@ func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
 		}
 		if pr.batch == nil {
 			pr.batch = colset.NewBatch(len(vp.labels))
-			// Facts stores a view of the predicate in cur. An empty one
-			// gets none: decoding the rows handed over builds it.
-			if cur.Size(vp.pred) > 0 {
-				ev.appendFacts(vp, pr, cur.Facts(vp.pred))
-			}
+			ev.appendFacts(vp, pr, cur, vp.pred)
 		}
 		pr.base = pr.batch.Len()
 		pr.cur = pr.batch
@@ -406,15 +402,15 @@ func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
 	return ev
 }
 
-// appendFacts encodes the base extension onto vp's batch. Only
+// appendFacts encodes pred's extension in cur onto vp's batch. Only
 // canonical facts — association tuples with exactly the effective labels
 // in declaration order, the shape every derived fact has — enter the
 // membership set: a non-canonical base fact never Key-equals a derived
 // fact, so the row engine's Has filter would not suppress the
 // derivation either.
-func (ev *vecEval) appendFacts(vp *vecPred, pr *vecPredRows, facts []Fact) {
+func (ev *vecEval) appendFacts(vp *vecPred, pr *vecPredRows, cur *FactSet, pred string) {
 	row := make([]uint32, len(vp.labels))
-	for _, fact := range facts {
+	cur.Each(pred, func(fact Fact) bool {
 		canonical := pr.member != nil && !fact.IsClass && fact.Tuple.Len() == len(vp.labels)
 		for li, lab := range vp.labels {
 			v, ok := fact.Tuple.Get(lab)
@@ -430,7 +426,8 @@ func (ev *vecEval) appendFacts(vp *vecPred, pr *vecPredRows, facts []Fact) {
 		if canonical {
 			pr.member.Add(row)
 		}
-	}
+		return true
+	})
 }
 
 // advance closes a round: the rows emit appended since the last

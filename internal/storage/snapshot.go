@@ -73,12 +73,12 @@ func writeFactSet(w *writer, fs *engine.FactSet) {
 	preds := fs.Preds()
 	w.uvarint(uint64(len(preds)))
 	for _, p := range preds {
-		facts := fs.Facts(p)
 		w.str(p)
-		w.uvarint(uint64(len(facts)))
-		for _, f := range facts {
+		w.uvarint(uint64(fs.Size(p)))
+		fs.Each(p, func(f engine.Fact) bool {
 			writeFact(w, f)
-		}
+			return true
+		})
 	}
 }
 

@@ -259,6 +259,12 @@ func (t Tuple) Len() int { return len(t.fields) }
 // Field returns the i-th field.
 func (t Tuple) Field(i int) Field { return t.fields[i] }
 
+// Same reports whether t and u are one tuple value — copies of one Tuple,
+// not merely equal tuples. Two empty tuples are the same.
+func (t Tuple) Same(u Tuple) bool {
+	return len(t.fields) == len(u.fields) && (len(t.fields) == 0 || &t.fields[0] == &u.fields[0])
+}
+
 // Fields returns a copy of the field slice.
 func (t Tuple) Fields() []Field {
 	fs := make([]Field, len(t.fields))

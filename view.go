@@ -421,22 +421,19 @@ func (db *Database) maintRebuild(t Tracer, epoch uint64, reason string) {
 	db.notifySubs(t, epoch, vd)
 }
 
-// diffFrozen computes the fact-level difference between two fact sets
-// (predicate union, membership check per fact).
+// diffFrozen computes the fact-level difference between two fact sets,
+// predicate by predicate over the union of their predicates, each
+// through DiffPred, which skips what the two share.
 func diffFrozen(before, after *engine.FactSet) (adds, removes []Fact) {
-	for _, p := range after.Preds() {
-		for _, f := range after.Facts(p) {
-			if !before.Has(f) {
-				adds = append(adds, f)
-			}
+	preds := after.Preds()
+	for _, p := range before.Preds() {
+		if after.Size(p) == 0 {
+			preds = append(preds, p)
 		}
 	}
-	for _, p := range before.Preds() {
-		for _, f := range before.Facts(p) {
-			if !after.Has(f) {
-				removes = append(removes, f)
-			}
-		}
+	for _, p := range preds {
+		a, r := after.DiffPred(before, p)
+		adds, removes = append(adds, a...), append(removes, r...)
 	}
 	return adds, removes
 }
