@@ -102,7 +102,7 @@ func checkCodedCounts(t *testing.T, step int, pairs []*codedPair) {
 // run left tc in code space in and to the same set decoded eagerly. After
 // every step the reads that never decode are compared on every pair.
 // Facts is compared in order (strict key order), a component bucket as
-// a set: its order depends on when the rows reached the view.
+// a set: bucket order carries no meaning.
 func codedDifferential(t *testing.T, p *Program, seed int64, ops []byte) {
 	t.Helper()
 	edb := codedEDB(rand.New(rand.NewSource(seed)))
