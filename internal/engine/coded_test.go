@@ -97,8 +97,8 @@ func checkCodedCounts(t *testing.T, step int, pairs []*codedPair) {
 }
 
 // codedDifferential interprets ops as a sequence of steps over pairs of
-// sets — reads that decode (Facts, FactsByComponent, Has, DiffPred,
-// Equal), Clone, Freeze, Thaw and writes — applied alike to the set a
+// sets — reads that decode (Facts, FactsByComponent, lookup, Has,
+// DiffPred, Equal), Clone, Freeze, Thaw and writes — applied alike to the set a
 // run left tc in code space in and to the same set decoded eagerly. After
 // every step the reads that never decode are compared on every pair.
 // Facts is compared in order (strict key order), a component bucket as
@@ -155,6 +155,12 @@ func codedDifferential(t *testing.T, p *Program, seed int64, ops []byte) {
 			sort.Strings(b)
 			if !slices.Equal(a, b) {
 				t.Fatalf("step %d: %s.%s = %v: %v, decoded %v", step, pred, label, v, a, b)
+			}
+			// lookup by that label, and by the whole key.
+			for _, fixed := range [][]fixedArg{{{label: label, v: v}}, {{label: "dst", v: v}, {label: "src", v: v}}} {
+				if a, b := lookupKeys(pr.lazy, pred, srcDst, fixed), lookupKeys(pr.eager, pred, srcDst, fixed); !slices.Equal(a, b) {
+					t.Fatalf("step %d: lookup(%s, %v) = %v, decoded %v", step, pred, fixed, a, b)
+				}
 			}
 		case 2:
 			f := probes[next()%len(probes)]

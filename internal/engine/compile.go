@@ -80,6 +80,7 @@ func DefaultOptions() Options {
 // Program is a compiled rule set, ready to evaluate.
 type Program struct {
 	schema  *types.Schema
+	classes []string // the schema's classes, sorted
 	opts    Options
 	rules   []*crule
 	denials []*crule
@@ -133,7 +134,8 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 	if opts.Shards != 0 && opts.Shards != 1 {
 		return nil, fmt.Errorf("engine: Options.Shards = %d: sharded fact sets were removed; only 0 or 1 is accepted", opts.Shards)
 	}
-	p := &Program{schema: schema, opts: opts}
+	p := &Program{schema: schema, classes: schema.NamesOf(types.DeclClass), opts: opts}
+	sort.Strings(p.classes)
 	all := append([]*ast.Rule{}, rules...)
 	generated := generateIsaRules(schema)
 	all = append(all, generated...)
@@ -456,7 +458,6 @@ func orderBody(cr *crule, vt varTypes) (map[string]bool, error) {
 // readyTier1 reports whether a literal can execute now without active-
 // domain enumeration.
 func readyTier1(l resolvedLit, bound map[string]bool) bool {
-	patternOrEval := func(t ast.Term) bool { return isPattern(t) || evaluable(t, bound) }
 	switch l.kind {
 	case pkClass, pkAssoc:
 		if l.negated {
@@ -466,17 +467,8 @@ func readyTier1(l resolvedLit, bound map[string]bool) bool {
 					return false
 				}
 			}
-			return allTermsEvaluableOrPattern(l, bound)
 		}
-		if l.selfTerm != nil && !patternOrEval(l.selfTerm) {
-			return false
-		}
-		for _, c := range l.comps {
-			if !patternOrEval(c.term) {
-				return false
-			}
-		}
-		return true
+		return allTermsEvaluableOrPattern(l, func(v string) bool { return bound[v] })
 	case pkCompare:
 		left, right := l.args[0], l.args[1]
 		if l.pred == "=" && !l.negated {
@@ -495,8 +487,10 @@ func readyTier1(l resolvedLit, bound map[string]bool) bool {
 	return false
 }
 
-func allTermsEvaluableOrPattern(l resolvedLit, bound map[string]bool) bool {
-	check := func(t ast.Term) bool { return isPattern(t) || evaluable(t, bound) }
+// allTermsEvaluableOrPattern reports whether every argument of the
+// predicate literal l is a pattern or has each of its variables bound.
+func allTermsEvaluableOrPattern(l resolvedLit, bound func(string) bool) bool {
+	check := func(t ast.Term) bool { return isPattern(t) || allBound(t, bound) }
 	if l.selfTerm != nil && !check(l.selfTerm) {
 		return false
 	}
@@ -514,7 +508,7 @@ func readyNegated(l resolvedLit, bound map[string]bool) bool {
 	if l.kind != pkClass && l.kind != pkAssoc {
 		return false
 	}
-	return allTermsEvaluableOrPattern(l, bound)
+	return allTermsEvaluableOrPattern(l, func(v string) bool { return bound[v] })
 }
 
 // builtinReady reports whether a builtin has its input positions bound.

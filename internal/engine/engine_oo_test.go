@@ -423,6 +423,160 @@ not c(v: V) <- kill(v: V).
 	}
 }
 
+// A class deletion head whose tuple variable is bound to an association
+// tuple deletes the objects whose o-value is that tuple projected onto
+// the class's type, as insertion compares it, and no other object.
+func TestClassDeletionByAssociationTuple(t *testing.T) {
+	src := `
+domains NAME = string;
+associations
+  PAIR = (employee: NAME, manager: NAME);
+  GONE = (employee: NAME, manager: NAME);
+classes
+  IP = PAIR;
+`
+	edb := seedEDB(t, schemaOf(t, src), `
+pair(employee: "ann", manager: "max").
+pair(employee: "bob", manager: "max").
+gone(employee: "ann", manager: "max").
+ip(self: X, C) <- pair(C).
+`)
+	if n := edb.Size("ip"); n != 2 {
+		t.Fatalf("ip = %d objects before the deletion, want 2", n)
+	}
+	for name, opts := range map[string]Options{"defaults": DefaultOptions(), "row oracle": rowOracle()} {
+		p, err := tryBuild(src, `not ip(C) <- gone(C).`, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter := int64(edb.MaxOID())
+		f, err := p.Run(edb, &counter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tuples(f, "ip"); len(got) != 1 || got[0] != `employee="bob",manager="max"` {
+			t.Fatalf("%s: ip = %v, want only bob's pair", name, got)
+		}
+	}
+}
+
+// stepDeltas is one step of p's rules over f, as oneStep applies them
+// (with reemit, as the non-inflationary operator does): its Δ+ and Δ−.
+func stepDeltas(t *testing.T, p *Program, f *FactSet, reemit bool) (dplus, dminus *FactSet) {
+	t.Helper()
+	counter := int64(f.MaxOID())
+	c := &evalCtx{p: p, f: f, counter: &counter, reemit: reemit}
+	dplus, dminus = NewFactSet(), NewFactSet()
+	if err := c.applyRules(p.rules, dplus, dminus); err != nil {
+		t.Fatal(err)
+	}
+	return dplus, dminus
+}
+
+// assertLookupMatchesWalk requires one step of p over f to give the same
+// Δ+ and Δ− through the lookups as when every lookup walks its whole
+// predicate, under the inflationary and the non-inflationary operator.
+// It returns the inflationary step's Δ+ and Δ−.
+func assertLookupMatchesWalk(t *testing.T, p *Program, f *FactSet) (dplus, dminus *FactSet) {
+	t.Helper()
+	for _, reemit := range []bool{true, false} {
+		dplus, dminus = stepDeltas(t, p, f, reemit)
+		walkAll = true
+		wplus, wminus := stepDeltas(t, p, f, reemit)
+		walkAll = false
+		if !dplus.Equal(wplus) || !dminus.Equal(wminus) {
+			t.Fatalf("reemit=%v: lookup Δ+ %s Δ− %s\nwalk Δ+ %s Δ− %s", reemit, dump(dplus), dump(dminus), dump(wplus), dump(wminus))
+		}
+	}
+	return dplus, dminus
+}
+
+// Every head form that narrows its predicate gives, through the lookup,
+// the Δ+ or Δ− a walk of the whole predicate gives. Objects 2 and 10
+// agree on every component, and their v and w buckets were built before
+// 10 was added, so the buckets yield 2 first while key order ("&10" <
+// "&2") puts 10 first: a re-emission takes the walk's first.
+func TestHeadLookupMatchesWalk(t *testing.T) {
+	const src = `
+domains NAME = string;
+associations
+  PAIR = (employee: NAME, manager: NAME);
+  GONE = (employee: NAME, manager: NAME);
+  EDGE = (src: integer, dst: integer);
+  CUT = (src: integer, dst: integer);
+  KILL = (v: integer);
+  SEED = (v: integer, w: integer);
+classes
+  C = (v: integer, w: integer);
+  D = (v: integer, w: integer);
+  IP = PAIR;
+associations
+  REF = (obj: C);
+`
+	ints := func(l1 string, v1 int64, l2 string, v2 int64) value.Tuple {
+		return value.NewTuple(value.Field{Label: l1, Value: value.Int(v1)}, value.Field{Label: l2, Value: value.Int(v2)})
+	}
+	names := func(e, m string) value.Tuple {
+		return value.NewTuple(value.Field{Label: "employee", Value: value.Str(e)}, value.Field{Label: "manager", Value: value.Str(m)})
+	}
+	edb := func() *FactSet {
+		f := NewFactSet()
+		for _, fact := range []Fact{
+			{Pred: "c", IsClass: true, OID: 2, Tuple: ints("v", 1, "w", 1)},
+			{Pred: "c", IsClass: true, OID: 3, Tuple: ints("v", 2, "w", 5)},
+			{Pred: "c", IsClass: true, OID: 4, Tuple: ints("v", 3, "w", 1)},
+			{Pred: "d", IsClass: true, OID: 20, Tuple: ints("v", 1, "w", 1)},
+			{Pred: "ip", IsClass: true, OID: 30, Tuple: names("ann", "max")},
+			{Pred: "pair", Tuple: names("ann", "max")},
+			{Pred: "pair", Tuple: names("bob", "max")},
+			{Pred: "gone", Tuple: names("ann", "max")},
+			{Pred: "kill", Tuple: value.NewTuple(value.Field{Label: "v", Value: value.Int(1)})},
+			{Pred: "ref", Tuple: value.NewTuple(value.Field{Label: "obj", Value: value.Ref(3)})},
+			{Pred: "seed", Tuple: ints("v", 1, "w", 1)},
+			{Pred: "seed", Tuple: ints("v", 9, "w", 9)},
+			edgeFact(1, 2), edgeFact(1, 3), edgeFact(2, 3), edgeFact(4, 1),
+			{Pred: "cut", Tuple: ints("src", 1, "dst", 3)},
+			{Pred: "cut", Tuple: ints("src", 7, "dst", 7)},
+		} {
+			f.Add(fact)
+		}
+		f.FactsByComponent("c", "v", value.Int(1))
+		f.FactsByComponent("c", "w", value.Int(1))
+		f.Add(Fact{Pred: "c", IsClass: true, OID: 10, Tuple: ints("v", 1, "w", 1)})
+		return f
+	}
+	cases := []struct {
+		name, rule  string
+		plus, minus int // the inflationary step's Δ+ and Δ− sizes
+	}{
+		{"delete/bound self", `not c(self: X) <- c(self: X, v: V), kill(v: V).`, 0, 2},
+		{"delete/tuple variable bound to an object", `not c(O) <- c(O, v: V), kill(v: V).`, 0, 2},
+		{"delete/tuple variable bound to an oid value", `not c(X) <- ref(obj: X).`, 0, 1},
+		{"delete/tuple variable bound to an association tuple", `not ip(C) <- gone(C).`, 0, 1},
+		{"delete/class components", `not c(w: W) <- kill(v: W).`, 0, 3},
+		{"delete/association, every label fixed", `not edge(src: X, dst: Y) <- cut(src: X, dst: Y).`, 0, 1},
+		{"delete/association, some labels fixed", `not edge(src: X) <- kill(v: X).`, 0, 2},
+		{"delete/association, no label fixed", `not edge() <- kill(v: 1).`, 0, 4},
+		{"delete/association tuple variable", `not edge(E) <- cut(E).`, 0, 1},
+		{"insert/bound self", `c(self: X, w: 0) <- c(self: X, v: V), kill(v: V).`, 2, 0},
+		{"invent/suppressed by specified components", `c(v: V, w: W) <- seed(v: V, w: W).`, 1, 0},
+		{"invent/suppressed by a copied source", `d(Y) <- c(X).`, 2, 0},
+		{"invent/suppressed by an association tuple", `ip(self: X, C) <- pair(C).`, 1, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tryBuild(src, tc.rule, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plus, minus := assertLookupMatchesWalk(t, p, edb())
+			if plus.TotalSize() != tc.plus || minus.TotalSize() != tc.minus {
+				t.Fatalf("Δ+ %s Δ− %s: want %d and %d facts", dump(plus), dump(minus), tc.plus, tc.minus)
+			}
+		})
+	}
+}
+
 func TestToInstanceRoundTrip(t *testing.T) {
 	p := build(t, uniSchema, `
 enrolling(name: "ann").

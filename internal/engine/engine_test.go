@@ -233,6 +233,10 @@ p(d1: X, d2: Z) <- p(d1: X, d2: Y), even(n: X), Z = Y + 1, not modp(d1: X, d2: Y
 modp(d1: X, d2: Z) <- p(d1: X, d2: Y), even(n: X), Z = Y + 1, not modp(d1: X, d2: Y).
 not p(Y) <- p(Y), Y = (d1: X, d2: W), even(n: X), not modp(Y).
 `)
+	// The deletion head's tuple variable fixes the whole key.
+	if _, minus := assertLookupMatchesWalk(t, p, edb); minus.Size("p") != 2 {
+		t.Fatalf("the first step deletes %s, want the two even tuples", dump(minus))
+	}
 	counter := int64(0)
 	f, err := p.Run(edb, &counter)
 	if err != nil {

@@ -91,12 +91,12 @@ func (c *evalCtx) matchLit(l resolvedLit, e *env, yield func(*env) error) error 
 	return fmt.Errorf("engine: unhandled literal kind")
 }
 
-// matchPositive joins a positive predicate literal against its extension.
-// When some component argument is already evaluable under the current
-// bindings, the lookup goes through the fact set's component hash index
-// instead of scanning the whole extension.
+// matchPositive joins a positive predicate literal against its extension,
+// narrowed by what the bindings fix (FactSet.lookup).
 func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield func(*env) error) error {
-	return c.matchFacts(l, c.candidateFacts(l, source, e), e, yield)
+	var buf [8]fixedArg
+	fixed, all := c.fixedArgs(l, e, buf[:0])
+	return c.matchFacts(l, fixed, all, source.lookup(l.pred, l.eff, fixed), e, yield)
 }
 
 // matchFacts unifies l with each candidate fact and yields every
@@ -104,9 +104,7 @@ func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield fu
 // bindings already fix is rejected before e is cloned, and when those
 // arguments are all of l's, an admitted candidate yields e itself: the
 // match binds nothing new.
-func (c *evalCtx) matchFacts(l resolvedLit, cs candidates, e *env, yield func(*env) error) error {
-	var buf [8]fixedArg
-	fixed, all := fixedArgs(l, e, buf[:0])
+func (c *evalCtx) matchFacts(l resolvedLit, fixed []fixedArg, all bool, cs candidates, e *env, yield func(*env) error) error {
 	var err error
 	cs.each(func(fact Fact) bool {
 		c.steps++
@@ -132,108 +130,54 @@ func (c *evalCtx) matchFacts(l resolvedLit, cs candidates, e *env, yield func(*e
 	return err
 }
 
-// candidates are the facts a literal can match: a bucket or one object's
-// fact, or, when src is set, the whole extension of pred in src.
-type candidates struct {
-	facts []Fact
-	src   *FactSet
-	pred  string
-}
-
-// len reports the number of candidates.
-func (cs candidates) len() int {
-	if cs.src != nil {
-		return cs.src.Size(cs.pred)
-	}
-	return len(cs.facts)
-}
-
-// each calls fn on every candidate until fn returns false.
-func (cs candidates) each(fn func(Fact) bool) {
-	if cs.src != nil {
-		cs.src.Each(cs.pred, fn)
-		return
-	}
-	for _, f := range cs.facts {
-		if !fn(f) {
-			return
-		}
-	}
-}
-
-// candidateFacts narrows the facts a literal can match: an evaluable self
-// argument resolves through the oid map, an evaluable component argument
-// through the component index; otherwise the whole extension is walked.
-func (c *evalCtx) candidateFacts(l resolvedLit, source *FactSet, e *env) candidates {
-	if l.selfTerm != nil && e.evaluable(l.selfTerm) {
-		if v, err := evalTerm(l.selfTerm, e, c.f); err == nil {
-			if ref, ok := v.(value.Ref); ok {
-				if fact, ok := source.HasOID(l.pred, value.OID(ref)); ok {
-					return candidates{facts: []Fact{fact}}
-				}
-				return candidates{}
-			}
-		}
-	}
-	for _, comp := range l.comps {
-		if !e.evaluable(comp.term) {
-			continue
-		}
-		v, err := evalTerm(comp.term, e, c.f)
-		if err != nil {
-			continue
-		}
-		return candidates{facts: source.FactsByComponent(l.pred, comp.label, v)}
-	}
-	return candidates{src: source, pred: l.pred}
-}
-
-// fixedArg is an argument of a predicate literal whose value the
-// bindings already fix: a constant or a bound variable, under a
-// component label or, with self set, as the oid.
+// fixedArg is an argument of a predicate literal or head whose value the
+// bindings fix, under a component label or, with self set, as the oid.
 type fixedArg struct {
 	label string
 	self  bool
 	v     value.Value
 }
 
-// fixedArgs appends to out the arguments of l that e fixes, in the order
-// matchFact unifies them. It stops at the first argument matchFact has
-// to evaluate, since that evaluation may fail with an error the match
-// must still report. all reports that the fixed arguments are every
-// argument of l save wildcards, and that l has no tuple variable: a fact
-// they admit matches without binding anything.
-func fixedArgs(l resolvedLit, e *env, out []fixedArg) (fixed []fixedArg, all bool) {
+// fixedArgs appends to out the arguments of l that e fixes, the oid
+// first: a constant, a bound variable, or a term that evaluates (X+1,
+// f(X)). A term whose evaluation fails fixes nothing: matchFact reports
+// the error on a candidate that agrees with the fixed arguments. A tuple
+// term is matched label by label, not by its value. all reports that the
+// fixed arguments are every argument of l save wildcards, and that l has
+// no tuple variable: a fact they admit matches without binding anything.
+func (c *evalCtx) fixedArgs(l resolvedLit, e *env, out []fixedArg) (fixed []fixedArg, all bool) {
 	all = len(l.tupleVars) == 0
-	arg := func(t ast.Term) (value.Value, bool) {
+	add := func(t ast.Term, a fixedArg) {
+		var ok bool
 		switch x := t.(type) {
-		case ast.Const:
-			return x.Val, true
-		case ast.Var:
-			if b, ok := e.lookup(x.Name); ok {
-				return b.coerce(), true
-			}
 		case ast.Wildcard:
-			return nil, false
+			return
+		case ast.Const:
+			a.v, ok = x.Val, true
+		case ast.Var:
+			var b binding
+			if b, ok = e.lookup(x.Name); ok {
+				a.v = b.coerce()
+			}
+		case ast.TupleTerm:
+		default:
+			if e.evaluable(t) {
+				var err error
+				a.v, err = evalTerm(t, e, c.f)
+				ok = err == nil
+			}
 		}
-		all = false
-		return nil, false
+		if ok {
+			out = append(out, a)
+		} else {
+			all = false
+		}
 	}
 	if l.selfTerm != nil {
-		if !isPattern(l.selfTerm) {
-			return out, false
-		}
-		if v, ok := arg(l.selfTerm); ok {
-			out = append(out, fixedArg{self: true, v: v})
-		}
+		add(l.selfTerm, fixedArg{self: true})
 	}
 	for _, comp := range l.comps {
-		if !isPattern(comp.term) {
-			return out, false
-		}
-		if v, ok := arg(comp.term); ok {
-			out = append(out, fixedArg{label: comp.label, v: v})
-		}
+		add(comp.term, fixedArg{label: comp.label})
 	}
 	return out, all
 }
@@ -304,14 +248,14 @@ func (c *evalCtx) matchNegated(l resolvedLit, e *env, yield func(*env) error) er
 	var enumerate func(i int, e2 *env) error
 	enumerate = func(i int, e2 *env) error {
 		if i >= len(unbound) {
-			absent, err := c.noFactMatches(l, e2)
-			if err != nil {
-				return err
+			err := c.matchPositive(l, c.f, e2, func(*env) error { return errStopEnum })
+			if err == nil {
+				return yield(e2) // no fact matches l
 			}
-			if absent {
-				return yield(e2)
+			if errors.Is(err, errStopEnum) {
+				return nil
 			}
-			return nil
+			return err
 		}
 		dom := c.activeDom().values(unbound[i].key)
 		for _, v := range dom {
@@ -328,76 +272,26 @@ func (c *evalCtx) matchNegated(l resolvedLit, e *env, yield func(*env) error) er
 	return enumerate(0, e)
 }
 
-// noFactMatches reports whether no fact matches l under e. Like
-// matchFacts, it rejects a candidate on the fixed arguments before it
-// clones e, and accepts one without cloning when they are all of l's.
-func (c *evalCtx) noFactMatches(l resolvedLit, e *env) (bool, error) {
-	var buf [8]fixedArg
-	fixed, all := fixedArgs(l, e, buf[:0])
-	none := true
-	var err error
-	c.candidateFacts(l, c.f, e).each(func(fact Fact) bool {
-		c.steps++
-		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
-			if err = c.inRoundCheck(l.pred); err != nil {
-				return false
-			}
-		}
-		if !admits(fixed, fact) {
-			return true
-		}
-		if !all {
-			var ok bool
-			if ok, err = c.matchFact(l, fact, e.clone()); err != nil || !ok {
-				return err == nil
-			}
-		}
-		none = false
-		return false
-	})
-	if err != nil {
-		return false, err
-	}
-	return none, nil
-}
-
 func (c *evalCtx) matchCompare(l resolvedLit, e *env, yield func(*env) error) error {
 	left, right := l.args[0], l.args[1]
 	if l.pred == "=" && !l.negated {
 		// Directional unification: evaluate the evaluable side, match the
 		// other as a pattern.
-		switch {
-		case e.evaluable(left):
-			lv, err := evalTerm(left, e, c.f)
-			if err != nil {
-				return err
+		if !e.evaluable(left) {
+			left, right = right, left
+			if !e.evaluable(left) {
+				return fmt.Errorf("engine: neither side of = is evaluable")
 			}
-			e2 := e.clone()
-			ok, err := matchTerm(right, lv, e2, c.f)
-			if err != nil {
-				return err
-			}
-			if ok {
-				return yield(e2)
-			}
-			return nil
-		case e.evaluable(right):
-			rv, err := evalTerm(right, e, c.f)
-			if err != nil {
-				return err
-			}
-			e2 := e.clone()
-			ok, err := matchTerm(left, rv, e2, c.f)
-			if err != nil {
-				return err
-			}
-			if ok {
-				return yield(e2)
-			}
-			return nil
-		default:
-			return fmt.Errorf("engine: neither side of = is evaluable")
 		}
+		v, err := evalTerm(left, e, c.f)
+		if err != nil {
+			return err
+		}
+		e2 := e.clone()
+		if ok, err := matchTerm(right, v, e2, c.f); err != nil || !ok {
+			return err
+		}
+		return yield(e2)
 	}
 	lv, err := evalTerm(left, e, c.f)
 	if err != nil {
@@ -459,27 +353,21 @@ func (c *evalCtx) instantiateHead(r *crule, e *env, dplus, dminus *FactSet) erro
 	if h.negated {
 		return c.instantiateDeletion(r, e, dminus)
 	}
-	switch h.kind {
-	case hFunc:
-		fact, err := c.buildFuncFact(h, e)
-		if err != nil {
-			return err
-		}
-		if c.reemit || !c.f.Has(fact) {
-			dplus.Add(fact)
-		}
-		return nil
-	case hAssoc:
-		fact, err := c.buildAssocFact(h, e)
-		if err != nil {
-			return err
-		}
-		if c.reemit || !c.f.Has(fact) {
-			dplus.Add(fact)
-		}
-		return nil
+	if h.kind == hClass {
+		return c.instantiateClassHead(r, e, dplus)
 	}
-	return c.instantiateClassHead(r, e, dplus)
+	build := c.buildAssocFact
+	if h.kind == hFunc {
+		build = c.buildFuncFact
+	}
+	fact, err := build(h, e)
+	if err != nil {
+		return err
+	}
+	if c.reemit || !c.f.Has(fact) {
+		dplus.Add(fact)
+	}
+	return nil
 }
 
 func (c *evalCtx) buildFuncFact(h *headSpec, e *env) (Fact, error) {
@@ -524,14 +412,9 @@ func (c *evalCtx) buildAssocFact(h *headSpec, e *env) (Fact, error) {
 // valuation-domain condition of Definition 7.
 func (c *evalCtx) instantiateClassHead(r *crule, e *env, dplus *FactSet) error {
 	h := r.head
-	// Evaluate the specified components.
-	comps := make([]value.Field, 0, len(h.comps))
-	for _, comp := range h.comps {
-		v, err := evalTerm(comp.term, e, c.f)
-		if err != nil {
-			return err
-		}
-		comps = append(comps, value.Field{Label: comp.label, Value: v})
+	comps, err := c.headComps(h, e)
+	if err != nil {
+		return err
 	}
 
 	// Locate the source object (tuple variable or copy source). A tuple
@@ -590,7 +473,7 @@ func (c *evalCtx) instantiateClassHead(r *crule, e *env, dplus *FactSet) error {
 		}
 	}
 	for _, f := range comps {
-		base = base.With(f.Label, f.Value)
+		base = base.With(f.label, f.v)
 	}
 	tuple := instance.Project(base, h.eff)
 
@@ -612,16 +495,17 @@ func (c *evalCtx) instantiateClassHead(r *crule, e *env, dplus *FactSet) error {
 	// Invention (Definition 8 point b): suppress when some existing object
 	// of the class already satisfies the head with these component values
 	// (re-emit it under the non-inflationary operator).
-	satisfied := !c.f.Each(h.pred, func(fact Fact) bool {
-		if !headSatisfiedBy(h, comps, source, fact.Tuple) {
-			return true
-		}
+	var buf [8]fixedArg
+	fixed := append(buf[:0], comps...)
+	if source != nil {
+		fixed = fixedBy(fixed, h.eff, source.tuple, comps)
+	}
+	if cur, ok := firstIn(c.f.lookup(h.pred, h.eff, fixed), !c.reemit, func(f Fact) bool {
+		return headSatisfiedBy(h, comps, source, f.Tuple)
+	}); ok {
 		if c.reemit {
-			dplus.Add(fact)
+			dplus.Add(cur)
 		}
-		return false
-	})
-	if satisfied {
 		return nil
 	}
 	// One fresh oid per valuation-domain element, numbered at rule end.
@@ -688,25 +572,25 @@ func (c *evalCtx) numberInventions(r *crule, dplus *FactSet) error {
 
 // headSatisfiedBy reports whether an existing o-value satisfies the head's
 // specified components (and copied source components).
-func headSatisfiedBy(h *headSpec, comps []value.Field, source *objBinding, existing value.Tuple) bool {
+func headSatisfiedBy(h *headSpec, comps []fixedArg, source *objBinding, existing value.Tuple) bool {
 	for _, f := range comps {
-		got, ok := existing.Get(f.Label)
-		if !ok || !value.Equal(got, f.Value) {
+		got, ok := existing.Get(f.label)
+		if !ok || !value.Equal(got, f.v) {
 			return false
 		}
 	}
 	return source == nil || agreesOn(h.eff, source.tuple, existing, comps)
 }
 
-// asObject resolves a binding to an object, looking the o-value up in the
-// fact set when only the oid is known.
+// asObject resolves a binding to an object, looking a bare oid's
+// o-value up in the first class, in name order, that holds it.
 func (c *evalCtx) asObject(b binding) *objBinding {
 	if b.obj != nil {
 		return b.obj
 	}
 	if r, ok := b.val.(value.Ref); ok {
 		oid := value.OID(r)
-		for _, p := range c.f.Preds() {
+		for _, p := range c.p.classes {
 			if fact, ok := c.f.HasOID(p, oid); ok {
 				return &objBinding{class: p, oid: oid, tuple: fact.Tuple}
 			}
@@ -716,8 +600,34 @@ func (c *evalCtx) asObject(b binding) *objBinding {
 	return nil
 }
 
+// headComps evaluates the head's specified components.
+func (c *evalCtx) headComps(h *headSpec, e *env) ([]fixedArg, error) {
+	comps := make([]fixedArg, len(h.comps))
+	for i, comp := range h.comps {
+		v, err := evalTerm(comp.term, e, c.f)
+		if err != nil {
+			return nil, err
+		}
+		comps[i] = fixedArg{label: comp.label, v: v}
+	}
+	return comps, nil
+}
+
+// firstIn returns the fact of cs that ok accepts and a walk of its
+// predicate meets first, the least in key order; with some set, any will
+// do, so it returns the first cs yields. A walk yields key order.
+func firstIn(cs candidates, some bool, ok func(Fact) bool) (first Fact, found bool) {
+	cs.each(func(f Fact) bool {
+		if ok(f) && (!found || f.Key() < first.Key()) {
+			first, found = f, true
+		}
+		return !found || !some && cs.src == nil
+	})
+	return first, found
+}
+
 // instantiateDeletion computes Δ− facts for a negated head: every current
-// fact matching the head's bound oid/components is deleted.
+// fact matching the head's bound oid, tuple and components is deleted.
 func (c *evalCtx) instantiateDeletion(r *crule, e *env, dminus *FactSet) error {
 	h := r.head
 	if h.kind == hFunc {
@@ -730,55 +640,41 @@ func (c *evalCtx) instantiateDeletion(r *crule, e *env, dminus *FactSet) error {
 		}
 		return nil
 	}
-	// Evaluate specified components.
-	comps := make([]value.Field, 0, len(h.comps))
-	for _, comp := range h.comps {
-		v, err := evalTerm(comp.term, e, c.f)
+	comps, err := c.headComps(h, e)
+	if err != nil {
+		return err
+	}
+	// What the head fixes: a class head's oid, from self or from a tuple
+	// variable bound to an object; a tuple variable's tuple, projected
+	// onto the head's type as insertion does; its components.
+	var buf [8]fixedArg
+	oid := buf[:0]
+	var wantTuple value.Tuple
+	haveTuple := false
+	if h.selfTerm != nil {
+		v, err := evalTerm(h.selfTerm, e, c.f)
 		if err != nil {
 			return err
 		}
-		comps = append(comps, value.Field{Label: comp.label, Value: v})
-	}
-	var wantOID value.OID
-	haveOID := false
-	if h.kind == hClass {
-		switch {
-		case h.selfTerm != nil:
-			v, err := evalTerm(h.selfTerm, e, c.f)
-			if err != nil {
-				return err
+		if ref, ok := v.(value.Ref); ok {
+			oid = append(oid, fixedArg{self: true, v: ref})
+		}
+	} else if h.tupleVar != "" {
+		b, _ := e.lookup(h.tupleVar)
+		switch v := b.coerce().(type) {
+		case value.Ref:
+			if h.kind == hClass {
+				oid = append(oid, fixedArg{self: true, v: v})
 			}
-			if ref, ok := v.(value.Ref); ok {
-				wantOID, haveOID = value.OID(ref), true
-			}
-		case h.tupleVar != "":
-			if b, ok := e.lookup(h.tupleVar); ok {
-				if obj := c.asObject(b); obj != nil {
-					wantOID, haveOID = obj.oid, true
-				}
-			}
+		case value.Tuple:
+			wantTuple, haveTuple = instance.Project(v, h.eff), true
 		}
 	}
-	var wantTuple value.Tuple
-	haveTuple := false
-	if h.kind == hAssoc && h.tupleVar != "" {
-		if b, ok := e.lookup(h.tupleVar); ok {
-			if t, isT := b.coerce().(value.Tuple); isT {
-				wantTuple, haveTuple = instance.Project(t, h.eff), true
-			}
+	fixed := fixedBy(append(oid, comps...), h.eff, wantTuple, nil)
+	c.f.lookup(h.pred, h.eff, fixed).each(func(fact Fact) bool {
+		if admits(oid, fact) && (!haveTuple || value.Equal(fact.Tuple, wantTuple)) && headSatisfiedBy(h, comps, nil, fact.Tuple) {
+			dminus.Add(fact)
 		}
-	}
-	c.f.Each(h.pred, func(fact Fact) bool {
-		if haveOID && fact.OID != wantOID || haveTuple && !value.Equal(fact.Tuple, wantTuple) {
-			return true
-		}
-		for _, f := range comps {
-			got, ok := fact.Tuple.Get(f.Label)
-			if !ok || !value.Equal(got, f.Value) {
-				return true
-			}
-		}
-		dminus.Add(fact)
 		return true
 	})
 	return nil

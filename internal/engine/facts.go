@@ -165,8 +165,8 @@ func (b bucket) without(o *pmap.Owner, f Fact) bucket {
 	return newBucket(o, out)
 }
 
-// lookup returns the index of label, if one is built.
-func (st predStore) lookup(label string) (pmap.Map[string, bucket], bool) {
+// indexOf returns the index of label, if one is built.
+func (st predStore) indexOf(label string) (pmap.Map[string, bucket], bool) {
 	for _, ix := range st.index {
 		if ix.label == label {
 			return ix.buckets, true
@@ -288,7 +288,7 @@ func (cp *codedPred) pending() int { return cp.batch.Len() - cp.base }
 //
 // An association predicate a columnar stratum derived may also hold rows
 // in code space (a codedPred) on top of its store. They are decoded into
-// the store once, by the first read of that predicate (Facts, Each,
+// the store once, by the first read of that predicate (Facts, Each, lookup,
 // FactsByComponent, Has, DiffPred, Equal) or write to it (Add, Remove);
 // Size, TotalSize and Preds count them without decoding, and HasOID and
 // MaxOID, which read class facts only, never need them. Clone shares
@@ -618,25 +618,121 @@ func (s *FactSet) lazyIndex(pred, label string) pmap.Map[string, bucket] {
 // order carries no meaning.
 func (s *FactSet) FactsByComponent(pred, label string, v value.Value) []Fact {
 	s.decode(pred)
-	st := s.preds[pred]
-	idx, ok := st.lookup(label)
+	idx, ok := s.builtIndex(pred, label)
 	if !ok {
 		if s.frozen {
 			idx = s.lazyIndex(pred, label)
 		} else {
-			o := s.writer()
+			st, o := s.preds[pred], s.writer()
 			idx = buildIndex(o, st.facts, label)
 			st.ownIndex(o)
 			st.index = append(st.index, labelIndex{label: label, buckets: idx})
 			s.preds[pred] = st
 		}
 	}
-	var buf [value.KeyBufSize]byte
-	b, _ := idx.Get(string(value.AppendKey(buf[:0], v)))
+	b := bucketOf(idx, v)
 	if !s.frozen && b.arr != nil && !b.arr.lent.Load() {
 		b.arr.lent.Store(true) // the writer no longer removes from it in place
 	}
 	return b.facts
+}
+
+// builtIndex returns pred's index of label, if a write or a reader of the
+// frozen set built it.
+func (s *FactSet) builtIndex(pred, label string) (pmap.Map[string, bucket], bool) {
+	idx, ok := s.preds[pred].indexOf(label)
+	if built := s.lazy.built.Load(); !ok && s.frozen && built != nil {
+		idx, ok = (*built)[[2]string{pred, label}]
+	}
+	return idx, ok
+}
+
+// bucketOf returns the bucket of value v in idx.
+func bucketOf(idx pmap.Map[string, bucket], v value.Value) bucket {
+	var buf [value.KeyBufSize]byte
+	b, _ := idx.Get(string(value.AppendKey(buf[:0], v)))
+	return b
+}
+
+// walkAll, set by tests, makes every lookup a walk: the reference a
+// narrowed lookup must agree with.
+var walkAll bool
+
+// candidates are the facts a literal or head can match: a bucket or one
+// fact, or, when src is set, the whole extension of pred in src.
+type candidates struct {
+	facts []Fact
+	src   *FactSet
+	pred  string
+}
+
+// len reports the number of candidates.
+func (cs candidates) len() int {
+	if cs.src != nil {
+		return cs.src.Size(cs.pred)
+	}
+	return len(cs.facts)
+}
+
+// each calls fn on every candidate until fn returns false.
+func (cs candidates) each(fn func(Fact) bool) {
+	if cs.src != nil {
+		cs.src.Each(cs.pred, fn)
+		return
+	}
+	for _, f := range cs.facts {
+		if !fn(f) {
+			return
+		}
+	}
+}
+
+// lookup returns the candidates of pred, whose effective type is eff,
+// for a literal or head that fixes the arguments fixed (the oid first):
+// every fact that agrees with them, and maybe others, which the caller's
+// filter rejects. It takes the first of: the oid's fact; for an
+// association (a class key carries the oid), the fact whose key fixed
+// gives in full; the smallest bucket among the fixed labels' built
+// indexes; the first fixed label's index, built now. It walks pred only
+// when nothing is fixed or pred is empty, so an empty predicate builds
+// no index.
+func (s *FactSet) lookup(pred string, eff types.Tuple, fixed []fixedArg) candidates {
+	if len(fixed) == 0 || walkAll || s.Size(pred) == 0 {
+		return candidates{src: s, pred: pred}
+	}
+	if a := fixed[0]; a.self {
+		r, isRef := a.v.(value.Ref)
+		if f, ok := s.HasOID(pred, value.OID(r)); ok && isRef {
+			return candidates{facts: []Fact{f}}
+		}
+		return candidates{}
+	}
+	if s.preds[pred].byOID.Len() == 0 && len(fixed) >= len(eff.Fields) {
+		var fields [8]value.Field
+		tuple := fields[:0]
+		for _, f := range eff.Fields {
+			if i := slices.IndexFunc(fixed, func(a fixedArg) bool { return a.label == f.Label }); i >= 0 {
+				tuple = append(tuple, value.Field{Label: f.Label, Value: fixed[i].v})
+			}
+		}
+		if len(tuple) == len(eff.Fields) {
+			var buf [value.KeyBufSize]byte
+			if f, ok := s.keyed(pred).Get(string(value.AppendTupleKey(append(append(buf[:0], pred...), '/'), tuple))); ok {
+				return candidates{facts: []Fact{f}}
+			}
+			return candidates{}
+		}
+	}
+	s.decode(pred)
+	probe, least := fixed[0], -1
+	for _, a := range fixed {
+		if idx, ok := s.builtIndex(pred, a.label); ok {
+			if n := len(bucketOf(idx, a.v).facts); least < 0 || n < least {
+				probe, least = a, n
+			}
+		}
+	}
+	return candidates{facts: s.FactsByComponent(pred, probe.label, probe.v)}
 }
 
 // Each calls fn on the facts of pred in strict key order, walking its

@@ -12,6 +12,7 @@ import (
 
 	"logres/internal/colset"
 	"logres/internal/pmap"
+	"logres/internal/types"
 	"logres/internal/value"
 )
 
@@ -70,7 +71,7 @@ func TestFactSetIncrementalCache(t *testing.T) {
 	}
 
 	cl := fs.Clone()
-	if _, ok := cl.preds["edge"].lookup("src"); !ok {
+	if _, ok := cl.preds["edge"].indexOf("src"); !ok {
 		t.Fatal("the clone does not start with the source's src index")
 	}
 	if len(cl.Facts("edge")) != fs.Size("edge") {
@@ -361,7 +362,7 @@ func TestFactSetSlidingWindowIndexBounded(t *testing.T) {
 		if got := fs.FactsByComponent("edge", "src", value.Int(int64(v))); len(got) != 1 {
 			t.Fatalf("value %d: bucket size %d, want 1", v, len(got))
 		}
-		if idx, _ := fs.preds["edge"].lookup("src"); idx.Len() > window {
+		if idx, _ := fs.preds["edge"].indexOf("src"); idx.Len() > window {
 			t.Fatalf("value %d: src index holds %d buckets for a %d-wide window", v, idx.Len(), window)
 		}
 	}
@@ -440,6 +441,23 @@ func (r refSet) keysOf(pred string, keep func(Fact) bool) []string {
 
 func sortedFactKeys(fs []Fact) []string {
 	keys := factKeys(fs)
+	sort.Strings(keys)
+	return keys
+}
+
+// srcDst is the effective type of the edge-shaped test associations.
+var srcDst = types.Tuple{Fields: []types.Field{{Label: "src"}, {Label: "dst"}}}
+
+// lookupKeys returns, sorted, the keys of the candidates lookup gives for
+// fixed that agree with it; the reference is the same filter over a walk.
+func lookupKeys(fs *FactSet, pred string, eff types.Tuple, fixed []fixedArg) []string {
+	var keys []string
+	fs.lookup(pred, eff, fixed).each(func(f Fact) bool {
+		if admits(fixed, f) {
+			keys = append(keys, f.Key())
+		}
+		return true
+	})
 	sort.Strings(keys)
 	return keys
 }
@@ -792,12 +810,43 @@ func factSetModel(t *testing.T, ops []byte) {
 	}
 	var lent []loan
 	reads := 0
+	effs := map[string]types.Tuple{"edge": srcDst, "ghost": srcDst, "node": {Fields: []types.Field{{Label: "tag"}}}}
 	check := func(step int, m *modelSet) {
 		t.Helper()
 		for _, l := range lent {
 			if got := factKeys(l.facts); !slices.Equal(got, l.keys) {
 				t.Fatalf("step %d: a bucket read earlier changed from %v to %v", step, l.keys, got)
 			}
+		}
+		// lookup, before the reads below build every index: its
+		// candidates, filtered, are the reference's filtered walk. A label
+		// of w0…w7 no fact holds is indexed on its first probe.
+		a, b := int64(step&7), int64(step>>3&7)
+		noIndex := fmt.Sprintf("w%d", step>>6&7)
+		for _, pb := range []struct {
+			pred  string
+			fixed []fixedArg
+			one   bool // the probe fixes an oid or a whole key
+		}{
+			{"node", []fixedArg{{self: true, v: value.Ref(a + 1)}}, true},
+			{"edge", []fixedArg{{label: "dst", v: value.Int(b)}, {label: "src", v: value.Int(a)}}, true},
+			{"edge", []fixedArg{{label: "src", v: value.Int(a)}}, false},
+			{"node", []fixedArg{{label: "tag", v: value.Int(b)}}, false},
+			{"edge", []fixedArg{{label: noIndex, v: value.Null{}}, {label: "nolabel", v: value.Null{}}, {label: "dst", v: value.Int(b)}}, false},
+			{"edge", []fixedArg{{label: noIndex, v: value.Null{}}}, false},
+			{"edge", nil, false},
+			{"ghost", []fixedArg{{label: "src", v: value.Int(a)}}, false},
+		} {
+			want := m.ref.keysOf(pb.pred, func(f Fact) bool { return admits(pb.fixed, f) })
+			if got := lookupKeys(m.fs, pb.pred, effs[pb.pred], pb.fixed); !slices.Equal(got, want) {
+				t.Fatalf("step %d: lookup(%s, %v)\n got %v\nwant %v", step, pb.pred, pb.fixed, got, want)
+			}
+			if n := m.fs.lookup(pb.pred, effs[pb.pred], pb.fixed).len(); pb.one && n > 1 {
+				t.Fatalf("step %d: lookup(%s, %v) gave %d candidates, want at most 1", step, pb.pred, pb.fixed, n)
+			}
+		}
+		if _, ok := m.fs.builtIndex("ghost", "src"); ok {
+			t.Fatalf("step %d: a lookup on an empty predicate built an index", step)
 		}
 		for _, p := range []string{"edge", "node", "ghost"} {
 			want := m.keysOf(p)

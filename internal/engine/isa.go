@@ -15,9 +15,9 @@ import (
 //
 // The step replaces the rule's compiled body and head in oneStep and
 // oneStepNoninf, and is equivalent to matchBody + instantiateHead over
-// them: the same facts enter Δ+ in the same order, and Stats.Firings,
-// the in-round step count, the in-round guard checks and the
-// non-inflationary re-emission advance exactly as the matcher's would.
+// them: the same facts enter Δ+, and Stats.Firings, the in-round step
+// count, the in-round guard checks and the non-inflationary re-emission
+// advance exactly as the matcher's would.
 // The compiled body and head stay on the crule for the analyses
 // (stratification, footprints, Explain) and the differential test.
 type isaStep struct {
@@ -71,16 +71,13 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 // already agrees with the sub's o-value, and numbered at rule end.
 func (c *evalCtx) isaInvent(r *crule, src value.Tuple, dplus *FactSet) {
 	s := r.isa
-	agreed := !c.f.Each(s.super, func(fact Fact) bool {
-		if !agreesOn(s.eff, src, fact.Tuple, nil) {
-			return true
-		}
+	var buf [8]fixedArg
+	if cur, ok := firstIn(c.f.lookup(s.super, s.eff, fixedBy(buf[:0], s.eff, src, nil)), !c.reemit, func(f Fact) bool {
+		return agreesOn(s.eff, src, f.Tuple, nil)
+	}); ok {
 		if c.reemit {
-			dplus.Add(fact)
+			dplus.Add(cur)
 		}
-		return false
-	})
-	if agreed {
 		return
 	}
 	c.inventions = append(c.inventions, invention{fact: Fact{Pred: s.super, IsClass: true, Tuple: overlay(s.eff, src, value.Tuple{})}})
@@ -90,7 +87,7 @@ func (c *evalCtx) isaInvent(r *crule, src value.Tuple, dplus *FactSet) {
 // component of src whose label eff declares, except the labels of skip
 // (a head's explicitly specified components, which the caller checks
 // against their own values). It allocates nothing.
-func agreesOn(eff types.Tuple, src, existing value.Tuple, skip []value.Field) bool {
+func agreesOn(eff types.Tuple, src, existing value.Tuple, skip []fixedArg) bool {
 	for i := 0; i < src.Len(); i++ {
 		f := src.Field(i)
 		if _, inEff := eff.Get(f.Label); !inEff || specifies(skip, f.Label) {
@@ -104,9 +101,21 @@ func agreesOn(eff types.Tuple, src, existing value.Tuple, skip []value.Field) bo
 	return true
 }
 
-func specifies(comps []value.Field, label string) bool {
+// fixedBy appends to out, as fixed arguments, the components of src that
+// agreesOn(eff, src, ·, skip) compares.
+func fixedBy(out []fixedArg, eff types.Tuple, src value.Tuple, skip []fixedArg) []fixedArg {
+	for i := 0; i < src.Len(); i++ {
+		f := src.Field(i)
+		if _, inEff := eff.Get(f.Label); inEff && !specifies(skip, f.Label) {
+			out = append(out, fixedArg{label: f.Label, v: f.Value})
+		}
+	}
+	return out
+}
+
+func specifies(comps []fixedArg, label string) bool {
 	for _, f := range comps {
-		if f.Label == label {
+		if f.label == label {
 			return true
 		}
 	}

@@ -154,6 +154,10 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 		// want is the size of the inflationary Δ+ (a sanity check that
 		// the state exercises what its name says).
 		want int
+		// indexed, when positive, is how many facts are added before
+		// every class's v index is built: the rest join their buckets
+		// after them, whatever their key order.
+		indexed int
 	}{
 		{"chain/consistent", chain, func(p *Program) []Fact {
 			return []Fact{
@@ -162,7 +166,7 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 				isaObj(t, p, "a", 1, "v", "x"),
 				isaObj(t, p, "a", 2, "v", "only-a"),
 			}
-		}, 0},
+		}, 0, 0},
 		{"chain/missing-supers", chain, func(p *Program) []Fact {
 			return []Fact{
 				isaObj(t, p, "c", 3, "v", "p", "w", "q", "u", "r"),
@@ -170,7 +174,7 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 				isaObj(t, p, "b", 1, "v", "x", "w", "y"),
 				isaObj(t, p, "b", 2, "v", "s", "w", "t"),
 			}
-		}, 3}, // b(3); a(1), a(2)
+		}, 3, 0}, // b(3); a(1), a(2)
 		{"chain/overwrite", chain, func(p *Program) []Fact {
 			return []Fact{
 				// c(1) changed its inherited v: b(1) is overwritten
@@ -184,7 +188,7 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 				isaObj(t, p, "b", 2, "v", "x"),
 				isaObj(t, p, "a", 2, "v", "x"),
 			}
-		}, 2},
+		}, 2, 0},
 		{"chain/nil-oid", chain, func(p *Program) []Fact {
 			return []Fact{
 				// A sub object without identity: the matcher treats the
@@ -193,7 +197,16 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 				isaObj(t, p, "b", value.NilOID, "v", "k", "w", "l"),
 				isaObj(t, p, "a", 5, "v", "k"),
 			}
-		}, 1}, // b(6) invented; a: b(nil) agrees with a(5)
+		}, 1, 0}, // b(6) invented; a: b(nil) agrees with a(5)
+		{"chain/nil-oid-agreeing-twice", chain, func(p *Program) []Fact {
+			return []Fact{
+				// Both supers agree with the nil-oid sub; a(12) comes
+				// first in key order ("&12" < "&5") and last in its bucket.
+				isaObj(t, p, "b", value.NilOID, "v", "k", "w", "l"),
+				isaObj(t, p, "a", 5, "v", "k"),
+				isaObj(t, p, "a", 12, "v", "k"),
+			}
+		}, 0, 2},
 		{"diamond/consistent", diamond, func(p *Program) []Fact {
 			return []Fact{
 				isaObj(t, p, "d", 1, "v", "x", "w", "y", "u", "z", "x", "q"),
@@ -201,7 +214,7 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 				isaObj(t, p, "c", 1, "v", "x", "u", "z"),
 				isaObj(t, p, "a", 1, "v", "x"),
 			}
-		}, 0},
+		}, 0, 0},
 		{"diamond/missing-and-overwrite", diamond, func(p *Program) []Fact {
 			return []Fact{
 				isaObj(t, p, "d", 1, "v", "x", "w", "y", "u", "z", "x", "q"),
@@ -214,19 +227,31 @@ func TestIsaStepMatchesMatcher(t *testing.T) {
 				isaObj(t, p, "b", 3, "v", "from-b", "w", "y"),
 				isaObj(t, p, "c", 3, "v", "from-c", "u", "z"),
 			}
-		}, 6}, // a(2), a(3); b(1), b(2); c(1), c(2)
+		}, 6, 0}, // a(2), a(3); b(1), b(2); c(1), c(2)
 	}
 	for _, tc := range cases {
 		for _, reemit := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/reemit=%v", tc.name, reemit), func(t *testing.T) {
 				f := NewFactSet()
-				for _, fact := range tc.facts(tc.p) {
+				for i, fact := range tc.facts(tc.p) {
+					if i == tc.indexed && i > 0 {
+						for _, c := range []string{"a", "b", "c", "d"} {
+							f.FactsByComponent(c, "v", value.Str("k"))
+						}
+					}
 					f.Add(fact)
 				}
 				f.Freeze()
 				got := assertIsaEquivalent(t, tc.p, f, reemit, nil)
 				if !reemit && got.dplus.TotalSize() != tc.want {
 					t.Fatalf("Δ+ = %d facts, want %d: %s", got.dplus.TotalSize(), tc.want, dump(got.dplus))
+				}
+				// The same Δ+ when every lookup walks its predicate.
+				walkAll = true
+				walked := evalGenerated(tc.p, f, reemit, true, nil)
+				walkAll = false
+				if !walked.dplus.Equal(got.dplus) {
+					t.Fatalf("Δ+ through the lookup: %s\nwalking: %s", dump(got.dplus), dump(walked.dplus))
 				}
 			})
 		}
@@ -271,7 +296,7 @@ func TestHeadAgreementAllocatesNothing(t *testing.T) {
 		}
 	}
 	source := &objBinding{class: "c", oid: 1, tuple: sub.Tuple}
-	comps := []value.Field{{Label: "w", Value: value.Str("y")}}
+	comps := []fixedArg{{label: "w", v: value.Str("y")}}
 	allocs := testing.AllocsPerRun(100, func() {
 		if !agreesOn(r.isa.eff, sub.Tuple, sup.Tuple, nil) || !headSatisfiedBy(r.head, comps, source, sup.Tuple) {
 			t.Fatal("the super object does not agree with its sub")

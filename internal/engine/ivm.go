@@ -672,6 +672,10 @@ func (c *evalCtx) matchCheapest(body []resolvedLit, done uint64, e *env, yield f
 		return c.matchBody(body, 0, e, yield) // more literals than done has bits
 	}
 	best, pending := -1, false
+	var bufs [2][8]fixedArg // the best literal's fixed arguments, and the next's
+	next := 0
+	var bestFixed []fixedArg
+	var bestAll bool
 	var bestFacts candidates
 	for i, l := range body {
 		if done&(1<<i) != 0 {
@@ -686,15 +690,17 @@ func (c *evalCtx) matchCheapest(body []resolvedLit, done uint64, e *env, yield f
 			})
 		}
 		pending = true
-		if !readyPositive(l, e) {
+		if !allTermsEvaluableOrPattern(l, e.bound) {
 			continue
 		}
-		if facts := c.candidateFacts(l, c.f, e); best < 0 || facts.len() < bestFacts.len() {
-			best, bestFacts = i, facts
+		fixed, all := c.fixedArgs(l, e, bufs[next][:0])
+		if facts := c.f.lookup(l.pred, l.eff, fixed); best < 0 || facts.len() < bestFacts.len() {
+			best, bestFixed, bestAll, bestFacts = i, fixed, all, facts
+			next ^= 1
 		}
 	}
 	if best >= 0 {
-		return c.matchFacts(body[best], bestFacts, e, func(e2 *env) error {
+		return c.matchFacts(body[best], bestFixed, bestAll, bestFacts, e, func(e2 *env) error {
 			return c.matchCheapest(body, done|1<<best, e2, yield)
 		})
 	}
@@ -702,18 +708,4 @@ func (c *evalCtx) matchCheapest(body []resolvedLit, done uint64, e *env, yield f
 		return fmt.Errorf("engine: no literal of the body is ready")
 	}
 	return yield(e)
-}
-
-// readyPositive reports whether every argument of the positive predicate
-// literal l is a pattern or evaluable under e.
-func readyPositive(l resolvedLit, e *env) bool {
-	if l.selfTerm != nil && !isPattern(l.selfTerm) && !e.evaluable(l.selfTerm) {
-		return false
-	}
-	for _, comp := range l.comps {
-		if !isPattern(comp.term) && !e.evaluable(comp.term) {
-			return false
-		}
-	}
-	return true
 }

@@ -82,7 +82,7 @@ func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, yield fun
 				continue
 			}
 			var err error
-			if allTermsEvaluableOrPattern(l, nil) {
+			if allTermsEvaluableOrPattern(l, func(string) bool { return false }) {
 				err = c.matchPositive(l, delta, newEnv(), func(e *env) error {
 					return c.matchBodyMixed(r.body, 0, pos, nil, pre, post, e, emit)
 				})

@@ -168,12 +168,19 @@ func (s *Schema) Names() []string {
 	return out
 }
 
-// NamesOf returns all names of the given kind, in declaration order.
+// NamesOf returns all names of the given kind, in declaration order, in
+// a slice of their exact length.
 func (s *Schema) NamesOf(kind DeclKind) []string {
-	var out []string
-	for _, n := range s.order {
-		if s.decls[n].Kind == kind {
-			out = append(out, n)
+	n := 0
+	for _, name := range s.order {
+		if s.decls[name].Kind == kind {
+			n++
+		}
+	}
+	out := make([]string, 0, n)
+	for _, name := range s.order {
+		if s.decls[name].Kind == kind {
+			out = append(out, name)
 		}
 	}
 	return out

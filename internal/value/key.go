@@ -116,9 +116,13 @@ func AppendKey(b []byte, v Value) []byte {
 }
 
 // AppendKey appends t's canonical key to b and returns the extended buffer.
-func (t Tuple) AppendKey(b []byte) []byte {
-	b = strconv.AppendInt(append(b, tagTuple), int64(2*len(t.fields)), 10)
-	for _, f := range t.fields {
+func (t Tuple) AppendKey(b []byte) []byte { return AppendTupleKey(b, t.fields) }
+
+// AppendTupleKey appends the key of the tuple of fields, in their order,
+// without building the tuple.
+func AppendTupleKey(b []byte, fields []Field) []byte {
+	b = strconv.AppendInt(append(b, tagTuple), int64(2*len(fields)), 10)
+	for _, f := range fields {
 		b = strconv.AppendInt(append(b, '|'), int64(len(f.Label)), 10)
 		b = appendChild(append(append(b, ':'), f.Label...), f.Value)
 	}
