@@ -295,7 +295,9 @@ end.
 	// with a diamond (TA isa STUDENT and EMPLOYEE, both isa PERSON): the
 	// generated isa rules propagate new objects up every path, and the
 	// later commits change inherited components of existing objects, so
-	// ⊕ overwrites their super objects level by level.
+	// ⊕ overwrites their super objects level by level. The last adds TA
+	// objects to a state closed under the isa steps: they reach AGENT
+	// round by round through steps that visit only what changed.
 	f.Add(`
 domains NAME = string;
 classes
@@ -328,6 +330,80 @@ end.
 mode ridv.
 rules
   student(self: S, name: "d") <- student(self: S, name: "c").
+end.
+---
+mode ridv.
+rules
+  intake(name: "e").
+  intake(name: "f").
+  ta(self: T, name: N, age: 22, year: 3, salary: 50, hours: 5) <- intake(name: N), not student(name: N).
+end.
+`)
+	// Commits whose isa steps run over a state closed under them, so
+	// each visits only the objects that changed, against the full pass
+	// (dbf): a deletion head on PERSON in the isa steps' own stratum that
+	// hits the object the same round's isa step overwrites; a new isa
+	// edge between existing classes and a new subclass (RADV), each a new
+	// schema, so a full pass; a class head that changes one STUDENT; a
+	// PERSON renamed once while its STUDENT stays, which the step must
+	// restore; and last the deletion that oscillates with the isa step
+	// until the round bound aborts it.
+	f.Add(`
+domains NAME = string;
+classes
+  PERSON = (name: NAME);
+  STUDENT = (PERSON, year: integer);
+  STUDENT isa PERSON;
+  WORKER = (name: NAME, wage: integer);
+associations
+  INTAKE = (name: NAME);
+  HIDE = (name: NAME);
+`, `
+mode ridv.
+rules
+  intake(name: "a").
+  intake(name: "b").
+  student(self: S, name: N, year: 1) <- intake(name: N).
+  worker(self: W, name: N, wage: 5) <- intake(name: N).
+end.
+---
+mode ridv.
+rules
+  hide(name: "a").
+  student(self: S, name: "c") <- student(self: S, name: "a").
+  not person(self: P, name: "a") <- student(self: P, name: "c"), hide(name: "a").
+end.
+---
+mode radv.
+classes
+  WORKER isa PERSON;
+rules
+  worker(self: W, wage: 6) <- worker(self: W, name: "b").
+end.
+---
+mode radv.
+classes
+  ADVISOR = (PERSON, topic: NAME);
+  ADVISOR isa PERSON;
+rules
+  advisor(self: P, name: N, topic: "db") <- student(self: P, name: N), hide(name: "a").
+end.
+---
+mode ridv.
+rules
+  student(self: S, year: 2) <- student(self: S, name: "b").
+end.
+---
+mode ridv.
+rules
+  person(self: P, name: "z") <- student(self: P, name: "b"), not hide(name: "done").
+  hide(name: "done") <- person(name: "z").
+end.
+---
+mode ridv.
+rules
+  hide(name: "b").
+  not person(self: X) <- student(self: X, name: N), hide(name: N).
 end.
 `)
 	// Size-neutral swaps inside one data function under a denial that
@@ -405,10 +481,16 @@ end.
 `)
 	f.Fuzz(func(t *testing.T, schemaSrc, modSrc string) {
 		// db is the row oracle; dbv and dbi run the defaults (columnar
-		// kernels where a stratum compiles to them), dbi incrementally.
+		// kernels where a stratum compiles to them), dbi incrementally,
+		// and dbf runs them with every isa pass a full pass, the
+		// reference the other legs' Δ-local isa passes are held to.
 		db, err := Open(schemaSrc, rowOracle(WithBudget(fuzzBudget))...)
 		if err != nil {
 			return
+		}
+		dbf, errf := Open(schemaSrc, WithBudget(fuzzBudget))
+		if errf != nil {
+			t.Fatalf("full-isa-pass open diverged: %v", errf)
 		}
 		dbv, errv := Open(schemaSrc, WithBudget(fuzzBudget))
 		if errv != nil {
@@ -430,6 +512,8 @@ end.
 			_, errRow := db.Exec(modSrc)
 			_, errVec := dbv.Exec(modSrc)
 			_, errInc := dbi.Exec(modSrc)
+			var errFull error
+			withIsaFullPass(func() { _, errFull = dbf.Exec(modSrc) })
 			if errRow != nil {
 				// A failed application (parse error, rejection, or budget
 				// abort) must leave the database bit-identical.
@@ -461,6 +545,24 @@ end.
 				}
 				if row.String() != vec.String() {
 					t.Fatalf("the row oracle and the defaults persisted different databases")
+				}
+			}
+			if errFull == nil {
+				var full strings.Builder
+				var got string
+				var errG error
+				withIsaFullPass(func() {
+					if err := dbf.Save(&sb2{&full}); err != nil {
+						t.Fatalf("save full isa pass: %v", err)
+					}
+					got, errG = dbf.InstanceString()
+				})
+				if row.String() != full.String() {
+					t.Fatalf("the row oracle and the full isa pass persisted different databases")
+				}
+				want, errW := db.InstanceString()
+				if errW == nil && errG == nil && want != got {
+					t.Fatalf("the full isa pass rendered a different instance")
 				}
 			}
 			if errInc == nil {

@@ -99,6 +99,11 @@ type Program struct {
 	// round boundary; traceFirings diffs against it to emit per-round
 	// rule.fire events. Reset on every Run.
 	lastFirings map[int]int
+
+	// isaBase is the running Run's input when it is marked closed under
+	// schema's isa steps (runGuarded): an isa pass then visits only the
+	// objects whose facts differ from it (isaPass).
+	isaBase *FactSet
 }
 
 // Schema returns the schema the program was compiled against.

@@ -11,6 +11,7 @@ import (
 	"logres/internal/ast"
 	"logres/internal/colset"
 	"logres/internal/guard"
+	"logres/internal/hooks"
 	"logres/internal/instance"
 	"logres/internal/value"
 )
@@ -824,12 +825,20 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 		}
 	}
 	if p.opts.NonInflationary {
+		// Re-emission needs every isa visit: the full pass, and no mark.
 		p.guard.SetStratum(-1)
 		return p.runNoninflationary(f0, counter)
 	}
 	if m := int64(f0.MaxOID()); m > *counter {
 		*counter = m
 	}
+	// An input closed under this schema's isa steps lets every isa pass
+	// visit only what differs from it (isaPass).
+	p.isaBase = nil
+	if !hooks.IsaFullPass && f0.closed == p.schema {
+		p.isaBase = f0
+	}
+	defer func() { p.isaBase = nil }()
 	// The run's one copy of f0: the semi-naive strata grow it in place,
 	// and f0 (often a frozen published set) is never written.
 	f := f0.Clone()
@@ -861,6 +870,14 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 			return nil, err
 		}
 		p.traceStratumEnd(i, f)
+	}
+	// A run over every stratum leaves a result closed under the isa
+	// steps: each holding stratum is an inflationary fixpoint, whose last
+	// step emitted nothing, since an isa emission adds a fact f lacks and
+	// Δ− holds only facts of f; and no later stratum writes a class the
+	// step reads, since a predicate's rules share one stratum.
+	if from == 0 {
+		f.closed = p.schema
 	}
 	return f, nil
 }

@@ -298,10 +298,16 @@ func (cp *codedPred) pending() int { return cp.batch.Len() - cp.base }
 // that the first probe of a label no index exists for builds it, once,
 // for every reader (see lazyIndexes), so the set is safe for concurrent
 // readers, and Add/Remove panic. Thaw re-enables mutation.
+//
+// A set can also carry a mark: the schema whose isa steps it is closed
+// under, which a run that verified it sets on its result (runGuarded).
+// Every Add or Remove that changes the set, and setCoded, clears it;
+// Clone, Freeze and Thaw keep it.
 type FactSet struct {
 	preds  map[string]predStore  // pred → its facts (kept once created, even empty)
 	coded  map[string]*codedPred // pred → its rows still in code space (nil when none)
 	frozen bool
+	closed *types.Schema // the schema whose isa steps the set is closed under, by identity
 
 	// owner tags the store nodes this set may write in place; nil until
 	// the first write after NewFactSet or Clone. It is atomic because
@@ -380,6 +386,7 @@ func (s *FactSet) setCoded(pred string, cp *codedPred) {
 	if cp.pending() == 0 {
 		return
 	}
+	s.closed = nil
 	if _, ok := s.preds[pred]; !ok {
 		s.preds[pred] = predStore{}
 	}
@@ -880,6 +887,7 @@ func (s *FactSet) Add(f Fact) bool {
 	}
 	st.indexAdd(o, f)
 	s.preds[f.Pred] = st
+	s.closed = nil
 	return true
 }
 
@@ -903,6 +911,7 @@ func (s *FactSet) Remove(f Fact) bool {
 	}
 	st.indexRemove(o, stored)
 	s.preds[f.Pred] = st
+	s.closed = nil
 	return true
 }
 
@@ -919,6 +928,7 @@ func (s *FactSet) Clone() *FactSet {
 	}
 	n := &FactSet{
 		preds:   maps.Clone(s.preds),
+		closed:  s.closed,
 		decodes: s.decodes,
 	}
 	if len(s.coded) > 0 {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"logres/internal/types"
 	"logres/internal/value"
 )
@@ -15,9 +17,12 @@ import (
 //
 // The step replaces the rule's compiled body and head in oneStep and
 // oneStepNoninf, and is equivalent to matchBody + instantiateHead over
-// them: the same facts enter Δ+, and Stats.Firings, the in-round step
-// count, the in-round guard checks and the non-inflationary re-emission
-// advance exactly as the matcher's would.
+// them: the same facts enter Δ+. Over a full pass, Stats.Firings, the
+// in-round step count, the in-round guard checks and the non-inflationary
+// re-emission advance exactly as the matcher's would. Over a run input
+// marked closed under the schema's isa steps, a pass visits only the
+// objects that can emit (isaPass), and those counters advance once per
+// visit: a step whose sub and super classes did not change fires 0 times.
 // The compiled body and head stay on the crule for the analyses
 // (stratification, footprints, Explain) and the differential test.
 type isaStep struct {
@@ -34,10 +39,16 @@ func newIsaStep(r *crule) *isaStep {
 // its sub class, adding to dplus every super fact that is missing or
 // disagrees with the sub object (or, under the non-inflationary
 // operator, re-emitting the super fact that agrees).
+//
+// When the run's input is closed under the step (Program.isaBase), an
+// object whose sub and super facts both equal the input's agrees, since
+// the step reads nothing else: the pass visits only the others, in key
+// order. A sub object with a nil oid reads every super object, so its
+// class takes the full pass.
 func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 	s := r.isa
 	var err error
-	c.f.Each(s.sub, func(obj Fact) bool {
+	visit := func(obj Fact) bool {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
 			if err = c.inRoundCheck(s.sub); err != nil {
@@ -61,8 +72,33 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 		}
 		dplus.Add(Fact{Pred: s.super, IsClass: true, OID: obj.OID, Tuple: overlay(s.eff, obj.Tuple, cur.Tuple)})
 		return true
-	})
+	}
+	if _, nilSub := c.f.HasOID(s.sub, value.NilOID); c.p.isaBase == nil || nilSub {
+		c.f.Each(s.sub, visit)
+		return err
+	}
+	for _, obj := range c.isaChanged(s, c.p.isaBase) {
+		if !visit(obj) {
+			break
+		}
+	}
 	return err
+}
+
+// isaChanged returns, in key order, the objects of s's sub class in c.f
+// whose oid has a sub or super fact that differs from base.
+func (c *evalCtx) isaChanged(s *isaStep, base *FactSet) []Fact {
+	var out []Fact
+	for _, pred := range [2]string{s.sub, s.super} {
+		adds, removes := c.f.DiffPred(base, pred)
+		for _, f := range append(adds, removes...) {
+			if obj, ok := c.f.HasOID(s.sub, f.OID); ok {
+				out = append(out, obj)
+			}
+		}
+	}
+	SortFactsByKey(out)
+	return slices.CompactFunc(out, func(a, b Fact) bool { return a.OID == b.OID })
 }
 
 // isaInvent is the step for a sub object with a nil oid, which has no

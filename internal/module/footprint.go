@@ -61,15 +61,9 @@ func IsPseudoPred(name string) bool {
 func StaticFootprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*guard.Footprint, error) {
 	// Mirror Apply's schema evolution so the analysis resolves against
 	// the schema the module actually runs under.
-	var s1 *types.Schema
-	var err error
-	if mode == ast.RDDV || mode == ast.RDDI {
-		s1 = st.S.Subtract(m.Schema)
-	} else {
-		s1, err = st.S.Union(m.Schema)
-		if err != nil {
-			return nil, err
-		}
+	s1, err := evolveSchema(st.S, m, mode)
+	if err != nil {
+		return nil, err
 	}
 	if err := s1.Validate(); err != nil {
 		return nil, err

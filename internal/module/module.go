@@ -125,6 +125,24 @@ func declaresNothing(s *types.Schema) bool {
 	return s == nil || (len(s.Names()) == 0 && len(s.IsaEdges()) == 0)
 }
 
+// evolveSchema returns the schema a data-variant application of m, or
+// its footprint analysis, runs under: S itself when m declares nothing,
+// so R_M's run, the persistent program's and the next read's share the
+// schema whose isa steps E is marked closed under (engine.FactSet);
+// else S − S_M for the deleting modes and S ∪ S_M for the others.
+func evolveSchema(s *types.Schema, m *ast.Module, mode ast.Mode) (*types.Schema, error) {
+	switch {
+	case declaresNothing(m.Schema):
+		return s, nil
+	case mode == ast.RDDV || mode == ast.RDDI:
+		return s.Subtract(m.Schema), nil
+	}
+	// RIDV adds S_M(EDB); RADV adds all of S_M. We add all of S_M in
+	// both cases: the paper's S_M(EDB) is the subset describing new EDB
+	// types, and adding unused equations is harmless.
+	return s.Union(m.Schema)
+}
+
 // Result is the outcome of a module application: the new database state
 // (identical to the input state for data/rule-invariant aspects) and, for
 // the data-invariant modes, the goal answer.
@@ -316,18 +334,9 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	// untouched), so E0 is not copied; the schema is replaced too, and the
 	// library is copied on write by Register.
 	next := &State{E: st.E, R: append([]*ast.Rule{}, st.R...), S: st.S, Counter: st.Counter, Lib: st.Lib}
-	var s1 *types.Schema
-	var err error
-	switch mode {
-	case ast.RDDV:
-		s1 = next.S.Subtract(m.Schema)
-	default: // RIDV adds S_M(EDB); RADV adds all of S_M. We add all of
-		// S_M in both cases: the paper's S_M(EDB) is the subset describing
-		// new EDB types, and adding unused equations is harmless.
-		s1, err = next.S.Union(m.Schema)
-		if err != nil {
-			return nil, err
-		}
+	s1, err := evolveSchema(st.S, m, mode)
+	if err != nil {
+		return nil, err
 	}
 	if err := s1.Validate(); err != nil {
 		return nil, fmt.Errorf("module: rejected, schema invalid: %w", err)

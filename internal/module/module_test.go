@@ -612,3 +612,31 @@ end.
 		t.Fatal("cascaded deletion incomplete")
 	}
 }
+
+// A data-variant application whose module declares nothing runs under
+// the state's schema itself, so the update program, the persistent one
+// and the next read share the schema E is marked closed under; one that
+// declares a type equation runs under a new schema.
+func TestDataVariantKeepsUndeclaredSchema(t *testing.T) {
+	st := newState(t, footprintSchema)
+	for _, c := range []struct {
+		src  string
+		mode ast.Mode
+		same bool
+	}{
+		{"rules\n  person(name: \"a\").\nend.\n", ast.RIDV, true},
+		{"rules\n  orders(id: 1).\nend.\n", ast.RDDV, true},
+		{"rules\n  audit(id: X) <- orders(id: X).\nend.\n", ast.RADV, true},
+		{"associations\n  extra = (id: integer);\nrules\n  extra(id: 1).\nend.\n", ast.RADV, false},
+	} {
+		m := parseModule(t, c.src)
+		res, err := Apply(st, m, c.mode, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.State.S == st.S) != c.same {
+			t.Fatalf("%s %q: kept the schema = %v, want %v", c.mode, c.src, res.State.S == st.S, c.same)
+		}
+		st = res.State
+	}
+}

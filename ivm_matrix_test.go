@@ -3,6 +3,7 @@ package logres
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,12 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 			wantInstances, wantSave := ivmOracleRun(t, prog.setup, prog.rules)
 			if !strings.Contains(wantInstances[0], "(") {
 				t.Fatal("oracle derived nothing")
+			}
+			var fullInstances []string
+			var fullSave string
+			withIsaFullPass(func() { fullInstances, fullSave = ivmOracleRun(t, prog.setup, prog.rules) })
+			if !slices.Equal(fullInstances, wantInstances) || fullSave != wantSave {
+				t.Fatal("the row oracle diverges from its run with full isa passes")
 			}
 			for _, leg := range engineLegs() {
 				for _, incremental := range []bool{false, true} {

@@ -198,6 +198,13 @@ func TestVectorizedSaveBytesMatrix(t *testing.T) {
 		if !strings.Contains(wantInstance, c.derived) {
 			t.Fatalf("%s: the oracle run derived no %s", c.name, c.derived)
 		}
+		if strings.Contains(c.schema, "classes") {
+			var save, instance string
+			withIsaFullPass(func() { save, instance = vecMatrixRun(t, c, rowOracle()) })
+			if save != wantSave || instance != wantInstance {
+				t.Fatalf("%s: the row oracle diverges from its run with full isa passes", c.name)
+			}
+		}
 		for _, leg := range engineLegs() {
 			for _, incremental := range []bool{false, true} {
 				save, instance := vecMatrixRun(t, c, append(leg.opts, WithIncremental(incremental)))
