@@ -17,7 +17,10 @@ const allocsToolchain = "go1.24"
 // preload, ExecConcurrent) allocates at most maxAllocs. Publishing the new
 // E builds no index; the label indexes the commit probed were kept up to
 // date by its writes. Building every bucket at publish cost about 3 400
-// allocations per commit.
+// allocations per commit. 257 measured, plus about 9 %: the commit
+// compiles only its update rule, over the isa steps the state's program
+// holds, and runs the program the state carries (523 when it compiled
+// both programs from scratch and validated S again).
 func TestRegistrarEnrolDropAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not compared under -race")
@@ -25,7 +28,7 @@ func TestRegistrarEnrolDropAllocs(t *testing.T) {
 	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
 		t.Skipf("allocation counts are pinned for %s, not compared under %s", allocsToolchain, v)
 	}
-	const maxAllocs = 1000
+	const maxAllocs = 280
 	db := registrarPreload(t, 1)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -131,8 +134,9 @@ func TestIVMUnshortAllocs(t *testing.T) {
 }
 
 // One enrol/drop commit of BenchmarkRegistrarEnrolDrop at x16 (the
-// preload's 240 sections) allocates at most maxBytes: 53.9 kB measured,
-// plus about 12 %. The commit path-copies the few store and index nodes
+// preload's 240 sections) allocates at most maxBytes: 33.5 kB measured,
+// plus about 9 % (53.9 kB when each commit compiled both of its programs
+// from scratch). The commit path-copies the few store and index nodes
 // it writes, and the bucket it removes from; copying the written
 // predicate's whole store made it 5.82 MB, and copying its view on the
 // first write after a clone 3.20 MB, and both grew with |enrolled|.
@@ -143,7 +147,7 @@ func TestRegistrarEnrolDropBytes(t *testing.T) {
 	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
 		t.Skipf("allocated bytes are pinned for %s, not compared under %s", allocsToolchain, v)
 	}
-	const maxBytes = 60_000
+	const maxBytes = 36_500
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	db := registrarPreload(t, 16)
 	registrarEnrolDrop(t, db, 0) // warm up

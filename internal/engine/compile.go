@@ -8,6 +8,7 @@ import (
 
 	"logres/internal/ast"
 	"logres/internal/guard"
+	"logres/internal/hooks"
 	"logres/internal/obs"
 	"logres/internal/types"
 )
@@ -77,23 +78,16 @@ func DefaultOptions() Options {
 	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Vectorize: true}
 }
 
-// Program is a compiled rule set, ready to evaluate.
+// Program is a compiled rule set, ready to evaluate: a compiled part,
+// which never changes once Compile returns, and a per-run part. Fork
+// gives a caller its own per-run part over the same compiled part, so
+// one compilation serves any number of runs, concurrent ones included.
 type Program struct {
-	schema  *types.Schema
-	classes []string // the schema's classes, sorted
-	opts    Options
-	rules   []*crule
-	denials []*crule
+	*compiled
+	opts Options
 
-	strata     [][]*crule
-	stratified bool
-	// plans and prefix are the stratum plans and the maintained
-	// prefix, set once, on first use (see plan).
-	planOnce sync.Once
-	plans    []stratumPlan
-	prefix   int
-	stats    *Stats
-	guard    *guard.Guard
+	stats *Stats
+	guard *guard.Guard
 
 	// lastFirings is the cumulative Firings snapshot at the previous
 	// round boundary; traceFirings diffs against it to emit per-round
@@ -104,6 +98,29 @@ type Program struct {
 	// schema's isa steps (runGuarded): an isa pass then visits only the
 	// objects whose facts differ from it (isaPass).
 	isaBase *FactSet
+}
+
+// compiled is what Compile derives from a schema, a rule set and the
+// options that fix the semantics (Stratify, SemiNaive, Vectorize,
+// NonInflationary). A run only reads it; the stratum plans and the
+// footprint are computed on first use, once.
+type compiled struct {
+	schema  *types.Schema
+	classes []string // the schema's classes, sorted
+	rules   []*crule
+	denials []*crule
+
+	strata     [][]*crule
+	stratified bool
+	// plans and prefix are the stratum plans and the maintained
+	// prefix, set once, on first use (see plan).
+	planOnce sync.Once
+	plans    []stratumPlan
+	prefix   int
+	// fp is the program's footprint, set once, on first use (see
+	// Footprint).
+	fpOnce sync.Once
+	fp     RuleFootprint
 }
 
 // Schema returns the schema the program was compiled against.
@@ -121,36 +138,88 @@ func (p *Program) NumRules() int { return len(p.rules) }
 // to compare traced and untraced runs of one compiled program.
 func (p *Program) SetTracer(t obs.Tracer) { p.opts.Tracer = t }
 
-// Compile analyses a rule set against a schema: it resolves predicates and
-// labels, orders rule bodies, checks the safety requirements of §3.1 and
-// the oid-unification legality conditions, determines invention, generates
-// the active isa-propagation constraints from the type equations, and
-// computes the stratification.
-func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, error) {
+// Fork returns a program over p's compiled part with a per-run part of
+// its own: opts' run options (MaxSteps, Budget, Ctx, Tracer) and no
+// statistics yet. The options that fix the semantics stay p's, since the
+// compiled part was built under them. Forks run concurrently with each
+// other and with p.
+func (p *Program) Fork(opts Options) *Program {
+	opts.Stratify, opts.SemiNaive = p.opts.Stratify, p.opts.SemiNaive
+	opts.Vectorize, opts.NonInflationary = p.opts.Vectorize, p.opts.NonInflationary
+	return &Program{compiled: p.compiled, opts: runOptions(opts)}
+}
+
+// Shares reports whether p and q are forks of one compilation.
+func (p *Program) Shares(q *Program) bool { return q != nil && p.compiled == q.compiled }
+
+// runOptions fills in the round bound a run needs.
+func runOptions(opts Options) Options {
 	if opts.Budget.MaxRounds > 0 {
 		opts.MaxSteps = opts.Budget.MaxRounds
 	}
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = DefaultOptions().MaxSteps
 	}
+	return opts
+}
+
+// Compile analyses a rule set against a schema: it resolves predicates and
+// labels, orders rule bodies, checks the safety requirements of §3.1 and
+// the oid-unification legality conditions, determines invention, generates
+// the active isa-propagation constraints from the type equations, and
+// computes the stratification.
+func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, error) {
+	classes := schema.NamesOf(types.DeclClass)
+	sort.Strings(classes)
+	return compileWith(schema, classes, rules, opts, func(first int) ([]*crule, error) {
+		var isa []*crule
+		for i, r := range generateIsaRules(schema) {
+			cr, err := compileRule(schema, r, first+i)
+			if err != nil {
+				return nil, fmt.Errorf("%v (in rule %s)", err, r)
+			}
+			cr.isa = newIsaStep(cr)
+			isa = append(isa, cr)
+		}
+		return isa, nil
+	})
+}
+
+// CompileOver is Compile(p.Schema(), rules, opts) with p's compiled isa
+// steps in place of compiling the schema's generated rules again: a rule
+// set run under a schema some program already compiled pays only for
+// its own rules. Rule ids are numbered as Compile numbers them.
+func (p *Program) CompileOver(rules []*ast.Rule, opts Options) (*Program, error) {
+	return compileWith(p.schema, p.classes, rules, opts, func(first int) ([]*crule, error) {
+		var isa []*crule
+		for _, r := range p.rules {
+			if r.isa != nil {
+				cr := *r
+				cr.id = first + len(isa)
+				isa = append(isa, &cr)
+			}
+		}
+		return isa, nil
+	})
+}
+
+// compileWith compiles rules against schema and completes the program
+// with the schema's compiled isa steps, numbered from len(rules) on.
+func compileWith(schema *types.Schema, classes []string, rules []*ast.Rule, opts Options, isaSteps func(first int) ([]*crule, error)) (*Program, error) {
 	if opts.Workers != 0 && opts.Workers != 1 {
 		return nil, fmt.Errorf("engine: Options.Workers = %d: parallel evaluation was removed; only 0 or 1 is accepted", opts.Workers)
 	}
 	if opts.Shards != 0 && opts.Shards != 1 {
 		return nil, fmt.Errorf("engine: Options.Shards = %d: sharded fact sets were removed; only 0 or 1 is accepted", opts.Shards)
 	}
-	p := &Program{schema: schema, classes: schema.NamesOf(types.DeclClass), opts: opts}
-	sort.Strings(p.classes)
-	all := append([]*ast.Rule{}, rules...)
-	generated := generateIsaRules(schema)
-	all = append(all, generated...)
-	for i, r := range all {
+	if hooks.Compiled != nil {
+		hooks.Compiled(len(rules))
+	}
+	p := &Program{compiled: &compiled{schema: schema, classes: classes}, opts: runOptions(opts)}
+	for i, r := range rules {
 		cr, err := compileRule(schema, r, i)
 		if err != nil {
 			return nil, fmt.Errorf("%v (in rule %s)", err, r)
-		}
-		if i >= len(rules) {
-			cr.isa = newIsaStep(cr)
 		}
 		if cr.head == nil {
 			p.denials = append(p.denials, cr)
@@ -158,6 +227,11 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 			p.rules = append(p.rules, cr)
 		}
 	}
+	isa, err := isaSteps(len(rules))
+	if err != nil {
+		return nil, err
+	}
+	p.rules = append(p.rules, isa...)
 	p.computeStrata()
 	return p, nil
 }

@@ -44,13 +44,20 @@ func headStore(h *headSpec) string {
 	return h.pred
 }
 
-// Footprint computes the program's static read/write footprint. User
-// rule bodies always count as reads; the bodies of generated
-// isa-propagation rules do not — a generated rule only re-derives facts
-// already present in a consistent extension unless its body predicate is
-// itself written, and in that case the propagated facts derive from this
-// evaluation's own writes, which the chaining closure already covers.
+// Footprint returns the program's static read/write footprint, computed
+// once per compilation. Its slices are shared by every fork: callers
+// read them and never write them. User rule bodies always count as
+// reads; the bodies of generated isa-propagation rules do not — a
+// generated rule only re-derives facts already present in a consistent
+// extension unless its body predicate is itself written, and in that
+// case the propagated facts derive from this evaluation's own writes,
+// which the chaining closure already covers.
 func (p *Program) Footprint() RuleFootprint {
+	p.fpOnce.Do(func() { p.fp = p.footprint() })
+	return p.fp
+}
+
+func (p *compiled) footprint() RuleFootprint {
 	reads := map[string]bool{}
 	writes := map[string]bool{}
 	deletes := map[string]bool{}

@@ -73,11 +73,15 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 		dplus.Add(Fact{Pred: s.super, IsClass: true, OID: obj.OID, Tuple: overlay(s.eff, obj.Tuple, cur.Tuple)})
 		return true
 	}
-	if _, nilSub := c.f.HasOID(s.sub, value.NilOID); c.p.isaBase == nil || nilSub {
+	// Over an input with no sub object every sub object changed: the
+	// full pass visits the same objects in the same order, without the
+	// diff.
+	base := c.p.isaBase
+	if _, nilSub := c.f.HasOID(s.sub, value.NilOID); base == nil || nilSub || base.Size(s.sub) == 0 {
 		c.f.Each(s.sub, visit)
 		return err
 	}
-	for _, obj := range c.isaChanged(s, c.p.isaBase) {
+	for _, obj := range c.isaChanged(s, base) {
 		if !visit(obj) {
 			break
 		}

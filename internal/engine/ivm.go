@@ -91,8 +91,8 @@ func (d *ViewDelta) Preds() map[string]bool {
 // NewMaintainer builds the incremental maintenance state for prog over
 // the extensional set e (which must be the committed, frozen base) and
 // the committed oid counter. The program must be dedicated to the
-// maintainer — Update and Rebuild run it — so callers compile their own
-// Program rather than sharing one that serves queries concurrently.
+// maintainer — Update and Rebuild run it — so callers pass a fork of
+// their own (Program.Fork), never one that serves queries concurrently.
 func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error) {
 	m := &Maintainer{prog: prog, owner: map[string]int{}}
 	strata, prefix := prog.plan()

@@ -39,3 +39,9 @@ func Fault(point string) error {
 // steps: the reference a Δ-local isa pass must agree with. A run reads
 // it once, when it starts.
 var IsaFullPass bool
+
+// Compiled, when non-nil, runs at every compilation of a rule set
+// (engine.Compile, Program.CompileOver) with the number of rules
+// compiled, the schema's generated isa rules not counted: tests count
+// how many programs an operation compiles, and over how many rules.
+var Compiled func(rules int)

@@ -190,8 +190,9 @@ func containsStr(s []string, p string) bool {
 // CommitDelta merges a validated snapshot delta onto the current
 // committed state: clone the committed extension, apply removes then
 // adds, advance the counter by the attempt's consumption, and keep the
-// committed R/S/Lib (a delta commit never changes them). The returned
-// state is freshly built and safe to publish.
+// committed R/S/Lib (a delta commit never changes them) and so the
+// committed state's programs. The returned state is freshly built and
+// safe to publish.
 func CommitDelta(committed *State, sr *SnapshotResult) *State {
 	next := &State{
 		E:       committed.E.Clone(),
@@ -200,6 +201,7 @@ func CommitDelta(committed *State, sr *SnapshotResult) *State {
 		Counter: committed.Counter + sr.CounterDelta,
 		Lib:     committed.Lib,
 	}
+	next.inherit(committed)
 	for _, f := range sr.Removes {
 		next.E.Remove(f)
 	}

@@ -70,7 +70,7 @@ func StaticFootprint(st *State, m *ast.Module, mode ast.Mode, opts engine.Option
 	}
 	var updateFP *engine.RuleFootprint
 	if mode.DataVariant() {
-		progM, err := engine.Compile(s1, m.Rules, opts)
+		progM, err := updateProgram(st, s1, m.Rules, opts)
 		if err != nil {
 			return nil, err
 		}

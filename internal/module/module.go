@@ -7,6 +7,8 @@ package module
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"logres/internal/ast"
@@ -21,6 +23,10 @@ import (
 // facts, persistent rules and schema, plus the oid-invention counter. The
 // database *instance* is derived by applying R to E (§4.2) — a predicate
 // may be defined partly extensionally and partly intensionally.
+//
+// A state memoises its persistent program, the compilation of (S, R):
+// every run of it — a read, a commit's derivation, the maintainer — takes
+// a fork of one compilation (see Program).
 type State struct {
 	E       *engine.FactSet
 	R       []*ast.Rule
@@ -29,6 +35,34 @@ type State struct {
 	// Lib is the registry of named modules stored with the database (the
 	// §5 "methods" direction); it evolves outside the (E, R, S) triple.
 	Lib *Library
+
+	memo atomic.Pointer[progMemo]
+}
+
+// progMemo holds the compilations of one (S, R) pair, one per setting of
+// the options that fix a program's semantics. States with the same S
+// and the same rules share it.
+type progMemo struct {
+	s     *types.Schema
+	r     []*ast.Rule // the rule pointers, copied
+	progs [1 << 4]atomic.Pointer[engine.Program]
+}
+
+// semanticsKey indexes progMemo.progs by the options Compile fixes.
+func semanticsKey(opts engine.Options) int {
+	k := 0
+	for i, on := range [...]bool{opts.Stratify, opts.SemiNaive, opts.Vectorize, opts.NonInflationary} {
+		if on {
+			k |= 1 << i
+		}
+	}
+	return k
+}
+
+// compiles reports whether the memo was compiled from st's S and R: the
+// same schema and the same rules, compared pointer by pointer.
+func (m *progMemo) compiles(st *State) bool {
+	return m != nil && m.s == st.S && slices.Equal(m.r, st.R)
 }
 
 // NewState returns an empty consistent state over a schema.
@@ -36,19 +70,75 @@ func NewState(schema *types.Schema) *State {
 	return &State{E: engine.NewFactSet(), S: schema, Lib: NewLibrary()}
 }
 
-// Clone returns an independent copy of the state.
+// Clone returns a copy of the state whose E, R and Lib are its own. S is
+// shared: a schema is never mutated once it is built.
 func (st *State) Clone() *State {
 	lib := st.Lib
 	if lib != nil {
 		lib = lib.Clone()
 	}
-	return &State{
+	next := &State{
 		E:       st.E.Clone(),
 		R:       append([]*ast.Rule{}, st.R...),
-		S:       st.S.Clone(),
+		S:       st.S,
 		Counter: st.Counter,
 		Lib:     lib,
 	}
+	next.inherit(st)
+	return next
+}
+
+// WithLib returns a state with st's E, R, S and counter and the library
+// lib.
+func (st *State) WithLib(lib *Library) *State {
+	next := &State{E: st.E, R: st.R, S: st.S, Counter: st.Counter, Lib: lib}
+	next.inherit(st)
+	return next
+}
+
+// inherit gives st the compilations of from, a state its S and R may
+// still equal: the memo is checked against them at every use.
+func (st *State) inherit(from *State) {
+	st.memo.Store(from.memo.Load())
+}
+
+// Program returns a fork of st's persistent program under opts,
+// compiling (S, R) only when st holds no compilation of them under the
+// options that fix the semantics. The first compilation is kept:
+// concurrent callers on one published state compile at most once each
+// and then share it.
+func (st *State) Program(opts engine.Options) (*engine.Program, error) {
+	prog, err := st.compiled(opts)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Fork(opts), nil
+}
+
+// compiled is st's memoised compilation of (S, R) under opts' semantics,
+// never run itself: callers fork it, or read its compiled part.
+func (st *State) compiled(opts engine.Options) (*engine.Program, error) {
+	m := st.memo.Load()
+	if !m.compiles(st) {
+		fresh := &progMemo{s: st.S, r: slices.Clone(st.R)}
+		if st.memo.CompareAndSwap(m, fresh) {
+			m = fresh
+		} else if m = st.memo.Load(); !m.compiles(st) {
+			m = fresh
+		}
+	}
+	slot := &m.progs[semanticsKey(opts)]
+	if prog := slot.Load(); prog != nil {
+		return prog, nil
+	}
+	prog, err := engine.Compile(st.S, st.R, opts)
+	if err != nil {
+		return nil, err
+	}
+	if !slot.CompareAndSwap(nil, prog) {
+		prog = slot.Load()
+	}
+	return prog, nil
 }
 
 // Instance computes the database instance I such that (E, I) ∈ 𝒯(R):
@@ -71,12 +161,12 @@ func (st *State) Derive(opts engine.Options) (_ *engine.FactSet, _ int64, err er
 	return f, counter, err
 }
 
-// run compiles (S, R) and applies it to E, returning R(E), the advanced
-// oid counter and the program, so a caller with a goal to answer queries
-// the program that derived the facts instead of compiling the same pair
-// again. It does not audit R(E).
+// run applies a fork of st's persistent program to E, returning R(E),
+// the advanced oid counter and the fork, so a caller with a goal to
+// answer queries the program that derived the facts. It does not audit
+// R(E).
 func (st *State) run(opts engine.Options) (*engine.FactSet, int64, *engine.Program, error) {
-	prog, err := engine.Compile(st.S, st.R, opts)
+	prog, err := st.Program(opts)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -125,22 +215,35 @@ func declaresNothing(s *types.Schema) bool {
 	return s == nil || (len(s.Names()) == 0 && len(s.IsaEdges()) == 0)
 }
 
-// evolveSchema returns the schema a data-variant application of m, or
-// its footprint analysis, runs under: S itself when m declares nothing,
-// so R_M's run, the persistent program's and the next read's share the
-// schema whose isa steps E is marked closed under (engine.FactSet);
-// else S − S_M for the deleting modes and S ∪ S_M for the others.
+// evolveSchema returns the schema an application of m, or its
+// footprint analysis, runs under: S − S_M for the deleting modes and
+// S ∪ S_M for the others, or S itself when that changes nothing (m
+// declares nothing, or only what S already holds, or, deleting, only
+// what S lacks). So the programs of the application, the new state and
+// the next read share S's compilation and the schema whose isa steps E
+// is marked closed under (engine.FactSet).
 func evolveSchema(s *types.Schema, m *ast.Module, mode ast.Mode) (*types.Schema, error) {
-	switch {
-	case declaresNothing(m.Schema):
+	if declaresNothing(m.Schema) {
 		return s, nil
-	case mode == ast.RDDV || mode == ast.RDDI:
-		return s.Subtract(m.Schema), nil
 	}
-	// RIDV adds S_M(EDB); RADV adds all of S_M. We add all of S_M in
-	// both cases: the paper's S_M(EDB) is the subset describing new EDB
-	// types, and adding unused equations is harmless.
-	return s.Union(m.Schema)
+	var s1 *types.Schema
+	if mode == ast.RDDV || mode == ast.RDDI {
+		s1 = s.Subtract(m.Schema)
+	} else {
+		// RIDV adds S_M(EDB); RADV adds all of S_M. We add all of S_M in
+		// both cases: the paper's S_M(EDB) is the subset describing new
+		// EDB types, and adding unused equations is harmless.
+		var err error
+		if s1, err = s.Union(m.Schema); err != nil {
+			return nil, err
+		}
+	}
+	// Union only adds and Subtract only removes: equal sizes are equal
+	// schemas.
+	if len(s1.Names()) == len(s.Names()) && len(s1.IsaEdges()) == len(s.IsaEdges()) {
+		return s, nil
+	}
+	return s1, nil
 }
 
 // Result is the outcome of a module application: the new database state
@@ -157,10 +260,11 @@ type Result struct {
 	// delta is the extensional delta of an application canDeferValidation
 	// admits, computed once: the audit and the commit both use it.
 	delta *extDelta
-	// prog is the persistent program the application compiled (nil when
-	// it compiled none: a deferred one), and updateFP the footprint of
-	// the update program R_M of a data-variant mode. ApplySnapshot builds
-	// its footprint from them instead of compiling either again.
+	// prog is the persistent program of the new state (a deferred
+	// application's is the unforked compilation, which it never runs),
+	// and updateFP the footprint of the update program R_M of a
+	// data-variant mode. ApplySnapshot builds its footprint from them
+	// instead of compiling either again.
 	prog     *engine.Program
 	updateFP *engine.RuleFootprint
 }
@@ -277,17 +381,16 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 		res.prog = prog
 		return res, res.answer(prog, f, m.Goal)
 	}
-	// R0 ∪ RM over S0 ∪ SM is a program no commit ever audited.
-	work := st.Clone()
-	s1, err := work.S.Union(m.Schema)
+	// R0 ∪ RM over S0 ∪ SM is a program no commit ever audited. The work
+	// state only reads E and the library, so it shares them.
+	s1, err := evolveSchema(st.S, m, ast.RIDI)
 	if err != nil {
 		return nil, err
 	}
 	if err := s1.Validate(); err != nil {
 		return nil, err
 	}
-	work.S = s1
-	work.R = append(work.R, m.Rules...)
+	work := &State{E: st.E, R: append(append([]*ast.Rule{}, st.R...), m.Rules...), S: s1, Counter: st.Counter, Lib: st.Lib}
 	f, _, prog, err := work.derive(opts)
 	if err != nil {
 		return nil, err
@@ -301,17 +404,18 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 // consistent instance or the update is rejected.
 func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*Result, error) {
 	next := st.Clone()
+	mode := ast.RADI
 	if add {
-		s1, err := next.S.Union(m.Schema)
-		if err != nil {
-			return nil, err
-		}
-		next.S = s1
 		next.R = append(next.R, m.Rules...)
 	} else {
-		next.S = next.S.Subtract(m.Schema)
+		mode = ast.RDDI
 		next.R = subtractRules(next.R, m.Rules)
 	}
+	s1, err := evolveSchema(st.S, m, mode)
+	if err != nil {
+		return nil, err
+	}
+	next.S = s1
 	if err := next.S.Validate(); err != nil {
 		return nil, fmt.Errorf("module: rejected, schema invalid: %w", err)
 	}
@@ -334,6 +438,7 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	// untouched), so E0 is not copied; the schema is replaced too, and the
 	// library is copied on write by Register.
 	next := &State{E: st.E, R: append([]*ast.Rule{}, st.R...), S: st.S, Counter: st.Counter, Lib: st.Lib}
+	next.inherit(st)
 	s1, err := evolveSchema(st.S, m, mode)
 	if err != nil {
 		return nil, err
@@ -351,7 +456,7 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		next.R = subtractRules(next.R, m.Rules)
 	}
 
-	prog, err := engine.Compile(s1, m.Rules, opts)
+	prog, err := updateProgram(st, s1, m.Rules, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +491,10 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	// only what the delta changed can be inconsistent.
 	res.delta = diffFacts(st.E, next.E, rf.Writes)
 	if deferValidation {
-		return res, nil
+		// The footprint still reads the persistent program: st's, whose S
+		// and R next shares.
+		res.prog, err = next.compiled(opts)
+		return res, err
 	}
 	d := res.delta
 	f, fcounter, pprog, err := next.run(opts)
@@ -405,6 +513,22 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
 	return res, nil
+}
+
+// updateProgram compiles the update rules R_M of a data-variant
+// application under s1. When s1 is st's own schema — the module declares
+// nothing — the isa steps come compiled from st's persistent program.
+func updateProgram(st *State, s1 *types.Schema, rules []*ast.Rule, opts engine.Options) (*engine.Program, error) {
+	if s1 != st.S {
+		return engine.Compile(s1, rules, opts)
+	}
+	persistent, err := st.compiled(opts)
+	if err != nil {
+		// An R that does not compile fails the application later, where
+		// it derives R(E1).
+		return engine.Compile(s1, rules, opts)
+	}
+	return persistent.CompileOver(rules, opts)
 }
 
 // shieldPanic converts an evaluation panic into a *guard.PanicError so a

@@ -613,10 +613,11 @@ end.
 	}
 }
 
-// A data-variant application whose module declares nothing runs under
-// the state's schema itself, so the update program, the persistent one
-// and the next read share the schema E is marked closed under; one that
-// declares a type equation runs under a new schema.
+// An application whose module declares nothing, or only what S already
+// holds, or, deleting, only what S lacks, runs under the state's schema
+// itself, so the update program, the persistent one and the next read
+// share the schema E is marked closed under; one that declares a new
+// type equation runs under a new schema.
 func TestDataVariantKeepsUndeclaredSchema(t *testing.T) {
 	st := newState(t, footprintSchema)
 	for _, c := range []struct {
@@ -628,6 +629,9 @@ func TestDataVariantKeepsUndeclaredSchema(t *testing.T) {
 		{"rules\n  orders(id: 1).\nend.\n", ast.RDDV, true},
 		{"rules\n  audit(id: X) <- orders(id: X).\nend.\n", ast.RADV, true},
 		{"associations\n  extra = (id: integer);\nrules\n  extra(id: 1).\nend.\n", ast.RADV, false},
+		{"associations\n  extra = (id: integer);\nrules\n  extra(id: 2).\nend.\n", ast.RIDV, true},
+		{"rules\n  <- orders(id: 99).\nend.\n", ast.RADI, true},
+		{"associations\n  absent = (id: integer);\nend.\n", ast.RDDI, true},
 	} {
 		m := parseModule(t, c.src)
 		res, err := Apply(st, m, c.mode, opts())

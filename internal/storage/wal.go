@@ -286,9 +286,7 @@ func applyRecord(st *module.State, rec *WALRecord) (*module.State, error) {
 		if err := lib.Register(m); err != nil {
 			return nil, err
 		}
-		next := *st
-		next.Lib = lib
-		return &next, nil
+		return st.WithLib(lib), nil
 	}
 	return nil, fmt.Errorf("storage: cannot replay wal record type %d", rec.Type)
 }

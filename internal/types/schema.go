@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // DeclKind distinguishes the four kinds of schema declarations.
@@ -65,6 +66,7 @@ type Schema struct {
 
 	// caches, invalidated on mutation
 	effective map[string]Tuple
+	valid     atomic.Bool // Validate passed
 }
 
 // Canon normalizes an identifier: LOGRES names are case-insensitive and the
@@ -79,7 +81,10 @@ func NewSchema() *Schema {
 	return &Schema{decls: map[string]*Decl{}}
 }
 
-func (s *Schema) invalidate() { s.effective = nil }
+func (s *Schema) invalidate() {
+	s.effective = nil
+	s.valid.Store(false)
+}
 
 // normalizeType canonicalizes every name and label inside a descriptor.
 func normalizeType(t Type) Type {

@@ -19,8 +19,20 @@ import (
 //   - labelled isa edges name an actual RHS component;
 //   - function signatures resolve.
 //
-// It returns all problems found, joined.
+// It returns all problems found, joined. A schema that passed is not
+// checked again until a mutation invalidates it.
 func (s *Schema) Validate() error {
+	if s.valid.Load() {
+		return nil
+	}
+	if err := s.validate(); err != nil {
+		return err
+	}
+	s.valid.Store(true)
+	return nil
+}
+
+func (s *Schema) validate() error {
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("types: "+format, args...))

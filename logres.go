@@ -188,12 +188,11 @@ type Database struct {
 	recovery *RecoveryReport
 	// Incremental view maintenance (view.go): with WithIncremental the
 	// maintainer keeps the derived instance materialized across commits
-	// and reads serve from it; maintFP fingerprints the (R, S) pair its
-	// program was compiled from; maintErr poisons the fast path after an
+	// and reads serve from it, over a fork of the published state's
+	// program (maintSynced); maintErr poisons the fast path after an
 	// unrecoverable rebuild (reads fall back to from-scratch).
 	incremental bool
 	maint       *engine.Maintainer
-	maintFP     string
 	maintErr    error
 	// Live subscriptions (view.go): commits fan their exact view diff
 	// out under subMu (always acquired after the write lock, never
@@ -519,9 +518,7 @@ func (db *Database) Register(src string) error {
 	if err := db.walAppendRegister(db.log.Epoch()+1, m); err != nil {
 		return err
 	}
-	next := *db.st
-	next.Lib = lib
-	db.st = &next
+	db.st = db.st.WithLib(lib)
 	db.log.Record(engine.Footprint{})
 	db.maintAfterRegister(db.opts.Tracer)
 	return nil
@@ -553,14 +550,14 @@ func (db *Database) Modules() []string {
 	return db.st.Lib.Names()
 }
 
-// Explain compiles the persistent rules, evaluates the current instance,
-// and renders the program structure (strata, generated constraints,
-// invention) together with the run's statistics — the §5 "design,
-// debugging, and monitoring" tooling.
+// Explain evaluates the current instance with a fork of the persistent
+// program and renders the program structure (strata, generated
+// constraints, invention) together with the run's statistics — the §5
+// "design, debugging, and monitoring" tooling.
 func (db *Database) Explain() (string, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	prog, err := engine.Compile(db.st.S, db.st.R, db.opts)
+	prog, err := db.st.Program(db.opts)
 	if err != nil {
 		return "", err
 	}

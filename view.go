@@ -3,7 +3,6 @@ package logres
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -269,27 +268,14 @@ func maintOptions(opts engine.Options) engine.Options {
 	return opts
 }
 
-// maintFingerprint identifies the (R, S) pair a maintainer's program
-// was compiled from, so commits that only move E propagate as deltas
-// while rule/schema changes rebuild.
-func maintFingerprint(st *module.State) string {
-	var b strings.Builder
-	b.WriteString(st.S.String())
-	b.WriteByte('\n')
-	for _, r := range st.R {
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// maintInit (re)builds the maintenance state from the published state.
-// Callers hold the write lock or are the sole owner (Open/Load).
+// maintInit (re)builds the maintenance state from the published state,
+// over a fork of the state's program. Callers hold the write lock or are
+// the sole owner (Open/Load).
 func (db *Database) maintInit() error {
 	if !db.incremental {
 		return nil
 	}
-	prog, err := engine.Compile(db.st.S, db.st.R, maintOptions(db.opts))
+	prog, err := db.st.Program(maintOptions(db.opts))
 	if err != nil {
 		return err
 	}
@@ -297,8 +283,17 @@ func (db *Database) maintInit() error {
 	if err != nil {
 		return err
 	}
-	db.maint, db.maintFP, db.maintErr = m, maintFingerprint(db.st), nil
+	db.maint, db.maintErr = m, nil
 	return nil
+}
+
+// maintSynced reports whether the maintainer runs the published state's
+// program: a fork of the compilation the state carries. Commits that
+// keep R and S keep that compilation, so they propagate as deltas; rule
+// and schema changes compile afresh and rebuild.
+func (db *Database) maintSynced() bool {
+	prog, err := db.st.Program(maintOptions(db.opts))
+	return err == nil && db.maint.Program().Shares(prog)
 }
 
 // maintRead returns the maintained full derived set and the oid counter
@@ -318,8 +313,7 @@ func (db *Database) maintRead() (*engine.FactSet, int64, bool) {
 // is equivalent to the from-scratch validation Apply would perform.
 // Callers hold the write lock.
 func (db *Database) maintDeferUsable() bool {
-	return db.incremental && db.maint != nil && db.maintErr == nil &&
-		maintFingerprint(db.st) == db.maintFP
+	return db.incremental && db.maint != nil && db.maintErr == nil && db.maintSynced()
 }
 
 // maintValidate audits the maintained full set after a staged update by
@@ -356,7 +350,7 @@ func (db *Database) maintAfterReplace(t Tracer, prev *module.State) {
 		return
 	}
 	epoch := db.log.Epoch()
-	if db.maint != nil && db.maintErr == nil && maintFingerprint(db.st) == db.maintFP {
+	if db.maint != nil && db.maintErr == nil && db.maintSynced() {
 		adds, removes := diffFrozen(prev.E, db.st.E)
 		db.maintPropagate(t, epoch, adds, removes)
 		return
