@@ -112,6 +112,8 @@ type compiled struct {
 
 	strata     [][]*crule
 	stratified bool
+	// reference is hooks.PlanReference as Compile read it.
+	reference bool
 	// plans and prefix are the stratum plans and the maintained
 	// prefix, set once, on first use (see plan).
 	planOnce sync.Once
@@ -171,7 +173,7 @@ func runOptions(opts Options) Options {
 func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, error) {
 	classes := schema.NamesOf(types.DeclClass)
 	sort.Strings(classes)
-	return compileWith(schema, classes, rules, opts, func(first int) ([]*crule, error) {
+	return compileWith(schema, classes, nil, rules, opts, func(first int) ([]*crule, error) {
 		var isa []*crule
 		for i, r := range generateIsaRules(schema) {
 			cr, err := compileRule(schema, r, first+i)
@@ -190,22 +192,40 @@ func Compile(schema *types.Schema, rules []*ast.Rule, opts Options) (*Program, e
 // set run under a schema some program already compiled pays only for
 // its own rules. Rule ids are numbered as Compile numbers them.
 func (p *Program) CompileOver(rules []*ast.Rule, opts Options) (*Program, error) {
-	return compileWith(p.schema, p.classes, rules, opts, func(first int) ([]*crule, error) {
-		var isa []*crule
-		for _, r := range p.rules {
-			if r.isa != nil {
-				cr := *r
-				cr.id = first + len(isa)
-				isa = append(isa, &cr)
-			}
-		}
-		return isa, nil
-	})
+	return compileWith(p.schema, p.classes, nil, rules, opts, p.isaSteps)
 }
 
-// compileWith compiles rules against schema and completes the program
-// with the schema's compiled isa steps, numbered from len(rules) on.
-func compileWith(schema *types.Schema, classes []string, rules []*ast.Rule, opts Options, isaSteps func(first int) ([]*crule, error)) (*Program, error) {
+// Extend is Compile(p.Schema(), R ∪ rules, opts), where R is the rule set
+// p was compiled from: p's compiled rules, denials and isa steps are
+// taken as they are, so only rules are compiled. Rule ids are numbered as
+// Compile numbers them.
+func (p *Program) Extend(rules []*ast.Rule, opts Options) (*Program, error) {
+	var own []*crule
+	for _, r := range p.rules {
+		if r.isa == nil {
+			own = append(own, r)
+		}
+	}
+	return compileWith(p.schema, p.classes, &compiled{rules: own, denials: p.denials}, rules, opts, p.isaSteps)
+}
+
+// isaSteps returns copies of p's compiled isa steps, numbered from first.
+func (p *Program) isaSteps(first int) ([]*crule, error) {
+	var isa []*crule
+	for _, r := range p.rules {
+		if r.isa != nil {
+			cr := *r
+			cr.id = first + len(isa)
+			isa = append(isa, &cr)
+		}
+	}
+	return isa, nil
+}
+
+// compileWith compiles rules against schema after the compiled rules and
+// denials of base, if any, which keep their ids, and completes the
+// program with the schema's compiled isa steps, numbered after them all.
+func compileWith(schema *types.Schema, classes []string, base *compiled, rules []*ast.Rule, opts Options, isaSteps func(first int) ([]*crule, error)) (*Program, error) {
 	if opts.Workers != 0 && opts.Workers != 1 {
 		return nil, fmt.Errorf("engine: Options.Workers = %d: parallel evaluation was removed; only 0 or 1 is accepted", opts.Workers)
 	}
@@ -216,8 +236,14 @@ func compileWith(schema *types.Schema, classes []string, rules []*ast.Rule, opts
 		hooks.Compiled(len(rules))
 	}
 	p := &Program{compiled: &compiled{schema: schema, classes: classes}, opts: runOptions(opts)}
+	first := 0
+	if base != nil {
+		p.rules = append(p.rules, base.rules...)
+		p.denials = append(p.denials, base.denials...)
+		first = len(p.rules) + len(p.denials)
+	}
 	for i, r := range rules {
-		cr, err := compileRule(schema, r, i)
+		cr, err := compileRule(schema, r, first+i)
 		if err != nil {
 			return nil, fmt.Errorf("%v (in rule %s)", err, r)
 		}
@@ -227,7 +253,7 @@ func compileWith(schema *types.Schema, classes []string, rules []*ast.Rule, opts
 			p.rules = append(p.rules, cr)
 		}
 	}
-	isa, err := isaSteps(len(rules))
+	isa, err := isaSteps(first + len(rules))
 	if err != nil {
 		return nil, err
 	}

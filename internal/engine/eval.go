@@ -750,8 +750,10 @@ func (c *evalCtx) applyRules(rules []*crule, dplus, dminus *FactSet) error {
 	return nil
 }
 
-// fixpoint iterates oneStep to convergence.
-func (p *Program) fixpoint(rules []*crule, f *FactSet, counter *int64) (*FactSet, error) {
+// fixpoint iterates oneStep to convergence. With once set, the first
+// step is provably the fixpoint (settlesInOneStep), and no step confirms
+// it.
+func (p *Program) fixpoint(rules []*crule, f *FactSet, counter *int64, once bool) (*FactSet, error) {
 	for step := 0; ; step++ {
 		if err := p.checkRound(step, f.TotalSize, "the inflationary semantics does not guarantee termination"); err != nil {
 			return nil, err
@@ -766,7 +768,7 @@ func (p *Program) fixpoint(rules []*crule, f *FactSet, counter *int64) (*FactSet
 			p.stats.Steps++
 		}
 		p.traceRoundEnd(step, next.TotalSize()-f.TotalSize(), next.TotalSize(), start)
-		if !changed {
+		if !changed || once {
 			return next, nil
 		}
 		f = next
@@ -864,7 +866,7 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 			p.stats.SemiNaiveStrata++
 			f, err = p.semiNaive(sp.rules, f, counter)
 		default:
-			f, err = p.fixpoint(sp.rules, f, counter)
+			f, err = p.fixpoint(sp.rules, f, counter, sp.once)
 		}
 		if err != nil {
 			return nil, err
@@ -873,9 +875,10 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	}
 	// A run over every stratum leaves a result closed under the isa
 	// steps: each holding stratum is an inflationary fixpoint, whose last
-	// step emitted nothing, since an isa emission adds a fact f lacks and
-	// Δ− holds only facts of f; and no later stratum writes a class the
-	// step reads, since a predicate's rules share one stratum.
+	// step emitted nothing, or would have (settlesInOneStep), since an
+	// isa emission adds a fact f lacks and Δ− holds only facts of f; and
+	// no later stratum writes a class the step reads, since a predicate's
+	// rules share one stratum.
 	if from == 0 {
 		f.closed = p.schema
 	}

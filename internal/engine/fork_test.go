@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"logres/internal/hooks"
 	"logres/internal/obs"
 	"logres/internal/parser"
 )
@@ -65,6 +66,9 @@ func TestForkedProgramsRunConcurrently(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats := fresh.LastStats()
+	// Every fork compares its result with want: frozen, it is safe for
+	// concurrent readers, and holds no code-space rows they would decode.
+	want.Freeze()
 
 	shared, err := Compile(schema, rules, DefaultOptions())
 	if err != nil {
@@ -133,5 +137,60 @@ func TestForkedProgramsRunConcurrently(t *testing.T) {
 	}
 	if shared.LastStats() != nil {
 		t.Error("running the forks gave the compiled program statistics of its own")
+	}
+}
+
+// Extend gives the program a fresh Compile of R ∪ rules gives: the same
+// rule ids, strata and plans (Explain), and, run, the same instance and
+// statistics; only the added rules are compiled.
+func TestExtendMatchesCompile(t *testing.T) {
+	schema := schemaOf(t, forkSchema)
+	e := seedEDB(t, schema, forkFacts())
+	e.Freeze()
+	base, err := parser.ParseProgram(forkRules + "<- cyclic(v: 99).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := parser.ParseProgram(`<- tc(src: 99, dst: 99).
+hub(self: H, v: X, degree: 0) <- cyclic(v: X), tc(src: X, dst: 11).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(schema, base, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := 0
+	hooks.Compiled = func(n int) { compiled += n }
+	ext, err := p.Extend(more, DefaultOptions())
+	hooks.Compiled = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled != len(more) {
+		t.Fatalf("Extend compiled %d rules, want %d", compiled, len(more))
+	}
+	fresh, err := Compile(schema, append(base[:len(base):len(base)], more...), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := ext.Explain(), fresh.Explain(); a != b {
+		t.Fatalf("Explain of the extended program:\n%s\nof a fresh compilation:\n%s", a, b)
+	}
+	c1, c2 := int64(0), int64(0)
+	got, err := ext.Run(e, &c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run(e, &c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || c1 != c2 || !reflect.DeepEqual(ext.LastStats(), fresh.LastStats()) {
+		t.Fatalf("the extended program derives %d facts (counter %d), a fresh compilation %d (%d)", got.TotalSize(), c1, want.TotalSize(), c2)
+	}
+	if got.Size("hub") <= 1 {
+		t.Fatalf("the added rule derived no hub object: %d", got.Size("hub"))
 	}
 }

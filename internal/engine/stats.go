@@ -102,6 +102,9 @@ func (p *Program) Explain() string {
 			maint += " (" + sp.maintWhy.String() + ")"
 		}
 		fmt.Fprintf(&b, "  maintenance: %s\n", maint)
+		if sp.once {
+			b.WriteString("  fixpoint: reached by its first step (no rule deletes, enumerates the active domain or reads what the stratum defines)\n")
+		}
 		for _, r := range sp.rules {
 			tag := ""
 			if r.isa != nil {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"logres/internal/ast"
+	"logres/internal/hooks"
 )
 
 // Stratification (§3.1): LOGRES programs stratified with respect to
@@ -20,6 +21,15 @@ import (
 // application (the whole extension must be complete before use), or when
 // the head is a deletion. A program is stratified iff no strict edge lies
 // on a cycle.
+//
+// The components of one level share no edge, so any order of them gives
+// the same result. A level's components that force the one-step
+// operator (forcesRow) form a stratum of their own, after the level's
+// others, which then keep delta iteration: no row-forcing rule makes a
+// whole level step row by row. The others invent nothing, so oid
+// numbering does not move. A level where a rule enumerates the active
+// domain stays one stratum, since that rule reads every predicate's
+// values, its level's included.
 
 type depEdge struct {
 	from, to string
@@ -28,6 +38,7 @@ type depEdge struct {
 
 // computeStrata partitions p.rules into evaluation strata.
 func (p *Program) computeStrata() {
+	p.reference = hooks.PlanReference
 	nodes := map[string]bool{}
 	var edges []depEdge
 	headOf := func(r *crule) string { return r.head.pred }
@@ -104,14 +115,26 @@ func (p *Program) computeStrata() {
 			maxLevel = l
 		}
 	}
-	byLevel := make([][]*crule, maxLevel+1)
+	rowComp, whole := map[int]bool{}, map[int]bool{}
 	for _, r := range p.rules {
-		l := level[comp[headOf(r)]]
-		byLevel[l] = append(byLevel[l], r)
+		c := comp[headOf(r)]
+		rowComp[c] = rowComp[c] || forcesRow(r)
+		whole[level[c]] = whole[level[c]] || p.reference || enumeratesActiveDomain(r)
 	}
-	for _, s := range byLevel {
-		if len(s) > 0 {
-			p.strata = append(p.strata, s)
+	byLevel := make([][2][]*crule, maxLevel+1) // the level's others, then its row-forcing components
+	for _, r := range p.rules {
+		c := comp[headOf(r)]
+		l, part := level[c], 0
+		if rowComp[c] && !whole[l] {
+			part = 1
+		}
+		byLevel[l][part] = append(byLevel[l][part], r)
+	}
+	for _, parts := range byLevel {
+		for _, s := range parts {
+			if len(s) > 0 {
+				p.strata = append(p.strata, s)
+			}
 		}
 	}
 	if len(p.strata) == 0 {

@@ -45,3 +45,10 @@ var IsaFullPass bool
 // compiled, the schema's generated isa rules not counted: tests count
 // how many programs an operation compiles, and over how many rules.
 var Compiled func(rules int)
+
+// PlanReference, set by tests, makes Compile plan every program as a
+// plain stratification does: each level of the dependency graph is one
+// stratum, and a one-step stratum runs the step that confirms its
+// fixpoint even when its first step provably reached it. The reference
+// the split levels and the one-step stops are held to. Compile reads it.
+var PlanReference bool

@@ -96,6 +96,14 @@ func (st *State) WithLib(lib *Library) *State {
 	return next
 }
 
+// seed gives st, which nothing has read yet, prog as its compilation of
+// (S, R) under opts' semantics.
+func (st *State) seed(opts engine.Options, prog *engine.Program) {
+	m := &progMemo{s: st.S, r: slices.Clone(st.R)}
+	m.progs[semanticsKey(opts)].Store(prog)
+	st.memo.Store(m)
+}
+
 // inherit gives st the compilations of from, a state its S and R may
 // still equal: the memo is checked against them at every use.
 func (st *State) inherit(from *State) {
@@ -391,6 +399,18 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 		return nil, err
 	}
 	work := &State{E: st.E, R: append(append([]*ast.Rule{}, st.R...), m.Rules...), S: s1, Counter: st.Counter, Lib: st.Lib}
+	if s1 == st.S {
+		// The module declares nothing: R0 comes compiled from st's
+		// program, and only RM compiles. An R0 that does not compile
+		// fails below, where the work state derives.
+		if persistent, err := st.compiled(opts); err == nil {
+			prog, err := persistent.Extend(m.Rules, opts)
+			if err != nil {
+				return nil, err
+			}
+			work.seed(opts, prog)
+		}
+	}
 	f, _, prog, err := work.derive(opts)
 	if err != nil {
 		return nil, err

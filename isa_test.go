@@ -16,6 +16,15 @@ func withIsaFullPass(fn func()) {
 	fn()
 }
 
+// withPlanReference runs fn with every program it compiles planned as a
+// plain stratification: each level one stratum, each one-step stratum
+// confirming its fixpoint.
+func withPlanReference(fn func()) {
+	hooks.PlanReference = true
+	defer func() { hooks.PlanReference = false }()
+	fn()
+}
+
 // A registrar enrol or drop commit writes one association fact, so no
 // student or instructor object differs from the state it starts from:
 // neither the update program's run nor the persistent program's visits an

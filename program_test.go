@@ -52,6 +52,20 @@ func TestRegistrarCommitCompilesOnlyItsModule(t *testing.T) {
 			}); len(got) != 0 {
 				t.Fatalf("a point query compiled programs over %v rules, want none", got)
 			}
+			// A RIDI report that declares nothing compiles its own rule
+			// over the state's compiled program (its denial, its isa steps).
+			report := "mode ridi.\nrules\n  mark(student: S, code: \"r\", grade: 30) <- student(self: S, name: \"s0001\").\ngoal\n  ?- mark(student: S, code: \"r\", grade: G).\nend.\n"
+			if got := compiles(func() {
+				res, err := db.Exec(report)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Answer == nil || len(res.Answer.Rows) != 1 {
+					t.Fatalf("the report answered %v, want one row", res.Answer)
+				}
+			}); !slices.Equal(got, []int{1}) {
+				t.Fatalf("a one-rule RIDI report compiled programs over %v rules, want [1]", got)
+			}
 
 			n := db.RuleCount()
 			radv := "mode radv.\nrules\n  mark(student: S, code: \"c999\", grade: 30) <- student(self: S, name: \"nobody\").\nend.\n"

@@ -168,6 +168,14 @@ end.
 `}
 }
 
+// closureShapeNoOriginModules is closureShapeModules(n) without the rule
+// that invents ORIGIN objects.
+func closureShapeNoOriginModules(n int) []string {
+	mods := closureShapeModules(n)
+	mods[1] = strings.Replace(mods[1], "  origin(self: S, id: N, rank: 0) <- node(n: N), not unreach(a: 0, b: N).\n", "", 1)
+	return mods
+}
+
 // vecMatrixRun builds the case's database under the options and returns
 // its Save bytes and rendered instance.
 func vecMatrixRun(t *testing.T, c vecMatrixCase, opts []Option) (save, instance string) {
