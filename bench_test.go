@@ -1,225 +1,159 @@
 package logres
 
-// The benchmark harness: one testing.B family per experiment E1–E9, E11
-// and E14 of EXPERIMENTS.md, plus in-process shapes of the gated
-// workloads under benchmark/ (registrar commits, contended concurrent
-// commits, the closure_batch read path, durable serial commits, the
-// monitor_ivm commit kinds), which
-// measure the end-to-end experiments. Run with:
+// The benchmark harness: the engine shapes E3, E5, E9 and E11 of
+// EXPERIMENTS.md, plus in-process shapes of the gated workloads under
+// benchmark/ (registrar commits, contended concurrent commits, the
+// closure_batch read path, durable serial commits, the monitor_ivm
+// commit kinds), which measure the end-to-end experiments. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // The paper (SIGMOD 1990) contains no quantitative tables; these
-// experiments characterize the system the paper describes and the
-// ablations DESIGN.md calls out.
+// experiments characterize the system the paper describes.
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"logres/internal/ast"
-	"logres/internal/bench"
 	"logres/internal/engine"
-	"logres/internal/obs"
+	"logres/internal/module"
+	"logres/internal/parser"
+	"logres/internal/storage"
+	"logres/internal/value"
 )
 
-// E1 — transitive closure: LOGRES naive vs semi-naive, over chains.
-func BenchmarkE1_TC_LogresSemiNaive(b *testing.B) { benchE1Logres(b, true) }
-func BenchmarkE1_TC_LogresNaive(b *testing.B)     { benchE1Logres(b, false) }
-
-func benchE1Logres(b *testing.B, semi bool) {
-	for _, n := range []int{32, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, err := bench.NewLogresTC(bench.Chain(n), semi)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := n * (n + 1) / 2
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want {
-					b.Fatalf("tc = %d, want %d", got, want)
-				}
-			}
-		})
-	}
-}
-
-// E2 — same generation (nonlinear recursion) over balanced trees.
-func BenchmarkE2_SameGeneration(b *testing.B) {
-	for _, depth := range []int{3, 5} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			s, err := bench.NewLogresSG(bench.Tree(2, depth), true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.RunSG(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// E3 — oid invention throughput vs plain derivation.
-func BenchmarkE3_Invention(b *testing.B) {
-	for _, invent := range []bool{true, false} {
-		name := "invent"
-		pred := "item"
-		if !invent {
-			name = "derive"
-			pred = "flat"
+// intFacts returns an extension of pred with one fact per row, the
+// row's integers under labels.
+func intFacts(pred string, labels []string, rows ...[]int) *engine.FactSet {
+	f := engine.NewFactSet()
+	for _, row := range rows {
+		fields := make([]value.Field, len(labels))
+		for i, l := range labels {
+			fields[i] = value.Field{Label: l, Value: value.Int(int64(row[i]))}
 		}
+		f.Add(engine.Fact{Pred: pred, Tuple: value.NewTuple(fields...)})
+	}
+	return f
+}
+
+// benchFixpoint compiles rules against schema under opts and times one
+// evaluation over edb per iteration, failing unless pred ends with want
+// facts.
+func benchFixpoint(b *testing.B, schema, rules string, opts engine.Options, edb *engine.FactSet, pred string, want int) {
+	m, err := parser.ParseModule(schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := parser.ParseProgram(rules)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := engine.Compile(m.Schema, rs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		counter := int64(0)
+		f, err := p.Run(edb, &counter)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := f.Size(pred); got != want {
+			b.Fatalf("%s = %d, want %d", pred, got, want)
+		}
+	}
+}
+
+// E3 — oid invention throughput vs plain derivation: one object (or one
+// flat tuple) per seed fact.
+func BenchmarkE3_Invention(b *testing.B) {
+	const schema = `
+classes ITEM = (k: integer);
+associations
+  SEED = (k: integer);
+  FLAT = (k: integer);
+`
+	for _, c := range []struct{ name, pred, rule string }{
+		{"invent", "item", `item(self: X, k: K) <- seed(k: K).`},
+		{"derive", "flat", `flat(k: K) <- seed(k: K).`},
+	} {
 		for _, n := range []int{100, 1000} {
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				s, err := bench.NewInvention(n, invent)
-				if err != nil {
-					b.Fatal(err)
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				var rows [][]int
+				for i := 0; i < n; i++ {
+					rows = append(rows, []int{i})
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					got, err := s.Run(pred)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got != n {
-						b.Fatalf("%s = %d", pred, got)
-					}
-				}
+				benchFixpoint(b, schema, c.rule, engine.DefaultOptions(), intFacts("seed", []string{"k"}, rows...), c.pred, n)
 			})
 		}
 	}
 }
 
-// E4 — isa-propagation overhead: hierarchy depth sweep.
-func BenchmarkE4_IsaPropagation(b *testing.B) {
-	for _, depth := range []int{0, 2, 4} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			s, leaf, err := bench.NewIsaChain(depth, 200)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run(leaf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != 200 {
-					b.Fatalf("leaf = %d", got)
-				}
-			}
-		})
-	}
-}
-
 // E5 — powerset (Example 3.3): built-in heavy, exponential output.
 func BenchmarkE5_Powerset(b *testing.B) {
+	const schema = `
+domains D = integer;
+associations
+  R = (d: D);
+  POWER = (set: {D});
+`
+	const rules = `
+power(set: X) <- X = {}.
+power(set: X) <- r(d: Y), append({}, Y, X).
+power(set: X) <- power(set: Y), power(set: Z), union(Y, Z, X).
+`
 	for _, d := range []int{4, 6, 8} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			s, err := bench.NewPowerset(d)
-			if err != nil {
-				b.Fatal(err)
+			var rows [][]int
+			for i := 0; i < d; i++ {
+				rows = append(rows, []int{i})
 			}
-			want := 1 << d
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != want {
-					b.Fatalf("power = %d", got)
-				}
-			}
+			benchFixpoint(b, schema, rules, engine.DefaultOptions(), intFacts("r", []string{"d"}, rows...), "power", 1<<d)
 		})
 	}
 }
 
-// E6 — module application modes over the same update.
-func BenchmarkE6_ModuleModes(b *testing.B) {
-	for _, mode := range []ast.Mode{ast.RIDI, ast.RADI, ast.RIDV, ast.RADV} {
-		b.Run(mode.String(), func(b *testing.B) {
-			s, err := bench.NewModeWorkload(200, mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != 200 {
-					b.Fatalf("copyrel = %d", got)
-				}
-			}
-		})
+// snapshotState returns a state with n objects and n−1 association
+// tuples linking them in a chain.
+func snapshotState(b *testing.B, n int) *module.State {
+	m, err := parser.ParseModule(`
+classes ITEM = (k: integer, name: string);
+associations LINKREL = (a: ITEM, b: ITEM);
+`)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// E7 — stratified vs whole-program inflationary negation.
-func BenchmarkE7_Negation(b *testing.B) {
-	for _, strat := range []bool{true, false} {
-		name := "stratified"
-		if !strat {
-			name = "inflationary"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := bench.NewWinLose(bench.Chain(128), strat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.RunPred("unreach"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	st := module.NewState(m.Schema)
+	for i := 1; i <= n; i++ {
+		st.E.Add(engine.Fact{Pred: "item", IsClass: true, OID: value.OID(i), Tuple: value.NewTuple(
+			value.Field{Label: "k", Value: value.Int(int64(i))},
+			value.Field{Label: "name", Value: value.Str(fmt.Sprintf("item-%d", i))},
+		)})
 	}
-}
-
-// E8 — data-function nesting (descendants per person).
-func BenchmarkE8_DataFunctions(b *testing.B) {
-	for _, depth := range []int{4, 6} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			s, err := bench.NewDescendants(bench.Tree(2, depth))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.RunPred("ancestor"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 1; i < n; i++ {
+		st.E.Add(engine.Fact{Pred: "linkrel", Tuple: value.NewTuple(
+			value.Field{Label: "a", Value: value.Ref(value.OID(i))},
+			value.Field{Label: "b", Value: value.Ref(value.OID(i + 1))},
+		)})
 	}
+	st.Counter = int64(n)
+	return st
 }
 
 // E9 — snapshot codec.
 func BenchmarkE9_SnapshotEncode(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, err := bench.NewSnapshot(n)
-			if err != nil {
-				b.Fatal(err)
-			}
+			st := snapshotState(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Encode(); err != nil {
+				if err := storage.SaveState(&bytes.Buffer{}, st); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -230,14 +164,18 @@ func BenchmarkE9_SnapshotEncode(b *testing.B) {
 func BenchmarkE9_SnapshotDecode(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, err := bench.NewSnapshot(n)
-			if err != nil {
+			var buf bytes.Buffer
+			if err := storage.SaveState(&buf, snapshotState(b, n)); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Decode(); err != nil {
+				st, err := storage.LoadState(bytes.NewReader(buf.Bytes()))
+				if err != nil {
 					b.Fatal(err)
+				}
+				if got := st.E.TotalSize(); got != 2*n-1 {
+					b.Fatalf("decoded %d facts, want %d", got, 2*n-1)
 				}
 			}
 		})
@@ -245,63 +183,31 @@ func BenchmarkE9_SnapshotDecode(b *testing.B) {
 }
 
 // E11 — rule semantics: inflationary vs non-inflationary on the same
-// closure workload (§1: rules are parametric in their semantics).
+// closure of a 32-edge chain (§1: rules are parametric in their
+// semantics).
 func BenchmarkE11_Semantics(b *testing.B) {
+	const schema = `
+associations
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+`
+	const rules = `
+tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+`
+	var chain [][]int
+	for i := 0; i < 32; i++ {
+		chain = append(chain, []int{i, i + 1})
+	}
 	for _, nonInf := range []bool{false, true} {
 		name := "inflationary"
 		if nonInf {
 			name = "noninflationary"
 		}
 		b.Run(name, func(b *testing.B) {
-			s, err := bench.NewLogresTCSemantics(bench.Chain(32), nonInf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != 32*33/2 {
-					b.Fatalf("tc = %d", got)
-				}
-			}
-		})
-	}
-}
-
-// E14 — tracer overhead: the same chain closure untraced (the nil-check
-// fast path), under a JSONL tracer writing to io.Discard, and under the
-// metrics adapter. EXPERIMENTS.md records the measured gap; the
-// untraced variant must stay within noise of a build without the
-// tracing hooks at all.
-func BenchmarkE14_TracerOverhead(b *testing.B) {
-	variants := []struct {
-		name   string
-		tracer obs.Tracer
-	}{
-		{"off", nil},
-		{"jsonl", obs.NewJSONL(io.Discard)},
-		{"metrics", obs.NewMetrics().Tracer()},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			s, err := bench.NewLogresTC(bench.Chain(128), true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.Program.SetTracer(v.tracer)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != 128*129/2 {
-					b.Fatalf("tc = %d", got)
-				}
-			}
+			opts := engine.DefaultOptions()
+			opts.NonInflationary = nonInf
+			benchFixpoint(b, schema, rules, opts, intFacts("edge", []string{"src", "dst"}, chain...), "tc", 32*33/2)
 		})
 	}
 }

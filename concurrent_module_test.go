@@ -407,20 +407,18 @@ end.
 	}
 }
 
-// TestApplyCallOptionsRoundsCoupleToMaxSteps covers the MaxRounds →
-// MaxSteps coupling of per-call budgets: the rounds axis lowers the
-// database's round bound (Budget.MaxRounds, else MaxSteps), never raises
-// it.
-func TestApplyCallOptionsRoundsCoupleToMaxSteps(t *testing.T) {
-	// bound is the round bound Compile enforces: Budget.MaxRounds when
-	// armed, else MaxSteps.
+// TestApplyCallOptionsRoundsCoupleToRoundBound covers the rounds axis
+// of per-call budgets: it lowers the database's round bound
+// (Budget.MaxRounds, else engine.DefaultMaxRounds), never raises it.
+func TestApplyCallOptionsRoundsCoupleToRoundBound(t *testing.T) {
+	// bound is the round bound a run enforces.
 	bound := func(o engine.Options) int {
 		if o.Budget.MaxRounds > 0 {
 			return o.Budget.MaxRounds
 		}
-		return o.MaxSteps
+		return engine.DefaultMaxRounds
 	}
-	base := engine.Options{MaxSteps: 10}
+	base := engine.Options{Budget: Budget{MaxRounds: 10}}
 	if got := applyCallOptions(base, []CallOption{WithCallBudget(Budget{MaxRounds: 3})}); bound(got) != 3 {
 		t.Fatalf("stricter rounds did not lower the round bound: %d", bound(got))
 	}
@@ -429,6 +427,9 @@ func TestApplyCallOptionsRoundsCoupleToMaxSteps(t *testing.T) {
 	}
 	if got := applyCallOptions(engine.Options{}, []CallOption{WithCallBudget(Budget{MaxRounds: 7})}); bound(got) != 7 {
 		t.Fatalf("unbounded base did not adopt the rounds bound: %d", bound(got))
+	}
+	if got := applyCallOptions(engine.Options{}, []CallOption{WithCallBudget(Budget{MaxRounds: engine.DefaultMaxRounds + 1})}); bound(got) != engine.DefaultMaxRounds {
+		t.Fatalf("looser rounds widened the default round bound: %d", bound(got))
 	}
 	if got := applyCallOptions(base, nil); bound(got) != 10 {
 		t.Fatalf("no options changed the round bound: %d", bound(got))

@@ -7,8 +7,9 @@
 // iff the values they encode are equal (value equality is Key equality,
 // so interning by Key is exact, not a hash). Kernels operate on code
 // slices and selection vectors; values are decoded back into tuples
-// only where a result leaves code space (the engine does it once per
-// predicate, when something first reads it).
+// only where a result leaves code space (in the engine, a read that
+// fixes an argument decodes only the rows it matches, and only a walk
+// of the predicate decodes all of it).
 //
 // The layout follows the type-structuring idea of deriving flat
 // relational shapes from the declared predicate schema: the engine

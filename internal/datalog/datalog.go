@@ -1,6 +1,6 @@
 // Package datalog is a compact, value-oriented flat Datalog engine kept as
-// the LOGRES engine's independent test oracle: the differential test in
-// internal/bench evaluates random stratified programs on both and
+// the LOGRES engine's independent test oracle: TestDifferentialDatalog
+// in internal/engine evaluates random stratified programs on both and
 // compares the relations. It has positional atoms over flat relations,
 // stratified negation, and naive and semi-naive bottom-up evaluation, and
 // none of LOGRES's object features (no oids, no constructors, no

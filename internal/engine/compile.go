@@ -15,14 +15,10 @@ import (
 
 // Options tunes compilation and evaluation.
 type Options struct {
-	// MaxSteps bounds the number of one-step applications per fixpoint;
-	// the paper's semantics does not guarantee termination (Appendix B),
-	// so runaway programs are reported as errors. 0 means the default.
-	// Budget.MaxRounds, when set, takes precedence.
-	MaxSteps int
 	// Budget bounds evaluation resources (rounds, derived facts,
 	// invented oids, wall-clock); exhausting an axis aborts with a
-	// *BudgetError. The zero value applies only the MaxSteps bound.
+	// *BudgetError. The zero value applies only the DefaultMaxRounds
+	// round bound.
 	Budget Budget
 	// Ctx cancels evaluation between fixpoint rounds; aborts surface as
 	// *CanceledError and leave the caller's state untouched. nil means
@@ -30,11 +26,6 @@ type Options struct {
 	Ctx context.Context
 	// SemiNaive enables delta iteration on eligible strata.
 	SemiNaive bool
-	// Stratify enables perfect-model evaluation (inflationary semantics
-	// within each stratum) for stratified programs; when false, or when
-	// the program is not stratified, the whole program is evaluated under
-	// inflationary semantics as a single block.
-	Stratify bool
 	// NonInflationary selects the non-inflationary semantics (the paper's
 	// §1: rules are parametric in their semantics): derived facts persist
 	// only while re-derivable, the extensional base always persists, and
@@ -60,22 +51,30 @@ type Options struct {
 	// strata over columnar batches (internal/colset): the run's fact set
 	// is dictionary-encoded into per-predicate column batches, rule
 	// bodies run as vectorized select/join/anti-join kernels, the
-	// semi-naive delta stays in code space between rounds, and facts are
-	// decoded once per stratum. A stratum stays on the row engine, which
-	// remains the semantics oracle, when a rule uses a construct with no
-	// columnar counterpart: oid invention, deletion, class or
-	// data-function heads, head or body tuple variables, class atoms,
-	// built-ins, data-function reads, arithmetic, binding comparisons or
+	// semi-naive delta stays in code space between rounds, and a
+	// stratum's derived rows stay there until a read decodes the ones it
+	// needs. A stratum stays on the row engine, which remains the
+	// semantics oracle, when a rule uses a construct with no columnar
+	// counterpart: oid invention, deletion, class or data-function
+	// heads, head or body tuple variables, class atoms, built-ins,
+	// data-function reads, arithmetic, binding comparisons or
 	// active-domain negation. Results are bit-identical either way. The
 	// choice is made once per program (see Program.Explain).
 	Vectorize bool
 }
 
-// DefaultOptions returns the standard evaluation options: stratified,
-// semi-naive, columnar wherever a stratum compiles to the kernels and
-// the row loop everywhere else.
+// DefaultMaxRounds bounds the one-step applications of a fixpoint whose
+// Budget.MaxRounds is 0: the paper's semantics does not guarantee
+// termination (Appendix B), so runaway programs are reported as errors.
+const DefaultMaxRounds = 100000
+
+// DefaultOptions returns the standard evaluation options: semi-naive,
+// columnar wherever a stratum compiles to the kernels and the row loop
+// everywhere else. A stratified program gets its perfect model (the
+// inflationary semantics within each stratum); any other program, the
+// inflationary semantics of the whole program as one block.
 func DefaultOptions() Options {
-	return Options{MaxSteps: 100000, SemiNaive: true, Stratify: true, Vectorize: true}
+	return Options{SemiNaive: true, Vectorize: true}
 }
 
 // Program is a compiled rule set, ready to evaluate: a compiled part,
@@ -101,9 +100,9 @@ type Program struct {
 }
 
 // compiled is what Compile derives from a schema, a rule set and the
-// options that fix the semantics (Stratify, SemiNaive, Vectorize,
-// NonInflationary). A run only reads it; the stratum plans and the
-// footprint are computed on first use, once.
+// options that fix the semantics (SemiNaive, Vectorize, NonInflationary).
+// A run only reads it; the stratum plans and the footprint are computed
+// on first use, once.
 type compiled struct {
 	schema  *types.Schema
 	classes []string // the schema's classes, sorted
@@ -136,34 +135,22 @@ func (p *Program) Stratified() bool { return p.stratified }
 func (p *Program) NumRules() int { return len(p.rules) }
 
 // SetTracer attaches (or, with nil, detaches) an evaluation tracer
-// after compilation. Benchmarks and the REPL's `.trace` toggle use it
-// to compare traced and untraced runs of one compiled program.
+// after compilation: the gated benchmark's per-layer run and tests use
+// it to trace one compiled program.
 func (p *Program) SetTracer(t obs.Tracer) { p.opts.Tracer = t }
 
 // Fork returns a program over p's compiled part with a per-run part of
-// its own: opts' run options (MaxSteps, Budget, Ctx, Tracer) and no
-// statistics yet. The options that fix the semantics stay p's, since the
-// compiled part was built under them. Forks run concurrently with each
-// other and with p.
+// its own: opts' run options (Budget, Ctx, Tracer) and no statistics
+// yet. The options that fix the semantics stay p's, since the compiled
+// part was built under them. Forks run concurrently with each other and
+// with p.
 func (p *Program) Fork(opts Options) *Program {
-	opts.Stratify, opts.SemiNaive = p.opts.Stratify, p.opts.SemiNaive
-	opts.Vectorize, opts.NonInflationary = p.opts.Vectorize, p.opts.NonInflationary
-	return &Program{compiled: p.compiled, opts: runOptions(opts)}
+	opts.SemiNaive, opts.Vectorize, opts.NonInflationary = p.opts.SemiNaive, p.opts.Vectorize, p.opts.NonInflationary
+	return &Program{compiled: p.compiled, opts: opts}
 }
 
 // Shares reports whether p and q are forks of one compilation.
 func (p *Program) Shares(q *Program) bool { return q != nil && p.compiled == q.compiled }
-
-// runOptions fills in the round bound a run needs.
-func runOptions(opts Options) Options {
-	if opts.Budget.MaxRounds > 0 {
-		opts.MaxSteps = opts.Budget.MaxRounds
-	}
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = DefaultOptions().MaxSteps
-	}
-	return opts
-}
 
 // Compile analyses a rule set against a schema: it resolves predicates and
 // labels, orders rule bodies, checks the safety requirements of §3.1 and
@@ -235,7 +222,7 @@ func compileWith(schema *types.Schema, classes []string, base *compiled, rules [
 	if hooks.Compiled != nil {
 		hooks.Compiled(len(rules))
 	}
-	p := &Program{compiled: &compiled{schema: schema, classes: classes}, opts: runOptions(opts)}
+	p := &Program{compiled: &compiled{schema: schema, classes: classes}, opts: opts}
 	first := 0
 	if base != nil {
 		p.rules = append(p.rules, base.rules...)

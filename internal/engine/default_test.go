@@ -365,7 +365,7 @@ c(self: S, v: X) <- e(s: X, d: 0).`,
 			}
 			edb.Freeze()
 			for _, opts := range []Options{DefaultOptions(), rowOracle()} {
-				opts.MaxSteps = 60
+				opts.Budget.MaxRounds = 60
 				p, err := tryBuild(c.schema, c.rules, opts)
 				if err != nil {
 					t.Fatal(err)

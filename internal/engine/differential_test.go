@@ -1,4 +1,4 @@
-package bench
+package engine
 
 import (
 	"fmt"
@@ -7,16 +7,15 @@ import (
 	"testing/quick"
 
 	"logres/internal/datalog"
-	"logres/internal/engine"
 	"logres/internal/parser"
 	"logres/internal/value"
 )
 
 // Differential testing against an independent oracle: random flat
-// Datalog programs with stratified negation, evaluated by the LOGRES
-// engine (columnar defaults and the row executor) and by the flat
-// Datalog reference in internal/datalog, which shares no code with the
-// engine, must produce identical relations.
+// Datalog programs with stratified negation, evaluated by the engine
+// (columnar defaults and the row executor) and by the flat Datalog
+// reference in internal/datalog, which shares no code with the engine,
+// must produce identical relations.
 
 // genProgram returns a random program over binary relations r0..r2 and
 // two IDB predicates p0, p1 with 2–5 rules. p0 rules never mention p1,
@@ -96,12 +95,10 @@ associations
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowOpts := engine.DefaultOptions()
-	rowOpts.Vectorize = false
 	executors := []struct {
 		name string
-		opts engine.Options
-	}{{"defaults", engine.DefaultOptions()}, {"row", rowOpts}}
+		opts Options
+	}{{"defaults", DefaultOptions()}, {"row", rowOracle()}}
 
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -138,15 +135,15 @@ associations
 		}
 		dOut := dp.EvalSemiNaive(ddb)
 
-		edb := engine.NewFactSet()
+		edb := NewFactSet()
 		for _, f := range facts {
-			edb.Add(engine.Fact{Pred: fmt.Sprintf("r%d", f[0]), Tuple: value.NewTuple(
+			edb.Add(Fact{Pred: fmt.Sprintf("r%d", f[0]), Tuple: value.NewTuple(
 				value.Field{Label: "a", Value: value.Int(int64(f[1]))},
 				value.Field{Label: "b", Value: value.Int(int64(f[2]))},
 			)})
 		}
 		for _, ex := range executors {
-			eng, err := engine.Compile(m.Schema, rules, ex.opts)
+			eng, err := Compile(m.Schema, rules, ex.opts)
 			if err != nil {
 				t.Fatalf("%s: engine compile: %v\n%s", ex.name, err, src)
 			}

@@ -132,11 +132,11 @@ parent(par: "b", chil: "e").
 anc(anc: X, des: Y) <- parent(par: X, chil: Y).
 anc(anc: X, des: Z) <- anc(anc: X, des: Y), parent(par: Y, chil: Z).
 `
-	pNaive, err := tryBuild(parentSchema, rules, Options{MaxSteps: 1000, SemiNaive: false, Stratify: true})
+	pNaive, err := tryBuild(parentSchema, rules, Options{SemiNaive: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSemi, err := tryBuild(parentSchema, rules, Options{MaxSteps: 1000, SemiNaive: true, Stratify: true})
+	pSemi, err := tryBuild(parentSchema, rules, Options{SemiNaive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestMaxStepsGuard(t *testing.T) {
 	// A rule that grows forever: n(v: X+1) <- n(v: X).
 	p, err := tryBuild(`associations N = (v: integer);`,
 		`n(v: 0). n(v: Y) <- n(v: X), Y = X + 1.`,
-		Options{MaxSteps: 50, SemiNaive: false, Stratify: true})
+		Options{SemiNaive: false, Budget: Budget{MaxRounds: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // Budget bounds an evaluation along four axes: fixpoint rounds, facts
 // derived beyond the initial extension, invented oids, and wall-clock
-// time. The zero value imposes only the Options.MaxSteps round bound.
+// time. The zero value imposes only the DefaultMaxRounds round bound.
 type Budget = guard.Budget
 
 // BudgetError reports that an evaluation exhausted one budget axis,
@@ -108,6 +108,15 @@ func (p *Program) invented() int {
 	return 0
 }
 
+// maxRounds is the run's round bound: Budget.MaxRounds when set, else
+// DefaultMaxRounds.
+func (p *Program) maxRounds() int {
+	if m := p.opts.Budget.MaxRounds; m > 0 {
+		return m
+	}
+	return DefaultMaxRounds
+}
+
 // checkRound enforces the guard between fixpoint rounds: the rounds
 // bound always, the cancellation/deadline/fact/oid axes only when a
 // context or budget is armed — one extra branch per round on the serial
@@ -116,8 +125,8 @@ func (p *Program) invented() int {
 // axis.
 func (p *Program) checkRound(round int, total func() int, detail string) error {
 	g := p.curGuard()
-	if round >= p.opts.MaxSteps {
-		return g.RoundsExceeded(round, p.opts.MaxSteps, total(), p.invented(), detail)
+	if max := p.maxRounds(); round >= max {
+		return g.RoundsExceeded(round, max, total(), p.invented(), detail)
 	}
 	if !g.Active() {
 		return nil

@@ -276,7 +276,7 @@ func TestIsaPassMatchesFullPass(t *testing.T) {
 	// both legs abort at the round bound, with no result to mark.
 	t.Run("deletion oscillating", func(t *testing.T) {
 		opts := DefaultOptions()
-		opts.MaxSteps = 50
+		opts.Budget.MaxRounds = 50
 		p := compileOn(t, s, `hide(name: "s2").
 			not person(self: X) <- student(self: X, name: N), hide(name: N).`, opts)
 		if _, _, err := runIsaLegs(t, p, f0); err == nil || !strings.Contains(err.Error(), "no fixpoint") {

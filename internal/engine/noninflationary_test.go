@@ -51,14 +51,15 @@ parent(par: "c", chil: "d").
 }
 
 func TestNoninfDropsNonRederivableFacts(t *testing.T) {
-	// Derived facts persist only while re-derivable: a derived fact whose
-	// premise is gone from E is not part of the non-inflationary
-	// instance, while the inflationary instance keeps it once derived
-	// (here it never had the premise, so both agree) — the interesting
-	// case is a fact derivable in early steps only. `once` is derivable
-	// at step 1 from seed; `blocker` then kills the derivation; under
-	// inflationary semantics `once` survives, under non-inflationary it
-	// vanishes at the fixpoint.
+	// Derived facts persist only while re-derivable: the inflationary
+	// instance keeps a fact once derived, the non-inflationary instance
+	// drops it when its premise is gone — the interesting case is a fact
+	// derivable in early steps only. `once` and `blocker` are both
+	// derivable at step 1 from seed; `blocker` then kills the derivation
+	// of `once`. once and blocker negate each other, so the program is
+	// not stratified and the defaults evaluate it whole under the
+	// inflationary semantics: `once` survives there, and under
+	// non-inflationary semantics it vanishes at the fixpoint.
 	schemaSrc := `
 associations
   SEED = (k: integer);
@@ -67,24 +68,25 @@ associations
 `
 	rulesSrc := `
 once(k: X) <- seed(k: X), not blocker(k: X).
-blocker(k: X) <- seed(k: X).
+blocker(k: X) <- seed(k: X), not once(k: 0).
 `
 	schema := schemaOf(t, schemaSrc)
 	edb := seedEDB(t, schema, `seed(k: 1).`)
 
-	optsInf := DefaultOptions()
-	optsInf.Stratify = false // force whole-program evaluation for parity
-	pInf, err := tryBuild(schemaSrc, rulesSrc, optsInf)
+	pInf, err := tryBuild(schemaSrc, rulesSrc, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pInf.Stratified() {
+		t.Fatal("once and blocker negate each other, yet the program is stratified")
 	}
 	c1 := int64(0)
 	fInf, err := pInf.Run(edb, &c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fInf.Size("once") != 1 {
-		t.Fatalf("inflationary once = %d, want 1 (kept once derived)", fInf.Size("once"))
+	if fInf.Size("once") != 1 || fInf.Size("blocker") != 1 {
+		t.Fatalf("inflationary once = %d, blocker = %d, want 1, 1 (kept once derived)", fInf.Size("once"), fInf.Size("blocker"))
 	}
 
 	pNon, err := tryBuild(schemaSrc, rulesSrc, noninfOpts())
@@ -115,7 +117,7 @@ associations
 	schema := schemaOf(t, schemaSrc)
 	edb := seedEDB(t, schema, `seed(k: 1).`)
 	opts := noninfOpts()
-	opts.MaxSteps = 100
+	opts.Budget.MaxRounds = 100
 	p, err := tryBuild(schemaSrc, `flip(k: X) <- seed(k: X), not flip(k: X).`, opts)
 	if err != nil {
 		t.Fatal(err)

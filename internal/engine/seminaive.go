@@ -5,9 +5,10 @@ import "fmt"
 // Semi-naive evaluation. Inside a stratum where delta iteration is sound
 // (semiNaiveSound), each round only joins derivations that use at least
 // one fact discovered in the previous round. This is the optimization
-// the ALGRES closure operator enables in the paper's prototype;
-// experiment E1 quantifies the gap against naive iteration. The
-// incremental maintainer runs the same delta pass.
+// the ALGRES closure operator enables in the paper's prototype; the
+// naive loop stays as the reference it is checked against
+// (TestSemiNaiveEqualsNaiveProperty). The incremental maintainer runs
+// the same delta pass.
 
 // semiNaive runs delta iteration over one stratum, growing cur in place:
 // cur is the run's private copy of E (runGuarded cloned it).

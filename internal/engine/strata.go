@@ -72,7 +72,7 @@ func (p *Program) computeStrata() {
 			break
 		}
 	}
-	if !p.stratified || !p.opts.Stratify {
+	if !p.stratified {
 		p.strata = [][]*crule{append([]*crule{}, p.rules...)}
 		return
 	}

@@ -196,14 +196,8 @@ func (p *Program) traceBudget(round, total int) {
 	}
 	b := g.Budget()
 	stratum := g.Stratum()
-	if max := p.opts.MaxSteps; b.MaxRounds > 0 || max > 0 {
-		limit := int64(max)
-		if b.MaxRounds > 0 {
-			limit = int64(b.MaxRounds)
-		}
-		p.emit(obs.Event{Kind: obs.KindBudget, Stratum: stratum, Round: round,
-			Axis: string(guard.AxisRounds), Count: round + 1, Limit: limit})
-	}
+	p.emit(obs.Event{Kind: obs.KindBudget, Stratum: stratum, Round: round,
+		Axis: string(guard.AxisRounds), Count: round + 1, Limit: int64(p.maxRounds())})
 	if b.MaxFacts > 0 {
 		p.emit(obs.Event{Kind: obs.KindBudget, Stratum: stratum, Round: round,
 			Axis: string(guard.AxisFacts), Count: g.Derived(total), Limit: int64(b.MaxFacts)})

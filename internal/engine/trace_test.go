@@ -77,7 +77,7 @@ func canonicalTrace(t *testing.T, opts Options) string {
 // setting the deprecated Workers/Shards options to their one accepted
 // value must not change it.
 func TestTraceDeterminismAcrossConfigs(t *testing.T) {
-	base := Options{MaxSteps: 10000, SemiNaive: true, Stratify: true}
+	base := Options{SemiNaive: true}
 	want := canonicalTrace(t, base)
 	if want == "" {
 		t.Fatal("trace is empty")
@@ -107,7 +107,7 @@ func TestTraceDeterminismAcrossConfigs(t *testing.T) {
 func TestDeltaCurveDeterministic(t *testing.T) {
 	run := func(vectorize bool) []RoundDelta {
 		p, err := tryBuild(edgeSchema, closureRules,
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Vectorize: vectorize})
+			Options{SemiNaive: true, Vectorize: vectorize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestInRoundFactBudgetTrip(t *testing.T) {
 	for _, vectorize := range []bool{false, true} {
 		t.Run(fmt.Sprintf("workers=1/vectorize=%v", vectorize), func(t *testing.T) {
 			ct := &collectTracer{}
-			opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Vectorize: vectorize,
+			opts := Options{SemiNaive: true, Vectorize: vectorize,
 				Workers: 1, Budget: Budget{MaxFacts: 50}, Tracer: ct}
 			p, err := tryBuild(edgeSchema, crossRules, opts)
 			if err != nil {
@@ -203,8 +203,7 @@ func TestInRoundCancellation(t *testing.T) {
 				cancel()
 			}
 		})
-		opts := Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true,
-			Vectorize: vectorize, Tracer: canceler}
+		opts := Options{SemiNaive: true, Vectorize: vectorize, Tracer: canceler}
 		p, err := tryBuild(edgeSchema, crossRules, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +236,7 @@ func (f tracerFunc) Event(ev obs.Event) { f(ev) }
 // the aborted stratum.
 func TestExplainWorkersAndAbortAttribution(t *testing.T) {
 	p, err := tryBuild(edgeSchema, closureRules,
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Workers: 1, Shards: 1})
+		Options{SemiNaive: true, Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestExplainWorkersAndAbortAttribution(t *testing.T) {
 	}
 
 	pa, err := tryBuild(countingSchema, countingRules,
-		Options{MaxSteps: 1 << 30, SemiNaive: true, Stratify: true, Budget: Budget{MaxFacts: 10}})
+		Options{SemiNaive: true, Budget: Budget{MaxFacts: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,9 @@ package engine
 // round. Every columnar stratum of one run encodes into the run's one
 // dictionary (vecRun), and at its fixpoint a stratum hands each head
 // over to the fact set in code space (FactSet.setCoded): a later
-// columnar stratum binds that batch as it is, and the rows are decoded
-// into facts only when something reads the predicate. A stratum whose
+// columnar stratum binds that batch as it is, a read that fixes an
+// argument decodes only the rows it matches, and only a walk of the
+// predicate decodes all of them (see FactSet). A stratum whose
 // rules use a construct with no exact columnar counterpart stays on the
 // row engine, the semantics oracle (see compileVecRule); results,
 // Stats.Firings and the deterministic trace stream are identical to it.
@@ -450,8 +451,8 @@ func (ev *vecEval) advance() int {
 }
 
 // handOff gives cur each head's derived rows in code space, past the
-// rows bind encoded from cur; they are decoded only when something reads
-// the predicate.
+// rows bind encoded from cur: a read that fixes an argument decodes only
+// the rows it matches, a walk of the predicate decodes them all.
 func (ev *vecEval) handOff(cur *FactSet) {
 	for _, hp := range ev.vs.heads {
 		pr := &ev.rows[hp.id]

@@ -111,7 +111,7 @@ func TestVectorizedMatrixDifferential(t *testing.T) {
 // engine while the closure stratum stays columnar.
 func TestVectorizedFallbackIsPerStratum(t *testing.T) {
 	p, err := tryBuild(vecSchema, vecPrograms["fallback-mix"],
-		Options{MaxSteps: 10000, SemiNaive: true, Stratify: true, Vectorize: true})
+		Options{SemiNaive: true, Vectorize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,7 @@ func TestVectorizedTraceDeterministic(t *testing.T) {
 	stream := func() string {
 		var buf bytes.Buffer
 		p, err := tryBuild(vecSchema, vecPrograms["negation"],
-			Options{MaxSteps: 10000, SemiNaive: true, Stratify: true,
-				Vectorize: true, Tracer: obs.NewCanonicalJSONL(&buf)})
+			Options{SemiNaive: true, Vectorize: true, Tracer: obs.NewCanonicalJSONL(&buf)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +168,7 @@ func TestVectorizedEmptyBodyRule(t *testing.T) {
 	p, err := tryBuild(vecSchema, `
 hub(a: 5).
 loop(a: X) <- hub(a: X).
-`, Options{MaxSteps: 100, SemiNaive: true, Stratify: true, Vectorize: true})
+`, Options{SemiNaive: true, Vectorize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

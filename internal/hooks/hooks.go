@@ -41,9 +41,10 @@ func Fault(point string) error {
 var IsaFullPass bool
 
 // Compiled, when non-nil, runs at every compilation of a rule set
-// (engine.Compile, Program.CompileOver) with the number of rules
-// compiled, the schema's generated isa rules not counted: tests count
-// how many programs an operation compiles, and over how many rules.
+// (engine.Compile, Program.CompileOver, Program.Extend) with the number
+// of rules compiled, the schema's generated isa rules (and, for Extend,
+// the rules taken as they are) not counted: tests count how many
+// programs an operation compiles, and over how many rules.
 var Compiled func(rules int)
 
 // PlanReference, set by tests, makes Compile plan every program as a

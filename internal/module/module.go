@@ -45,13 +45,13 @@ type State struct {
 type progMemo struct {
 	s     *types.Schema
 	r     []*ast.Rule // the rule pointers, copied
-	progs [1 << 4]atomic.Pointer[engine.Program]
+	progs [1 << 3]atomic.Pointer[engine.Program]
 }
 
 // semanticsKey indexes progMemo.progs by the options Compile fixes.
 func semanticsKey(opts engine.Options) int {
 	k := 0
-	for i, on := range [...]bool{opts.Stratify, opts.SemiNaive, opts.Vectorize, opts.NonInflationary} {
+	for i, on := range [...]bool{opts.SemiNaive, opts.Vectorize, opts.NonInflationary} {
 		if on {
 			k |= 1 << i
 		}

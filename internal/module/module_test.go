@@ -536,7 +536,7 @@ rules
 end.
 `)
 	boundedOpts := opts()
-	boundedOpts.MaxSteps = 200
+	boundedOpts.Budget.MaxRounds = 200
 	_, err := Apply(st, mod, ast.RIDV, boundedOpts)
 	if err == nil || !strings.Contains(err.Error(), "fixpoint") {
 		t.Fatalf("superclass-only deletion accepted: %v", err)

@@ -202,9 +202,8 @@ func TestPerCallBudgetCannotWiden(t *testing.T) {
 		t.Fatalf("axis = %q limit = %d, want facts/30", be.Axis, be.Limit)
 	}
 
-	// A looser rounds axis must not widen the MaxSteps round bound,
-	// which applies when the database budget leaves rounds unarmed.
-	db.opts.MaxSteps = 10
+	// A looser rounds axis must not widen the database's round bound.
+	db.opts.Budget.MaxRounds = 10
 	_, err = db.Exec(divergentModule, WithCallBudget(Budget{MaxRounds: 20}))
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v (%T), want *BudgetError", err, err)

@@ -279,11 +279,11 @@ end.
 	if err == nil || !strings.Contains(err.Error(), "no fixpoint within 5 rounds") {
 		t.Fatalf("rounds budget ignored: %v", err)
 	}
-	// MaxSteps exhaustion is a budget abort like any other: the typed
+	// Round-bound exhaustion is a budget abort like any other: the typed
 	// error carries the axis and the round it tripped at.
 	var be *BudgetError
 	if !errors.As(err, &be) {
-		t.Fatalf("MaxSteps overflow is not a *BudgetError: %v", err)
+		t.Fatalf("round-bound overflow is not a *BudgetError: %v", err)
 	}
 	if be.Axis != AxisRounds || be.Limit != 5 {
 		t.Fatalf("BudgetError = %+v, want rounds axis with limit 5", be)

@@ -194,8 +194,8 @@ func WithCallProfile(dst *Profile) CallOption {
 
 // applyCallOptions folds per-call options into a copy of the engine
 // options. The database's round bound is Budget.MaxRounds when set,
-// else MaxSteps, and an armed Budget.MaxRounds overrides MaxSteps at
-// compile time; so a call's rounds axis counts only below that bound.
+// else engine.DefaultMaxRounds; a call's rounds axis counts only below
+// that bound.
 func applyCallOptions(opts engine.Options, cos []CallOption) engine.Options {
 	if len(cos) == 0 {
 		return opts
@@ -206,9 +206,9 @@ func applyCallOptions(opts engine.Options, cos []CallOption) engine.Options {
 	}
 	bound := opts.Budget.MaxRounds
 	if bound == 0 {
-		bound = opts.MaxSteps
+		bound = engine.DefaultMaxRounds
 	}
-	if bound > 0 && c.budget.MaxRounds >= bound {
+	if c.budget.MaxRounds >= bound {
 		c.budget.MaxRounds = 0
 	}
 	opts.Budget = opts.Budget.Tighten(c.budget)
