@@ -14,7 +14,7 @@ var raceEnabled bool
 const allocsToolchain = "go1.24"
 
 // One enrol/drop commit of BenchmarkRegistrarEnrolDrop (registrar_http's
-// preload, ExecConcurrent) allocates at most maxAllocs. Publishing the new
+// preload, Exec) allocates at most maxAllocs. Publishing the new
 // E builds no index; the label indexes the commit probed were kept up to
 // date by its writes. Building every bucket at publish cost about 3 400
 // allocations per commit. 257 measured, plus about 9 %: the commit

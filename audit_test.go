@@ -7,6 +7,7 @@ import (
 
 	"logres/internal/ast"
 	"logres/internal/engine"
+	"logres/internal/hooks"
 	"logres/internal/module"
 	"logres/internal/parser"
 	"logres/internal/value"
@@ -14,8 +15,8 @@ import (
 
 // The delta audit of a data-variant commit against the full audit it
 // replaces: on a class-bearing schema with a persistent rule and a
-// denial, every commit — accepted or rejected, through Apply or
-// ApplyConcurrent, on scratch and incremental databases — must decide as
+// denial, every commit — accepted or rejected, through the optimistic or
+// the locked attempt, on scratch and incremental databases — must decide as
 // State.Instance decides on the resulting state, with the same error
 // text, and every accepted state must pass the full audit.
 
@@ -159,12 +160,12 @@ end.
 						t.Fatalf("the full audit says %v; the case expects accept=%v", want, c.accept)
 					}
 
+					// concurrent=false takes the locked attempt (the retry
+					// budget's last), concurrent=true the optimistic one.
 					var p Profile
-					if concurrent {
-						_, err = db.ApplyConcurrent(m, RIDV, WithCallProfile(&p))
-					} else {
-						_, err = db.Apply(m, RIDV, WithCallProfile(&p))
-					}
+					hooks.LockedApply.Store(!concurrent)
+					_, err = db.Apply(m, RIDV, WithCallProfile(&p))
+					hooks.LockedApply.Store(false)
 					if want != nil {
 						if err == nil || err.Error() != "module: rejected: "+want.Error() {
 							t.Fatalf("got %v\nwant module: rejected: %v", err, want)

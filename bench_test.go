@@ -2,8 +2,8 @@ package logres
 
 // The benchmark harness: the engine shapes E3, E5, E9 and E11 of
 // EXPERIMENTS.md, plus in-process shapes of the gated workloads under
-// benchmark/ (registrar commits, contended concurrent commits, the
-// closure_batch read path, durable serial commits, the monitor_ivm
+// benchmark/ (registrar commits, contended commits, the closure_batch
+// read path, durable one-at-a-time commits, the monitor_ivm
 // commit kinds), which measure the end-to-end experiments. Run with:
 //
 //	go test -bench=. -benchmem
@@ -295,7 +295,7 @@ end.
 }
 
 // BenchmarkRegistrarEnrolCommit is one enrolment commit through
-// ExecConcurrent against the registrar preload on a scratch database:
+// Exec against the registrar preload on a scratch database:
 // the write path of the gated benchmark's registrar_http workload
 // without HTTP — apply, derive, audit the delta, commit.
 func BenchmarkRegistrarEnrolCommit(b *testing.B) {
@@ -303,7 +303,7 @@ func BenchmarkRegistrarEnrolCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.ExecConcurrent("mode ridv.\nrules\n" + registrarEnrol(i%300, (i/300+1)%15) + "end.\n"); err != nil {
+		if _, err := db.Exec("mode ridv.\nrules\n" + registrarEnrol(i%300, (i/300+1)%15) + "end.\n"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func registrarEnrolDrop(tb testing.TB, db *Database, i int) {
 	if i%2 == 1 {
 		rule = "  not " + strings.TrimPrefix(rule, "  ")
 	}
-	if _, err := db.ExecConcurrent("mode ridv.\nrules\n" + rule + "end.\n"); err != nil {
+	if _, err := db.Exec("mode ridv.\nrules\n" + rule + "end.\n"); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -386,11 +386,12 @@ func freshEnrolment(b *testing.B, e *engine.FactSet) engine.Fact {
 	return engine.Fact{}
 }
 
-// BenchmarkExecConcurrentContended runs one-fact ExecConcurrent modules
-// from two goroutines over 8 shared predicates (64 values each, so the
-// state stops growing) and reports the conflict retries per module. Any error fails it: under contention the retry
-// budget's locked last attempt must land every module.
-func BenchmarkExecConcurrentContended(b *testing.B) {
+// BenchmarkExecContended runs one-fact Exec modules from two goroutines
+// over 8 shared predicates (64 values each, so the state stops growing)
+// and reports the conflict retries per module. Any error fails it: under
+// contention the retry budget's locked last attempt must land every
+// module.
+func BenchmarkExecContended(b *testing.B) {
 	const preds = 8
 	var schema strings.Builder
 	schema.WriteString("associations\n")
@@ -412,7 +413,7 @@ func BenchmarkExecConcurrentContended(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
-				if _, err := db.ExecConcurrent(fmt.Sprintf("mode ridv.\nrules\n  c%d(x: %d).\nend.\n", i%preds, i%64)); err != nil {
+				if _, err := db.Exec(fmt.Sprintf("mode ridv.\nrules\n  c%d(x: %d).\nend.\n", i%preds, i%64)); err != nil {
 					errs <- err
 					return
 				}
@@ -480,12 +481,12 @@ func benchmarkGoals(b *testing.B, modules, goals []string) {
 	}
 }
 
-// BenchmarkSerialExecDurable is one-fact serial Exec commits on a
+// BenchmarkSerialExecDurable is one-fact Exec commits, one at a time, on a
 // durable database (FsyncOff, compaction disabled) over a fixed 200-fact
 // preload: each RIDV insert is followed by the RDDV delete of the same
 // fact, so every commit changes the state and the state stays the
-// preload. It reports the WAL bytes each commit appends: a serial
-// data-variant commit logs its fact delta, not the whole state.
+// preload. It reports the WAL bytes each commit appends: a data-variant
+// commit logs its fact delta, not the whole state.
 func BenchmarkSerialExecDurable(b *testing.B) {
 	db, _, err := OpenDurable(durableSchema, Durability{Dir: b.TempDir(), Fsync: FsyncOff, CompactEvery: -1})
 	if err != nil {

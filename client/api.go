@@ -116,11 +116,12 @@ type ListResponse struct {
 	Databases []string `json:"databases"`
 }
 
-// ExecRequest applies a module under POST /v1/db/{name}/exec. The
-// default path is the optimistic concurrent one
-// (ExecConcurrentContext): evaluation runs against a snapshot outside
-// the write lock and commits via footprint validation, so requests
-// touching disjoint predicates proceed in parallel.
+// ExecRequest applies a module under POST /v1/db/{name}/exec
+// (logres ApplyContext): evaluation runs against a snapshot outside the
+// write lock and commits via footprint validation, so requests touching
+// disjoint predicates proceed in parallel. A conflict retries on the
+// server up to the retry bound; only a request with MaxRetries < 0 (or
+// a database opened with retries disabled) gets a 409.
 type ExecRequest struct {
 	// Module is the LOGRES module source.
 	Module string `json:"module"`
@@ -128,10 +129,6 @@ type ExecRequest struct {
 	// ("RIDI" … "RDDV", case-insensitive); empty honours the
 	// declaration.
 	Mode string `json:"mode,omitempty"`
-	// Serial selects the write-locked serial path instead of the
-	// optimistic one: no 409s, but applications serialize for their
-	// whole evaluation and the commit records a universal footprint.
-	Serial bool `json:"serial,omitempty"`
 	// MaxRetries overrides the database's conflict retry bound for this
 	// request only: 0 = inherit, negative = fail on the first conflict.
 	MaxRetries int `json:"max_retries,omitempty"`

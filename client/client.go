@@ -42,8 +42,10 @@ func WithHTTPClient(hc *http.Client) Option {
 // sleeping a capped exponential backoff between submissions. The
 // server already retries internally up to its own budget; this knob is
 // the second line for workloads that prefer eventual success over a
-// surfaced conflict. n <= 0 disables client-side retries (the
-// default).
+// surfaced conflict. The server's retry budget ends in a locked attempt
+// that cannot conflict, so a 409 reaches the client only from a request
+// or database with retries disabled (max_retries < 0). n <= 0 disables
+// client-side retries (the default).
 func WithConflictRetries(n int) Option {
 	return func(c *Client) { c.conflictRetries = n }
 }
@@ -143,17 +145,15 @@ func (c *Client) Info(ctx context.Context, name string) (*DBInfo, error) {
 	return &info, nil
 }
 
-// Exec applies a module through the optimistic concurrent path with
-// the module's declared mode, honouring the client's conflict-retry
-// knob.
+// Exec applies a module with the module's declared mode, honouring the
+// client's conflict-retry knob.
 func (c *Client) Exec(ctx context.Context, name, module string) (*ExecResponse, error) {
 	return c.ExecRequest(ctx, name, ExecRequest{Module: module})
 }
 
 // ExecRequest applies a module with full request control (mode
-// override, serial path, per-request retry bound). 409 responses are
-// re-submitted per WithConflictRetries unless req.Serial is set (the
-// serial path cannot conflict).
+// override, per-request retry bound). 409 responses are re-submitted
+// per WithConflictRetries.
 func (c *Client) ExecRequest(ctx context.Context, name string, req ExecRequest) (*ExecResponse, error) {
 	url := c.dbURL(name) + "/exec"
 	for attempt := 0; ; attempt++ {
@@ -163,7 +163,7 @@ func (c *Client) ExecRequest(ctx context.Context, name string, req ExecRequest) 
 			return &resp, nil
 		}
 		apiErr, ok := err.(*APIError)
-		if !ok || !apiErr.IsConflict() || req.Serial || attempt >= c.conflictRetries {
+		if !ok || !apiErr.IsConflict() || attempt >= c.conflictRetries {
 			return nil, err
 		}
 		if err := sleepCtx(ctx, c.backoff(attempt)); err != nil {

@@ -45,15 +45,6 @@ func TestExecRetriesOn409(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Fatalf("calls = %d, want 2", calls.Load())
 	}
-
-	// Serial requests never retry: the serial path cannot conflict, so
-	// a 409 would mean something else entirely.
-	calls.Store(0)
-	c = New(ts.URL, WithConflictRetries(5))
-	_, err = c.ExecRequest(context.Background(), "db", ExecRequest{Module: "mode ridv.\nend.\n", Serial: true})
-	if !errors.As(err, &apiErr) || calls.Load() != 1 {
-		t.Fatalf("serial retried: err = %v, calls = %d", err, calls.Load())
-	}
 }
 
 // TestClientBackoffClamped mirrors the server-side regression: huge

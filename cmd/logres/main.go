@@ -58,7 +58,6 @@ type config struct {
 	goal        string
 	dump        bool
 	interactive bool
-	concurrent  bool
 	maxRetries  int
 	budget      logres.Budget
 	trace       string
@@ -81,8 +80,7 @@ func main() {
 	flag.StringVar(&cfg.trace, "trace", "", `trace destination: JSONL file, "-" (stderr), or "text:PATH"`)
 	flag.IntVar(&cfg.flight, "flight", 0, "flight-recorder size; dumps the last n events to stderr on abort (0 = off)")
 	flag.StringVar(&cfg.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	flag.BoolVar(&cfg.concurrent, "concurrent", false, "apply modules optimistically (snapshot + footprint validation + retry)")
-	flag.IntVar(&cfg.maxRetries, "max-retries", 0, "conflict retry bound for -concurrent (0 = default, negative = no retries)")
+	flag.IntVar(&cfg.maxRetries, "max-retries", 0, "conflict retry bound per module (0 = default, negative = no retries)")
 	flag.BoolVar(&cfg.interactive, "i", false, "start an interactive REPL after applying the modules")
 	flag.Parse()
 	cfg.moduleFiles = flag.Args()
@@ -167,11 +165,7 @@ func run(ctx context.Context, cfg config) error {
 		if err != nil {
 			return err
 		}
-		exec := db.ExecContext
-		if cfg.concurrent {
-			exec = db.ExecConcurrentContext
-		}
-		res, err := exec(ctx, string(src))
+		res, err := db.ExecContext(ctx, string(src))
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -60,9 +61,9 @@ end.
 	}
 }
 
-// -concurrent routes module files through the optimistic apply path; the
-// end state matches what the serial path would have produced.
-func TestRunConcurrentFlag(t *testing.T) {
+// -max-retries reaches the database that applies the module files: the
+// fail-fast bound and a positive one both apply and save them.
+func TestRunMaxRetriesFlag(t *testing.T) {
 	dir := t.TempDir()
 	schema := writeFile(t, dir, "schema.lgr", testSchema)
 	load := writeFile(t, dir, "load.lgr", `
@@ -71,23 +72,25 @@ rules
   parent(par: "a", chil: "b").
 end.
 `)
-	snap := filepath.Join(dir, "snap.bin")
-	cfg := config{schemaPath: schema, savePath: snap, concurrent: true, maxRetries: 3,
-		goal: `?- parent(par: X, chil: Y).`, moduleFiles: []string{load}}
-	if err := run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	db, err := logres.Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db.EDBCount("parent"); got != 1 {
-		t.Fatalf("parent count = %d", got)
+	for _, retries := range []int{-1, 3} {
+		snap := filepath.Join(dir, fmt.Sprintf("snap%d.bin", retries))
+		cfg := config{schemaPath: schema, savePath: snap, maxRetries: retries,
+			goal: `?- parent(par: X, chil: Y).`, moduleFiles: []string{load}}
+		if err := run(context.Background(), cfg); err != nil {
+			t.Fatalf("-max-retries %d: %v", retries, err)
+		}
+		f, err := os.Open(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := logres.Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := db.EDBCount("parent"); got != 1 {
+			t.Fatalf("-max-retries %d: parent count = %d", retries, got)
+		}
 	}
 }
 
@@ -211,43 +214,6 @@ func TestREPLSession(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("REPL output missing %q:\n%s", want, got)
 		}
-	}
-}
-
-// .concurrent on switches module application to the optimistic path; the
-// module still applies and the toggle reports both transitions.
-func TestREPLConcurrentToggle(t *testing.T) {
-	db, err := logres.Open(testSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := strings.Join([]string{
-		".concurrent on",
-		"mode ridv.",
-		"rules",
-		`  parent(par: "c", chil: "d").`,
-		"end.",
-		".concurrent off",
-		".concurrent maybe", // usage error
-		".quit",
-	}, "\n") + "\n"
-	var out bytes.Buffer
-	if err := repl(db, strings.NewReader(input), &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"concurrent application on",
-		"applied (RIDV)",
-		"concurrent application off",
-		"usage: .concurrent on|off",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("REPL output missing %q:\n%s", want, got)
-		}
-	}
-	if got := db.EDBCount("parent"); got != 1 {
-		t.Fatalf("parent count = %d", got)
 	}
 }
 

@@ -25,8 +25,6 @@ import (
 //	.register <module…end.>    register the next module instead of applying
 //	.save FILE / .load FILE    snapshot I/O
 //	.trace on|off              toggle a human-readable evaluation trace
-//	.concurrent on|off         apply modules optimistically (snapshot +
-//	                           footprint validation + conflict retry)
 //	.metrics                   print the metrics registry (Prometheus text)
 //	.help / .quit
 func repl(db *logres.Database, in io.Reader, out io.Writer) error {
@@ -40,7 +38,6 @@ func repl(db *logres.Database, in io.Reader, out io.Writer) error {
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	registering := false
-	concurrent := false
 	prompt := func() {
 		if buf.Len() == 0 {
 			fmt.Fprint(out, "logres> ")
@@ -54,7 +51,7 @@ func repl(db *logres.Database, in io.Reader, out io.Writer) error {
 		trimmed := strings.TrimSpace(line)
 		switch {
 		case buf.Len() == 0 && strings.HasPrefix(trimmed, "."):
-			if done := replCommand(db, trimmed, out, &registering, &concurrent, sig); done {
+			if done := replCommand(db, trimmed, out, &registering, sig); done {
 				return nil
 			}
 			prompt()
@@ -93,11 +90,7 @@ func repl(db *logres.Database, in io.Reader, out io.Writer) error {
 				var res *logres.Result
 				err := withInterrupt(sig, func(ctx context.Context) error {
 					var err error
-					if concurrent {
-						res, err = db.ExecConcurrentContext(ctx, src)
-					} else {
-						res, err = db.ExecContext(ctx, src)
-					}
+					res, err = db.ExecContext(ctx, src)
 					return err
 				})
 				if err != nil {
@@ -150,7 +143,7 @@ func printEvalError(out io.Writer, err error) {
 
 // replCommand executes a dot command; it reports whether the REPL should
 // exit.
-func replCommand(db *logres.Database, cmd string, out io.Writer, registering, concurrent *bool, sig <-chan os.Signal) bool {
+func replCommand(db *logres.Database, cmd string, out io.Writer, registering *bool, sig <-chan os.Signal) bool {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case ".quit", ".exit":
@@ -158,18 +151,7 @@ func replCommand(db *logres.Database, cmd string, out io.Writer, registering, co
 	case ".help":
 		fmt.Fprintln(out, "commands: ?- goal.   <module…end.>   .dump .schema .explain .modules")
 		fmt.Fprintln(out, "          .call NAME .register .save FILE .load FILE")
-		fmt.Fprintln(out, "          .trace on|off .concurrent on|off .metrics .quit")
-	case ".concurrent":
-		switch {
-		case len(fields) == 2 && fields[1] == "on":
-			*concurrent = true
-			fmt.Fprintln(out, "concurrent application on (optimistic commit with conflict retry)")
-		case len(fields) == 2 && fields[1] == "off":
-			*concurrent = false
-			fmt.Fprintln(out, "concurrent application off")
-		default:
-			fmt.Fprintln(out, "usage: .concurrent on|off")
-		}
+		fmt.Fprintln(out, "          .trace on|off .metrics .quit")
 	case ".trace":
 		switch {
 		case len(fields) == 2 && fields[1] == "on":

@@ -10,15 +10,15 @@ import (
 	"logres/internal/hooks"
 	"logres/internal/module"
 	"logres/internal/obs"
-	"logres/internal/parser"
 )
 
-// Optimistic concurrent module application (DESIGN.md §9). Serial
-// Exec/Apply hold the write lock for the whole evaluation; concurrent
-// application holds it only for a short commit critical section:
+// Module application (DESIGN.md §9). Exec, Apply and Call run one
+// optimistic protocol, which holds the write lock only for a short
+// commit critical section:
 //
 //  1. snapshot — read-lock just long enough to capture the published
-//     (frozen) state and the commit-log epoch;
+//     (frozen) state and the commit-log epoch (a Call also looks its
+//     module up in that state's library);
 //  2. apply — run the module against the snapshot outside any lock,
 //     recording its read/write predicate footprint (static analysis of
 //     the compiled rules, narrowed/widened by the runtime delta);
@@ -29,8 +29,7 @@ import (
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot. The retry budget's last attempt runs steps
 //     1–3 under the write lock, so it cannot conflict and commits like
-//     any other (a delta with its own footprint). A serial
-//     Exec/Apply/Call is that attempt, run first. With retries disabled
+//     any other (a delta with its own footprint). With retries disabled
 //     the first conflict surfaces a *ConflictError naming both
 //     footprints.
 //
@@ -39,10 +38,10 @@ import (
 // retries, producing a state bit-identical to some serial application
 // order.
 
-// DefaultMaxRetries is the retry bound of ApplyConcurrent when neither
-// WithMaxRetries nor a per-call Budget.MaxRetries sets one: up to 8
-// optimistic attempts conflict and retry, and the 9th runs under the
-// write lock.
+// DefaultMaxRetries is the retry bound of a module application when
+// neither WithMaxRetries nor a per-call Budget.MaxRetries sets one: up
+// to 8 optimistic attempts conflict and retry, and the 9th runs under
+// the write lock.
 const DefaultMaxRetries = 8
 
 // Backoff schedule for conflict retries: capped exponential, starting
@@ -53,52 +52,48 @@ const (
 	retryMaxBackoff  = 10 * time.Millisecond
 )
 
-// WithMaxRetries bounds the commit retries of every concurrent
-// application (Budget.MaxRetries). n > 0 sets the bound: after n
-// conflicts the application retries once more under the write lock,
-// where it cannot conflict. n == 0 restores DefaultMaxRetries, n < 0
-// disables retries entirely — the first conflict surfaces the
-// *ConflictError.
+// WithMaxRetries bounds the commit retries of every module application
+// (Budget.MaxRetries). n > 0 sets the bound: after n conflicts the
+// application retries once more under the write lock, where it cannot
+// conflict. n == 0 restores DefaultMaxRetries, n < 0 disables retries
+// entirely — the first conflict surfaces the *ConflictError.
 func WithMaxRetries(n int) Option {
 	return func(db *Database) { db.opts.Budget.MaxRetries = n }
 }
 
-// ExecConcurrent parses and applies a module like Exec, but
-// optimistically: evaluation runs against a snapshot outside the write
-// lock and commits via footprint validation, so applications touching
-// disjoint predicates proceed in parallel. See ApplyConcurrent for the
-// protocol and failure mode.
+// ExecConcurrent is Exec.
+//
+// Deprecated: use Exec, which is the optimistic protocol.
 func (db *Database) ExecConcurrent(src string, options ...CallOption) (*Result, error) {
-	return db.ExecConcurrentContext(db.ctx(), src, options...)
+	return db.Exec(src, options...)
 }
 
-// ExecConcurrentContext is ExecConcurrent under an explicit context.
-func (db *Database) ExecConcurrentContext(ctx context.Context, src string, options ...CallOption) (*Result, error) {
-	m, err := parser.ParseModule(src)
-	if err != nil {
-		return nil, err
+// target is what an application applies: a parsed module under an
+// explicit mode, or, when name is set, the module registered under name
+// with its declared mode, which each attempt looks up in the library of
+// the state it evaluates against.
+type target struct {
+	m    *Module
+	mode Mode
+	name string
+}
+
+// resolve looks a named target up in st's library.
+func (t *target) resolve(st *module.State) error {
+	if t.name == "" {
+		return nil
 	}
-	return db.ApplyConcurrentContext(ctx, m, m.Mode, options...)
+	m, err := st.Lib.Lookup(t.name)
+	if err != nil {
+		return err
+	}
+	t.m, t.mode = m, m.Mode
+	return nil
 }
 
-// ApplyConcurrent applies a parsed module with optimistic concurrency
-// control: snapshot, evaluate outside the lock, validate the read/write
-// footprint against commits since the snapshot, merge the delta under a
-// short critical section. Conflicts retry with capped exponential
-// backoff up to the retry budget (WithMaxRetries / Budget.MaxRetries,
-// default DefaultMaxRetries), whose last attempt evaluates and commits
-// under the write lock; with retries disabled a conflict returns a
-// *ConflictError carrying both footprints. All other failure modes
-// (rejection, budget, cancellation, panic) are identical to Apply, and
-// the database state is untouched on any error.
-func (db *Database) ApplyConcurrent(m *Module, mode Mode, options ...CallOption) (*Result, error) {
-	return db.ApplyConcurrentContext(db.ctx(), m, mode, options...)
-}
-
-// ApplyConcurrentContext is ApplyConcurrent under an explicit context;
-// cancellation aborts evaluation between rounds and backoff sleeps
-// immediately, surfacing a *CanceledError.
-func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode Mode, options ...CallOption) (*Result, error) {
+// apply runs the application protocol described at the top of this
+// file for Exec, Apply and Call.
+func (db *Database) apply(ctx context.Context, t target, options []CallOption) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -131,16 +126,12 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 		var theirs Footprint
 		var ok bool
 		var err error
-		if maxRetries > 0 && attempt == maxRetries {
+		if maxRetries > 0 && attempt == maxRetries || hooks.LockedApply.Load() {
 			// The budget's last attempt cannot lose: a waiter's window
 			// spans its wait for the write lock, which the running
 			// committer can keep re-taking, so under steady contention
 			// every optimistic attempt may conflict.
-			sr, path, err = func() (*module.SnapshotResult, string, error) {
-				db.mu.Lock()
-				defer db.mu.Unlock()
-				return db.applyLocked(opts, m, mode)
-			}()
+			sr, path, err = db.applyLocked(opts, &t)
 			ok = true
 		} else {
 			// Snapshot: the published state is frozen and never mutated
@@ -153,7 +144,10 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 			deferOK := db.maintDeferUsable()
 			db.mu.RUnlock()
 
-			if sr, err = applySnapshot(st, deferOK, m, mode, opts); err != nil {
+			if err = t.resolve(st); err != nil {
+				return nil, err
+			}
+			if sr, err = applySnapshot(st, deferOK, t.m, t.mode, opts); err != nil {
 				return nil, err
 			}
 			if hook := hooks.ConcurrentPreCommit; hook != nil {
@@ -169,10 +163,10 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 		}
 		if ok {
 			if tracer != nil {
-				tracer.Event(obs.Event{Kind: obs.KindModuleCommit, Pred: m.Name,
+				tracer.Event(obs.Event{Kind: obs.KindModuleCommit, Pred: t.m.Name,
 					Round: attempt, Count: len(sr.Adds) + len(sr.Removes), Detail: path})
 			}
-			return &Result{Answer: sr.Res.Answer, Mode: mode}, nil
+			return &Result{Answer: sr.Res.Answer, Mode: t.mode}, nil
 		}
 
 		if tracer != nil {
@@ -198,7 +192,7 @@ func (db *Database) ApplyConcurrentContext(ctx context.Context, m *Module, mode 
 			// Round is the attempt whose conflict triggered this backoff —
 			// the same index the preceding KindModuleConflict carries, so a
 			// conflict/retry pair diffs as one attempt in a trace.
-			tracer.Event(obs.Event{Kind: obs.KindModuleRetry, Pred: m.Name,
+			tracer.Event(obs.Event{Kind: obs.KindModuleRetry, Pred: t.m.Name,
 				Round: attempt, Duration: backoff})
 		}
 		timer := time.NewTimer(backoff)
@@ -242,14 +236,18 @@ func applySnapshot(st *module.State, deferOK bool, m *Module, mode Mode, opts en
 }
 
 // applyLocked is an attempt that holds the write lock from snapshot to
-// commit — every serial application, and the retry budget's last
-// concurrent attempt. Nothing commits between them, so validation passes
-// and the commit is logged exactly as an optimistic one: a delta with
-// the attempt's own footprint, or a replacement. The caller holds the
-// write lock. The ConcurrentPreCommit test hook does not run: it may
+// commit: the retry budget's last attempt. Nothing commits between
+// them, so validation passes and the commit is logged exactly as an
+// optimistic one: a delta with the attempt's own footprint, or a
+// replacement. The ConcurrentPreCommit test hook does not run: it may
 // commit, which would deadlock here.
-func (db *Database) applyLocked(opts engine.Options, m *Module, mode Mode) (*module.SnapshotResult, string, error) {
-	sr, err := applySnapshot(db.st, db.maintDeferUsable(), m, mode, opts)
+func (db *Database) applyLocked(opts engine.Options, t *target) (*module.SnapshotResult, string, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if err := t.resolve(db.st); err != nil {
+		return nil, "", err
+	}
+	sr, err := applySnapshot(db.st, db.maintDeferUsable(), t.m, t.mode, opts)
 	if err != nil {
 		return nil, "", err
 	}
@@ -258,10 +256,13 @@ func (db *Database) applyLocked(opts engine.Options, m *Module, mode Mode) (*mod
 }
 
 // tryCommit is the commit critical section of an optimistic attempt:
-// commitLocked under the write lock.
+// commitLocked under the write lock. A read-only attempt installs
+// nothing, so it takes no lock.
 func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (path, pred string, theirs Footprint, ok bool, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	if !sr.ReadOnly {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+	}
 	return db.commitLocked(opts, epoch, sr)
 }
 

@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"logres/internal/engine"
 	"logres/internal/hooks"
@@ -59,8 +61,7 @@ func saveBytes(t *testing.T, db *Database) []byte {
 }
 
 // serialState opens a fresh database on the row oracle and applies the
-// modules in order with the plain (write-locked) path, returning the
-// Save snapshot.
+// modules one after the other, returning the Save snapshot.
 func serialState(t *testing.T, mods ...string) []byte {
 	t.Helper()
 	db, err := Open(concurrentSchema, rowOracle()...)
@@ -76,8 +77,8 @@ func serialState(t *testing.T, mods ...string) []byte {
 }
 
 // concurrentState opens a fresh database and applies the two modules from
-// two goroutines via the optimistic path, returning the Save snapshot and
-// the metrics registry for conflict accounting.
+// two goroutines, returning the Save snapshot and the metrics registry
+// for conflict accounting.
 func concurrentState(t *testing.T, opts []Option, a, b string) ([]byte, *Metrics) {
 	t.Helper()
 	m := NewMetrics()
@@ -91,7 +92,7 @@ func concurrentState(t *testing.T, opts []Option, a, b string) ([]byte, *Metrics
 		wg.Add(1)
 		go func(src string) {
 			defer wg.Done()
-			if _, err := db.ExecConcurrent(src); err != nil {
+			if _, err := db.Exec(src); err != nil {
 				errs <- err
 			}
 		}(src)
@@ -170,9 +171,22 @@ func TestConcurrentConflictingSerializes(t *testing.T) {
 // Conflict and retry mechanics.
 // ---------------------------------------------------------------------------
 
+// execLocked applies src as the retry budget's last attempt does: under
+// the write lock from snapshot to commit (hooks.LockedApply). A test's
+// ConcurrentPreCommit hook commits its competing writes this way, so
+// they cannot conflict and do not re-enter the hook.
+func execLocked(t *testing.T, db *Database, src string) {
+	t.Helper()
+	hooks.LockedApply.Store(true)
+	defer hooks.LockedApply.Store(false)
+	if _, err := db.Exec(src); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestConflictRetrySucceeds forces exactly one conflict by committing a
-// serial write to the predicate the application writes in the first
-// attempt's validation window, then lets the retry land.
+// write to the predicate the application writes in the first attempt's
+// validation window, then lets the retry land.
 func TestConflictRetrySucceeds(t *testing.T) {
 	m := NewMetrics()
 	db, err := Open(concurrentSchema, WithMetrics(m))
@@ -181,18 +195,12 @@ func TestConflictRetrySucceeds(t *testing.T) {
 	}
 	hooks.ConcurrentPreCommit = func(attempt int) {
 		if attempt == 0 {
-			if _, err := db.Exec(`
-mode ridv.
-rules p1(x: 99).
-end.
-`); err != nil {
-				t.Error(err)
-			}
+			execLocked(t, db, "mode ridv.\nrules p1(x: 99).\nend.\n")
 		}
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	if _, err := db.ExecConcurrent(`
+	if _, err := db.Exec(`
 mode ridv.
 rules p1(x: 1).
 end.
@@ -200,7 +208,7 @@ end.
 		t.Fatalf("retry did not recover: %v", err)
 	}
 	if n := db.EDBCount("p1"); n != 2 {
-		t.Fatalf("p1 count = %d, want the serial write and the retried one", n)
+		t.Fatalf("p1 count = %d, want the competing write and the retried one", n)
 	}
 	if n := m.Counter("logres_module_conflicts_total").Value(); n != 1 {
 		t.Fatalf("conflicts = %d, want 1", n)
@@ -208,14 +216,15 @@ end.
 	if n := m.Counter("logres_module_retries_total").Value(); n != 1 {
 		t.Fatalf("retries = %d, want 1", n)
 	}
-	if n := m.Counter("logres_module_commits_total").Value(); n != 1 {
-		t.Fatalf("commits = %d, want 1", n)
+	if n := m.Counter("logres_module_commits_total").Value(); n != 2 {
+		t.Fatalf("commits = %d, want 2 (the competing write and the retried one)", n)
 	}
 }
 
-// TestDisjointSerialWriteDoesNotConflict: a serial write records its real
-// write set, so one landing in an optimistic attempt's validation window
-// on a predicate the attempt neither reads nor writes costs no conflict.
+// TestDisjointSerialWriteDoesNotConflict: a write committed under the
+// write lock (the retry budget's last attempt) records its real write
+// set, so one landing in an optimistic attempt's validation window on a
+// predicate the attempt neither reads nor writes costs no conflict.
 func TestDisjointSerialWriteDoesNotConflict(t *testing.T) {
 	m := NewMetrics()
 	db, err := Open(concurrentSchema, WithMetrics(m))
@@ -223,13 +232,11 @@ func TestDisjointSerialWriteDoesNotConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooks.ConcurrentPreCommit = func(int) {
-		if _, err := db.Exec("mode ridv.\nrules p0(x: 99).\nend.\n"); err != nil {
-			t.Error(err)
-		}
+		execLocked(t, db, "mode ridv.\nrules p0(x: 99).\nend.\n")
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	if _, err := db.ExecConcurrent("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
+	if _, err := db.Exec("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.Counter("logres_module_conflicts_total").Value(); n != 0 {
@@ -240,25 +247,75 @@ func TestDisjointSerialWriteDoesNotConflict(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustionReturnsConflictError disables retries and checks the
-// typed error carries both footprints.
+// TestExecEvaluatesOutsideWriteLock: Exec holds no lock between its
+// snapshot and its commit. While one Exec is parked in that window, a
+// disjoint Exec from another goroutine commits, and then both land.
+func TestExecEvaluatesOutsideWriteLock(t *testing.T) {
+	db, err := Open(concurrentSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	hooks.ConcurrentPreCommit = func(int) {
+		if first.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	}
+	defer func() { hooks.ConcurrentPreCommit = nil }()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Exec("mode ridv.\nrules p0(x: 1).\nend.\n")
+		done <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("Exec committed (err = %v) without reaching the window between evaluation and commit", err)
+	}
+	other := make(chan error, 1)
+	go func() {
+		_, err := db.Exec("mode ridv.\nrules p1(x: 2).\nend.\n")
+		other <- err
+	}()
+	select {
+	case err := <-other:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a disjoint Exec waited for the parked one")
+		close(release)
+		<-other
+		<-done
+		return
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if db.EDBCount("p0") != 1 || db.EDBCount("p1") != 1 {
+		t.Fatalf("p0/p1 = %d/%d, want 1/1", db.EDBCount("p0"), db.EDBCount("p1"))
+	}
+}
+
+// TestRetryExhaustionReturnsConflictError disables retries and checks
+// that a plain Exec losing its validation returns the typed error,
+// carrying both footprints, and leaves the state untouched (with the
+// default budget, TestConflictRetrySucceeds, the same Exec commits).
 func TestRetryExhaustionReturnsConflictError(t *testing.T) {
 	db, err := Open(concurrentSchema, WithMaxRetries(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	hooks.ConcurrentPreCommit = func(int) {
-		if _, err := db.Exec(`
-mode ridv.
-rules p1(x: 99).
-end.
-`); err != nil {
-			t.Error(err)
-		}
+		execLocked(t, db, "mode ridv.\nrules p1(x: 99).\nend.\n")
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	_, err = db.ExecConcurrent(`
+	_, err = db.Exec(`
 mode ridv.
 rules p1(x: 1).
 end.
@@ -267,9 +324,8 @@ end.
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *ConflictError", err)
 	}
-	// The serial competitor records its real write set, so the conflict
-	// names the predicate both wrote and the error renders both
-	// footprints.
+	// The competitor records its real write set, so the conflict names
+	// the predicate both wrote and the error renders both footprints.
 	if ce.Pred != "p1" {
 		t.Fatalf("conflict pred = %q", ce.Pred)
 	}
@@ -299,17 +355,11 @@ func TestFlightRecorderDumpsOnRetryExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooks.ConcurrentPreCommit = func(int) {
-		if _, err := db.Exec(`
-mode ridv.
-rules p1(x: 99).
-end.
-`); err != nil {
-			t.Error(err)
-		}
+		execLocked(t, db, "mode ridv.\nrules p1(x: 99).\nend.\n")
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	_, err = db.ExecConcurrent(`
+	_, err = db.Exec(`
 mode ridv.
 rules p1(x: 1).
 end.
@@ -339,18 +389,12 @@ func TestCanceledBackoffReturnsCanceledError(t *testing.T) {
 	defer cancel()
 	hooks.ConcurrentPreCommit = func(int) {
 		// Force a conflict, then cancel: the retry backoff must notice.
-		if _, err := db.Exec(`
-mode ridv.
-rules p1(x: 99).
-end.
-`); err != nil {
-			t.Error(err)
-		}
+		execLocked(t, db, "mode ridv.\nrules p1(x: 99).\nend.\n")
 		cancel()
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	_, err = db.ExecConcurrentContext(ctx, `
+	_, err = db.ExecContext(ctx, `
 mode ridv.
 rules p1(x: 1).
 end.
@@ -361,25 +405,19 @@ end.
 	}
 }
 
-// TestCommitEpochAdvances: every state-changing commit (serial or
-// concurrent) bumps the epoch; reads do not.
+// TestCommitEpochAdvances: every state-changing commit (locked or
+// optimistic) bumps the epoch; reads do not.
 func TestCommitEpochAdvances(t *testing.T) {
 	db, err := Open(concurrentSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e0 := db.CommitEpoch()
-	if _, err := db.Exec(`
-mode ridv.
-rules p0(x: 1).
-end.
-`); err != nil {
-		t.Fatal(err)
-	}
+	execLocked(t, db, "mode ridv.\nrules p0(x: 1).\nend.\n")
 	if db.CommitEpoch() != e0+1 {
-		t.Fatalf("serial commit epoch = %d, want %d", db.CommitEpoch(), e0+1)
+		t.Fatalf("locked commit epoch = %d, want %d", db.CommitEpoch(), e0+1)
 	}
-	if _, err := db.ExecConcurrent(`
+	if _, err := db.Exec(`
 mode ridv.
 rules p1(x: 1).
 end.
@@ -387,12 +425,12 @@ end.
 		t.Fatal(err)
 	}
 	if db.CommitEpoch() != e0+2 {
-		t.Fatalf("concurrent commit epoch = %d, want %d", db.CommitEpoch(), e0+2)
+		t.Fatalf("optimistic commit epoch = %d, want %d", db.CommitEpoch(), e0+2)
 	}
 	if _, err := db.Query(`?- p0(x: X).`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecConcurrent(`
+	if _, err := db.Exec(`
 goal
   ?- p0(x: X).
 end.

@@ -87,18 +87,16 @@ func TestConflictRetryRoundNumbersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force conflicts on the first two attempts (a serial write to the
-	// predicate the application writes); the third commits.
+	// Force conflicts on the first two attempts (a write to the predicate
+	// the application writes); the third commits.
 	hooks.ConcurrentPreCommit = func(attempt int) {
 		if attempt < 2 {
-			if _, err := db.Exec("mode ridv.\nrules p1(x: 1" + string(rune('0'+attempt)) + ").\nend.\n"); err != nil {
-				t.Error(err)
-			}
+			execLocked(t, db, "mode ridv.\nrules p1(x: 1"+string(rune('0'+attempt))+").\nend.\n")
 		}
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	if _, err := db.ExecConcurrent("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
+	if _, err := db.Exec("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
 		t.Fatalf("retries did not recover: %v", err)
 	}
 
@@ -150,21 +148,20 @@ func TestLastRetryCommitsUnderLock(t *testing.T) {
 			}
 			hooks.ConcurrentPreCommit = func(attempt int) {
 				// The same predicate the application writes.
-				if _, err := db.Exec(durableMod("q1", 100+attempt)); err != nil {
-					t.Error(err)
-				}
+				execLocked(t, db, durableMod("q1", 100+attempt))
 			}
 			defer func() { hooks.ConcurrentPreCommit = nil }()
 
-			if _, err := db.ExecConcurrent(durableMod("q1", 1)); err != nil {
-				t.Fatalf("ExecConcurrent with a positive budget failed: %v", err)
+			if _, err := db.Exec(durableMod("q1", 1)); err != nil {
+				t.Fatalf("Exec with a positive budget failed: %v", err)
 			}
 			if n := len(rec.byKind(obs.KindModuleRetry)); n != budget {
 				t.Fatalf("retry events = %d, want %d", n, budget)
 			}
+			// One commit per competing write, then the application's.
 			commits := rec.byKind(obs.KindModuleCommit)
-			if len(commits) != 1 || commits[0].Round != budget || commits[0].Detail != "fast" {
-				t.Fatalf("commit events = %+v, want one fast commit at attempt %d", commits, budget)
+			if last := commits[len(commits)-1]; len(commits) != budget+1 || last.Round != budget || last.Detail != "fast" {
+				t.Fatalf("commit events = %+v, want %d competing commits, then a fast one at attempt %d", commits, budget, budget)
 			}
 			if got := db.EDBCount("q1"); got != budget+1 {
 				t.Fatalf("q1 holds %d facts, want %d", got, budget+1)
@@ -207,13 +204,11 @@ func TestRetryBackoffSleepsMonotonically(t *testing.T) {
 		// Conflict on every optimistic attempt (the same predicate the
 		// application writes); the locked last attempt runs no hook and
 		// commits.
-		if _, err := db.Exec("mode ridv.\nrules p1(x: 7).\nend.\n"); err != nil {
-			t.Error(err)
-		}
+		execLocked(t, db, "mode ridv.\nrules p1(x: 7).\nend.\n")
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
-	if _, err := db.ExecConcurrent("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
+	if _, err := db.Exec("mode ridv.\nrules p1(x: 1).\nend.\n"); err != nil {
 		t.Fatalf("the budget's locked last attempt failed: %v", err)
 	}
 	retries := rec.byKind(obs.KindModuleRetry)

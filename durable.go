@@ -12,8 +12,8 @@ import (
 
 // Durable databases (DESIGN.md §12). A Database opened with OpenDurable
 // owns a data directory holding periodic snapshots plus a write-ahead
-// log; every commit — serial, optimistic-concurrent, or a module
-// registration — appends one record to the log before it is
+// log; every commit — an application's, optimistic or locked, or a
+// module registration — appends one record to the log before it is
 // acknowledged, so a crash at any point recovers the exact committed
 // prefix. Reopening the same directory replays the log onto the newest
 // snapshot; replay reproduces the committed state byte for byte (the
@@ -221,7 +221,7 @@ func (db *Database) walAppendReplace(t Tracer, epoch uint64, st *module.State) e
 	})
 }
 
-// walAppendDelta logs a delta commit (serial or optimistic) at epoch,
+// walAppendDelta logs a delta commit (optimistic or locked) at epoch,
 // attributed to the committing call's tracer. No-op without a store.
 func (db *Database) walAppendDelta(t Tracer, epoch uint64, sr *module.SnapshotResult) error {
 	if db.store == nil {

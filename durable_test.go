@@ -50,13 +50,11 @@ func TestDurableReopenReproducesState(t *testing.T) {
 		t.Fatal("OpenDurable database is not durable")
 	}
 
-	// Exercise every commit shape: serial data commit, optimistic delta
-	// commit, rule-adding replacement, module registration, a serial
-	// call of the registered module, and materialization.
-	if _, err := db.Exec(durableMod("q0", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.ExecConcurrent(durableMod("q1", 2)); err != nil {
+	// Exercise every commit shape: a data commit by the locked attempt,
+	// an optimistic delta commit, rule-adding replacement, module
+	// registration, a call of the registered module, and materialization.
+	execLocked(t, db, durableMod("q0", 1))
+	if _, err := db.Exec(durableMod("q1", 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec("mode radv.\nrules\n  q2(x: X) <- q0(x: X).\nend.\n"); err != nil {
@@ -99,7 +97,7 @@ func TestDurableReopenReproducesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The recovered database keeps committing durably.
-	if _, err := db2.ExecConcurrent(durableMod("q0", 50)); err != nil {
+	if _, err := db2.Exec(durableMod("q0", 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,8 +111,8 @@ func saveBytesDurable(t *testing.T, db *Database) []byte {
 	return buf.Bytes()
 }
 
-// TestSerialCommitsLogDeltas: a serial data-variant commit — Exec or Call
-// — logs a fact delta, exactly as an optimistic one; rule changes and
+// TestSerialCommitsLogDeltas: a data-variant commit — Exec or Call,
+// optimistic or the locked attempt — logs a fact delta; rule changes and
 // Materialize still log whole-state replacements. Recovery reproduces
 // the state, oid counter included: an inventing commit afterwards gives
 // the Save bytes an in-memory twin that never crashed gives.
@@ -180,11 +178,13 @@ associations
 		name string
 		do   func(*Database) error
 	}{
-		{"serial", exec("mode ridv.\nrules\n  tag(t: \"c\"). person(self: P, name: N) <- tag(t: N), N = \"c\".\nend.\n")},
-		{"concurrent", func(d *Database) error {
-			_, err := d.ExecConcurrent("mode ridv.\nrules\n  tag(t: \"d\"). person(self: P, name: N) <- tag(t: N), N = \"d\".\nend.\n")
+		{"locked", func(d *Database) error {
+			hooks.LockedApply.Store(true)
+			defer hooks.LockedApply.Store(false)
+			_, err := d.Exec("mode ridv.\nrules\n  tag(t: \"c\"). person(self: P, name: N) <- tag(t: N), N = \"c\".\nend.\n")
 			return err
 		}},
+		{"optimistic", exec("mode ridv.\nrules\n  tag(t: \"d\"). person(self: P, name: N) <- tag(t: N), N = \"d\".\nend.\n")},
 	}
 	for _, inv := range invent {
 		if err := inv.do(db); err != nil {
@@ -423,7 +423,7 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 	defer db.Close()
 	for i := 0; i < 7; i++ {
-		if _, err := db.ExecConcurrent(durableMod("q0", i)); err != nil {
+		if _, err := db.Exec(durableMod("q0", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -492,7 +492,7 @@ func runCrashWorkload(t *testing.T, dir string) (acked map[durableOp]bool) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if _, err := db.ExecConcurrent(durableMod(op.pred, op.val)); err == nil {
+			if _, err := db.Exec(durableMod(op.pred, op.val)); err == nil {
 				mu.Lock()
 				acked[op] = true
 				mu.Unlock()

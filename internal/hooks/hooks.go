@@ -5,12 +5,25 @@
 // drain tests) install them to steer otherwise racy interleavings.
 package hooks
 
+import "sync/atomic"
+
 // ConcurrentPreCommit, when non-nil, runs after the snapshot
 // application and before the commit critical section of each optimistic
-// attempt (logres.ApplyConcurrentContext) — the injection point
-// conflict tests use to commit a competing write in the validation
-// window, and drain tests use to hold an apply in flight.
+// attempt of a module application (logres Exec, Apply and Call) — the
+// injection point conflict tests use to commit a competing write in the
+// validation window, and drain tests use to hold an apply in flight. It
+// runs on every application, so a hook that applies a module itself
+// does so with LockedApply set, which keeps the nested application out
+// of the hook.
 var ConcurrentPreCommit func(attempt int)
+
+// LockedApply, set by tests, makes every attempt of a module application
+// run as the retry budget's last attempt does: under the write lock from
+// snapshot to commit, where it cannot conflict and ConcurrentPreCommit
+// does not run. Tests use it for the reference leg the optimistic
+// attempt is compared against, and to commit a competing write from
+// inside ConcurrentPreCommit.
+var LockedApply atomic.Bool
 
 // StorageFault, when non-nil, runs immediately before every durability
 // syscall boundary in internal/storage — each WAL append, fsync,

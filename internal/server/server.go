@@ -7,7 +7,7 @@
 //
 // Concurrency model: requests are handled on the standard library's
 // per-connection goroutines; module applications go through
-// ExecConcurrentContext, so requests touching disjoint predicates
+// ApplyContext, so requests touching disjoint predicates
 // evaluate in parallel and only serialize for the commit critical
 // section. Graceful shutdown drains in-flight applications (Shutdown),
 // falling back to context cancellation when the grace period expires —
@@ -598,12 +598,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if req.Profile && span != nil {
 		span.EnableProfile()
 	}
-	var res *logres.Result
-	if req.Serial {
-		res, err = db.ApplyContext(r.Context(), m, mode, callOpts...)
-	} else {
-		res, err = db.ApplyConcurrentContext(r.Context(), m, mode, callOpts...)
-	}
+	res, err := db.ApplyContext(r.Context(), m, mode, callOpts...)
 	if err != nil {
 		writeEngineError(w, err)
 		return

@@ -133,9 +133,22 @@ func asAPIError(t *testing.T, err error) *client.APIError {
 	return apiErr
 }
 
+// execLocked commits src under the write lock from snapshot to commit
+// (hooks.LockedApply), as the retry budget's last attempt does. A
+// ConcurrentPreCommit hook commits its competing write this way, so the
+// write cannot conflict and does not re-enter the hook.
+func execLocked(t *testing.T, db *logres.Database, src string) {
+	t.Helper()
+	hooks.LockedApply.Store(true)
+	defer hooks.LockedApply.Store(false)
+	if _, err := db.Exec(src); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestExecConflictMapsTo409 forces a deterministic commit conflict (a
-// serial write to the same predicate lands in the validation window,
-// retries disabled per-request) and checks the 409 body carries both
+// write to the same predicate lands in the validation window, retries
+// disabled per-request) and checks the 409 body carries both
 // footprints.
 func TestExecConflictMapsTo409(t *testing.T) {
 	s, _, c := newTestServer(t)
@@ -146,9 +159,7 @@ func TestExecConflictMapsTo409(t *testing.T) {
 	db := s.dbs["db"]
 	s.mu.RUnlock()
 	hooks.ConcurrentPreCommit = func(int) {
-		if _, err := db.Exec("mode ridv.\nrules p(x: 99).\nend.\n"); err != nil {
-			t.Error(err)
-		}
+		execLocked(t, db, "mode ridv.\nrules p(x: 99).\nend.\n")
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
 
@@ -160,7 +171,7 @@ func TestExecConflictMapsTo409(t *testing.T) {
 	if apiErr.Status != http.StatusConflict || apiErr.Resp.Kind != client.KindConflict {
 		t.Fatalf("conflict response = %+v", apiErr)
 	}
-	// The serial competitor records its real write set.
+	// The competitor records its real write set.
 	if apiErr.Resp.Pred != "p" {
 		t.Fatalf("conflict pred = %q", apiErr.Resp.Pred)
 	}
@@ -182,9 +193,9 @@ func TestExecConflictMapsTo409(t *testing.T) {
 }
 
 // TestRejectedModuleSameErrorOnEveryPath: a module the application
-// rejects fails with the same text whichever path applies it — serial
-// or optimistic, embedded or over HTTP — because every path runs the
-// application before it computes a footprint.
+// rejects fails with the same text whichever attempt applies it — the
+// locked or the optimistic one, embedded or over HTTP — because every
+// attempt runs the application before it computes a footprint.
 func TestRejectedModuleSameErrorOnEveryPath(t *testing.T) {
 	s, _, c := newTestServer(t)
 	ctx := context.Background()
@@ -210,19 +221,19 @@ associations
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, serr := db.Exec(tc.src)
-			if serr == nil {
-				t.Fatal("Exec accepted the module")
+			hooks.LockedApply.Store(true)
+			_, lerr := db.Exec(tc.src)
+			hooks.LockedApply.Store(false)
+			if lerr == nil {
+				t.Fatal("the locked attempt accepted the module")
 			}
-			want := serr.Error()
-			if _, err := db.ExecConcurrent(tc.src); err == nil || err.Error() != want {
-				t.Errorf("ExecConcurrent: %v\nExec:           %s", err, want)
+			want := lerr.Error()
+			if _, err := db.Exec(tc.src); err == nil || err.Error() != want {
+				t.Errorf("Exec: %v\nlocked: %s", err, want)
 			}
-			for _, serial := range []bool{true, false} {
-				_, err := c.ExecRequest(ctx, "db", client.ExecRequest{Module: tc.src, Serial: serial})
-				if apiErr := asAPIError(t, err); apiErr.Resp.Error != want {
-					t.Errorf("HTTP serial=%v: %s\nExec:           %s", serial, apiErr.Resp.Error, want)
-				}
+			_, err := c.ExecRequest(ctx, "db", client.ExecRequest{Module: tc.src})
+			if apiErr := asAPIError(t, err); apiErr.Resp.Error != want {
+				t.Errorf("HTTP: %s\nlocked: %s", apiErr.Resp.Error, want)
 			}
 		})
 	}
@@ -249,9 +260,7 @@ func TestClientConflictRetryKnob(t *testing.T) {
 		defer mu.Unlock()
 		if conflictsInjected == 0 {
 			conflictsInjected++
-			if _, err := db.Exec("mode ridv.\nrules p(x: 99).\nend.\n"); err != nil {
-				t.Error(err)
-			}
+			execLocked(t, db, "mode ridv.\nrules p(x: 99).\nend.\n")
 		}
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()
@@ -672,6 +681,28 @@ func TestCreateRejectsRemovedEngineOptions(t *testing.T) {
 	}
 	if names, err := c.List(context.Background()); err != nil || len(names) != 0 {
 		t.Fatalf("List = %v, %v; want no databases", names, err)
+	}
+}
+
+// The exec route's serial flag is gone from the wire: every exec takes
+// the one application protocol, and a body that still carries the flag
+// is rejected as an unknown field without applying the module.
+func TestExecRejectsSerialField(t *testing.T) {
+	s, ts, c := newTestServer(t)
+	mustCreate(t, c, "db", nil)
+	body := fmt.Sprintf(`{"module":%q,"serial":true}`, "mode ridv.\nrules p(x: 1).\nend.\n")
+	status, er := rawJSON(t, http.MethodPost, ts.URL+"/v1/db/db/exec", body)
+	if status != http.StatusBadRequest || er.Kind != client.KindInvalid {
+		t.Fatalf("status %d kind %q, want 400 %q", status, er.Kind, client.KindInvalid)
+	}
+	if want := `json: unknown field "serial"`; !strings.Contains(er.Error, want) {
+		t.Fatalf("error %q does not name the field (%s)", er.Error, want)
+	}
+	s.mu.RLock()
+	db := s.dbs["db"]
+	s.mu.RUnlock()
+	if n := db.CommitEpoch(); n != 0 {
+		t.Fatalf("the rejected request committed: epoch %d", n)
 	}
 }
 

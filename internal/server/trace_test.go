@@ -122,9 +122,7 @@ func TestExecProfileRetries(t *testing.T) {
 		defer mu.Unlock()
 		if injected == 0 {
 			injected++
-			if _, err := db.Exec("mode ridv.\nrules p(x: 99).\nend.\n"); err != nil {
-				t.Error(err)
-			}
+			execLocked(t, db, "mode ridv.\nrules p(x: 99).\nend.\n")
 		}
 	}
 	defer func() { hooks.ConcurrentPreCommit = nil }()

@@ -7,11 +7,11 @@
 //
 // Each payload is one replayable commit keyed by its CommitEpoch:
 //
-//	delta    — a validated optimistic commit's fact delta (the
+//	delta    — a validated data-variant commit's fact delta (the
 //	           CommitDelta footprint writes + removes + adds + oid
 //	           counter advance from internal/module);
-//	replace  — a whole-state replacement (serial commits and
-//	           rule/schema-changing modes), embedded as SaveState bytes;
+//	replace  — a whole-state replacement (rule/schema-changing modes
+//	           and Materialize), embedded as SaveState bytes;
 //	register — a module-library registration, embedded as the module's
 //	           canonical source.
 //

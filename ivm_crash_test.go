@@ -49,11 +49,11 @@ func runIVMCrashWorkload(t *testing.T, dir string) {
 	}
 	for i := 0; i < 4; i++ {
 		src := fmt.Sprintf("mode ridv.\nrules\n  edge(src: %d, dst: %d).\nend.\n", i, i+1)
-		if _, err := db.ExecConcurrent(src); err != nil {
+		if _, err := db.Exec(src); err != nil {
 			return
 		}
 	}
-	if _, err := db.ExecConcurrent("mode rddv.\nrules\n  edge(src: 1, dst: 2).\nend.\n"); err != nil {
+	if _, err := db.Exec("mode rddv.\nrules\n  edge(src: 1, dst: 2).\nend.\n"); err != nil {
 		return
 	}
 }
@@ -133,7 +133,7 @@ func TestIncrementalCrashMatrix(t *testing.T) {
 			"mode ridv.\nrules\n  edge(src: 7, dst: 8).\n  edge(src: 8, dst: 9).\nend.\n",
 			"mode rddv.\nrules\n  edge(src: 8, dst: 9).\nend.\n",
 		} {
-			if _, err := inc.ExecConcurrent(src); err != nil {
+			if _, err := inc.Exec(src); err != nil {
 				t.Fatalf("kill@%d(%s): post-recovery commit: %v", k, killed, err)
 			}
 			if _, err := cold.Exec(src); err != nil {

@@ -6,11 +6,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"logres/internal/hooks"
 )
 
 // Top-level differential property for incremental view maintenance: a
 // database opened with WithIncremental must, after every commit of a
-// mixed workload (serial and optimistic applications, insertions and
+// mixed workload (locked and optimistic applications, insertions and
 // RDDV deletions), render exactly the instance a from-scratch database
 // renders on the row oracle, and persist exactly the same Save bytes —
 // under the defaults and on the row oracle (engineLegs), each also from
@@ -87,13 +89,13 @@ end.
 }
 
 // ivmMatrixCommits is the shared commit script: a base graph, then
-// insertions and deletions through both the serial and the optimistic
-// commit paths (the rddv modules subtract edge facts from E; the
-// persistent rules are untouched, so these exercise delta propagation
-// and DRed rederivation rather than a rebuild).
+// insertions and deletions through both the locked attempt (the retry
+// budget's last) and the optimistic one (the rddv modules subtract edge
+// facts from E; the persistent rules are untouched, so these exercise
+// delta propagation and DRed rederivation rather than a rebuild).
 func ivmMatrixCommits() []struct {
-	src        string
-	concurrent bool
+	src    string
+	locked bool
 } {
 	var base strings.Builder
 	base.WriteString("mode ridv.\nrules\n")
@@ -103,16 +105,16 @@ func ivmMatrixCommits() []struct {
 	}
 	base.WriteString("  edge(src: 10, dst: 0).\nend.\n")
 	return []struct {
-		src        string
-		concurrent bool
+		src    string
+		locked bool
 	}{
-		{base.String(), false},
-		{"mode ridv.\nrules\n  edge(src: 3, dst: 7).\n  edge(src: 7, dst: 2).\nend.\n", true},
-		{"mode rddv.\nrules\n  edge(src: 4, dst: 5).\nend.\n", true},
-		{"mode ridv.\nrules\n  edge(src: 5, dst: 4).\n  node(n: 11).\nend.\n", false},
-		{"mode rddv.\nrules\n  edge(src: 10, dst: 0).\n  edge(src: 0, dst: 1).\nend.\n", true},
-		{"mode ridv.\nrules\n  edge(src: 0, dst: 1).\nend.\n", true},
-		{"mode rddv.\nrules\n  node(n: 11).\n  edge(src: 3, dst: 7).\nend.\n", false},
+		{base.String(), true},
+		{"mode ridv.\nrules\n  edge(src: 3, dst: 7).\n  edge(src: 7, dst: 2).\nend.\n", false},
+		{"mode rddv.\nrules\n  edge(src: 4, dst: 5).\nend.\n", false},
+		{"mode ridv.\nrules\n  edge(src: 5, dst: 4).\n  node(n: 11).\nend.\n", true},
+		{"mode rddv.\nrules\n  edge(src: 10, dst: 0).\n  edge(src: 0, dst: 1).\nend.\n", false},
+		{"mode ridv.\nrules\n  edge(src: 0, dst: 1).\nend.\n", false},
+		{"mode rddv.\nrules\n  node(n: 11).\n  edge(src: 3, dst: 7).\nend.\n", true},
 	}
 }
 
@@ -179,11 +181,9 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 					}
 					ivmMatrixInstall(t, db, prog.setup, prog.rules)
 					for i, c := range ivmMatrixCommits() {
-						if c.concurrent {
-							_, err = db.ExecConcurrent(c.src)
-						} else {
-							_, err = db.Exec(c.src)
-						}
+						hooks.LockedApply.Store(c.locked)
+						_, err = db.Exec(c.src)
+						hooks.LockedApply.Store(false)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -231,10 +231,10 @@ func TestSubscribeViewDiffs(t *testing.T) {
 	if sub.Epoch != db.CommitEpoch() {
 		t.Fatalf("subscription epoch %d, want %d", sub.Epoch, db.CommitEpoch())
 	}
-	if _, err := db.ExecConcurrent("mode ridv.\nrules\n  edge(src: 1, dst: 2).\n  edge(src: 2, dst: 3).\nend.\n"); err != nil {
+	if _, err := db.Exec("mode ridv.\nrules\n  edge(src: 1, dst: 2).\n  edge(src: 2, dst: 3).\nend.\n"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecConcurrent("mode rddv.\nrules\n  edge(src: 1, dst: 2).\nend.\n"); err != nil {
+	if _, err := db.Exec("mode rddv.\nrules\n  edge(src: 1, dst: 2).\nend.\n"); err != nil {
 		t.Fatal(err)
 	}
 	d1 := <-sub.C
@@ -303,7 +303,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	// third fan-out must disconnect the subscriber.
 	for i := 0; i < 3; i++ {
 		src := fmt.Sprintf("mode ridv.\nrules\n  node(n: %d).\nend.\n", i)
-		if _, err := db.ExecConcurrent(src); err != nil {
+		if _, err := db.Exec(src); err != nil {
 			t.Fatal(err)
 		}
 	}

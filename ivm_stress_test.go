@@ -81,7 +81,7 @@ func TestSubscriptionStress(t *testing.T) {
 				// chain by an edge, deriving fresh closure facts.
 				src := fmt.Sprintf("mode ridv.\nrules\n  edge(src: %d, dst: %d).\nend.\n",
 					a*100+c, a*100+c+1)
-				if _, err := db.ExecConcurrent(src); err != nil {
+				if _, err := db.Exec(src); err != nil {
 					t.Errorf("applier %d commit %d: %v", a, c, err)
 					return
 				}

@@ -79,22 +79,22 @@ type CanceledError = engine.CanceledError
 // as; the database state is unchanged.
 type PanicError = engine.PanicError
 
-// ConflictError is the typed error an optimistic concurrent module
-// application (ApplyConcurrent / ExecConcurrent) with retries disabled
-// surfaces when its commit validation failed; it names the conflicting
-// predicate and carries both footprints. Retrieve it with errors.As.
+// ConflictError is the typed error a module application with retries
+// disabled (WithMaxRetries(-1), WithCallMaxRetries(-1)) surfaces when its
+// commit validation failed; it names the conflicting predicate and
+// carries both footprints. Retrieve it with errors.As.
 type ConflictError = engine.ConflictError
 
-// Footprint is the predicate-level read/write access set concurrent
-// module applications validate against each other.
+// Footprint is the predicate-level read/write access set module
+// applications validate against each other.
 type Footprint = engine.Footprint
 
 // Axis names one budget dimension in a BudgetError.
 type Axis = engine.Axis
 
 // The budget axes a BudgetError can name (AxisRetries appears only in
-// the abort trace event of a concurrent application that conflicted with
-// retries disabled — the error itself is a *ConflictError).
+// the abort trace event of an application that conflicted with retries
+// disabled — the error itself is a *ConflictError).
 const (
 	AxisRounds   = engine.AxisRounds
 	AxisFacts    = engine.AxisFacts
@@ -163,10 +163,11 @@ func WithVectorize(on bool) Option {
 // Database is a LOGRES database: a state (E, R, S) evolved by module
 // applications. All methods are safe for concurrent use: read-only
 // methods (Query, Instance, Count, Save, …) share an RWMutex read lock
-// and run concurrently with each other; module applications take the
-// write lock and serialize. The published extensional fact set is kept
-// frozen (engine.FactSet.Freeze) so concurrent readers share its indexes,
-// each built once, on its first probe.
+// and run concurrently with each other; module applications evaluate
+// against a snapshot and take the write lock only to commit. The
+// published extensional fact set is kept frozen (engine.FactSet.Freeze)
+// so concurrent readers share its indexes, each built once, on its first
+// probe.
 type Database struct {
 	mu   sync.RWMutex
 	st   *module.State
@@ -175,10 +176,10 @@ type Database struct {
 	// sees their fan-out through opts.Tracer (see rewireTracer).
 	tracer  Tracer
 	metrics *Metrics
-	// log is the committed-write log backing optimistic concurrent
-	// application: every state-changing commit records its write
-	// footprint at a fresh epoch; ApplyConcurrent validates against the
-	// entries committed since its snapshot.
+	// log is the committed-write log backing module application: every
+	// state-changing commit records its write footprint at a fresh epoch,
+	// and an application validates against the entries committed since
+	// its snapshot.
 	log *storage.CommitLog
 	// store, when non-nil, is the durable half (OpenDurable): every
 	// commit appends one WAL record at its epoch before acknowledging.
@@ -275,6 +276,14 @@ type Result struct {
 // the state is unchanged and the error describes the violation. Per-call
 // options (WithCallBudget) tighten the database-wide guardrails for this
 // invocation only.
+//
+// Evaluation runs against a snapshot outside the write lock, so
+// applications touching disjoint predicates proceed in parallel; the
+// commit validates the application's read/write footprint against the
+// writes committed since its snapshot (concurrent.go). A conflict
+// retries up to the retry budget (WithMaxRetries, WithCallMaxRetries),
+// whose last attempt runs under the write lock and cannot lose; with
+// retries disabled it returns a *ConflictError.
 func (db *Database) Exec(src string, options ...CallOption) (*Result, error) {
 	return db.ExecContext(db.ctx(), src, options...)
 }
@@ -295,31 +304,14 @@ func (db *Database) Apply(m *Module, mode Mode, options ...CallOption) (*Result,
 	return db.ApplyContext(db.ctx(), m, mode, options...)
 }
 
-// ApplyContext is Apply under an explicit cancellation context. A serial
-// application is the locked attempt of the optimistic protocol
-// (applyLocked): it holds the write lock from snapshot to commit, so it
-// cannot conflict, and it commits exactly as a concurrent attempt does —
-// a data-variant module that changes neither rules nor schema as a fact
-// delta recording its own write set, any other state change as a
-// whole-state replacement.
+// ApplyContext is Apply under an explicit cancellation context;
+// cancellation aborts evaluation between rounds and backoff sleeps
+// immediately, surfacing a *CanceledError. A data-variant module that
+// changes neither rules nor schema commits as a fact delta recording
+// its own write set, any other state change as a whole-state
+// replacement.
 func (db *Database) ApplyContext(ctx context.Context, m *Module, mode Mode, options ...CallOption) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.applySerial(ctx, m, mode, options)
-}
-
-// applySerial resolves the call's options and runs applyLocked; the
-// caller holds the write lock.
-func (db *Database) applySerial(ctx context.Context, m *Module, mode Mode, options []CallOption) (*Result, error) {
-	opts := applyCallOptions(db.opts, options)
-	opts.Ctx = ctx
-	finish := instrumentCall(ctx, &opts, options)
-	defer finish()
-	sr, _, err := db.applyLocked(opts, m, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Answer: sr.Res.Answer, Mode: mode}, nil
+	return db.apply(ctx, target{m: m, mode: mode}, options)
 }
 
 // Query evaluates a goal (`?- lit, … .`) against the current instance —
@@ -529,15 +521,11 @@ func (db *Database) Call(name string, options ...CallOption) (*Result, error) {
 	return db.CallContext(db.ctx(), name, options...)
 }
 
-// CallContext is Call under an explicit cancellation context.
+// CallContext is Call under an explicit cancellation context. Each
+// attempt looks the module up in the library of the state it evaluates
+// against.
 func (db *Database) CallContext(ctx context.Context, name string, options ...CallOption) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	m, err := db.st.Lib.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return db.applySerial(ctx, m, m.Mode, options)
+	return db.apply(ctx, target{name: name}, options)
 }
 
 // Modules lists the registered module names.

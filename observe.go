@@ -173,10 +173,10 @@ func WithCallBudget(b Budget) CallOption {
 	return func(c *callOpts) { c.budget = b }
 }
 
-// WithCallMaxRetries overrides the conflict retry bound of one
-// concurrent application (ApplyConcurrent / ExecConcurrent): n > 0 sets
-// the bound, n < 0 disables retries so the first conflict surfaces the
-// *ConflictError, n == 0 inherits the database's setting. Unlike
+// WithCallMaxRetries overrides the conflict retry bound of one module
+// application (Exec, Apply, Call): n > 0 sets the bound, n < 0 disables
+// retries so the first conflict surfaces the *ConflictError, n == 0
+// inherits the database's setting. Unlike
 // WithCallBudget this is an override, not a tightening — a per-request
 // "fail fast" needs to express the negative case.
 func WithCallMaxRetries(n int) CallOption {

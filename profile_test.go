@@ -13,8 +13,8 @@ import (
 // EXPLAIN-ANALYZE-style account of the call, and neither profiling nor
 // request spans may perturb the canonical (deterministic) trace stream.
 
-// TestWithCallProfileApply: a concurrent apply fills the profile with
-// the committed attempt's strata, rounds, and commit path.
+// TestWithCallProfileApply: an apply fills the profile with the
+// committed attempt's strata, rounds, and commit path.
 func TestWithCallProfileApply(t *testing.T) {
 	db, err := Open(obsSchema)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestWithCallProfileApply(t *testing.T) {
 	}
 
 	var p Profile
-	if _, err := db.ApplyConcurrent(m, m.Mode, WithCallProfile(&p)); err != nil {
+	if _, err := db.Apply(m, m.Mode, WithCallProfile(&p)); err != nil {
 		t.Fatal(err)
 	}
 	if p.WallNS <= 0 || p.EvalNS <= 0 {
@@ -49,6 +49,27 @@ func TestWithCallProfileApply(t *testing.T) {
 	}
 	if rounds != p.Rounds {
 		t.Fatalf("stratum rounds sum %d != profile rounds %d", rounds, p.Rounds)
+	}
+}
+
+// TestExecReportsCommit: an uncontended Exec commits like any other
+// application — on the fast path, named in its profile and counted by
+// logres_module_commits_total.
+func TestExecReportsCommit(t *testing.T) {
+	m := NewMetrics()
+	db, err := Open(obsSchema, WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Profile
+	if _, err := db.Exec("mode ridv.\nrules\n  edge(src: 1, dst: 2).\nend.\n", WithCallProfile(&p)); err != nil {
+		t.Fatal(err)
+	}
+	if p.CommitPath != "fast" {
+		t.Fatalf("profile commit path = %q, want fast", p.CommitPath)
+	}
+	if n := m.Counter("logres_module_commits_total").Value(); n != 1 {
+		t.Fatalf("logres_module_commits_total = %d, want 1", n)
 	}
 }
 
@@ -141,7 +162,7 @@ func TestProfilingPreservesCanonicalTrace(t *testing.T) {
 			var p Profile
 			opts = append(opts, WithCallProfile(&p))
 		}
-		if _, err := db.ApplyConcurrentContext(ctx, m, m.Mode, opts...); err != nil {
+		if _, err := db.ApplyContext(ctx, m, m.Mode, opts...); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := db.QueryContext(ctx, "?- tc(src: 1, dst: X).", opts...); err != nil {

@@ -70,7 +70,7 @@ func TestRegistrarCommitCompilesOnlyItsModule(t *testing.T) {
 			n := db.RuleCount()
 			radv := "mode radv.\nrules\n  mark(student: S, code: \"c999\", grade: 30) <- student(self: S, name: \"nobody\").\nend.\n"
 			if got := compiles(func() {
-				if _, err := db.ExecConcurrent(radv); err != nil {
+				if _, err := db.Exec(radv); err != nil {
 					t.Fatal(err)
 				}
 			}); !slices.Equal(got, []int{1, n + 1}) {
@@ -78,7 +78,7 @@ func TestRegistrarCommitCompilesOnlyItsModule(t *testing.T) {
 			}
 			declare := "mode ridv.\nassociations\n  NOTE = (text: string);\nrules\n  note(text: \"x\").\nend.\n"
 			if got := compiles(func() {
-				if _, err := db.ExecConcurrent(declare); err != nil {
+				if _, err := db.Exec(declare); err != nil {
 					t.Fatal(err)
 				}
 			}); !slices.Equal(got, []int{1, n + 1}) {
@@ -212,15 +212,13 @@ func TestStateProgramNeverStale(t *testing.T) {
 			}
 			hooks.ConcurrentPreCommit = func(attempt int) {
 				if attempt == 0 {
-					if _, err := db.Exec("mode ridv.\nrules\n  tag(t: \"z\").\nend.\n"); err != nil {
-						t.Error(err)
-					}
+					execLocked(t, db, "mode ridv.\nrules\n  tag(t: \"z\").\nend.\n")
 				}
 			}
 			defer func() { hooks.ConcurrentPreCommit = nil }()
 			rt := &recordingTracer{}
 			db.SetTracer(rt)
-			if _, err := db.ExecConcurrent("mode ridv.\nrules\n  knows(a: \"dan\", b: \"eve\").\nend.\n"); err != nil {
+			if _, err := db.Exec("mode ridv.\nrules\n  knows(a: \"dan\", b: \"eve\").\nend.\n"); err != nil {
 				t.Fatal(err)
 			}
 			db.SetTracer(nil)

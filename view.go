@@ -39,9 +39,9 @@ import (
 // Reads in either mode trust the audit every state passed when it
 // entered the database (commit, Load, recovery) and never repeat it;
 // the two modes differ only in how they obtain the derived instance.
-// Data-variant commits that change neither rules nor schema — serial
-// and concurrent alike, which share one commit path — audit only what
-// they changed, in either mode: without WithIncremental the
+// Data-variant commits that change neither rules nor schema —
+// optimistic and locked attempts alike, which share one commit path —
+// audit only what they changed, in either mode: without WithIncremental the
 // extensional delta over a fresh derivation, with it the maintainer's
 // exact view delta over the maintained instance staged ahead of the
 // commit (rejections roll the staged update back). Every other commit
