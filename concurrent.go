@@ -25,7 +25,8 @@ import (
 //  3. validate + commit — write-lock, check the footprint against every
 //     write committed since the snapshot epoch, and on success merge
 //     the fact delta onto the current committed state (or install the
-//     result wholesale when nothing intervened);
+//     result wholesale when nothing intervened), through commitLocked,
+//     the commit path Materialize and Register share;
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot. The retry budget's last attempt runs steps
 //     1–3 under the write lock, so it cannot conflict and commits like
@@ -266,19 +267,30 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 	return db.commitLocked(opts, epoch, sr)
 }
 
-// commitLocked validates the attempt's footprint against the writes
-// committed since its snapshot epoch and installs the outcome; the
-// caller holds the write lock. It returns the commit path for tracing,
-// and on failure the conflicting predicate plus the committed footprint
-// it collided with. On a durable database the commit is WAL-logged
-// before it is published; a logging failure (err != nil) fails the
-// application without a retry — the store refuses further writes until
-// reopened. opts is the applying call's (request-instrumented)
-// configuration: its tracer attributes the WAL append and any fsync wait
-// to the request that paid for them, and deferred-validation fallbacks
-// validate under the call's own budget.
+// commitLocked is the one commit path of every state change: an
+// application's, optimistic or locked, Materialize's and a module
+// registration's. The caller holds the write lock. It runs the commit
+// stages (DESIGN.md §9):
+//
+//   - validate the attempt's footprint against the writes committed since
+//     its snapshot epoch and pick the successor state;
+//   - stage the maintainer's step to it (maintStage), which serves a
+//     deferred application's audit;
+//   - log the commit to the WAL of a durable database;
+//   - publish the state, record its write set at the next epoch and
+//     compact the WAL when due;
+//   - notify the maintenance event and the subscribers (maintNotify).
+//
+// It returns the commit path for tracing, and on a conflict the
+// conflicting predicate plus the committed footprint it collided with. A
+// rejection by the deferred audit or a logging failure (err != nil)
+// undoes the staged step and fails the application without a retry; the
+// store refuses further writes until reopened. opts is the committing
+// call's (request-instrumented) configuration: its tracer attributes the
+// WAL append and any fsync wait to the request that paid for them, and a
+// deferred audit that cannot be served by the maintainer runs under the
+// call's own budget.
 func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (path, pred string, theirs Footprint, ok bool, err error) {
-	tracer := opts.Tracer
 	if sr.ReadOnly {
 		// Queries validate nothing: the answer was computed against a
 		// consistent snapshot, which equals the serial order in which
@@ -289,6 +301,10 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 	var next *module.State
 	written := Footprint{Universal: true}
 	switch {
+	case sr.Registered != nil:
+		// Built from the published state under this lock; it writes no
+		// predicate.
+		next, path, written = sr.Res.State, "register", Footprint{}
 	case sr.Replace:
 		// Whole-state replacement is only sound when nothing committed
 		// since the snapshot — it carries no mergeable delta.
@@ -311,67 +327,25 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 		}
 		written = Footprint{Writes: sr.Footprint.Writes}
 	}
-	// Stage and audit: a deferred application skipped its instance
-	// validation. Stage the propagation through the maintainer and audit
-	// the maintained instance before the commit lands — on the merge path
-	// this audits the actually committed state, not the snapshot result.
-	var vd *engine.ViewDelta
-	rollback := func() {}
-	var audit string
-	start := time.Now()
-	if sr.Deferred && db.maintDeferUsable() {
-		staged, undo, uerr := db.maint.UpdateStaged(sr.Adds, sr.Removes, next.E, next.Counter)
-		if uerr != nil {
-			// Propagation failed: the maintainer is inconsistent; validate
-			// the scratch way below and let maintAfterDelta rebuild it.
-			db.maintErr = uerr
-		} else {
-			if audit, err = db.maintValidate(next.S, staged); err != nil {
-				undo()
-				return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", err)
-			}
-			vd, rollback = staged, undo
-		}
+	// Stage: the maintainer takes next.E as its base, so it is frozen
+	// here as publish would leave it. On the merge path the deferred
+	// audit reads the state actually committed, not the snapshot result.
+	next.E.Freeze()
+	step, err := db.maintStage(opts, next, sr)
+	if err != nil {
+		return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", err)
 	}
-	if sr.Deferred && vd == nil {
-		// Staging unavailable (the maintainer went unhealthy since the
-		// snapshot): validate from scratch under the lock — rare.
-		if _, _, err := next.Instance(opts); err != nil {
-			return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", err)
-		}
-	}
-	// Log: the delta record replays removes-then-adds onto the predecessor
+	// Log: a delta record replays removes-then-adds onto the predecessor
 	// state — exactly what CommitDelta does — so recovery reproduces next
 	// byte for byte on both the fast and merge paths.
-	if sr.Replace {
-		err = db.walAppendReplace(tracer, db.log.Epoch()+1, next)
-	} else {
-		err = db.walAppendDelta(tracer, db.log.Epoch()+1, sr)
-	}
-	if err != nil {
-		rollback()
+	if err := db.walAppend(opts.Tracer, db.log.Epoch()+1, sr, next); err != nil {
+		step.undo()
 		return "", "", Footprint{}, false, err
 	}
-	prev := db.st
 	db.publish(next)
 	db.log.Record(written)
 	db.maybeCompact()
-	// Notify: bring the maintenance state to the new epoch and fan the
-	// view diff out to subscribers.
-	switch {
-	case vd != nil:
-		ep := db.log.Epoch()
-		if tracer != nil {
-			tracer.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(ep),
-				Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-				Duration: time.Since(start), Reason: audit})
-		}
-		db.notifySubs(tracer, ep, vd)
-	case sr.Replace:
-		db.maintAfterReplace(tracer, prev)
-	default:
-		db.maintAfterDelta(tracer, sr.Adds, sr.Removes)
-	}
+	db.maintNotify(opts.Tracer, step)
 	return path, "", Footprint{}, true, nil
 }
 

@@ -202,53 +202,32 @@ func (db *Database) AsOf(epoch uint64) (*Database, error) {
 	return past, nil
 }
 
-// walAppendReplace logs a whole-state replacement commit at epoch. The
-// tracer is the committing call's (request-instrumented when the call
-// runs under a span) so the append and its fsync wait are attributed;
-// nil falls back to the store-wide tracer. No-op without a store.
-func (db *Database) walAppendReplace(t Tracer, epoch uint64, st *module.State) error {
+// walAppend logs one commit at epoch as the record its kind replays
+// from: a registration as the module's canonical source (the parser
+// round-trips it on replay), a whole-state replacement as next's
+// snapshot, and any other commit as its fact delta. The tracer is the
+// committing call's (request-instrumented when the call runs under a
+// span) so the append and its fsync wait are attributed. No-op without
+// a store.
+func (db *Database) walAppend(t Tracer, epoch uint64, sr *module.SnapshotResult, next *module.State) error {
 	if db.store == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := storage.SaveState(&buf, st); err != nil {
-		return fmt.Errorf("logres: serializing commit for wal: %w", err)
+	rec := &storage.WALRecord{Epoch: epoch}
+	switch {
+	case sr.Registered != nil:
+		rec.Type, rec.Source = storage.RecRegister, module.RenderModule(sr.Registered)
+	case sr.Replace:
+		var buf bytes.Buffer
+		if err := storage.SaveState(&buf, next); err != nil {
+			return fmt.Errorf("logres: serializing commit for wal: %w", err)
+		}
+		rec.Type, rec.State = storage.RecReplace, buf.Bytes()
+	default:
+		rec.Type, rec.Writes, rec.CounterDelta = storage.RecDelta, sr.Footprint.Writes, sr.CounterDelta
+		rec.Removes, rec.Adds = sr.Removes, sr.Adds
 	}
-	return db.store.AppendWith(t, &storage.WALRecord{
-		Type:  storage.RecReplace,
-		Epoch: epoch,
-		State: buf.Bytes(),
-	})
-}
-
-// walAppendDelta logs a delta commit (optimistic or locked) at epoch,
-// attributed to the committing call's tracer. No-op without a store.
-func (db *Database) walAppendDelta(t Tracer, epoch uint64, sr *module.SnapshotResult) error {
-	if db.store == nil {
-		return nil
-	}
-	return db.store.AppendWith(t, &storage.WALRecord{
-		Type:         storage.RecDelta,
-		Epoch:        epoch,
-		Writes:       sr.Footprint.Writes,
-		CounterDelta: sr.CounterDelta,
-		Removes:      sr.Removes,
-		Adds:         sr.Adds,
-	})
-}
-
-// walAppendRegister logs a module registration at epoch, as the
-// module's canonical source (the parser round-trips it on replay).
-// No-op without a store.
-func (db *Database) walAppendRegister(epoch uint64, m *Module) error {
-	if db.store == nil {
-		return nil
-	}
-	return db.store.Append(&storage.WALRecord{
-		Type:   storage.RecRegister,
-		Epoch:  epoch,
-		Source: module.RenderModule(m),
-	})
+	return db.store.AppendWith(t, rec)
 }
 
 // maybeCompact runs a compaction when the WAL has grown past the

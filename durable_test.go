@@ -447,6 +447,40 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 }
 
+// Registrations are commits like any other: they count towards
+// CompactEvery, and recovery from the compacted directory keeps the
+// library.
+func TestRegistrationsTriggerCompaction(t *testing.T) {
+	dir := t.TempDir()
+	db, _, err := OpenDurable(durableSchema, Durability{Dir: dir, Fsync: FsyncOff, CompactEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 3; i++ {
+		if err := db.Register(fmt.Sprintf("module fill%d.\nmode ridv.\nrules\n  q0(x: %d).\nend.\n", i, i)); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := db.Durability()
+		if i == 1 && (st.CheckpointEpoch != 2 || st.WALRecords != 0) {
+			t.Fatalf("after 2 registrations with CompactEvery=2: %+v, want a checkpoint at epoch 2", st)
+		}
+	}
+	want := saveBytesDurable(t, db)
+	db.Close()
+	db2, _, err := OpenDurable(durableSchema, Durability{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if !bytes.Equal(saveBytesDurable(t, db2), want) {
+		t.Fatal("post-compaction recovery differs")
+	}
+	if got := len(db2.Modules()); got != 3 {
+		t.Fatalf("recovered library holds %d modules, want 3", got)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Crash matrix: kill at every durability boundary under concurrency
 // ---------------------------------------------------------------------------

@@ -1325,35 +1325,6 @@ func (s *FactSet) Intersect(d *FactSet) *FactSet {
 	return out
 }
 
-// FromInstance converts an instance into a fact set: one class fact per
-// class membership (o-value projected on the class's effective type) and
-// one fact per association tuple.
-func FromInstance(in *instance.Instance) (*FactSet, error) {
-	s := in.Schema()
-	fs := NewFactSet()
-	for _, c := range s.NamesOf(types.DeclClass) {
-		eff, err := s.EffectiveTuple(c)
-		if err != nil {
-			return nil, err
-		}
-		for _, oid := range in.Objects(c) {
-			v, _ := in.OValue(oid)
-			fs.Add(Fact{Pred: c, IsClass: true, OID: oid, Tuple: instance.Project(v, eff)})
-		}
-	}
-	for _, a := range s.NamesOf(types.DeclAssociation) {
-		for _, t := range in.Tuples(a) {
-			fs.Add(Fact{Pred: a, Tuple: t})
-		}
-	}
-	for _, fn := range s.NamesOf(types.DeclFunction) {
-		for _, t := range in.Tuples(functionStore(fn)) {
-			fs.Add(Fact{Pred: fn, Tuple: t})
-		}
-	}
-	return fs, nil
-}
-
 // functionStore names the hidden association backing a data function.
 func functionStore(fn string) string { return "$fn$" + fn }
 

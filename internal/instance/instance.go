@@ -35,22 +35,6 @@ func New(schema *types.Schema) *Instance {
 	}
 }
 
-// Schema returns the instance's schema.
-func (in *Instance) Schema() *types.Schema { return in.schema }
-
-// SetSchema rebinds the instance to a (compatible) schema; used by module
-// application which evolves S while keeping the data.
-func (in *Instance) SetSchema(s *types.Schema) { in.schema = s }
-
-// NewOID invents a fresh oid (Definition 8, point b).
-func (in *Instance) NewOID() value.OID {
-	in.nextOID++
-	return value.OID(in.nextOID)
-}
-
-// OIDCounter returns the current oid counter, for snapshotting.
-func (in *Instance) OIDCounter() int64 { return in.nextOID }
-
 // SetOIDCounter restores the oid counter; used when loading snapshots. It
 // never lowers the counter.
 func (in *Instance) SetOIDCounter(n int64) {
@@ -86,35 +70,6 @@ func (in *Instance) AddToClass(class string, oid value.OID, v value.Tuple) {
 	in.ovalues[oid] = merged
 }
 
-// SetOValue overwrites the o-value of an existing object.
-func (in *Instance) SetOValue(oid value.OID, v value.Tuple) { in.ovalues[oid] = v }
-
-// RemoveFromClass removes oid from π(class). The o-value is kept while the
-// oid belongs to any class and dropped when the last membership goes.
-func (in *Instance) RemoveFromClass(class string, oid value.OID) {
-	class = types.Canon(class)
-	if set := in.classes[class]; set != nil {
-		delete(set, oid)
-	}
-	for _, set := range in.classes {
-		if set[oid] {
-			return
-		}
-	}
-	delete(in.ovalues, oid)
-}
-
-// HasObject reports oid ∈ π(class).
-func (in *Instance) HasObject(class string, oid value.OID) bool {
-	return in.classes[types.Canon(class)][oid]
-}
-
-// OValue returns ν(oid).
-func (in *Instance) OValue(oid value.OID) (value.Tuple, bool) {
-	v, ok := in.ovalues[oid]
-	return v, ok
-}
-
 // Objects returns the oids of π(class) in ascending order.
 func (in *Instance) Objects(class string) []value.OID {
 	set := in.classes[types.Canon(class)]
@@ -124,11 +79,6 @@ func (in *Instance) Objects(class string) []value.OID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// ClassSize reports |π(class)|.
-func (in *Instance) ClassSize(class string) int {
-	return len(in.classes[types.Canon(class)])
 }
 
 // InsertTuple adds a tuple to ρ(assoc); duplicates are absorbed (an
@@ -141,24 +91,6 @@ func (in *Instance) InsertTuple(assoc string, t value.Tuple) {
 		in.assocs[assoc] = m
 	}
 	m[t.Key()] = t
-}
-
-// RemoveTuple deletes a tuple from ρ(assoc).
-func (in *Instance) RemoveTuple(assoc string, t value.Tuple) {
-	assoc = types.Canon(assoc)
-	if m := in.assocs[assoc]; m != nil {
-		delete(m, t.Key())
-	}
-}
-
-// HasTuple reports t ∈ ρ(assoc).
-func (in *Instance) HasTuple(assoc string, t value.Tuple) bool {
-	m := in.assocs[types.Canon(assoc)]
-	if m == nil {
-		return false
-	}
-	_, ok := m[t.Key()]
-	return ok
 }
 
 // Tuples returns ρ(assoc) in canonical (key) order.
@@ -174,75 +106,6 @@ func (in *Instance) Tuples(assoc string) []value.Tuple {
 		out[i] = m[k]
 	}
 	return out
-}
-
-// AssocSize reports |ρ(assoc)|.
-func (in *Instance) AssocSize(assoc string) int {
-	return len(in.assocs[types.Canon(assoc)])
-}
-
-// Clone returns a deep-enough copy (values are immutable and shared).
-func (in *Instance) Clone() *Instance {
-	n := New(in.schema)
-	n.nextOID = in.nextOID
-	for c, set := range in.classes {
-		cp := make(map[value.OID]bool, len(set))
-		for o := range set {
-			cp[o] = true
-		}
-		n.classes[c] = cp
-	}
-	for o, v := range in.ovalues {
-		n.ovalues[o] = v
-	}
-	for a, m := range in.assocs {
-		cp := make(map[string]value.Tuple, len(m))
-		for k, t := range m {
-			cp[k] = t
-		}
-		n.assocs[a] = cp
-	}
-	return n
-}
-
-// Equal reports whether two instances contain exactly the same memberships,
-// o-values and tuples.
-func (in *Instance) Equal(other *Instance) bool {
-	if len(in.ovalues) != len(other.ovalues) {
-		return false
-	}
-	for o, v := range in.ovalues {
-		w, ok := other.ovalues[o]
-		if !ok || !value.Equal(v, w) {
-			return false
-		}
-	}
-	if !sameMembership(in.classes, other.classes) || !sameMembership(other.classes, in.classes) {
-		return false
-	}
-	return sameTuples(in.assocs, other.assocs) && sameTuples(other.assocs, in.assocs)
-}
-
-func sameMembership(a, b map[string]map[value.OID]bool) bool {
-	for c, set := range a {
-		for o := range set {
-			if !b[c][o] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func sameTuples(a, b map[string]map[string]value.Tuple) bool {
-	for n, m := range a {
-		for k := range m {
-			if _, ok := b[n][k]; !ok {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the instance deterministically, for tests and the CLI.

@@ -40,6 +40,10 @@ type SnapshotResult struct {
 	// skipped (ApplySnapshotDeferred): the committer must audit consistency
 	// and the passive constraints before installing the state.
 	Deferred bool
+	// Registered, when set, marks a registration: Res.State is the
+	// published state whose library gained this module (State.Register),
+	// and the commit writes no predicate.
+	Registered *ast.Module
 }
 
 // ApplySnapshot applies m to the snapshot state st and packages the
@@ -188,27 +192,11 @@ func containsStr(s []string, p string) bool {
 }
 
 // CommitDelta merges a validated snapshot delta onto the current
-// committed state: clone the committed extension, apply removes then
-// adds, advance the counter by the attempt's consumption, and keep the
-// committed R/S/Lib (a delta commit never changes them) and so the
-// committed state's programs. The returned state is freshly built and
-// safe to publish.
+// committed state (State.WithDelta): the committed R, S and library are
+// kept, since a delta commit never changes them. The returned state is
+// freshly built and safe to publish.
 func CommitDelta(committed *State, sr *SnapshotResult) *State {
-	next := &State{
-		E:       committed.E.Clone(),
-		R:       committed.R,
-		S:       committed.S,
-		Counter: committed.Counter + sr.CounterDelta,
-		Lib:     committed.Lib,
-	}
-	next.inherit(committed)
-	for _, f := range sr.Removes {
-		next.E.Remove(f)
-	}
-	for _, f := range sr.Adds {
-		next.E.Add(f)
-	}
-	return next
+	return committed.WithDelta(sr.Removes, sr.Adds, sr.CounterDelta)
 }
 
 // subtractionChangesRules reports whether removing sub from rules would

@@ -25,17 +25,6 @@ const (
 	PredOID = "$oid$"
 )
 
-// IsPseudoPred reports whether name is a footprint pseudo-predicate
-// rather than a FactSet predicate. Data-function stores ("$fn$…") are
-// real FactSet predicates, not pseudo-predicates.
-func IsPseudoPred(name string) bool {
-	switch name {
-	case PredSchema, PredRules, PredOID:
-		return true
-	}
-	return false
-}
-
 // StaticFootprint computes the conservative predicate-level access set
 // of applying module m to state st with the given mode — before running
 // it. The runtime delta can only narrow it (ApplySnapshot widens the

@@ -88,12 +88,37 @@ func (st *State) Clone() *State {
 	return next
 }
 
-// WithLib returns a state with st's E, R, S and counter and the library
-// lib.
-func (st *State) WithLib(lib *Library) *State {
+// WithDelta returns the successor of st under a fact delta: a clone of
+// E with removes and then adds applied, the counter advanced by
+// counterDelta, and st's R, S and library, so st's compilations too. A
+// commit of a delta and the replay of its log record both take this
+// step, so the two states are byte-identical.
+func (st *State) WithDelta(removes, adds []engine.Fact, counterDelta int64) *State {
+	next := &State{E: st.E.Clone(), R: st.R, S: st.S, Counter: st.Counter + counterDelta, Lib: st.Lib}
+	next.inherit(st)
+	for _, f := range removes {
+		next.E.Remove(f)
+	}
+	for _, f := range adds {
+		next.E.Add(f)
+	}
+	return next
+}
+
+// Register returns the successor of st whose library also stores m (§5,
+// "methods"): st's E, R, S and counter with a clone of its library. st
+// is never changed, since concurrent applications may hold it.
+func (st *State) Register(m *ast.Module) (*State, error) {
+	lib := NewLibrary()
+	if st.Lib != nil {
+		lib = st.Lib.Clone()
+	}
+	if err := lib.Register(m); err != nil {
+		return nil, err
+	}
 	next := &State{E: st.E, R: st.R, S: st.S, Counter: st.Counter, Lib: lib}
 	next.inherit(st)
-	return next
+	return next, nil
 }
 
 // seed gives st, which nothing has read yet, prog as its compilation of
@@ -322,13 +347,9 @@ func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferVa
 	if !mode.HasGoal() && len(m.Goal) > 0 {
 		return nil, fmt.Errorf("module: mode %s does not admit a goal (§4.1)", mode)
 	}
-	if m.NonInflationary {
-		// §1: modules are parametric in the semantics of their rules.
-		opts.NonInflationary = true
-	}
 	switch mode {
 	case ast.RIDI:
-		return applyRIDI(st, m, opts)
+		return applyRIDI(st, m, moduleOptions(m, opts))
 	case ast.RADI:
 		return applyRuleChange(st, m, opts, true)
 	case ast.RDDI:
@@ -337,6 +358,19 @@ func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferVa
 		return applyDataVariant(st, m, opts, mode, deferValidation)
 	}
 	return nil, fmt.Errorf("module: unknown mode %v", mode)
+}
+
+// moduleOptions returns the options of m's own program: R_M for a
+// data-variant mode, R ∪ R_M for a RIDI. §1: modules are parametric in
+// the semantics of their rules, so a `semantics noninflationary.`
+// declaration governs that program; the persistent instance R(E′) a
+// commit audits is derived under opts, the database's semantics, as
+// every later read derives it.
+func moduleOptions(m *ast.Module, opts engine.Options) engine.Options {
+	if m.NonInflationary {
+		opts.NonInflationary = true
+	}
+	return opts
 }
 
 // canDeferValidation reports whether applying m to st with mode is
@@ -476,7 +510,7 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		next.R = subtractRules(next.R, m.Rules)
 	}
 
-	prog, err := updateProgram(st, s1, m.Rules, opts)
+	prog, err := updateProgram(st, s1, m.Rules, moduleOptions(m, opts))
 	if err != nil {
 		return nil, err
 	}

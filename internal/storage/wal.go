@@ -250,26 +250,14 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 // applyRecord replays one WAL record onto st, returning the successor
-// state. Delta replay mirrors module.CommitDelta exactly (clone, removes
-// then adds, counter advance), so a replayed state's SaveState bytes
-// equal the originally committed state's.
+// state. Delta and registration records take the state transitions
+// their commits took (module.State.WithDelta, module.State.Register), so
+// a replayed state's SaveState bytes equal the originally committed
+// state's.
 func applyRecord(st *module.State, rec *WALRecord) (*module.State, error) {
 	switch rec.Type {
 	case RecDelta:
-		next := &module.State{
-			E:       st.E.Clone(),
-			R:       st.R,
-			S:       st.S,
-			Counter: st.Counter + rec.CounterDelta,
-			Lib:     st.Lib,
-		}
-		for _, f := range rec.Removes {
-			next.E.Remove(f)
-		}
-		for _, f := range rec.Adds {
-			next.E.Add(f)
-		}
-		return next, nil
+		return st.WithDelta(rec.Removes, rec.Adds, rec.CounterDelta), nil
 	case RecReplace:
 		return LoadState(bytes.NewReader(rec.State))
 	case RecRegister:
@@ -277,16 +265,7 @@ func applyRecord(st *module.State, rec *WALRecord) (*module.State, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: replaying registration: %w", err)
 		}
-		lib := st.Lib
-		if lib == nil {
-			lib = module.NewLibrary()
-		} else {
-			lib = lib.Clone()
-		}
-		if err := lib.Register(m); err != nil {
-			return nil, err
-		}
-		return st.WithLib(lib), nil
+		return st.Register(m)
 	}
 	return nil, fmt.Errorf("storage: cannot replay wal record type %d", rec.Type)
 }

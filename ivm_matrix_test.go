@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"logres/internal/engine"
 	"logres/internal/hooks"
+	"logres/internal/obs"
 )
 
 // Top-level differential property for incremental view maintenance: a
@@ -194,6 +196,9 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 						if got != wantInstances[i] {
 							t.Fatalf("%s, incremental=%v, commit %d: instance diverges from scratch", leg.name, incremental, i)
 						}
+						if incremental {
+							assertMaintainerSynced(t, db, fmt.Sprintf("%s, commit %d", leg.name, i))
+						}
 					}
 					var sb strings.Builder
 					if err := db.Save(&sb2{&sb}); err != nil {
@@ -205,6 +210,138 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertMaintainerSynced checks that db's maintainer is healthy and runs
+// a fork of the published state's program, which is what lets an
+// application defer its audit to the commit without comparing programs.
+func assertMaintainerSynced(t *testing.T, db *Database, step string) {
+	t.Helper()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.maint == nil || db.maintErr != nil {
+		t.Fatalf("%s: the maintainer is unhealthy (%v)", step, db.maintErr)
+	}
+	prog, err := db.st.Program(maintOptions(db.opts))
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if !db.maint.Program().Shares(prog) {
+		t.Fatalf("%s: the maintainer does not run the published state's program", step)
+	}
+}
+
+// TestMaintainerFollowsEveryCommitKind pins that after a commit of every
+// kind — optimistic, locked and merged deltas, replacements that keep or
+// change the program, a registration, a call, Materialize, a rejection —
+// the maintainer is healthy, runs the published state's program and
+// holds the instance a from-scratch derivation gives, that each commit
+// delivers one diff, and which maintenance step each took. A
+// registration propagates nothing, and rebuilds a failed maintainer like
+// any other commit.
+func TestMaintainerFollowsEveryCommitKind(t *testing.T) {
+	db, err := Open(ivmMatrixSchema, WithIncremental(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := db.SubscribeView(SubscribeOptions{Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &recordingTracer{}
+	db.SetTracer(rt)
+	exec := func(src string) func() error {
+		return func() error { _, err := db.Exec(src); return err }
+	}
+	const (
+		propagate = "ivm.propagate"
+		rebuild   = "ivm.rebuild"
+	)
+	steps := []struct {
+		name   string
+		do     func() error
+		reject bool
+		maint  string // the maintenance events the step emits, in order
+	}{
+		{"radv (new program)", exec(ivmMatrixPrograms[2].rules), false, rebuild},
+		{"ridv", exec("mode ridv.\nrules\n  edge(src: 1, dst: 2). edge(src: 2, dst: 3). node(n: 1).\nend.\n"), false, propagate},
+		{"locked ridv", func() error {
+			hooks.LockedApply.Store(true)
+			defer hooks.LockedApply.Store(false)
+			_, err := db.Exec("mode ridv.\nrules\n  edge(src: 3, dst: 1).\nend.\n")
+			return err
+		}, false, propagate},
+		{"merged ridv", func() error {
+			hooks.ConcurrentPreCommit = func(attempt int) {
+				if attempt == 0 {
+					execLocked(t, db, "mode ridv.\nrules\n  same(a: 7, b: 7).\nend.\n")
+				}
+			}
+			defer func() { hooks.ConcurrentPreCommit = nil }()
+			_, err := db.Exec("mode ridv.\nrules\n  edge(src: 2, dst: 4).\nend.\n")
+			return err
+		}, false, propagate + " " + propagate},
+		{"rddv", exec("mode rddv.\nrules\n  edge(src: 1, dst: 2).\nend.\n"), false, propagate},
+		{"radi denial (new program)", exec("mode radi.\nrules\n  <- edge(src: 9, dst: 9).\nend.\n"), false, rebuild},
+		{"rejected ridv", exec("mode ridv.\nrules\n  edge(src: 9, dst: 9).\nend.\n"), true, ""},
+		{"ridv redeclaring (same program)", exec("mode ridv.\nassociations\n  EDGE = (src: integer, dst: integer);\nrules\n  edge(src: 5, dst: 6).\nend.\n"), false, propagate},
+		{"register", func() error { return db.Register("module grow.\nmode ridv.\nrules\n  edge(src: 6, dst: 7).\nend.\n") }, false, ""},
+		{"call", func() error { _, err := db.Call("grow"); return err }, false, propagate},
+		{"register after a failed maintainer", func() error {
+			db.mu.Lock()
+			db.maintErr = errors.New("injected")
+			db.mu.Unlock()
+			return db.Register("module other.\nmode ridv.\nrules\n  node(n: 3).\nend.\n")
+		}, false, rebuild},
+		{"rddi (new program)", exec("mode rddi.\nrules\n  <- edge(src: 9, dst: 9).\nend.\n"), false, rebuild},
+		{"materialize", db.Materialize, false, rebuild},
+	}
+	for _, st := range steps {
+		epoch := db.CommitEpoch()
+		rt.mu.Lock()
+		rt.events = nil
+		rt.mu.Unlock()
+		err := st.do()
+		if st.reject != (err != nil) {
+			t.Fatalf("%s: err = %v, want rejection %v", st.name, err, st.reject)
+		}
+		var maint []string
+		for _, ev := range rt.events {
+			if ev.Kind == propagate || ev.Kind == rebuild {
+				maint = append(maint, string(ev.Kind))
+			}
+		}
+		if got := strings.Join(maint, " "); got != st.maint {
+			t.Fatalf("%s: maintenance %q, want %q", st.name, got, st.maint)
+		}
+		if last := rt.events[len(rt.events)-1]; strings.HasPrefix(st.name, "merged") &&
+			(last.Kind != obs.KindModuleCommit || last.Detail != "merge") {
+			t.Fatalf("%s: the commit did not take the merge path", st.name)
+		}
+		assertMaintainerSynced(t, db, st.name)
+		got, err := db.InstanceString()
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.mu.RLock()
+		f, counter, err := db.st.Derive(db.opts)
+		want := ""
+		if err == nil {
+			want = engine.ToInstance(f, db.st.S, counter).String()
+		}
+		db.mu.RUnlock()
+		if err != nil || got != want {
+			t.Fatalf("%s: the maintained instance differs from a derivation (%v)", st.name, err)
+		}
+		for e := epoch + 1; e <= db.CommitEpoch(); e++ {
+			if d := <-sub.C; d.Epoch != e {
+				t.Fatalf("%s: diff for epoch %d, want %d", st.name, d.Epoch, e)
+			}
+		}
+	}
+	if err := sub.Err(); err != nil {
+		t.Fatalf("the subscription ended: %v", err)
 	}
 }
 

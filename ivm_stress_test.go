@@ -8,18 +8,21 @@ import (
 )
 
 // Subscription stress: N subscribers receiving concurrently with M
-// optimistic appliers committing. Every subscriber must observe the
-// exact same per-epoch diff sequence — contiguous epochs, no lost,
-// duplicated, or reordered diffs — and replaying any subscriber's
-// sequence onto the initial derived set must reproduce the final one.
+// optimistic appliers committing and a registrar storing modules. Every
+// subscriber must observe the exact same per-epoch diff sequence —
+// contiguous epochs, no lost, duplicated, or reordered diffs, an empty
+// diff for each registration and only for it — and replaying any
+// subscriber's sequence onto the initial derived set must reproduce the
+// final one.
 // A deliberately unread subscriber with a tiny buffer must be detached
 // with the typed *SlowConsumerError without ever blocking a commit.
 
 func TestSubscriptionStress(t *testing.T) {
 	const (
-		subscribers = 4
-		appliers    = 4
-		commits     = 6 // per applier
+		subscribers   = 4
+		appliers      = 4
+		commits       = 6 // per applier
+		registrations = 6
 	)
 	db, err := Open(ivmMatrixSchema, WithIncremental(true), WithMaxRetries(1000))
 	if err != nil {
@@ -29,7 +32,7 @@ func TestSubscriptionStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	total := appliers * commits
+	total := appliers*commits + registrations
 	subs := make([]*Subscription, subscribers)
 	for i := range subs {
 		subs[i], err = db.SubscribeView(SubscribeOptions{Buffer: total + 8})
@@ -88,6 +91,17 @@ func TestSubscriptionStress(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < registrations; r++ {
+			src := fmt.Sprintf("module grow%d.\nmode ridv.\nrules\n  edge(src: %d, dst: %d).\nend.\n", r, 900+r, 901+r)
+			if err := db.Register(src); err != nil {
+				t.Errorf("registration %d: %v", r, err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	rg.Wait()
 
@@ -97,13 +111,14 @@ func TestSubscriptionStress(t *testing.T) {
 		if len(got) != total {
 			t.Fatalf("subscriber %d: %d diffs, want %d", i, len(got), total)
 		}
+		empty := 0
 		for j, d := range got {
 			if d.Epoch != startEpoch+uint64(j)+1 {
 				t.Fatalf("subscriber %d diff %d: epoch %d, want %d (lost/reordered)",
 					i, j, d.Epoch, startEpoch+uint64(j)+1)
 			}
-			if len(d.Adds) == 0 {
-				t.Fatalf("subscriber %d diff %d: empty (every commit derives facts)", i, j)
+			if len(d.Adds)+len(d.Removes) == 0 {
+				empty++ // a registration: every application derives facts
 			}
 			ref := received[0][j]
 			if len(d.Adds) != len(ref.Adds) || len(d.Removes) != len(ref.Removes) {
@@ -114,6 +129,9 @@ func TestSubscriptionStress(t *testing.T) {
 					t.Fatalf("subscriber %d diff %d add %d disagrees with subscriber 0", i, j, k)
 				}
 			}
+		}
+		if empty != registrations {
+			t.Fatalf("subscriber %d: %d empty diffs, want one per registration (%d)", i, empty, registrations)
 		}
 		if err := subs[i].Err(); err != nil {
 			t.Fatalf("subscriber %d ended with %v", i, err)

@@ -189,9 +189,10 @@ type Database struct {
 	recovery *RecoveryReport
 	// Incremental view maintenance (view.go): with WithIncremental the
 	// maintainer keeps the derived instance materialized across commits
-	// and reads serve from it, over a fork of the published state's
-	// program (maintSynced); maintErr poisons the fast path after an
-	// unrecoverable rebuild (reads fall back to from-scratch).
+	// and reads serve from it; while healthy it runs a fork of the
+	// published state's program. maintErr poisons the fast path after a
+	// failed propagation or an unrecoverable rebuild (reads fall back to
+	// from-scratch until a later commit rebuilds it).
 	incremental bool
 	maint       *engine.Maintainer
 	maintErr    error
@@ -485,6 +486,9 @@ func (db *Database) Schema() string {
 // library without applying it — the paper's §5 "methods and
 // encapsulation" direction: a stored module is an encapsulated query or
 // update procedure invoked with Call. Snapshots persist the library.
+// A registration is a commit (concurrent.go, commitLocked): it takes a
+// commit epoch, a WAL record on a durable database, and an empty diff
+// for every live subscription.
 func (db *Database) Register(src string) error {
 	m, err := parser.ParseModule(src)
 	if err != nil {
@@ -492,28 +496,16 @@ func (db *Database) Register(src string) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Copy-on-write: concurrent applications hold snapshots of db.st and
-	// may clone its library outside the lock, so the published state is
-	// never mutated in place — a fresh state with a cloned library is
-	// built and swapped in. The empty-footprint record bumps the commit
-	// epoch so an in-flight whole-state replacement (rule/schema-changing
-	// commit) cannot silently drop the registration.
-	lib := db.st.Lib
-	if lib == nil {
-		lib = module.NewLibrary()
-	} else {
-		lib = lib.Clone()
-	}
-	if err := lib.Register(m); err != nil {
+	// Concurrent applications hold snapshots of db.st, so the registration
+	// builds a successor state; bumping the commit epoch makes an
+	// in-flight whole-state replacement retry instead of dropping it.
+	next, err := db.st.Register(m)
+	if err != nil {
 		return err
 	}
-	if err := db.walAppendRegister(db.log.Epoch()+1, m); err != nil {
-		return err
-	}
-	db.st = db.st.WithLib(lib)
-	db.log.Record(engine.Footprint{})
-	db.maintAfterRegister(db.opts.Tracer)
-	return nil
+	sr := &module.SnapshotResult{Res: &module.Result{State: next}, Registered: m}
+	_, _, _, _, err = db.commitLocked(db.opts, db.log.Epoch(), sr)
+	return err
 }
 
 // Call applies a registered module by name with its declared mode.

@@ -47,6 +47,53 @@ end.
 	}
 }
 
+// A module's `semantics noninflationary.` declaration governs its own
+// program (R_M) only: the persistent instance R(E′) its commit audits is
+// derived under the database's inflationary semantics, as every later
+// read derives it, with and without incremental maintenance. Under the
+// inflationary semantics once(1) and blocker(1) fire in one step, so the
+// denial rejects seed(1); under the non-inflationary one once(1) would
+// not survive its blocker.
+func TestNonInflationaryModuleAuditsDatabaseSemantics(t *testing.T) {
+	for _, incremental := range []bool{false, true} {
+		db, err := Open(`
+associations
+  SEED = (k: integer);
+  ONCE = (k: integer);
+  BLOCKER = (k: integer);
+`, WithIncremental(incremental))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec(`
+mode radi.
+rules
+  once(k: X) <- seed(k: X), not blocker(k: X).
+  blocker(k: X) <- seed(k: X), not once(k: 0).
+  <- once(k: X).
+end.
+`); err != nil {
+			t.Fatal(err)
+		}
+		_, err = db.Exec(`
+mode ridv.
+semantics noninflationary.
+rules
+  seed(k: 1).
+end.
+`)
+		if err == nil || !strings.Contains(err.Error(), "<- once(k: X).") {
+			t.Fatalf("incremental=%v: the commit was not rejected by the denial: %v", incremental, err)
+		}
+		if err := db.CheckConsistency(); err != nil {
+			t.Fatalf("incremental=%v: %v", incremental, err)
+		}
+		if n := db.EDBCount("seed"); n != 0 {
+			t.Fatalf("incremental=%v: seed = %d after the rejection, want 0", incremental, n)
+		}
+	}
+}
+
 func TestWithNonInflationaryOption(t *testing.T) {
 	db, err := Open(`
 associations

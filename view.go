@@ -256,12 +256,12 @@ func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 
 // maintOptions is the engine configuration of the maintainer's private
 // program: the database's evaluation settings (vectorize, budget) with
-// observability and cancellation stripped. Maintenance runs
-// after the commit landed; aborting it cannot un-commit — a budget
-// abort just falls back to recomputation, and if that aborts too the
-// fast path is disabled until a later rebuild succeeds. Its internal
-// evaluations stay out of the caller's trace stream (the database
-// emits one ivm.propagate event per commit instead).
+// observability and cancellation stripped. Maintenance is staged inside
+// the commit but never rejects it: a budget abort of a propagation
+// falls back to a rebuild, and if that aborts too the fast path is
+// disabled until a later commit rebuilds it. Its internal evaluations
+// stay out of the caller's trace stream (the database emits one
+// ivm.propagate or ivm.rebuild event per commit instead).
 func maintOptions(opts engine.Options) engine.Options {
 	opts.Tracer = nil
 	opts.Ctx = nil
@@ -287,15 +287,6 @@ func (db *Database) maintInit() error {
 	return nil
 }
 
-// maintSynced reports whether the maintainer runs the published state's
-// program: a fork of the compilation the state carries. Commits that
-// keep R and S keep that compilation, so they propagate as deltas; rule
-// and schema changes compile afresh and rebuild.
-func (db *Database) maintSynced() bool {
-	prog, err := db.st.Program(maintOptions(db.opts))
-	return err == nil && db.maint.Program().Shares(prog)
-}
-
 // maintRead returns the maintained full derived set and the oid counter
 // a from-scratch evaluation would have left, when the incremental fast
 // path can serve a read. Callers hold the read lock; the returned set
@@ -307,112 +298,128 @@ func (db *Database) maintRead() (*engine.FactSet, int64, bool) {
 	return db.maint.Full(), db.maint.Counter(), true
 }
 
-// maintDeferUsable reports whether commit-time deferred validation can
-// run: the maintainer is healthy and synced to the published state's
-// program, so a staged propagation plus an audit of the maintained set
-// is equivalent to the from-scratch validation Apply would perform.
-// Callers hold the write lock.
+// maintDeferUsable reports whether an application may defer its audit to
+// the commit: the maintainer is healthy, so it runs the published
+// state's program (maintStage keeps it so after every commit) and the
+// commit can audit the maintained instance by its exact view delta.
+// Callers hold the lock.
 func (db *Database) maintDeferUsable() bool {
-	return db.incremental && db.maint != nil && db.maintErr == nil && db.maintSynced()
+	return db.maint != nil && db.maintErr == nil
 }
 
-// maintValidate audits the maintained full set after a staged update by
-// the maintainer's exact view delta — the same delta audit a scratch
-// commit runs, against the byte-identical maintained set, so both modes
-// accept and reject alike (module.AuditInstanceDelta). It returns the
-// audit it ran.
-func (db *Database) maintValidate(s *types.Schema, vd *engine.ViewDelta) (string, error) {
-	return module.AuditInstanceDelta(s, db.maint.Program(), db.maint.Full(), db.maint.Counter(), vd.Adds, vd.Preds())
+// maintStep is the maintainer's step to one commit's successor state,
+// staged before the commit is logged.
+type maintStep struct {
+	// vd is the view diff the subscribers get; nil without maintenance,
+	// or when the rebuild failed (fail).
+	vd   *engine.ViewDelta
+	ev   obs.Event // ivm.propagate or ivm.rebuild; no Kind for neither
+	fail error     // the rebuild's error: every subscription ends with it
+	undo func()    // restores the maintainer if the commit does not land
 }
 
-// maintAfterDelta propagates a fact-level commit (the fast and merge
-// paths) through the maintenance state. Called under the write lock
-// after the commit published and recorded its epoch.
-func (db *Database) maintAfterDelta(t Tracer, adds, removes []Fact) {
+// maintStage brings the maintenance state to next, the successor state
+// of a commit, before the commit is logged, and serves a deferred
+// application's audit. When the maintainer runs next's program it
+// propagates the commit's extensional delta — a replacement's is the
+// diff of the two extensions, a registration's is empty and propagates
+// nothing — and audits the maintained instance by its exact view delta:
+// the same delta audit a commit without maintenance runs, against the
+// byte-identical maintained set, so both modes accept and reject alike
+// (module.AuditInstanceDelta). Otherwise (rules or schema changed, the
+// maintainer failed, or the propagation fails) it rebuilds over next,
+// and a deferred audit runs from scratch under the call's options. A
+// rejection undoes the step and returns the violation. Maintenance runs
+// under maintOptions: a rebuild that fails never fails the commit, it
+// disables the fast path and ends every subscription.
+func (db *Database) maintStage(opts engine.Options, next *module.State, sr *module.SnapshotResult) (*maintStep, error) {
+	step := &maintStep{undo: func() {}}
 	if !db.incremental {
-		return
+		return step, nil
 	}
-	epoch := db.log.Epoch()
-	if db.maint == nil || db.maintErr != nil {
-		db.maintRebuild(t, epoch, "recover")
-		return
-	}
-	db.maintPropagate(t, epoch, adds, removes)
-}
-
-// maintAfterReplace handles whole-state commits (rule/schema-changing
-// applications, Materialize): when the rules and schema are unchanged
-// the commit reduces to an extensional delta and propagates; otherwise
-// the maintenance state is rebuilt against the new program. prev is the
-// state published before the commit.
-func (db *Database) maintAfterReplace(t Tracer, prev *module.State) {
-	if !db.incremental {
-		return
-	}
-	epoch := db.log.Epoch()
-	if db.maint != nil && db.maintErr == nil && db.maintSynced() {
-		adds, removes := diffFrozen(prev.E, db.st.E)
-		db.maintPropagate(t, epoch, adds, removes)
-		return
-	}
-	db.maintRebuild(t, epoch, "replace")
-}
-
-// maintAfterRegister covers module registrations: the commit epoch
-// advanced but (E, R, S) did not, so subscribers get their per-epoch
-// (empty) diff and the maintenance state is untouched.
-func (db *Database) maintAfterRegister(t Tracer) {
-	if !db.incremental {
-		return
-	}
-	db.notifySubs(t, db.log.Epoch(), &engine.ViewDelta{})
-}
-
-// maintPropagate runs one incremental update and fans the exact diff
-// out; a propagation error falls back to a rebuild (always correct).
-func (db *Database) maintPropagate(t Tracer, epoch uint64, adds, removes []Fact) {
 	start := time.Now()
-	vd, err := db.maint.Update(adds, removes, db.st.E, db.st.Counter)
+	prog, err := next.Program(maintOptions(db.opts))
+	reason := "recover"
+	if db.maintDeferUsable() && err == nil && db.maint.Program().Shares(prog) {
+		if next.E == db.st.E {
+			step.vd = &engine.ViewDelta{}
+			return step, nil
+		}
+		adds, removes := sr.Adds, sr.Removes
+		if sr.Replace {
+			adds, removes = diffFrozen(db.st.E, next.E)
+		}
+		vd, undo, uerr := db.maint.UpdateStaged(adds, removes, next.E, next.Counter)
+		if uerr == nil {
+			var audit string
+			if sr.Deferred {
+				m := db.maint
+				if audit, err = module.AuditInstanceDelta(next.S, m.Program(), m.Full(), m.Counter(), vd.Adds, vd.Preds()); err != nil {
+					undo()
+					return nil, err
+				}
+			}
+			step.vd, step.undo = vd, undo
+			step.ev = obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Count: len(vd.Adds) + len(vd.Removes),
+				Total: db.maint.Full().TotalSize(), Duration: time.Since(start), Reason: audit}
+			return step, nil
+		}
+		// The failed propagation left the maintainer inconsistent, whether
+		// or not this commit lands.
+		db.maintErr, reason = uerr, "fallback: "+uerr.Error()
+	} else if db.maintDeferUsable() {
+		reason = "replace"
+	}
+	// Rebuild over next, diffing the old and new full sets so subscribers
+	// still see the exact change.
+	old, oldErr := db.maint, db.maintErr
+	step.undo = func() { db.maint, db.maintErr = old, oldErr }
+	var m *engine.Maintainer
+	if err == nil {
+		m, err = engine.NewMaintainer(prog, next.E, next.Counter)
+	}
 	if err != nil {
-		db.maintRebuild(t, epoch, "fallback: "+err.Error())
-		return
+		db.maint, db.maintErr, step.fail = nil, err, err
+	} else {
+		oldFull := engine.NewFactSet()
+		if old != nil {
+			oldFull = old.Full()
+		}
+		db.maint, db.maintErr = m, nil
+		vd := &engine.ViewDelta{}
+		vd.Adds, vd.Removes = diffFrozen(oldFull, m.Full())
+		engine.SortFactsByKey(vd.Adds)
+		engine.SortFactsByKey(vd.Removes)
+		step.vd = vd
+		step.ev = obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Detail: reason, Duration: time.Since(start)}
 	}
-	if t != nil {
-		t.Event(obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(epoch),
-			Count: len(vd.Adds) + len(vd.Removes), Total: db.maint.Full().TotalSize(),
-			Duration: time.Since(start)})
+	if sr.Deferred {
+		if _, _, err := next.Instance(opts); err != nil {
+			step.undo()
+			return nil, err
+		}
 	}
-	db.notifySubs(t, epoch, vd)
+	return step, nil
 }
 
-// maintRebuild recomputes the maintenance state from scratch and diffs
-// the old and new full sets so subscribers still see the exact change.
-// An unrecoverable rebuild (the new state's program fails to evaluate)
-// disables the fast path and fails every subscription — the commit
-// itself already landed and is unaffected.
-func (db *Database) maintRebuild(t Tracer, epoch uint64, reason string) {
-	var oldFull *engine.FactSet
-	if db.maint != nil {
-		oldFull = db.maint.Full()
-	}
-	start := time.Now()
-	if err := db.maintInit(); err != nil {
-		db.maint, db.maintErr = nil, err
-		db.failSubs(err)
+// maintNotify reports a landed commit's maintenance step at the new
+// epoch and fans its view diff out to the subscribers, or ends every
+// subscription with the rebuild's error. Called under the write lock
+// after the commit published.
+func (db *Database) maintNotify(t Tracer, step *maintStep) {
+	epoch := db.log.Epoch()
+	if step.fail != nil {
+		db.failSubs(step.fail)
 		return
 	}
-	if t != nil {
-		t.Event(obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Round: int(epoch),
-			Detail: reason, Duration: time.Since(start)})
+	if step.vd == nil {
+		return
 	}
-	vd := &engine.ViewDelta{}
-	if oldFull == nil {
-		oldFull = engine.NewFactSet()
+	if t != nil && step.ev.Kind != "" {
+		step.ev.Round = int(epoch)
+		t.Event(step.ev)
 	}
-	vd.Adds, vd.Removes = diffFrozen(oldFull, db.maint.Full())
-	engine.SortFactsByKey(vd.Adds)
-	engine.SortFactsByKey(vd.Removes)
-	db.notifySubs(t, epoch, vd)
+	db.notifySubs(t, epoch, step.vd)
 }
 
 // diffFrozen computes the fact-level difference between two fact sets,
