@@ -340,6 +340,40 @@ func BenchmarkRegistrarEnrolDrop(b *testing.B) {
 	}
 }
 
+// BenchmarkRegistrarEnrolDropBesideReads is BenchmarkRegistrarEnrolDrop
+// at the preload's scale with one goroutine looping registrar point
+// queries beside the commits, reporting the queries answered per
+// commit. A read that holds the database lock through its evaluation
+// makes every commit wait for the read in flight, and the readers that
+// arrive meanwhile wait behind the commit.
+func BenchmarkRegistrarEnrolDropBesideReads(b *testing.B) {
+	db := registrarPreload(b, 1)
+	stop, reads := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		defer func() { reads <- n }()
+		for ; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			goal := fmt.Sprintf("?- student(self: S, name: \"s%04d\"), enrolled(student: S, section: X), section(self: X, code: C).", n%300)
+			if _, err := db.Query(goal); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		registrarEnrolDrop(b, db, i)
+	}
+	b.StopTimer()
+	close(stop)
+	b.ReportMetric(float64(<-reads)/float64(b.N), "reads/op")
+}
+
 // registrarEnrolDrop is operation i of BenchmarkRegistrarEnrolDrop: an
 // even i enrols student i/2 in a section the preload does not enrol them
 // in, an odd i drops that enrolment again.

@@ -17,8 +17,9 @@ import (
 // commit critical section:
 //
 //  1. snapshot — read-lock just long enough to capture the published
-//     (frozen) state and the commit-log epoch (a Call also looks its
-//     module up in that state's library);
+//     (frozen) state and the commit-log epoch, the same snapshot every
+//     read takes (logres.go); a Call also looks its module up in that
+//     state's library;
 //  2. apply — run the module against the snapshot outside any lock,
 //     recording its read/write predicate footprint (static analysis of
 //     the compiled rules, narrowed/widened by the runtime delta);
@@ -102,9 +103,7 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 	// contract is that in-flight evaluations keep the tracer they started
 	// with), so options and the retry budget resolve once, outside the
 	// attempt loop. Only the state/epoch snapshot is re-read per attempt.
-	db.mu.RLock()
-	opts := applyCallOptions(db.opts, options)
-	db.mu.RUnlock()
+	opts := applyCallOptions(db.snapshot().opts, options)
 	opts.Ctx = ctx
 	// Request-scoped observability resolves once too: all attempts (and
 	// their commit, conflict, retry, and WAL events) belong to the same
@@ -135,26 +134,19 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 			sr, path, err = db.applyLocked(opts, &t)
 			ok = true
 		} else {
-			// Snapshot: the published state is frozen and never mutated
-			// in place, so holding the pointer outside the lock is safe;
-			// the epoch read under the same lock tells validation exactly
-			// which commits this evaluation could not have seen.
-			db.mu.RLock()
-			st := db.st
-			epoch := db.log.Epoch()
-			deferOK := db.maintDeferUsable()
-			db.mu.RUnlock()
-
-			if err = t.resolve(st); err != nil {
+			// The snapshot's epoch tells validation exactly which commits
+			// this evaluation could not have seen.
+			s := db.snapshot()
+			if err = t.resolve(s.st); err != nil {
 				return nil, err
 			}
-			if sr, err = applySnapshot(st, deferOK, t.m, t.mode, opts); err != nil {
+			if sr, err = s.apply(t.m, t.mode, opts); err != nil {
 				return nil, err
 			}
 			if hook := hooks.ConcurrentPreCommit; hook != nil {
 				hook(attempt)
 			}
-			path, pred, theirs, ok, err = db.tryCommit(opts, epoch, sr)
+			path, pred, theirs, ok, err = db.tryCommit(opts, s.epoch, sr)
 		}
 		if err != nil {
 			// A WAL failure is not a conflict: the evaluation succeeded
@@ -224,18 +216,6 @@ func retryBackoff(attempt int) time.Duration {
 	return d
 }
 
-// applySnapshot evaluates one attempt against the state st. Deferred
-// validation (view.go): when the maintainer can audit the committed
-// instance incrementally (deferOK), it skips the from-scratch instance
-// computation — commitLocked stages the propagation and validates before
-// the commit lands.
-func applySnapshot(st *module.State, deferOK bool, m *Module, mode Mode, opts engine.Options) (*module.SnapshotResult, error) {
-	if deferOK {
-		return module.ApplySnapshotDeferred(st, m, mode, opts)
-	}
-	return module.ApplySnapshot(st, m, mode, opts)
-}
-
 // applyLocked is an attempt that holds the write lock from snapshot to
 // commit: the retry budget's last attempt. Nothing commits between
 // them, so validation passes and the commit is logged exactly as an
@@ -245,14 +225,15 @@ func applySnapshot(st *module.State, deferOK bool, m *Module, mode Mode, opts en
 func (db *Database) applyLocked(opts engine.Options, t *target) (*module.SnapshotResult, string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := t.resolve(db.st); err != nil {
+	s := db.snapshotLocked()
+	if err := t.resolve(s.st); err != nil {
 		return nil, "", err
 	}
-	sr, err := applySnapshot(db.st, db.maintDeferUsable(), t.m, t.mode, opts)
+	sr, err := s.apply(t.m, t.mode, opts)
 	if err != nil {
 		return nil, "", err
 	}
-	path, _, _, _, err := db.commitLocked(opts, db.log.Epoch(), sr)
+	path, _, _, _, err := db.commitLocked(opts, s.epoch, sr)
 	return sr, path, err
 }
 

@@ -1331,10 +1331,11 @@ func functionStore(fn string) string { return "$fn$" + fn }
 // ToInstance converts a fact set into an instance over the schema,
 // reconciling class facts across a generalization hierarchy (an oid's
 // o-value is the ⊕ of its projections; later components win, but since all
-// class facts of one oid stem from one o-value they agree).
-func ToInstance(fs *FactSet, schema *types.Schema, oidCounter int64) *instance.Instance {
+// class facts of one oid stem from one o-value they agree). The third
+// argument, once the oid counter of the run that derived fs, is ignored:
+// an instance keeps no counter.
+func ToInstance(fs *FactSet, schema *types.Schema, _ int64) *instance.Instance {
 	in := instance.New(schema)
-	in.SetOIDCounter(oidCounter)
 	for _, p := range fs.Preds() {
 		add := func(f Fact) bool {
 			in.InsertTuple(p, f.Tuple)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"logres/internal/ast"
 )
 
 // Incremental view maintenance (DESIGN.md §14). A Maintainer carries the
@@ -29,8 +27,12 @@ import (
 //
 // A Maintainer is single-writer: Update and Rebuild must be externally
 // serialized (the Database holds its write lock across them). The
-// maintained full set is frozen after every update, so any number of
-// readers may consult Full() concurrently with each other.
+// maintained full set is frozen after every update, and an update or a
+// rollback replaces it without writing it (UpdateStaged writes a clone
+// of the view). A goal reads only the compiled part of a program, which
+// no run writes. So any number of readers may keep a Full() set and
+// answer goals over it with Program().Query while the next update runs;
+// the Database shares both with its reads.
 
 // maintPlan is one maintained stratum: its plan and, for counting, the
 // derivations per head-fact key.
@@ -56,11 +58,6 @@ type Maintainer struct {
 	baseE *FactSet // the committed extensional set the state is synced to
 	view  *FactSet // the materialized eligible prefix
 	full  *FactSet // the complete derived set (== view when suffix is empty)
-	// fullCounter is the oid counter after the full evaluation — what a
-	// from-scratch run starting at the committed state counter would
-	// leave behind, so ToInstance(full, schema, fullCounter) is
-	// byte-identical to a recomputation.
-	fullCounter int64
 	// probes counts derivable calls over the maintainer's life.
 	probes int
 }
@@ -121,16 +118,9 @@ func (m *Maintainer) EligibleStrata() (prefix, total int) {
 // must treat it as read-only.
 func (m *Maintainer) Full() *FactSet { return m.full }
 
-// Counter returns the oid counter after the full evaluation.
-func (m *Maintainer) Counter() int64 { return m.fullCounter }
-
-// Query evaluates a conjunctive goal against the maintained derived set.
-func (m *Maintainer) Query(goal []ast.Literal) (*Answer, error) {
-	return m.prog.Query(m.full, goal)
-}
-
-// Program returns the maintained program, for auditing the maintained set
-// (its passive constraints) under the lock that serializes Update.
+// Program returns the maintained program: for auditing the maintained
+// set (its passive constraints) under the lock that serializes Update,
+// and for answering goals over a Full() set.
 func (m *Maintainer) Program() *Program { return m.prog }
 
 // Rebuild discards all incremental state and recomputes it from the
@@ -214,21 +204,16 @@ func deltaRound(c *evalCtx, plan *maintPlan, delta, pre, post *FactSet, emit fun
 func (m *Maintainer) recomputeSuffix(counter int64) error {
 	if m.suffix >= len(m.prog.strata) {
 		m.full = m.view
-		if mo := int64(m.view.MaxOID()); mo > counter {
-			counter = mo
-		}
-		m.fullCounter = counter
 		m.full.Freeze()
 		return nil
 	}
-	c := counter
-	// RunFrom evaluates a copy of its input, so m.view stays untouched.
-	full, err := m.prog.RunFrom(context.Background(), m.suffix, m.view, &c)
+	// RunFrom evaluates a copy of its input, so m.view stays untouched;
+	// the committed counter numbers the oids the suffix invents.
+	full, err := m.prog.RunFrom(context.Background(), m.suffix, m.view, &counter)
 	if err != nil {
 		return err
 	}
 	m.full = full
-	m.fullCounter = c
 	m.full.Freeze()
 	return nil
 }
@@ -255,8 +240,7 @@ func (m *Maintainer) Update(adds, removes []Fact, newE *FactSet, counter int64) 
 // the next Update, UpdateStaged, or Rebuild; on error it is nil and
 // the maintainer must be Rebuilt as with Update.
 func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter int64) (*ViewDelta, func(), error) {
-	prevView, prevFull := m.view, m.full
-	prevBaseE, prevCounter := m.baseE, m.fullCounter
+	prevView, prevFull, prevBaseE := m.view, m.full, m.baseE
 	undoCounts := map[*maintPlan]map[string]int{}
 
 	// Normalize against the base the state is synced to: a remove of an
@@ -369,8 +353,7 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 	SortFactsByKey(vd.Adds)
 	SortFactsByKey(vd.Removes)
 	rollback := func() {
-		m.view, m.full = prevView, prevFull
-		m.baseE, m.fullCounter = prevBaseE, prevCounter
+		m.view, m.full, m.baseE = prevView, prevFull, prevBaseE
 		for plan, undo := range undoCounts {
 			for k, v := range undo {
 				if v == 0 {

@@ -21,8 +21,6 @@ type Instance struct {
 	classes map[string]map[value.OID]bool     // π: class name → set of oids
 	ovalues map[value.OID]value.Tuple         // ν: oid → o-value
 	assocs  map[string]map[string]value.Tuple // ρ: assoc name → key → tuple
-
-	nextOID int64
 }
 
 // New returns an empty instance over the given schema.
@@ -32,14 +30,6 @@ func New(schema *types.Schema) *Instance {
 		classes: map[string]map[value.OID]bool{},
 		ovalues: map[value.OID]value.Tuple{},
 		assocs:  map[string]map[string]value.Tuple{},
-	}
-}
-
-// SetOIDCounter restores the oid counter; used when loading snapshots. It
-// never lowers the counter.
-func (in *Instance) SetOIDCounter(n int64) {
-	if n > in.nextOID {
-		in.nextOID = n
 	}
 }
 
@@ -55,9 +45,6 @@ func (in *Instance) AddToClass(class string, oid value.OID, v value.Tuple) {
 		in.classes[class] = set
 	}
 	set[oid] = true
-	if int64(oid) > in.nextOID {
-		in.nextOID = int64(oid)
-	}
 	prev, ok := in.ovalues[oid]
 	if !ok {
 		in.ovalues[oid] = v

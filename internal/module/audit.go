@@ -31,8 +31,8 @@ func auditFull(in *instance.Instance, prog *engine.Program, f *engine.FactSet) e
 
 // auditFullBecause runs the full audit over the derived set f and names
 // the audit "full: " + why.
-func auditFullBecause(why string, s *types.Schema, prog *engine.Program, f *engine.FactSet, counter int64) (string, error) {
-	return "full: " + why, auditFull(engine.ToInstance(f, s, counter), prog, f)
+func auditFullBecause(why string, s *types.Schema, prog *engine.Program, f *engine.FactSet) (string, error) {
+	return "full: " + why, auditFull(engine.ToInstance(f, s, 0), prog, f)
 }
 
 // classFactIn reports whether changed names a class. A class fact in the
@@ -61,9 +61,9 @@ func classFactIn(s *types.Schema, changed map[string]bool) bool {
 //     each is checked by clause (ρ)'s per-tuple rule against f's classes;
 //   - only the denials that read a changed predicate or the active domain
 //     are evaluated over f.
-func AuditInstanceDelta(s *types.Schema, prog *engine.Program, f *engine.FactSet, counter int64, adds []engine.Fact, changed map[string]bool) (string, error) {
+func AuditInstanceDelta(s *types.Schema, prog *engine.Program, f *engine.FactSet, adds []engine.Fact, changed map[string]bool) (string, error) {
 	if classFactIn(s, changed) {
-		return auditFullBecause("class fact in delta", s, prog, f, counter)
+		return auditFullBecause("class fact in delta", s, prog, f)
 	}
 	if err := checkAddedTuples(s, f, adds); err != nil {
 		return AuditDelta, fmt.Errorf("module: instance inconsistent: %w", err)

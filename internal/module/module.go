@@ -185,43 +185,41 @@ func (st *State) Instance(opts engine.Options) (_ *engine.FactSet, _ *instance.I
 	return f, in, err
 }
 
-// Derive computes R(E) and the oid counter its evaluation leaves,
-// without the audit Instance performs: a read of a published state,
-// which was audited when it entered the database.
-func (st *State) Derive(opts engine.Options) (_ *engine.FactSet, _ int64, err error) {
+// Derive computes R(E) without the audit Instance performs: a read of a
+// published state, which was audited when it entered the database.
+func (st *State) Derive(opts engine.Options) (_ *engine.FactSet, err error) {
 	defer shieldPanic(&err)
-	f, counter, _, err := st.run(opts)
-	return f, counter, err
+	f, _, err := st.run(opts)
+	return f, err
 }
 
-// run applies a fork of st's persistent program to E, returning R(E),
-// the advanced oid counter and the fork, so a caller with a goal to
-// answer queries the program that derived the facts. It does not audit
-// R(E).
-func (st *State) run(opts engine.Options) (*engine.FactSet, int64, *engine.Program, error) {
+// run applies a fork of st's persistent program to E, returning R(E)
+// and the fork, so a caller with a goal to answer queries the program
+// that derived the facts. It does not audit R(E).
+func (st *State) run(opts engine.Options) (*engine.FactSet, *engine.Program, error) {
 	prog, err := st.Program(opts)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
 	// The advanced counter is NOT written back to st — deriving the
 	// instance is a pure read (oids invented while deriving it are not
-	// part of the persistent state), which lets Database readers share a
-	// lock.
+	// part of the persistent state), so any number of readers may run
+	// over one published state.
 	counter := st.Counter
 	f, err := prog.Run(st.E, &counter)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	return f, counter, prog, nil
+	return f, prog, nil
 }
 
 // derive is run followed by the audit Instance performs.
 func (st *State) derive(opts engine.Options) (*engine.FactSet, *instance.Instance, *engine.Program, error) {
-	f, counter, prog, err := st.run(opts)
+	f, prog, err := st.run(opts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	in := engine.ToInstance(f, st.S, counter)
+	in := engine.ToInstance(f, st.S, 0)
 	if err := auditFull(in, prog, f); err != nil {
 		return nil, nil, nil, err
 	}
@@ -416,7 +414,7 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 		// the state as it is. A state is audited once, when it enters the
 		// database (commit, Load, recovery), so its R(E) is consistent:
 		// compile, run and answer, nothing else.
-		f, _, prog, err := st.run(opts)
+		f, prog, err := st.run(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -551,16 +549,16 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		return res, err
 	}
 	d := res.delta
-	f, fcounter, pprog, err := next.run(opts)
+	f, pprog, err := next.run(opts)
 	res.prog = pprog
 	if err == nil {
 		// A persistent rule that sees the write can make the instance delta
 		// differ from the extensional one. A class fact in the delta takes
 		// AuditInstanceDelta's full audit, under that reason.
 		if why := pprog.DeltaBlocker(d.changed); why != "" && !classFactIn(next.S, d.changed) {
-			res.Audit, err = auditFullBecause(why, next.S, pprog, f, fcounter)
+			res.Audit, err = auditFullBecause(why, next.S, pprog, f)
 		} else {
-			res.Audit, err = AuditInstanceDelta(next.S, pprog, f, fcounter, d.adds, d.changed)
+			res.Audit, err = AuditInstanceDelta(next.S, pprog, f, d.adds, d.changed)
 		}
 	}
 	if err != nil {

@@ -162,12 +162,14 @@ func WithVectorize(on bool) Option {
 
 // Database is a LOGRES database: a state (E, R, S) evolved by module
 // applications. All methods are safe for concurrent use: read-only
-// methods (Query, Instance, Count, Save, …) share an RWMutex read lock
-// and run concurrently with each other; module applications evaluate
-// against a snapshot and take the write lock only to commit. The
-// published extensional fact set is kept frozen (engine.FactSet.Freeze)
-// so concurrent readers share its indexes, each built once, on its first
-// probe.
+// methods (Query, Instance, Count, Save, …) and module applications
+// alike hold a read lock only while they copy a snapshot of the
+// published state, and evaluate after releasing it, so no commit waits
+// for a read's evaluation; an application takes the write lock only to
+// commit. A published state is never written. A from-scratch read
+// builds its indexes on its own run's copy of E; readers of one
+// maintained derived set (WithIncremental) share its indexes, each
+// built once, on its first probe.
 type Database struct {
 	mu   sync.RWMutex
 	st   *module.State
@@ -327,22 +329,19 @@ func (db *Database) QueryContext(ctx context.Context, goalSrc string, options ..
 	if err != nil {
 		return nil, err
 	}
-	m := &ast.Module{Schema: types.NewSchema(), Goal: goal}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if len(options) == 0 {
+	s := db.snapshot()
+	if len(options) == 0 && s.full != nil {
 		// Option-free goals serve straight from the maintained derived
 		// set — no per-call budget or profile to honor, and the program
 		// is the same one a from-scratch RIDI application would compile.
-		if _, _, ok := db.maintRead(); ok {
-			return db.maint.Query(goal)
-		}
+		return s.prog.Query(s.full, goal)
 	}
-	opts := applyCallOptions(db.opts, options)
+	opts := applyCallOptions(s.opts, options)
 	opts.Ctx = ctx
 	finish := instrumentCall(ctx, &opts, options)
 	defer finish()
-	res, err := module.Apply(db.st, m, ast.RIDI, opts)
+	m := &ast.Module{Schema: types.NewSchema(), Goal: goal}
+	res, err := module.Apply(s.st, m, ast.RIDI, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -356,9 +355,7 @@ func (db *Database) ctx() context.Context { return db.opts.Ctx }
 // Instance computes the current database instance I (the persistent rules
 // applied to E) and returns its facts.
 func (db *Database) Instance() ([]Fact, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	f, _, err := db.derived()
+	f, err := db.snapshot().derived()
 	if err != nil {
 		return nil, err
 	}
@@ -367,51 +364,88 @@ func (db *Database) Instance() ([]Fact, error) {
 
 // InstanceString renders the current instance deterministically.
 func (db *Database) InstanceString() (string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	f, counter, err := db.derived()
+	s := db.snapshot()
+	f, err := s.derived()
 	if err != nil {
 		return "", err
 	}
-	return engine.ToInstance(f, db.st.S, counter).String(), nil
+	return engine.ToInstance(f, s.st.S, 0).String(), nil
 }
 
 // Count reports the number of facts of a predicate in the current
 // instance (derived facts included).
 func (db *Database) Count(pred string) (int, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	f, _, err := db.derived()
+	f, err := db.snapshot().derived()
 	if err != nil {
 		return 0, err
 	}
 	return f.Size(types.Canon(pred)), nil
 }
 
-// derived returns R(E) of the published state and the oid counter its
-// evaluation leaves: the maintained set when the incremental fast path
-// can serve it, a from-scratch evaluation otherwise. Neither re-audits
-// the state, which was audited when it entered the database. Callers
-// hold the read lock.
-func (db *Database) derived() (*engine.FactSet, int64, error) {
-	if f, counter, ok := db.maintRead(); ok {
-		return f, counter, nil
+// stateSnapshot is one published state as a read or an application
+// attempt sees it. A commit replaces the published state and the
+// maintained set and never writes either, so a snapshot needs no lock
+// once it is taken: I is R applied to E (§4.2), a function of the state
+// alone.
+type stateSnapshot struct {
+	st    *module.State
+	epoch uint64 // the commit epoch st was published at
+	opts  engine.Options
+	// full and prog are set when a healthy maintainer serves st: its
+	// frozen derived set and the program that answers goals over it.
+	full *engine.FactSet
+	prog *engine.Program
+}
+
+// snapshotLocked takes the snapshot of the published state. It is the
+// one place that decides whether a healthy maintainer serves the state:
+// one that has not failed, which maintStage keeps running the published
+// state's program after every commit. Callers hold db.mu, read or write.
+func (db *Database) snapshotLocked() stateSnapshot {
+	s := stateSnapshot{st: db.st, epoch: db.log.Epoch(), opts: db.opts}
+	if db.maint != nil && db.maintErr == nil {
+		s.full, s.prog = db.maint.Full(), db.maint.Program()
 	}
-	return db.st.Derive(db.opts)
+	return s
+}
+
+// snapshot holds the read lock only while it copies the snapshot.
+func (db *Database) snapshot() stateSnapshot {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.snapshotLocked()
+}
+
+// derived returns R(E) of the snapshot's state: the maintained set when
+// a maintainer serves it, a from-scratch evaluation otherwise. Neither
+// re-audits the state, which was audited when it entered the database.
+func (s stateSnapshot) derived() (*engine.FactSet, error) {
+	if s.full != nil {
+		return s.full, nil
+	}
+	return s.st.Derive(s.opts)
+}
+
+// apply evaluates one application attempt of m against the snapshot's
+// state. When a maintainer serves the state, the attempt defers its
+// audit to the commit (view.go): commitLocked stages the propagation and
+// audits the maintained instance by its exact view delta before the
+// commit lands.
+func (s stateSnapshot) apply(m *Module, mode Mode, opts engine.Options) (*module.SnapshotResult, error) {
+	if s.full != nil {
+		return module.ApplySnapshotDeferred(s.st, m, mode, opts)
+	}
+	return module.ApplySnapshot(s.st, m, mode, opts)
 }
 
 // EDBCount reports the number of extensional facts of a predicate.
 func (db *Database) EDBCount(pred string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.st.E.Size(types.Canon(pred))
+	return db.snapshot().st.E.Size(types.Canon(pred))
 }
 
 // RuleCount reports the number of persistent rules.
 func (db *Database) RuleCount() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.st.R)
+	return len(db.snapshot().st.R)
 }
 
 // Materialize makes E coincide with the current instance and clears the
@@ -431,17 +465,14 @@ func (db *Database) Materialize() error {
 // CheckConsistency verifies Definition 4 and the passive constraints
 // against the current instance.
 func (db *Database) CheckConsistency() error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, _, err := db.st.Instance(db.opts)
+	s := db.snapshot()
+	_, _, err := s.st.Instance(s.opts)
 	return err
 }
 
 // Save writes a snapshot of the database state.
 func (db *Database) Save(w io.Writer) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return storage.SaveState(w, db.st)
+	return storage.SaveState(w, db.snapshot().st)
 }
 
 // Load reads a snapshot written by Save.
@@ -477,9 +508,7 @@ func (db *Database) publishDecoded(st *module.State) error {
 
 // Schema renders the current schema in LOGRES syntax.
 func (db *Database) Schema() string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.st.S.String()
+	return db.snapshot().st.S.String()
 }
 
 // Register parses a named module and stores it in the database's module
@@ -522,12 +551,11 @@ func (db *Database) CallContext(ctx context.Context, name string, options ...Cal
 
 // Modules lists the registered module names.
 func (db *Database) Modules() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.st.Lib == nil {
+	lib := db.snapshot().st.Lib
+	if lib == nil {
 		return nil
 	}
-	return db.st.Lib.Names()
+	return lib.Names()
 }
 
 // Explain evaluates the current instance with a fork of the persistent
@@ -535,14 +563,13 @@ func (db *Database) Modules() []string {
 // constraints, invention) together with the run's statistics — the §5
 // "design, debugging, and monitoring" tooling.
 func (db *Database) Explain() (string, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	prog, err := db.st.Program(db.opts)
+	s := db.snapshot()
+	prog, err := s.st.Program(s.opts)
 	if err != nil {
 		return "", err
 	}
-	counter := db.st.Counter
-	if _, err := prog.Run(db.st.E, &counter); err != nil {
+	counter := s.st.Counter
+	if _, err := prog.Run(s.st.E, &counter); err != nil {
 		return "", err
 	}
 	return prog.Explain(), nil

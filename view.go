@@ -287,26 +287,6 @@ func (db *Database) maintInit() error {
 	return nil
 }
 
-// maintRead returns the maintained full derived set and the oid counter
-// a from-scratch evaluation would have left, when the incremental fast
-// path can serve a read. Callers hold the read lock; the returned set
-// is frozen.
-func (db *Database) maintRead() (*engine.FactSet, int64, bool) {
-	if db.maint == nil || db.maintErr != nil {
-		return nil, 0, false
-	}
-	return db.maint.Full(), db.maint.Counter(), true
-}
-
-// maintDeferUsable reports whether an application may defer its audit to
-// the commit: the maintainer is healthy, so it runs the published
-// state's program (maintStage keeps it so after every commit) and the
-// commit can audit the maintained instance by its exact view delta.
-// Callers hold the lock.
-func (db *Database) maintDeferUsable() bool {
-	return db.maint != nil && db.maintErr == nil
-}
-
 // maintStep is the maintainer's step to one commit's successor state,
 // staged before the commit is logged.
 type maintStep struct {
@@ -339,22 +319,22 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 	}
 	start := time.Now()
 	prog, err := next.Program(maintOptions(db.opts))
+	cur := db.snapshotLocked()
 	reason := "recover"
-	if db.maintDeferUsable() && err == nil && db.maint.Program().Shares(prog) {
-		if next.E == db.st.E {
+	if cur.full != nil && err == nil && cur.prog.Shares(prog) {
+		if next.E == cur.st.E {
 			step.vd = &engine.ViewDelta{}
 			return step, nil
 		}
 		adds, removes := sr.Adds, sr.Removes
 		if sr.Replace {
-			adds, removes = diffFrozen(db.st.E, next.E)
+			adds, removes = diffFrozen(cur.st.E, next.E)
 		}
 		vd, undo, uerr := db.maint.UpdateStaged(adds, removes, next.E, next.Counter)
 		if uerr == nil {
 			var audit string
 			if sr.Deferred {
-				m := db.maint
-				if audit, err = module.AuditInstanceDelta(next.S, m.Program(), m.Full(), m.Counter(), vd.Adds, vd.Preds()); err != nil {
+				if audit, err = module.AuditInstanceDelta(next.S, cur.prog, db.maint.Full(), vd.Adds, vd.Preds()); err != nil {
 					undo()
 					return nil, err
 				}
@@ -367,7 +347,7 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 		// The failed propagation left the maintainer inconsistent, whether
 		// or not this commit lands.
 		db.maintErr, reason = uerr, "fallback: "+uerr.Error()
-	} else if db.maintDeferUsable() {
+	} else if cur.full != nil {
 		reason = "replace"
 	}
 	// Rebuild over next, diffing the old and new full sets so subscribers
