@@ -11,8 +11,9 @@ import (
 )
 
 // Concurrent readers and a writer on one Database, exercised under -race:
-// read-only methods share the RWMutex read lock and must never observe a
-// half-published state or race on the frozen extensional fact set.
+// read-only methods load the published snapshot without a lock and must
+// never observe a half-published state or race on the frozen extensional
+// fact set.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	db, err := Open(`
 domains NAME = string;

@@ -16,10 +16,12 @@ import (
 // optimistic protocol, which holds the write lock only for a short
 // commit critical section:
 //
-//  1. snapshot — read-lock just long enough to capture the published
-//     (frozen) state and the commit-log epoch, the same snapshot every
-//     read takes (logres.go); a Call also looks its module up in that
-//     state's library;
+//  1. snapshot — read-lock the writers' lock just long enough to copy
+//     the current (frozen) state and the commit-log epoch, so an
+//     attempt waits for a commit in flight rather than evaluating
+//     against the state it replaces (reads load the published snapshot
+//     and take no lock, logres.go); a Call also looks its module up in
+//     that state's library;
 //  2. apply — run the module against the snapshot outside any lock,
 //     recording its read/write predicate footprint (static analysis of
 //     the compiled rules, narrowed/widened by the runtime delta);
@@ -103,7 +105,7 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 	// contract is that in-flight evaluations keep the tracer they started
 	// with), so options and the retry budget resolve once, outside the
 	// attempt loop. Only the state/epoch snapshot is re-read per attempt.
-	opts := applyCallOptions(db.snapshot().opts, options)
+	opts := applyCallOptions(db.snap.Load().opts, options)
 	opts.Ctx = ctx
 	// Request-scoped observability resolves once too: all attempts (and
 	// their commit, conflict, retry, and WAL events) belong to the same
@@ -136,7 +138,9 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 		} else {
 			// The snapshot's epoch tells validation exactly which commits
 			// this evaluation could not have seen.
-			s := db.snapshot()
+			db.mu.RLock()
+			s := db.snapshotLocked()
+			db.mu.RUnlock()
 			if err = t.resolve(s.st); err != nil {
 				return nil, err
 			}
@@ -258,8 +262,8 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 //   - stage the maintainer's step to it (maintStage), which serves a
 //     deferred application's audit;
 //   - log the commit to the WAL of a durable database;
-//   - publish the state, record its write set at the next epoch and
-//     compact the WAL when due;
+//   - record its write set at the next epoch, publish the state with
+//     its snapshot at that epoch, and compact the WAL when due;
 //   - notify the maintenance event and the subscribers (maintNotify).
 //
 // It returns the commit path for tracing, and on a conflict the
@@ -323,8 +327,8 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 		step.undo()
 		return "", "", Footprint{}, false, err
 	}
-	db.publish(next)
 	db.log.Record(written)
+	db.publish(next)
 	db.maybeCompact()
 	db.maintNotify(opts.Tracer, step)
 	return path, "", Footprint{}, true, nil
@@ -332,11 +336,7 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 
 // CommitEpoch returns the database's current commit epoch — the number
 // of state-changing commits recorded so far (introspection/tests).
-func (db *Database) CommitEpoch() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.log.Epoch()
-}
+func (db *Database) CommitEpoch() uint64 { return db.snap.Load().epoch }
 
 // commitLogWindow exposes the validation window for tests.
 func (db *Database) commitLogWindow() int { return db.log.Window() }

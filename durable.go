@@ -117,25 +117,15 @@ func OpenDurable(schemaSrc string, d Durability, options ...Option) (*Database, 
 }
 
 // Durable reports whether the database persists commits to a WAL.
-func (db *Database) Durable() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.store != nil
-}
+func (db *Database) Durable() bool { return db.store != nil }
 
 // Recovery returns the report of the recovery that opened this
 // database, or nil (fresh creation, or a non-durable database).
-func (db *Database) Recovery() *RecoveryReport {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.recovery
-}
+func (db *Database) Recovery() *RecoveryReport { return db.recovery }
 
 // Durability returns the storage status of a durable database; ok is
 // false for a database without a store.
 func (db *Database) Durability() (DurabilityStatus, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if db.store == nil {
 		return DurabilityStatus{}, false
 	}
@@ -145,13 +135,10 @@ func (db *Database) Durability() (DurabilityStatus, bool) {
 // Sync forces buffered WAL data to stable storage — the drain hook for
 // FsyncInterval / FsyncOff databases. A no-op without a store.
 func (db *Database) Sync() error {
-	db.mu.RLock()
-	store := db.store
-	db.mu.RUnlock()
-	if store == nil {
+	if db.store == nil {
 		return nil
 	}
-	return store.Sync()
+	return db.store.Sync()
 }
 
 // Close syncs and closes the WAL. Subsequent commits fail; read-only
@@ -186,18 +173,14 @@ func (db *Database) Compact() error {
 // checkpoint is gone (storage.ErrCompacted); future epochs do not
 // exist yet.
 func (db *Database) AsOf(epoch uint64) (*Database, error) {
-	db.mu.RLock()
-	store := db.store
-	opts := db.opts
-	db.mu.RUnlock()
-	if store == nil {
+	if db.store == nil {
 		return nil, fmt.Errorf("logres: database is not durable")
 	}
-	st, err := store.AsOf(epoch)
+	st, err := db.store.AsOf(epoch)
 	if err != nil {
 		return nil, err
 	}
-	past := &Database{opts: opts, log: storage.NewCommitLogAt(epoch, 0)}
+	past := &Database{opts: db.snap.Load().opts, log: storage.NewCommitLogAt(epoch, 0)}
 	past.publish(st)
 	return past, nil
 }

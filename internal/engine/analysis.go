@@ -85,8 +85,7 @@ type crule struct {
 	vars      []string // all rule variables, sorted, for valuation-domain identity
 	inventive bool
 	// isa is set on the isa-propagation rules Compile generates (never on
-	// user-written rules): oneStep and oneStepNoninf evaluate it in place
-	// of body and head.
+	// user-written rules): oneStep evaluates it in place of body and head.
 	isa *isaStep
 }
 

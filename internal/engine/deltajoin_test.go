@@ -146,7 +146,7 @@ func refRun(p *Program, f0 *FactSet, counter *int64, check refRoundCheck) (*Fact
 			p.stats.SemiNaiveStrata++
 			f, err = refSemiNaive(p, sp.rules, f, counter, check)
 		} else {
-			f, err = p.fixpoint(sp.rules, f, counter, sp.once)
+			f, err = p.fixpoint(sp.rules, f, nil, counter, sp.once)
 		}
 		if err != nil {
 			return nil, err

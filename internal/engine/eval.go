@@ -681,21 +681,38 @@ func (c *evalCtx) instantiateDeletion(r *crule, e *env, dminus *FactSet) error {
 	return nil
 }
 
-// --- the one-step inflationary operator and fixpoints --------------------
+// --- the operators and their fixpoints ----------------------------------
 
-// oneStep applies the one-step inflationary operator of Appendix B to f
-// with the given rules:
+// oneStep applies one step of an operator to f with the given rules and
+// returns the next fact set and whether anything changed. Without a base
+// it is the one-step inflationary operator of Appendix B:
 //
 //	VAR' = ((F ⊕ Δ+) − Δ−) ⊕ (F ∩ Δ+ ∩ Δ−)
 //
-// It returns the next fact set and whether anything changed. step is
-// the fixpoint round, used by the in-round guard check and trace
+// With one, it is the non-inflationary operator over the extensional
+// base E, the DL-style semantics of [Abit88a] that the paper's
+// introduction makes rules parametric in:
+//
+//	F' = (E ⊕ Δ+) − Δ−
+//
+// Derived facts then persist only while re-derivable from the current
+// set; E always persists. Under it the head-satisfiability suppression
+// of Definition 7 must not drop facts: a satisfied head re-emits the
+// satisfying facts so they survive the step, while oid invention keeps
+// its dedup discipline (an object is re-emitted, not re-invented). step
+// is the fixpoint round, used by the in-round guard check and trace
 // events.
-func (p *Program) oneStep(step int, rules []*crule, f *FactSet, counter *int64) (*FactSet, bool, error) {
-	c := &evalCtx{p: p, f: f, counter: counter, stats: p.stats, g: p.armedGuard(), round: step}
+func (p *Program) oneStep(step int, rules []*crule, f, base *FactSet, counter *int64) (*FactSet, bool, error) {
+	c := &evalCtx{p: p, f: f, counter: counter, reemit: base != nil, stats: p.stats, g: p.armedGuard(), round: step}
 	dplus, dminus := NewFactSet(), NewFactSet()
 	if err := c.applyRules(rules, dplus, dminus); err != nil {
 		return nil, false, err
+	}
+	if base != nil {
+		next := base.Clone()
+		next.Merge(dplus)
+		next.Drop(dminus)
+		return next, !next.Equal(f), nil
 	}
 	if dplus.TotalSize() == 0 && dminus.TotalSize() == 0 {
 		return f, false, nil
@@ -750,17 +767,23 @@ func (c *evalCtx) applyRules(rules []*crule, dplus, dminus *FactSet) error {
 	return nil
 }
 
-// fixpoint iterates oneStep to convergence. With once set, the first
+// fixpoint iterates oneStep to convergence: the inflationary operator,
+// or with a base the non-inflationary one, whose result is undefined (an
+// error) when the sequence never stabilizes. With once set, the first
 // step is provably the fixpoint (settlesInOneStep), and no step confirms
 // it.
-func (p *Program) fixpoint(rules []*crule, f *FactSet, counter *int64, once bool) (*FactSet, error) {
+func (p *Program) fixpoint(rules []*crule, f, base *FactSet, counter *int64, once bool) (*FactSet, error) {
+	why := "the inflationary semantics does not guarantee termination"
+	if base != nil {
+		why = "the non-inflationary semantics is undefined when no fixpoint is reached"
+	}
 	for step := 0; ; step++ {
-		if err := p.checkRound(step, f.TotalSize, "the inflationary semantics does not guarantee termination"); err != nil {
+		if err := p.checkRound(step, f.TotalSize, why); err != nil {
 			return nil, err
 		}
 		p.traceRoundBegin(step)
 		start := p.traceNow()
-		next, changed, err := p.oneStep(step, rules, f, counter)
+		next, changed, err := p.oneStep(step, rules, f, base, counter)
 		if err != nil {
 			return nil, err
 		}
@@ -826,18 +849,15 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 			return nil, err
 		}
 	}
-	if p.opts.NonInflationary {
-		// Re-emission needs every isa visit: the full pass, and no mark.
-		p.guard.SetStratum(-1)
-		return p.runNoninflationary(f0, counter)
-	}
 	if m := int64(f0.MaxOID()); m > *counter {
 		*counter = m
 	}
 	// An input closed under this schema's isa steps lets every isa pass
-	// visit only what differs from it (isaPass).
+	// visit only what differs from it (isaPass). Re-emission under the
+	// non-inflationary operator needs every isa visit: the full pass.
+	noninf := p.opts.NonInflationary
 	p.isaBase = nil
-	if !hooks.IsaFullPass && f0.closed == p.schema {
+	if !hooks.IsaFullPass && !noninf && f0.closed == p.schema {
 		p.isaBase = f0
 	}
 	defer func() { p.isaBase = nil }()
@@ -850,8 +870,12 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	strata, _ := p.plan()
 	for i := from; i < len(strata); i++ {
 		sp := &strata[i]
-		p.guard.SetStratum(i)
-		p.traceStratumBegin(i, sp.rules, sp.exec.String(), sp.row)
+		id := i
+		if sp.exec == execNonInflationary {
+			id = -1 // the whole program, no stratum of it
+		}
+		p.guard.SetStratum(id)
+		p.traceStratumBegin(id, sp.rules, sp.exec.String(), sp.row)
 		var err error
 		switch sp.exec {
 		case execColumnar:
@@ -865,21 +889,24 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 		case execSemiNaive:
 			p.stats.SemiNaiveStrata++
 			f, err = p.semiNaive(sp.rules, f, counter)
+		case execNonInflationary:
+			f, err = p.fixpoint(sp.rules, f, f0, counter, false)
 		default:
-			f, err = p.fixpoint(sp.rules, f, counter, sp.once)
+			f, err = p.fixpoint(sp.rules, f, nil, counter, sp.once)
 		}
 		if err != nil {
 			return nil, err
 		}
-		p.traceStratumEnd(i, f)
+		p.traceStratumEnd(id, f)
 	}
 	// A run over every stratum leaves a result closed under the isa
 	// steps: each holding stratum is an inflationary fixpoint, whose last
 	// step emitted nothing, or would have (settlesInOneStep), since an
 	// isa emission adds a fact f lacks and Δ− holds only facts of f; and
 	// no later stratum writes a class the step reads, since a predicate's
-	// rules share one stratum.
-	if from == 0 {
+	// rules share one stratum. A non-inflationary fixpoint re-emits, so
+	// it vouches for no isa step.
+	if from == 0 && !noninf {
 		f.closed = p.schema
 	}
 	return f, nil

@@ -15,8 +15,8 @@ import (
 // Persistent Predicates*), so checking one object is an oid lookup and a
 // comparison of the labels super declares; no environment is built.
 //
-// The step replaces the rule's compiled body and head in oneStep and
-// oneStepNoninf, and is equivalent to matchBody + instantiateHead over
+// The step replaces the rule's compiled body and head in oneStep under
+// either operator, and is equivalent to matchBody + instantiateHead over
 // them: the same facts enter Δ+. Over a full pass, Stats.Firings, the
 // in-round step count, the in-round guard checks and the non-inflationary
 // re-emission advance exactly as the matcher's would. Over a run input

@@ -18,7 +18,7 @@ const (
 	execOneStep         executor = iota // the one-step inflationary operator to a fixpoint
 	execSemiNaive                       // delta iteration on the row loop
 	execColumnar                        // delta iteration on the columnar kernels
-	execNonInflationary                 // the whole-program non-inflationary operator
+	execNonInflationary                 // the non-inflationary operator over the whole program
 )
 
 var execNames = [...]string{"one-step inflationary", "semi-naive", "semi-naive (vectorized)", "non-inflationary"}
@@ -78,9 +78,15 @@ type stratumPlan struct {
 // incrementally, the rest are recomputed.
 func (p *Program) plan() (strata []stratumPlan, prefix int) {
 	p.planOnce.Do(func() {
-		p.plans = make([]stratumPlan, len(p.strata))
-		p.prefix = len(p.strata)
-		for i, rules := range p.strata {
+		blocks := p.strata
+		if p.opts.NonInflationary {
+			// The operator is not monotone, so stratification does not
+			// apply: it runs over the whole program as one block.
+			blocks = [][]*crule{slices.Concat(p.strata...)}
+		}
+		p.plans = make([]stratumPlan, len(blocks))
+		p.prefix = len(blocks)
+		for i, rules := range blocks {
 			sp := &p.plans[i]
 			p.classify(sp, rules)
 			if sp.maint == maintNone {

@@ -25,9 +25,11 @@ import (
 // apply, so a few hundred entries is generous.
 const DefaultCommitLogWindow = 512
 
-// CommitLog is safe for concurrent use, but the intended discipline is
-// the database's: Epoch is read under the same lock as the state
-// snapshot, Validate and Record run inside the commit critical section.
+// CommitLog is safe for concurrent use, but the database uses it only
+// under its writers' lock: an attempt reads Epoch as it copies its
+// snapshot, and Validate and Record run inside the commit critical
+// section. Readers never call it: each published snapshot carries the
+// epoch it was recorded at.
 type CommitLog struct {
 	mu      sync.Mutex
 	epoch   uint64            // epoch of the newest committed entry

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -234,12 +235,20 @@ func Open(dir string, opts StoreOptions) (*Store, *module.State, *Recovery, erro
 	rec.SnapshotEpoch = snapEpoch
 	rec.BadSnapshots = bad
 	s.checkpointEpoch = snapEpoch
-	s.epoch = snapEpoch
 
+	// Replay every record past the checkpoint. Where the replay stopped
+	// before the end of the log, the suffix is quarantined, the file
+	// truncated, and rec.Tail set.
 	walPath := filepath.Join(dir, walName)
-	st, err = s.replayWAL(walPath, st, rec)
+	w, err := replayLog(walPath, st, snapEpoch, math.MaxUint64)
 	if err != nil {
 		return nil, nil, nil, err
+	}
+	st, s.epoch, s.walRecords, rec.Replayed = w.st, w.epoch, w.records, w.applied
+	if w.stop != nil {
+		if err := s.quarantine(walPath, rec, w.stop); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	rec.Epoch = s.epoch
 
@@ -333,110 +342,126 @@ func loadSnapshotFile(path string) (*module.State, error) {
 	return LoadState(f)
 }
 
-// replayWAL applies every valid record with epoch > the snapshot epoch.
-// The first torn or discontinuous record ends the replay: the suffix is
-// quarantined, the file truncated, and rec.Tail set.
-func (s *Store) replayWAL(path string, st *module.State, rec *Recovery) (*module.State, error) {
+// walReplay is what a replay of the log applied, and where it stopped.
+type walReplay struct {
+	st      *module.State
+	epoch   uint64 // the epoch of the last record applied, or the checkpoint's
+	applied int    // records applied
+	records int    // records read, those the checkpoint already holds included
+	// stop is the record (or header) the replay could not take, and why;
+	// nil when it reached the end of the log or the epoch it replays to.
+	stop *RecoveryError
+}
+
+// replayLog is the one walk of the log at path, shared by recovery and
+// AsOf: it applies onto st, in order, every record past the checkpoint
+// epoch up to and including epoch upto. It stops at the end of the log,
+// after the record at upto, or at the first record it cannot take — a
+// damaged header, a torn or undecodable frame, an epoch discontinuity or
+// a record that does not replay — which it reports as stop, with the
+// prefix before it applied. A missing or empty log holds no records.
+func replayLog(path string, st *module.State, checkpoint, upto uint64) (walReplay, error) {
+	w := walReplay{st: st, epoch: checkpoint}
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return st, nil
+		return w, nil
 	}
 	if err != nil {
-		return nil, err
+		return w, err
 	}
 	defer f.Close()
 
 	br := bufio.NewReader(f)
 	var hdr [walHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return st, nil // empty file: treat as a fresh log
+		if err != io.EOF {
+			w.stop = &RecoveryError{Detail: "truncated wal header", Err: err}
 		}
-		return s.quarantine(path, st, rec, 0, 0, "truncated wal header", err)
+		return w, nil
 	}
 	if string(hdr[:len(walMagic)]) != walMagic || hdr[len(walMagic)] != walVersion {
-		return s.quarantine(path, st, rec, 0, 0, fmt.Sprintf("bad wal header %q", hdr[:]), nil)
+		w.stop = &RecoveryError{Detail: fmt.Sprintf("bad wal header %q", hdr[:])}
+		return w, nil
 	}
 
-	offset := walHeaderLen
-	for {
+	offset := int64(walHeaderLen)
+	stop := func(detail string, cause error) (walReplay, error) {
+		w.stop = &RecoveryError{Offset: offset, Epoch: w.epoch, Detail: detail, Err: cause}
+		return w, nil
+	}
+	for w.epoch < upto {
 		payload, err := readFrame(br)
 		if err == io.EOF {
-			return st, nil
+			return w, nil
 		}
 		if err != nil {
-			return s.quarantine(path, st, rec, offset, s.epoch, "unreadable record", err)
+			return stop("unreadable record", err)
 		}
 		r, err := decodeRecord(payload)
 		if err != nil {
-			return s.quarantine(path, st, rec, offset, s.epoch, "undecodable record", err)
+			return stop("undecodable record", err)
 		}
-		if r.Epoch <= s.checkpointEpoch {
-			// Already captured by the snapshot (a crash between snapshot
-			// rename and WAL rotation leaves such records). Still physically
-			// in the log, so it counts toward the compaction trigger.
-			s.walRecords++
-			offset += int64(walFrameLen + len(payload))
-			continue
+		// A record the checkpoint already holds (a crash between snapshot
+		// rename and WAL rotation leaves such records) is skipped, but it
+		// is still physically in the log.
+		if r.Epoch > checkpoint {
+			if r.Epoch != w.epoch+1 {
+				return stop(fmt.Sprintf("epoch discontinuity: record %d after %d", r.Epoch, w.epoch), nil)
+			}
+			next, err := applyRecord(w.st, r)
+			if err != nil {
+				return stop("unreplayable record", err)
+			}
+			w.st, w.epoch = next, r.Epoch
+			w.applied++
 		}
-		if r.Epoch != s.epoch+1 {
-			return s.quarantine(path, st, rec, offset, s.epoch,
-				fmt.Sprintf("epoch discontinuity: record %d after %d", r.Epoch, s.epoch), nil)
-		}
-		next, err := applyRecord(st, r)
-		if err != nil {
-			return s.quarantine(path, st, rec, offset, s.epoch, "unreplayable record", err)
-		}
-		st = next
-		s.epoch = r.Epoch
-		rec.Replayed++
-		s.walRecords++
+		w.records++
 		offset += int64(walFrameLen + len(payload))
 	}
+	return w, nil
 }
 
-// quarantine preserves the unreadable WAL suffix starting at offset in
-// a side file, truncates the WAL to the valid prefix, and records the
-// condition as rec.Tail. The replayed prefix state is returned: a torn
-// tail is non-fatal.
-func (s *Store) quarantine(path string, st *module.State, rec *Recovery, offset int64, epoch uint64, detail string, cause error) (*module.State, error) {
-	rerr := &RecoveryError{Offset: offset, Epoch: epoch, Detail: detail, Err: cause}
+// quarantine preserves the unreadable WAL suffix starting at the stop's
+// offset in a side file, truncates the WAL to the valid prefix, and
+// records the stop as rec.Tail: a torn tail is non-fatal.
+func (s *Store) quarantine(path string, rec *Recovery, rerr *RecoveryError) error {
+	offset := rerr.Offset
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := f.Seek(offset, io.SeekStart); err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
 	tail, err := io.ReadAll(f)
 	f.Close()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(tail) > 0 {
 		qpath := filepath.Join(s.dir, fmt.Sprintf("wal.quarantine.%d", offset))
 		if err := hooks.Fault("wal.quarantine"); err != nil {
-			return nil, err
+			return err
 		}
 		if err := os.WriteFile(qpath, tail, 0o644); err != nil {
-			return nil, err
+			return err
 		}
 		rerr.Quarantine = qpath
 	}
 	if err := hooks.Fault("wal.truncate"); err != nil {
-		return nil, err
+		return err
 	}
 	if offset < walHeaderLen {
 		// The header itself was damaged: rewrite a fresh log.
 		if err := os.WriteFile(path, []byte(walMagic+string(rune(walVersion))), 0o644); err != nil {
-			return nil, err
+			return err
 		}
 	} else if err := os.Truncate(path, offset); err != nil {
-		return nil, err
+		return err
 	}
 	rec.Tail = rerr
-	return st, nil
+	return nil
 }
 
 // newWAL creates a fresh log file at path with the file header written
@@ -709,8 +734,10 @@ func (s *Store) pruneSnapshotsLocked() {
 
 // AsOf reconstructs the committed state as of epoch by loading the
 // checkpoint snapshot and replaying the WAL prefix with epochs up to
-// and including it. History older than the checkpoint has been
-// compacted away; epochs beyond the current one do not exist yet.
+// and including it, by the walk recovery takes (replayLog); a log that
+// stops short of epoch fails with the stop's *RecoveryError. History
+// older than the checkpoint has been compacted away; epochs beyond the
+// current one do not exist yet.
 func (s *Store) AsOf(epoch uint64) (*module.State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -724,45 +751,22 @@ func (s *Store) AsOf(epoch uint64) (*module.State, error) {
 		return nil, fmt.Errorf("storage: epoch %d predates the checkpoint (%d): %w",
 			epoch, s.checkpointEpoch, ErrCompacted)
 	}
-	// Ensure every frame the replay needs has left the bufio-free write
-	// path; Append writes whole frames directly, so a plain read sees
-	// them, but unsynced bytes are still fine to read (page cache).
+	// Append writes whole frames directly, so a plain read sees every
+	// frame the replay needs, synced or not (page cache).
 	st, err := loadSnapshotFile(filepath.Join(s.dir, snapName(s.checkpointEpoch)))
 	if err != nil {
 		return nil, err
 	}
-	if epoch == s.checkpointEpoch {
-		return st, nil
-	}
-	f, err := os.Open(filepath.Join(s.dir, walName))
-	if err != nil {
+	w, err := replayLog(filepath.Join(s.dir, walName), st, s.checkpointEpoch, epoch)
+	switch {
+	case err != nil:
 		return nil, err
+	case w.stop != nil:
+		return nil, fmt.Errorf("storage: as-of replay to epoch %d: %w", epoch, w.stop)
+	case w.epoch != epoch:
+		return nil, fmt.Errorf("storage: as-of replay to epoch %d stopped at %d: %w", epoch, w.epoch, io.ErrUnexpectedEOF)
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	at := s.checkpointEpoch
-	for at < epoch {
-		payload, err := readFrame(br)
-		if err != nil {
-			return nil, fmt.Errorf("storage: as-of replay to epoch %d stopped at %d: %w", epoch, at, err)
-		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return nil, err
-		}
-		if r.Epoch <= s.checkpointEpoch {
-			continue
-		}
-		if st, err = applyRecord(st, r); err != nil {
-			return nil, err
-		}
-		at = r.Epoch
-	}
-	return st, nil
+	return w.st, nil
 }
 
 // ErrCompacted marks an AsOf request for history the store has already

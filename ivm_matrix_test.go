@@ -218,8 +218,8 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 // application defer its audit to the commit without comparing programs.
 func assertMaintainerSynced(t *testing.T, db *Database, step string) {
 	t.Helper()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.maint == nil || db.maintErr != nil {
 		t.Fatalf("%s: the maintainer is unhealthy (%v)", step, db.maintErr)
 	}
@@ -324,13 +324,12 @@ func TestMaintainerFollowsEveryCommitKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.mu.RLock()
-		f, err := db.st.Derive(db.opts)
+		s := db.snap.Load()
+		f, err := s.st.Derive(s.opts)
 		want := ""
 		if err == nil {
-			want = engine.ToInstance(f, db.st.S, 0).String()
+			want = engine.ToInstance(f, s.st.S, 0).String()
 		}
-		db.mu.RUnlock()
 		if err != nil || got != want {
 			t.Fatalf("%s: the maintained instance differs from a derivation (%v)", st.name, err)
 		}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"logres/internal/ast"
 	"logres/internal/engine"
@@ -161,17 +162,29 @@ func WithVectorize(on bool) Option {
 }
 
 // Database is a LOGRES database: a state (E, R, S) evolved by module
-// applications. All methods are safe for concurrent use: read-only
-// methods (Query, Instance, Count, Save, …) and module applications
-// alike hold a read lock only while they copy a snapshot of the
-// published state, and evaluate after releasing it, so no commit waits
-// for a read's evaluation; an application takes the write lock only to
-// commit. A published state is never written. A from-scratch read
-// builds its indexes on its own run's copy of E; readers of one
-// maintained derived set (WithIncremental) share its indexes, each
-// built once, on its first probe.
+// applications. All methods are safe for concurrent use. Every commit
+// publishes one immutable snapshot of the state it installs, and the
+// read-only methods (Query, Instance, Count, Save, …) load the newest
+// one without taking any lock, so a read never waits for a writer, nor
+// a writer for a read. The database lock is the writers': a module
+// application holds it only to copy its snapshot and to commit, and
+// evaluates in between (but for the retry budget's last attempt, which
+// holds it throughout). A published state is never written. A
+// from-scratch read builds its indexes on its own run's copy of E;
+// readers of one maintained derived set (WithIncremental) share its
+// indexes, each built once, on its first probe.
 type Database struct {
-	mu   sync.RWMutex
+	// mu is the writers' lock: commits, the locked attempt and the
+	// changes of configuration that republish hold it; an optimistic
+	// attempt read-locks it to copy its snapshot, so a commit's unlock
+	// hands it to the waiting attempts before the committer can take it
+	// again. Readers never take it.
+	mu sync.RWMutex
+	// snap is the published snapshot (publish). Loading it is a read's
+	// only synchronisation.
+	snap atomic.Pointer[stateSnapshot]
+	// st and opts are the published state and configuration as the
+	// writers see them, under mu.
 	st   *module.State
 	opts engine.Options
 	// tracer/metrics are the configured observability sinks; the engine
@@ -222,12 +235,16 @@ func newDatabase(log *storage.CommitLog, options []Option) (*Database, error) {
 	return db, nil
 }
 
-// publish freezes the state's extensional facts and installs it as the
-// current state. Callers must hold the write lock (or be the sole owner,
-// as in Open/Load).
+// publish freezes the state's extensional facts, installs it as the
+// current state and publishes its snapshot, the one readers load from
+// now on. A commit publishes after it has recorded its epoch and staged
+// its maintenance, so the snapshot carries both. Callers hold the write
+// lock or are the sole owner (Open, Load, recovery, AsOf).
 func (db *Database) publish(st *module.State) {
 	st.E.Freeze()
 	db.st = st
+	s := db.snapshotLocked()
+	db.snap.Store(&s)
 }
 
 // Open creates a database over the schema declared in src (domains /
@@ -248,8 +265,7 @@ func Open(src string, options ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.publish(module.NewState(m.Schema))
-	if err := db.maintInit(); err != nil {
+	if err := db.start(module.NewState(m.Schema)); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -329,7 +345,7 @@ func (db *Database) QueryContext(ctx context.Context, goalSrc string, options ..
 	if err != nil {
 		return nil, err
 	}
-	s := db.snapshot()
+	s := db.snap.Load()
 	if len(options) == 0 && s.full != nil {
 		// Option-free goals serve straight from the maintained derived
 		// set — no per-call budget or profile to honor, and the program
@@ -350,12 +366,12 @@ func (db *Database) QueryContext(ctx context.Context, goalSrc string, options ..
 
 // ctx returns the database's configured evaluation context (nil is fine:
 // the engine treats it as context.Background()).
-func (db *Database) ctx() context.Context { return db.opts.Ctx }
+func (db *Database) ctx() context.Context { return db.snap.Load().opts.Ctx }
 
 // Instance computes the current database instance I (the persistent rules
 // applied to E) and returns its facts.
 func (db *Database) Instance() ([]Fact, error) {
-	f, err := db.snapshot().derived()
+	f, err := db.snap.Load().derived()
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +380,7 @@ func (db *Database) Instance() ([]Fact, error) {
 
 // InstanceString renders the current instance deterministically.
 func (db *Database) InstanceString() (string, error) {
-	s := db.snapshot()
+	s := db.snap.Load()
 	f, err := s.derived()
 	if err != nil {
 		return "", err
@@ -375,7 +391,7 @@ func (db *Database) InstanceString() (string, error) {
 // Count reports the number of facts of a predicate in the current
 // instance (derived facts included).
 func (db *Database) Count(pred string) (int, error) {
-	f, err := db.snapshot().derived()
+	f, err := db.snap.Load().derived()
 	if err != nil {
 		return 0, err
 	}
@@ -397,23 +413,20 @@ type stateSnapshot struct {
 	prog *engine.Program
 }
 
-// snapshotLocked takes the snapshot of the published state. It is the
-// one place that decides whether a healthy maintainer serves the state:
-// one that has not failed, which maintStage keeps running the published
-// state's program after every commit. Callers hold db.mu, read or write.
+// snapshotLocked takes the snapshot of the current state from the
+// writers' fields. It is the one place that decides whether a healthy
+// maintainer serves the state: one that has not failed, which
+// maintStage keeps running the current state's program after every
+// commit. publish stores it for the readers; the writers (an attempt,
+// maintStage) take it here, since a failed propagation sets maintErr
+// without publishing. Callers hold the write lock, or read-lock it (an
+// optimistic attempt).
 func (db *Database) snapshotLocked() stateSnapshot {
 	s := stateSnapshot{st: db.st, epoch: db.log.Epoch(), opts: db.opts}
 	if db.maint != nil && db.maintErr == nil {
 		s.full, s.prog = db.maint.Full(), db.maint.Program()
 	}
 	return s
-}
-
-// snapshot holds the read lock only while it copies the snapshot.
-func (db *Database) snapshot() stateSnapshot {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.snapshotLocked()
 }
 
 // derived returns R(E) of the snapshot's state: the maintained set when
@@ -440,12 +453,12 @@ func (s stateSnapshot) apply(m *Module, mode Mode, opts engine.Options) (*module
 
 // EDBCount reports the number of extensional facts of a predicate.
 func (db *Database) EDBCount(pred string) int {
-	return db.snapshot().st.E.Size(types.Canon(pred))
+	return db.snap.Load().st.E.Size(types.Canon(pred))
 }
 
 // RuleCount reports the number of persistent rules.
 func (db *Database) RuleCount() int {
-	return len(db.snapshot().st.R)
+	return len(db.snap.Load().st.R)
 }
 
 // Materialize makes E coincide with the current instance and clears the
@@ -465,14 +478,14 @@ func (db *Database) Materialize() error {
 // CheckConsistency verifies Definition 4 and the passive constraints
 // against the current instance.
 func (db *Database) CheckConsistency() error {
-	s := db.snapshot()
+	s := db.snap.Load()
 	_, _, err := s.st.Instance(s.opts)
 	return err
 }
 
 // Save writes a snapshot of the database state.
 func (db *Database) Save(w io.Writer) error {
-	return storage.SaveState(w, db.snapshot().st)
+	return storage.SaveState(w, db.snap.Load().st)
 }
 
 // Load reads a snapshot written by Save.
@@ -492,23 +505,22 @@ func Load(r io.Reader, options ...Option) (*Database, error) {
 }
 
 // publishDecoded publishes a state that enters the database without a
-// commit — a loaded snapshot, or a recovered snapshot plus WAL replay —
-// and builds the maintenance state over it. Reads trust that every
-// published state was audited, so this one is audited here, once:
-// Definition 4 consistency and the passive constraints, under the
-// database's budget but no context (maintOptions). The caller is the
-// sole owner of db.
+// commit — a loaded snapshot, or a recovered snapshot plus WAL replay.
+// Reads trust that every published state was audited, so this one is
+// audited here, once: Definition 4 consistency and the passive
+// constraints, under the database's budget but no context
+// (maintOptions). The caller is the sole owner of db.
 func (db *Database) publishDecoded(st *module.State) error {
-	db.publish(st)
+	st.E.Freeze()
 	if _, _, err := st.Instance(maintOptions(db.opts)); err != nil {
 		return err
 	}
-	return db.maintInit()
+	return db.start(st)
 }
 
 // Schema renders the current schema in LOGRES syntax.
 func (db *Database) Schema() string {
-	return db.snapshot().st.S.String()
+	return db.snap.Load().st.S.String()
 }
 
 // Register parses a named module and stores it in the database's module
@@ -551,7 +563,7 @@ func (db *Database) CallContext(ctx context.Context, name string, options ...Cal
 
 // Modules lists the registered module names.
 func (db *Database) Modules() []string {
-	lib := db.snapshot().st.Lib
+	lib := db.snap.Load().st.Lib
 	if lib == nil {
 		return nil
 	}
@@ -563,7 +575,7 @@ func (db *Database) Modules() []string {
 // constraints, invention) together with the run's statistics — the §5
 // "design, debugging, and monitoring" tooling.
 func (db *Database) Explain() (string, error) {
-	s := db.snapshot()
+	s := db.snap.Load()
 	prog, err := s.st.Program(s.opts)
 	if err != nil {
 		return "", err

@@ -120,12 +120,17 @@ func (db *Database) Metrics() *Metrics {
 
 // rewireTracer recomputes the effective tracer the engine sees: the
 // user tracer and the metrics adapter fanned together, or nil when
-// neither is attached (the zero-overhead path). Callers hold the write
+// neither is attached (the zero-overhead path). Once a state is
+// published it republishes it, so the next read or attempt sees the new
+// tracer; one in flight keeps its snapshot's. Callers hold the write
 // lock or are the sole owner (Open/Load options).
 func (db *Database) rewireTracer() {
 	db.opts.Tracer = obs.Multi(db.tracer, db.metricsTracer())
 	if db.store != nil {
 		db.store.SetTracer(db.opts.Tracer)
+	}
+	if db.st != nil {
+		db.publish(db.st)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"logres/internal/hooks"
 	"logres/internal/obs"
 )
 
@@ -118,6 +119,74 @@ func TestReadsHoldNoLockThroughEvaluation(t *testing.T) {
 				t.Error("a disjoint Exec waited for the parked read")
 				close(p.release)
 				<-committed
+				<-done
+				return
+			}
+			close(p.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReadsBesideAParkedWriter: a read takes no lock. While a writer is
+// parked inside an evaluation it runs under the write lock — Materialize,
+// or the retry budget's locked last attempt — a Count returns, with the
+// count of the state the writer has not replaced yet.
+func TestReadsBesideAParkedWriter(t *testing.T) {
+	legs := []struct {
+		name  string
+		write func(db *Database) error
+	}{
+		{"materialize", (*Database).Materialize},
+		{"locked-exec", func(db *Database) error {
+			hooks.LockedApply.Store(true)
+			defer hooks.LockedApply.Store(false)
+			_, err := db.Exec("mode ridv.\nrules p1(x: 2).\nend.\n")
+			return err
+		}},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			p := newParker()
+			db, err := Open(concurrentSchema, WithTracer(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []string{
+				"mode radi.\nrules p2(x: X) <- p0(x: X).\nend.\n",
+				"mode ridv.\nrules p0(x: 1).\nend.\n",
+			} {
+				if _, err := db.Exec(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.armed.Store(true)
+			done := make(chan error, 1)
+			go func() { done <- leg.write(db) }()
+			select {
+			case <-p.parked:
+			case err := <-done:
+				t.Fatalf("the writer finished (err = %v) without parking", err)
+			}
+			counted := make(chan error, 1)
+			go func() {
+				n, err := db.Count("p2")
+				if err == nil && n != 1 {
+					err = fmt.Errorf("count = %d, want 1", n)
+				}
+				counted <- err
+			}()
+			select {
+			case err := <-counted:
+				if err != nil {
+					t.Error(err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Error("a Count waited for the parked writer")
+				close(p.release)
+				<-counted
 				<-done
 				return
 			}

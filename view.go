@@ -53,11 +53,7 @@ func WithIncremental(on bool) Option {
 
 // Incremental reports whether the database maintains its derived
 // instance incrementally.
-func (db *Database) Incremental() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.incremental
-}
+func (db *Database) Incremental() bool { return db.incremental }
 
 // ErrNotIncremental is returned by SubscribeView on a database opened
 // without WithIncremental.
@@ -159,8 +155,8 @@ func (s *Subscription) finish(err error) {
 // SubscribeView registers a live subscription on the maintained derived
 // instance. It requires WithIncremental (ErrNotIncremental otherwise).
 func (db *Database) SubscribeView(opts SubscribeOptions) (*Subscription, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if !db.incremental {
 		return nil, ErrNotIncremental
 	}
@@ -180,9 +176,9 @@ func (db *Database) SubscribeView(opts SubscribeOptions) (*Subscription, error) 
 	}
 	s := &Subscription{db: db, ch: make(chan ViewDiff, buffer), preds: preds, buffer: buffer}
 	s.C = s.ch
-	// Commits notify under the write lock, so registering under the read
-	// lock pins the epoch: no diff between reading it and appearing in
-	// the fan-out map can be missed or duplicated.
+	// Commits notify under the write lock, so registering under it pins
+	// the epoch: no diff between reading it and appearing in the fan-out
+	// map can be missed or duplicated.
 	s.Epoch = db.log.Epoch()
 	db.subMu.Lock()
 	db.subID++
@@ -268,22 +264,21 @@ func maintOptions(opts engine.Options) engine.Options {
 	return opts
 }
 
-// maintInit (re)builds the maintenance state from the published state,
-// over a fork of the state's program. Callers hold the write lock or are
-// the sole owner (Open/Load).
-func (db *Database) maintInit() error {
-	if !db.incremental {
-		return nil
+// start publishes the first state of a database it is the sole owner
+// of (Open, Load, recovery), with, under WithIncremental, a maintainer
+// built over it on a fork of the state's program.
+func (db *Database) start(st *module.State) error {
+	if db.incremental {
+		st.E.Freeze()
+		prog, err := st.Program(maintOptions(db.opts))
+		if err != nil {
+			return err
+		}
+		if db.maint, err = engine.NewMaintainer(prog, st.E, st.Counter); err != nil {
+			return err
+		}
 	}
-	prog, err := db.st.Program(maintOptions(db.opts))
-	if err != nil {
-		return err
-	}
-	m, err := engine.NewMaintainer(prog, db.st.E, db.st.Counter)
-	if err != nil {
-		return err
-	}
-	db.maint, db.maintErr = m, nil
+	db.publish(st)
 	return nil
 }
 
