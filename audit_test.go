@@ -151,7 +151,7 @@ end.
 					}
 					// The reference: the full audit of the state the commit
 					// would install.
-					ref, err := module.ApplySnapshotDeferred(db.st, m, RIDV, db.opts)
+					ref, err := module.ApplySnapshotDeferred(db.snap.Load().st, m, RIDV, db.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -184,11 +184,11 @@ end.
 					if err != nil {
 						t.Fatal(err)
 					}
-					f, err := db.st.Derive(db.opts)
+					f, err := db.snap.Load().st.Derive(db.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := engine.ToInstance(f, db.st.S, 0).String(); got != want {
+					if want := engine.ToInstance(f, db.snap.Load().st.S, 0).String(); got != want {
 						t.Fatalf("served instance diverges from a fresh derive:\n%s\nwant\n%s", got, want)
 					}
 					audit := c.audit

@@ -394,7 +394,7 @@ func registrarEnrolDrop(tb testing.TB, db *Database, i int) {
 // input. Only the written predicate is copied, so the cost does not
 // scale with E.
 func BenchmarkFactSetCloneWriteOne(b *testing.B) {
-	e := registrarPreload(b, 1).st.E
+	e := registrarPreload(b, 1).snap.Load().st.E
 	f := freshEnrolment(b, e)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -675,28 +675,58 @@ func ivmChainCommits() []struct {
 	}
 }
 
+// ivmCountSchema and ivmCountRules are a counting stratum: the two-hop
+// paths, each with one derivation per middle node.
+const ivmCountSchema = `
+associations
+  EDGE = (src: integer, dst: integer);
+  HOP = (src: integer, dst: integer);
+`
+
+const ivmCountRules = `mode radi.
+rules
+  hop(src: X, dst: Z) <- edge(src: X, dst: Y), edge(src: Y, dst: Z).
+end.
+`
+
 // BenchmarkIVMChainCommit is one commit of each monitor_ivm kind against
 // a WithIncremental database over monitor_ivm's graph: propagation by
 // DRed, the audit of the view delta, the commit. Each timed commit is
 // undone outside the timer, so every one starts from the same state.
 // unshort/descending mirrors the node ids, so the closure's key order
-// runs against the chain.
+// runs against the chain. count is the frontier commit over a counting
+// stratum instead (ivmCountRules), on 28 copies of the graph (4,060
+// edges), so that its support counts are what the commit copies.
 func BenchmarkIVMChainCommit(b *testing.B) {
-	for _, c := range ivmChainCommits() {
-		b.Run(c.name, func(b *testing.B) {
-			db := ivmChainOpen(b, c.edges)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Exec(c.do); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if _, err := db.Exec(c.undo); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+	run := func(b *testing.B, db *Database, do, undo string) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := db.Exec(do); err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.StopTimer()
+			if _, err := db.Exec(undo); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 	}
+	for _, c := range ivmChainCommits() {
+		b.Run(c.name, func(b *testing.B) { run(b, ivmChainOpen(b, c.edges), c.do, c.undo) })
+	}
+	b.Run("count", func(b *testing.B) {
+		db, err := Open(ivmCountSchema, WithIncremental(true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges, _ := ivmChainEdges(false)
+		for _, m := range []string{ivmEdgeModule(false, ivmChainCopies(edges, 28)...), ivmCountRules} {
+			if _, err := db.Exec(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		frontier := [2]int{ivmChainWindow, ivmChainWindow + 1}
+		run(b, db, ivmEdgeModule(false, frontier), ivmEdgeModule(true, frontier))
+	})
 }

@@ -12,9 +12,9 @@ import (
 	"logres/internal/obs"
 )
 
-// Module application (DESIGN.md §9). Exec, Apply and Call run one
-// optimistic protocol, which holds the write lock only for a short
-// commit critical section:
+// Module application (DESIGN.md §9). Exec, Apply, Call and Materialize
+// run one optimistic protocol, which holds the write lock only for a
+// short commit critical section:
 //
 //  1. snapshot — read-lock the writers' lock just long enough to copy
 //     the current (frozen) state and the commit-log epoch, so an
@@ -29,7 +29,7 @@ import (
 //     write committed since the snapshot epoch, and on success merge
 //     the fact delta onto the current committed state (or install the
 //     result wholesale when nothing intervened), through commitLocked,
-//     the commit path Materialize and Register share;
+//     the commit path Register shares;
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot. The retry budget's last attempt runs steps
 //     1–3 under the write lock, so it cannot conflict and commits like
@@ -73,26 +73,43 @@ func (db *Database) ExecConcurrent(src string, options ...CallOption) (*Result, 
 }
 
 // target is what an application applies: a parsed module under an
-// explicit mode, or, when name is set, the module registered under name
+// explicit mode; when name is set, the module registered under name
 // with its declared mode, which each attempt looks up in the library of
-// the state it evaluates against.
+// the state it evaluates against; or, when materialize is set, the
+// materialization of the instance (Materialize).
 type target struct {
-	m    *Module
-	mode Mode
-	name string
+	m           *Module
+	mode        Mode
+	name        string
+	materialize bool
 }
 
-// resolve looks a named target up in st's library.
-func (t *target) resolve(st *module.State) error {
-	if t.name == "" {
-		return nil
+// evaluate runs one application attempt of t against the snapshot.
+func (t *target) evaluate(s *stateSnapshot, opts engine.Options) (*module.SnapshotResult, error) {
+	if t.materialize {
+		st, err := module.Materialize(s.st, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &module.SnapshotResult{Res: &module.Result{State: st}, Replace: true}, nil
 	}
-	m, err := st.Lib.Lookup(t.name)
-	if err != nil {
-		return err
+	if t.name != "" {
+		m, err := s.st.Lib.Lookup(t.name)
+		if err != nil {
+			return nil, err
+		}
+		t.m, t.mode = m, m.Mode
 	}
-	t.m, t.mode = m, m.Mode
-	return nil
+	return s.apply(t.m, t.mode, opts)
+}
+
+// modName is the module name the application's events carry; a
+// materialization has none.
+func (t *target) modName() string {
+	if t.m == nil {
+		return ""
+	}
+	return t.m.Name
 }
 
 // apply runs the application protocol described at the top of this
@@ -137,14 +154,12 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 			ok = true
 		} else {
 			// The snapshot's epoch tells validation exactly which commits
-			// this evaluation could not have seen.
+			// this evaluation could not have seen. Taking it under the
+			// read lock waits for a commit in flight.
 			db.mu.RLock()
-			s := db.snapshotLocked()
+			s := db.snap.Load()
 			db.mu.RUnlock()
-			if err = t.resolve(s.st); err != nil {
-				return nil, err
-			}
-			if sr, err = s.apply(t.m, t.mode, opts); err != nil {
+			if sr, err = t.evaluate(s, opts); err != nil {
 				return nil, err
 			}
 			if hook := hooks.ConcurrentPreCommit; hook != nil {
@@ -160,7 +175,7 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 		}
 		if ok {
 			if tracer != nil {
-				tracer.Event(obs.Event{Kind: obs.KindModuleCommit, Pred: t.m.Name,
+				tracer.Event(obs.Event{Kind: obs.KindModuleCommit, Pred: t.modName(),
 					Round: attempt, Count: len(sr.Adds) + len(sr.Removes), Detail: path})
 			}
 			return &Result{Answer: sr.Res.Answer, Mode: t.mode}, nil
@@ -189,7 +204,7 @@ func (db *Database) apply(ctx context.Context, t target, options []CallOption) (
 			// Round is the attempt whose conflict triggered this backoff —
 			// the same index the preceding KindModuleConflict carries, so a
 			// conflict/retry pair diffs as one attempt in a trace.
-			tracer.Event(obs.Event{Kind: obs.KindModuleRetry, Pred: t.m.Name,
+			tracer.Event(obs.Event{Kind: obs.KindModuleRetry, Pred: t.modName(),
 				Round: attempt, Duration: backoff})
 		}
 		timer := time.NewTimer(backoff)
@@ -229,11 +244,8 @@ func retryBackoff(attempt int) time.Duration {
 func (db *Database) applyLocked(opts engine.Options, t *target) (*module.SnapshotResult, string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	s := db.snapshotLocked()
-	if err := t.resolve(s.st); err != nil {
-		return nil, "", err
-	}
-	sr, err := s.apply(t.m, t.mode, opts)
+	s := db.snap.Load()
+	sr, err := t.evaluate(s, opts)
 	if err != nil {
 		return nil, "", err
 	}
@@ -253,28 +265,29 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 }
 
 // commitLocked is the one commit path of every state change: an
-// application's, optimistic or locked, Materialize's and a module
-// registration's. The caller holds the write lock. It runs the commit
-// stages (DESIGN.md §9):
+// application's or a materialization's, optimistic or locked, and a
+// module registration's. The caller holds the write lock. It runs the
+// commit stages (DESIGN.md §9):
 //
 //   - validate the attempt's footprint against the writes committed since
 //     its snapshot epoch and pick the successor state;
 //   - stage the maintainer's step to it (maintStage), which serves a
-//     deferred application's audit;
+//     deferred application's audit and returns the successor maintainer;
 //   - log the commit to the WAL of a durable database;
-//   - record its write set at the next epoch, publish the state with
-//     its snapshot at that epoch, and compact the WAL when due;
+//   - record its write set at the next epoch, publish the state and its
+//     maintainer with its snapshot at that epoch, and compact the WAL
+//     when due;
 //   - notify the maintenance event and the subscribers (maintNotify).
 //
 // It returns the commit path for tracing, and on a conflict the
 // conflicting predicate plus the committed footprint it collided with. A
 // rejection by the deferred audit or a logging failure (err != nil)
-// undoes the staged step and fails the application without a retry; the
-// store refuses further writes until reopened. opts is the committing
-// call's (request-instrumented) configuration: its tracer attributes the
-// WAL append and any fsync wait to the request that paid for them, and a
-// deferred audit that cannot be served by the maintainer runs under the
-// call's own budget.
+// drops the staged step, publishes nothing and fails the application
+// without a retry; the store refuses further writes until reopened.
+// opts is the committing call's (request-instrumented) configuration:
+// its tracer attributes the WAL append and any fsync wait to the request
+// that paid for them, and a deferred audit runs under the call's own
+// budget.
 func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (path, pred string, theirs Footprint, ok bool, err error) {
 	if sr.ReadOnly {
 		// Queries validate nothing: the answer was computed against a
@@ -308,7 +321,7 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 		} else {
 			// Disjoint concurrent commits landed: replay the delta onto the
 			// current committed state.
-			next, path = module.CommitDelta(db.st, sr), "merge"
+			next, path = module.CommitDelta(db.snap.Load().st, sr), "merge"
 		}
 		written = Footprint{Writes: sr.Footprint.Writes}
 	}
@@ -324,11 +337,10 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 	// state — exactly what CommitDelta does — so recovery reproduces next
 	// byte for byte on both the fast and merge paths.
 	if err := db.walAppend(opts.Tracer, db.log.Epoch()+1, sr, next); err != nil {
-		step.undo()
 		return "", "", Footprint{}, false, err
 	}
 	db.log.Record(written)
-	db.publish(next)
+	db.publish(next, step.m, step.fail)
 	db.maybeCompact()
 	db.maintNotify(opts.Tracer, step)
 	return path, "", Footprint{}, true, nil

@@ -84,7 +84,7 @@ func OpenDurable(schemaSrc string, d Durability, options ...Option) (*Database, 
 		if err != nil {
 			return nil, nil, err
 		}
-		store, err := storage.Create(d.Dir, db.st, sopts)
+		store, err := storage.Create(d.Dir, db.snap.Load().st, sopts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -163,7 +163,7 @@ func (db *Database) Compact() error {
 	if db.store == nil {
 		return fmt.Errorf("logres: database is not durable")
 	}
-	return db.store.Compact(db.st, db.log.Epoch())
+	return db.store.Compact(db.snap.Load().st, db.log.Epoch())
 }
 
 // AsOf reconstructs the committed state as it was at a past commit
@@ -181,7 +181,7 @@ func (db *Database) AsOf(epoch uint64) (*Database, error) {
 		return nil, err
 	}
 	past := &Database{opts: db.snap.Load().opts, log: storage.NewCommitLogAt(epoch, 0)}
-	past.publish(st)
+	past.publish(st, nil, nil)
 	return past, nil
 }
 
@@ -221,7 +221,7 @@ func (db *Database) maybeCompact() {
 	if db.store == nil || !db.store.ShouldCompact() {
 		return
 	}
-	if err := db.store.Compact(db.st, db.log.Epoch()); err != nil {
+	if err := db.store.Compact(db.snap.Load().st, db.log.Epoch()); err != nil {
 		if db.opts.Tracer != nil {
 			db.opts.Tracer.Event(TraceEvent{
 				Kind:    obs.KindWALCompact,

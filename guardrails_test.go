@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -197,5 +198,40 @@ func TestAbortErrorMessage(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q does not mention %q", msg, want)
 		}
+	}
+}
+
+// TestFactsBudgetInBothMaintenanceModes: a commit whose instance derives
+// more facts beyond its extension than Budget.MaxFacts allows is
+// rejected with a facts-axis *BudgetError whether the instance is
+// derived from scratch or maintained (WithIncremental), and the state
+// stays as it was.
+func TestFactsBudgetInBothMaintenanceModes(t *testing.T) {
+	const schema = `
+associations
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+`
+	const chain = "mode ridv.\nrules\n  edge(src: 1, dst: 2). edge(src: 2, dst: 3). edge(src: 3, dst: 4).\n" +
+		"  edge(src: 4, dst: 5). edge(src: 5, dst: 6). edge(src: 6, dst: 7).\nend.\n"
+	for _, inc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", inc), func(t *testing.T) {
+			db, err := Open(schema, WithBudget(Budget{MaxFacts: 6}), WithIncremental(inc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec("mode radi.\nrules\n  tc(src: X, dst: Y) <- edge(src: X, dst: Y).\n" +
+				"  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).\nend.\n"); err != nil {
+				t.Fatal(err)
+			}
+			_, err = db.Exec(chain)
+			var be *BudgetError
+			if !errors.As(err, &be) || be.Axis != AxisFacts || be.Limit != 6 {
+				t.Fatalf("err = %v (%T), want a *BudgetError on the facts axis, limit 6", err, err)
+			}
+			if n, err := db.Count("tc"); err != nil || n != 0 || db.EDBCount("edge") != 0 {
+				t.Fatalf("tc = %d (%v), %d edges after the rejection, want 0 and 0", n, err, db.EDBCount("edge"))
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"logres/internal/pmap"
 )
 
 // Incremental view maintenance (DESIGN.md §14). A Maintainer carries the
@@ -25,45 +27,49 @@ import (
 // re-deriving per query. Propagation joins through deltaPass, the
 // semi-naive row loop's delta pass.
 //
-// A Maintainer is single-writer: Update and Rebuild must be externally
-// serialized (the Database holds its write lock across them). The
-// maintained full set is frozen after every update, and an update or a
-// rollback replaces it without writing it (UpdateStaged writes a clone
-// of the view). A goal reads only the compiled part of a program, which
-// no run writes. So any number of readers may keep a Full() set and
-// answer goals over it with Program().Query while the next update runs;
-// the Database shares both with its reads.
+// A Maintainer is a value: Next returns the successor for one commit and
+// leaves its receiver intact, on error too, so a maintainer serves its
+// state for as long as anyone holds it and nothing is ever reverted. A
+// successor shares what the step did not touch: the frozen fact sets
+// through their own copy-on-write, the support counts through a
+// persistent map (pmap) the step writes with an owner of its own. A
+// goal reads only the compiled part of a program, which no run writes,
+// so any number of readers may answer goals over a Full() set with
+// Program().Query while a Next from the same maintainer runs. Next runs
+// the program itself (its per-run part), so two Next calls over one
+// program must not overlap; the Database makes them under its write
+// lock.
 
 // maintPlan is one maintained stratum: its plan and, for counting, the
 // derivations per head-fact key.
 type maintPlan struct {
 	*stratumPlan
-	counts map[string]int
+	counts pmap.Map[string, int]
 }
 
 // Maintainer holds the incremental state of one program over one
 // extensional database.
 type Maintainer struct {
 	prog  *Program
-	plans []*maintPlan
+	plans []maintPlan
 	// suffix is the index of the first stratum that is recomputed from
 	// scratch; len(strata) when the whole program is maintained.
 	suffix int
 	// owner maps every head predicate to the index of its defining
 	// stratum (a predicate is defined in exactly one stratum: all rules
 	// with the same head predicate share a dependency-graph node, hence
-	// an SCC, hence a stratum).
+	// an SCC, hence a stratum). Successors share it; no one writes it.
 	owner map[string]int
 
 	baseE *FactSet // the committed extensional set the state is synced to
 	view  *FactSet // the materialized eligible prefix
 	full  *FactSet // the complete derived set (== view when suffix is empty)
-	// probes counts derivable calls over the maintainer's life.
+	// probes counts derivable calls over the maintainer's lineage.
 	probes int
 }
 
 // ViewDelta is the exact fact-level difference of the full derived set
-// across one Update: every fact that became derivable and every fact
+// across one Next: every fact that became derivable and every fact
 // that ceased to be, each sorted by fact key, with no overlaps and no
 // duplicates.
 type ViewDelta struct {
@@ -87,22 +93,29 @@ func (d *ViewDelta) Preds() map[string]bool {
 
 // NewMaintainer builds the incremental maintenance state for prog over
 // the extensional set e (which must be the committed, frozen base) and
-// the committed oid counter. The program must be dedicated to the
-// maintainer — Update and Rebuild run it — so callers pass a fork of
-// their own (Program.Fork), never one that serves queries concurrently.
+// the committed oid counter, by recomputation. The program must be
+// dedicated to the maintainer and its successors — Next runs it — so
+// callers pass a fork of their own (Program.Fork), never one that runs
+// elsewhere concurrently.
 func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error) {
-	m := &Maintainer{prog: prog, owner: map[string]int{}}
+	m := &Maintainer{prog: prog, owner: map[string]int{}, baseE: e}
 	strata, prefix := prog.plan()
 	m.suffix = prefix
-	for i := range strata[:prefix] {
-		m.plans = append(m.plans, &maintPlan{stratumPlan: &strata[i]})
-	}
 	for i := range strata {
 		for _, pred := range strata[i].heads {
 			m.owner[pred] = i
 		}
 	}
-	if err := m.Rebuild(e, counter); err != nil {
+	m.view = e.Clone()
+	o := pmap.NewOwner()
+	m.plans = make([]maintPlan, prefix)
+	for i := range m.plans {
+		m.plans[i].stratumPlan = &strata[i]
+		if err := m.initStratum(&m.plans[i], o, m.view); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.recomputeSuffix(counter); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -119,33 +132,16 @@ func (m *Maintainer) EligibleStrata() (prefix, total int) {
 func (m *Maintainer) Full() *FactSet { return m.full }
 
 // Program returns the maintained program: for auditing the maintained
-// set (its passive constraints) under the lock that serializes Update,
-// and for answering goals over a Full() set.
+// set (its passive constraints) and for answering goals over a Full()
+// set.
 func (m *Maintainer) Program() *Program { return m.prog }
-
-// Rebuild discards all incremental state and recomputes it from the
-// given committed base. Used at construction, after a fallback (an
-// Update error leaves the maintainer inconsistent), and after commits
-// the propagation rules do not cover (whole-state replacement).
-func (m *Maintainer) Rebuild(e *FactSet, counter int64) error {
-	m.baseE = e
-	view := e.Clone()
-	for _, plan := range m.plans {
-		plan.counts = map[string]int{}
-		if err := m.initStratum(plan, view); err != nil {
-			return err
-		}
-	}
-	m.view = view
-	return m.recomputeSuffix(counter)
-}
 
 // initStratum materializes one eligible stratum into view and seeds its
 // support state. The derived set is identical to what the engine's own
 // evaluation produces for the stratum: the eligible fragment is
 // monotone, so the inflationary fixpoint is the classical least
 // fixpoint.
-func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
+func (m *Maintainer) initStratum(plan *maintPlan, o *pmap.Owner, view *FactSet) error {
 	c := &evalCtx{p: m.prog, f: view, counter: new(int64)}
 	// One full pass per rule enumerates every derivation of a
 	// non-recursive stratum, whose heads cannot feed its own bodies; a
@@ -160,7 +156,9 @@ func (m *Maintainer) initStratum(plan *maintPlan, view *FactSet) error {
 				return err
 			}
 			if plan.maint == maintCounting {
-				plan.counts[fact.Key()]++
+				k := fact.Key()
+				n, _ := plan.counts.Get(k)
+				plan.counts.Set(o, k, n+1)
 			}
 			if view.Add(fact) && plan.maint == maintDRed {
 				delta.Add(fact)
@@ -218,30 +216,18 @@ func (m *Maintainer) recomputeSuffix(counter int64) error {
 	return nil
 }
 
-// Update propagates one committed base-fact delta (removes applied
+// Next propagates one committed base-fact delta (removes applied
 // before adds, exactly the commit order) through the maintained prefix,
-// recomputes the suffix when one exists, and returns the exact
-// difference of the full derived set. newE is the newly committed
-// (frozen) extensional set and counter the committed oid counter.
-//
-// On error the maintainer is inconsistent and must be Rebuilt before
-// further use; the caller decides whether to pay for that eagerly or on
-// the next commit.
-func (m *Maintainer) Update(adds, removes []Fact, newE *FactSet, counter int64) (*ViewDelta, error) {
-	vd, _, err := m.UpdateStaged(adds, removes, newE, counter)
-	return vd, err
-}
-
-// UpdateStaged is Update for callers that audit the result before
-// committing: alongside the delta it returns a rollback restoring the
-// maintainer to its exact pre-update state (view, full set, support
-// counts, base), for when commit-time validation rejects the update or
-// the commit cannot be made durable. The rollback is valid only until
-// the next Update, UpdateStaged, or Rebuild; on error it is nil and
-// the maintainer must be Rebuilt as with Update.
-func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter int64) (*ViewDelta, func(), error) {
-	prevView, prevFull, prevBaseE := m.view, m.full, m.baseE
-	undoCounts := map[*maintPlan]map[string]int{}
+// recomputes the suffix when one exists, and returns the successor
+// maintainer with the exact difference of the full derived set. newE is
+// the newly committed (frozen) extensional set and counter the committed
+// oid counter. The receiver is left as it was, whether Next succeeds or
+// fails; a caller that gets an error builds a new maintainer over newE
+// (NewMaintainer) or keeps serving the receiver's state.
+func (m *Maintainer) Next(adds, removes []Fact, newE *FactSet, counter int64) (*Maintainer, *ViewDelta, error) {
+	n := *m
+	n.plans = slices.Clone(m.plans)
+	o := pmap.NewOwner()
 
 	// Normalize against the base the state is synced to: a remove of an
 	// absent fact and an add of a present one are no-ops, and a fact
@@ -264,9 +250,8 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 		}
 	}
 
-	// The update writes a clone of the view: O(#predicates), and each
+	// The successor writes a clone of the view: O(#predicates), and each
 	// write path-copies what it touches.
-	oldView, oldFull := m.view, m.full
 	newView := m.view.Clone()
 	waveAdds, waveRemoves := NewFactSet(), NewFactSet()
 	pendAdds := map[int][]Fact{}
@@ -295,23 +280,22 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 		}
 	}
 
-	for si, plan := range m.plans {
+	for si := range n.plans {
+		plan := &n.plans[si]
 		var err error
 		if plan.maint == maintCounting {
-			undo := map[string]int{}
-			undoCounts[plan] = undo
-			err = m.updateCounting(plan, pendAdds[si], pendRemoves[si], oldView, newView, waveAdds, waveRemoves, undo)
+			err = n.updateCounting(plan, o, pendAdds[si], pendRemoves[si], m.view, newView, waveAdds, waveRemoves)
 		} else {
-			err = m.updateDRed(plan, pendAdds[si], pendRemoves[si], oldView, newView, waveAdds, waveRemoves)
+			err = n.updateDRed(plan, pendAdds[si], pendRemoves[si], m.view, newView, waveAdds, waveRemoves)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 
-	m.view = newView
-	m.baseE = newE
-	if err := m.recomputeSuffix(counter); err != nil {
+	n.view = newView
+	n.baseE = newE
+	if err := n.recomputeSuffix(counter); err != nil {
 		return nil, nil, err
 	}
 
@@ -346,32 +330,30 @@ func (m *Maintainer) UpdateStaged(adds, removes []Fact, newE *FactSet, counter i
 		}
 		sort.Strings(preds)
 		for _, p := range preds {
-			adds, removes := m.full.DiffPred(oldFull, p)
+			adds, removes := n.full.DiffPred(m.full, p)
 			vd.Adds, vd.Removes = append(vd.Adds, adds...), append(vd.Removes, removes...)
 		}
 	}
 	SortFactsByKey(vd.Adds)
 	SortFactsByKey(vd.Removes)
-	rollback := func() {
-		m.view, m.full, m.baseE = prevView, prevFull, prevBaseE
-		for plan, undo := range undoCounts {
-			for k, v := range undo {
-				if v == 0 {
-					delete(plan.counts, k)
-				} else {
-					plan.counts[k] = v
-				}
-			}
-		}
+	return &n, vd, nil
+}
+
+// Update is Next for a caller that keeps one maintainer variable: on
+// success m becomes its successor.
+func (m *Maintainer) Update(adds, removes []Fact, newE *FactSet, counter int64) (*ViewDelta, error) {
+	next, vd, err := m.Next(adds, removes, newE, counter)
+	if err == nil {
+		*m = *next
 	}
-	return vd, rollback, nil
+	return vd, err
 }
 
 // updateCounting propagates a delta through one non-recursive stratum:
 // a signed delta-position pass per rule computes the change in
 // derivation count per head fact, and presence flips (a fact is present
 // iff it is extensional or has positive support) extend the wave.
-func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet, undo map[string]int) error {
+func (m *Maintainer) updateCounting(plan *maintPlan, o *pmap.Owner, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
 	type deltaEntry struct {
 		fact Fact
 		d    int
@@ -424,7 +406,7 @@ func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldVie
 		if de := delta[k]; de != nil {
 			d = de.d
 		}
-		cntOld := plan.counts[k]
+		cntOld, _ := plan.counts.Get(k)
 		cntNew := cntOld + d
 		if cntNew < 0 {
 			return fmt.Errorf("engine: negative support count %d for %s", cntNew, fact)
@@ -433,13 +415,12 @@ func (m *Maintainer) updateCounting(plan *maintPlan, pAdds, pRems []Fact, oldVie
 		inEnew := (inEold && !eRem[k]) || eAdd[k]
 		presentOld := inEold || cntOld > 0
 		presentNew := inEnew || cntNew > 0
-		if cntNew != cntOld {
-			undo[k] = cntOld
-		}
-		if cntNew == 0 {
-			delete(plan.counts, k)
-		} else {
-			plan.counts[k] = cntNew
+		switch {
+		case cntNew == cntOld:
+		case cntNew == 0:
+			plan.counts.Delete(o, k)
+		default:
+			plan.counts.Set(o, k, cntNew)
 		}
 		switch {
 		case presentOld && !presentNew:

@@ -69,7 +69,8 @@ func TestDerivableProbeMatchesCompiledOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := &evalCtx{p: prog, f: m.view, counter: new(int64)}
-				for _, plan := range m.plans {
+				for i := range m.plans {
+					plan := &m.plans[i]
 					for _, pred := range plan.heads {
 						present := m.view.Facts(pred)
 						var absent []Fact

@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"logres/internal/parser"
 	"logres/internal/value"
 )
 
@@ -358,5 +360,117 @@ s(n: Y) <- s(n: X), p(n: Y), Y = X + 1.
 		if !m.Full().Equal(scratch) {
 			t.Fatalf("%s: cached full set diverged from scratch", c.name)
 		}
+	}
+}
+
+// maintState is what a maintainer holds, read out: the fact keys of its
+// full set and view, and the support counts of each maintained stratum.
+type maintState struct {
+	full, view []string
+	counts     []map[string]int
+}
+
+func readMaintState(m *Maintainer) maintState {
+	keys := func(f *FactSet) []string {
+		var out []string
+		for _, fact := range f.AppendAll(nil) {
+			out = append(out, fact.Key())
+		}
+		return out
+	}
+	s := maintState{full: keys(m.full), view: keys(m.view)}
+	for _, plan := range m.plans {
+		counts := map[string]int{}
+		plan.counts.Ascend(func(k string, n int) bool {
+			counts[k] = n
+			return true
+		})
+		s.counts = append(s.counts, counts)
+	}
+	return s
+}
+
+// TestMaintainerNextLeavesReceiver pins that a maintainer is a value:
+// two Next calls from one receiver give equal view deltas and full sets,
+// and leave the receiver's full set, view and support counts as they
+// were, while goals answered over the receiver beside a running Next
+// see its state throughout.
+func TestMaintainerNextLeavesReceiver(t *testing.T) {
+	goals := map[string]string{
+		"counting":       `?- same(a: X, b: Y).`,
+		"mixed-fallback": `?- unreach(a: X, b: Y).`,
+	}
+	for _, tc := range ivmPrograms {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := tryBuild(ivmSchema, tc.rules, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, ok := goals[tc.name]
+			if !ok {
+				src = `?- tc(src: X, dst: Y).`
+			}
+			goal, err := parser.ParseGoal(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(1))
+			const n = 6
+			base := randomEdgeFacts(n, 10, 1)
+			for i := 0; i < n; i++ {
+				base.Add(ivmNode(i))
+			}
+			e0 := base.Clone()
+			e0.Freeze()
+			m, err := NewMaintainer(prog, e0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for commit := 0; commit < 8; commit++ {
+				adds, removes := randomCommit(r, base, n)
+				newE := base.Clone()
+				newE.Freeze()
+				before := readMaintState(m)
+				want, err := m.Program().Query(m.Full(), goal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						got, err := m.Program().Query(m.Full(), goal)
+						if err != nil || !reflect.DeepEqual(got, want) {
+							t.Errorf("commit %d: a goal over the receiver changed during Next (err = %v)", commit, err)
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+				n1, vd1, err := m.Next(adds, removes, newE, 0)
+				close(stop)
+				wg.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n2, vd2, err := m.Next(adds, removes, newE, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(vd1, vd2) || !n1.Full().Equal(n2.Full()) {
+					t.Fatalf("commit %d: two Next calls from one receiver disagree", commit)
+				}
+				if after := readMaintState(m); !reflect.DeepEqual(after, before) {
+					t.Fatalf("commit %d: Next changed its receiver", commit)
+				}
+				m = n1
+			}
+		})
 	}
 }

@@ -83,11 +83,11 @@ func isaVisits(db *Database, first int, fn func()) int {
 // instructor.
 func TestRuleChangeKeepsSchema(t *testing.T) {
 	db := registrarPreload(t, 1)
-	s0 := db.st.S
+	s0 := db.snap.Load().st.S
 	if _, err := db.Exec("mode radi.\nrules\n  mark(student: S, code: \"c999\", grade: 30) <- student(self: S, name: \"nobody\").\nend.\n"); err != nil {
 		t.Fatal(err)
 	}
-	if db.st.S != s0 {
+	if db.snap.Load().st.S != s0 {
 		t.Fatal("a RADI that declares nothing replaced S")
 	}
 	goal := func() {

@@ -213,21 +213,20 @@ func TestIncrementalSaveBytesMatrix(t *testing.T) {
 	}
 }
 
-// assertMaintainerSynced checks that db's maintainer is healthy and runs
-// a fork of the published state's program, which is what lets an
+// assertMaintainerSynced checks that a maintainer serves db's published
+// state and runs a fork of its program, which is what lets an
 // application defer its audit to the commit without comparing programs.
 func assertMaintainerSynced(t *testing.T, db *Database, step string) {
 	t.Helper()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.maint == nil || db.maintErr != nil {
-		t.Fatalf("%s: the maintainer is unhealthy (%v)", step, db.maintErr)
+	s := db.snap.Load()
+	if s.maint == nil {
+		t.Fatalf("%s: no maintainer serves the published state (%v)", step, s.maintErr)
 	}
-	prog, err := db.st.Program(maintOptions(db.opts))
+	prog, err := s.st.Program(maintOptions(s.opts))
 	if err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
-	if !db.maint.Program().Shares(prog) {
+	if !s.maint.Program().Shares(prog) {
 		t.Fatalf("%s: the maintainer does not run the published state's program", step)
 	}
 }
@@ -290,7 +289,7 @@ func TestMaintainerFollowsEveryCommitKind(t *testing.T) {
 		{"call", func() error { _, err := db.Call("grow"); return err }, false, propagate},
 		{"register after a failed maintainer", func() error {
 			db.mu.Lock()
-			db.maintErr = errors.New("injected")
+			db.publish(db.snap.Load().st, nil, errors.New("injected"))
 			db.mu.Unlock()
 			return db.Register("module other.\nmode ridv.\nrules\n  node(n: 3).\nend.\n")
 		}, false, rebuild},
@@ -542,5 +541,59 @@ func TestIncrementalQueryAndRegister(t *testing.T) {
 	}
 	if d.Epoch != sub.Epoch+1 {
 		t.Fatalf("registration diff epoch %d, want %d", d.Epoch, sub.Epoch+1)
+	}
+}
+
+// TestRejectedCommitKeepsMaintainer: a commit whose propagation fails
+// (its recursive negation suffix exhausts the facts budget between
+// rounds), whose rebuild fails too, and which the deferred audit then
+// rejects, publishes nothing: the maintainer of the unchanged state
+// keeps serving it, so a subscription opens and the next commit
+// propagates instead of rebuilding.
+func TestRejectedCommitKeepsMaintainer(t *testing.T) {
+	db, err := Open(ivmMatrixSchema, WithIncremental(true), WithBudget(Budget{MaxFacts: 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes, chain strings.Builder
+	nodes.WriteString("mode ridv.\nrules\n  edge(src: 0, dst: 1).\n")
+	chain.WriteString("mode ridv.\nrules\n")
+	for n := 0; n < 13; n++ {
+		fmt.Fprintf(&nodes, "  node(n: %d).\n", n)
+		if n > 0 && n < 12 {
+			fmt.Fprintf(&chain, "  edge(src: %d, dst: %d).\n", n, n+1)
+		}
+	}
+	nodes.WriteString("end.\n")
+	chain.WriteString("end.\n")
+	ivmMatrixInstall(t, db, nodes.String(), `
+mode radv.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+  unreach(a: X, b: Y) <- node(n: X), edge(src: X, dst: Y), not tc(src: Y, dst: X).
+  unreach(a: X, b: Z) <- unreach(a: X, b: Y), edge(src: Y, dst: Z).
+end.
+`)
+	rt := &recordingTracer{}
+	db.SetTracer(rt)
+	_, err = db.Exec(chain.String())
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Axis != AxisFacts {
+		t.Fatalf("err = %v, want a facts-axis *BudgetError", err)
+	}
+	if n := rt.count(obs.KindIVMPropagate) + rt.count(obs.KindIVMRebuild); n != 0 {
+		t.Fatalf("the rejected commit reported %d maintenance steps", n)
+	}
+	sub, err := db.SubscribeView(SubscribeOptions{})
+	if err != nil {
+		t.Fatalf("the rejected commit left the maintainer failed: %v", err)
+	}
+	defer sub.Close()
+	if _, err := db.Exec("mode ridv.\nrules\n  edge(src: 1, dst: 0).\nend.\n"); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.count(obs.KindIVMPropagate); n != 1 || rt.count(obs.KindIVMRebuild) != 0 {
+		t.Fatalf("%d propagations and %d rebuilds, want the commit propagated", n, rt.count(obs.KindIVMRebuild))
 	}
 }

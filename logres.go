@@ -163,7 +163,8 @@ func WithVectorize(on bool) Option {
 
 // Database is a LOGRES database: a state (E, R, S) evolved by module
 // applications. All methods are safe for concurrent use. Every commit
-// publishes one immutable snapshot of the state it installs, and the
+// publishes one immutable snapshot of the state it installs, with, under
+// WithIncremental, the maintained instance that serves it, and the
 // read-only methods (Query, Instance, Count, Save, …) load the newest
 // one without taking any lock, so a read never waits for a writer, nor
 // a writer for a read. The database lock is the writers': a module
@@ -180,12 +181,11 @@ type Database struct {
 	// hands it to the waiting attempts before the committer can take it
 	// again. Readers never take it.
 	mu sync.RWMutex
-	// snap is the published snapshot (publish). Loading it is a read's
-	// only synchronisation.
+	// snap is the published snapshot (publish): the current state, with
+	// the maintainer that serves it. Loading it is a read's only
+	// synchronisation; a writer loads it under mu.
 	snap atomic.Pointer[stateSnapshot]
-	// st and opts are the published state and configuration as the
-	// writers see them, under mu.
-	st   *module.State
+	// opts is the configuration as the writers see it, under mu.
 	opts engine.Options
 	// tracer/metrics are the configured observability sinks; the engine
 	// sees their fan-out through opts.Tracer (see rewireTracer).
@@ -202,15 +202,10 @@ type Database struct {
 	// recovery is the report of the recovery that opened this database
 	// (nil for fresh or non-durable databases).
 	recovery *RecoveryReport
-	// Incremental view maintenance (view.go): with WithIncremental the
-	// maintainer keeps the derived instance materialized across commits
-	// and reads serve from it; while healthy it runs a fork of the
-	// published state's program. maintErr poisons the fast path after a
-	// failed propagation or an unrecoverable rebuild (reads fall back to
-	// from-scratch until a later commit rebuilds it).
+	// Incremental view maintenance (view.go): with WithIncremental each
+	// published snapshot carries the maintainer that serves its state,
+	// and reads serve from it.
 	incremental bool
-	maint       *engine.Maintainer
-	maintErr    error
 	// Live subscriptions (view.go): commits fan their exact view diff
 	// out under subMu (always acquired after the write lock, never
 	// holding it across a send — sends are non-blocking).
@@ -235,16 +230,16 @@ func newDatabase(log *storage.CommitLog, options []Option) (*Database, error) {
 	return db, nil
 }
 
-// publish freezes the state's extensional facts, installs it as the
-// current state and publishes its snapshot, the one readers load from
-// now on. A commit publishes after it has recorded its epoch and staged
-// its maintenance, so the snapshot carries both. Callers hold the write
-// lock or are the sole owner (Open, Load, recovery, AsOf).
-func (db *Database) publish(st *module.State) {
+// publish freezes the state's extensional facts and publishes its
+// snapshot, the one readers and writers load from now on, with maint,
+// the maintainer that serves st, or nil and maintErr, why none does. It
+// is the one place that installs a maintainer. A commit publishes after
+// it has recorded its epoch and staged its maintenance, so the snapshot
+// carries both. Callers hold the write lock or are the sole owner (Open,
+// Load, recovery, AsOf).
+func (db *Database) publish(st *module.State, maint *engine.Maintainer, maintErr error) {
 	st.E.Freeze()
-	db.st = st
-	s := db.snapshotLocked()
-	db.snap.Store(&s)
+	db.snap.Store(&stateSnapshot{st: st, epoch: db.log.Epoch(), opts: db.opts, maint: maint, maintErr: maintErr})
 }
 
 // Open creates a database over the schema declared in src (domains /
@@ -346,11 +341,11 @@ func (db *Database) QueryContext(ctx context.Context, goalSrc string, options ..
 		return nil, err
 	}
 	s := db.snap.Load()
-	if len(options) == 0 && s.full != nil {
+	if len(options) == 0 && s.maint != nil {
 		// Option-free goals serve straight from the maintained derived
 		// set — no per-call budget or profile to honor, and the program
 		// is the same one a from-scratch RIDI application would compile.
-		return s.prog.Query(s.full, goal)
+		return s.maint.Program().Query(s.maint.Full(), goal)
 	}
 	opts := applyCallOptions(s.opts, options)
 	opts.Ctx = ctx
@@ -399,42 +394,28 @@ func (db *Database) Count(pred string) (int, error) {
 }
 
 // stateSnapshot is one published state as a read or an application
-// attempt sees it. A commit replaces the published state and the
-// maintained set and never writes either, so a snapshot needs no lock
-// once it is taken: I is R applied to E (§4.2), a function of the state
+// attempt sees it. A commit replaces the published state and its
+// maintainer and never writes either, so a snapshot needs no lock once
+// it is taken: I is R applied to E (§4.2), a function of the state
 // alone.
 type stateSnapshot struct {
 	st    *module.State
 	epoch uint64 // the commit epoch st was published at
 	opts  engine.Options
-	// full and prog are set when a healthy maintainer serves st: its
-	// frozen derived set and the program that answers goals over it.
-	full *engine.FactSet
-	prog *engine.Program
-}
-
-// snapshotLocked takes the snapshot of the current state from the
-// writers' fields. It is the one place that decides whether a healthy
-// maintainer serves the state: one that has not failed, which
-// maintStage keeps running the current state's program after every
-// commit. publish stores it for the readers; the writers (an attempt,
-// maintStage) take it here, since a failed propagation sets maintErr
-// without publishing. Callers hold the write lock, or read-lock it (an
-// optimistic attempt).
-func (db *Database) snapshotLocked() stateSnapshot {
-	s := stateSnapshot{st: db.st, epoch: db.log.Epoch(), opts: db.opts}
-	if db.maint != nil && db.maintErr == nil {
-		s.full, s.prog = db.maint.Full(), db.maint.Program()
-	}
-	return s
+	// maint serves st when it is set (WithIncremental): its frozen
+	// derived set is R(E), and its program answers goals over it.
+	// maintErr says why none serves, when maintenance failed; it is read
+	// by SubscribeView.
+	maint    *engine.Maintainer
+	maintErr error
 }
 
 // derived returns R(E) of the snapshot's state: the maintained set when
 // a maintainer serves it, a from-scratch evaluation otherwise. Neither
 // re-audits the state, which was audited when it entered the database.
-func (s stateSnapshot) derived() (*engine.FactSet, error) {
-	if s.full != nil {
-		return s.full, nil
+func (s *stateSnapshot) derived() (*engine.FactSet, error) {
+	if s.maint != nil {
+		return s.maint.Full(), nil
 	}
 	return s.st.Derive(s.opts)
 }
@@ -444,8 +425,8 @@ func (s stateSnapshot) derived() (*engine.FactSet, error) {
 // audit to the commit (view.go): commitLocked stages the propagation and
 // audits the maintained instance by its exact view delta before the
 // commit lands.
-func (s stateSnapshot) apply(m *Module, mode Mode, opts engine.Options) (*module.SnapshotResult, error) {
-	if s.full != nil {
+func (s *stateSnapshot) apply(m *Module, mode Mode, opts engine.Options) (*module.SnapshotResult, error) {
+	if s.maint != nil {
 		return module.ApplySnapshotDeferred(s.st, m, mode, opts)
 	}
 	return module.ApplySnapshot(s.st, m, mode, opts)
@@ -462,16 +443,13 @@ func (db *Database) RuleCount() int {
 }
 
 // Materialize makes E coincide with the current instance and clears the
-// persistent rules (§4.2, "materializing the instance").
+// persistent rules (§4.2, "materializing the instance"). It derives
+// against a snapshot outside the write lock and commits as a whole-state
+// replacement through the application protocol (concurrent.go), so a
+// commit landing meanwhile makes it retry; with retries disabled
+// (WithMaxRetries(-1)) that surfaces as a *ConflictError.
 func (db *Database) Materialize() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	st, err := module.Materialize(db.st, db.opts)
-	if err != nil {
-		return err
-	}
-	sr := &module.SnapshotResult{Res: &module.Result{State: st}, Replace: true}
-	_, _, _, _, err = db.commitLocked(db.opts, db.log.Epoch(), sr)
+	_, err := db.apply(db.ctx(), target{materialize: true}, nil)
 	return err
 }
 
@@ -537,10 +515,11 @@ func (db *Database) Register(src string) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Concurrent applications hold snapshots of db.st, so the registration
-	// builds a successor state; bumping the commit epoch makes an
-	// in-flight whole-state replacement retry instead of dropping it.
-	next, err := db.st.Register(m)
+	// Concurrent applications hold snapshots of the current state, so the
+	// registration builds a successor state; bumping the commit epoch
+	// makes an in-flight whole-state replacement retry instead of
+	// dropping it.
+	next, err := db.snap.Load().st.Register(m)
 	if err != nil {
 		return err
 	}

@@ -129,8 +129,8 @@ func (db *Database) rewireTracer() {
 	if db.store != nil {
 		db.store.SetTracer(db.opts.Tracer)
 	}
-	if db.st != nil {
-		db.publish(db.st)
+	if s := db.snap.Load(); s != nil {
+		db.publish(s.st, s.maint, s.maintErr)
 	}
 }
 

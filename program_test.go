@@ -189,7 +189,7 @@ func TestStateProgramNeverStale(t *testing.T) {
 				if _, err := db.Exec(s.src); err != nil {
 					t.Fatalf("%s: %v", s.name, err)
 				}
-				assertProgramFresh(t, s.name, db.st, db.opts)
+				assertProgramFresh(t, s.name, db.snap.Load().st, db.opts)
 			}
 
 			var buf bytes.Buffer
@@ -200,12 +200,12 @@ func TestStateProgramNeverStale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertProgramFresh(t, "load", loaded.st, loaded.opts)
+			assertProgramFresh(t, "load", loaded.snap.Load().st, loaded.opts)
 
 			if err := db.Materialize(); err != nil {
 				t.Fatal(err)
 			}
-			assertProgramFresh(t, "materialize", db.st, db.opts)
+			assertProgramFresh(t, "materialize", db.snap.Load().st, db.opts)
 
 			if _, err := db.Exec("mode radv.\nrules\n  reach(a: X, b: Y) <- knows(a: X, b: Y).\nend.\n"); err != nil {
 				t.Fatal(err)
@@ -230,7 +230,7 @@ func TestStateProgramNeverStale(t *testing.T) {
 			if !merged {
 				t.Fatal("the concurrent commit did not take the merge path")
 			}
-			assertProgramFresh(t, "merge", db.st, db.opts)
+			assertProgramFresh(t, "merge", db.snap.Load().st, db.opts)
 		})
 	}
 }

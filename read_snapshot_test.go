@@ -130,21 +130,42 @@ func TestReadsHoldNoLockThroughEvaluation(t *testing.T) {
 	}
 }
 
-// TestReadsBesideAParkedWriter: a read takes no lock. While a writer is
-// parked inside an evaluation it runs under the write lock — Materialize,
-// or the retry budget's locked last attempt — a Count returns, with the
-// count of the state the writer has not replaced yet.
+// TestReadsBesideAParkedWriter: a read takes no lock, and a
+// materialization evaluates outside the write lock. While a writer is
+// parked inside an evaluation — Materialize, or the retry budget's
+// locked last attempt, which holds the write lock — a Count returns,
+// with the count of the state the writer has not replaced yet. While
+// Materialize is parked, an Exec commits, and the materialization
+// retries over it: E holds the instance that includes the Exec's fact.
 func TestReadsBesideAParkedWriter(t *testing.T) {
+	count := func(db *Database) error {
+		n, err := db.Count("p2")
+		if err == nil && n != 1 {
+			err = fmt.Errorf("count = %d, want 1", n)
+		}
+		return err
+	}
 	legs := []struct {
-		name  string
-		write func(db *Database) error
+		name   string
+		write  func(db *Database) error
+		beside func(db *Database) error // must return while the writer is parked
+		after  func(db *Database) error // checks the state the writer left; may be nil
 	}{
-		{"materialize", (*Database).Materialize},
+		{"materialize", (*Database).Materialize, count, nil},
 		{"locked-exec", func(db *Database) error {
 			hooks.LockedApply.Store(true)
 			defer hooks.LockedApply.Store(false)
 			_, err := db.Exec("mode ridv.\nrules p1(x: 2).\nend.\n")
 			return err
+		}, count, nil},
+		{"materialize-beside-exec", (*Database).Materialize, func(db *Database) error {
+			_, err := db.Exec("mode ridv.\nrules p0(x: 2).\nend.\n")
+			return err
+		}, func(db *Database) error {
+			if n, rules := db.EDBCount("p2"), db.RuleCount(); n != 2 || rules != 0 {
+				return fmt.Errorf("E holds %d p2 facts and %d rules, want 2 and 0", n, rules)
+			}
+			return nil
 		}},
 	}
 	for _, leg := range legs {
@@ -170,29 +191,28 @@ func TestReadsBesideAParkedWriter(t *testing.T) {
 			case err := <-done:
 				t.Fatalf("the writer finished (err = %v) without parking", err)
 			}
-			counted := make(chan error, 1)
-			go func() {
-				n, err := db.Count("p2")
-				if err == nil && n != 1 {
-					err = fmt.Errorf("count = %d, want 1", n)
-				}
-				counted <- err
-			}()
+			besideDone := make(chan error, 1)
+			go func() { besideDone <- leg.beside(db) }()
 			select {
-			case err := <-counted:
+			case err := <-besideDone:
 				if err != nil {
 					t.Error(err)
 				}
 			case <-time.After(2 * time.Second):
-				t.Error("a Count waited for the parked writer")
+				t.Error("the call beside waited for the parked writer")
 				close(p.release)
-				<-counted
+				<-besideDone
 				<-done
 				return
 			}
 			close(p.release)
 			if err := <-done; err != nil {
 				t.Fatal(err)
+			}
+			if leg.after != nil {
+				if err := leg.after(db); err != nil {
+					t.Error(err)
+				}
 			}
 		})
 	}

@@ -43,9 +43,10 @@ import (
 // optimistic and locked attempts alike, which share one commit path —
 // audit only what they changed, in either mode: without WithIncremental the
 // extensional delta over a fresh derivation, with it the maintainer's
-// exact view delta over the maintained instance staged ahead of the
-// commit (rejections roll the staged update back). Every other commit
-// audits its whole new instance inside module application.
+// exact view delta over the successor maintainer staged ahead of the
+// commit (a rejection drops it, and the published one keeps serving).
+// Every other commit audits its whole new instance inside module
+// application.
 // CheckConsistency remains available as an explicit full audit.
 func WithIncremental(on bool) Option {
 	return func(db *Database) { db.incremental = on }
@@ -160,8 +161,8 @@ func (db *Database) SubscribeView(opts SubscribeOptions) (*Subscription, error) 
 	if !db.incremental {
 		return nil, ErrNotIncremental
 	}
-	if db.maintErr != nil {
-		return nil, fmt.Errorf("logres: incremental maintenance failed: %w", db.maintErr)
+	if err := db.snap.Load().maintErr; err != nil {
+		return nil, fmt.Errorf("logres: incremental maintenance failed: %w", err)
 	}
 	buffer := opts.Buffer
 	if buffer <= 0 {
@@ -254,10 +255,10 @@ func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 // program: the database's evaluation settings (vectorize, budget) with
 // observability and cancellation stripped. Maintenance is staged inside
 // the commit but never rejects it: a budget abort of a propagation
-// falls back to a rebuild, and if that aborts too the fast path is
-// disabled until a later commit rebuilds it. Its internal evaluations
-// stay out of the caller's trace stream (the database emits one
-// ivm.propagate or ivm.rebuild event per commit instead).
+// falls back to a rebuild, and if that aborts too the state is published
+// without a maintainer until a later commit rebuilds one. Its internal
+// evaluations stay out of the caller's trace stream (the database emits
+// one ivm.propagate or ivm.rebuild event per commit instead).
 func maintOptions(opts engine.Options) engine.Options {
 	opts.Tracer = nil
 	opts.Ctx = nil
@@ -268,101 +269,107 @@ func maintOptions(opts engine.Options) engine.Options {
 // of (Open, Load, recovery), with, under WithIncremental, a maintainer
 // built over it on a fork of the state's program.
 func (db *Database) start(st *module.State) error {
+	var m *engine.Maintainer
 	if db.incremental {
 		st.E.Freeze()
 		prog, err := st.Program(maintOptions(db.opts))
 		if err != nil {
 			return err
 		}
-		if db.maint, err = engine.NewMaintainer(prog, st.E, st.Counter); err != nil {
+		if m, err = engine.NewMaintainer(prog, st.E, st.Counter); err != nil {
 			return err
 		}
 	}
-	db.publish(st)
+	db.publish(st, m, nil)
 	return nil
 }
 
 // maintStep is the maintainer's step to one commit's successor state,
-// staged before the commit is logged.
+// staged before the commit is logged. A commit that lands publishes m
+// with its state; one that does not drops the step, and the published
+// maintainer keeps serving the unchanged state.
 type maintStep struct {
-	// vd is the view diff the subscribers get; nil without maintenance,
-	// or when the rebuild failed (fail).
+	// m is the maintainer that serves the successor state; nil without
+	// maintenance, or when the rebuild failed (fail).
+	m *engine.Maintainer
+	// vd is the view diff the subscribers get; nil when m is.
 	vd   *engine.ViewDelta
 	ev   obs.Event // ivm.propagate or ivm.rebuild; no Kind for neither
 	fail error     // the rebuild's error: every subscription ends with it
-	undo func()    // restores the maintainer if the commit does not land
 }
 
-// maintStage brings the maintenance state to next, the successor state
-// of a commit, before the commit is logged, and serves a deferred
+// maintStage steps the published maintainer to next, the successor
+// state of a commit, before the commit is logged, and serves a deferred
 // application's audit. When the maintainer runs next's program it
 // propagates the commit's extensional delta — a replacement's is the
 // diff of the two extensions, a registration's is empty and propagates
 // nothing — and audits the maintained instance by its exact view delta:
 // the same delta audit a commit without maintenance runs, against the
-// byte-identical maintained set, so both modes accept and reject alike
-// (module.AuditInstanceDelta). Otherwise (rules or schema changed, the
-// maintainer failed, or the propagation fails) it rebuilds over next,
-// and a deferred audit runs from scratch under the call's options. A
-// rejection undoes the step and returns the violation. Maintenance runs
-// under maintOptions: a rebuild that fails never fails the commit, it
-// disables the fast path and ends every subscription.
+// byte-identical maintained set, after the facts budget the evaluation
+// it stands in for meets, so both modes accept and reject alike
+// (module.AuditInstanceDelta). Otherwise
+// (rules or schema changed, no maintainer serves the current state, or
+// the propagation fails) it rebuilds over next, and a deferred audit
+// runs from scratch under the call's options. A rejection returns the
+// violation. Maintenance runs under maintOptions: a rebuild that fails
+// never fails the commit, it leaves the successor state without a
+// maintainer and ends every subscription.
 func (db *Database) maintStage(opts engine.Options, next *module.State, sr *module.SnapshotResult) (*maintStep, error) {
-	step := &maintStep{undo: func() {}}
+	step := &maintStep{}
 	if !db.incremental {
 		return step, nil
 	}
 	start := time.Now()
 	prog, err := next.Program(maintOptions(db.opts))
-	cur := db.snapshotLocked()
+	cur := db.snap.Load()
 	reason := "recover"
-	if cur.full != nil && err == nil && cur.prog.Shares(prog) {
+	if cur.maint != nil && err == nil && cur.maint.Program().Shares(prog) {
 		if next.E == cur.st.E {
-			step.vd = &engine.ViewDelta{}
+			step.m, step.vd = cur.maint, &engine.ViewDelta{}
 			return step, nil
 		}
 		adds, removes := sr.Adds, sr.Removes
 		if sr.Replace {
 			adds, removes = diffFrozen(cur.st.E, next.E)
 		}
-		vd, undo, uerr := db.maint.UpdateStaged(adds, removes, next.E, next.Counter)
+		m, vd, uerr := cur.maint.Next(adds, removes, next.E, next.Counter)
 		if uerr == nil {
 			var audit string
 			if sr.Deferred {
-				if audit, err = module.AuditInstanceDelta(next.S, cur.prog, db.maint.Full(), vd.Adds, vd.Preds()); err != nil {
-					undo()
+				// The evaluation the maintainer stood in for would have
+				// derived these facts beyond E′ under the call's budget.
+				// It checks between rounds, so its last round may
+				// overshoot the bound; this check is exact.
+				if limit, d := opts.Budget.MaxFacts, m.Full().TotalSize()-next.E.TotalSize(); limit > 0 && d > limit {
+					return nil, &engine.BudgetError{Axis: engine.AxisFacts, Limit: int64(limit), Stratum: -1, Facts: d}
+				}
+				if audit, err = module.AuditInstanceDelta(next.S, m.Program(), m.Full(), vd.Adds, vd.Preds()); err != nil {
 					return nil, err
 				}
 			}
-			step.vd, step.undo = vd, undo
+			step.m, step.vd = m, vd
 			step.ev = obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Count: len(vd.Adds) + len(vd.Removes),
-				Total: db.maint.Full().TotalSize(), Duration: time.Since(start), Reason: audit}
+				Total: m.Full().TotalSize(), Duration: time.Since(start), Reason: audit}
 			return step, nil
 		}
-		// The failed propagation left the maintainer inconsistent, whether
-		// or not this commit lands.
-		db.maintErr, reason = uerr, "fallback: "+uerr.Error()
-	} else if cur.full != nil {
+		reason = "fallback: " + uerr.Error()
+	} else if cur.maint != nil {
 		reason = "replace"
 	}
 	// Rebuild over next, diffing the old and new full sets so subscribers
 	// still see the exact change.
-	old, oldErr := db.maint, db.maintErr
-	step.undo = func() { db.maint, db.maintErr = old, oldErr }
-	var m *engine.Maintainer
 	if err == nil {
-		m, err = engine.NewMaintainer(prog, next.E, next.Counter)
+		step.m, err = engine.NewMaintainer(prog, next.E, next.Counter)
 	}
 	if err != nil {
-		db.maint, db.maintErr, step.fail = nil, err, err
+		step.fail = err
 	} else {
 		oldFull := engine.NewFactSet()
-		if old != nil {
-			oldFull = old.Full()
+		if cur.maint != nil {
+			oldFull = cur.maint.Full()
 		}
-		db.maint, db.maintErr = m, nil
 		vd := &engine.ViewDelta{}
-		vd.Adds, vd.Removes = diffFrozen(oldFull, m.Full())
+		vd.Adds, vd.Removes = diffFrozen(oldFull, step.m.Full())
 		engine.SortFactsByKey(vd.Adds)
 		engine.SortFactsByKey(vd.Removes)
 		step.vd = vd
@@ -370,7 +377,6 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 	}
 	if sr.Deferred {
 		if _, _, err := next.Instance(opts); err != nil {
-			step.undo()
 			return nil, err
 		}
 	}
