@@ -90,11 +90,12 @@ func TestQueryClosureShapeAllocs(t *testing.T) {
 
 // One unshort commit of BenchmarkIVMChainCommit — deleting the shortcut
 // planted across monitor_ivm's maintained closure, on either numbering of
-// the chain — allocates at most maxAllocs: 42 480 and 43 716 measured,
-// plus about 10 %. DRed probes each over-deleted closure fact once and
-// lets the insertion pass restore what a probe cannot rederive in one
-// step; re-probing the over-deletion until nothing changed cost 298 485
-// allocations (682 409 on the mirrored chain).
+// the chain — allocates at most maxAllocs: 13 234 and 13 225 measured,
+// plus about 10 %. DRed checks the 25 closure facts that lost a
+// derivation through the shortcut, finds each still derivable through
+// the chain without the 625 facts it over-estimated, and so over-deletes
+// nothing; over-deleting all 625, probing each and restoring the rest by
+// insertion cost about 42 500 allocations (43 700 on the mirrored chain).
 func TestIVMUnshortAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not compared under -race")
@@ -102,7 +103,7 @@ func TestIVMUnshortAllocs(t *testing.T) {
 	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
 		t.Skipf("allocation counts are pinned for %s, not compared under %s", allocsToolchain, v)
 	}
-	const maxAllocs = 48000
+	const maxAllocs = 14500
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range ivmChainCommits() {
 		if !strings.HasPrefix(c.name, "unshort") {

@@ -247,6 +247,44 @@ rules
   edge(src: 6, dst: 2).
 end.
 `)
+	// Cyclic self-support: 3 and 4 support each other, so deleting 2→4
+	// must delete tc(1,3), tc(1,4), tc(2,3) and tc(2,4), whose only other
+	// support runs round the cycle back through the removed edge. After
+	// 2→4 and 1→4 return, deleting 2→4 again keeps tc(1,4) through 1→4
+	// but not tc(2,4): only part of the over-deletion is deleted. The
+	// rules arrive data-invariant (RADI), so tc stays derived: RADV would
+	// store the closure in E, and no edge delete could remove it.
+	f.Add(fuzzSchemas[1], `
+mode ridv.
+rules
+  edge(src: 1, dst: 2).
+  edge(src: 2, dst: 4).
+  edge(src: 4, dst: 3).
+  edge(src: 3, dst: 4).
+end.
+---
+mode radi.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+end.
+---
+mode rddv.
+rules
+  edge(src: 2, dst: 4).
+end.
+---
+mode ridv.
+rules
+  edge(src: 2, dst: 4).
+  edge(src: 1, dst: 4).
+end.
+---
+mode rddv.
+rules
+  edge(src: 2, dst: 4).
+end.
+`)
 	// A class-bearing commit sequence under a denial: association writes
 	// take the delta audit, class writes the full one, and the last
 	// commit violates the denial.

@@ -205,32 +205,53 @@ func TestAbortErrorMessage(t *testing.T) {
 // more facts beyond its extension than Budget.MaxFacts allows is
 // rejected with a facts-axis *BudgetError whether the instance is
 // derived from scratch or maintained (WithIncremental), and the state
-// stays as it was.
+// stays as it was. In the unreach case the last round derives nearly
+// every fact (99 unreach facts over a closure of one), so only the
+// check after the final round sees the overshoot.
 func TestFactsBudgetInBothMaintenanceModes(t *testing.T) {
 	const schema = `
 associations
+  NODE = (n: integer);
   EDGE = (src: integer, dst: integer);
   TC = (src: integer, dst: integer);
+  UNREACH = (a: integer, b: integer);
 `
-	const chain = "mode ridv.\nrules\n  edge(src: 1, dst: 2). edge(src: 2, dst: 3). edge(src: 3, dst: 4).\n" +
-		"  edge(src: 4, dst: 5). edge(src: 5, dst: 6). edge(src: 6, dst: 7).\nend.\n"
+	const closure = "  tc(src: X, dst: Y) <- edge(src: X, dst: Y).\n" +
+		"  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).\n"
+	var nodes strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&nodes, "  node(n: %d).\n", i)
+	}
+	cases := []struct {
+		name        string
+		limit       int
+		rules, data string
+	}{
+		{"chain", 6, closure,
+			"  edge(src: 1, dst: 2). edge(src: 2, dst: 3). edge(src: 3, dst: 4).\n" +
+				"  edge(src: 4, dst: 5). edge(src: 5, dst: 6). edge(src: 6, dst: 7).\n"},
+		{"unreach", 30,
+			closure + "  unreach(a: X, b: Y) <- node(n: X), node(n: Y), not tc(src: X, dst: Y).\n",
+			nodes.String() + "  edge(src: 0, dst: 1).\n"},
+	}
 	for _, inc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", inc), func(t *testing.T) {
-			db, err := Open(schema, WithBudget(Budget{MaxFacts: 6}), WithIncremental(inc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := db.Exec("mode radi.\nrules\n  tc(src: X, dst: Y) <- edge(src: X, dst: Y).\n" +
-				"  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).\nend.\n"); err != nil {
-				t.Fatal(err)
-			}
-			_, err = db.Exec(chain)
-			var be *BudgetError
-			if !errors.As(err, &be) || be.Axis != AxisFacts || be.Limit != 6 {
-				t.Fatalf("err = %v (%T), want a *BudgetError on the facts axis, limit 6", err, err)
-			}
-			if n, err := db.Count("tc"); err != nil || n != 0 || db.EDBCount("edge") != 0 {
-				t.Fatalf("tc = %d (%v), %d edges after the rejection, want 0 and 0", n, err, db.EDBCount("edge"))
+			for _, c := range cases {
+				db, err := Open(schema, WithBudget(Budget{MaxFacts: c.limit}), WithIncremental(inc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Exec("mode radi.\nrules\n" + c.rules + "end.\n"); err != nil {
+					t.Fatal(err)
+				}
+				_, err = db.Exec("mode ridv.\nrules\n" + c.data + "end.\n")
+				var be *BudgetError
+				if !errors.As(err, &be) || be.Axis != AxisFacts || be.Limit != int64(c.limit) {
+					t.Fatalf("%s: err = %v (%T), want a *BudgetError on the facts axis, limit %d", c.name, err, err, c.limit)
+				}
+				if n, err := db.Count("tc"); err != nil || n != 0 || db.EDBCount("edge") != 0 {
+					t.Fatalf("%s: tc = %d (%v), %d edges after the rejection, want 0 and 0", c.name, n, err, db.EDBCount("edge"))
+				}
 			}
 		})
 	}

@@ -50,6 +50,11 @@ type evalCtx struct {
 	// oidWinners holds, per object given an o-value in this step, the
 	// valuation key of the firing whose o-value Δ+ keeps (addForOID).
 	oidWinners map[oidSlot]string
+	// exclude, when non-nil, holds stored facts no match may use: DRed's
+	// first-layer check reads the view as if its over-deletion were gone
+	// without dropping it (updateDRed). The row loop leaves it nil and
+	// pays one nil check per fact.
+	exclude *FactSet
 }
 
 // invention is a head fact awaiting its oid, under its valuation's key.
@@ -102,9 +107,9 @@ func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield fu
 
 // matchFacts unifies l with each candidate fact and yields every
 // extension of e. A candidate that disagrees with an argument the
-// bindings already fix is rejected before e is cloned, and when those
-// arguments are all of l's, an admitted candidate yields e itself: the
-// match binds nothing new.
+// bindings already fix, or that c.exclude holds, is rejected before e
+// is cloned, and when those arguments are all of l's, an admitted
+// candidate yields e itself: the match binds nothing new.
 func (c *evalCtx) matchFacts(l resolvedLit, fixed []fixedArg, all bool, cs candidates, e *env, yield func(*env) error) error {
 	var err error
 	cs.each(func(fact Fact) bool {
@@ -114,7 +119,7 @@ func (c *evalCtx) matchFacts(l resolvedLit, fixed []fixedArg, all bool, cs candi
 				return false
 			}
 		}
-		if !admits(fixed, fact) {
+		if !admits(fixed, fact) || c.exclude != nil && c.exclude.Has(fact) {
 			return true
 		}
 		e2 := e
@@ -792,6 +797,9 @@ func (p *Program) fixpoint(rules []*crule, f, base *FactSet, counter *int64, onc
 		}
 		p.traceRoundEnd(step, next.TotalSize()-f.TotalSize(), next.TotalSize(), start)
 		if !changed || once {
+			if err := p.checkLastRound(step, next.TotalSize); err != nil {
+				return nil, err
+			}
 			return next, nil
 		}
 		f = next

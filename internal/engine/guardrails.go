@@ -133,3 +133,9 @@ func (p *Program) checkRound(round int, total func() int, detail string) error {
 	}
 	return g.Check(round, total, p.invented())
 }
+
+// checkLastRound enforces the fact axis once after a stratum's final
+// round, whose facts no checkRound sees.
+func (p *Program) checkLastRound(round int, total func() int) error {
+	return p.curGuard().CheckFacts(round, total, p.invented())
+}

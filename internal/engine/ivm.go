@@ -15,7 +15,11 @@ import (
 // set in time proportional to the base-fact delta instead of re-running
 // the fixpoint: the counting algorithm for non-recursive strata and
 // DRed-style delete/rederive for recursive ones (Gupta, Mumick &
-// Subrahmanian, "Maintaining Views Incrementally").
+// Subrahmanian, "Maintaining Views Incrementally"). Before DRed
+// over-deletes, it checks the facts that lost a derivation directly for
+// another one, the first step of Motik, Nenov, Piro & Horrocks's
+// Backward/Forward algorithm, and over-deletes only from those that
+// have none (updateDRed).
 //
 // Only a prefix of the stratification is maintained incrementally: the
 // program's stratum plan (plan.go) marks each stratum counting, DRed or
@@ -64,8 +68,9 @@ type Maintainer struct {
 	baseE *FactSet // the committed extensional set the state is synced to
 	view  *FactSet // the materialized eligible prefix
 	full  *FactSet // the complete derived set (== view when suffix is empty)
-	// probes counts derivable calls over the maintainer's lineage.
-	probes int
+	// probes counts derivable calls, and overdeleted the facts DRed
+	// drops before its probes, over the maintainer's lineage.
+	probes, overdeleted int
 }
 
 // ViewDelta is the exact fact-level difference of the full derived set
@@ -437,14 +442,25 @@ func (m *Maintainer) updateCounting(plan *maintPlan, o *pmap.Owner, pAdds, pRems
 }
 
 // updateDRed propagates a delta through one recursive stratum with
-// delete/rederive: (1) overestimate the deletions by closing the
-// removed facts under the rules over the *old* view; (2) remove the
-// overestimate and probe each of its facts once against what survives,
-// keeping those still extensional or derivable in one step; (3)
-// propagate the insertions and the kept facts semi-naively over the new
-// view, which restores every other overestimated fact that still holds.
-// The wave ends up holding each presence change once: a fact phase 2
-// removes and phase 3 restores leaves it again.
+// delete/rederive. (1) Over-delete: close the first layer — the
+// stratum's removed facts and the heads of old-view rule instances that
+// read a removed input — under the rules over the *old* view, then keep
+// each first-layer fact still extensional or derivable in one step from
+// own-stratum premises outside that overestimate (lower-stratum ones
+// read from the new view), and go on with the closure of the others
+// within it. (2) Remove what is left and probe each of its facts once
+// against what survives, keeping those still extensional or derivable
+// in one step. (3) Propagate the insertions and the kept facts
+// semi-naively over the new view, which restores every other
+// over-deleted fact that still holds. The wave ends up holding each
+// presence change once: a fact phase 2 removes and phase 3 restores
+// leaves it again.
+//
+// The keep check is the backward step of Motik, Nenov, Piro & Horrocks's
+// Backward/Forward algorithm, one layer deep, and deletes nothing that
+// still holds: by induction on old derivation depth, a fact outside the
+// narrowed set is a kept one or has an old derivation that reads no
+// removed input and no narrowed fact.
 func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
 	c := &evalCtx{p: m.prog, f: newView, counter: new(int64)}
 	eAdd := map[string]bool{}
@@ -463,31 +479,62 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 		return m.baseE.Has(f) && !eRem[k]
 	}
 
-	// Phase 1: deletion overestimate over the old view.
-	overdel := NewFactSet()
-	frontier := plan.reads(waveRemoves) // own heads enter via the closure below
-	for _, f := range pRems {
-		if oldView.Has(f) {
-			overdel.Add(f)
+	// Phase 1: the first layer and its closure over the old view.
+	overdel, frontier := NewFactSet(), NewFactSet()
+	var first []Fact
+	lose := func(f Fact) {
+		if oldView.Has(f) && overdel.Add(f) {
+			first = append(first, f)
 			frontier.Add(f)
 		}
 	}
-	for frontier.TotalSize() > 0 {
-		next := NewFactSet()
-		if err := deltaRound(c, plan, frontier, oldView, oldView, func(fact Fact) error {
-			if oldView.Has(fact) && overdel.Add(fact) {
-				next.Add(fact)
-			}
+	for _, f := range pRems {
+		lose(f)
+	}
+	if in := plan.reads(waveRemoves); in.TotalSize() > 0 {
+		if err := deltaRound(c, plan, in, oldView, oldView, func(f Fact) error {
+			lose(f)
 			return nil
 		}); err != nil {
 			return err
 		}
-		frontier = next
 	}
+	if err := closeWithin(c, plan, frontier, overdel, oldView, oldView); err != nil {
+		return err
+	}
+	// The check reads the new view as if the overestimate were gone. When
+	// the overestimate is the first layer alone, phase 2's probes are the
+	// same check.
+	if len(first) < overdel.TotalSize() {
+		lost := NewFactSet()
+		frontier = NewFactSet()
+		c.exclude = overdel
+		for _, f := range first {
+			ok := inEnew(f)
+			if !ok {
+				var err error
+				if ok, err = m.derivable(c, plan, f, newView); err != nil {
+					return err
+				}
+			}
+			if !ok {
+				lost.Add(f)
+				frontier.Add(f)
+			}
+		}
+		c.exclude = nil
+		if lost.TotalSize() < len(first) {
+			if err := closeWithin(c, plan, frontier, lost, overdel, oldView); err != nil {
+				return err
+			}
+			overdel = lost
+		}
+	}
+	m.overdeleted += overdel.TotalSize()
 
-	// Phase 2: delete the overestimate, then probe every member once
-	// against the survivors. A fact a rederived one supports is left to
-	// phase 3, so no probe waits on another's outcome.
+	// Phase 2: delete the narrowed overestimate, then probe every member
+	// once against the survivors. A fact a rederived one supports is left
+	// to phase 3, so no probe waits on another's outcome.
 	newView.Drop(overdel)
 	var rederived []Fact
 	var err error
@@ -548,6 +595,25 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 	return nil
 }
 
+// closeWithin adds to set, round by round from frontier, every fact of
+// within that heads an old-view rule instance reading a fact the
+// previous round added.
+func closeWithin(c *evalCtx, plan *maintPlan, frontier, set, within, oldView *FactSet) error {
+	for frontier.TotalSize() > 0 {
+		next := NewFactSet()
+		if err := deltaRound(c, plan, frontier, oldView, oldView, func(fact Fact) error {
+			if within.Has(fact) && set.Add(fact) {
+				next.Add(fact)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		frontier = next
+	}
+	return nil
+}
+
 // reads returns the facts of wave over the predicates the stratum reads
 // but does not define.
 func (plan *maintPlan) reads(wave *FactSet) *FactSet {
@@ -566,10 +632,11 @@ func (plan *maintPlan) reads(wave *FactSet) *FactSet {
 }
 
 // derivable reports whether some rule of the stratum derives target
-// from view in one step. The head is pre-unified with the target where
-// that is cheap (constant and variable components), the body is matched
-// cheapest literal first from those bindings (matchCheapest), and every
-// valuation found is verified by rebuilding the head fact.
+// from view, less any facts c.exclude holds, in one step. The head is
+// pre-unified with the target where that is cheap (constant and
+// variable components), the body is matched cheapest literal first from
+// those bindings (matchCheapest), and every valuation found is verified
+// by rebuilding the head fact.
 func (m *Maintainer) derivable(c *evalCtx, plan *maintPlan, target Fact, view *FactSet) (bool, error) {
 	m.probes++
 	saved := c.f

@@ -45,7 +45,8 @@ func compiledOrderDerives(t *testing.T, c *evalCtx, plan *maintPlan, target Fact
 // The cheapest-first probe answers exactly what matching the body in
 // compiled order answers, on every maintained stratum of every ivmPrograms
 // rule set, for targets present in the view, absent from it, and removed
-// from it (an over-deletion).
+// from it (an over-deletion), and a probe that excludes the removed facts
+// (DRed's first-layer check) answers what one over the cut view does.
 func TestDerivableProbeMatchesCompiledOrder(t *testing.T) {
 	for _, tc := range ivmPrograms {
 		t.Run(tc.name, func(t *testing.T) {
@@ -90,23 +91,32 @@ func TestDerivableProbeMatchesCompiledOrder(t *testing.T) {
 						}
 						// Over-delete a random half of the predicate.
 						cut := m.view.Clone()
+						removedSet := NewFactSet()
 						var removed []Fact
 						for _, f := range present {
 							if r.Intn(2) == 0 {
 								cut.Remove(f)
+								removedSet.Add(f)
 								removed = append(removed, f)
 							}
 						}
 						for _, probe := range []struct {
-							view    *FactSet
-							targets []Fact
-						}{{m.view, present}, {m.view, absent}, {cut, removed}} {
+							view, exclude, want *FactSet
+							targets             []Fact
+						}{
+							{m.view, nil, m.view, present},
+							{m.view, nil, m.view, absent},
+							{cut, nil, cut, removed},
+							{m.view, removedSet, cut, removed},
+						} {
 							for _, f := range probe.targets {
+								c.exclude = probe.exclude
 								got, err := m.derivable(c, plan, f, probe.view)
+								c.exclude = nil
 								if err != nil {
 									t.Fatalf("seed %d: derivable(%s): %v", seed, f, err)
 								}
-								if want := compiledOrderDerives(t, c, plan, f, probe.view); got != want {
+								if want := compiledOrderDerives(t, c, plan, f, probe.want); got != want {
 									t.Fatalf("seed %d: derivable(%s) = %v, compiled order says %v", seed, f, got, want)
 								}
 								probed++
@@ -160,11 +170,13 @@ func monitorGraph(mirror bool) (edges [][2]int, planted [2]int) {
 	return edges, [2]int{num(planted[0]), num(planted[1])}
 }
 
-// Deleting a shortcut probes each over-deleted closure fact exactly once,
-// whichever way the chain is numbered: the facts a probe cannot rederive
-// in one step are restored by the insertion pass, not re-probed. The
-// over-deletion is every tc(x, z) with x reaching the shortcut's source
-// and z reached from its target.
+// Deleting a shortcut over-deletes nothing, whichever way the chain is
+// numbered: each closure fact that lost a derivation through it — every
+// tc(x, target) with x reaching its source — is checked once, and each
+// still has one through the chain that reads no over-estimated fact.
+// Deleting the tail node's out-edges over-deletes exactly its cone, every
+// tc(tail, z): none of it has another derivation, so the check keeps
+// nothing and phase 2 probes each over-deleted fact once.
 func TestDRedProbesOncePerOverdeletedFact(t *testing.T) {
 	const closure = `
 tc(src: X, dst: Y) <- edge(src: X, dst: Y).
@@ -182,9 +194,10 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 		name := map[bool]string{false: "ascending", true: "descending"}[mirror]
 		t.Run(name, func(t *testing.T) {
 			edges, planted := monitorGraph(mirror)
+			edges = append(edges, planted)
 			base := NewFactSet()
 			succ, pred := map[int][]int{}, map[int][]int{}
-			for _, e := range append(edges, planted) {
+			for _, e := range edges {
 				base.Add(ivmEdge(e[0], e[1]))
 				succ[e[0]] = append(succ[e[0]], e[1])
 				pred[e[1]] = append(pred[e[1]], e[0])
@@ -203,37 +216,59 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 				}
 				return len(seen)
 			}
-			overdeleted := reach(planted[0], pred) * reach(planted[1], succ)
-
+			tail := 0
+			if mirror {
+				tail = 96
+			}
+			var tailEdges []Fact
+			for _, e := range edges {
+				if e[0] == tail {
+					tailEdges = append(tailEdges, ivmEdge(e[0], e[1]))
+				}
+			}
 			e0 := base.Clone()
 			e0.Freeze()
-			m, err := NewMaintainer(prog, e0, 0)
+			m0, err := NewMaintainer(prog, e0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.probes = 0
-			base.Remove(ivmEdge(planted[0], planted[1]))
-			e1 := base.Clone()
-			e1.Freeze()
-			vd, err := m.Update(nil, []Fact{ivmEdge(planted[0], planted[1])}, e1, 0)
-			if err != nil {
-				t.Fatal(err)
+			for _, c := range []struct {
+				kind                     string
+				removes                  []Fact
+				probes, overdeleted, tcs int
+			}{
+				{"unshort", []Fact{ivmEdge(planted[0], planted[1])}, reach(planted[0], pred), 0, 0},
+				{"tail", tailEdges, len(tailEdges) + reach(tail, succ) - 1, reach(tail, succ) - 1, reach(tail, succ) - 1},
+			} {
+				after := base.Clone()
+				for _, f := range c.removes {
+					after.Remove(f)
+				}
+				e1 := after.Clone()
+				e1.Freeze()
+				m := *m0
+				m.probes, m.overdeleted = 0, 0
+				vd, err := m.Update(nil, c.removes, e1, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.probes != c.probes || m.overdeleted != c.overdeleted {
+					t.Fatalf("%s: %d probes and %d over-deleted facts, want %d and %d",
+						c.kind, m.probes, m.overdeleted, c.probes, c.overdeleted)
+				}
+				var n int64
+				scratch, err := scratchProg.Run(after, &n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !m.Full().Equal(scratch) {
+					t.Fatalf("%s: maintained closure diverged from scratch", c.kind)
+				}
+				if len(vd.Adds) != 0 || len(vd.Removes) != len(c.removes)+c.tcs {
+					t.Fatalf("%s: view delta +%d −%d, want −%d", c.kind, len(vd.Adds), len(vd.Removes), len(c.removes)+c.tcs)
+				}
+				t.Logf("%s: %d probes, %d over-deleted facts", c.kind, m.probes, m.overdeleted)
 			}
-			if m.probes != overdeleted {
-				t.Fatalf("%d probes for %d over-deleted facts, want one each", m.probes, overdeleted)
-			}
-			var c int64
-			scratch, err := scratchProg.Run(base, &c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !m.Full().Equal(scratch) {
-				t.Fatal("maintained closure diverged from scratch")
-			}
-			if len(vd.Adds) != 0 || len(vd.Removes) != 1 {
-				t.Fatalf("view delta +%d −%d, want only the deleted edge", len(vd.Adds), len(vd.Removes))
-			}
-			t.Logf("%d over-deleted facts, %d probes", overdeleted, m.probes)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -126,6 +127,12 @@ func randomCommit(r *rand.Rand, base *FactSet, n int) (adds, removes []Fact) {
 			base.Add(f)
 		}
 	}
+	return netDelta(pre, base)
+}
+
+// netDelta returns the facts of base not in pre and those of pre not in
+// base.
+func netDelta(pre, base *FactSet) (adds, removes []Fact) {
 	for _, p := range base.Preds() {
 		for _, f := range base.Facts(p) {
 			if !pre.Has(f) {
@@ -175,38 +182,110 @@ func TestMaintainerDifferential(t *testing.T) {
 					adds, removes := randomCommit(r, base, n)
 					newE := base.Clone()
 					newE.Freeze()
-					prevFull := m.Full()
-					vd, err := m.Update(adds, removes, newE, 0)
+					next, vd, err := m.Next(adds, removes, newE, 0)
 					if err != nil {
 						t.Fatalf("seed %d commit %d: %v", seed, commit, err)
 					}
-					var c int64
-					scratch, err := scratchProg.Run(base, &c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !m.Full().Equal(scratch) {
-						t.Fatalf("seed %d commit %d: incremental full set diverged from scratch", seed, commit)
-					}
-					// ViewDelta exactness: old full + delta == new full.
-					replay := prevFull.Clone()
-					for _, f := range vd.Removes {
-						if !replay.Remove(f) {
-							t.Fatalf("seed %d commit %d: delta removes absent fact %s", seed, commit, f)
-						}
-					}
-					for _, f := range vd.Adds {
-						if !replay.Add(f) {
-							t.Fatalf("seed %d commit %d: delta adds present fact %s", seed, commit, f)
-						}
-					}
-					if !replay.Equal(m.Full()) {
-						t.Fatalf("seed %d commit %d: ViewDelta does not reproduce the new full set", seed, commit)
-					}
+					checkMaintained(t, fmt.Sprintf("seed %d commit %d", seed, commit), scratchProg, base, m, next, vd)
+					m = next
 				}
 			}
 		})
 	}
+}
+
+// checkMaintained fails the test unless next, the successor of prev for
+// a commit that left the extensional set base, holds what a from-scratch
+// run of the row oracle scratchProg derives over base, and vd is exactly
+// the difference from prev's full set.
+func checkMaintained(t *testing.T, at string, scratchProg *Program, base *FactSet, prev, next *Maintainer, vd *ViewDelta) {
+	t.Helper()
+	var c int64
+	scratch, err := scratchProg.Run(base, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !next.Full().Equal(scratch) {
+		t.Fatalf("%s: incremental full set diverged from scratch", at)
+	}
+	// ViewDelta exactness: old full + delta == new full.
+	replay := prev.Full().Clone()
+	for _, f := range vd.Removes {
+		if !replay.Remove(f) {
+			t.Fatalf("%s: delta removes absent fact %s", at, f)
+		}
+	}
+	for _, f := range vd.Adds {
+		if !replay.Add(f) {
+			t.Fatalf("%s: delta adds present fact %s", at, f)
+		}
+	}
+	if !replay.Equal(next.Full()) {
+		t.Fatalf("%s: ViewDelta does not reproduce the new full set", at)
+	}
+}
+
+// FuzzMaintainerDelete drives small graphs, cyclic ones included, through
+// maintained commits that insert and delete, and holds every commit to
+// checkMaintained. pick chooses the ivmPrograms rule set. Each byte of ops
+// toggles one fact — node((b>>3)&7) when bit 6 is set, else edge((b>>3)&7,
+// b&7) — and a set bit 7 ends the commit; the first commit is the base
+// the maintainer starts from.
+func FuzzMaintainerDelete(f *testing.F) {
+	// 1→2, 2→4, 4→3, 3→4, then delete 2→4; add 2→4 and 1→4; delete 2→4.
+	cyclic := []byte{1<<3 | 2, 2<<3 | 4, 4<<3 | 3, 0x80 | 3<<3 | 4,
+		0x80 | 2<<3 | 4, 2<<3 | 4, 0x80 | 1<<3 | 4, 0x80 | 2<<3 | 4}
+	for pick := range ivmPrograms {
+		f.Add(uint8(pick), cyclic)
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		ops := make([]byte, 48)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(uint8(seed), ops)
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		rules := ivmPrograms[int(pick)%len(ivmPrograms)].rules
+		prog, err := tryBuild(ivmSchema, rules, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratchProg, err := tryBuild(ivmSchema, rules, rowOracle())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := NewFactSet()
+		var m *Maintainer
+		for i, b := range ops {
+			fact := ivmEdge(int(b>>3&7), int(b&7))
+			if b&0x40 != 0 {
+				fact = ivmNode(int(b >> 3 & 7))
+			}
+			if !base.Remove(fact) {
+				base.Add(fact)
+			}
+			if b&0x80 == 0 && i < len(ops)-1 {
+				continue
+			}
+			newE := base.Clone()
+			newE.Freeze()
+			if m == nil {
+				if m, err = NewMaintainer(prog, newE, 0); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			adds, removes := netDelta(m.baseE, base)
+			next, vd, err := m.Next(adds, removes, newE, 0)
+			if err != nil {
+				t.Fatalf("commit ending at op %d: %v", i, err)
+			}
+			checkMaintained(t, fmt.Sprintf("commit ending at op %d", i), scratchProg, base, m, next, vd)
+			m = next
+		}
+	})
 }
 
 // TestMaintainerDeleteRederive pins the DRed rederivation case: removing
@@ -273,6 +352,83 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 	}
 	if !found {
 		t.Fatal("ViewDelta misses the genuinely deleted fact")
+	}
+}
+
+// TestMaintainerCyclicSelfSupport pins DRed's view deltas where 3 and 4
+// support each other: deleting 2→4 must delete every closure fact whose
+// other support runs round the cycle back through the removed edge, and
+// once 1→4 also holds, the same delete keeps tc(1,·) and deletes only
+// tc(2,·). The second delete's first-layer check keeps tc(1,4) through
+// 1→4, so only tc(2,·) is over-deleted.
+func TestMaintainerCyclicSelfSupport(t *testing.T) {
+	prog, err := tryBuild(ivmSchema, `
+tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+`, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := func(a, b int) Fact {
+		f := ivmEdge(a, b)
+		f.Pred = "tc"
+		return f
+	}
+	base := NewFactSet()
+	for _, e := range [][2]int{{1, 2}, {2, 4}, {4, 3}, {3, 4}} {
+		base.Add(ivmEdge(e[0], e[1]))
+	}
+	e0 := base.Clone()
+	e0.Freeze()
+	m, err := NewMaintainer(prog, e0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(fs []Fact) []string {
+		out := []string{}
+		for _, f := range fs {
+			out = append(out, f.Key())
+		}
+		return out
+	}
+	for i, c := range []struct {
+		adds, removes         []Fact
+		wantAdds, wantRemoves []Fact
+		overdeleted           int
+	}{
+		{removes: []Fact{ivmEdge(2, 4)},
+			wantRemoves: []Fact{ivmEdge(2, 4), tc(1, 3), tc(1, 4), tc(2, 3), tc(2, 4)},
+			overdeleted: 4},
+		{adds: []Fact{ivmEdge(2, 4), ivmEdge(1, 4)},
+			wantAdds: []Fact{ivmEdge(1, 4), ivmEdge(2, 4), tc(1, 3), tc(1, 4), tc(2, 3), tc(2, 4)}},
+		{removes: []Fact{ivmEdge(2, 4)},
+			wantRemoves: []Fact{ivmEdge(2, 4), tc(2, 3), tc(2, 4)},
+			overdeleted: 2},
+	} {
+		m.overdeleted = 0
+		for _, f := range c.removes {
+			base.Remove(f)
+		}
+		for _, f := range c.adds {
+			base.Add(f)
+		}
+		newE := base.Clone()
+		newE.Freeze()
+		vd, err := m.Update(c.adds, c.removes, newE, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SortFactsByKey(c.wantAdds)
+		SortFactsByKey(c.wantRemoves)
+		if got, want := keys(vd.Adds), keys(c.wantAdds); !reflect.DeepEqual(got, want) {
+			t.Fatalf("commit %d adds %q, want %q", i, got, want)
+		}
+		if got, want := keys(vd.Removes), keys(c.wantRemoves); !reflect.DeepEqual(got, want) {
+			t.Fatalf("commit %d removes %q, want %q", i, got, want)
+		}
+		if m.overdeleted != c.overdeleted {
+			t.Fatalf("commit %d over-deleted %d facts, want %d", i, m.overdeleted, c.overdeleted)
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ func (p *Program) semiNaive(stratum []*crule, cur *FactSet, counter *int64) (*Fa
 // the columnar kernels alike: round 0 is the full pass, and each later
 // round runs while the previous one derived facts. round runs one round
 // and reports how many facts it derived; total reports the fact count
-// as of the running round's start. Round boundaries, the rounds budget
-// and the stats are kept here.
+// as of the running round's start. Round boundaries, the rounds and
+// facts budgets and the stats are kept here.
 func (p *Program) deltaRounds(total func() int, round func(int) (int, error)) error {
 	p.traceRoundBegin(0)
 	start := p.traceNow()
@@ -51,7 +51,8 @@ func (p *Program) deltaRounds(total func() int, round func(int) (int, error)) er
 		return err
 	}
 	p.traceRoundEnd(0, delta, total(), start)
-	for r := 1; delta > 0; r++ {
+	r := 1
+	for ; delta > 0; r++ {
 		if err := p.checkRound(r-1, total, "semi-naive delta iteration"); err != nil {
 			return err
 		}
@@ -65,7 +66,8 @@ func (p *Program) deltaRounds(total func() int, round func(int) (int, error)) er
 		}
 		p.traceRoundEnd(r, delta, total(), start)
 	}
-	return nil
+	// The final round merged the facts the one before it derived.
+	return p.checkLastRound(r-1, total)
 }
 
 // deltaPass runs one delta-restricted pass over rules: for every rule

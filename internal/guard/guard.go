@@ -228,6 +228,13 @@ func (g *Guard) Check(round int, facts func() int, invented int) error {
 		return &BudgetError{Axis: AxisOIDs, Limit: int64(g.budget.MaxOIDs), Stratum: g.stratum,
 			Round: round, Facts: g.derived(facts()), Invented: invented}
 	}
+	return g.CheckFacts(round, facts, invented)
+}
+
+// CheckFacts enforces the fact axis alone, for the check after a
+// stratum's last round: Check runs before each round, so no Check sees
+// what the last one derived.
+func (g *Guard) CheckFacts(round int, facts func() int, invented int) error {
 	if g.budget.MaxFacts > 0 {
 		if d := g.derived(facts()); d > g.budget.MaxFacts {
 			return &BudgetError{Axis: AxisFacts, Limit: int64(g.budget.MaxFacts), Stratum: g.stratum,

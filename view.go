@@ -338,8 +338,6 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 			if sr.Deferred {
 				// The evaluation the maintainer stood in for would have
 				// derived these facts beyond E′ under the call's budget.
-				// It checks between rounds, so its last round may
-				// overshoot the bound; this check is exact.
 				if limit, d := opts.Budget.MaxFacts, m.Full().TotalSize()-next.E.TotalSize(); limit > 0 && d > limit {
 					return nil, &engine.BudgetError{Axis: engine.AxisFacts, Limit: int64(limit), Stratum: -1, Facts: d}
 				}
