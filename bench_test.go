@@ -238,16 +238,24 @@ func registrarEnrol(student, section int) string {
 		student, section)
 }
 
-// registrarPreload opens a scratch database holding the case study at
-// scale times the gated benchmark's registrar_http size: 300 students, 5
-// instructors and 15×scale sections, instructor t teaching the sections
-// ≡ t (mod 5). Each student is enrolled in every section of one
-// instructor (3×scale enrolments, by one rule) and has three marks, under
-// the one-mark-per-course denial. Scale 1 is registrar_http's preload.
-func registrarPreload(tb testing.TB, scale int) *Database {
+// registrarReportSchema is registrarSchema with the associations and
+// the data function registrar_http's transcript report derives.
+const registrarReportSchema = registrarSchema + `  TRANSCRIPT = (name: NAME, passed: {CODE});
+functions
+  PASSED: NAME -> {CODE};
+`
+
+// registrarPreload opens a scratch database over schema (registrarSchema
+// or registrarReportSchema) holding the case study at scale times the
+// gated benchmark's registrar_http size: 300 students, 5 instructors and
+// 15×scale sections, instructor t teaching the sections ≡ t (mod 5).
+// Each student is enrolled in every section of one instructor (3×scale
+// enrolments, by one rule) and has three marks, all passes, under the
+// one-mark-per-course denial. Scale 1 is registrar_http's preload.
+func registrarPreload(tb testing.TB, schema string, scale int) *Database {
 	const students, instructors, baseSections = 300, 5, 15
 	sections := baseSections * scale
-	db, err := Open(registrarSchema)
+	db, err := Open(schema)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -299,7 +307,7 @@ end.
 // the write path of the gated benchmark's registrar_http workload
 // without HTTP — apply, derive, audit the delta, commit.
 func BenchmarkRegistrarEnrolCommit(b *testing.B) {
-	db := registrarPreload(b, 1)
+	db := registrarPreload(b, registrarSchema, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -322,7 +330,7 @@ func BenchmarkRegistrarEnrolCommit(b *testing.B) {
 func BenchmarkRegistrarEnrolDrop(b *testing.B) {
 	for _, scale := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("enrolled=x%d", scale), func(b *testing.B) {
-			db := registrarPreload(b, scale)
+			db := registrarPreload(b, registrarSchema, scale)
 			preload, err := db.Count("enrolled")
 			if err != nil {
 				b.Fatal(err)
@@ -347,7 +355,7 @@ func BenchmarkRegistrarEnrolDrop(b *testing.B) {
 // makes every commit wait for the read in flight, and the readers that
 // arrive meanwhile wait behind the commit.
 func BenchmarkRegistrarEnrolDropBesideReads(b *testing.B) {
-	db := registrarPreload(b, 1)
+	db := registrarPreload(b, registrarSchema, 1)
 	stop, reads := make(chan struct{}), make(chan int)
 	go func() {
 		n := 0
@@ -374,6 +382,43 @@ func BenchmarkRegistrarEnrolDropBesideReads(b *testing.B) {
 	b.ReportMetric(float64(<-reads)/float64(b.N), "reads/op")
 }
 
+// BenchmarkRegistrarReport is registrar_http's transcript report
+// without HTTP: a RIDI module whose two rules derive one student's
+// passed courses and transcript and whose goal reads the transcript,
+// through Exec against the registrar preload. Its rules match all 300
+// students before N = "s…" keeps one.
+func BenchmarkRegistrarReport(b *testing.B) {
+	db := registrarPreload(b, registrarReportSchema, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		registrarReport(b, db, i)
+	}
+}
+
+// registrarReport is report i of BenchmarkRegistrarReport, on student
+// i mod 300, the module registrar_http's report operation sends.
+func registrarReport(tb testing.TB, db *Database, i int) {
+	name := fmt.Sprintf("s%04d", i%300)
+	res, err := db.Exec(fmt.Sprintf(`mode ridi.
+rules
+  member(C, passed(N)) <- student(self: S, name: N), N = %q, mark(student: S, code: C, grade: G), G >= 18.
+  transcript(name: N, passed: P) <- student(name: N), N = %q, P = passed(N).
+goal
+  ?- transcript(name: %q, passed: P).
+end.
+`, name, name, name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Answer == nil || len(res.Answer.Rows) != 1 {
+		tb.Fatalf("report on %s: %v, want one transcript", name, res.Answer)
+	}
+	if p, ok := res.Answer.Rows[0][0].(value.Set); !ok || p.Len() != 3 {
+		tb.Fatalf("report on %s: passed %v, want three courses", name, res.Answer.Rows[0][0])
+	}
+}
+
 // registrarEnrolDrop is operation i of BenchmarkRegistrarEnrolDrop: an
 // even i enrols student i/2 in a section the preload does not enrol them
 // in, an odd i drops that enrolment again.
@@ -394,7 +439,7 @@ func registrarEnrolDrop(tb testing.TB, db *Database, i int) {
 // input. Only the written predicate is copied, so the cost does not
 // scale with E.
 func BenchmarkFactSetCloneWriteOne(b *testing.B) {
-	e := registrarPreload(b, 1).snap.Load().st.E
+	e := registrarPreload(b, registrarSchema, 1).snap.Load().st.E
 	f := freshEnrolment(b, e)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -264,3 +264,117 @@ end.
 		t.Fatalf("after write EDB count = %d, want 3", got)
 	}
 }
+
+// TestConcurrentGoalsBindPrivately answers goals from four goroutines over
+// one published snapshot on the row engine, whose rules reach every site
+// where the matcher binds a variable: a candidate fact, a candidate that
+// fails part-way (loop), negation's active-domain enumeration (sink), =
+// with a pattern side (next), member, the built-ins that unify an output
+// (union, count) and the object upgrade of a plain oid (aged). The goals
+// share the state's compiled program, so a binding kept on it would leak
+// between goroutines: each answer must equal the serial one.
+func TestConcurrentGoalsBindPrivately(t *testing.T) {
+	db, err := Open(`
+domains N = integer;
+classes
+  PERSON = (name: string, age: N);
+associations
+  INTAKE = (name: string, age: N);
+  EDGE = (src: N, dst: N);
+  BAG = (id: N, s: {N});
+  OWNS = (owner: PERSON, n: N);
+  PATH = (src: N, dst: N);
+  LOOP = (n: N);
+  SINK = (n: N);
+  NEXT = (a: N, b: N);
+  ELEM = (id: N, n: N);
+  MERGED = (id: N, s: {N});
+  SIZE = (id: N, n: N);
+  AGED = (name: string, n: N);
+`, rowOracle()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{`
+mode ridv.
+rules
+  edge(src: 1, dst: 2). edge(src: 2, dst: 3). edge(src: 3, dst: 1).
+  edge(src: 3, dst: 4). edge(src: 5, dst: 5). edge(src: 4, dst: 6).
+  bag(id: 1, s: {1, 2, 3}). bag(id: 2, s: {4}). bag(id: 3, s: {}).
+  intake(name: "ann", age: 30). intake(name: "bob", age: 40).
+  person(self: P, name: N, age: A) <- intake(name: N, age: A).
+end.
+`, `
+mode ridv.
+rules
+  owns(owner: P, n: A) <- person(self: P, age: A).
+end.
+`, `
+mode radi.
+rules
+  path(src: X, dst: Y) <- edge(src: X, dst: Y).
+  path(src: X, dst: Z) <- path(src: X, dst: Y), edge(src: Y, dst: Z).
+  loop(n: X) <- path(src: X, dst: X).
+  sink(n: X) <- not edge(src: X).
+  next(a: X, b: Z) <- edge(src: X, dst: Y), Z = Y + 1.
+  elem(id: I, n: X) <- bag(id: I, s: S), member(X, S).
+  merged(id: I, s: U) <- bag(id: I, s: S), union(S, {0}, U).
+  size(id: I, n: K) <- bag(id: I, s: S), count(S, K).
+  aged(name: M, n: K) <- owns(owner: P, n: K), person(P), person(self: P, name: M).
+end.
+`} {
+		if _, err := db.Exec(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goals := []string{
+		"?- path(src: X, dst: Y).",
+		"?- loop(n: X).",
+		"?- sink(n: X).",
+		"?- next(a: X, b: Y).",
+		"?- elem(id: I, n: X).",
+		"?- merged(id: I, s: S).",
+		"?- size(id: I, n: K).",
+		"?- aged(name: M, n: K).",
+		"?- bag(id: I, s: S), member(X, S), X > 1, Y = X * 2.",
+	}
+	want := make([]string, len(goals))
+	for i, g := range goals {
+		ans, err := db.Query(g)
+		if err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		if len(ans.Rows) == 0 {
+			t.Fatalf("%s: no answer", g)
+		}
+		want[i] = fmt.Sprint(ans.Rows)
+	}
+	const goroutines, rounds = 4, 5
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range goals {
+					i := (k + w) % len(goals) // each goroutine starts elsewhere
+					ans, err := db.Query(goals[i])
+					if err != nil {
+						errs <- fmt.Errorf("%s: %v", goals[i], err)
+						return
+					}
+					if got := fmt.Sprint(ans.Rows); got != want[i] {
+						errs <- fmt.Errorf("%s: %s beside other goals, %s alone", goals[i], got, want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

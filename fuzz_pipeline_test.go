@@ -247,6 +247,75 @@ rules
   edge(src: 6, dst: 2).
 end.
 `)
+	// The parallel-paths and downward-chain sequences above with the
+	// rules installed data-invariant (RADI): RADV stores the closure in
+	// E, so their deletes remove no tc fact and every fact DRed
+	// over-deletes is still extensional. Here the closure stays derived:
+	// a delete over-deletes what the edge supported, probes it, and
+	// rederives what another path still supports. The chain's twin ends
+	// by cutting the chain below the shortcut 8→5, which deletes every
+	// tc fact from 4…8 to 0…3.
+	f.Add(fuzzSchemas[1], `
+mode ridv.
+rules
+  edge(src: 1, dst: 2).
+  edge(src: 2, dst: 4).
+  edge(src: 1, dst: 3).
+  edge(src: 3, dst: 4).
+end.
+---
+mode radi.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+end.
+---
+mode rddv.
+rules
+  edge(src: 1, dst: 2).
+end.
+---
+mode rddv.
+rules
+  edge(src: 3, dst: 4).
+  edge(src: 2, dst: 4).
+end.
+`)
+	f.Add(fuzzSchemas[1], `
+mode ridv.
+rules
+  edge(src: 8, dst: 7).
+  edge(src: 7, dst: 6).
+  edge(src: 6, dst: 5).
+  edge(src: 5, dst: 4).
+  edge(src: 4, dst: 3).
+  edge(src: 3, dst: 2).
+  edge(src: 2, dst: 1).
+  edge(src: 1, dst: 0).
+  edge(src: 8, dst: 5).
+end.
+---
+mode radi.
+rules
+  tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
+end.
+---
+mode ridv.
+rules
+  edge(src: 6, dst: 2).
+end.
+---
+mode rddv.
+rules
+  edge(src: 6, dst: 2).
+end.
+---
+mode rddv.
+rules
+  edge(src: 4, dst: 3).
+end.
+`)
 	// Cyclic self-support: 3 and 4 support each other, so deleting 2→4
 	// must delete tc(1,3), tc(1,4), tc(2,3) and tc(2,4), whose only other
 	// support runs round the cycle back through the removed edge. After

@@ -60,16 +60,15 @@ func (c *evalCtx) builtinMember(l resolvedLit, e *env, yield func(*env) error) e
 		}
 		return yield(e)
 	}
+	m := e.mark()
 	for _, el := range elems {
-		e2 := e.clone()
-		ok, err := matchTerm(l.args[0], el, e2, c.f)
+		ok, err := matchTerm(l.args[0], el, e, c.f)
+		if err == nil && ok {
+			err = yield(e)
+		}
+		e.undo(m)
 		if err != nil {
 			return err
-		}
-		if ok {
-			if err := yield(e2); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -113,15 +112,7 @@ func (c *evalCtx) builtinTernary(l resolvedLit, e *env, yield func(*env) error) 
 		}
 		return nil
 	}
-	e2 := e.clone()
-	ok, err := matchTerm(l.args[2], result, e2, c.f)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return yield(e2)
-	}
-	return nil
+	return c.unifyYield(l.args[2], result, e, yield)
 }
 
 func unionValues(a, b value.Value) (value.Value, error) {
@@ -264,13 +255,5 @@ func (c *evalCtx) builtinAggregate(l resolvedLit, e *env, yield func(*env) error
 		}
 		return nil
 	}
-	e2 := e.clone()
-	ok, err := matchTerm(l.args[1], result, e2, c.f)
-	if err != nil {
-		return err
-	}
-	if ok {
-		return yield(e2)
-	}
-	return nil
+	return c.unifyYield(l.args[1], result, e, yield)
 }

@@ -32,45 +32,64 @@ func (b binding) coerce() value.Value {
 	return b.val
 }
 
-// env is an immutable-by-convention variable environment; extend copies.
+// env is the variable environment of one rule match: a stack of
+// bindings, newest last. A literal binds in place, and whoever binds
+// undoes: mark before, undo(mark) after the match has yielded or
+// failed, so a candidate fact costs no copy of the environment (the
+// trail of Warren's abstract machine). A name is bound at most once,
+// save that bindObject shadows a plain oid binding with the object;
+// lookup reads the newest. A yield may read the env it is handed only
+// until it returns; a consumer that keeps bindings copies them out.
 type env struct {
-	m map[string]binding
+	b []named
 }
 
-func newEnv() *env { return &env{m: map[string]binding{}} }
+// named is one entry of an env.
+type named struct {
+	name string
+	binding
+}
 
-func (e *env) clone() *env {
-	n := make(map[string]binding, len(e.m)+2)
-	for k, v := range e.m {
-		n[k] = v
-	}
-	return &env{m: n}
+func newEnv() *env { return &env{} }
+
+// mark returns the env's current depth, for undo.
+func (e *env) mark() int { return len(e.b) }
+
+// undo drops every binding made since mark returned m.
+func (e *env) undo(m int) {
+	clear(e.b[m:])
+	e.b = e.b[:m]
 }
 
 func (e *env) lookup(name string) (binding, bool) {
-	b, ok := e.m[name]
-	return b, ok
+	for i := len(e.b) - 1; i >= 0; i-- {
+		if e.b[i].name == name {
+			return e.b[i].binding, true
+		}
+	}
+	return binding{}, false
 }
 
 func (e *env) bound(name string) bool {
-	_, ok := e.m[name]
+	_, ok := e.lookup(name)
 	return ok
 }
 
 // bindValue unifies name with a plain value. It reports whether the
 // environment remains consistent.
 func (e *env) bindValue(name string, v value.Value) bool {
-	if prev, ok := e.m[name]; ok {
+	if prev, ok := e.lookup(name); ok {
 		return value.Equal(prev.coerce(), v)
 	}
-	e.m[name] = binding{val: v}
+	e.b = append(e.b, named{name, binding{val: v}})
 	return true
 }
 
 // bindObject unifies name with an object. A previous plain oid binding
-// upgrades to an object binding so attribute values become reachable.
+// upgrades to an object binding so attribute values become reachable:
+// the object shadows it, so undo restores the plain binding.
 func (e *env) bindObject(name string, ob objBinding) bool {
-	if prev, ok := e.m[name]; ok {
+	if prev, ok := e.lookup(name); ok {
 		if prev.obj != nil {
 			return prev.obj.oid == ob.oid
 		}
@@ -78,12 +97,12 @@ func (e *env) bindObject(name string, ob objBinding) bool {
 			if value.OID(r) != ob.oid {
 				return false
 			}
-			e.m[name] = binding{obj: &ob}
+			e.b = append(e.b, named{name, binding{obj: &ob}})
 			return true
 		}
 		return false
 	}
-	e.m[name] = binding{obj: &ob}
+	e.b = append(e.b, named{name, binding{obj: &ob}})
 	return true
 }
 
@@ -94,7 +113,7 @@ func (e *env) key(vars []string) string {
 	var buf [value.KeyBufSize]byte
 	out := buf[:0]
 	for _, v := range vars {
-		if b, ok := e.m[v]; ok {
+		if b, ok := e.lookup(v); ok {
 			if len(out) > 0 {
 				out = append(out, ';')
 			}
@@ -275,7 +294,8 @@ func numeric(v value.Value) (float64, bool) {
 	return 0, false
 }
 
-// matchTerm unifies a pattern term against a value, extending e in place.
+// matchTerm unifies a pattern term against a value, extending e in
+// place; the caller undoes what it bound, whether or not it matched.
 // Non-pattern subterms (function applications, arithmetic, collection
 // literals) are evaluated and compared.
 func matchTerm(t ast.Term, v value.Value, e *env, f *FactSet) (bool, error) {

@@ -106,12 +106,14 @@ func (c *evalCtx) matchPositive(l resolvedLit, source *FactSet, e *env, yield fu
 }
 
 // matchFacts unifies l with each candidate fact and yields every
-// extension of e. A candidate that disagrees with an argument the
-// bindings already fix, or that c.exclude holds, is rejected before e
-// is cloned, and when those arguments are all of l's, an admitted
-// candidate yields e itself: the match binds nothing new.
+// extension of e, binding in place and undoing after each candidate. A
+// candidate that disagrees with an argument the bindings already fix,
+// or that c.exclude holds, is rejected before anything is bound, and
+// when those arguments are all of l's, an admitted candidate yields e
+// as it is: the match binds nothing new.
 func (c *evalCtx) matchFacts(l resolvedLit, fixed []fixedArg, all bool, cs candidates, e *env, yield func(*env) error) error {
 	var err error
+	m := e.mark()
 	cs.each(func(fact Fact) bool {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
@@ -122,15 +124,14 @@ func (c *evalCtx) matchFacts(l resolvedLit, fixed []fixedArg, all bool, cs candi
 		if !admits(fixed, fact) || c.exclude != nil && c.exclude.Has(fact) {
 			return true
 		}
-		e2 := e
+		ok := true
 		if !all {
-			e2 = e.clone()
-			var ok bool
-			if ok, err = c.matchFact(l, fact, e2); err != nil || !ok {
-				return err == nil
-			}
+			ok, err = c.matchFact(l, fact, e)
 		}
-		err = yield(e2)
+		if err == nil && ok {
+			err = yield(e)
+		}
+		e.undo(m)
 		return err == nil
 	})
 	return err
@@ -251,12 +252,12 @@ func (c *evalCtx) matchNegated(l resolvedLit, e *env, yield func(*env) error) er
 			unbound = append(unbound, av)
 		}
 	}
-	var enumerate func(i int, e2 *env) error
-	enumerate = func(i int, e2 *env) error {
+	var enumerate func(i int) error
+	enumerate = func(i int) error {
 		if i >= len(unbound) {
-			err := c.matchPositive(l, c.f, e2, func(*env) error { return errStopEnum })
+			err := c.matchPositive(l, c.f, e, func(*env) error { return errStopEnum })
 			if err == nil {
-				return yield(e2) // no fact matches l
+				return yield(e) // no fact matches l
 			}
 			if errors.Is(err, errStopEnum) {
 				return nil
@@ -264,18 +265,20 @@ func (c *evalCtx) matchNegated(l resolvedLit, e *env, yield func(*env) error) er
 			return err
 		}
 		dom := c.activeDom().values(unbound[i].key)
+		m := e.mark()
 		for _, v := range dom {
-			e3 := e2.clone()
-			if !e3.bindValue(unbound[i].name, v) {
-				continue
+			var err error
+			if e.bindValue(unbound[i].name, v) {
+				err = enumerate(i + 1)
 			}
-			if err := enumerate(i+1, e3); err != nil {
+			e.undo(m)
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return enumerate(0, e)
+	return enumerate(0)
 }
 
 func (c *evalCtx) matchCompare(l resolvedLit, e *env, yield func(*env) error) error {
@@ -293,11 +296,7 @@ func (c *evalCtx) matchCompare(l resolvedLit, e *env, yield func(*env) error) er
 		if err != nil {
 			return err
 		}
-		e2 := e.clone()
-		if ok, err := matchTerm(right, v, e2, c.f); err != nil || !ok {
-			return err
-		}
-		return yield(e2)
+		return c.unifyYield(right, v, e, yield)
 	}
 	lv, err := evalTerm(left, e, c.f)
 	if err != nil {
@@ -318,6 +317,18 @@ func (c *evalCtx) matchCompare(l resolvedLit, e *env, yield func(*env) error) er
 		return yield(e)
 	}
 	return nil
+}
+
+// unifyYield matches the pattern t against v, the evaluated side of an
+// = or a built-in's result, and when they unify yields the extended e;
+// it undoes the bindings before it returns.
+func (c *evalCtx) unifyYield(t ast.Term, v value.Value, e *env, yield func(*env) error) error {
+	m := e.mark()
+	defer e.undo(m)
+	if ok, err := matchTerm(t, v, e, c.f); err != nil || !ok {
+		return err
+	}
+	return yield(e)
 }
 
 func compareValues(op string, l, r value.Value) (bool, error) {

@@ -35,7 +35,7 @@ func withPlanReference(fn func()) {
 func TestRegistrarCommitVisitsNoIsaObject(t *testing.T) {
 	for _, scale := range []int{1, 16} {
 		t.Run(fmt.Sprintf("enrolled=x%d", scale), func(t *testing.T) {
-			db := registrarPreload(t, scale)
+			db := registrarPreload(t, registrarSchema, scale)
 			registrarEnrolDrop(t, db, 0)
 			for i := 1; i <= 4; i++ {
 				rt := &recordingTracer{}
@@ -82,7 +82,7 @@ func isaVisits(db *Database, first int, fn func()) int {
 // visit no object, where the full pass visits every student and
 // instructor.
 func TestRuleChangeKeepsSchema(t *testing.T) {
-	db := registrarPreload(t, 1)
+	db := registrarPreload(t, registrarSchema, 1)
 	s0 := db.snap.Load().st.S
 	if _, err := db.Exec("mode radi.\nrules\n  mark(student: S, code: \"c999\", grade: 30) <- student(self: S, name: \"nobody\").\nend.\n"); err != nil {
 		t.Fatal(err)

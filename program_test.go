@@ -39,7 +39,7 @@ func compiles(fn func()) []int {
 func TestRegistrarCommitCompilesOnlyItsModule(t *testing.T) {
 	for _, scale := range []int{1, 16} {
 		t.Run(fmt.Sprintf("enrolled=x%d", scale), func(t *testing.T) {
-			db := registrarPreload(t, scale)
+			db := registrarPreload(t, registrarSchema, scale)
 			for i := 0; i < 4; i++ {
 				if got := compiles(func() { registrarEnrolDrop(t, db, i) }); !slices.Equal(got, []int{1}) {
 					t.Fatalf("commit %d compiled programs over %v rules, want [1]", i, got)
