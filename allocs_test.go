@@ -93,11 +93,14 @@ func TestQueryClosureShapeAllocs(t *testing.T) {
 
 // One report of BenchmarkRegistrarReport (registrar_http's transcript
 // report: a RIDI module with two rules and a goal, Exec against the
-// preload) allocates at most maxAllocs: 30 851 measured, plus about
-// 10 %. Its rules match all 300 students before N = "s…" keeps one, and
-// the matcher binds each candidate in place and undoes the binding on
-// backtrack; copying the environment per candidate fact cost 39 864
-// allocations and 3.24 MB per report (2.01 MB now).
+// preload) allocates at most maxAllocs: 1 417 measured, plus about 10 %.
+// Its rules bring their own program, so the report runs the full
+// Definition 4 audit over the whole derived registrar (300 students, 5
+// instructors, 15 sections, about 2 100 association tuples), which reads
+// the derived set in place with the check Validate compiled for the
+// schema. Converting the set to an instance, projecting each o-value and
+// expanding each type per tuple cost 30 851 allocations (39 864 when the
+// matcher also copied its environment per candidate fact).
 func TestRegistrarReportAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not compared under -race")
@@ -105,7 +108,7 @@ func TestRegistrarReportAllocs(t *testing.T) {
 	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
 		t.Skipf("allocation counts are pinned for %s, not compared under %s", allocsToolchain, v)
 	}
-	const maxAllocs = 34000
+	const maxAllocs = 1560
 	db := registrarPreload(t, registrarReportSchema, 1)
 	i := 0
 	allocs := testing.AllocsPerRun(20, func() {
@@ -116,6 +119,38 @@ func TestRegistrarReportAllocs(t *testing.T) {
 		t.Fatalf("%.0f allocations per report, want at most %d", allocs, maxAllocs)
 	}
 	t.Logf("%.0f allocations per report (at most %d)", allocs, maxAllocs)
+}
+
+// One report of BenchmarkRegistrarReport allocates at most maxBytes:
+// 189.9 kB measured, plus about 10 %. The full audit it runs builds no
+// instance and allocates next to nothing per object or tuple; building
+// the instance, projecting and expanding per tuple made the report
+// 2.01 MB (3.24 MB when the matcher also copied its environment per
+// candidate fact).
+func TestRegistrarReportBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocated bytes are not compared under -race")
+	}
+	if v := runtime.Version(); v != allocsToolchain && !strings.HasPrefix(v, allocsToolchain+".") {
+		t.Skipf("allocated bytes are pinned for %s, not compared under %s", allocsToolchain, v)
+	}
+	const maxBytes = 209_000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	db := registrarPreload(t, registrarReportSchema, 1)
+	registrarReport(t, db, 0) // warm up
+	const runs = 40
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 1; i <= runs; i++ {
+		registrarReport(t, db, i)
+	}
+	runtime.ReadMemStats(&ms)
+	bytes := (ms.TotalAlloc - before) / runs
+	if bytes > maxBytes {
+		t.Fatalf("%d bytes per report, want at most %d", bytes, maxBytes)
+	}
+	t.Logf("%d bytes per report (at most %d)", bytes, maxBytes)
 }
 
 // One unshort commit of BenchmarkIVMChainCommit — deleting the shortcut

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -376,5 +377,95 @@ end.
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestReportsShareCompiledAuditBesideWrites runs registrar_http's
+// transcript report — a rule-bearing RIDI module, so each runs the full
+// Definition 4 audit — from two goroutines against the published
+// snapshot while a writer commits enrolments, drops and new student
+// objects (delta and full audits). Every attempt shares the one
+// validated schema and the check Validate compiled for it, so a write
+// to either would race: each report must still answer as it does alone.
+func TestReportsShareCompiledAuditBesideWrites(t *testing.T) {
+	db := registrarPreload(t, registrarReportSchema, 1)
+	schema := db.snap.Load().st.S
+	checks := schema.Checks()
+	report := func(student int) (string, error) {
+		name := fmt.Sprintf("s%04d", student)
+		var p Profile
+		res, err := db.Exec(fmt.Sprintf(`mode ridi.
+rules
+  member(C, passed(N)) <- student(self: S, name: N), N = %q, mark(student: S, code: C, grade: G), G >= 18.
+  transcript(name: N, passed: P) <- student(name: N), N = %q, P = passed(N).
+goal
+  ?- transcript(name: %q, passed: P).
+end.
+`, name, name, name), WithCallProfile(&p))
+		if err != nil {
+			return "", fmt.Errorf("report on %s: %v", name, err)
+		}
+		if p.Audit != "full: rule or schema change" {
+			return "", fmt.Errorf("report on %s: audit %q, want the full audit", name, p.Audit)
+		}
+		return fmt.Sprint(res.Answer.Rows), nil
+	}
+	const readers, reports, writes = 2, 6, 12
+	student := func(w, i int) int { return 7*w + i }
+	want := map[int]string{}
+	for w := 0; w < readers; w++ {
+		for i := 0; i < reports; i++ {
+			ans, err := report(student(w, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[student(w, i)] = ans
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, readers+1)
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < reports; i++ {
+				got, err := report(student(w, i))
+				if err == nil && got != want[student(w, i)] {
+					err = fmt.Errorf("report on student %d: %s beside the writer, %s alone", student(w, i), got, want[student(w, i)])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			var src string
+			switch s := 100 + i/3; i % 3 {
+			case 0:
+				src = registrarEnrol(s, (s+1)%15)
+			case 1:
+				src = "  not " + strings.TrimPrefix(registrarEnrol(s, (s+1)%15), "  ")
+			default:
+				src = fmt.Sprintf("  intake(name: \"w%02d\", kind: \"student\", detail: \"\").\n", i) +
+					fmt.Sprintf("  student(self: S, name: N, year: 2) <- intake(name: N), N = \"w%02d\".\n", i)
+			}
+			if _, err := db.Exec("mode ridv.\nrules\n" + src + "end.\n"); err != nil {
+				errs <- fmt.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := db.snap.Load().st; st.S != schema || st.S.Checks() != checks {
+		t.Fatal("the commits replaced the schema or recompiled its check")
 	}
 }

@@ -802,8 +802,10 @@ end.
 }
 
 // fullAudit fails the test unless the database's published state passes
-// the full audit from scratch. Only the wall-clock budget axis, which a
-// second derivation can trip where the first did not, excuses an error.
+// the full audit from scratch, and that audit reads as the instance and
+// legacy audits do (auditMatches). Only the wall-clock budget axis, which
+// a second derivation can trip where the first did not, excuses an
+// error.
 func fullAudit(t *testing.T, leg string, db *Database) {
 	t.Helper()
 	err := db.CheckConsistency()
@@ -811,6 +813,7 @@ func fullAudit(t *testing.T, leg string, db *Database) {
 	if err != nil && !(errors.As(err, &be) && be.Axis == AxisDeadline) {
 		t.Fatalf("%s: an accepted commit fails the full audit: %v", leg, err)
 	}
+	auditMatchesPublished(t, leg, db)
 }
 
 // sb2 adapts strings.Builder to io.Writer without importing io in tests.

@@ -1030,6 +1030,24 @@ func (s *FactSet) Each(pred string, fn func(Fact) bool) bool {
 	if m.Len() == 0 {
 		return true
 	}
+	return s.walk(func() bool { return m.Ascend(func(_ string, f Fact) bool { return fn(f) }) })
+}
+
+// EachObject is Each over a class predicate in ascending oid order: the
+// order of its objects. Class facts are never in code space, so it
+// decodes nothing.
+func (s *FactSet) EachObject(pred string, fn func(Fact) bool) bool {
+	m := s.preds[pred].byOID
+	if m.Len() == 0 {
+		return true
+	}
+	return s.walk(func() bool { return m.Ascend(func(_ value.OID, f Fact) bool { return fn(f) }) })
+}
+
+// walk runs ascend, a walk of the set's stores. On an unfrozen set it
+// counts as an All iteration in progress (walks), so a write during it
+// copies the nodes the walk reads instead of changing them under it.
+func (s *FactSet) walk(ascend func() bool) bool {
 	if !s.frozen {
 		s.walks++
 		s.pinned = true
@@ -1039,7 +1057,7 @@ func (s *FactSet) Each(pred string, fn func(Fact) bool) bool {
 			}
 		}()
 	}
-	return m.Ascend(func(_ string, f Fact) bool { return fn(f) })
+	return ascend()
 }
 
 // Facts returns the facts of pred in strict key order, in a slice of its

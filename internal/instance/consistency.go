@@ -3,6 +3,7 @@ package instance
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"logres/internal/types"
 	"logres/internal/value"
@@ -12,7 +13,29 @@ import (
 // lookup every reference check of Definition 4 resolves through.
 type Membership func(class string, oid value.OID) bool
 
-// CheckConsistency verifies the legality conditions of Definition 4:
+// Store is the read side of an instance that the Definition 4 audit
+// walks: an Instance, or a derived fact set read in place.
+type Store interface {
+	// Member reports oid ∈ π(class), for a canonical class name.
+	Member(class string, oid value.OID) bool
+	// EachObject calls fn with the oids of π(class) in ascending order,
+	// until fn returns false.
+	EachObject(class string, fn func(value.OID) bool)
+	// OValue appends to buf the tuples whose ⊕ composition, left to
+	// right, is ν(oid), and returns the extended buf: none when the oid
+	// has no o-value.
+	OValue(oid value.OID, buf []value.Tuple) []value.Tuple
+	// EachTuple calls fn with the tuples of ρ(assoc) in key order, until
+	// fn returns false.
+	EachTuple(assoc string, fn func(value.Tuple) bool)
+}
+
+// CheckConsistency verifies the legality conditions of Definition 4
+// (Audit) with the schema's compiled check.
+func (in *Instance) CheckConsistency() error { return Audit(in.schema.Checks(), (*mapStore)(in)) }
+
+// Audit verifies the legality conditions of Definition 4 over the
+// instance st holds, with the schema's compiled check ck:
 //
 //	(a) if C isa C' then π(C) ⊆ π(C');
 //	(b) oids shared by two classes imply a common ancestor (the oid
@@ -25,162 +48,181 @@ type Membership func(class string, oid value.OID) bool
 //
 // All violations found are returned, joined, in a fixed order: clause by
 // clause, declaration order within a clause, then oid or tuple-key order.
-func (in *Instance) CheckConsistency() error {
+func Audit(ck *types.Checks, st Store) error {
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("instance: "+format, args...))
 	}
-	s := in.schema
 
 	// (a) isa containment.
-	for _, e := range s.IsaEdges() {
-		for _, o := range in.Objects(e.Sub) {
-			if !in.classes[e.Super][o] {
+	for _, e := range ck.Isa {
+		st.EachObject(e.Sub, func(o value.OID) bool {
+			if !st.Member(e.Super, o) {
 				report("oid %s is in %s but not in its superclass %s", o, e.Sub, e.Super)
 			}
-		}
+			return true
+		})
 	}
 
-	// (b) hierarchy disjointness.
-	owner := map[value.OID]string{}
-	for _, c := range s.NamesOf(types.DeclClass) {
-		for _, o := range in.Objects(c) {
-			if prev, ok := owner[o]; ok && prev != c && !s.SameHierarchy(prev, c) {
-				report("oid %s belongs to %s and %s, which share no common ancestor", o, prev, c)
-			} else {
-				owner[o] = c
-			}
+	// (b) hierarchy disjointness: an oid of class j is reported when the
+	// class that owns it — the first of its classes before j in
+	// declaration order, replaced by each later one of a common
+	// hierarchy — shares no ancestor with j. Only an oid that a class
+	// apart from j holds can be.
+	for j, c := range ck.Classes {
+		apart := ck.Apart(j)
+		if len(apart) == 0 {
+			continue
 		}
+		st.EachObject(c.Name, func(o value.OID) bool {
+			if !slices.ContainsFunc(apart, func(i int) bool { return st.Member(ck.Classes[i].Name, o) }) {
+				return true
+			}
+			owner := -1
+			for i := range j {
+				if st.Member(ck.Classes[i].Name, o) && (owner < 0 || ck.SameHierarchy(owner, i)) {
+					owner = i
+				}
+			}
+			if !ck.SameHierarchy(owner, j) {
+				report("oid %s belongs to %s and %s, which share no common ancestor", o, ck.Classes[owner].Name, c.Name)
+			}
+			return true
+		})
 	}
 
 	// (ν) o-value typing + class-to-class references.
-	member := in.member
-	for _, c := range s.NamesOf(types.DeclClass) {
-		eff, err := s.EffectiveTuple(c)
-		if err != nil {
-			errs = append(errs, err)
+	member := st.Member
+	var src []value.Tuple
+	for _, c := range ck.Classes {
+		if c.Err != nil {
+			errs = append(errs, c.Err)
 			continue
 		}
-		for _, o := range in.Objects(c) {
-			v, ok := in.ovalues[o]
-			if !ok {
-				report("oid %s of class %s has no o-value", o, c)
-				continue
+		// at is component i of the projection of ν(o) = src[0] ⊕ src[1]
+		// ⊕ …: the last source's value for the label.
+		at := func(i int) value.Value {
+			label := c.Label(i)
+			for k := len(src) - 1; k >= 0; k-- {
+				if v, ok := src[k].Get(label); ok {
+					return v
+				}
 			}
-			proj := Project(v, eff)
-			if err := s.CheckValue(eff, proj, types.NilAllowed); err != nil {
-				report("o-value of %s in class %s: %v", o, c, err)
-				continue
-			}
-			checkRefs(s, member, c, eff, proj, true, report)
+			return value.Null{}
 		}
+		st.EachObject(c.Name, func(o value.OID) bool {
+			if src = st.OValue(o, src[:0]); len(src) == 0 {
+				report("oid %s of class %s has no o-value", o, c.Name)
+				return true
+			}
+			if err := c.Value(at, c.Policy); err != nil {
+				report("o-value of %s in class %s: %v", o, c.Name, err)
+				return true
+			}
+			c.Refs(at, func(class string, v value.Value) {
+				checkRef(member, c.Name, class, v, c.Policy == types.NilAllowed, report)
+			})
+			return true
+		})
 	}
 
 	// (ρ) association typing + referential integrity.
-	for _, a := range s.NamesOf(types.DeclAssociation) {
-		eff, err := s.EffectiveTuple(a)
-		if err != nil {
-			errs = append(errs, err)
+	for _, a := range ck.Assocs {
+		if a.Err != nil {
+			errs = append(errs, a.Err)
 			continue
 		}
-		for _, t := range in.Tuples(a) {
-			errs = append(errs, CheckAssocTuple(s, a, eff, t, member)...)
-		}
+		st.EachTuple(a.Name, func(t value.Tuple) bool {
+			errs = append(errs, CheckAssocTuple(a.Name, a, t, member)...)
+			return true
+		})
 	}
 	return errors.Join(errs...)
 }
 
-// member is the instance's Membership.
-func (in *Instance) member(class string, oid value.OID) bool { return in.classes[class][oid] }
+// mapStore is an Instance as the audit reads it.
+type mapStore Instance
+
+func (m *mapStore) Member(class string, oid value.OID) bool { return m.classes[class][oid] }
+
+func (m *mapStore) EachObject(class string, fn func(value.OID) bool) {
+	for _, o := range (*Instance)(m).Objects(class) {
+		if !fn(o) {
+			return
+		}
+	}
+}
+
+func (m *mapStore) OValue(oid value.OID, buf []value.Tuple) []value.Tuple {
+	if v, ok := m.ovalues[oid]; ok {
+		buf = append(buf, v)
+	}
+	return buf
+}
+
+func (m *mapStore) EachTuple(assoc string, fn func(value.Tuple) bool) {
+	for _, t := range (*Instance)(m).Tuples(assoc) {
+		if !fn(t) {
+			return
+		}
+	}
+}
 
 // CheckTuple audits one association tuple against the instance — clause
 // (ρ) for that tuple alone.
 func (in *Instance) CheckTuple(assoc string, t value.Tuple) error {
-	eff, err := in.schema.EffectiveTuple(assoc)
-	if err != nil {
-		return err
+	c := in.schema.Check(assoc)
+	if c.Err != nil {
+		return c.Err
 	}
-	return errors.Join(CheckAssocTuple(in.schema, assoc, eff, t, in.member)...)
+	return errors.Join(CheckAssocTuple(assoc, c, t, (*mapStore)(in).Member)...)
 }
 
 // CheckAssocTuple is the per-tuple rule of clause (ρ), shared by the full
-// audit and every per-tuple audit: the projection of t on eff, the
-// association's effective type, must be a legal element of it with no
-// nil oids, and each class-typed position must name an object member
-// reports. It returns every violation, in the order CheckConsistency
-// reports them.
-func CheckAssocTuple(s *types.Schema, assoc string, eff types.Tuple, t value.Tuple, member Membership) []error {
-	proj := Project(t, eff)
-	if err := s.CheckValue(eff, proj, types.NilForbidden); err != nil {
+// audit and every per-tuple audit: the projection of t on the effective
+// type c checks must be a legal element of it with no nil oids, and each
+// class-typed position must name an object member reports. It returns
+// every violation, in the order Audit reports them, naming the
+// association assoc.
+func CheckAssocTuple(assoc string, c *types.Check, t value.Tuple, member Membership) []error {
+	at := func(i int) value.Value {
+		if v, ok := t.Get(c.Label(i)); ok {
+			return v
+		}
+		return value.Null{}
+	}
+	if err := c.Value(at, types.NilForbidden); err != nil {
 		return []error{fmt.Errorf("instance: tuple of %s: %v", assoc, err)}
 	}
 	var errs []error
-	checkRefs(s, member, assoc, eff, proj, false, func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("instance: "+format, args...))
+	c.Refs(at, func(class string, v value.Value) {
+		checkRef(member, assoc, class, v, false, func(format string, args ...any) {
+			errs = append(errs, fmt.Errorf("instance: "+format, args...))
+		})
 	})
 	return errs
 }
 
-// checkRefs walks a typed value and verifies that every class-typed
-// position references an existing object of that class (or is nil when
+// checkRef verifies that v, the value of a position of owner typed by
+// class, references an existing object of that class (or is nil when
 // nilOK holds).
-func checkRefs(s *types.Schema, member Membership, owner string, t types.Type, v value.Value, nilOK bool, report func(string, ...any)) {
-	switch x := t.(type) {
-	case types.Named:
-		// Expanded types only keep Named for class references.
-		if !s.IsClass(x.Name) {
-			// Unexpanded domain: expand and recurse.
-			et, err := s.ExpandDomains(x)
-			if err == nil {
-				checkRefs(s, member, owner, et, v, nilOK, report)
-			}
+func checkRef(member Membership, owner, class string, v value.Value, nilOK bool, report func(string, ...any)) {
+	ref, ok := v.(value.Ref)
+	if !ok {
+		if _, isNull := v.(value.Null); isNull && nilOK {
 			return
 		}
-		ref, ok := v.(value.Ref)
-		if !ok {
-			if _, isNull := v.(value.Null); isNull && nilOK {
-				return
-			}
-			report("%s: expected reference to %s, got %s", owner, x.Name, v)
-			return
+		report("%s: expected reference to %s, got %s", owner, class, v)
+		return
+	}
+	oid := value.OID(ref)
+	if oid.IsNil() {
+		if !nilOK {
+			report("%s: nil oid in association position of class %s", owner, class)
 		}
-		oid := value.OID(ref)
-		if oid.IsNil() {
-			if !nilOK {
-				report("%s: nil oid in association position of class %s", owner, x.Name)
-			}
-			return
-		}
-		if !member(types.Canon(x.Name), oid) {
-			report("%s: dangling reference %s to class %s", owner, oid, x.Name)
-		}
-	case types.Tuple:
-		tv, ok := v.(value.Tuple)
-		if !ok {
-			return
-		}
-		for _, f := range x.Fields {
-			if fv, found := tv.Get(f.Label); found {
-				checkRefs(s, member, owner, f.Type, fv, nilOK, report)
-			}
-		}
-	case types.Set:
-		if sv, ok := v.(value.Set); ok {
-			for _, e := range sv.Elems() {
-				checkRefs(s, member, owner, x.Elem, e, nilOK, report)
-			}
-		}
-	case types.Multiset:
-		if mv, ok := v.(value.Multiset); ok {
-			for _, e := range mv.Elems() {
-				checkRefs(s, member, owner, x.Elem, e, nilOK, report)
-			}
-		}
-	case types.Sequence:
-		if qv, ok := v.(value.Sequence); ok {
-			for _, e := range qv.Elems() {
-				checkRefs(s, member, owner, x.Elem, e, nilOK, report)
-			}
-		}
+		return
+	}
+	if !member(class, oid) {
+		report("%s: dangling reference %s to class %s", owner, oid, class)
 	}
 }

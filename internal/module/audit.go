@@ -3,6 +3,7 @@ package module
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"logres/internal/engine"
 	"logres/internal/instance"
@@ -19,11 +20,10 @@ const AuditDelta = "delta"
 // audited: rules or schema changed, or a RIDI module brought its own.
 const auditRulesSchema = "full: rule or schema change"
 
-// auditFull checks the whole derived instance — in, converted from the
-// set f that prog derived: Definition 4 consistency, then the passive
-// constraints.
-func auditFull(in *instance.Instance, prog *engine.Program, f *engine.FactSet) error {
-	if err := in.CheckConsistency(); err != nil {
+// auditFull checks the whole instance f that prog derived over s:
+// Definition 4 consistency, then the passive constraints.
+func auditFull(s *types.Schema, prog *engine.Program, f *engine.FactSet) error {
+	if err := CheckInstance(s, f); err != nil {
 		return fmt.Errorf("module: instance inconsistent: %w", err)
 	}
 	return prog.CheckDenials(f)
@@ -32,7 +32,47 @@ func auditFull(in *instance.Instance, prog *engine.Program, f *engine.FactSet) e
 // auditFullBecause runs the full audit over the derived set f and names
 // the audit "full: " + why.
 func auditFullBecause(why string, s *types.Schema, prog *engine.Program, f *engine.FactSet) (string, error) {
-	return "full: " + why, auditFull(engine.ToInstance(f, s, 0), prog, f)
+	return "full: " + why, auditFull(s, prog, f)
+}
+
+// CheckInstance verifies Definition 4 over the derived set f with s's
+// compiled check, reading f in place: it reports exactly what
+// engine.ToInstance(f, s, 0).CheckConsistency() reports, and builds no
+// instance.
+func CheckInstance(s *types.Schema, f *engine.FactSet) error {
+	ck := s.Checks()
+	return instance.Audit(ck, derivedFacts{f: f, compose: ck.Compose})
+}
+
+// derivedFacts is a derived fact set as the audit reads it: π(C) is C's
+// class facts, by oid; ν(o) is the ⊕ of o's class facts in compose order,
+// the order engine.ToInstance merges them in; ρ(A) is A's facts in key
+// order.
+type derivedFacts struct {
+	f       *engine.FactSet
+	compose []string
+}
+
+func (d derivedFacts) Member(class string, oid value.OID) bool {
+	_, ok := d.f.HasOID(class, oid)
+	return ok
+}
+
+func (d derivedFacts) EachObject(class string, fn func(value.OID) bool) {
+	d.f.EachObject(class, func(f engine.Fact) bool { return fn(f.OID) })
+}
+
+func (d derivedFacts) OValue(oid value.OID, buf []value.Tuple) []value.Tuple {
+	for _, c := range d.compose {
+		if f, ok := d.f.HasOID(c, oid); ok {
+			buf = append(buf, f.Tuple)
+		}
+	}
+	return buf
+}
+
+func (d derivedFacts) EachTuple(assoc string, fn func(value.Tuple) bool) {
+	d.f.Each(assoc, func(f engine.Fact) bool { return fn(f.Tuple) })
 }
 
 // classFactIn reports whether changed names a class. A class fact in the
@@ -72,36 +112,23 @@ func AuditInstanceDelta(s *types.Schema, prog *engine.Program, f *engine.FactSet
 }
 
 // checkAddedTuples runs clause (ρ) over the added association tuples, in
-// the order CheckConsistency reports violations: associations in
+// the order Definition 4's audit reports violations: associations in
 // declaration order, tuples in key order — the order adds already has
 // within each predicate. Function facts are not audited by Definition 4.
 func checkAddedTuples(s *types.Schema, f *engine.FactSet, adds []engine.Fact) error {
-	byAssoc := map[string][]value.Tuple{}
-	for _, fact := range adds {
-		if s.IsAssociation(fact.Pred) {
-			byAssoc[fact.Pred] = append(byAssoc[fact.Pred], fact.Tuple)
-		}
-	}
-	if len(byAssoc) == 0 {
-		return nil
-	}
-	member := func(class string, oid value.OID) bool {
-		_, ok := f.HasOID(class, oid)
-		return ok
-	}
+	member := derivedFacts{f: f}.Member
 	var errs []error
-	for _, a := range s.NamesOf(types.DeclAssociation) {
-		ts := byAssoc[a]
-		if len(ts) == 0 {
+	for _, a := range s.Checks().Assocs {
+		if a.Err != nil {
+			if slices.ContainsFunc(adds, func(g engine.Fact) bool { return g.Pred == a.Name }) {
+				errs = append(errs, a.Err)
+			}
 			continue
 		}
-		eff, err := s.EffectiveTuple(a)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		for _, t := range ts {
-			errs = append(errs, instance.CheckAssocTuple(s, a, eff, t, member)...)
+		for _, fact := range adds {
+			if fact.Pred == a.Name {
+				errs = append(errs, instance.CheckAssocTuple(a.Name, a, fact.Tuple, member)...)
+			}
 		}
 	}
 	return errors.Join(errs...)

@@ -178,11 +178,23 @@ func (st *State) compiled(opts engine.Options) (*engine.Program, error) {
 // the persistent rules applied to the extensional facts under the
 // inflationary semantics. It verifies Definition 4 consistency and the
 // passive constraints; an inconsistent instance is an error (the mapping
-// M is partial, §4.1).
+// M is partial, §4.1). The instance it returns is built from the derived
+// set after the audit, which reads the set itself; Audit builds none.
 func (st *State) Instance(opts engine.Options) (_ *engine.FactSet, _ *instance.Instance, err error) {
 	defer shieldPanic(&err)
-	f, in, _, err := st.derive(opts)
-	return f, in, err
+	f, _, err := st.derive(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, engine.ToInstance(f, st.S, 0), nil
+}
+
+// Audit derives R(E) and runs the full audit Instance performs, building
+// no instance.
+func (st *State) Audit(opts engine.Options) (err error) {
+	defer shieldPanic(&err)
+	_, _, err = st.derive(opts)
+	return err
 }
 
 // Derive computes R(E) without the audit Instance performs: a read of a
@@ -214,16 +226,15 @@ func (st *State) run(opts engine.Options) (*engine.FactSet, *engine.Program, err
 }
 
 // derive is run followed by the audit Instance performs.
-func (st *State) derive(opts engine.Options) (*engine.FactSet, *instance.Instance, *engine.Program, error) {
+func (st *State) derive(opts engine.Options) (*engine.FactSet, *engine.Program, error) {
 	f, prog, err := st.run(opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	in := engine.ToInstance(f, st.S, 0)
-	if err := auditFull(in, prog, f); err != nil {
-		return nil, nil, nil, err
+	if err := auditFull(st.S, prog, f); err != nil {
+		return nil, nil, err
 	}
-	return f, in, prog, nil
+	return f, prog, nil
 }
 
 // answer evaluates the module's goal, if it has one, over the derived
@@ -443,7 +454,7 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 			work.seed(opts, prog)
 		}
 	}
-	f, _, prog, err := work.derive(opts)
+	f, prog, err := work.derive(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +482,7 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 	if err := next.S.Validate(); err != nil {
 		return nil, fmt.Errorf("module: rejected, schema invalid: %w", err)
 	}
-	f, _, prog, err := next.derive(opts)
+	f, prog, err := next.derive(opts)
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
@@ -533,7 +544,7 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	res := &Result{State: next, updateFP: &rf}
 	if !canDeferValidation(st, m, mode) {
 		// New rules or schema: R(E1) comes from a program no commit audited.
-		if _, _, res.prog, err = next.derive(opts); err != nil {
+		if _, res.prog, err = next.derive(opts); err != nil {
 			return nil, fmt.Errorf("module: rejected: %w", err)
 		}
 		res.Audit = auditRulesSchema

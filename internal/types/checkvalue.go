@@ -27,10 +27,12 @@ func (s *Schema) CheckValue(t Type, v value.Value, policy RefPolicy) error {
 	if err != nil {
 		return err
 	}
-	return s.checkValue(et, v, policy, "")
+	return checkValue(et, v, policy, "")
 }
 
-func (s *Schema) checkValue(t Type, v value.Value, policy RefPolicy, path string) error {
+// checkValue verifies v against the expanded type t; path locates v
+// inside the value being checked, for the error text.
+func checkValue(t Type, v value.Value, policy RefPolicy, path string) error {
 	at := func() string {
 		if path == "" {
 			return ""
@@ -39,12 +41,17 @@ func (s *Schema) checkValue(t Type, v value.Value, policy RefPolicy, path string
 	}
 	switch x := t.(type) {
 	case Elementary:
-		want := map[Kind]value.Kind{
-			KindInt:    value.KindInt,
-			KindReal:   value.KindReal,
-			KindString: value.KindString,
-			KindBool:   value.KindBool,
-		}[x.K]
+		var want value.Kind
+		switch x.K {
+		case KindInt:
+			want = value.KindInt
+		case KindReal:
+			want = value.KindReal
+		case KindString:
+			want = value.KindString
+		case KindBool:
+			want = value.KindBool
+		}
 		if v.Kind() == want {
 			return nil
 		}
@@ -81,7 +88,7 @@ func (s *Schema) checkValue(t Type, v value.Value, policy RefPolicy, path string
 			if path != "" {
 				sub = path + "." + f.Label
 			}
-			if err := s.checkValue(f.Type, fv, policy, sub); err != nil {
+			if err := checkValue(f.Type, fv, policy, sub); err != nil {
 				return err
 			}
 		}
@@ -92,7 +99,7 @@ func (s *Schema) checkValue(t Type, v value.Value, policy RefPolicy, path string
 			return fmt.Errorf("types: expected set %s, got %s %s%s", x, v.Kind(), v, at())
 		}
 		for _, e := range sv.Elems() {
-			if err := s.checkValue(x.Elem, e, policy, path+"{}"); err != nil {
+			if err := checkValue(x.Elem, e, policy, path+"{}"); err != nil {
 				return err
 			}
 		}
@@ -103,7 +110,7 @@ func (s *Schema) checkValue(t Type, v value.Value, policy RefPolicy, path string
 			return fmt.Errorf("types: expected multiset %s, got %s %s%s", x, v.Kind(), v, at())
 		}
 		for _, e := range mv.Elems() {
-			if err := s.checkValue(x.Elem, e, policy, path+"[]"); err != nil {
+			if err := checkValue(x.Elem, e, policy, path+"[]"); err != nil {
 				return err
 			}
 		}
@@ -114,7 +121,7 @@ func (s *Schema) checkValue(t Type, v value.Value, policy RefPolicy, path string
 			return fmt.Errorf("types: expected sequence %s, got %s %s%s", x, v.Kind(), v, at())
 		}
 		for _, e := range qv.Elems() {
-			if err := s.checkValue(x.Elem, e, policy, path+"<>"); err != nil {
+			if err := checkValue(x.Elem, e, policy, path+"<>"); err != nil {
 				return err
 			}
 		}

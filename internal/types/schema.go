@@ -66,7 +66,8 @@ type Schema struct {
 
 	// caches, invalidated on mutation
 	effective map[string]Tuple
-	valid     atomic.Bool // Validate passed
+	valid     atomic.Bool            // Validate passed
+	checks    atomic.Pointer[Checks] // Definition 4's check, compiled by Validate
 }
 
 // Canon normalizes an identifier: LOGRES names are case-insensitive and the
@@ -84,6 +85,7 @@ func NewSchema() *Schema {
 func (s *Schema) invalidate() {
 	s.effective = nil
 	s.valid.Store(false)
+	s.checks.Store(nil)
 }
 
 // normalizeType canonicalizes every name and label inside a descriptor.

@@ -20,7 +20,8 @@ import (
 //   - function signatures resolve.
 //
 // It returns all problems found, joined. A schema that passed is not
-// checked again until a mutation invalidates it.
+// checked again until a mutation invalidates it, and carries from then on
+// its compiled Definition 4 check (Checks).
 func (s *Schema) Validate() error {
 	if s.valid.Load() {
 		return nil
@@ -28,6 +29,7 @@ func (s *Schema) Validate() error {
 	if err := s.validate(); err != nil {
 		return err
 	}
+	s.checks.Store(s.compileChecks())
 	s.valid.Store(true)
 	return nil
 }

@@ -457,8 +457,7 @@ func (db *Database) Materialize() error {
 // against the current instance.
 func (db *Database) CheckConsistency() error {
 	s := db.snap.Load()
-	_, _, err := s.st.Instance(s.opts)
-	return err
+	return s.st.Audit(s.opts)
 }
 
 // Save writes a snapshot of the database state.
@@ -490,7 +489,7 @@ func Load(r io.Reader, options ...Option) (*Database, error) {
 // (maintOptions). The caller is the sole owner of db.
 func (db *Database) publishDecoded(st *module.State) error {
 	st.E.Freeze()
-	if _, _, err := st.Instance(maintOptions(db.opts)); err != nil {
+	if err := st.Audit(maintOptions(db.opts)); err != nil {
 		return err
 	}
 	return db.start(st)

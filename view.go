@@ -374,7 +374,7 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 		step.ev = obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Detail: reason, Duration: time.Since(start)}
 	}
 	if sr.Deferred {
-		if _, _, err := next.Instance(opts); err != nil {
+		if err := next.Audit(opts); err != nil {
 			return nil, err
 		}
 	}
