@@ -720,8 +720,8 @@ func ivmChainCommits() []struct {
 	}
 }
 
-// ivmCountSchema and ivmCountRules are a counting stratum: the two-hop
-// paths, each with one derivation per middle node.
+// ivmCountSchema and ivmCountRules are a non-recursive maintained
+// stratum: the two-hop paths, each with one derivation per middle node.
 const ivmCountSchema = `
 associations
   EDGE = (src: integer, dst: integer);
@@ -739,9 +739,10 @@ end.
 // DRed, the audit of the view delta, the commit. Each timed commit is
 // undone outside the timer, so every one starts from the same state.
 // unshort/descending mirrors the node ids, so the closure's key order
-// runs against the chain. count is the frontier commit over a counting
-// stratum instead (ivmCountRules), on 28 copies of the graph (4,060
-// edges), so that its support counts are what the commit copies.
+// runs against the chain. count is the frontier commit over a
+// non-recursive stratum instead (ivmCountRules), on 28 copies of the
+// graph (4,060 edges), so that the stratum is large beside the commit,
+// and uncount deletes that frontier edge again over the same stratum.
 func BenchmarkIVMChainCommit(b *testing.B) {
 	run := func(b *testing.B, db *Database, do, undo string) {
 		b.ReportAllocs()
@@ -760,18 +761,21 @@ func BenchmarkIVMChainCommit(b *testing.B) {
 	for _, c := range ivmChainCommits() {
 		b.Run(c.name, func(b *testing.B) { run(b, ivmChainOpen(b, c.edges), c.do, c.undo) })
 	}
-	b.Run("count", func(b *testing.B) {
+	frontier := [2]int{ivmChainWindow, ivmChainWindow + 1}
+	insert, remove := ivmEdgeModule(false, frontier), ivmEdgeModule(true, frontier)
+	countOpen := func(b *testing.B, setup ...string) *Database {
 		db, err := Open(ivmCountSchema, WithIncremental(true))
 		if err != nil {
 			b.Fatal(err)
 		}
 		edges, _ := ivmChainEdges(false)
-		for _, m := range []string{ivmEdgeModule(false, ivmChainCopies(edges, 28)...), ivmCountRules} {
+		for _, m := range append([]string{ivmEdgeModule(false, ivmChainCopies(edges, 28)...), ivmCountRules}, setup...) {
 			if _, err := db.Exec(m); err != nil {
 				b.Fatal(err)
 			}
 		}
-		frontier := [2]int{ivmChainWindow, ivmChainWindow + 1}
-		run(b, db, ivmEdgeModule(false, frontier), ivmEdgeModule(true, frontier))
-	})
+		return db
+	}
+	b.Run("count", func(b *testing.B) { run(b, countOpen(b), insert, remove) })
+	b.Run("uncount", func(b *testing.B) { run(b, countOpen(b, insert), remove, insert) })
 }

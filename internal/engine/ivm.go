@@ -6,26 +6,24 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"logres/internal/pmap"
 )
 
-// Incremental view maintenance (DESIGN.md §14). A Maintainer carries the
-// per-stratum support state needed to update a program's derived fact
-// set in time proportional to the base-fact delta instead of re-running
-// the fixpoint: the counting algorithm for non-recursive strata and
-// DRed-style delete/rederive for recursive ones (Gupta, Mumick &
-// Subrahmanian, "Maintaining Views Incrementally"). Before DRed
-// over-deletes, it checks the facts that lost a derivation directly for
-// another one, the first step of Motik, Nenov, Piro & Horrocks's
-// Backward/Forward algorithm, and over-deletes only from those that
-// have none (updateDRed).
+// Incremental view maintenance (DESIGN.md §14). A Maintainer updates a
+// program's derived fact set in time proportional to the base-fact
+// delta instead of re-running the fixpoint, by one algorithm for every
+// maintained stratum, recursive or not: DRed-style delete/rederive
+// (Gupta, Mumick & Subrahmanian, "Maintaining Views Incrementally").
+// Before DRed over-deletes, it checks the facts that lost a derivation
+// directly for another one, the first step of Motik, Nenov, Piro &
+// Horrocks's Backward/Forward algorithm, and over-deletes only from
+// those that have none (updateDRed). On a non-recursive stratum that
+// check is the whole support test. No per-derivation state is kept.
 //
 // Only a prefix of the stratification is maintained incrementally: the
-// program's stratum plan (plan.go) marks each stratum counting, DRed or
-// none with a reason, and the first stratum outside the maintained
-// fragment starts the *suffix*, which is always recomputed from scratch
-// via Program.RunFrom on top of the maintained prefix. A program with no
+// program's stratum plan (plan.go) marks each stratum maintained or not
+// with a reason, and the first stratum outside the maintained fragment
+// starts the *suffix*, which is always recomputed from scratch via
+// Program.RunFrom on top of the maintained prefix. A program with no
 // maintained stratum degenerates to caching the last full evaluation,
 // which is still enough to serve reads and subscriptions without
 // re-deriving per query. Propagation joins through deltaPass, the
@@ -34,28 +32,18 @@ import (
 // A Maintainer is a value: Next returns the successor for one commit and
 // leaves its receiver intact, on error too, so a maintainer serves its
 // state for as long as anyone holds it and nothing is ever reverted. A
-// successor shares what the step did not touch: the frozen fact sets
-// through their own copy-on-write, the support counts through a
-// persistent map (pmap) the step writes with an owner of its own. A
-// goal reads only the compiled part of a program, which no run writes,
-// so any number of readers may answer goals over a Full() set with
-// Program().Query while a Next from the same maintainer runs. Next runs
-// the program itself (its per-run part), so two Next calls over one
-// program must not overlap; the Database makes them under its write
-// lock.
-
-// maintPlan is one maintained stratum: its plan and, for counting, the
-// derivations per head-fact key.
-type maintPlan struct {
-	*stratumPlan
-	counts pmap.Map[string, int]
-}
+// successor shares what the step did not touch through the frozen fact
+// sets' own copy-on-write. A goal reads only the compiled part of a
+// program, which no run writes, so any number of readers may answer
+// goals over a Full() set with Program().Query while a Next from the
+// same maintainer runs. Next runs the program itself (its per-run part),
+// so two Next calls over one program must not overlap; the Database
+// makes them under its write lock.
 
 // Maintainer holds the incremental state of one program over one
 // extensional database.
 type Maintainer struct {
-	prog  *Program
-	plans []maintPlan
+	prog *Program
 	// suffix is the index of the first stratum that is recomputed from
 	// scratch; len(strata) when the whole program is maintained.
 	suffix int
@@ -112,11 +100,8 @@ func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error
 		}
 	}
 	m.view = e.Clone()
-	o := pmap.NewOwner()
-	m.plans = make([]maintPlan, prefix)
-	for i := range m.plans {
-		m.plans[i].stratumPlan = &strata[i]
-		if err := m.initStratum(&m.plans[i], o, m.view); err != nil {
+	for i := range strata[:prefix] {
+		if err := m.initStratum(&strata[i], m.view); err != nil {
 			return nil, err
 		}
 	}
@@ -132,6 +117,12 @@ func (m *Maintainer) EligibleStrata() (prefix, total int) {
 	return m.suffix, len(m.prog.strata)
 }
 
+// maintained returns the plans of the maintained strata.
+func (m *Maintainer) maintained() []stratumPlan {
+	strata, _ := m.prog.plan()
+	return strata[:m.suffix]
+}
+
 // Full returns the maintained full derived set. It is frozen; callers
 // must treat it as read-only.
 func (m *Maintainer) Full() *FactSet { return m.full }
@@ -141,18 +132,15 @@ func (m *Maintainer) Full() *FactSet { return m.full }
 // set.
 func (m *Maintainer) Program() *Program { return m.prog }
 
-// initStratum materializes one eligible stratum into view and seeds its
-// support state. The derived set is identical to what the engine's own
-// evaluation produces for the stratum: the eligible fragment is
-// monotone, so the inflationary fixpoint is the classical least
-// fixpoint.
-func (m *Maintainer) initStratum(plan *maintPlan, o *pmap.Owner, view *FactSet) error {
+// initStratum materializes one eligible stratum into view. The derived
+// set is identical to what the engine's own evaluation produces for the
+// stratum: the eligible fragment is monotone, so the inflationary
+// fixpoint is the classical least fixpoint.
+func (m *Maintainer) initStratum(plan *stratumPlan, view *FactSet) error {
 	c := &evalCtx{p: m.prog, f: view, counter: new(int64)}
-	// One full pass per rule enumerates every derivation of a
-	// non-recursive stratum, whose heads cannot feed its own bodies; a
-	// recursive one continues semi-naively to its least fixpoint. DRed
-	// keeps no per-derivation state: deletions rediscover support by
-	// rederivation.
+	// One full pass per rule, then semi-naive rounds to the least
+	// fixpoint; on a non-recursive stratum, whose heads feed none of its
+	// bodies, the first round derives nothing.
 	delta := NewFactSet()
 	for _, r := range plan.rules {
 		err := c.matchBody(r.body, 0, newEnv(), func(e *env) error {
@@ -160,12 +148,7 @@ func (m *Maintainer) initStratum(plan *maintPlan, o *pmap.Owner, view *FactSet) 
 			if err != nil {
 				return err
 			}
-			if plan.maint == maintCounting {
-				k := fact.Key()
-				n, _ := plan.counts.Get(k)
-				plan.counts.Set(o, k, n+1)
-			}
-			if view.Add(fact) && plan.maint == maintDRed {
+			if view.Add(fact) {
 				delta.Add(fact)
 			}
 			return nil
@@ -191,7 +174,7 @@ func (m *Maintainer) initStratum(plan *maintPlan, o *pmap.Owner, view *FactSet) 
 
 // deltaRound is deltaPass over a maintained stratum, handing each
 // derived head fact to emit.
-func deltaRound(c *evalCtx, plan *maintPlan, delta, pre, post *FactSet, emit func(Fact) error) error {
+func deltaRound(c *evalCtx, plan *stratumPlan, delta, pre, post *FactSet, emit func(Fact) error) error {
 	return c.deltaPass(plan.rules, delta, pre, post, func(r *crule, e *env) error {
 		fact, err := c.buildAssocFact(r.head, e)
 		if err != nil {
@@ -231,8 +214,6 @@ func (m *Maintainer) recomputeSuffix(counter int64) error {
 // (NewMaintainer) or keeps serving the receiver's state.
 func (m *Maintainer) Next(adds, removes []Fact, newE *FactSet, counter int64) (*Maintainer, *ViewDelta, error) {
 	n := *m
-	n.plans = slices.Clone(m.plans)
-	o := pmap.NewOwner()
 
 	// Normalize against the base the state is synced to: a remove of an
 	// absent fact and an add of a present one are no-ops, and a fact
@@ -285,15 +266,9 @@ func (m *Maintainer) Next(adds, removes []Fact, newE *FactSet, counter int64) (*
 		}
 	}
 
-	for si := range n.plans {
-		plan := &n.plans[si]
-		var err error
-		if plan.maint == maintCounting {
-			err = n.updateCounting(plan, o, pendAdds[si], pendRemoves[si], m.view, newView, waveAdds, waveRemoves)
-		} else {
-			err = n.updateDRed(plan, pendAdds[si], pendRemoves[si], m.view, newView, waveAdds, waveRemoves)
-		}
-		if err != nil {
+	strata := m.maintained()
+	for si := range strata {
+		if err := n.updateDRed(&strata[si], pendAdds[si], pendRemoves[si], m.view, newView, waveAdds, waveRemoves); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -354,94 +329,7 @@ func (m *Maintainer) Update(adds, removes []Fact, newE *FactSet, counter int64) 
 	return vd, err
 }
 
-// updateCounting propagates a delta through one non-recursive stratum:
-// a signed delta-position pass per rule computes the change in
-// derivation count per head fact, and presence flips (a fact is present
-// iff it is extensional or has positive support) extend the wave.
-func (m *Maintainer) updateCounting(plan *maintPlan, o *pmap.Owner, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
-	type deltaEntry struct {
-		fact Fact
-		d    int
-	}
-	delta := map[string]*deltaEntry{}
-	c := &evalCtx{p: m.prog, f: newView, counter: new(int64)}
-	for _, signed := range []struct {
-		fs *FactSet
-		d  int
-	}{{waveAdds, 1}, {waveRemoves, -1}} {
-		sign := signed.d
-		if err := deltaRound(c, plan, signed.fs, newView, oldView, func(fact Fact) error {
-			k := fact.Key()
-			de := delta[k]
-			if de == nil {
-				de = &deltaEntry{fact: fact}
-				delta[k] = de
-			}
-			de.d += sign
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-
-	touched := map[string]Fact{}
-	for k, de := range delta {
-		touched[k] = de.fact
-	}
-	eAdd := map[string]bool{}
-	eRem := map[string]bool{}
-	for _, f := range pAdds {
-		k := f.Key()
-		touched[k] = f
-		eAdd[k] = true
-	}
-	for _, f := range pRems {
-		k := f.Key()
-		touched[k] = f
-		eRem[k] = true
-	}
-	keys := make([]string, 0, len(touched))
-	for k := range touched {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fact := touched[k]
-		d := 0
-		if de := delta[k]; de != nil {
-			d = de.d
-		}
-		cntOld, _ := plan.counts.Get(k)
-		cntNew := cntOld + d
-		if cntNew < 0 {
-			return fmt.Errorf("engine: negative support count %d for %s", cntNew, fact)
-		}
-		inEold := m.baseE.Has(fact)
-		inEnew := (inEold && !eRem[k]) || eAdd[k]
-		presentOld := inEold || cntOld > 0
-		presentNew := inEnew || cntNew > 0
-		switch {
-		case cntNew == cntOld:
-		case cntNew == 0:
-			plan.counts.Delete(o, k)
-		default:
-			plan.counts.Set(o, k, cntNew)
-		}
-		switch {
-		case presentOld && !presentNew:
-			if newView.Remove(fact) {
-				waveRemoves.Add(fact)
-			}
-		case !presentOld && presentNew:
-			if newView.Add(fact) {
-				waveAdds.Add(fact)
-			}
-		}
-	}
-	return nil
-}
-
-// updateDRed propagates a delta through one recursive stratum with
+// updateDRed propagates a delta through one maintained stratum with
 // delete/rederive. (1) Over-delete: close the first layer — the
 // stratum's removed facts and the heads of old-view rule instances that
 // read a removed input — under the rules over the *old* view, then keep
@@ -461,7 +349,7 @@ func (m *Maintainer) updateCounting(plan *maintPlan, o *pmap.Owner, pAdds, pRems
 // still holds: by induction on old derivation depth, a fact outside the
 // narrowed set is a kept one or has an old derivation that reads no
 // removed input and no narrowed fact.
-func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
+func (m *Maintainer) updateDRed(plan *stratumPlan, pAdds, pRems []Fact, oldView, newView, waveAdds, waveRemoves *FactSet) error {
 	c := &evalCtx{p: m.prog, f: newView, counter: new(int64)}
 	eAdd := map[string]bool{}
 	eRem := map[string]bool{}
@@ -598,7 +486,7 @@ func (m *Maintainer) updateDRed(plan *maintPlan, pAdds, pRems []Fact, oldView, n
 // closeWithin adds to set, round by round from frontier, every fact of
 // within that heads an old-view rule instance reading a fact the
 // previous round added.
-func closeWithin(c *evalCtx, plan *maintPlan, frontier, set, within, oldView *FactSet) error {
+func closeWithin(c *evalCtx, plan *stratumPlan, frontier, set, within, oldView *FactSet) error {
 	for frontier.TotalSize() > 0 {
 		next := NewFactSet()
 		if err := deltaRound(c, plan, frontier, oldView, oldView, func(fact Fact) error {
@@ -616,7 +504,7 @@ func closeWithin(c *evalCtx, plan *maintPlan, frontier, set, within, oldView *Fa
 
 // reads returns the facts of wave over the predicates the stratum reads
 // but does not define.
-func (plan *maintPlan) reads(wave *FactSet) *FactSet {
+func (plan *stratumPlan) reads(wave *FactSet) *FactSet {
 	out := NewFactSet()
 	for _, r := range plan.rules {
 		for _, l := range r.body {
@@ -637,7 +525,7 @@ func (plan *maintPlan) reads(wave *FactSet) *FactSet {
 // variable components), the body is matched cheapest literal first from
 // those bindings (matchCheapest), and every valuation found is verified
 // by rebuilding the head fact.
-func (m *Maintainer) derivable(c *evalCtx, plan *maintPlan, target Fact, view *FactSet) (bool, error) {
+func (m *Maintainer) derivable(c *evalCtx, plan *stratumPlan, target Fact, view *FactSet) (bool, error) {
 	m.probes++
 	saved := c.f
 	c.f = view

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"logres/internal/value"
 )
 
 // compiledOrderDerives is the reference for derivable: some rule of plan
 // derives target from view by enumerating its whole body in compiled
 // order, with nothing bound in advance.
-func compiledOrderDerives(t *testing.T, c *evalCtx, plan *maintPlan, target Fact, view *FactSet) bool {
+func compiledOrderDerives(t *testing.T, c *evalCtx, plan *stratumPlan, target Fact, view *FactSet) bool {
 	t.Helper()
 	saved := c.f
 	c.f = view
@@ -70,21 +68,14 @@ func TestDerivableProbeMatchesCompiledOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := &evalCtx{p: prog, f: m.view, counter: new(int64)}
-				for i := range m.plans {
-					plan := &m.plans[i]
+				strata := m.maintained()
+				for i := range strata {
+					plan := &strata[i]
 					for _, pred := range plan.heads {
 						present := m.view.Facts(pred)
 						var absent []Fact
 						for i := 0; i < 12; i++ {
-							f := ivmEdge(r.Intn(n+2)-1, r.Intn(n+2)-1)
-							if pred == "same" {
-								f = Fact{Pred: "same", Tuple: value.NewTuple(
-									value.Field{Label: "a", Value: f.Tuple.Field(0).Value},
-									value.Field{Label: "b", Value: f.Tuple.Field(1).Value},
-								)}
-							} else {
-								f.Pred = pred
-							}
+							f := ivmPair(pred, r.Intn(n+2)-1, r.Intn(n+2)-1)
 							if !m.view.Has(f) {
 								absent = append(absent, f)
 							}

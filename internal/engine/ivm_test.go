@@ -31,6 +31,20 @@ func ivmNode(n int) Fact {
 	)}
 }
 
+// ivmPair is a fact of one of the two-integer predicates the ivmPrograms
+// rules derive: tc over src and dst, same over a and b.
+func ivmPair(pred string, a, b int) Fact {
+	f := ivmEdge(a, b)
+	f.Pred = pred
+	if pred == "same" {
+		f.Tuple = value.NewTuple(
+			value.Field{Label: "a", Value: value.Int(int64(a))},
+			value.Field{Label: "b", Value: value.Int(int64(b))},
+		)
+	}
+	return f
+}
+
 const ivmSchema = `
 associations
   NODE = (n: integer);
@@ -46,10 +60,14 @@ var ivmPrograms = []struct {
 	rules      string
 	wantPrefix int // eligible strata
 	wantTotal  int
+	// head is a maintained predicate the rules derive, which
+	// FuzzMaintainerDelete's commits also write as extensional facts.
+	head string
 }{
 	{
-		// One non-recursive stratum: counting, with two rules deriving
-		// overlapping facts (per-fact support counts above 1).
+		// One non-recursive stratum, with two rules deriving overlapping
+		// facts (facts with more than one derivation). Test names keep
+		// its old name.
 		name: "counting",
 		rules: `
 same(a: X, b: Y) <- edge(src: X, dst: Y), edge(src: Y, dst: X).
@@ -57,6 +75,7 @@ same(a: X, b: X) <- node(n: X).
 `,
 		wantPrefix: 1,
 		wantTotal:  1,
+		head:       "same",
 	},
 	{
 		// Recursive closure: DRed delete/rederive.
@@ -67,6 +86,7 @@ tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).
 `,
 		wantPrefix: 1,
 		wantTotal:  1,
+		head:       "tc",
 	},
 	{
 		// A recursive literal whose argument needs an earlier literal's
@@ -79,10 +99,11 @@ tc(src: X, dst: Y) <- tc(src: X, dst: Z), tc(src: Z + 1, dst: Y).
 `,
 		wantPrefix: 1,
 		wantTotal:  1,
+		head:       "tc",
 	},
 	{
 		// Comparisons and arithmetic in a recursive stratum and in the
-		// counting stratum above it: the filters run after the predicate
+		// non-recursive stratum above it: the filters run after the predicate
 		// literals to their left in every join order, and Y != W reads
 		// variables no head binds.
 		name: "filters-and-arithmetic",
@@ -94,6 +115,7 @@ same(a: X, b: Y) <- node(n: X), tc(src: Y, dst: X), Y * 2 <= X + 1.
 `,
 		wantPrefix: 2,
 		wantTotal:  2,
+		head:       "same",
 	},
 	{
 		// Eligible closure prefix plus a negation stratum, which is
@@ -106,6 +128,7 @@ unreach(a: X, b: Y) <- node(n: X), node(n: Y), not tc(src: X, dst: Y).
 `,
 		wantPrefix: 1,
 		wantTotal:  2,
+		head:       "tc",
 	},
 }
 
@@ -117,8 +140,13 @@ func randomCommit(r *rand.Rand, base *FactSet, n int) (adds, removes []Fact) {
 	steps := r.Intn(4) + 1
 	for i := 0; i < steps; i++ {
 		f := ivmEdge(r.Intn(n), r.Intn(n))
-		if r.Intn(3) == 0 {
+		switch r.Intn(6) {
+		case 0, 1:
 			f = ivmNode(r.Intn(n))
+		case 2:
+			// A fact of a predicate the rules may also derive: present as
+			// extensional, derived or both.
+			f = ivmPair([]string{"tc", "same"}[r.Intn(2)], r.Intn(n), r.Intn(n))
 		}
 		// Deletion-heavy: half the steps try to remove.
 		if r.Intn(2) == 0 && base.Has(f) {
@@ -227,14 +255,43 @@ func checkMaintained(t *testing.T, at string, scratchProg *Program, base *FactSe
 
 // FuzzMaintainerDelete drives small graphs, cyclic ones included, through
 // maintained commits that insert and delete, and holds every commit to
-// checkMaintained. pick chooses the ivmPrograms rule set. Each byte of ops
-// toggles one fact — node((b>>3)&7) when bit 6 is set, else edge((b>>3)&7,
-// b&7) — and a set bit 7 ends the commit; the first commit is the base
-// the maintainer starts from.
+// checkMaintained. pick chooses the ivmPrograms rule set. Each byte b of
+// ops toggles one fact over x = (b>>3)&7 and y = b&7: edge(x, y) when bit
+// 6 is clear; when it is set, node(x) if y is 0 and otherwise the
+// program's head fact over (x, y), extensional beside what the rules
+// derive. A set bit 7 ends the commit; the first commit is the base the
+// maintainer starts from.
 func FuzzMaintainerDelete(f *testing.F) {
+	const end = 0x80
+	edge := func(x, y byte) byte { return x<<3 | y }
+	node := func(x byte) byte { return 0x40 | x<<3 }
+	head := func(x, y byte) byte { return 0x40 | x<<3 | y }
 	// 1→2, 2→4, 4→3, 3→4, then delete 2→4; add 2→4 and 1→4; delete 2→4.
-	cyclic := []byte{1<<3 | 2, 2<<3 | 4, 4<<3 | 3, 0x80 | 3<<3 | 4,
-		0x80 | 2<<3 | 4, 2<<3 | 4, 0x80 | 1<<3 | 4, 0x80 | 2<<3 | 4}
+	cyclic := []byte{edge(1, 2), edge(2, 4), edge(4, 3), end | edge(3, 4),
+		end | edge(2, 4),
+		edge(2, 4), end | edge(1, 4),
+		end | edge(2, 4)}
+	// Head facts (1,2), (1,3) and (1,1) written beside their derivations:
+	// an extensional fact goes while a derivation holds and comes back,
+	// then each derivation goes in a commit of its own while the
+	// extensional fact holds, then the extensional facts go.
+	beside := []byte{edge(1, 2), edge(2, 3), edge(2, 1), node(1), head(1, 3), end | head(1, 2),
+		end | head(1, 3),
+		end | head(1, 3),
+		end | edge(2, 3),
+		end | edge(2, 1),
+		end | edge(1, 2),
+		end | head(1, 1),
+		end | node(1),
+		head(1, 2), head(1, 3), end | head(1, 1)}
+	// A head fact the rules read: tc(1,2), written extensionally, supports
+	// tc(1,3) and tc(1,4) through 2→3→4. They go with it, come back with
+	// it and 1→2, stay while either holds and go with the last.
+	under := []byte{edge(2, 3), edge(3, 4), end | head(1, 2),
+		end | head(1, 2),
+		head(1, 2), end | edge(1, 2),
+		end | edge(1, 2),
+		end | head(1, 2)}
 	for pick := range ivmPrograms {
 		f.Add(uint8(pick), cyclic)
 	}
@@ -243,11 +300,16 @@ func FuzzMaintainerDelete(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(ops)
 		f.Add(uint8(seed), ops)
 	}
+	for pick := range ivmPrograms {
+		f.Add(uint8(pick), beside)
+		f.Add(uint8(pick), under)
+	}
 	f.Fuzz(func(t *testing.T, pick uint8, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		rules := ivmPrograms[int(pick)%len(ivmPrograms)].rules
+		program := ivmPrograms[int(pick)%len(ivmPrograms)]
+		rules := program.rules
 		prog, err := tryBuild(ivmSchema, rules, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -259,9 +321,13 @@ func FuzzMaintainerDelete(f *testing.F) {
 		base := NewFactSet()
 		var m *Maintainer
 		for i, b := range ops {
-			fact := ivmEdge(int(b>>3&7), int(b&7))
-			if b&0x40 != 0 {
-				fact = ivmNode(int(b >> 3 & 7))
+			x, y := int(b>>3&7), int(b&7)
+			fact := ivmEdge(x, y)
+			switch {
+			case b&0x40 != 0 && y == 0:
+				fact = ivmNode(x)
+			case b&0x40 != 0:
+				fact = ivmPair(program.head, x, y)
 			}
 			if !base.Remove(fact) {
 				base.Add(fact)
@@ -476,11 +542,11 @@ functions
 q(n: X) <- p(n: X), not r(n: X).
 s(n: X) <- q(n: X).
 `, false, 0, []string{"none (rule #0: negation)", "none (after stratum 0)"}},
-		{"counting then DRed", `
+		{"non-recursive then recursive", `
 q(n: X) <- p(n: X), X > 0.
 s(n: X) <- q(n: X).
 s(n: Y) <- s(n: X), p(n: Y), Y = X + 1.
-`, false, 2, []string{"counting", "DRed"}},
+`, false, 2, []string{"DRed", "DRed"}},
 	} {
 		opts := DefaultOptions()
 		opts.NonInflationary = c.noninf
@@ -520,10 +586,9 @@ s(n: Y) <- s(n: X), p(n: Y), Y = X + 1.
 }
 
 // maintState is what a maintainer holds, read out: the fact keys of its
-// full set and view, and the support counts of each maintained stratum.
+// full set and view.
 type maintState struct {
 	full, view []string
-	counts     []map[string]int
 }
 
 func readMaintState(m *Maintainer) maintState {
@@ -534,23 +599,14 @@ func readMaintState(m *Maintainer) maintState {
 		}
 		return out
 	}
-	s := maintState{full: keys(m.full), view: keys(m.view)}
-	for _, plan := range m.plans {
-		counts := map[string]int{}
-		plan.counts.Ascend(func(k string, n int) bool {
-			counts[k] = n
-			return true
-		})
-		s.counts = append(s.counts, counts)
-	}
-	return s
+	return maintState{full: keys(m.full), view: keys(m.view)}
 }
 
 // TestMaintainerNextLeavesReceiver pins that a maintainer is a value:
 // two Next calls from one receiver give equal view deltas and full sets,
-// and leave the receiver's full set, view and support counts as they
-// were, while goals answered over the receiver beside a running Next
-// see its state throughout.
+// and leave the receiver's full set and view as they were, while goals
+// answered over the receiver beside a running Next see its state
+// throughout.
 func TestMaintainerNextLeavesReceiver(t *testing.T) {
 	goals := map[string]string{
 		"counting":       `?- same(a: X, b: Y).`,

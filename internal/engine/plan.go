@@ -6,7 +6,7 @@ import (
 )
 
 // Stratum plans. Appendix B gives each stratum one operator. Which
-// executor runs it, and how the incremental maintainer keeps it, is
+// executor runs it, and whether the incremental maintainer keeps it, is
 // decided here once per program, by one classifier that runs lazily on
 // the first Run, Explain or NewMaintainer: a program compiled and never
 // run pays nothing for it or for the columnar lowering.
@@ -24,21 +24,6 @@ const (
 var execNames = [...]string{"one-step inflationary", "semi-naive", "semi-naive (vectorized)", "non-inflationary"}
 
 func (x executor) String() string { return execNames[x] }
-
-// maintKind is how the incremental maintainer keeps one stratum: not at
-// all (recomputed from scratch), by derivation counts (non-recursive) or
-// by delete/rederive (recursive).
-type maintKind int
-
-const (
-	maintNone maintKind = iota
-	maintCounting
-	maintDRed
-)
-
-var maintNames = [...]string{"none", "counting", "DRed"}
-
-func (k maintKind) String() string { return maintNames[k] }
 
 // reason is why a plan takes a slower path: the first rule that forces
 // it and the construct in it, or, without a rule, the program's
@@ -64,8 +49,9 @@ type stratumPlan struct {
 	// when vectorization is off, since the row engine was asked for.
 	row *reason
 
-	maint    maintKind
-	maintWhy *reason  // why maint is maintNone
+	// maintWhy is why the incremental maintainer recomputes the stratum
+	// instead of keeping it by delete/rederive; nil when it keeps it.
+	maintWhy *reason
 	heads    []string // predicates the stratum defines
 
 	// once is set on a one-step stratum whose first step is provably
@@ -89,10 +75,9 @@ func (p *Program) plan() (strata []stratumPlan, prefix int) {
 		for i, rules := range blocks {
 			sp := &p.plans[i]
 			p.classify(sp, rules)
-			if sp.maint == maintNone {
+			if sp.maintWhy != nil {
 				p.prefix = min(p.prefix, i)
 			} else if p.prefix < i {
-				sp.maint = maintNone
 				sp.maintWhy = &reason{construct: fmt.Sprintf("after stratum %d", p.prefix)}
 			}
 		}
@@ -102,9 +87,7 @@ func (p *Program) plan() (strata []stratumPlan, prefix int) {
 
 // classify fills in one stratum's plan, walking its rules once. The
 // maintained fragment is deliberately conservative, since recomputation
-// is always correct (see maintConstruct); a maintained stratum whose
-// heads feed its own bodies is recursive and uses DRed, the others use
-// counting.
+// is always correct (see maintConstruct).
 func (p *Program) classify(sp *stratumPlan, rules []*crule) {
 	sp.rules = rules
 	for _, r := range rules {
@@ -123,15 +106,12 @@ func (p *Program) classify(sp *stratumPlan, rules []*crule) {
 	if p.opts.Vectorize {
 		vs, sp.row = compileVecStratum(rules)
 	}
-	sound, recursive := p.opts.SemiNaive, false
+	sound := p.opts.SemiNaive
 	for _, r := range rules {
 		reads := ruleFuncReadsAll(r)
 		sound = sound && semiNaiveSound(r, reads, sp.heads)
 		if construct := maintConstruct(r, reads); construct != "" && sp.maintWhy == nil {
 			sp.maintWhy = &reason{rule: r, construct: construct}
-		}
-		for _, l := range r.body {
-			recursive = recursive || (l.kind == pkClass || l.kind == pkAssoc) && slices.Contains(sp.heads, l.pred)
 		}
 	}
 	switch {
@@ -141,12 +121,6 @@ func (p *Program) classify(sp *stratumPlan, rules []*crule) {
 		sp.exec = execSemiNaive
 	default:
 		sp.once = !p.reference && settlesInOneStep(rules, sp.heads)
-	}
-	if sp.maintWhy == nil {
-		sp.maint = maintCounting
-		if recursive {
-			sp.maint = maintDRed
-		}
 	}
 }
 

@@ -97,9 +97,9 @@ func (p *Program) Explain() string {
 			mode += ", row (" + sp.row.String() + ")"
 		}
 		fmt.Fprintf(&b, "stratum %d (%s):\n", i, mode)
-		maint := sp.maint.String()
+		maint := "DRed"
 		if sp.maintWhy != nil {
-			maint += " (" + sp.maintWhy.String() + ")"
+			maint = "none (" + sp.maintWhy.String() + ")"
 		}
 		fmt.Fprintf(&b, "  maintenance: %s\n", maint)
 		if sp.once {

@@ -142,7 +142,12 @@ func LoadState(src io.Reader) (*module.State, error) {
 	if v != version {
 		return nil, &ErrCorrupt{Offset: cr.n, Detail: fmt.Sprintf("unsupported snapshot version %d", v)}
 	}
+	// Every path that changes a schema validates it, so a saved one
+	// passes; validating here compiles its Definition 4 check once.
 	schema, err := r.schema()
+	if err == nil {
+		err = schema.Validate()
+	}
 	if err != nil {
 		return nil, cr.corrupt("schema", err)
 	}

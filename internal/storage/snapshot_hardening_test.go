@@ -6,6 +6,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"logres/internal/module"
+	"logres/internal/types"
 )
 
 // ---------------------------------------------------------------------------
@@ -116,6 +119,48 @@ func TestSnapshotBadMagicAndVersion(t *testing.T) {
 		if !errors.As(err, &ce) || !bytes.Contains([]byte(ce.Detail), []byte("unsupported snapshot version")) {
 			t.Fatalf("version %d: %v", mut[5], err)
 		}
+	}
+}
+
+// A snapshot whose schema no Validate would pass — here A isa B and
+// B isa A — is rejected as corrupt at its schema, though its checksum
+// holds.
+func TestSnapshotRejectsInvalidSchema(t *testing.T) {
+	s := types.NewSchema()
+	for _, name := range []string{"A", "B"} {
+		if err := s.AddClass(name, types.Tuple{Fields: []types.Field{{Label: "n", Type: types.Int}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"A", "B"}, {"B", "A"}} {
+		if err := s.AddIsa(e[0], "", e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := SaveState(&buf, module.NewState(s)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadState(&buf)
+	var ce *ErrCorrupt
+	if !errors.As(err, &ce) || ce.Detail != "schema" || !strings.Contains(err.Error(), "cycle") {
+		t.Fatalf("cyclic isa: %v", err)
+	}
+}
+
+// A loaded state's schema is validated, so it carries its compiled
+// Definition 4 check: every audit reads the one Validate compiled.
+func TestLoadedSchemaChecksCompiledOnce(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveState(&buf, buildState(t)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := st.S.Checks(), st.S.Checks(); a != b {
+		t.Fatal("two Checks calls on a loaded schema compiled two checks")
 	}
 }
 

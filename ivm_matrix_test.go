@@ -18,9 +18,10 @@ import (
 // RDDV deletions), render exactly the instance a from-scratch database
 // renders on the row oracle, and persist exactly the same Save bytes —
 // under the defaults and on the row oracle (engineLegs), each also from
-// scratch, over program classes covering counting, recursive closure
-// (DRed), stratified negation (suffix recomputation), and oid-inventing
-// fallback strata, one of them over a non-linear closure.
+// scratch, over program classes covering a non-recursive stratum with
+// facts of more than one derivation (counting, a name test names keep),
+// recursive closure, stratified negation (suffix recomputation), and
+// oid-inventing fallback strata, one of them over a non-linear closure.
 
 const ivmMatrixSchema = `
 classes

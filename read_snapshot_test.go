@@ -218,7 +218,7 @@ func TestReadsBesideAParkedWriter(t *testing.T) {
 	}
 }
 
-// epochSchema and epochRules give a counting stratum (out) and a
+// epochSchema and epochRules give a maintained stratum (out) and a
 // negation stratum (sink) that a maintainer recomputes on top of it.
 const epochSchema = `
 associations
@@ -314,8 +314,8 @@ func TestReadsSeeOnePublishedEpoch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(explain, "maintenance: counting") || !strings.Contains(explain, "maintenance: none") {
-					t.Fatalf("want a counting stratum and a recomputed one:\n%s", explain)
+				if !strings.Contains(explain, "maintenance: DRed") || !strings.Contains(explain, "maintenance: none") {
+					t.Fatalf("want a maintained stratum and a recomputed one:\n%s", explain)
 				}
 			}
 			var stop atomic.Bool

@@ -15,9 +15,9 @@ import (
 // Incremental view maintenance and live query subscriptions (DESIGN.md
 // §14). With WithIncremental the database keeps the derived instance
 // materialized across commits: after every commit the extensional delta
-// is propagated through the stratification (counting for non-recursive
-// strata, DRed delete/rederive for recursive ones) instead of rerunning
-// the fixpoint, and reads (Instance, Count, Query) serve from the
+// is propagated through the stratification (DRed delete/rederive, which
+// checks each fact that lost a derivation before it over-deletes)
+// instead of rerunning the fixpoint, and reads (Instance, Count, Query) serve from the
 // maintained set. Strata outside the eligible fragment — oid invention,
 // deletions, negation, data-function reads — are recomputed on top of
 // the maintained prefix; a program with no eligible stratum degenerates
