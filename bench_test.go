@@ -743,6 +743,9 @@ end.
 // non-recursive stratum instead (ivmCountRules), on 28 copies of the
 // graph (4,060 edges), so that the stratum is large beside the commit,
 // and uncount deletes that frontier edge again over the same stratum.
+// rebuild is no commit: it builds a maintainer over monitor_ivm's state
+// (NewMaintainer), the rebuild a rule change or a failed propagation
+// runs.
 func BenchmarkIVMChainCommit(b *testing.B) {
 	run := func(b *testing.B, db *Database, do, undo string) {
 		b.ReportAllocs()
@@ -778,4 +781,20 @@ func BenchmarkIVMChainCommit(b *testing.B) {
 	}
 	b.Run("count", func(b *testing.B) { run(b, countOpen(b), insert, remove) })
 	b.Run("uncount", func(b *testing.B) { run(b, countOpen(b, insert), remove, insert) })
+	b.Run("rebuild", func(b *testing.B) {
+		edges, _ := ivmChainEdges(false)
+		db := ivmChainOpen(b, edges)
+		st := db.snap.Load().st
+		prog, err := st.Program(maintOptions(db.opts))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.NewMaintainer(prog, st.E, st.Counter); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -836,36 +836,48 @@ func (p *Program) RunContext(ctx context.Context, f0 *FactSet, counter *int64) (
 
 // RunFrom is RunContext starting at stratum index from: the strata below
 // from are taken as already materialized inside f0, and only the strata
-// at index ≥ from are evaluated on top of it. The incremental maintainer
-// uses it to recompute the ineligible suffix of a stratification over an
+// at index ≥ from are evaluated on top of it. A maintainer's Next uses
+// it to recompute the ineligible suffix of a stratification over an
 // incrementally maintained prefix; RunFrom(ctx, 0, f0, counter) is
 // exactly RunContext. A from beyond the last stratum evaluates nothing
 // (the oid counter is still clamped to f0's maximum oid, as every run
 // does before its first stratum).
 func (p *Program) RunFrom(ctx context.Context, from int, f0 *FactSet, counter *int64) (*FactSet, error) {
+	_, f, err := p.runSplit(ctx, from, len(p.strata), f0, counter)
+	return f, err
+}
+
+// runSplit is RunFrom that also returns the set as it stood before
+// stratum split (from ≤ split): a clone of the run's copy, or the result
+// itself when split is past the last stratum. A maintainer rebuild
+// (NewMaintainer) is one such run, split at its suffix.
+func (p *Program) runSplit(ctx context.Context, from, split int, f0 *FactSet, counter *int64) (pre, f *FactSet, err error) {
 	p.stats = newStats()
 	p.stats.Strata = len(p.strata)
 	p.lastFirings = nil
 	p.guard = guard.New(ctx, p.opts.Budget, f0.TotalSize())
 	p.traceEvalBegin(f0)
 	start := p.traceNow()
-	f, err := p.runGuarded(from, f0, counter)
+	pre, f, err = p.runGuarded(from, split, f0, counter)
 	if err != nil {
 		p.stats.recordAbort(err)
 		p.traceAbort(err)
-		return f, err
+		return nil, nil, err
 	}
 	p.traceEvalEnd(f, start)
-	return f, nil
+	return pre, f, nil
 }
 
-func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, error) {
+// runGuarded evaluates the strata from on over one copy of f0 under
+// the guard runSplit armed, cloning that copy as it stands before
+// stratum split.
+func (p *Program) runGuarded(from, split int, f0 *FactSet, counter *int64) (pre, f *FactSet, err error) {
 	// An upfront check so a canceled context or exceeded deadline aborts
 	// even a run with no strata (a rule-free program never reaches a
 	// per-round check).
 	if g := p.guard; g.Active() {
 		if err := g.Check(0, f0.TotalSize, 0); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if m := int64(f0.MaxOID()); m > *counter {
@@ -882,12 +894,15 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	defer func() { p.isaBase = nil }()
 	// The run's one copy of f0: the semi-naive strata grow it in place,
 	// and f0 (often a frozen published set) is never written.
-	f := f0.Clone()
+	f = f0.Clone()
 	// The run's columnar state, made by its first columnar stratum and
 	// shared by the rest; the run's result keeps only what it handed over.
 	var run *vecRun
 	strata, _ := p.plan()
 	for i := from; i < len(strata); i++ {
+		if i == split {
+			pre = f.Clone() // the strata below split, handed over in full
+		}
 		sp := &strata[i]
 		id := i
 		if sp.exec == execNonInflationary {
@@ -914,9 +929,12 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 			f, err = p.fixpoint(sp.rules, f, nil, counter, sp.once)
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		p.traceStratumEnd(id, f)
+	}
+	if split >= len(strata) {
+		pre = f
 	}
 	// A run over every stratum leaves a result closed under the isa
 	// steps: each holding stratum is an inflationary fixpoint, whose last
@@ -928,7 +946,7 @@ func (p *Program) runGuarded(from int, f0 *FactSet, counter *int64) (*FactSet, e
 	if from == 0 && !noninf {
 		f.closed = p.schema
 	}
-	return f, nil
+	return pre, f, nil
 }
 
 // CheckDenials evaluates the passive constraints (rules with empty heads,

@@ -22,12 +22,13 @@ import (
 // Only a prefix of the stratification is maintained incrementally: the
 // program's stratum plan (plan.go) marks each stratum maintained or not
 // with a reason, and the first stratum outside the maintained fragment
-// starts the *suffix*, which is always recomputed from scratch via
-// Program.RunFrom on top of the maintained prefix. A program with no
-// maintained stratum degenerates to caching the last full evaluation,
-// which is still enough to serve reads and subscriptions without
-// re-deriving per query. Propagation joins through deltaPass, the
-// semi-naive row loop's delta pass.
+// starts the *suffix*. A rebuild (NewMaintainer) is one ordinary run of
+// the program, its view taken before the suffix; each Next recomputes
+// the suffix from scratch via Program.RunFrom on top of the maintained
+// prefix. A program with no maintained stratum degenerates to caching
+// the last full evaluation, which is still enough to serve reads and
+// subscriptions without re-deriving per query. Propagation joins
+// through deltaPass, the semi-naive row loop's delta pass.
 //
 // A Maintainer is a value: Next returns the successor for one commit and
 // leaves its receiver intact, on error too, so a maintainer serves its
@@ -86,10 +87,12 @@ func (d *ViewDelta) Preds() map[string]bool {
 
 // NewMaintainer builds the incremental maintenance state for prog over
 // the extensional set e (which must be the committed, frozen base) and
-// the committed oid counter, by recomputation. The program must be
-// dedicated to the maintainer and its successors — Next runs it — so
-// callers pass a fork of their own (Program.Fork), never one that runs
-// elsewhere concurrently.
+// the committed oid counter by one ordinary run of prog: the strata,
+// executors, budget and oid clamp a read runs. The view is the run's set
+// as it stood before the suffix, the full set its result. The program
+// must be dedicated to the maintainer and its successors — Next runs
+// it — so callers pass a fork of their own (Program.Fork), never one
+// that runs elsewhere concurrently.
 func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error) {
 	m := &Maintainer{prog: prog, owner: map[string]int{}, baseE: e}
 	strata, prefix := prog.plan()
@@ -99,15 +102,12 @@ func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error
 			m.owner[pred] = i
 		}
 	}
-	m.view = e.Clone()
-	for i := range strata[:prefix] {
-		if err := m.initStratum(&strata[i], m.view); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.recomputeSuffix(counter); err != nil {
+	view, full, err := prog.runSplit(prog.opts.Ctx, 0, prefix, e, &counter)
+	if err != nil {
 		return nil, err
 	}
+	m.view, m.full = view, full
+	m.full.Freeze()
 	return m, nil
 }
 
@@ -131,46 +131,6 @@ func (m *Maintainer) Full() *FactSet { return m.full }
 // set (its passive constraints) and for answering goals over a Full()
 // set.
 func (m *Maintainer) Program() *Program { return m.prog }
-
-// initStratum materializes one eligible stratum into view. The derived
-// set is identical to what the engine's own evaluation produces for the
-// stratum: the eligible fragment is monotone, so the inflationary
-// fixpoint is the classical least fixpoint.
-func (m *Maintainer) initStratum(plan *stratumPlan, view *FactSet) error {
-	c := &evalCtx{p: m.prog, f: view, counter: new(int64)}
-	// One full pass per rule, then semi-naive rounds to the least
-	// fixpoint; on a non-recursive stratum, whose heads feed none of its
-	// bodies, the first round derives nothing.
-	delta := NewFactSet()
-	for _, r := range plan.rules {
-		err := c.matchBody(r.body, 0, newEnv(), func(e *env) error {
-			fact, err := c.buildAssocFact(r.head, e)
-			if err != nil {
-				return err
-			}
-			if view.Add(fact) {
-				delta.Add(fact)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("%w (in rule %s)", err, r)
-		}
-	}
-	for delta.TotalSize() > 0 {
-		next := NewFactSet()
-		if err := deltaRound(c, plan, delta, view, view, func(fact Fact) error {
-			if view.Add(fact) {
-				next.Add(fact)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		delta = next
-	}
-	return nil
-}
 
 // deltaRound is deltaPass over a maintained stratum, handing each
 // derived head fact to emit.
@@ -387,7 +347,9 @@ func (m *Maintainer) updateDRed(plan *stratumPlan, pAdds, pRems []Fact, oldView,
 			return err
 		}
 	}
-	if err := closeWithin(c, plan, frontier, overdel, oldView, oldView); err != nil {
+	if err := frontierRounds(c, plan, frontier, oldView, func(f Fact) bool {
+		return oldView.Has(f) && overdel.Add(f)
+	}); err != nil {
 		return err
 	}
 	// The check reads the new view as if the overestimate were gone. When
@@ -412,7 +374,9 @@ func (m *Maintainer) updateDRed(plan *stratumPlan, pAdds, pRems []Fact, oldView,
 		}
 		c.exclude = nil
 		if lost.TotalSize() < len(first) {
-			if err := closeWithin(c, plan, frontier, lost, overdel, oldView); err != nil {
+			if err := frontierRounds(c, plan, frontier, oldView, func(f Fact) bool {
+				return overdel.Has(f) && lost.Add(f)
+			}); err != nil {
 				return err
 			}
 			overdel = lost
@@ -468,30 +432,18 @@ func (m *Maintainer) updateDRed(plan *stratumPlan, pAdds, pRems []Fact, oldView,
 			frontier.Add(f)
 		}
 	}
-	for frontier.TotalSize() > 0 {
-		next := NewFactSet()
-		if err := deltaRound(c, plan, frontier, newView, newView, func(fact Fact) error {
-			if restore(fact) {
-				next.Add(fact)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		frontier = next
-	}
-	return nil
+	return frontierRounds(c, plan, frontier, newView, restore)
 }
 
-// closeWithin adds to set, round by round from frontier, every fact of
-// within that heads an old-view rule instance reading a fact the
-// previous round added.
-func closeWithin(c *evalCtx, plan *stratumPlan, frontier, set, within, oldView *FactSet) error {
+// frontierRounds runs deltaRound over view round by round from frontier,
+// each round's frontier the facts of the last that keep accepts, until
+// it accepts none.
+func frontierRounds(c *evalCtx, plan *stratumPlan, frontier, view *FactSet, keep func(Fact) bool) error {
 	for frontier.TotalSize() > 0 {
 		next := NewFactSet()
-		if err := deltaRound(c, plan, frontier, oldView, oldView, func(fact Fact) error {
-			if within.Has(fact) && set.Add(fact) {
-				next.Add(fact)
+		if err := deltaRound(c, plan, frontier, view, view, func(f Fact) error {
+			if keep(f) {
+				next.Add(f)
 			}
 			return nil
 		}); err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -182,40 +183,43 @@ func TestMaintainerDifferential(t *testing.T) {
 	for _, tc := range ivmPrograms {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			maintProg, err := tryBuild(ivmSchema, tc.rules, DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
 			scratchProg, err := tryBuild(ivmSchema, tc.rules, rowOracle())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for seed := int64(0); seed < 6; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				n := 6
-				base := randomEdgeFacts(n, 10, seed)
-				for i := 0; i < n; i++ {
-					base.Add(ivmNode(i))
-				}
-				e0 := base.Clone()
-				e0.Freeze()
-				m, err := NewMaintainer(maintProg, e0, 0)
+			for _, opts := range []Options{DefaultOptions(), rowOracle()} {
+				maintProg, err := tryBuild(ivmSchema, tc.rules, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if prefix, total := m.EligibleStrata(); prefix != tc.wantPrefix || total != tc.wantTotal {
-					t.Fatalf("eligible strata = %d/%d, want %d/%d", prefix, total, tc.wantPrefix, tc.wantTotal)
-				}
-				for commit := 0; commit < 12; commit++ {
-					adds, removes := randomCommit(r, base, n)
-					newE := base.Clone()
-					newE.Freeze()
-					next, vd, err := m.Next(adds, removes, newE, 0)
-					if err != nil {
-						t.Fatalf("seed %d commit %d: %v", seed, commit, err)
+				for seed := int64(0); seed < 6; seed++ {
+					r := rand.New(rand.NewSource(seed))
+					n := 6
+					base := randomEdgeFacts(n, 10, seed)
+					for i := 0; i < n; i++ {
+						base.Add(ivmNode(i))
 					}
-					checkMaintained(t, fmt.Sprintf("seed %d commit %d", seed, commit), scratchProg, base, m, next, vd)
-					m = next
+					e0 := base.Clone()
+					e0.Freeze()
+					m, err := NewMaintainer(maintProg, e0, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if prefix, total := m.EligibleStrata(); prefix != tc.wantPrefix || total != tc.wantTotal {
+						t.Fatalf("eligible strata = %d/%d, want %d/%d", prefix, total, tc.wantPrefix, tc.wantTotal)
+					}
+					checkRebuilt(t, fmt.Sprintf("vectorize %v seed %d", opts.Vectorize, seed), scratchProg, e0, m)
+					for commit := 0; commit < 12; commit++ {
+						adds, removes := randomCommit(r, base, n)
+						newE := base.Clone()
+						newE.Freeze()
+						next, vd, err := m.Next(adds, removes, newE, 0)
+						if err != nil {
+							t.Fatalf("vectorize %v seed %d commit %d: %v", opts.Vectorize, seed, commit, err)
+						}
+						checkMaintained(t, fmt.Sprintf("vectorize %v seed %d commit %d", opts.Vectorize, seed, commit), scratchProg, base, m, next, vd)
+						m = next
+					}
 				}
 			}
 		})
@@ -250,6 +254,39 @@ func checkMaintained(t *testing.T, at string, scratchProg *Program, base *FactSe
 	}
 	if !replay.Equal(next.Full()) {
 		t.Fatalf("%s: ViewDelta does not reproduce the new full set", at)
+	}
+}
+
+// checkRebuilt fails the test unless m, just built over e0, holds as
+// its full set what a read of its own program derives over e0, and as
+// its view e0 plus what the row oracle scratchProg derives for the heads
+// of the maintained strata, which only those strata's rules write.
+func checkRebuilt(t *testing.T, at string, scratchProg *Program, e0 *FactSet, m *Maintainer) {
+	t.Helper()
+	var c int64
+	read, err := m.Program().Run(e0, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Full().Equal(read) {
+		t.Fatalf("%s: rebuilt full set differs from the read's evaluation", at)
+	}
+	c = 0
+	scratch, err := scratchProg.Run(e0, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := e0.Clone()
+	for _, sp := range m.maintained() {
+		for _, pred := range sp.heads {
+			scratch.Each(pred, func(f Fact) bool {
+				view.Add(f)
+				return true
+			})
+		}
+	}
+	if !m.view.Clone().Equal(view) {
+		t.Fatalf("%s: rebuilt view differs from E plus the maintained strata's derivations", at)
 	}
 }
 
@@ -341,6 +378,7 @@ func FuzzMaintainerDelete(f *testing.F) {
 				if m, err = NewMaintainer(prog, newE, 0); err != nil {
 					t.Fatal(err)
 				}
+				checkRebuilt(t, "the first commit", scratchProg, newE, m)
 				continue
 			}
 			adds, removes := netDelta(m.baseE, base)
@@ -585,6 +623,34 @@ s(n: Y) <- s(n: X), p(n: Y), Y = X + 1.
 	}
 }
 
+// TestRebuildHonoursBudget pins that a maintainer rebuild runs under
+// its program's budget, the maintained strata included: it aborts on
+// the axis and limit a read of the same program aborts on.
+func TestRebuildHonoursBudget(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Budget = Budget{MaxFacts: 6}
+	prog, err := tryBuild(ivmSchema, ivmPrograms[1].rules, opts) // closure
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewFactSet()
+	for i := 0; i < 6; i++ {
+		e.Add(ivmEdge(i, i+1))
+	}
+	e.Freeze()
+	var c int64
+	_, readErr := prog.Run(e, &c)
+	var want *BudgetError
+	if !errors.As(readErr, &want) || want.Axis != AxisFacts {
+		t.Fatalf("read: err = %v, want a facts budget abort", readErr)
+	}
+	m, err := NewMaintainer(prog, e, 0)
+	var got *BudgetError
+	if !errors.As(err, &got) || got.Axis != want.Axis || got.Limit != want.Limit {
+		t.Fatalf("rebuild: maintainer %v, err = %v, want %v", m != nil, err, readErr)
+	}
+}
+
 // maintState is what a maintainer holds, read out: the fact keys of its
 // full set and view.
 type maintState struct {
@@ -594,7 +660,9 @@ type maintState struct {
 func readMaintState(m *Maintainer) maintState {
 	keys := func(f *FactSet) []string {
 		var out []string
-		for _, fact := range f.AppendAll(nil) {
+		// A clone decodes its own code-space rows, leaving the
+		// receiver's for its Next to read.
+		for _, fact := range f.Clone().AppendAll(nil) {
 			out = append(out, fact.Key())
 		}
 		return out
@@ -637,6 +705,12 @@ func TestMaintainerNextLeavesReceiver(t *testing.T) {
 			m, err := NewMaintainer(prog, e0, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The rebuilt view shares the columnar tc rows of the run
+			// that built it, so the first Next decodes rows the frozen
+			// full set was decoded from beside the goals below.
+			if tc.name == "mixed-fallback" && len(m.view.coded) == 0 {
+				t.Fatal("the rebuilt view holds no code-space rows")
 			}
 			for commit := 0; commit < 8; commit++ {
 				adds, removes := randomCommit(r, base, n)

@@ -253,7 +253,8 @@ func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 
 // maintOptions is the engine configuration of the maintainer's private
 // program: the database's evaluation settings (vectorize, budget) with
-// observability and cancellation stripped. Maintenance is staged inside
+// observability and cancellation stripped. A rebuild is one run of that
+// program, all of it under the budget. Maintenance is staged inside
 // the commit but never rejects it: a budget abort of a propagation
 // falls back to a rebuild, and if that aborts too the state is published
 // without a maintainer until a later commit rebuilds one. Its internal
