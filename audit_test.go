@@ -3,6 +3,7 @@ package logres
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"logres/internal/ast"
@@ -202,4 +203,118 @@ end.
 			}
 		}
 	}
+}
+
+// The audit of a rule-bearing RIDI against the full audit it narrows: a
+// module that declares nothing and runs under the database's semantics,
+// whose rules no persistent rule sees, audits only what its rules add.
+// Every module here, accepted or rejected, on scratch and incremental
+// databases, must decide as the full audit of its work state — R ∪ R_M
+// over E, under S ∪ S_M and the module's semantics — decides, with the
+// same error text.
+func TestRIDIAddedAuditMatchesFullAudit(t *testing.T) {
+	snap := auditPreloaded(t)
+	danglingEnrol, err := parser.ParseModule(`
+rules
+  enrolled(student: S, section: X) <- section(self: X).
+end.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	danglingEnrol.Rules[0].Head.Args[0].Term = ast.Const{Val: value.Ref(999)}
+
+	cases := []struct {
+		name   string
+		src    string      // a RIDI module's body after its mode
+		mod    *ast.Module // when src cannot spell the module
+		accept bool
+		audit  string // what an accepted module reports
+	}{
+		// registrar_http's transcript report: rules over the classes whose
+		// heads no persistent rule or denial reads, and a goal.
+		{name: "report shape", accept: true, audit: module.AuditDelta, src: `rules
+  intake(name: N) <- student(self: S, name: N), mark(student: S, grade: G), G >= 18.
+  enrolled(student: S, section: X) <- student(self: S, name: "bob"), section(self: X, code: "lp201").
+goal
+  ?- enrolled(student: S, section: X).`},
+		{name: "dangling oid constant", mod: danglingEnrol},
+		{name: "denial reads the head", src: `rules
+  member("zed", taught(C)) <- offering(code: C).`},
+		// A denial R_M brings is checked whatever it reads: no commit
+		// checked it.
+		{name: "own denial, violated", src: `rules
+  <- intake(name: "ann").`},
+		{name: "own denial, satisfied", accept: true, audit: module.AuditDelta, src: `rules
+  <- intake(name: "zed").`},
+		{name: "rule reads the head", accept: true, audit: "full: rule reads or heads offering", src: `rules
+  offering(code: "cs300", capacity: 5).`},
+		// Only the catalog fact R derives from the head violates a denial.
+		{name: "rule reads the head, derived violation", src: `rules
+  offering(code: "void", capacity: 0).`},
+		{name: "class head", accept: true, audit: "full: class fact in delta", src: `rules
+  student(self: S, name: "cho", year: 2) <- intake(name: "ann").`},
+		{name: "noninflationary", accept: true, audit: "full: module semantics", src: `semantics noninflationary.
+rules
+  intake(name: N) <- student(self: S, name: N).`},
+		{name: "type equation", accept: true, audit: "full: rule or schema change", src: `associations
+  NOTE = (text: string);
+rules
+  note(text: "x").`},
+	}
+	for _, c := range cases {
+		m := c.mod
+		if m == nil {
+			if m, err = parser.ParseModule("mode ridi.\n" + c.src + "\nend.\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, inc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/incremental=%v", c.name, inc), func(t *testing.T) {
+				db, err := Load(bytes.NewReader(snap), WithIncremental(inc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ridiWorkAudit(db, m)
+				if (want == nil) != c.accept {
+					t.Fatalf("the full audit says %v; the case expects accept=%v", want, c.accept)
+				}
+
+				var p Profile
+				_, err = db.Apply(m, RIDI, WithCallProfile(&p))
+				if want != nil {
+					if err == nil || err.Error() != want.Error() {
+						t.Fatalf("got %v\nwant %v", err, want)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("the full audit accepts the module, its audit rejects it: %v", err)
+				}
+				if p.Audit != c.audit {
+					t.Fatalf("audit = %q, want %q", p.Audit, c.audit)
+				}
+			})
+		}
+	}
+}
+
+// ridiWorkAudit is the full audit of a RIDI module's work state on db's
+// published state: R ∪ R_M over E, under S ∪ S_M and the module's
+// semantics, or the error that builds no such schema.
+func ridiWorkAudit(db *Database, m *ast.Module) error {
+	st := db.snap.Load().st
+	work := &module.State{E: st.E, R: append(slices.Clone(st.R), m.Rules...), S: st.S, Counter: st.Counter}
+	if m.Schema != nil {
+		var err error
+		if work.S, err = st.S.Union(m.Schema); err != nil {
+			return err
+		}
+		if err := work.S.Validate(); err != nil {
+			return err
+		}
+	}
+	opts := db.opts
+	opts.NonInflationary = opts.NonInflationary || m.NonInflationary
+	return work.Audit(opts)
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"logres/internal/parser"
 )
 
 // End-to-end robustness: random mutations of valid schema+module sources
@@ -649,6 +651,57 @@ rules
   p(self: S, name: "old") <- q(n: 1).
 end.
 `)
+	// Rule-bearing RIDI modules over a class-bearing state under a
+	// denial: one accepted, which audits only what its rules add; one
+	// whose head tuples reference a PERSON that is no STUDENT; one whose
+	// head the denial reads. Each is held to the full audit of its work
+	// state (ridiMatchesFullAudit).
+	for _, ridi := range []string{`
+mode ridi.
+rules
+  enrolled(student: S, course: C) <- student(self: S), course(self: C).
+goal
+  ?- enrolled(student: S).
+end.
+`, `
+mode ridi.
+rules
+  enrolled(student: S, course: C) <- person(self: S), course(self: C).
+end.
+`, `
+mode ridi.
+rules
+  mark(student: S, code: "db", grade: 30) <- student(self: S, name: "a").
+end.
+`} {
+		f.Add(`
+domains NAME = string;
+classes
+  PERSON = (name: NAME);
+  STUDENT = (PERSON, year: integer);
+  STUDENT isa PERSON;
+  COURSE = (code: NAME);
+associations
+  INTAKE = (name: NAME);
+  ENROLLED = (student: STUDENT, course: COURSE);
+  MARK = (student: STUDENT, code: NAME, grade: integer);
+`, `
+mode ridv.
+rules
+  intake(name: "a").
+  intake(name: "b").
+  student(self: S, name: N, year: 1) <- intake(name: N).
+  course(self: C, code: "db") <- intake(name: "a").
+  person(self: P, name: "p") <- intake(name: "a").
+  mark(student: S, code: "db", grade: 28) <- student(self: S, name: "a").
+end.
+---
+mode radi.
+rules
+  <- mark(student: S, code: C, grade: G1), mark(student: S, code: C, grade: G2), G1 != G2.
+end.
+---`+ridi)
+	}
 	f.Fuzz(func(t *testing.T, schemaSrc, modSrc string) {
 		// db is the row oracle; dbv and dbi run the defaults (columnar
 		// kernels where a stratum compiles to them), dbi incrementally,
@@ -694,6 +747,9 @@ end.
 			var errFull, errPlan error
 			withIsaFullPass(func() { _, errFull = dbf.Exec(modSrc) })
 			withPlanReference(func() { _, errPlan = dbp.Exec(modSrc) })
+			ridiMatchesFullAudit(t, "row oracle", db, modSrc)
+			ridiMatchesFullAudit(t, "defaults", dbv, modSrc)
+			ridiMatchesFullAudit(t, "incremental", dbi, modSrc)
 			if errRow != nil {
 				// A failed application (parse error, rejection, or budget
 				// abort) must leave the database bit-identical.
@@ -814,6 +870,30 @@ func fullAudit(t *testing.T, leg string, db *Database) {
 		t.Fatalf("%s: an accepted commit fails the full audit: %v", leg, err)
 	}
 	auditMatchesPublished(t, leg, db)
+}
+
+// ridiMatchesFullAudit fails the test unless a rule-bearing RIDI module,
+// applied without its goal to db's published state, decides as the full
+// audit of its work state decides — R ∪ R_M over E, under S ∪ S_M and
+// the module's semantics — with the same error text. Any other source is
+// skipped, and so is a pair the wall-clock budget axis ended.
+func ridiMatchesFullAudit(t *testing.T, leg string, db *Database, src string) {
+	t.Helper()
+	m, err := parser.ParseModule(src)
+	if err != nil || m.Mode != RIDI || len(m.Rules) == 0 {
+		return
+	}
+	bare := *m
+	bare.Goal = nil
+	_, got := db.Apply(&bare, RIDI)
+	want := ridiWorkAudit(db, m)
+	var be *BudgetError
+	if errors.As(got, &be) && be.Axis == AxisDeadline || errors.As(want, &be) && be.Axis == AxisDeadline {
+		return
+	}
+	if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+		t.Fatalf("%s: a RIDI module's audit says %v, the full audit of its work state %v", leg, got, want)
+	}
 }
 
 // sb2 adapts strings.Builder to io.Writer without importing io in tests.

@@ -122,7 +122,13 @@ type compiled struct {
 	// Footprint).
 	fpOnce sync.Once
 	fp     RuleFootprint
+	// addedFrom and addedTo bound the ids of the rules and denials Extend
+	// compiled over its base; the range is empty in any other program.
+	addedFrom, addedTo int
 }
+
+// added reports whether Extend compiled r over the program's base.
+func (p *compiled) added(r *crule) bool { return r.id >= p.addedFrom && r.id < p.addedTo }
 
 // Schema returns the schema the program was compiled against.
 func (p *Program) Schema() *types.Schema { return p.schema }
@@ -185,7 +191,9 @@ func (p *Program) CompileOver(rules []*ast.Rule, opts Options) (*Program, error)
 // Extend is Compile(p.Schema(), R ∪ rules, opts), where R is the rule set
 // p was compiled from: p's compiled rules, denials and isa steps are
 // taken as they are, so only rules are compiled. Rule ids are numbered as
-// Compile numbers them.
+// Compile numbers them. The program remembers which rules it added: its
+// footprint names their writes (RuleFootprint.Added), and its delta
+// audit checks their denials (CheckDenialsReading).
 func (p *Program) Extend(rules []*ast.Rule, opts Options) (*Program, error) {
 	var own []*crule
 	for _, r := range p.rules {
@@ -228,6 +236,7 @@ func compileWith(schema *types.Schema, classes []string, base *compiled, rules [
 		p.rules = append(p.rules, base.rules...)
 		p.denials = append(p.denials, base.denials...)
 		first = len(p.rules) + len(p.denials)
+		p.addedFrom, p.addedTo = first, first+len(rules)
 	}
 	for i, r := range rules {
 		cr, err := compileRule(schema, r, first+i)

@@ -957,12 +957,14 @@ func (p *Program) CheckDenials(f *FactSet) error {
 
 // CheckDenialsReading is CheckDenials restricted to the denials an update
 // of the changed predicates can newly violate: those whose body reads one
-// of them (see readsAny) or enumerates the active domain. Every other
-// denial holds on f whenever it held before the update.
+// of them (see readsAny) or enumerates the active domain, and, in a
+// program Extend built, the denials it added, which no state was checked
+// against. Every other denial holds on f whenever it held before the
+// update.
 func (p *Program) CheckDenialsReading(f *FactSet, changed map[string]bool) error {
 	var ds []*crule
 	for _, d := range p.denials {
-		if enumeratesActiveDomain(d) || readsAny(d, changed) != "" {
+		if p.added(d) || enumeratesActiveDomain(d) || readsAny(d, changed) != "" {
 			ds = append(ds, d)
 		}
 	}

@@ -27,6 +27,10 @@ type RuleFootprint struct {
 	// Deletes is the subset of Writes produced by negated (deleting)
 	// heads.
 	Deletes []string
+	// Added, for a program Extend built, is what Writes is for the rules
+	// Extend compiled alone: their heads, closed under chaining through
+	// them and the isa steps. Nil for any other program.
+	Added []string
 	// Inventive reports whether any rule invents oids (the evaluation
 	// advances the oid counter).
 	Inventive bool
@@ -96,13 +100,40 @@ func (p *compiled) footprint() RuleFootprint {
 		scanBody(r)
 	}
 
-	// Chaining closure over all rules (generated included): a rule whose
-	// body — predicate literals or function-application reads — touches
-	// a written predicate may derive from this evaluation's own writes,
-	// so its head is written too.
+	// Chaining closure over all rules, generated included.
+	closeWrites(p.rules, writes, deletes)
+	fp.Reads = sortedKeys(reads)
+	fp.Writes = sortedKeys(writes)
+	fp.Deletes = sortedKeys(deletes)
+
+	if p.addedFrom < p.addedTo {
+		// A rule of the base that reads an added write sees it: the
+		// caller asks the base (DeltaBlocker), so the closure leaves its
+		// rules out.
+		added := map[string]bool{}
+		var chain []*crule
+		for _, r := range p.rules {
+			if p.added(r) {
+				added[headStore(r.head)] = true
+			}
+			if p.added(r) || r.isa != nil {
+				chain = append(chain, r)
+			}
+		}
+		closeWrites(chain, added, map[string]bool{})
+		fp.Added = sortedKeys(added)
+	}
+	return fp
+}
+
+// closeWrites closes writes, and deletes beside it, under chaining over
+// rules: a rule whose body — predicate literals or function-application
+// reads — touches a written predicate may derive from this evaluation's
+// own writes, so its head is written too.
+func closeWrites(rules []*crule, writes, deletes map[string]bool) {
 	for changed := true; changed; {
 		changed = false
-		for _, r := range p.rules {
+		for _, r := range rules {
 			h := headStore(r.head)
 			if writes[h] && (!r.head.negated || deletes[h]) {
 				continue
@@ -134,11 +165,6 @@ func (p *compiled) footprint() RuleFootprint {
 			}
 		}
 	}
-
-	fp.Reads = sortedKeys(reads)
-	fp.Writes = sortedKeys(writes)
-	fp.Deletes = sortedKeys(deletes)
-	return fp
 }
 
 // DeltaBlocker reports why the derived instance of an update that changes

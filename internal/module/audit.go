@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"logres/internal/engine"
 	"logres/internal/instance"
@@ -17,7 +18,7 @@ import (
 const AuditDelta = "delta"
 
 // auditRulesSchema is the audit of an application whose program no commit
-// audited: rules or schema changed, or a RIDI module brought its own.
+// audited: rules or schema changed, or a RIDI module declared types.
 const auditRulesSchema = "full: rule or schema change"
 
 // auditFull checks the whole instance f that prog derived over s:
@@ -75,6 +76,42 @@ func (d derivedFacts) EachTuple(assoc string, fn func(value.Tuple) bool) {
 	d.f.Each(assoc, func(f engine.Fact) bool { return fn(f.Tuple) })
 }
 
+// auditDelta audits f, which prog derived after an update that changed
+// the predicates changed and added the association tuples adds, given
+// that the instance before it — derived by base — passed the audit: with
+// AuditInstanceDelta, unless a rule of base sees the change
+// (DeltaBlocker) and no class changed; then the full audit runs, named by
+// what DeltaBlocker found.
+func auditDelta(s *types.Schema, base, prog *engine.Program, f *engine.FactSet, adds []engine.Fact, changed map[string]bool) (string, error) {
+	if why := base.DeltaBlocker(changed); why != "" && !classFactIn(s, changed) {
+		return auditFullBecause(why, s, prog, f)
+	}
+	return AuditInstanceDelta(s, prog, f, adds, changed)
+}
+
+// auditRIDI audits f = (R ∪ R_M)(E), which prog — persistent, st's
+// compiled R, extended by a RIDI's rules R_M — derived, through
+// auditDelta: the change is what R_M writes (RuleFootprint.Added), and
+// the added tuples those of its associations that f holds beyond E,
+// each predicate's in key order. E's own facts passed the audit when st
+// entered the database.
+func auditRIDI(st *State, persistent, prog *engine.Program, f *engine.FactSet) (string, error) {
+	written := prog.Footprint().Added
+	changed := make(map[string]bool, len(written))
+	var adds []engine.Fact
+	for _, p := range written {
+		// The write analysis names a data function by its store; rules
+		// and the audit match it by name.
+		p, _ = strings.CutPrefix(p, engine.FunctionStore(""))
+		changed[p] = true
+		if st.S.IsAssociation(p) {
+			a, _ := f.DiffPred(st.E, p)
+			adds = append(adds, a...)
+		}
+	}
+	return auditDelta(st.S, persistent, prog, f, adds, changed)
+}
+
 // classFactIn reports whether changed names a class. A class fact in the
 // delta, added or removed, can break isa containment, disjointness,
 // o-value typing or any reference to the object, which only the full
@@ -92,15 +129,18 @@ func classFactIn(s *types.Schema, changed map[string]bool) bool {
 // that changed only E, given the instance delta from a parent instance
 // that passed the full audit: adds = R(E′) − R(E), each predicate's facts
 // in key order, and changed, the predicates of adds and of the removes
-// R(E) − R(E′). It accepts and rejects exactly what the full audit of f
-// does, with the same error text, and returns the audit it ran:
+// R(E) − R(E′). A RIDI's rules R_M audit (R ∪ R_M)(E) through it too,
+// with changed the predicates R_M writes (auditRIDI). It accepts and
+// rejects exactly what the full audit of f does, with the same error
+// text, and returns the audit it ran:
 //
 //   - a class fact in the delta: the full audit runs over f;
 //   - otherwise only the added association tuples can violate Definition 4
 //     (class membership did not move, and nothing references a tuple), so
 //     each is checked by clause (ρ)'s per-tuple rule against f's classes;
 //   - only the denials that read a changed predicate or the active domain
-//     are evaluated over f.
+//     are evaluated over f, and those Extend compiled into prog, which no
+//     state was checked against.
 func AuditInstanceDelta(s *types.Schema, prog *engine.Program, f *engine.FactSet, adds []engine.Fact, changed map[string]bool) (string, error) {
 	if classFactIn(s, changed) {
 		return auditFullBecause("class fact in delta", s, prog, f)

@@ -319,8 +319,9 @@ type Result struct {
 //
 // Apply trusts that st itself passed the audit — every state a database
 // publishes did, when it entered (commit, Load, recovery). A goal-only
-// RIDI therefore audits nothing, and a data-variant application that
-// changes neither rules nor schema audits only what its extensional
+// RIDI therefore audits nothing, a RIDI with rules audits, where it can,
+// only what its rules add (see applyRIDI), and a data-variant application
+// that changes neither rules nor schema audits only what its extensional
 // delta can have broken (see AuditInstanceDelta); against a state built
 // past the audit, such an application can be accepted although the full
 // audit of its result would fail on the inherited violation.
@@ -358,7 +359,7 @@ func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferVa
 	}
 	switch mode {
 	case ast.RIDI:
-		return applyRIDI(st, m, moduleOptions(m, opts))
+		return applyRIDI(st, m, opts)
 	case ast.RADI:
 		return applyRuleChange(st, m, opts, true)
 	case ast.RDDI:
@@ -418,22 +419,30 @@ func ApplyDeclared(st *State, m *ast.Module, opts engine.Options) (*Result, erro
 // applyRIDI — Rule Invariant, Data Invariant: an ordinary query. S_M and
 // R_M are added temporarily, the goal is evaluated over R0 ∪ RM against
 // E0, and the state does not change.
+//
+// A state is audited once, when it enters the database, so R0(E0) is
+// consistent and a goal-only module audits nothing. A module with rules
+// derives (R0 ∪ RM)(E0), which no commit audited; when the module
+// declares nothing and runs under the database's semantics, and no rule
+// of R0 reads or heads what RM writes (its heads, closed under chaining),
+// invents oids or reads the active domain, R0's part of it is R0(E0), and
+// AuditInstanceDelta audits only RM's writes: the association tuples RM
+// added, the denials reading what it writes and the denials it brings.
+// Every other module takes the full audit.
 func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 	res := &Result{State: st}
+	mopts := moduleOptions(m, opts)
 	if declaresNothing(m.Schema) && len(m.Rules) == 0 {
 		// A module that brings only a goal — every Database.Query — reads
-		// the state as it is. A state is audited once, when it enters the
-		// database (commit, Load, recovery), so its R(E) is consistent:
-		// compile, run and answer, nothing else.
-		f, prog, err := st.run(opts)
+		// the state as it is: compile, run and answer, nothing else.
+		f, prog, err := st.run(mopts)
 		if err != nil {
 			return nil, err
 		}
 		res.prog = prog
 		return res, res.answer(prog, f, m.Goal)
 	}
-	// R0 ∪ RM over S0 ∪ SM is a program no commit ever audited. The work
-	// state only reads E and the library, so it shares them.
+	// The work state only reads E and the library, so it shares them.
 	s1, err := evolveSchema(st.S, m, ast.RIDI)
 	if err != nil {
 		return nil, err
@@ -442,23 +451,35 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 		return nil, err
 	}
 	work := &State{E: st.E, R: append(append([]*ast.Rule{}, st.R...), m.Rules...), S: s1, Counter: st.Counter, Lib: st.Lib}
+	var persistent *engine.Program
 	if s1 == st.S {
 		// The module declares nothing: R0 comes compiled from st's
 		// program, and only RM compiles. An R0 that does not compile
 		// fails below, where the work state derives.
-		if persistent, err := st.compiled(opts); err == nil {
-			prog, err := persistent.Extend(m.Rules, opts)
+		if persistent, err = st.compiled(mopts); err == nil {
+			prog, err := persistent.Extend(m.Rules, mopts)
 			if err != nil {
 				return nil, err
 			}
-			work.seed(opts, prog)
+			work.seed(mopts, prog)
 		}
 	}
-	f, prog, err := work.derive(opts)
+	f, prog, err := work.run(mopts)
 	if err != nil {
 		return nil, err
 	}
-	res.Audit, res.prog = auditRulesSchema, prog
+	switch {
+	case persistent == nil:
+		res.Audit, err = auditRulesSchema, auditFull(s1, prog, f)
+	case mopts.NonInflationary != opts.NonInflationary:
+		res.Audit, err = auditFullBecause("module semantics", s1, prog, f)
+	default:
+		res.Audit, err = auditRIDI(st, persistent, prog, f)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.prog = prog
 	return res, res.answer(prog, f, m.Goal)
 }
 
@@ -566,11 +587,7 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		// A persistent rule that sees the write can make the instance delta
 		// differ from the extensional one. A class fact in the delta takes
 		// AuditInstanceDelta's full audit, under that reason.
-		if why := pprog.DeltaBlocker(d.changed); why != "" && !classFactIn(next.S, d.changed) {
-			res.Audit, err = auditFullBecause(why, next.S, pprog, f)
-		} else {
-			res.Audit, err = AuditInstanceDelta(next.S, pprog, f, d.adds, d.changed)
-		}
+		res.Audit, err = auditDelta(next.S, pprog, pprog, f, d.adds, d.changed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)

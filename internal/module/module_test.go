@@ -291,14 +291,14 @@ associations
 }
 
 // A state is audited once, when it enters the database, so a goal-only
-// RIDI application trusts it and answers without re-auditing; a RIDI
-// module that brings rules derives over R0 ∪ RM, which no commit ever
-// audited, and is still rejected. A RIDV trusts its input state too and
-// audits only what it changed: writing a predicate the violation does
-// not involve is accepted, while writing one the violated denial reads,
-// or a class fact (which takes the full audit), is rejected. The states
-// here are built by hand past every audit, one violating a persistent
-// denial, one holding a dangling reference.
+// RIDI application trusts it and answers without re-auditing. A RIDI
+// module that brings rules and a RIDV trust their input state too and
+// audit only what they add: a rule or update of a predicate the violation
+// does not involve is accepted, while one that writes what the violated
+// denial reads, or the tuple holding the dangling reference, or a class
+// fact (which takes the full audit), is rejected. The states here are
+// built by hand past every audit, one violating a persistent denial, one
+// holding a dangling reference.
 func TestGoalOnlyRIDITrustsTheStateAndRuleRIDIAudits(t *testing.T) {
 	denial := newState(t, italianSchema+"  TUSCAN = (name: NAME);\n")
 	denial = seed(t, denial, `italian(name: "sara"). roman(name: "sara").`)
@@ -326,14 +326,19 @@ associations
 		st        *State
 		goal      string
 		violation string
-		// unrelated and related are RIDV updates: the first writes a
-		// predicate the violation does not involve, the second one it does.
-		unrelated, related string
+		// unrelated and related are the rules of a RIDI module and of a
+		// RIDV update: unrelated writes a predicate the violation does not
+		// involve, each of related one it does.
+		unrelated string
+		related   []string
 	}{
 		{"denial", denial, "?- roman(name: X).", "integrity violation",
-			`tuscan(name: "dante").`, `roman(name: "ugo").`},
+			`tuscan(name: "dante").`, []string{`roman(name: "ugo").`}},
 		{"dangling", dangling, "?- enroll(who: X).", "dangling",
-			`italian(name: "sara").`, `italian(name: "sara"). school(self: S, sname: N) <- italian(name: N).`},
+			`italian(name: "sara").`, []string{
+				`enroll(school: S, who: "ugo") <- enroll(school: S).`,
+				`italian(name: "sara"). school(self: S, sname: N) <- italian(name: N).`,
+			}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, _, err := c.st.Instance(opts()); err == nil || !strings.Contains(err.Error(), c.violation) {
@@ -346,28 +351,22 @@ associations
 			if res.Answer == nil || len(res.Answer.Rows) != 1 {
 				t.Fatalf("answer = %+v", res.Answer)
 			}
-			_, err = Apply(c.st, parseModule(t, `
-rules
-  italian(name: X) <- italian(name: X).
-goal
-  ?- italian(name: X).
-end.
-`), ast.RIDI, opts())
-			if err == nil || !strings.Contains(err.Error(), c.violation) {
-				t.Fatalf("RIDI with a rule over an inconsistent state: %v, want %q", err, c.violation)
-			}
-			ridv := func(src string) (*Result, error) {
-				return Apply(c.st, parseModule(t, "rules\n  "+src+"\nend.\n"), ast.RIDV, opts())
-			}
-			res, err = ridv(c.unrelated)
-			if err != nil {
-				t.Fatalf("RIDV of an unrelated predicate re-audited the state: %v", err)
-			}
-			if res.Audit != AuditDelta {
-				t.Fatalf("RIDV of an unrelated predicate ran audit %q", res.Audit)
-			}
-			if _, err := ridv(c.related); err == nil || !strings.Contains(err.Error(), c.violation) {
-				t.Fatalf("RIDV touching the violation: %v, want %q", err, c.violation)
+			for _, mode := range []ast.Mode{ast.RIDI, ast.RIDV} {
+				apply := func(src string) (*Result, error) {
+					return Apply(c.st, parseModule(t, "rules\n  "+src+"\nend.\n"), mode, opts())
+				}
+				res, err = apply(c.unrelated)
+				if err != nil {
+					t.Fatalf("%s of an unrelated predicate re-audited the state: %v", mode, err)
+				}
+				if res.Audit != AuditDelta {
+					t.Fatalf("%s of an unrelated predicate ran audit %q", mode, res.Audit)
+				}
+				for _, src := range c.related {
+					if _, err := apply(src); err == nil || !strings.Contains(err.Error(), c.violation) {
+						t.Fatalf("%s of %s: %v, want %q", mode, src, err, c.violation)
+					}
+				}
 			}
 		})
 	}

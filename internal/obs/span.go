@@ -162,9 +162,9 @@ type Profile struct {
 	// CommitPath is how the winning commit installed its result
 	// ("fast", "merge", "replace", "read-only"); empty for serial calls.
 	CommitPath string `json:"commit_path,omitempty"`
-	// Audit is the consistency audit the committed application ran:
-	// "delta" (only what the commit changed) or "full: <why>"; empty when
-	// it ran none (goal-only queries).
+	// Audit is the consistency audit the application ran: "delta" (only
+	// what the commit changed, or what a RIDI module's rules added) or
+	// "full: <why>"; empty when it ran none (goal-only queries).
 	Audit string `json:"audit,omitempty"`
 	// WAL accounting: appended records/bytes and the fsync waits this
 	// call paid for (interval-policy background syncs are not charged).
