@@ -471,11 +471,7 @@ end.
 	}
 	inconsistent := 0
 	for i, m := range mods {
-		ref, err := module.ApplySnapshotDeferred(db.snap.Load().st, m, RIDV, db.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := ref.Res.State
+		next := unauditedRIDV(t, db.snap.Load().st, m, db.opts)
 		f, err := next.Derive(db.opts)
 		if err != nil {
 			t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 
 	"logres/internal/engine"
 	"logres/internal/module"
+	"logres/internal/obs"
 	"logres/internal/parser"
 	"logres/internal/storage"
 	"logres/internal/value"
@@ -797,4 +798,77 @@ func BenchmarkIVMChainCommit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// commitPaths counts the commits that took the merge path and the
+// retries, the work a second writer makes maintenance redo.
+type commitPaths struct{ commits, merges, retries atomic.Int64 }
+
+func (c *commitPaths) Event(ev TraceEvent) {
+	switch ev.Kind {
+	case obs.KindModuleCommit:
+		c.commits.Add(1)
+		if ev.Detail == "merge" {
+			c.merges.Add(1)
+		}
+	case obs.KindModuleRetry:
+		c.retries.Add(1)
+	}
+}
+
+// BenchmarkIVMTwoWriters is two clients of one WithIncremental database,
+// each inserting and deleting again an edge past the end of its own
+// maintained closure (twoWriterSchema's tc1 and tc2, over 32-node
+// chains). Each attempt steps the maintainer of its snapshot; a commit
+// that merges propagates again, and a retry steps again. It reports the
+// retries per operation and the share of commits that merged.
+func BenchmarkIVMTwoWriters(b *testing.B) {
+	db, err := Open(twoWriterSchema, WithIncremental(true), WithMaxRetries(1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var chains strings.Builder
+	chains.WriteString("mode ridv.\nrules\n")
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&chains, "  edge1(src: %d, dst: %d). edge2(src: %d, dst: %d).\n", i, i+1, i, i+1)
+	}
+	chains.WriteString("end.\n")
+	for _, src := range []string{chains.String(), twoWriterPrograms[0].rules} {
+		if _, err := db.Exec(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+	paths := &commitPaths{}
+	db.SetTracer(paths)
+	var next atomic.Int64
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for w := 1; w <= 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			insert := fmt.Sprintf("mode ridv.\nrules\n  edge%d(src: 32, dst: 33).\nend.\n", w)
+			remove := fmt.Sprintf("mode ridv.\nrules\n  not edge%d(src: 32, dst: 33) <- edge%d(src: 32, dst: 33).\nend.\n", w, w)
+			for k := 0; next.Add(1) <= int64(b.N); k++ {
+				src := insert
+				if k%2 == 1 {
+					src = remove
+				}
+				if _, err := db.Exec(src); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(paths.retries.Load())/float64(b.N), "retries/op")
+	b.ReportMetric(float64(paths.merges.Load())/float64(paths.commits.Load()), "merge-share")
 }

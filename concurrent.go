@@ -2,7 +2,6 @@ package logres
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"logres/internal/engine"
@@ -23,13 +22,17 @@ import (
 //     and take no lock, logres.go); a Call also looks its module up in
 //     that state's library;
 //  2. apply — run the module against the snapshot outside any lock,
-//     recording its read/write predicate footprint (static analysis of
-//     the compiled rules, narrowed/widened by the runtime delta);
+//     audit its new instance (under WithIncremental, by stepping the
+//     snapshot's maintainer and auditing the exact view delta), and
+//     record its read/write predicate footprint (static analysis of the
+//     compiled rules, narrowed/widened by the runtime delta); a
+//     rejection ends the application here;
 //  3. validate + commit — write-lock, check the footprint against every
 //     write committed since the snapshot epoch, and on success merge
 //     the fact delta onto the current committed state (or install the
-//     result wholesale when nothing intervened), through commitLocked,
-//     the commit path Register shares;
+//     result, and the attempt's maintainer step, wholesale when nothing
+//     intervened), through commitLocked, the commit path Register
+//     shares, which audits nothing;
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot. The retry budget's last attempt runs steps
 //     1–3 under the write lock, so it cannot conflict and commits like
@@ -100,7 +103,7 @@ func (t *target) evaluate(s *stateSnapshot, opts engine.Options) (*module.Snapsh
 		}
 		t.m, t.mode = m, m.Mode
 	}
-	return s.apply(t.m, t.mode, opts)
+	return module.ApplySnapshotMaintained(s.st, s.maint, t.m, t.mode, opts)
 }
 
 // modName is the module name the application's events carry; a
@@ -266,13 +269,14 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 
 // commitLocked is the one commit path of every state change: an
 // application's or a materialization's, optimistic or locked, and a
-// module registration's. The caller holds the write lock. It runs the
-// commit stages (DESIGN.md §9):
+// module registration's. The caller holds the write lock. The attempt
+// has audited its state in either maintenance mode, so the commit
+// audits nothing; it runs five stages (DESIGN.md §9):
 //
 //   - validate the attempt's footprint against the writes committed since
 //     its snapshot epoch and pick the successor state;
-//   - stage the maintainer's step to it (maintStage), which serves a
-//     deferred application's audit and returns the successor maintainer;
+//   - stage the maintainer's step to it (maintStage): the attempt's own
+//     on the fast path;
 //   - log the commit to the WAL of a durable database;
 //   - record its write set at the next epoch, publish the state and its
 //     maintainer with its snapshot at that epoch, and compact the WAL
@@ -281,13 +285,11 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 //
 // It returns the commit path for tracing, and on a conflict the
 // conflicting predicate plus the committed footprint it collided with. A
-// rejection by the deferred audit or a logging failure (err != nil)
-// drops the staged step, publishes nothing and fails the application
-// without a retry; the store refuses further writes until reopened.
-// opts is the committing call's (request-instrumented) configuration:
-// its tracer attributes the WAL append and any fsync wait to the request
-// that paid for them, and a deferred audit runs under the call's own
-// budget.
+// logging failure (err != nil) drops the staged step, publishes nothing
+// and fails the application without a retry; the store refuses further
+// writes until reopened. opts is the committing call's
+// (request-instrumented) configuration: its tracer attributes the WAL
+// append and any fsync wait to the request that paid for them.
 func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.SnapshotResult) (path, pred string, theirs Footprint, ok bool, err error) {
 	if sr.ReadOnly {
 		// Queries validate nothing: the answer was computed against a
@@ -326,13 +328,9 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 		written = Footprint{Writes: sr.Footprint.Writes}
 	}
 	// Stage: the maintainer takes next.E as its base, so it is frozen
-	// here as publish would leave it. On the merge path the deferred
-	// audit reads the state actually committed, not the snapshot result.
+	// here as publish would leave it.
 	next.E.Freeze()
-	step, err := db.maintStage(opts, next, sr)
-	if err != nil {
-		return "", "", Footprint{}, false, fmt.Errorf("module: rejected: %w", err)
-	}
+	step := db.maintStage(next, sr, path)
 	// Log: a delta record replays removes-then-adds onto the predecessor
 	// state — exactly what CommitDelta does — so recovery reproduces next
 	// byte for byte on both the fast and merge paths.

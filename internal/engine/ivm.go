@@ -34,12 +34,12 @@ import (
 // leaves its receiver intact, on error too, so a maintainer serves its
 // state for as long as anyone holds it and nothing is ever reverted. A
 // successor shares what the step did not touch through the frozen fact
-// sets' own copy-on-write. A goal reads only the compiled part of a
-// program, which no run writes, so any number of readers may answer
-// goals over a Full() set with Program().Query while a Next from the
-// same maintainer runs. Next runs the program itself (its per-run part),
-// so two Next calls over one program must not overlap; the Database
-// makes them under its write lock.
+// sets' own copy-on-write. Next writes nothing its receiver shares: the
+// view and the full set are frozen, DRed reads only the compiled part of
+// the program, and the suffix runs on a fork of it. So any number of
+// Next calls from one maintainer may run at once, beside goals answered
+// over a Full() set with Program().Query: the Database's concurrent
+// attempts each step the maintainer of their snapshot.
 
 // Maintainer holds the incremental state of one program over one
 // extensional database.
@@ -55,8 +55,8 @@ type Maintainer struct {
 	owner map[string]int
 
 	baseE *FactSet // the committed extensional set the state is synced to
-	view  *FactSet // the materialized eligible prefix
-	full  *FactSet // the complete derived set (== view when suffix is empty)
+	view  *FactSet // the materialized eligible prefix, frozen
+	full  *FactSet // the complete derived set (== view when suffix is empty), frozen
 	// probes counts derivable calls, and overdeleted the facts DRed
 	// drops before its probes, over the maintainer's lineage.
 	probes, overdeleted int
@@ -89,10 +89,9 @@ func (d *ViewDelta) Preds() map[string]bool {
 // the extensional set e (which must be the committed, frozen base) and
 // the committed oid counter by one ordinary run of prog: the strata,
 // executors, budget and oid clamp a read runs. The view is the run's set
-// as it stood before the suffix, the full set its result. The program
-// must be dedicated to the maintainer and its successors — Next runs
-// it — so callers pass a fork of their own (Program.Fork), never one
-// that runs elsewhere concurrently.
+// as it stood before the suffix, the full set its result, both frozen.
+// The rebuild runs prog itself, so callers pass a fork of their own
+// (Program.Fork), never one that runs elsewhere concurrently.
 func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error) {
 	m := &Maintainer{prog: prog, owner: map[string]int{}, baseE: e}
 	strata, prefix := prog.plan()
@@ -107,6 +106,7 @@ func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error
 		return nil, err
 	}
 	m.view, m.full = view, full
+	m.view.Freeze()
 	m.full.Freeze()
 	return m, nil
 }
@@ -145,17 +145,17 @@ func deltaRound(c *evalCtx, plan *stratumPlan, delta, pre, post *FactSet, emit f
 }
 
 // recomputeSuffix re-evaluates the ineligible suffix (if any) on top of
-// the maintained prefix and freezes the resulting full set for
+// the maintained prefix, frozen, and freezes the resulting full set for
 // concurrent readers.
 func (m *Maintainer) recomputeSuffix(counter int64) error {
 	if m.suffix >= len(m.prog.strata) {
 		m.full = m.view
-		m.full.Freeze()
 		return nil
 	}
-	// RunFrom evaluates a copy of its input, so m.view stays untouched;
-	// the committed counter numbers the oids the suffix invents.
-	full, err := m.prog.RunFrom(context.Background(), m.suffix, m.view, &counter)
+	// RunFrom evaluates a copy of its input, so m.view stays untouched,
+	// on a fork, so concurrent steps share no per-run part; the committed
+	// counter numbers the oids the suffix invents.
+	full, err := m.prog.Fork(m.prog.opts).RunFrom(context.Background(), m.suffix, m.view, &counter)
 	if err != nil {
 		return err
 	}
@@ -233,6 +233,7 @@ func (m *Maintainer) Next(adds, removes []Fact, newE *FactSet, counter int64) (*
 		}
 	}
 
+	newView.Freeze()
 	n.view = newView
 	n.baseE = newE
 	if err := n.recomputeSuffix(counter); err != nil {

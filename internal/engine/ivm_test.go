@@ -660,8 +660,7 @@ type maintState struct {
 func readMaintState(m *Maintainer) maintState {
 	keys := func(f *FactSet) []string {
 		var out []string
-		// A clone decodes its own code-space rows, leaving the
-		// receiver's for its Next to read.
+		// Read through a clone, which leaves the receiver as it is.
 		for _, fact := range f.Clone().AppendAll(nil) {
 			out = append(out, fact.Key())
 		}
@@ -671,10 +670,10 @@ func readMaintState(m *Maintainer) maintState {
 }
 
 // TestMaintainerNextLeavesReceiver pins that a maintainer is a value:
-// two Next calls from one receiver give equal view deltas and full sets,
-// and leave the receiver's full set and view as they were, while goals
-// answered over the receiver beside a running Next see its state
-// throughout.
+// two concurrent Next calls from one receiver give equal view deltas
+// and full sets, and leave the receiver's full set and view as they
+// were, while goals answered over the receiver beside the running Next
+// calls see its state throughout.
 func TestMaintainerNextLeavesReceiver(t *testing.T) {
 	goals := map[string]string{
 		"counting":       `?- same(a: X, b: Y).`,
@@ -706,11 +705,10 @@ func TestMaintainerNextLeavesReceiver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The rebuilt view shares the columnar tc rows of the run
-			// that built it, so the first Next decodes rows the frozen
-			// full set was decoded from beside the goals below.
-			if tc.name == "mixed-fallback" && len(m.view.coded) == 0 {
-				t.Fatal("the rebuilt view holds no code-space rows")
+			// The rebuilt view is frozen, as every successor's is: the
+			// concurrent Next calls below only read it.
+			if !m.view.Frozen() || !m.full.Frozen() {
+				t.Fatal("the rebuilt view or full set is not frozen")
 			}
 			for commit := 0; commit < 8; commit++ {
 				adds, removes := randomCommit(r, base, n)
@@ -739,15 +737,21 @@ func TestMaintainerNextLeavesReceiver(t *testing.T) {
 						}
 					}
 				}()
+				// Two steps from one receiver run at once, as two
+				// attempts against one snapshot do.
+				var n2 *Maintainer
+				var vd2 *ViewDelta
+				var err2 error
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					n2, vd2, err2 = m.Next(adds, removes, newE, 0)
+				}()
 				n1, vd1, err := m.Next(adds, removes, newE, 0)
 				close(stop)
 				wg.Wait()
-				if err != nil {
-					t.Fatal(err)
-				}
-				n2, vd2, err := m.Next(adds, removes, newE, 0)
-				if err != nil {
-					t.Fatal(err)
+				if err != nil || err2 != nil {
+					t.Fatal(err, err2)
 				}
 				if !reflect.DeepEqual(vd1, vd2) || !n1.Full().Equal(n2.Full()) {
 					t.Fatalf("commit %d: two Next calls from one receiver disagree", commit)

@@ -18,6 +18,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"logres/internal/ast"
@@ -101,8 +102,13 @@ type vecStratum struct {
 
 // compileVecStratum lowers a stratum to its columnar plan, or names the
 // first rule it could not express and the construct in it that has no
-// columnar counterpart.
+// columnar counterpart. A stratum of bodiless rules derives exactly its
+// facts: the row loop tests each against the set, where the kernels
+// would first encode every head's whole extension.
 func compileVecStratum(stratum []*crule) (*vecStratum, *reason) {
+	if !slices.ContainsFunc(stratum, func(r *crule) bool { return len(r.body) > 0 }) {
+		return nil, &reason{construct: "bodiless rules"}
+	}
 	vs := &vecStratum{preds: map[string]*vecPred{}}
 	for _, r := range stratum {
 		vr, construct := vs.compileVecRule(r)

@@ -36,10 +36,9 @@ type SnapshotResult struct {
 	// state (rule/schema changes): valid only when nothing committed
 	// since the snapshot.
 	Replace bool
-	// Deferred marks an application whose final instance validation was
-	// skipped (ApplySnapshotDeferred): the committer must audit consistency
-	// and the passive constraints before installing the state.
-	Deferred bool
+	// Maintained, when set, is the step of the snapshot's maintainer to
+	// Res.State, which the application's audit read.
+	Maintained *Maintained
 	// Registered, when set, marks a registration: Res.State is the
 	// published state whose library gained this module (State.Register),
 	// and the commit writes no predicate.
@@ -51,23 +50,25 @@ type SnapshotResult struct {
 // fact set frozen, never mutated (Apply's clone discipline guarantees
 // the application itself cannot touch it).
 func ApplySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*SnapshotResult, error) {
-	return applySnapshot(st, m, mode, opts, false)
+	return ApplySnapshotMaintained(st, nil, m, mode, opts)
 }
 
-// ApplySnapshotDeferred is ApplySnapshot with deferred validation when
-// the application is eligible (canDeferValidation — exactly the
-// delta-committing applications): the result carries Deferred=true and
-// the committer must audit the new state before installing it.
-// Ineligible applications validate inside Apply as usual.
+// ApplySnapshotDeferred is ApplySnapshot.
+//
+// Deprecated: use ApplySnapshot; no application defers its audit.
 func ApplySnapshotDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*SnapshotResult, error) {
-	return applySnapshot(st, m, mode, opts, true)
+	return ApplySnapshot(st, m, mode, opts)
 }
 
-func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, allowDefer bool) (*SnapshotResult, error) {
+// ApplySnapshotMaintained is ApplySnapshot against a snapshot that maint
+// serves (nil: none). A data-variant application that changes neither
+// rules nor schema steps maint to its new state and audits that by the
+// step's exact view delta (see Maintained); when the step fails, it
+// derives and audits from scratch, as without maint.
+func ApplySnapshotMaintained(st *State, maint *engine.Maintainer, m *ast.Module, mode ast.Mode, opts engine.Options) (*SnapshotResult, error) {
 	// The application runs first, so a rejected module fails exactly as
 	// Apply does, and the footprint reuses the programs it compiled.
-	deferred := allowDefer && canDeferValidation(st, m, mode)
-	res, err := apply(st, m, mode, opts, deferred)
+	res, err := apply(st, m, mode, opts, maint)
 	if err != nil {
 		return nil, err
 	}
@@ -75,14 +76,14 @@ func applySnapshot(st *State, m *ast.Module, mode ast.Mode, opts engine.Options,
 	if err != nil {
 		return nil, err
 	}
-	sr := &SnapshotResult{Res: res, Footprint: *fp, Deferred: deferred}
+	sr := &SnapshotResult{Res: res, Footprint: *fp, Maintained: res.maint}
 	if mode == ast.RIDI {
 		sr.ReadOnly = true
 		return sr, nil
 	}
 	// Rule- or schema-changing applications replace the whole state; the
-	// remaining ones — exactly the deferral-eligible data variants, which
-	// computed their extensional delta — commit as fact deltas.
+	// remaining data variants computed their extensional delta and
+	// commit as fact deltas.
 	d := res.delta
 	if d == nil {
 		sr.Replace = true

@@ -296,13 +296,17 @@ type Result struct {
 	Answer *engine.Answer
 	// Audit names the consistency audit the application ran on its new
 	// instance: AuditDelta, or "full: <why>". Empty when it ran none (a
-	// goal-only RIDI, or a deferred application, whose caller audits).
+	// goal-only RIDI).
 	Audit string
 
-	// delta is the extensional delta of an application canDeferValidation
-	// admits, computed once: the audit and the commit both use it.
+	// delta is the extensional delta of a data-variant application that
+	// changes neither rules nor schema, computed once: the audit and the
+	// commit both use it.
 	delta *extDelta
-	// prog is the persistent program of the new state (a deferred
+	// maint is the maintainer's step to the new state, when one audited
+	// it (see Maintained).
+	maint *Maintained
+	// prog is the persistent program of the new state (a maintained
 	// application's is the unforked compilation, which it never runs),
 	// and updateFP the footprint of the update program R_M of a
 	// data-variant mode. ApplySnapshot builds its footprint from them
@@ -326,14 +330,12 @@ type Result struct {
 // past the audit, such an application can be accepted although the full
 // audit of its result would fail on the inherited violation.
 func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*Result, error) {
-	return apply(st, m, mode, opts, false)
+	return apply(st, m, mode, opts, nil)
 }
 
-// apply is Apply; with deferValidation a data-variant application that
-// canDeferValidation admits skips its final instance audit, and the
-// caller must audit the new state before committing it
-// (ApplySnapshotDeferred).
-func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferValidation bool) (res *Result, err error) {
+// apply is Apply against a state that maint serves (nil: none), which a
+// data-variant application steps (see maintain).
+func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, maint *engine.Maintainer) (res *Result, err error) {
 	// Application is all-or-nothing: every mode that changes anything works
 	// on a clone of st, so on any abort — budget, cancellation, or a panic
 	// converted here — the caller's state is bit-identical to its
@@ -365,7 +367,7 @@ func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, deferVa
 	case ast.RDDI:
 		return applyRuleChange(st, m, opts, false)
 	case ast.RIDV, ast.RADV, ast.RDDV:
-		return applyDataVariant(st, m, opts, mode, deferValidation)
+		return applyDataVariant(st, m, opts, mode, maint)
 	}
 	return nil, fmt.Errorf("module: unknown mode %v", mode)
 }
@@ -381,33 +383,6 @@ func moduleOptions(m *ast.Module, opts engine.Options) engine.Options {
 		opts.NonInflationary = true
 	}
 	return opts
-}
-
-// canDeferValidation reports whether applying m to st with mode is
-// eligible for deferred validation: a data-variant application that
-// changes neither the schema nor the persistent rules, so the new
-// state differs from st only in (E, Counter). Such an application
-// computes its extensional delta once and audits only what the delta
-// changed — inside Apply, or, for a caller maintaining the derived
-// instance incrementally, at commit time against the maintained set
-// (ApplySnapshotDeferred). The predicate agrees exactly with the
-// delta/Replace split of ApplySnapshot: eligible applications are the
-// ones that would take the delta path.
-func canDeferValidation(st *State, m *ast.Module, mode ast.Mode) bool {
-	if !mode.DataVariant() || !declaresNothing(m.Schema) {
-		return false
-	}
-	switch mode {
-	case ast.RADV:
-		if len(m.Rules) > 0 {
-			return false
-		}
-	case ast.RDDV:
-		if subtractionChangesRules(st.R, m.Rules) {
-			return false
-		}
-	}
-	return true
 }
 
 // ApplyDeclared applies the module with its declared mode (RIDI when none
@@ -514,10 +489,8 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 // applyDataVariant — the three EDB-updating modes. E1 is computed by
 // applying the update rules R_M to E0 (with the active constraints
 // generated from the schema); the persistent rules evolve per mode. No
-// goal answer is provided (§4.1). With deferValidation the final
-// instance computation and audit are skipped and the caller must
-// validate before committing.
-func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mode, deferValidation bool) (*Result, error) {
+// goal answer is provided (§4.1).
+func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mode, maint *engine.Maintainer) (*Result, error) {
 	// E1 replaces E0 below (Run and Minus build fresh sets, leaving E0
 	// untouched), so E0 is not copied; the schema is replaced too, and the
 	// library is copied on write by Register.
@@ -563,7 +536,7 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 
 	rf := prog.Footprint()
 	res := &Result{State: next, updateFP: &rf}
-	if !canDeferValidation(st, m, mode) {
+	if !declaresNothing(m.Schema) || len(next.R) != len(st.R) {
 		// New rules or schema: R(E1) comes from a program no commit audited.
 		if _, res.prog, err = next.derive(opts); err != nil {
 			return nil, fmt.Errorf("module: rejected: %w", err)
@@ -574,11 +547,10 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	// (R, S) unchanged: the state differs from st only in (E, Counter), so
 	// only what the delta changed can be inconsistent.
 	res.delta = diffFacts(st.E, next.E, rf.Writes)
-	if deferValidation {
-		// The footprint still reads the persistent program: st's, whose S
-		// and R next shares.
-		res.prog, err = next.compiled(opts)
-		return res, err
+	if maint != nil {
+		if ok, err := res.maintain(maint, next, opts); ok || err != nil {
+			return res, err
+		}
 	}
 	d := res.delta
 	f, pprog, err := next.run(opts)
@@ -593,6 +565,48 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
 	return res, nil
+}
+
+// Maintained is a maintainer's step to an application's new state: M
+// serves the state, View is the exact view delta of the step and Took
+// its wall-clock.
+type Maintained struct {
+	M    *engine.Maintainer
+	View *engine.ViewDelta
+	Took time.Duration
+}
+
+// maintain steps maint, which serves the state next succeeds, by the
+// application's extensional delta, and audits the maintained instance
+// by the step's exact view delta: the delta audit a scratch derivation
+// runs, against the byte-identical set, after the facts budget that
+// derivation meets, so both accept and reject alike. It reports false
+// when maint does not run next's program or the step fails: the caller
+// then derives from scratch.
+func (res *Result) maintain(maint *engine.Maintainer, next *State, opts engine.Options) (bool, error) {
+	prog, err := next.compiled(opts)
+	if err != nil || !maint.Program().Shares(prog) {
+		return false, nil
+	}
+	start := time.Now()
+	next.E.Freeze()
+	m, vd, err := maint.Next(res.delta.adds, res.delta.removes, next.E, next.Counter)
+	if err != nil {
+		return false, nil
+	}
+	took := time.Since(start)
+	if limit, d := opts.Budget.MaxFacts, m.Full().TotalSize()-next.E.TotalSize(); limit > 0 && d > limit {
+		err = &engine.BudgetError{Axis: engine.AxisFacts, Limit: int64(limit), Stratum: -1, Facts: d}
+	} else {
+		res.Audit, err = AuditInstanceDelta(next.S, m.Program(), m.Full(), vd.Adds, vd.Preds())
+	}
+	if err != nil {
+		return false, fmt.Errorf("module: rejected: %w", err)
+	}
+	// The footprint reads the persistent program: st's, whose S and R
+	// next shares.
+	res.prog, res.maint = prog, &Maintained{M: m, View: vd, Took: took}
+	return true, nil
 }
 
 // updateProgram compiles the update rules R_M of a data-variant

@@ -113,8 +113,7 @@ const (
 	// propagation after a commit: Round = the commit epoch (truncated to
 	// int), Count = derived facts that changed (adds + removes), Total =
 	// the full derived set size afterwards, Duration = the propagation
-	// wall-clock, Reason = the consistency audit of the maintained set
-	// when the commit was validated by it (deferred validation).
+	// wall-clock (on the fast path, the committed attempt's step).
 	// Nondeterministic: present only with incremental maintenance enabled
 	// and dependent on commit interleaving.
 	KindIVMPropagate Kind = "ivm.propagate"
@@ -178,8 +177,7 @@ type Event struct {
 	// runs on the row engine although columnar evaluation is on — the rule
 	// and the construct in it that has no columnar counterpart (empty for
 	// columnar strata and when columnar evaluation is off). On
-	// KindModuleEnd and KindIVMPropagate: the consistency audit the commit
-	// ran.
+	// KindModuleEnd: the consistency audit the application ran.
 	Reason string
 	// Req is the originating request's id when the event was emitted
 	// under a request span (Span.Instrument stamps it); empty for

@@ -285,7 +285,7 @@ func (c *ProfileCollector) Event(ev Event) {
 		c.p.Facts = ev.Total
 	case KindModuleCommit:
 		c.p.CommitPath = ev.Detail
-	case KindModuleEnd, KindIVMPropagate:
+	case KindModuleEnd:
 		if ev.Reason != "" {
 			c.p.Audit = ev.Reason
 		}

@@ -12,11 +12,7 @@
 // prove disjointness against writes it can no longer see).
 package storage
 
-import (
-	"sync"
-
-	"logres/internal/guard"
-)
+import "logres/internal/guard"
 
 // DefaultCommitLogWindow is the number of committed write footprints the
 // log retains for validation. Snapshots older than the window force a
@@ -25,13 +21,13 @@ import (
 // apply, so a few hundred entries is generous.
 const DefaultCommitLogWindow = 512
 
-// CommitLog is safe for concurrent use, but the database uses it only
-// under its writers' lock: an attempt reads Epoch as it copies its
-// snapshot, and Validate and Record run inside the commit critical
-// section. Readers never call it: each published snapshot carries the
-// epoch it was recorded at.
+// CommitLog is not safe for concurrent use. Its every caller holds the
+// database's writers' lock (db.mu) or is the database's sole owner (Open,
+// Load, recovery, AsOf): Validate and Record run inside the commit
+// critical section, and Epoch under the lock too. Readers and attempts
+// never call it: each published snapshot carries the epoch it was
+// recorded at.
 type CommitLog struct {
-	mu      sync.Mutex
 	epoch   uint64            // epoch of the newest committed entry
 	base    uint64            // epoch of the oldest retained entry
 	entries []guard.Footprint // entries[i] committed at epoch base+uint64(i)
@@ -59,16 +55,12 @@ func NewCommitLogAt(epoch uint64, window int) *CommitLog {
 // Epoch returns the epoch of the newest committed write. A snapshot
 // taken now has seen every write up to and including this epoch.
 func (l *CommitLog) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.epoch
 }
 
 // Record appends one committed write footprint and returns its epoch.
 // The oldest entry is evicted once the window is full.
 func (l *CommitLog) Record(fp guard.Footprint) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.epoch++
 	l.entries = append(l.entries, fp)
 	if len(l.entries) > l.window {
@@ -85,8 +77,6 @@ func (l *CommitLog) Record(fp guard.Footprint) uint64 {
 // disjoint from all of them. A since older than the retained window is
 // a conservative conflict ("$pruned$").
 func (l *CommitLog) Validate(since uint64, fp guard.Footprint) (pred string, theirs guard.Footprint, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if since >= l.epoch {
 		return "", guard.Footprint{}, true
 	}

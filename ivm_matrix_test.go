@@ -547,8 +547,8 @@ func TestIncrementalQueryAndRegister(t *testing.T) {
 
 // TestRejectedCommitKeepsMaintainer: a commit whose propagation fails
 // (its recursive negation suffix exhausts the facts budget between
-// rounds), whose rebuild fails too, and which the deferred audit then
-// rejects, publishes nothing: the maintainer of the unchanged state
+// rounds), and which the attempt's derivation from scratch then rejects
+// on the same budget, publishes nothing: the maintainer of the unchanged state
 // keeps serving it, so a subscription opens and the next commit
 // propagates instead of rebuilding.
 func TestRejectedCommitKeepsMaintainer(t *testing.T) {

@@ -3,8 +3,17 @@ package logres
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"logres/internal/engine"
+	"logres/internal/hooks"
+	"logres/internal/module"
+	"logres/internal/obs"
 )
 
 // Subscription stress: N subscribers receiving concurrently with M
@@ -185,5 +194,239 @@ func TestSubscriptionStress(t *testing.T) {
 	}
 	if db.Subscribers() != 0 {
 		t.Fatalf("%d subscribers left registered", db.Subscribers())
+	}
+}
+
+// Two closures over disjoint predicates, and a suffix stratum over the
+// first that maintenance recomputes (negation), so that concurrent
+// attempts step one published maintainer in both its parts.
+const twoWriterSchema = `
+associations
+  NODE1 = (n: integer);
+  EDGE1 = (src: integer, dst: integer);
+  TC1 = (src: integer, dst: integer);
+  UNREACH1 = (a: integer, b: integer);
+  EDGE2 = (src: integer, dst: integer);
+  TC2 = (src: integer, dst: integer);
+`
+
+const twoWriterClosures = `
+  tc1(src: X, dst: Y) <- edge1(src: X, dst: Y).
+  tc1(src: X, dst: Z) <- tc1(src: X, dst: Y), edge1(src: Y, dst: Z).
+  tc2(src: X, dst: Y) <- edge2(src: X, dst: Y).
+  tc2(src: X, dst: Z) <- tc2(src: X, dst: Y), edge2(src: Y, dst: Z).
+`
+
+var twoWriterPrograms = []struct{ name, rules string }{
+	{"maintained", "mode radi.\nrules" + twoWriterClosures + "end.\n"},
+	{"suffix", "mode radi.\nrules" + twoWriterClosures +
+		"  unreach1(a: X, b: Y) <- node1(n: X), node1(n: Y), not tc1(src: X, dst: Y).\nend.\n"},
+}
+
+// twoWriterCommit is commit c of writer w: an edge of its own closure,
+// inserted on even commits and deleted again on the odd one after, so a
+// writer's commits alternate a propagation that derives and one that
+// removes.
+func twoWriterCommit(w, c int) string {
+	e := c / 2 % 8
+	if c%2 == 0 {
+		return fmt.Sprintf("mode ridv.\nrules\n  edge%d(src: %d, dst: %d).\nend.\n", w, e, e+1)
+	}
+	return fmt.Sprintf("mode ridv.\nrules\n  not edge%d(src: %d, dst: %d) <- edge%d(src: %d, dst: %d).\nend.\n", w, e, e+1, w, e, e+1)
+}
+
+// TestConcurrentMaintainedAttempts runs two writers committing to
+// disjoint predicates of one WithIncremental database: their attempts
+// step the maintainer of the snapshot they read outside the write lock,
+// often the same one, and a commit that lands second merges and
+// propagates again. The maintained set must end equal to a fresh
+// derivation, and each subscriber's diffs must replay onto the initial
+// set to it.
+func TestConcurrentMaintainedAttempts(t *testing.T) {
+	const commits = 24 // per writer
+	for _, prog := range twoWriterPrograms {
+		t.Run(prog.name, func(t *testing.T) {
+			db, err := Open(twoWriterSchema, WithIncremental(true), WithMaxRetries(1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []string{
+				"mode ridv.\nrules\n  node1(n: 0). node1(n: 3). node1(n: 6). edge1(src: 8, dst: 0). edge2(src: 8, dst: 0).\nend.\n",
+				prog.rules,
+			} {
+				if _, err := db.Exec(src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			initial, err := db.Instance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs := make([]*Subscription, 2)
+			for i := range subs {
+				if subs[i], err = db.SubscribeView(SubscribeOptions{Buffer: 2*commits + 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for w := 1; w <= 2; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for c := 0; c < commits; c++ {
+						if _, err := db.Exec(twoWriterCommit(w, c)); err != nil {
+							t.Errorf("writer %d commit %d: %v", w, c, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			s := db.snap.Load()
+			if s.maint == nil {
+				t.Fatalf("no maintainer serves the final state (%v)", s.maintErr)
+			}
+			fresh, err := s.st.Derive(s.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.maint.Full().Equal(fresh) {
+				t.Fatal("the maintained set differs from a fresh derivation")
+			}
+			want := map[string]bool{}
+			for _, f := range fresh.AppendAll(nil) {
+				want[f.Key()] = true
+			}
+			for i, sub := range subs {
+				sub.Close()
+				state := map[string]bool{}
+				for _, f := range initial {
+					state[f.Key()] = true
+				}
+				n := 0
+				for d := range sub.C {
+					n++
+					if d.Epoch != sub.Epoch+uint64(n) {
+						t.Fatalf("subscriber %d: diff %d at epoch %d, want %d", i, n, d.Epoch, sub.Epoch+uint64(n))
+					}
+					for _, f := range d.Removes {
+						if !state[f.Key()] {
+							t.Fatalf("subscriber %d: epoch %d removes absent %s", i, d.Epoch, f.Key())
+						}
+						delete(state, f.Key())
+					}
+					for _, f := range d.Adds {
+						if state[f.Key()] {
+							t.Fatalf("subscriber %d: epoch %d adds present %s", i, d.Epoch, f.Key())
+						}
+						state[f.Key()] = true
+					}
+				}
+				if n != 2*commits {
+					t.Fatalf("subscriber %d: %d diffs, want %d", i, n, 2*commits)
+				}
+				if !maps.Equal(state, want) {
+					t.Fatalf("subscriber %d: the replayed diffs hold %d facts, a fresh derivation %d", i, len(state), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalMergeAndEarlyRejection pins where an incremental
+// commit maintains and audits. A disjoint commit landing between an
+// attempt and its commit makes the commit take the merge path: it drops
+// the attempt's maintainer step, which missed that commit, propagates
+// the merged delta instead, and the subscriber gets the exact diff. A
+// rejected data commit fails in its attempt, before it ever reaches the
+// commit critical section.
+func TestIncrementalMergeAndEarlyRejection(t *testing.T) {
+	db, err := Open(ivmMatrixSchema, WithIncremental(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		ivmMatrixPrograms[1].rules, // closure
+		"mode radi.\nrules\n  <- edge(src: 9, dst: 9).\nend.\n",
+		"mode ridv.\nrules\n  edge(src: 1, dst: 2). edge(src: 2, dst: 3).\nend.\n",
+	} {
+		if _, err := db.Exec(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := db.SubscribeView(SubscribeOptions{Buffer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	rt := &recordingTracer{}
+	db.SetTracer(rt)
+	defer func() { hooks.ConcurrentPreCommit = nil }()
+
+	// A same fact is outside every footprint the closure couples.
+	var landed *stateSnapshot
+	hooks.ConcurrentPreCommit = func(attempt int) {
+		if attempt == 0 {
+			execLocked(t, db, "mode ridv.\nrules\n  same(a: 7, b: 7).\nend.\n")
+			landed = db.snap.Load()
+		}
+	}
+	var p Profile
+	if _, err := db.Exec("mode ridv.\nrules\n  edge(src: 3, dst: 4).\nend.\n", WithCallProfile(&p)); err != nil {
+		t.Fatal(err)
+	}
+	hooks.ConcurrentPreCommit = nil
+	if p.CommitPath != "merge" || p.Audit != module.AuditDelta {
+		t.Fatalf("commit path %q, audit %q; want merge after a delta audit", p.CommitPath, p.Audit)
+	}
+	s := db.snap.Load()
+	if s.maint == nil || s.maint == landed.maint {
+		t.Fatalf("the merge published no new maintainer (%v)", s.maintErr)
+	}
+	fresh, err := s.st.Derive(s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.maint.Full().Equal(fresh) {
+		t.Fatal("the merge's maintainer differs from a derivation of the committed state")
+	}
+	var epochs []int
+	for _, ev := range rt.events {
+		if ev.Kind == obs.KindIVMPropagate {
+			epochs = append(epochs, ev.Round)
+		} else if ev.Kind == obs.KindIVMRebuild {
+			t.Fatalf("a commit rebuilt: %s", ev.Detail)
+		}
+	}
+	if !slices.Equal(epochs, []int{int(landed.epoch), int(s.epoch)}) {
+		t.Fatalf("propagations at epochs %v, want %d and %d", epochs, landed.epoch, s.epoch)
+	}
+	<-sub.C // the disjoint commit's
+	d := <-sub.C
+	adds, removes := diffFrozen(landed.maint.Full(), fresh)
+	engine.SortFactsByKey(adds)
+	engine.SortFactsByKey(removes)
+	if d.Epoch != s.epoch || !reflect.DeepEqual(d.Adds, adds) || len(d.Removes)+len(removes) != 0 {
+		t.Fatalf("the merge's diff at epoch %d is %v − %v, want %v at %d", d.Epoch, d.Adds, d.Removes, adds, s.epoch)
+	}
+
+	ran := 0
+	hooks.ConcurrentPreCommit = func(int) { ran++ }
+	rt.mu.Lock()
+	rt.events = nil
+	rt.mu.Unlock()
+	_, err = db.Exec("mode ridv.\nrules\n  edge(src: 9, dst: 9).\nend.\n")
+	if err == nil || !strings.HasPrefix(err.Error(), "module: rejected: engine: integrity violation") {
+		t.Fatalf("err = %v, want the denial's rejection", err)
+	}
+	if ran != 0 {
+		t.Fatal("the rejected attempt reached its commit")
+	}
+	if db.CommitEpoch() != s.epoch || rt.count(obs.KindIVMPropagate)+rt.count(obs.KindIVMRebuild) != 0 {
+		t.Fatal("the rejected attempt committed or maintained")
 	}
 }

@@ -420,18 +420,6 @@ func (s *stateSnapshot) derived() (*engine.FactSet, error) {
 	return s.st.Derive(s.opts)
 }
 
-// apply evaluates one application attempt of m against the snapshot's
-// state. When a maintainer serves the state, the attempt defers its
-// audit to the commit (view.go): commitLocked stages the propagation and
-// audits the maintained instance by its exact view delta before the
-// commit lands.
-func (s *stateSnapshot) apply(m *Module, mode Mode, opts engine.Options) (*module.SnapshotResult, error) {
-	if s.maint != nil {
-		return module.ApplySnapshotDeferred(s.st, m, mode, opts)
-	}
-	return module.ApplySnapshot(s.st, m, mode, opts)
-}
-
 // EDBCount reports the number of extensional facts of a predicate.
 func (db *Database) EDBCount(pred string) int {
 	return db.snap.Load().st.E.Size(types.Canon(pred))

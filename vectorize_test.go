@@ -257,3 +257,36 @@ func TestProfileNamesRowStrata(t *testing.T) {
 		t.Fatalf("stratum reasons = %q, want %q", got, want)
 	}
 }
+
+// TestBodilessStratumRunsOnRows: a stratum whose rules have no body
+// derives exactly its facts, so it runs on the row loop rather than
+// encoding its heads' extensions for the kernels, and says why, in the
+// call profile of a one-fact insert and in Explain.
+func TestBodilessStratumRunsOnRows(t *testing.T) {
+	db, err := Open(ivmChainSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Profile
+	if _, err := db.Exec(ivmEdgeModule(false, [2]int{1, 2}), WithCallProfile(&p)); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Strata) != 1 || p.Strata[0].Vectorized || p.Strata[0].Reason != "bodiless rules" {
+		t.Fatalf("the insert's strata %+v, want one row stratum for bodiless rules", p.Strata)
+	}
+	if _, err := db.Exec("mode radi.\nrules\n  edge(src: 2, dst: 3).\n  tc(src: X, dst: Y) <- edge(src: X, dst: Y).\nend.\n"); err != nil {
+		t.Fatal(err)
+	}
+	out, err := db.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"stratum 0 (semi-naive, row (bodiless rules))", "stratum 1 (semi-naive (vectorized))"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("Explain lacks %q:\n%s", want, out)
+		}
+	}
+	if n, err := db.Count("tc"); err != nil || n != 2 {
+		t.Fatalf("Count(tc) = %d, %v; want 2", n, err)
+	}
+}

@@ -14,10 +14,12 @@ import (
 
 // Incremental view maintenance and live query subscriptions (DESIGN.md
 // §14). With WithIncremental the database keeps the derived instance
-// materialized across commits: after every commit the extensional delta
-// is propagated through the stratification (DRed delete/rederive, which
+// materialized across commits: each commit's extensional delta is
+// propagated through the stratification (DRed delete/rederive, which
 // checks each fact that lost a derivation before it over-deletes)
-// instead of rerunning the fixpoint, and reads (Instance, Count, Query) serve from the
+// instead of rerunning the fixpoint, by the application's attempt
+// outside the write lock and, when the commit merges, again in the
+// commit (maintStage); reads (Instance, Count, Query) serve from the
 // maintained set. Strata outside the eligible fragment — oid invention,
 // deletions, negation, data-function reads — are recomputed on top of
 // the maintained prefix; a program with no eligible stratum degenerates
@@ -31,22 +33,23 @@ import (
 // *SlowConsumerError rather than ever blocking a commit.
 
 // WithIncremental enables incremental maintenance of the derived
-// instance. Commits pay for delta propagation (usually far cheaper than
-// the from-scratch evaluation reads would otherwise run); Instance,
+// instance. Writes pay for delta propagation, in the attempt and again
+// in a commit that merges (usually far cheaper than the from-scratch
+// evaluation reads would otherwise run); Instance,
 // InstanceString, Count, and option-free Query calls then serve from
 // the maintained set without re-deriving. Required for SubscribeView.
 //
 // Reads in either mode trust the audit every state passed when it
 // entered the database (commit, Load, recovery) and never repeat it;
 // the two modes differ only in how they obtain the derived instance.
-// Data-variant commits that change neither rules nor schema —
-// optimistic and locked attempts alike, which share one commit path —
-// audit only what they changed, in either mode: without WithIncremental the
-// extensional delta over a fresh derivation, with it the maintainer's
-// exact view delta over the successor maintainer staged ahead of the
-// commit (a rejection drops it, and the published one keeps serving).
-// Every other commit audits its whole new instance inside module
-// application.
+// Every application attempt audits its new instance before it commits,
+// in either mode, and the commit audits nothing. Data-variant attempts
+// that change neither rules nor schema audit only what they changed:
+// without WithIncremental the extensional delta over a fresh
+// derivation, with it the exact view delta of the step that takes the
+// snapshot's maintainer to the new state (a rejection drops the step,
+// and the published maintainer keeps serving). Every other attempt
+// audits its whole new instance.
 // CheckConsistency remains available as an explicit full audit.
 func WithIncremental(on bool) Option {
 	return func(db *Database) { db.incremental = on }
@@ -254,10 +257,11 @@ func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 // maintOptions is the engine configuration of the maintainer's private
 // program: the database's evaluation settings (vectorize, budget) with
 // observability and cancellation stripped. A rebuild is one run of that
-// program, all of it under the budget. Maintenance is staged inside
-// the commit but never rejects it: a budget abort of a propagation
-// falls back to a rebuild, and if that aborts too the state is published
-// without a maintainer until a later commit rebuilds one. Its internal
+// program, all of it under the budget. Maintenance never rejects a
+// commit: a budget abort of an attempt's propagation falls back to the
+// attempt's scratch derivation, one of a commit's to a rebuild, and if
+// that aborts too the state is published without a maintainer until a
+// later commit rebuilds one. Its internal
 // evaluations stay out of the caller's trace stream (the database emits
 // one ivm.propagate or ivm.rebuild event per commit instead).
 func maintOptions(opts engine.Options) engine.Options {
@@ -300,34 +304,41 @@ type maintStep struct {
 }
 
 // maintStage steps the published maintainer to next, the successor
-// state of a commit, before the commit is logged, and serves a deferred
-// application's audit. When the maintainer runs next's program it
-// propagates the commit's extensional delta — a replacement's is the
-// diff of the two extensions, a registration's is empty and propagates
-// nothing — and audits the maintained instance by its exact view delta:
-// the same delta audit a commit without maintenance runs, against the
-// byte-identical maintained set, after the facts budget the evaluation
-// it stands in for meets, so both modes accept and reject alike
-// (module.AuditInstanceDelta). Otherwise
-// (rules or schema changed, no maintainer serves the current state, or
-// the propagation fails) it rebuilds over next, and a deferred audit
-// runs from scratch under the call's options. A rejection returns the
-// violation. Maintenance runs under maintOptions: a rebuild that fails
-// never fails the commit, it leaves the successor state without a
-// maintainer and ends every subscription.
-func (db *Database) maintStage(opts engine.Options, next *module.State, sr *module.SnapshotResult) (*maintStep, error) {
+// state of a commit that takes path, before the commit is logged. It
+// audits nothing: the attempt audited its state (module.ApplySnapshotMaintained).
+// On the fast path it installs the attempt's step, when it made one, of
+// the maintainer that still serves the current state. Otherwise, when
+// the maintainer runs next's program, it propagates the commit's
+// extensional delta: a merged delta, which validation found disjoint
+// from every write since the snapshot, as it does without maintenance;
+// a replacement's diff of the two extensions; a registration's empty
+// one, which propagates nothing. Otherwise (rules or schema changed, no
+// maintainer serves the current state, or the propagation fails) it
+// rebuilds over next. Maintenance runs under maintOptions and never
+// fails the commit: a rebuild that fails leaves the successor state
+// without a maintainer and ends every subscription.
+func (db *Database) maintStage(next *module.State, sr *module.SnapshotResult, path string) *maintStep {
 	step := &maintStep{}
 	if !db.incremental {
-		return step, nil
+		return step
 	}
 	start := time.Now()
+	propagated := func(m *engine.Maintainer, vd *engine.ViewDelta, took time.Duration) *maintStep {
+		step.m, step.vd = m, vd
+		step.ev = obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Count: len(vd.Adds) + len(vd.Removes),
+			Total: m.Full().TotalSize(), Duration: took}
+		return step
+	}
+	if ms := sr.Maintained; ms != nil && path == "fast" {
+		return propagated(ms.M, ms.View, ms.Took)
+	}
 	prog, err := next.Program(maintOptions(db.opts))
 	cur := db.snap.Load()
 	reason := "recover"
 	if cur.maint != nil && err == nil && cur.maint.Program().Shares(prog) {
 		if next.E == cur.st.E {
 			step.m, step.vd = cur.maint, &engine.ViewDelta{}
-			return step, nil
+			return step
 		}
 		adds, removes := sr.Adds, sr.Removes
 		if sr.Replace {
@@ -335,21 +346,7 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 		}
 		m, vd, uerr := cur.maint.Next(adds, removes, next.E, next.Counter)
 		if uerr == nil {
-			var audit string
-			if sr.Deferred {
-				// The evaluation the maintainer stood in for would have
-				// derived these facts beyond E′ under the call's budget.
-				if limit, d := opts.Budget.MaxFacts, m.Full().TotalSize()-next.E.TotalSize(); limit > 0 && d > limit {
-					return nil, &engine.BudgetError{Axis: engine.AxisFacts, Limit: int64(limit), Stratum: -1, Facts: d}
-				}
-				if audit, err = module.AuditInstanceDelta(next.S, m.Program(), m.Full(), vd.Adds, vd.Preds()); err != nil {
-					return nil, err
-				}
-			}
-			step.m, step.vd = m, vd
-			step.ev = obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Count: len(vd.Adds) + len(vd.Removes),
-				Total: m.Full().TotalSize(), Duration: time.Since(start), Reason: audit}
-			return step, nil
+			return propagated(m, vd, time.Since(start))
 		}
 		reason = "fallback: " + uerr.Error()
 	} else if cur.maint != nil {
@@ -362,24 +359,19 @@ func (db *Database) maintStage(opts engine.Options, next *module.State, sr *modu
 	}
 	if err != nil {
 		step.fail = err
-	} else {
-		oldFull := engine.NewFactSet()
-		if cur.maint != nil {
-			oldFull = cur.maint.Full()
-		}
-		vd := &engine.ViewDelta{}
-		vd.Adds, vd.Removes = diffFrozen(oldFull, step.m.Full())
-		engine.SortFactsByKey(vd.Adds)
-		engine.SortFactsByKey(vd.Removes)
-		step.vd = vd
-		step.ev = obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Detail: reason, Duration: time.Since(start)}
+		return step
 	}
-	if sr.Deferred {
-		if err := next.Audit(opts); err != nil {
-			return nil, err
-		}
+	oldFull := engine.NewFactSet()
+	if cur.maint != nil {
+		oldFull = cur.maint.Full()
 	}
-	return step, nil
+	vd := &engine.ViewDelta{}
+	vd.Adds, vd.Removes = diffFrozen(oldFull, step.m.Full())
+	engine.SortFactsByKey(vd.Adds)
+	engine.SortFactsByKey(vd.Removes)
+	step.vd = vd
+	step.ev = obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Detail: reason, Duration: time.Since(start)}
+	return step
 }
 
 // maintNotify reports a landed commit's maintenance step at the new
