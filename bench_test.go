@@ -665,10 +665,10 @@ func ivmEdgeModule(del bool, edges ...[2]int) string {
 	return sb.String()
 }
 
-// ivmChainOpen opens an incremental database holding edges and the
-// closure rules.
-func ivmChainOpen(tb testing.TB, edges [][2]int) *Database {
-	db, err := Open(ivmChainSchema, WithIncremental(true))
+// ivmChainOpen opens an incremental database (unless options say
+// otherwise) holding edges and the closure rules.
+func ivmChainOpen(tb testing.TB, edges [][2]int, options ...Option) *Database {
+	db, err := Open(ivmChainSchema, append([]Option{WithIncremental(true)}, options...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -779,6 +779,20 @@ func BenchmarkIVMChainCommit(b *testing.B) {
 			}
 		}
 		return db
+	}
+	// A rule change over the chain, and its undo: under WithIncremental
+	// the attempt builds the successor maintainer; rulechange-scratch is
+	// the same shape without maintenance.
+	const selfLoop = "  tc(src: X, dst: X) <- edge(src: X, dst: Y).\nend.\n"
+	for _, c := range []struct {
+		name        string
+		incremental bool
+	}{{"rulechange", true}, {"rulechange-scratch", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			edges, _ := ivmChainEdges(false)
+			db := ivmChainOpen(b, edges, WithIncremental(c.incremental))
+			run(b, db, "mode radi.\nrules\n"+selfLoop, "mode rddi.\nrules\n"+selfLoop)
+		})
 	}
 	b.Run("count", func(b *testing.B) { run(b, countOpen(b), insert, remove) })
 	b.Run("uncount", func(b *testing.B) { run(b, countOpen(b, insert), remove, insert) })

@@ -22,17 +22,18 @@ import (
 //     and take no lock, logres.go); a Call also looks its module up in
 //     that state's library;
 //  2. apply — run the module against the snapshot outside any lock,
-//     audit its new instance (under WithIncremental, by stepping the
-//     snapshot's maintainer and auditing the exact view delta), and
+//     audit its new instance (under WithIncremental, over the set of
+//     the new state's maintainer, which the attempt steps from the
+//     snapshot's or, for a new program, builds), and
 //     record its read/write predicate footprint (static analysis of the
 //     compiled rules, narrowed/widened by the runtime delta); a
 //     rejection ends the application here;
 //  3. validate + commit — write-lock, check the footprint against every
 //     write committed since the snapshot epoch, and on success merge
 //     the fact delta onto the current committed state (or install the
-//     result, and the attempt's maintainer step, wholesale when nothing
+//     result, and the attempt's maintainer, wholesale when nothing
 //     intervened), through commitLocked, the commit path Register
-//     shares, which audits nothing;
+//     shares, which audits and derives nothing;
 //  4. retry — on conflict, back off (capped exponential) and restart
 //     from a fresh snapshot. The retry budget's last attempt runs steps
 //     1–3 under the write lock, so it cannot conflict and commits like
@@ -90,11 +91,7 @@ type target struct {
 // evaluate runs one application attempt of t against the snapshot.
 func (t *target) evaluate(s *stateSnapshot, opts engine.Options) (*module.SnapshotResult, error) {
 	if t.materialize {
-		st, err := module.Materialize(s.st, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &module.SnapshotResult{Res: &module.Result{State: st}, Replace: true}, nil
+		return module.Materialize(s.st, s.maint, opts)
 	}
 	if t.name != "" {
 		m, err := s.st.Lib.Lookup(t.name)
@@ -270,13 +267,16 @@ func (db *Database) tryCommit(opts engine.Options, epoch uint64, sr *module.Snap
 // commitLocked is the one commit path of every state change: an
 // application's or a materialization's, optimistic or locked, and a
 // module registration's. The caller holds the write lock. The attempt
-// has audited its state in either maintenance mode, so the commit
-// audits nothing; it runs five stages (DESIGN.md §9):
+// has audited its state in either maintenance mode, and under
+// WithIncremental built or stepped its maintainer, so the commit audits
+// and derives nothing; it runs five stages (DESIGN.md §9):
 //
 //   - validate the attempt's footprint against the writes committed since
 //     its snapshot epoch and pick the successor state;
-//   - stage the maintainer's step to it (maintStage): the attempt's own
-//     on the fast path;
+//   - stage the successor's maintainer (maintStage): the attempt's own on
+//     the fast path and on a replacement, the published one for a
+//     registration, and on a merge the published one stepped by the
+//     merged delta; a merged step that fails is a conflict;
 //   - log the commit to the WAL of a durable database;
 //   - record its write set at the next epoch, publish the state and its
 //     maintainer with its snapshot at that epoch, and compact the WAL
@@ -330,7 +330,10 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 	// Stage: the maintainer takes next.E as its base, so it is frozen
 	// here as publish would leave it.
 	next.E.Freeze()
-	step := db.maintStage(next, sr, path)
+	ms, merr := db.maintStage(next, sr, path)
+	if merr != nil {
+		return "", "maintenance: " + merr.Error(), Footprint{}, false, nil
+	}
 	// Log: a delta record replays removes-then-adds onto the predecessor
 	// state — exactly what CommitDelta does — so recovery reproduces next
 	// byte for byte on both the fast and merge paths.
@@ -338,9 +341,9 @@ func (db *Database) commitLocked(opts engine.Options, epoch uint64, sr *module.S
 		return "", "", Footprint{}, false, err
 	}
 	db.log.Record(written)
-	db.publish(next, step.m, step.fail)
+	db.publish(next, ms.M)
 	db.maybeCompact()
-	db.maintNotify(opts.Tracer, step)
+	db.maintNotify(opts.Tracer, ms, sr.Registered != nil)
 	return path, "", Footprint{}, true, nil
 }
 

@@ -109,7 +109,7 @@ func OpenDurable(schemaSrc string, d Durability, options ...Option) (*Database, 
 	// not persisted — is rebuilt from it by recomputation, so the
 	// maintained set is byte-identical to a cold from-scratch evaluation.
 	// A failure closes the WAL the store holds open.
-	if err := db.publishDecoded(st); err != nil {
+	if err := db.start(st, true); err != nil {
 		_ = store.Close()
 		return nil, nil, err
 	}
@@ -181,7 +181,7 @@ func (db *Database) AsOf(epoch uint64) (*Database, error) {
 		return nil, err
 	}
 	past := &Database{opts: db.snap.Load().opts, log: storage.NewCommitLogAt(epoch, 0)}
-	past.publish(st, nil, nil)
+	past.publish(st, nil)
 	return past, nil
 }
 

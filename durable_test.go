@@ -251,6 +251,10 @@ func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
 		dangling  bool
 		violation string
 	}{{"denial", false, "integrity violation"}, {"dangling", true, "dangling"}} {
+		// The WithIncremental leg audits the set of the maintainer it
+		// builds instead of deriving again, with Load's and recovery's
+		// error text exactly as the scratch leg's.
+		var scratch [2]string
 		for _, incremental := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/incremental=%v", c.name, incremental), func(t *testing.T) {
 				st := inconsistentState(t, c.dangling)
@@ -258,8 +262,9 @@ func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
 				if err := storage.SaveState(&buf, st); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := Load(&buf, WithIncremental(incremental)); err == nil || !strings.Contains(err.Error(), c.violation) {
-					t.Fatalf("Load = %v, want an error naming %q", err, c.violation)
+				_, loadErr := Load(&buf, WithIncremental(incremental))
+				if loadErr == nil || !strings.Contains(loadErr.Error(), c.violation) {
+					t.Fatalf("Load = %v, want an error naming %q", loadErr, c.violation)
 				}
 				dir := filepath.Join(t.TempDir(), "db")
 				store, err := storage.Create(dir, st, storage.StoreOptions{})
@@ -269,8 +274,15 @@ func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
 				if err := store.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := OpenDurable("", Durability{Dir: dir}, WithIncremental(incremental)); err == nil || !strings.Contains(err.Error(), c.violation) {
+				_, _, err = OpenDurable("", Durability{Dir: dir}, WithIncremental(incremental))
+				if err == nil || !strings.Contains(err.Error(), c.violation) {
 					t.Fatalf("OpenDurable recovery = %v, want an error naming %q", err, c.violation)
+				}
+				got := [2]string{loadErr.Error(), err.Error()}
+				if !incremental {
+					scratch = got
+				} else if got != scratch {
+					t.Fatalf("Load and recovery failed with %q, want the scratch leg's %q", got, scratch)
 				}
 			})
 		}
@@ -278,9 +290,9 @@ func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
 }
 
 // An OpenDurable whose initialisation fails after the store recovered —
-// here the open-time audit (and, were it to pass, the maintainer build)
-// exceeding a tight budget — closes the WAL it opened; a normal reopen
-// then recovers the directory.
+// here the open-time audit, or under WithIncremental the maintainer
+// build whose set it audits, exceeding a tight budget — closes the WAL it
+// opened; a normal reopen then recovers the directory.
 func TestDurableFailedRecoveryClosesWAL(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("counts open descriptors through /proc/self/fd")
@@ -309,15 +321,25 @@ func TestDurableFailedRecoveryClosesWAL(t *testing.T) {
 		return len(entries)
 	}
 	before := openFDs()
-	for i := 0; i < 3; i++ {
-		_, _, err := OpenDurable("", Durability{Dir: dir}, WithIncremental(true), WithBudget(Budget{MaxFacts: 1}))
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("reopen under a one-fact budget = %v, want a *BudgetError", err)
+	// The WithIncremental leg fails in its maintainer build, the scratch
+	// leg in its audit's derivation: the same run, with the same error.
+	scratch := ""
+	for _, incremental := range []bool{false, true} {
+		for i := 0; i < 3; i++ {
+			_, _, err := OpenDurable("", Durability{Dir: dir}, WithIncremental(incremental), WithBudget(Budget{MaxFacts: 1}))
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("incremental=%v: reopen under a one-fact budget = %v, want a *BudgetError", incremental, err)
+			}
+			if !incremental {
+				scratch = err.Error()
+			} else if err.Error() != scratch {
+				t.Fatalf("incremental reopen failed with %q, want the scratch leg's %q", err, scratch)
+			}
 		}
 	}
 	if after := openFDs(); after != before {
-		t.Fatalf("open descriptors %d after three failed reopens, %d before", after, before)
+		t.Fatalf("open descriptors %d after six failed reopens, %d before", after, before)
 	}
 	db2, rec, err := OpenDurable("", Durability{Dir: dir})
 	if err != nil {

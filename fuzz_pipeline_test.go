@@ -744,6 +744,11 @@ end.
 			_, errRow := db.Exec(modSrc)
 			_, errVec := dbv.Exec(modSrc)
 			_, errInc := dbi.Exec(modSrc)
+			if dbi.snap.Load().maint == nil {
+				// Every commit, and every rejection, leaves a maintainer
+				// serving the published state.
+				t.Fatalf("no maintainer serves the incremental database's published state")
+			}
 			var errFull, errPlan error
 			withIsaFullPass(func() { _, errFull = dbf.Exec(modSrc) })
 			withPlanReference(func() { _, errPlan = dbp.Exec(modSrc) })

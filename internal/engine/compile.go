@@ -155,6 +155,9 @@ func (p *Program) Fork(opts Options) *Program {
 	return &Program{compiled: p.compiled, opts: opts}
 }
 
+// Options returns the options p runs under.
+func (p *Program) Options() Options { return p.opts }
+
 // Shares reports whether p and q are forks of one compilation.
 func (p *Program) Shares(q *Program) bool { return q != nil && p.compiled == q.compiled }
 

@@ -71,9 +71,6 @@ type ViewDelta struct {
 	Removes []Fact
 }
 
-// Empty reports whether the delta changes nothing.
-func (d *ViewDelta) Empty() bool { return len(d.Adds) == 0 && len(d.Removes) == 0 }
-
 // Preds returns the predicates the delta changes.
 func (d *ViewDelta) Preds() map[string]bool {
 	preds := map[string]bool{}
@@ -109,6 +106,16 @@ func NewMaintainer(prog *Program, e *FactSet, counter int64) (*Maintainer, error
 	m.view.Freeze()
 	m.full.Freeze()
 	return m, nil
+}
+
+// Fork returns m on a fork of its program under opts (Program.Fork):
+// the state it serves is shared, and its successors step under opts. A
+// maintainer built under one call's tracer, context and budget is
+// handed over this way to serve later commits under other options.
+func (m *Maintainer) Fork(opts Options) *Maintainer {
+	n := *m
+	n.prog = m.prog.Fork(opts)
+	return &n
 }
 
 // EligibleStrata returns how many leading strata are incrementally

@@ -36,8 +36,9 @@ type SnapshotResult struct {
 	// state (rule/schema changes): valid only when nothing committed
 	// since the snapshot.
 	Replace bool
-	// Maintained, when set, is the step of the snapshot's maintainer to
-	// Res.State, which the application's audit read.
+	// Maintained, when set, is the maintainer of Res.State, stepped from
+	// or built beside the snapshot's, whose set the application's audit
+	// read.
 	Maintained *Maintained
 	// Registered, when set, marks a registration: Res.State is the
 	// published state whose library gained this module (State.Register),
@@ -61,10 +62,11 @@ func ApplySnapshotDeferred(st *State, m *ast.Module, mode ast.Mode, opts engine.
 }
 
 // ApplySnapshotMaintained is ApplySnapshot against a snapshot that maint
-// serves (nil: none). A data-variant application that changes neither
-// rules nor schema steps maint to its new state and audits that by the
-// step's exact view delta (see Maintained); when the step fails, it
-// derives and audits from scratch, as without maint.
+// serves (nil: none). An application that changes the state gives its
+// new state a maintainer (see successor) and audits over its set: a
+// data-variant application that changes neither rules nor schema by the
+// exact view delta, any other in full. Only a goal-only or rule-bearing
+// RIDI, which changes nothing, runs as without maint.
 func ApplySnapshotMaintained(st *State, maint *engine.Maintainer, m *ast.Module, mode ast.Mode, opts engine.Options) (*SnapshotResult, error) {
 	// The application runs first, so a rejected module fails exactly as
 	// Apply does, and the footprint reuses the programs it compiled.

@@ -303,14 +303,14 @@ type Result struct {
 	// changes neither rules nor schema, computed once: the audit and the
 	// commit both use it.
 	delta *extDelta
-	// maint is the maintainer's step to the new state, when one audited
-	// it (see Maintained).
+	// maint is the maintainer of the new state, when a maintainer serves
+	// the state the application ran against (see Maintained).
 	maint *Maintained
-	// prog is the persistent program of the new state (a maintained
-	// application's is the unforked compilation, which it never runs),
-	// and updateFP the footprint of the update program R_M of a
-	// data-variant mode. ApplySnapshot builds its footprint from them
-	// instead of compiling either again.
+	// prog is the persistent program of the new state (a stepped
+	// maintainer's, which the application only reads), and updateFP the
+	// footprint of the update program R_M of a data-variant mode.
+	// ApplySnapshot builds its footprint from them instead of compiling
+	// either again.
 	prog     *engine.Program
 	updateFP *engine.RuleFootprint
 }
@@ -333,8 +333,9 @@ func Apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options) (*Resul
 	return apply(st, m, mode, opts, nil)
 }
 
-// apply is Apply against a state that maint serves (nil: none), which a
-// data-variant application steps (see maintain).
+// apply is Apply against a state that maint serves (nil: none): every
+// application that changes the state then gives its new state a
+// maintainer (see successor).
 func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, maint *engine.Maintainer) (res *Result, err error) {
 	// Application is all-or-nothing: every mode that changes anything works
 	// on a clone of st, so on any abort — budget, cancellation, or a panic
@@ -363,9 +364,9 @@ func apply(st *State, m *ast.Module, mode ast.Mode, opts engine.Options, maint *
 	case ast.RIDI:
 		return applyRIDI(st, m, opts)
 	case ast.RADI:
-		return applyRuleChange(st, m, opts, true)
+		return applyRuleChange(st, m, opts, true, maint)
 	case ast.RDDI:
-		return applyRuleChange(st, m, opts, false)
+		return applyRuleChange(st, m, opts, false, maint)
 	case ast.RIDV, ast.RADV, ast.RDDV:
 		return applyDataVariant(st, m, opts, mode, maint)
 	}
@@ -461,7 +462,7 @@ func applyRIDI(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
 // applyRuleChange — RADI adds (RDDI deletes) rules and type equations in
 // the persistent state; E is untouched. The new state must yield a
 // consistent instance or the update is rejected.
-func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*Result, error) {
+func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool, maint *engine.Maintainer) (*Result, error) {
 	next := st.Clone()
 	mode := ast.RADI
 	if add {
@@ -478,12 +479,32 @@ func applyRuleChange(st *State, m *ast.Module, opts engine.Options, add bool) (*
 	if err := next.S.Validate(); err != nil {
 		return nil, fmt.Errorf("module: rejected, schema invalid: %w", err)
 	}
-	f, prog, err := next.derive(opts)
+	res := &Result{State: next, Audit: auditRulesSchema}
+	f, prog, err := res.replacement(maint, st, opts)
 	if err != nil {
 		return nil, fmt.Errorf("module: rejected: %w", err)
 	}
-	res := &Result{State: next, Audit: auditRulesSchema, prog: prog}
+	res.prog = prog
 	return res, res.answer(prog, f, m.Goal)
+}
+
+// replacement derives R(E) of res.State, a state that replaces st
+// wholesale, and audits it in full, returning it with the program that
+// answers goals over it: derive's run, or, when maint serves st, the set
+// of res.State's maintainer (successor).
+func (res *Result) replacement(maint *engine.Maintainer, st *State, opts engine.Options) (*engine.FactSet, *engine.Program, error) {
+	if maint == nil {
+		return res.State.derive(opts)
+	}
+	ms, prog, err := successor(maint, st, res.State, nil, opts)
+	if err == nil {
+		err = AuditMaintainer(res.State, ms.M)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	res.maint = ms
+	return ms.M.Full(), prog, nil
 }
 
 // applyDataVariant — the three EDB-updating modes. E1 is computed by
@@ -538,19 +559,27 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	res := &Result{State: next, updateFP: &rf}
 	if !declaresNothing(m.Schema) || len(next.R) != len(st.R) {
 		// New rules or schema: R(E1) comes from a program no commit audited.
-		if _, res.prog, err = next.derive(opts); err != nil {
+		res.Audit = auditRulesSchema
+		if _, res.prog, err = res.replacement(maint, st, opts); err != nil {
 			return nil, fmt.Errorf("module: rejected: %w", err)
 		}
-		res.Audit = auditRulesSchema
 		return res, nil
 	}
 	// (R, S) unchanged: the state differs from st only in (E, Counter), so
 	// only what the delta changed can be inconsistent.
 	res.delta = diffFacts(st.E, next.E, rf.Writes)
 	if maint != nil {
-		if ok, err := res.maintain(maint, next, opts); ok || err != nil {
-			return res, err
+		// The exact view delta from maint's set, which passed the audit,
+		// is the delta AuditInstanceDelta reads.
+		ms, mprog, err := successor(maint, st, next, res.delta, opts)
+		if err == nil {
+			res.prog, res.maint = mprog, ms
+			res.Audit, err = AuditInstanceDelta(next.S, mprog, ms.M.Full(), ms.View.Adds, ms.View.Preds())
 		}
+		if err != nil {
+			return nil, fmt.Errorf("module: rejected: %w", err)
+		}
+		return res, nil
 	}
 	d := res.delta
 	f, pprog, err := next.run(opts)
@@ -567,46 +596,66 @@ func applyDataVariant(st *State, m *ast.Module, opts engine.Options, mode ast.Mo
 	return res, nil
 }
 
-// Maintained is a maintainer's step to an application's new state: M
-// serves the state, View is the exact view delta of the step and Took
-// its wall-clock.
+// Maintained is the maintainer of an application's new state, handed to
+// the commit: M serves the state, View is the exact difference of its
+// set from the set of the maintainer that serves the snapshot, Took the
+// wall-clock of the step or build, and Rebuilt why M was built rather
+// than stepped ("" for a step).
 type Maintained struct {
-	M    *engine.Maintainer
-	View *engine.ViewDelta
-	Took time.Duration
+	M       *engine.Maintainer
+	View    *engine.ViewDelta
+	Took    time.Duration
+	Rebuilt string
 }
 
-// maintain steps maint, which serves the state next succeeds, by the
-// application's extensional delta, and audits the maintained instance
-// by the step's exact view delta: the delta audit a scratch derivation
-// runs, against the byte-identical set, after the facts budget that
-// derivation meets, so both accept and reject alike. It reports false
-// when maint does not run next's program or the step fails: the caller
-// then derives from scratch.
-func (res *Result) maintain(maint *engine.Maintainer, next *State, opts engine.Options) (bool, error) {
-	prog, err := next.compiled(opts)
-	if err != nil || !maint.Program().Shares(prog) {
-		return false, nil
-	}
+// successor gives next, the new state of an application against st,
+// which maint serves, its maintainer, and returns with it the program
+// that answers goals over its set. When maint runs next's program, it
+// steps maint by the extensional delta d (diffed here when nil) and
+// checks the facts budget a derivation from scratch meets, so both
+// maintenance modes accept and reject alike. Otherwise, or when the step
+// fails, it builds one (NewMaintainer) on a fork of next's program under
+// opts: the run derive makes, so the call's tracer, context and budget
+// govern it, and the maintainer is handed over on a fork under maint's
+// options, where they end with the call.
+func successor(maint *engine.Maintainer, st, next *State, d *extDelta, opts engine.Options) (*Maintained, *engine.Program, error) {
 	start := time.Now()
 	next.E.Freeze()
-	m, vd, err := maint.Next(res.delta.adds, res.delta.removes, next.E, next.Counter)
+	why := "replace"
+	if prog, err := next.compiled(opts); err == nil && maint.Program().Shares(prog) {
+		if d == nil {
+			d = diffFacts(st.E, next.E, nil)
+		}
+		m, vd, err := maint.Next(d.adds, d.removes, next.E, next.Counter)
+		if err == nil {
+			if limit, n := opts.Budget.MaxFacts, m.Full().TotalSize()-next.E.TotalSize(); limit > 0 && n > limit {
+				return nil, nil, &engine.BudgetError{Axis: engine.AxisFacts, Limit: int64(limit), Stratum: -1, Facts: n}
+			}
+			return &Maintained{M: m, View: vd, Took: time.Since(start)}, m.Program(), nil
+		}
+		why = "fallback: " + err.Error()
+	}
+	prog, err := next.Program(opts)
 	if err != nil {
-		return false, nil
+		return nil, nil, err
 	}
-	took := time.Since(start)
-	if limit, d := opts.Budget.MaxFacts, m.Full().TotalSize()-next.E.TotalSize(); limit > 0 && d > limit {
-		err = &engine.BudgetError{Axis: engine.AxisFacts, Limit: int64(limit), Stratum: -1, Facts: d}
-	} else {
-		res.Audit, err = AuditInstanceDelta(next.S, m.Program(), m.Full(), vd.Adds, vd.Preds())
-	}
+	m, err := engine.NewMaintainer(prog, next.E, next.Counter)
 	if err != nil {
-		return false, fmt.Errorf("module: rejected: %w", err)
+		return nil, nil, err
 	}
-	// The footprint reads the persistent program: st's, whose S and R
-	// next shares.
-	res.prog, res.maint = prog, &Maintained{M: m, View: vd, Took: took}
-	return true, nil
+	full := diffFacts(maint.Full(), m.Full(), nil)
+	engine.SortFactsByKey(full.adds)
+	engine.SortFactsByKey(full.removes)
+	return &Maintained{M: m.Fork(maint.Program().Options()), View: &engine.ViewDelta{Adds: full.adds, Removes: full.removes},
+		Took: time.Since(start), Rebuilt: why}, prog, nil
+}
+
+// AuditMaintainer runs the full audit of st's instance over the set of
+// m, the maintainer that serves st: what State.Audit checks, without
+// deriving.
+func AuditMaintainer(st *State, m *engine.Maintainer) (err error) {
+	defer shieldPanic(&err)
+	return auditFull(st.S, m.Program(), m.Full())
 }
 
 // updateProgram compiles the update rules R_M of a data-variant
@@ -651,13 +700,22 @@ func subtractRules(rules, sub []*ast.Rule) []*ast.Rule {
 
 // Materialize implements the §4.2 idiom "materializing the instance": the
 // persistent rules are applied once in RIDV fashion so that E coincides
-// with I, and R is cleared.
-func Materialize(st *State, opts engine.Options) (*State, error) {
+// with I, and R is cleared. It runs against a snapshot that maint serves
+// (nil: none) and is packaged for commit as a whole-state replacement;
+// with maint it carries the maintainer of the materialized state
+// (successor), whose set it does not audit again: the RIDV application
+// audited R(E1).
+func Materialize(st *State, maint *engine.Maintainer, opts engine.Options) (*SnapshotResult, error) {
 	mod := &ast.Module{Schema: types.NewSchema(), Rules: st.R}
 	res, err := Apply(st, mod, ast.RIDV, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.State.R = nil
-	return res.State, nil
+	if maint != nil {
+		if res.maint, _, err = successor(maint, st, res.State, nil, opts); err != nil {
+			return nil, err
+		}
+	}
+	return &SnapshotResult{Res: res, Replace: true, Maintained: res.maint}, nil
 }

@@ -384,10 +384,11 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := Materialize(res.State, opts())
+	sr, err := Materialize(res.State, nil, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	mat := sr.Res.State
 	if len(mat.R) != 0 {
 		t.Fatal("Materialize kept rules")
 	}
@@ -469,10 +470,11 @@ end.
 		t.Fatal(err)
 	}
 	// Materialize italian into E.
-	mat, err := Materialize(res.State, opts())
+	sr, err := Materialize(res.State, nil, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	mat := sr.Res.State
 	// New definition overrides: delete the materialized tuple, add another.
 	upd := parseModule(t, `
 mode ridv.

@@ -753,9 +753,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // NDJSON stream: a SubscribeHeader line pinning the start epoch, then
 // one DiffEvent line per state-changing commit, flushed as it lands.
 // The stream ends with an {"error": …} line when the server tears the
-// subscription down — backpressure disconnect ("slow_consumer"),
-// maintenance failure ("internal"), or shutdown ("draining") — and
-// silently when the client hangs up.
+// subscription down — backpressure disconnect ("slow_consumer") or
+// shutdown ("draining") — and silently when the client hangs up.
+// Maintenance never ends it.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	db, ok := s.lookup(w, r)
 	if !ok {
@@ -807,15 +807,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		case d, open := <-sub.C:
 			if !open {
-				switch err := sub.Err(); {
-				case err == nil:
-				default:
-					kind := client.KindInternal
-					var slow *logres.SlowConsumerError
-					if errors.As(err, &slow) {
-						kind = client.KindSlowConsumer
-					}
-					writeErrLine(client.ErrorResponse{Error: err.Error(), Kind: kind})
+				var slow *logres.SlowConsumerError
+				if errors.As(sub.Err(), &slow) {
+					writeErrLine(client.ErrorResponse{Error: slow.Error(), Kind: client.KindSlowConsumer})
 				}
 				return
 			}

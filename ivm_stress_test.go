@@ -1,6 +1,7 @@
 package logres
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -288,7 +289,7 @@ func TestConcurrentMaintainedAttempts(t *testing.T) {
 
 			s := db.snap.Load()
 			if s.maint == nil {
-				t.Fatalf("no maintainer serves the final state (%v)", s.maintErr)
+				t.Fatalf("no maintainer serves the final state")
 			}
 			fresh, err := s.st.Derive(s.opts)
 			if err != nil {
@@ -385,7 +386,7 @@ func TestIncrementalMergeAndEarlyRejection(t *testing.T) {
 	}
 	s := db.snap.Load()
 	if s.maint == nil || s.maint == landed.maint {
-		t.Fatalf("the merge published no new maintainer (%v)", s.maintErr)
+		t.Fatalf("the merge published no new maintainer")
 	}
 	fresh, err := s.st.Derive(s.opts)
 	if err != nil {
@@ -407,9 +408,7 @@ func TestIncrementalMergeAndEarlyRejection(t *testing.T) {
 	}
 	<-sub.C // the disjoint commit's
 	d := <-sub.C
-	adds, removes := diffFrozen(landed.maint.Full(), fresh)
-	engine.SortFactsByKey(adds)
-	engine.SortFactsByKey(removes)
+	adds, removes := factDiff(landed.maint.Full(), fresh)
 	if d.Epoch != s.epoch || !reflect.DeepEqual(d.Adds, adds) || len(d.Removes)+len(removes) != 0 {
 		t.Fatalf("the merge's diff at epoch %d is %v − %v, want %v at %d", d.Epoch, d.Adds, d.Removes, adds, s.epoch)
 	}
@@ -429,4 +428,279 @@ func TestIncrementalMergeAndEarlyRejection(t *testing.T) {
 	if db.CommitEpoch() != s.epoch || rt.count(obs.KindIVMPropagate)+rt.count(obs.KindIVMRebuild) != 0 {
 		t.Fatal("the rejected attempt committed or maintained")
 	}
+}
+
+// TestMergedPropagationFailureIsAConflict pins what a commit does when
+// the propagation of its merged delta fails: the merge does not land,
+// its conflict names the failure, and the retry builds the maintainer in
+// its own attempt, so no state is published without one and the
+// subscription lives on. No database budget makes a merged step fail
+// where the attempt's own step fit: a merge validates only when the
+// commits its attempt missed wrote nothing the persistent program reads,
+// so the merged step recomputes what the attempt's did, and only the
+// wall-clock axis can tell the two apart. So the hooked commit
+// republishes its state with its maintainer forked under a one-fact
+// budget, which the merged step's negation suffix exceeds.
+func TestMergedPropagationFailureIsAConflict(t *testing.T) {
+	const (
+		hooked = "mode ridv.\nrules\n  same(a: 7, b: 7).\nend.\n"
+		merged = "mode ridv.\nrules\n  edge(src: 2, dst: 3).\nend.\n"
+	)
+	setup := []string{
+		ivmMatrixPrograms[2].rules, // closure and a negation suffix
+		"mode ridv.\nrules\n  node(n: 1). node(n: 2). node(n: 3). edge(src: 1, dst: 2).\nend.\n",
+	}
+	db, err := Open(ivmMatrixSchema, WithIncremental(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range setup {
+		if _, err := db.Exec(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := db.SubscribeView(SubscribeOptions{Buffer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	rt := &recordingTracer{}
+	db.SetTracer(rt)
+	var landed *stateSnapshot
+	hooks.ConcurrentPreCommit = func(attempt int) {
+		if attempt != 0 {
+			return
+		}
+		execLocked(t, db, hooked)
+		db.mu.Lock()
+		s := db.snap.Load()
+		opts := s.maint.Program().Options()
+		opts.Budget.MaxFacts = 1
+		db.publish(s.st, s.maint.Fork(opts))
+		landed = db.snap.Load()
+		db.mu.Unlock()
+	}
+	defer func() { hooks.ConcurrentPreCommit = nil }()
+	if _, err := db.Exec(merged); err != nil {
+		t.Fatal(err)
+	}
+	hooks.ConcurrentPreCommit = nil
+
+	var conflicts, paths, rebuilds []string
+	for _, ev := range rt.events {
+		switch ev.Kind {
+		case obs.KindModuleConflict:
+			conflicts = append(conflicts, ev.Pred)
+		case obs.KindModuleCommit:
+			paths = append(paths, ev.Detail)
+		case obs.KindIVMRebuild:
+			rebuilds = append(rebuilds, fmt.Sprintf("%d %s", ev.Round, ev.Detail))
+		}
+	}
+	if len(conflicts) != 1 || !strings.HasPrefix(conflicts[0], "maintenance: ") || !strings.Contains(conflicts[0], "fact budget exhausted") {
+		t.Fatalf("conflicts %q, want one naming the merged step's budget abort", conflicts)
+	}
+	if !slices.Equal(paths, []string{"fast", "fast"}) {
+		t.Fatalf("commit paths %q, want the hooked commit and the retry, both fast", paths)
+	}
+	s := db.snap.Load()
+	if s.epoch != landed.epoch+1 || len(rebuilds) != 1 || !strings.HasPrefix(rebuilds[0], fmt.Sprintf("%d fallback: ", s.epoch)) {
+		t.Fatalf("epoch %d after the hooked commit's %d, rebuilds %q; want the retry to land, built in its attempt", s.epoch, landed.epoch, rebuilds)
+	}
+	if s.maint == nil {
+		t.Fatal("no maintainer serves the published state")
+	}
+	fresh, err := s.st.Derive(s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.maint.Full().Equal(fresh) {
+		t.Fatal("the retry's maintainer differs from a derivation of the committed state")
+	}
+	serial, err := Open(ivmMatrixSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range append(setup, hooked, merged) {
+		if _, err := serial.Exec(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got, want strings.Builder
+	if err := db.Save(&sb2{&got}); err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.Save(&sb2{&want}); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatal("Save bytes differ from the serial replay")
+	}
+	for e := landed.epoch; e <= s.epoch; e++ {
+		if d := <-sub.C; d.Epoch != e {
+			t.Fatalf("diff for epoch %d, want %d", d.Epoch, e)
+		}
+	}
+	if err := sub.Err(); err != nil {
+		t.Fatalf("the subscription ended: %v", err)
+	}
+}
+
+// TestReplacementsBuiltBesideWriters runs a rule changer beside two data
+// writers on one WithIncremental database. The changer alternates a RADI
+// and an RDDI of a negation rule, so each of its attempts builds the
+// maintainer of the state it replaces, outside the write lock, while the
+// writers' attempts step theirs. Every landed epoch emits exactly one
+// ivm.propagate or ivm.rebuild; the subscriber's diffs replay onto the
+// initial set to the final maintained set, which equals a derivation;
+// and no commit after a build emits into the tracer of the call that
+// built: the maintainer is handed over under the database's options.
+func TestReplacementsBuiltBesideWriters(t *testing.T) {
+	const (
+		changes = 8
+		commits = 16 // per writer
+		rule    = "  unreach1(a: X, b: Y) <- node1(n: X), node1(n: Y), not tc1(src: X, dst: Y).\n"
+	)
+	db, err := Open(twoWriterSchema, WithIncremental(true), WithMaxRetries(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"mode ridv.\nrules\n  node1(n: 0). node1(n: 3). node1(n: 6). edge1(src: 8, dst: 0). edge2(src: 8, dst: 0).\nend.\n",
+		twoWriterPrograms[0].rules,
+	} {
+		if _, err := db.Exec(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	initial, err := db.Instance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := db.SubscribeView(SubscribeOptions{Buffer: changes + 2*commits + 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	rt := &recordingTracer{}
+	db.SetTracer(rt)
+	change := func(i int, req string) error {
+		mode := "radi"
+		if i%2 == 1 {
+			mode = "rddi"
+		}
+		ctx := obs.ContextWithSpan(context.Background(), obs.NewSpan(req, "", ""))
+		_, err := db.ExecContext(ctx, "mode "+mode+".\nrules\n"+rule+"end.\n")
+		return err
+	}
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < changes; i++ {
+			if err := change(i, fmt.Sprintf("change-%d", i)); err != nil {
+				t.Errorf("change %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for w := 1; w <= 2; w++ {
+		go func() {
+			defer wg.Done()
+			for c := 0; c < commits; c++ {
+				if _, err := db.Exec(twoWriterCommit(w, c)); err != nil {
+					t.Errorf("writer %d commit %d: %v", w, c, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	s := db.snap.Load()
+	steps := map[int]int{}
+	rt.mu.Lock()
+	for _, ev := range rt.events {
+		if ev.Kind == obs.KindIVMPropagate || ev.Kind == obs.KindIVMRebuild {
+			steps[ev.Round]++
+		}
+	}
+	rt.mu.Unlock()
+	if len(steps) != int(s.epoch-sub.Epoch) {
+		t.Fatalf("maintenance events at %d epochs, want the %d landed", len(steps), s.epoch-sub.Epoch)
+	}
+	for e := sub.Epoch + 1; e <= s.epoch; e++ {
+		if steps[int(e)] != 1 {
+			t.Fatalf("epoch %d emitted %d maintenance events, want 1", e, steps[int(e)])
+		}
+	}
+	fresh, err := s.st.Derive(s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.maint.Full().Equal(fresh) {
+		t.Fatal("the maintained set differs from a fresh derivation")
+	}
+	replay := map[string]bool{}
+	for _, f := range initial {
+		replay[f.Key()] = true
+	}
+	for e := sub.Epoch + 1; e <= s.epoch; e++ {
+		d := <-sub.C
+		if d.Epoch != e {
+			t.Fatalf("diff for epoch %d, want %d", d.Epoch, e)
+		}
+		for _, f := range d.Removes {
+			delete(replay, f.Key())
+		}
+		for _, f := range d.Adds {
+			replay[f.Key()] = true
+		}
+	}
+	want := map[string]bool{}
+	for _, f := range s.maint.Full().AppendAll(nil) {
+		want[f.Key()] = true
+	}
+	if !maps.Equal(replay, want) {
+		t.Fatalf("the diffs replay to %d facts, want the maintained %d", len(replay), len(want))
+	}
+
+	// A build, then commits stepping what it built through the suffix.
+	if err := change(0, "built"); err != nil {
+		t.Fatal(err)
+	}
+	rt.mu.Lock()
+	built := len(rt.events)
+	rt.mu.Unlock()
+	for c := commits; c < commits+2; c++ {
+		if _, err := db.Exec(twoWriterCommit(1, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range rt.events[built:] {
+		if ev.Req == "built" {
+			t.Fatalf("a later commit emitted %s into the building call's tracer", ev.Kind)
+		}
+	}
+}
+
+// factDiff is the fact-level difference between two fact sets, each side
+// sorted by fact key, as a ViewDiff carries it.
+func factDiff(before, after *engine.FactSet) (adds, removes []Fact) {
+	for _, f := range after.AppendAll(nil) {
+		if !before.Has(f) {
+			adds = append(adds, f)
+		}
+	}
+	for _, f := range before.AppendAll(nil) {
+		if !after.Has(f) {
+			removes = append(removes, f)
+		}
+	}
+	engine.SortFactsByKey(adds)
+	engine.SortFactsByKey(removes)
+	return adds, removes
 }

@@ -232,14 +232,47 @@ func newDatabase(log *storage.CommitLog, options []Option) (*Database, error) {
 
 // publish freezes the state's extensional facts and publishes its
 // snapshot, the one readers and writers load from now on, with maint,
-// the maintainer that serves st, or nil and maintErr, why none does. It
-// is the one place that installs a maintainer. A commit publishes after
-// it has recorded its epoch and staged its maintenance, so the snapshot
-// carries both. Callers hold the write lock or are the sole owner (Open,
-// Load, recovery, AsOf).
-func (db *Database) publish(st *module.State, maint *engine.Maintainer, maintErr error) {
+// the maintainer that serves st (nil without WithIncremental). It is the
+// one place that installs a maintainer. A commit publishes after it has
+// recorded its epoch and staged its maintenance, so the snapshot carries
+// both. Callers hold the write lock or are the sole owner (Open, Load,
+// recovery, AsOf).
+func (db *Database) publish(st *module.State, maint *engine.Maintainer) {
 	st.E.Freeze()
-	db.snap.Store(&stateSnapshot{st: st, epoch: db.log.Epoch(), opts: db.opts, maint: maint, maintErr: maintErr})
+	db.snap.Store(&stateSnapshot{st: st, epoch: db.log.Epoch(), opts: db.opts, maint: maint})
+}
+
+// start publishes the first state of a database it is the sole owner
+// of: Open's empty state, or one that enters without a commit (Load,
+// recovery), which reads trust to have passed the audit, so it is
+// audited here, once: Definition 4 consistency and the passive
+// constraints, under the database's budget but no context
+// (maintOptions). Under WithIncremental it builds the state's
+// maintainer on a fork of its program under maintOptions, the one build
+// outside an application's attempt, and audits the maintained set
+// (module.AuditMaintainer), so the state is derived once.
+func (db *Database) start(st *module.State, audit bool) error {
+	st.E.Freeze()
+	opts := maintOptions(db.opts)
+	var m *engine.Maintainer
+	var err error
+	switch {
+	case db.incremental:
+		var prog *engine.Program
+		if prog, err = st.Program(opts); err == nil {
+			m, err = engine.NewMaintainer(prog, st.E, st.Counter)
+		}
+		if err == nil && audit {
+			err = module.AuditMaintainer(st, m)
+		}
+	case audit:
+		err = st.Audit(opts)
+	}
+	if err != nil {
+		return err
+	}
+	db.publish(st, m)
+	return nil
 }
 
 // Open creates a database over the schema declared in src (domains /
@@ -260,7 +293,7 @@ func Open(src string, options ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := db.start(module.NewState(m.Schema)); err != nil {
+	if err := db.start(module.NewState(m.Schema), false); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -402,12 +435,9 @@ type stateSnapshot struct {
 	st    *module.State
 	epoch uint64 // the commit epoch st was published at
 	opts  engine.Options
-	// maint serves st when it is set (WithIncremental): its frozen
-	// derived set is R(E), and its program answers goals over it.
-	// maintErr says why none serves, when maintenance failed; it is read
-	// by SubscribeView.
-	maint    *engine.Maintainer
-	maintErr error
+	// maint serves st under WithIncremental: its frozen derived set is
+	// R(E), and its program answers goals over it.
+	maint *engine.Maintainer
 }
 
 // derived returns R(E) of the snapshot's state: the maintained set when
@@ -463,24 +493,10 @@ func Load(r io.Reader, options ...Option) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := db.publishDecoded(st); err != nil {
+	if err := db.start(st, true); err != nil {
 		return nil, err
 	}
 	return db, nil
-}
-
-// publishDecoded publishes a state that enters the database without a
-// commit — a loaded snapshot, or a recovered snapshot plus WAL replay.
-// Reads trust that every published state was audited, so this one is
-// audited here, once: Definition 4 consistency and the passive
-// constraints, under the database's budget but no context
-// (maintOptions). The caller is the sole owner of db.
-func (db *Database) publishDecoded(st *module.State) error {
-	st.E.Freeze()
-	if err := st.Audit(maintOptions(db.opts)); err != nil {
-		return err
-	}
-	return db.start(st)
 }
 
 // Schema renders the current schema in LOGRES syntax.

@@ -204,7 +204,7 @@ func TestPerCallBudgetCannotWiden(t *testing.T) {
 
 	// A looser rounds axis must not widen the database's round bound.
 	db.opts.Budget.MaxRounds = 10
-	db.publish(db.snap.Load().st, nil, nil)
+	db.publish(db.snap.Load().st, nil)
 	_, err = db.Exec(divergentModule, WithCallBudget(Budget{MaxRounds: 20}))
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v (%T), want *BudgetError", err, err)

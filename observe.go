@@ -130,7 +130,7 @@ func (db *Database) rewireTracer() {
 		db.store.SetTracer(db.opts.Tracer)
 	}
 	if s := db.snap.Load(); s != nil {
-		db.publish(s.st, s.maint, s.maintErr)
+		db.publish(s.st, s.maint)
 	}
 }
 

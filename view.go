@@ -19,7 +19,9 @@ import (
 // checks each fact that lost a derivation before it over-deletes)
 // instead of rerunning the fixpoint, by the application's attempt
 // outside the write lock and, when the commit merges, again in the
-// commit (maintStage); reads (Instance, Count, Query) serve from the
+// commit (maintStage). A commit that changes the program has its
+// maintainer built by its attempt, also outside the lock; the commit
+// itself never derives. Reads (Instance, Count, Query) serve from the
 // maintained set. Strata outside the eligible fragment — oid invention,
 // deletions, negation, data-function reads — are recomputed on top of
 // the maintained prefix; a program with no eligible stratum degenerates
@@ -33,11 +35,15 @@ import (
 // *SlowConsumerError rather than ever blocking a commit.
 
 // WithIncremental enables incremental maintenance of the derived
-// instance. Writes pay for delta propagation, in the attempt and again
-// in a commit that merges (usually far cheaper than the from-scratch
-// evaluation reads would otherwise run); Instance,
-// InstanceString, Count, and option-free Query calls then serve from
-// the maintained set without re-deriving. Required for SubscribeView.
+// instance: every published state carries the maintainer that serves
+// it. Writes pay for delta propagation, in the attempt and again in a
+// commit that merges (usually far cheaper than the from-scratch
+// evaluation reads would otherwise run); an attempt that changes rules
+// or schema, or whose propagation fails, builds its new state's
+// maintainer by the one derivation it would make without maintenance.
+// Instance, InstanceString, Count, and option-free Query calls then
+// serve from the maintained set without re-deriving. Required for
+// SubscribeView.
 //
 // Reads in either mode trust the audit every state passed when it
 // entered the database (commit, Load, recovery) and never repeat it;
@@ -49,7 +55,9 @@ import (
 // derivation, with it the exact view delta of the step that takes the
 // snapshot's maintainer to the new state (a rejection drops the step,
 // and the published maintainer keeps serving). Every other attempt
-// audits its whole new instance.
+// audits its whole new instance, with it the set of the maintainer it
+// built. A merged commit whose propagation fails does not land: it
+// conflicts, and its retry builds in its attempt.
 // CheckConsistency remains available as an explicit full audit.
 func WithIncremental(on bool) Option {
 	return func(db *Database) { db.incremental = on }
@@ -105,9 +113,9 @@ type SubscribeOptions struct {
 }
 
 // Subscription is one live view subscription. Receive from C until it
-// closes, then consult Err: nil after Close, a *SlowConsumerError after
-// a backpressure disconnect, or the maintenance failure that tore down
-// every subscription.
+// closes, then consult Err: nil after Close, or a *SlowConsumerError
+// after a backpressure disconnect. Maintenance never ends a
+// subscription: no commit publishes a state without a maintainer.
 type Subscription struct {
 	// C delivers one ViewDiff per state-changing commit epoch, in
 	// order. It closes when the subscription ends.
@@ -127,8 +135,9 @@ type Subscription struct {
 	closed bool
 }
 
-// Err reports why the subscription ended; nil while it is live or after
-// an explicit Close.
+// Err reports why the subscription ended: a *SlowConsumerError after a
+// backpressure disconnect; nil while it is live or after an explicit
+// Close.
 func (s *Subscription) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,9 +172,6 @@ func (db *Database) SubscribeView(opts SubscribeOptions) (*Subscription, error) 
 	defer db.mu.Unlock()
 	if !db.incremental {
 		return nil, ErrNotIncremental
-	}
-	if err := db.snap.Load().maintErr; err != nil {
-		return nil, fmt.Errorf("logres: incremental maintenance failed: %w", err)
 	}
 	buffer := opts.Buffer
 	if buffer <= 0 {
@@ -230,17 +236,6 @@ func (db *Database) notifySubs(t Tracer, epoch uint64, vd *engine.ViewDelta) {
 	}
 }
 
-// failSubs tears down every subscription with the maintenance error
-// that made further exact diffs impossible.
-func (db *Database) failSubs(err error) {
-	db.subMu.Lock()
-	defer db.subMu.Unlock()
-	for id, s := range db.subs {
-		delete(db.subs, id)
-		s.finish(fmt.Errorf("logres: incremental maintenance failed: %w", err))
-	}
-}
-
 func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 	if preds == nil {
 		return fs
@@ -254,159 +249,70 @@ func filterFacts(fs []Fact, preds map[string]bool) []Fact {
 	return out
 }
 
-// maintOptions is the engine configuration of the maintainer's private
-// program: the database's evaluation settings (vectorize, budget) with
-// observability and cancellation stripped. A rebuild is one run of that
-// program, all of it under the budget. Maintenance never rejects a
-// commit: a budget abort of an attempt's propagation falls back to the
-// attempt's scratch derivation, one of a commit's to a rebuild, and if
-// that aborts too the state is published without a maintainer until a
-// later commit rebuilds one. Its internal
-// evaluations stay out of the caller's trace stream (the database emits
-// one ivm.propagate or ivm.rebuild event per commit instead).
+// maintOptions is the engine configuration of every published
+// maintainer's program: the database's evaluation settings (vectorize,
+// budget) with observability and cancellation stripped. start builds
+// under it; an attempt builds under its call's options and hands its
+// maintainer over on a fork under the options of the snapshot's, which
+// are these (module.Maintained). So a step's internal evaluations stay
+// out of every caller's trace stream (the database emits one
+// ivm.propagate or ivm.rebuild event per commit instead), and no
+// request's context or per-call budget outlives its call.
 func maintOptions(opts engine.Options) engine.Options {
 	opts.Tracer = nil
 	opts.Ctx = nil
 	return opts
 }
 
-// start publishes the first state of a database it is the sole owner
-// of (Open, Load, recovery), with, under WithIncremental, a maintainer
-// built over it on a fork of the state's program.
-func (db *Database) start(st *module.State) error {
-	var m *engine.Maintainer
-	if db.incremental {
-		st.E.Freeze()
-		prog, err := st.Program(maintOptions(db.opts))
-		if err != nil {
-			return err
-		}
-		if m, err = engine.NewMaintainer(prog, st.E, st.Counter); err != nil {
-			return err
-		}
-	}
-	db.publish(st, m, nil)
-	return nil
-}
-
-// maintStep is the maintainer's step to one commit's successor state,
-// staged before the commit is logged. A commit that lands publishes m
-// with its state; one that does not drops the step, and the published
-// maintainer keeps serving the unchanged state.
-type maintStep struct {
-	// m is the maintainer that serves the successor state; nil without
-	// maintenance, or when the rebuild failed (fail).
-	m *engine.Maintainer
-	// vd is the view diff the subscribers get; nil when m is.
-	vd   *engine.ViewDelta
-	ev   obs.Event // ivm.propagate or ivm.rebuild; no Kind for neither
-	fail error     // the rebuild's error: every subscription ends with it
-}
-
-// maintStage steps the published maintainer to next, the successor
-// state of a commit that takes path, before the commit is logged. It
-// audits nothing: the attempt audited its state (module.ApplySnapshotMaintained).
-// On the fast path it installs the attempt's step, when it made one, of
-// the maintainer that still serves the current state. Otherwise, when
-// the maintainer runs next's program, it propagates the commit's
-// extensional delta: a merged delta, which validation found disjoint
-// from every write since the snapshot, as it does without maintenance;
-// a replacement's diff of the two extensions; a registration's empty
-// one, which propagates nothing. Otherwise (rules or schema changed, no
-// maintainer serves the current state, or the propagation fails) it
-// rebuilds over next. Maintenance runs under maintOptions and never
-// fails the commit: a rebuild that fails leaves the successor state
-// without a maintainer and ends every subscription.
-func (db *Database) maintStage(next *module.State, sr *module.SnapshotResult, path string) *maintStep {
-	step := &maintStep{}
+// maintStage returns the maintainer of next, the successor state of a
+// commit that takes path, staged before the commit is logged (one with
+// no M without maintenance). It derives and audits nothing: the attempt built
+// or stepped the maintainer of its state and audited its set
+// (module.Maintained). So it installs the attempt's maintainer on the
+// fast path and on a replacement, which both succeed the snapshot that
+// maintainer's predecessor serves; it reuses the published maintainer
+// for a registration, which changes neither E, R nor S; and on a merge
+// it steps the published maintainer by the merged delta, which
+// validation found disjoint from every write since the snapshot. A
+// merged step that fails (under maintOptions' budget) is returned: the
+// commit then does not land, and the application retries, building the
+// maintainer in its next attempt. A commit that does not land drops the
+// staged maintainer, and the published one keeps serving.
+func (db *Database) maintStage(next *module.State, sr *module.SnapshotResult, path string) (*module.Maintained, error) {
 	if !db.incremental {
-		return step
+		return &module.Maintained{}, nil
 	}
-	start := time.Now()
-	propagated := func(m *engine.Maintainer, vd *engine.ViewDelta, took time.Duration) *maintStep {
-		step.m, step.vd = m, vd
-		step.ev = obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Count: len(vd.Adds) + len(vd.Removes),
-			Total: m.Full().TotalSize(), Duration: took}
-		return step
-	}
-	if ms := sr.Maintained; ms != nil && path == "fast" {
-		return propagated(ms.M, ms.View, ms.Took)
-	}
-	prog, err := next.Program(maintOptions(db.opts))
-	cur := db.snap.Load()
-	reason := "recover"
-	if cur.maint != nil && err == nil && cur.maint.Program().Shares(prog) {
-		if next.E == cur.st.E {
-			step.m, step.vd = cur.maint, &engine.ViewDelta{}
-			return step
+	cur := db.snap.Load().maint
+	switch {
+	case sr.Registered != nil:
+		return &module.Maintained{M: cur, View: &engine.ViewDelta{}}, nil
+	case path == "merge":
+		start := time.Now()
+		m, vd, err := cur.Next(sr.Adds, sr.Removes, next.E, next.Counter)
+		if err != nil {
+			return nil, err
 		}
-		adds, removes := sr.Adds, sr.Removes
-		if sr.Replace {
-			adds, removes = diffFrozen(cur.st.E, next.E)
-		}
-		m, vd, uerr := cur.maint.Next(adds, removes, next.E, next.Counter)
-		if uerr == nil {
-			return propagated(m, vd, time.Since(start))
-		}
-		reason = "fallback: " + uerr.Error()
-	} else if cur.maint != nil {
-		reason = "replace"
+		return &module.Maintained{M: m, View: vd, Took: time.Since(start)}, nil
 	}
-	// Rebuild over next, diffing the old and new full sets so subscribers
-	// still see the exact change.
-	if err == nil {
-		step.m, err = engine.NewMaintainer(prog, next.E, next.Counter)
-	}
-	if err != nil {
-		step.fail = err
-		return step
-	}
-	oldFull := engine.NewFactSet()
-	if cur.maint != nil {
-		oldFull = cur.maint.Full()
-	}
-	vd := &engine.ViewDelta{}
-	vd.Adds, vd.Removes = diffFrozen(oldFull, step.m.Full())
-	engine.SortFactsByKey(vd.Adds)
-	engine.SortFactsByKey(vd.Removes)
-	step.vd = vd
-	step.ev = obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Detail: reason, Duration: time.Since(start)}
-	return step
+	return sr.Maintained, nil
 }
 
-// maintNotify reports a landed commit's maintenance step at the new
-// epoch and fans its view diff out to the subscribers, or ends every
-// subscription with the rebuild's error. Called under the write lock
-// after the commit published.
-func (db *Database) maintNotify(t Tracer, step *maintStep) {
+// maintNotify reports a landed commit's maintenance at the new epoch —
+// ivm.rebuild for a built maintainer, ivm.propagate for a stepped one,
+// none for a registration — and fans its view diff out to the
+// subscribers. Called under the write lock after the commit published.
+func (db *Database) maintNotify(t Tracer, ms *module.Maintained, registered bool) {
+	if ms.View == nil {
+		return
+	}
 	epoch := db.log.Epoch()
-	if step.fail != nil {
-		db.failSubs(step.fail)
-		return
-	}
-	if step.vd == nil {
-		return
-	}
-	if t != nil && step.ev.Kind != "" {
-		step.ev.Round = int(epoch)
-		t.Event(step.ev)
-	}
-	db.notifySubs(t, epoch, step.vd)
-}
-
-// diffFrozen computes the fact-level difference between two fact sets,
-// predicate by predicate over the union of their predicates, each
-// through DiffPred, which skips what the two share.
-func diffFrozen(before, after *engine.FactSet) (adds, removes []Fact) {
-	preds := after.Preds()
-	for _, p := range before.Preds() {
-		if after.Size(p) == 0 {
-			preds = append(preds, p)
+	if t != nil && !registered {
+		ev := obs.Event{Kind: obs.KindIVMPropagate, Stratum: -1, Round: int(epoch),
+			Count: len(ms.View.Adds) + len(ms.View.Removes), Total: ms.M.Full().TotalSize(), Duration: ms.Took}
+		if ms.Rebuilt != "" {
+			ev = obs.Event{Kind: obs.KindIVMRebuild, Stratum: -1, Round: int(epoch), Detail: ms.Rebuilt, Duration: ms.Took}
 		}
+		t.Event(ev)
 	}
-	for _, p := range preds {
-		a, r := after.DiffPred(before, p)
-		adds, removes = append(adds, a...), append(removes, r...)
-	}
-	return adds, removes
+	db.notifySubs(t, epoch, ms.View)
 }
