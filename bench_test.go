@@ -514,7 +514,7 @@ func BenchmarkExecContended(b *testing.B) {
 // default-option database over the closure shape (64-node chain), each
 // a from-scratch derivation of the instance — compile, fixpoint, goal.
 func BenchmarkQueryClosureShape(b *testing.B) {
-	benchmarkGoals(b, closureShapeModules(64), []string{
+	benchmarkGoals(b, closureShapeSchema, closureShapeModules(64), []string{
 		"?- tc(src: 0, dst: X).",
 		"?- sg(a: 5, b: X).",
 		"?- unreach(a: 16, b: X).",
@@ -529,17 +529,50 @@ func BenchmarkQueryClosureShape(b *testing.B) {
 // keep the columnar kernels. Held as one stratum, the level stepped row
 // by row and a goal took about 200 times as long.
 func BenchmarkQueryClosureShapeNoOrigin(b *testing.B) {
-	benchmarkGoals(b, closureShapeNoOriginModules(64), []string{
+	benchmarkGoals(b, closureShapeSchema, closureShapeNoOriginModules(64), []string{
 		"?- tc(src: 0, dst: X).",
 		"?- sg(a: 5, b: X).",
 		"?- unreach(a: 16, b: X).",
 	})
 }
 
+// BenchmarkQueryNonlinearClosure is goal queries over a non-linear
+// closure, reach(s: X, d: Z) <- reach(s: X, d: Y), reach(s: Y, d: Z), on
+// a 48-link chain with shortcuts: one columnar stratum whose recursive
+// rule reads its own head at a position that is not the delta. Each
+// round's delta pass probes the index that step keeps over REACH, which
+// the rows the previous round derived extend.
+func BenchmarkQueryNonlinearClosure(b *testing.B) {
+	var links strings.Builder
+	links.WriteString("mode ridv.\nrules\n")
+	for i := 0; i < 48; i++ {
+		fmt.Fprintf(&links, "  link(s: %d, d: %d).\n", i, i+1)
+		if i%4 == 0 {
+			fmt.Fprintf(&links, "  link(s: %d, d: %d).\n", i, i+3)
+		}
+	}
+	links.WriteString("end.\n")
+	benchmarkGoals(b, `
+associations
+  LINK = (s: integer, d: integer);
+  REACH = (s: integer, d: integer);
+`, []string{links.String(), `
+mode radi.
+rules
+  reach(s: X, d: Y) <- link(s: X, d: Y).
+  reach(s: X, d: Z) <- reach(s: X, d: Y), reach(s: Y, d: Z).
+end.
+`}, []string{
+		"?- reach(s: 0, d: X).",
+		"?- reach(s: X, d: 48).",
+	})
+}
+
 // benchmarkGoals runs the goals in turn against a default-option
-// database the modules built, each goal a from-scratch derivation.
-func benchmarkGoals(b *testing.B, modules, goals []string) {
-	db, err := Open(closureShapeSchema)
+// database over schema that the modules built, each goal a from-scratch
+// derivation.
+func benchmarkGoals(b *testing.B, schema string, modules, goals []string) {
+	db, err := Open(schema)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -256,3 +256,59 @@ associations
 		})
 	}
 }
+
+// A call's rounds budget rejects the same commit in both maintenance
+// modes. A maintained step counts no rounds, so when the call tightens
+// the rounds, oids or time axis the attempt builds its maintainer under
+// the call's options instead of stepping: one more edge at the head of a
+// 20-edge chain needs more than three rounds of the closure from scratch,
+// and both modes reject it on that axis, leaving the epoch and the Save
+// bytes as they were.
+func TestCallRoundsBudgetInBothMaintenanceModes(t *testing.T) {
+	const schema = `
+associations
+  EDGE = (src: integer, dst: integer);
+  TC = (src: integer, dst: integer);
+`
+	var chain strings.Builder
+	chain.WriteString("mode ridv.\nrules\n")
+	for i := 1; i <= 20; i++ {
+		fmt.Fprintf(&chain, "  edge(src: %d, dst: %d).\n", i, i+1)
+	}
+	chain.WriteString("end.\n")
+	for _, inc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", inc), func(t *testing.T) {
+			db, err := Open(schema, WithIncremental(inc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []string{
+				"mode radi.\nrules\n" +
+					"  tc(src: X, dst: Y) <- edge(src: X, dst: Y).\n" +
+					"  tc(src: X, dst: Z) <- tc(src: X, dst: Y), edge(src: Y, dst: Z).\nend.\n",
+				chain.String(),
+			} {
+				if _, err := db.Exec(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before bytes.Buffer
+			if err := db.Save(&before); err != nil {
+				t.Fatal(err)
+			}
+			epoch := db.CommitEpoch()
+			_, err = db.Exec("mode ridv.\nrules\n  edge(src: 0, dst: 1).\nend.\n", WithCallBudget(Budget{MaxRounds: 3}))
+			var be *BudgetError
+			if !errors.As(err, &be) || be.Axis != AxisRounds || be.Limit != 3 {
+				t.Fatalf("err = %v (%T), want a *BudgetError on the rounds axis, limit 3", err, err)
+			}
+			var after bytes.Buffer
+			if err := db.Save(&after); err != nil {
+				t.Fatal(err)
+			}
+			if db.CommitEpoch() != epoch || !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Fatalf("epoch %d → %d, Save bytes equal %v after the rejection", epoch, db.CommitEpoch(), bytes.Equal(before.Bytes(), after.Bytes()))
+			}
+		})
+	}
+}

@@ -19,13 +19,17 @@
 //
 // Determinism: every kernel is a pure function of its inputs, and
 // outputs preserve probe-side row order, so evaluation over batches
-// built in canonical (key-sorted) order is deterministic. Joins build
-// their hash index on the smaller input and probe the larger one; the
-// result pair set is order-insensitive for the set-semantics callers.
+// built in canonical (key-sorted) order is deterministic. A join probes
+// a hash index (Index) with one input: Join indexes the smaller of its
+// two inputs for the one call, while the engine keeps an index over a
+// batch that only grows for a whole evaluation and extends it by the
+// rows appended since (Extend). The result pair set is the same either
+// way, and order-insensitive for the set-semantics callers.
 package colset
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"logres/internal/value"
 )
@@ -163,73 +167,168 @@ func Gather(col []uint32, idx []int32) []uint32 {
 	return out
 }
 
-// hashIndex maps packed key codes to build-side row indices. Three key
-// widths get three map shapes: one column keys by the code itself, two
-// columns pack into a uint64, wider keys pack 4-byte little-endian
-// codes into a reused byte buffer keyed as a string.
-type hashIndex struct {
-	w  int
-	m1 map[uint32][]int32
-	m2 map[uint64][]int32
-	mn map[string][]int32
-
+// Index is a hash index over rows of a key-column set, in a flat
+// layout: a map from each packed key to its slot, per slot the first and
+// last position indexed under it, and per position its row and the next
+// position under the same key. So no key has a slice of its own, and a
+// probe yields a key's rows in the order they were indexed. Keys pack as
+// in CodeSet: one column by the code itself, two into a uint64, wider
+// keys into 4-byte little-endian codes in a reused buffer; with zero
+// columns every row has the one empty key. Extend only appends, so an
+// index over a batch that only grows is built once and extended by the
+// rows added since.
+type Index struct {
+	w   int
+	m1  map[uint32]int32
+	m2  map[uint64]int32
+	mn  map[string]int32
 	buf []byte
+
+	first, last []int32 // per slot: its first and last position
+	rows, next  []int32 // per position: its row, and the next position under its key (-1: none)
 }
 
-func buildIndex(keys [][]uint32, rows int, sel []int32) *hashIndex {
-	ix := &hashIndex{w: len(keys)}
-	n := selCount(rows, sel)
-	switch ix.w {
-	case 1:
-		ix.m1 = make(map[uint32][]int32, n)
-		col := keys[0]
-		for i := 0; i < n; i++ {
-			r := selAt(sel, i)
-			ix.m1[col[r]] = append(ix.m1[col[r]], r)
-		}
-	case 2:
-		ix.m2 = make(map[uint64][]int32, n)
-		a, b := keys[0], keys[1]
-		for i := 0; i < n; i++ {
-			r := selAt(sel, i)
-			k := uint64(a[r])<<32 | uint64(b[r])
-			ix.m2[k] = append(ix.m2[k], r)
-		}
-	default:
-		ix.mn = make(map[string][]int32, n)
-		ix.buf = make([]byte, 4*ix.w)
-		for i := 0; i < n; i++ {
-			r := selAt(sel, i)
-			ix.pack(keys, r)
-			ix.mn[string(ix.buf)] = append(ix.mn[string(ix.buf)], r)
+// NewIndex returns an empty index over keys of the given width.
+func NewIndex(width int) *Index {
+	return &Index{w: width, buf: make([]byte, 4*width)}
+}
+
+// Extend indexes the selected rows of keys after those already indexed:
+// sel's rows in selection order, or, with a nil sel, every row in
+// [lo, hi).
+func (ix *Index) Extend(keys [][]uint32, lo, hi int, sel []int32) {
+	n := hi - lo
+	if sel != nil {
+		n = len(sel)
+	}
+	if ix.m1 == nil && ix.m2 == nil && ix.mn == nil {
+		switch {
+		case ix.w <= 1:
+			ix.m1 = make(map[uint32]int32, n)
+		case ix.w == 2:
+			ix.m2 = make(map[uint64]int32, n)
+		default:
+			ix.mn = make(map[string]int32, n)
 		}
 	}
-	return ix
-}
-
-func (ix *hashIndex) pack(keys [][]uint32, r int32) {
-	for c, col := range keys {
-		binary.LittleEndian.PutUint32(ix.buf[4*c:], col[r])
+	ix.rows = slices.Grow(ix.rows, n)
+	ix.next = slices.Grow(ix.next, n)
+	ix.first = slices.Grow(ix.first, n)
+	ix.last = slices.Grow(ix.last, n)
+	for i := 0; i < n; i++ {
+		r := int32(lo + i)
+		if sel != nil {
+			r = sel[i]
+		}
+		p := int32(len(ix.rows))
+		ix.rows = append(ix.rows, r)
+		ix.next = append(ix.next, -1)
+		s := ix.slot(keys, r, true)
+		if ix.first[s] < 0 {
+			ix.first[s] = p
+		} else {
+			ix.next[ix.last[s]] = p
+		}
+		ix.last[s] = p
 	}
 }
 
-// probe returns the build rows matching probe row r of keys. The
+// slot returns the slot of row r's key, adding an empty slot for an
+// unseen key when add is set (and returning -1 for it otherwise). The
 // map[string] lookup form avoids allocating for the probe key.
-func (ix *hashIndex) probe(keys [][]uint32, r int32) []int32 {
+func (ix *Index) slot(keys [][]uint32, r int32, add bool) int32 {
+	s := int32(len(ix.first))
 	switch ix.w {
-	case 1:
-		return ix.m1[keys[0][r]]
+	case 0, 1:
+		var k uint32
+		if ix.w == 1 {
+			k = keys[0][r]
+		}
+		if got, ok := ix.m1[k]; ok {
+			return got
+		}
+		if !add {
+			return -1
+		}
+		ix.m1[k] = s
 	case 2:
-		return ix.m2[uint64(keys[0][r])<<32|uint64(keys[1][r])]
+		k := uint64(keys[0][r])<<32 | uint64(keys[1][r])
+		if got, ok := ix.m2[k]; ok {
+			return got
+		}
+		if !add {
+			return -1
+		}
+		ix.m2[k] = s
 	default:
-		ix.pack(keys, r)
-		return ix.mn[string(ix.buf)]
+		for c, col := range keys {
+			binary.LittleEndian.PutUint32(ix.buf[4*c:], col[r])
+		}
+		if got, ok := ix.mn[string(ix.buf)]; ok {
+			return got
+		}
+		if !add {
+			return -1
+		}
+		ix.mn[string(ix.buf)] = s
 	}
+	ix.first = append(ix.first, -1)
+	ix.last = append(ix.last, -1)
+	return s
+}
+
+// Probe joins the selected rows of lkeys against the index and returns
+// the matching (probe row, indexed row) pairs: probe rows in selection
+// order, each one's matches in the order they were indexed. It looks
+// every probe key up once and counts the matches before it fills the
+// pairs, so each pair slice is allocated once, at its size.
+func (ix *Index) Probe(lkeys [][]uint32, lrows int, lsel []int32) (lidx, ridx []int32) {
+	n := selCount(lrows, lsel)
+	slots := make([]int32, n)
+	m := 0
+	for i := range slots {
+		s := ix.slot(lkeys, selAt(lsel, i), false)
+		slots[i] = s
+		if s >= 0 {
+			for p := ix.first[s]; p >= 0; p = ix.next[p] {
+				m++
+			}
+		}
+	}
+	if m == 0 {
+		return nil, nil
+	}
+	lidx, ridx = make([]int32, 0, m), make([]int32, 0, m)
+	for i, s := range slots {
+		if s < 0 {
+			continue
+		}
+		l := selAt(lsel, i)
+		for p := ix.first[s]; p >= 0; p = ix.next[p] {
+			lidx = append(lidx, l)
+			ridx = append(ridx, ix.rows[p])
+		}
+	}
+	return lidx, ridx
+}
+
+// Missing returns the selected rows of lkeys whose key has no match in
+// the index, in selection order.
+func (ix *Index) Missing(lkeys [][]uint32, lrows int, lsel []int32) []int32 {
+	n := selCount(lrows, lsel)
+	out := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		l := selAt(lsel, i)
+		if ix.slot(lkeys, l, false) < 0 {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // Join hash-joins the selected rows of two key-column sets and returns
-// matching row-index pairs. The index is built on the smaller input and
-// the larger side is probed in selection order; the pair set is
+// matching row-index pairs. It indexes the smaller input (Index) and
+// probes it with the larger one in selection order; the pair set is
 // identical either way. Zero key columns mean a cross product.
 func Join(lkeys [][]uint32, lrows int, lsel []int32,
 	rkeys [][]uint32, rrows int, rsel []int32) (lidx, ridx []int32) {
@@ -250,26 +349,14 @@ func Join(lkeys [][]uint32, lrows int, lsel []int32,
 		}
 		return lidx, ridx
 	}
+	ix := NewIndex(len(lkeys))
 	if ln <= rn {
-		ix := buildIndex(lkeys, lrows, lsel)
-		for j := 0; j < rn; j++ {
-			r := selAt(rsel, j)
-			for _, l := range ix.probe(rkeys, r) {
-				lidx = append(lidx, l)
-				ridx = append(ridx, r)
-			}
-		}
+		ix.Extend(lkeys, 0, lrows, lsel)
+		ridx, lidx = ix.Probe(rkeys, rrows, rsel)
 		return lidx, ridx
 	}
-	ix := buildIndex(rkeys, rrows, rsel)
-	for i := 0; i < ln; i++ {
-		l := selAt(lsel, i)
-		for _, r := range ix.probe(lkeys, l) {
-			lidx = append(lidx, l)
-			ridx = append(ridx, r)
-		}
-	}
-	return lidx, ridx
+	ix.Extend(rkeys, 0, rrows, rsel)
+	return ix.Probe(lkeys, lrows, lsel)
 }
 
 // AntiJoin returns the selected left rows whose key has no match among
@@ -278,27 +365,9 @@ func Join(lkeys [][]uint32, lrows int, lsel []int32,
 func AntiJoin(lkeys [][]uint32, lrows int, lsel []int32,
 	rkeys [][]uint32, rrows int, rsel []int32) []int32 {
 
-	ln := selCount(lrows, lsel)
-	rn := selCount(rrows, rsel)
-	if len(lkeys) == 0 {
-		if rn > 0 {
-			return nil
-		}
-		out := make([]int32, 0, ln)
-		for i := 0; i < ln; i++ {
-			out = append(out, selAt(lsel, i))
-		}
-		return out
-	}
-	ix := buildIndex(rkeys, rrows, rsel)
-	out := make([]int32, 0, ln)
-	for i := 0; i < ln; i++ {
-		l := selAt(lsel, i)
-		if len(ix.probe(lkeys, l)) == 0 {
-			out = append(out, l)
-		}
-	}
-	return out
+	ix := NewIndex(len(rkeys))
+	ix.Extend(rkeys, 0, rrows, rsel)
+	return ix.Missing(lkeys, lrows, lsel)
 }
 
 // DedupRows returns the first occurrence of each distinct packed row
@@ -325,7 +394,7 @@ func DedupRows(cols [][]uint32, rows int, sel []int32) []int32 {
 
 // CodeSet is a set of packed code rows, used for membership tests at
 // the emit boundary (is this derived row already in the base
-// extension?). Key packing mirrors hashIndex: one/two columns pack into
+// extension?). Key packing mirrors Index: one/two columns pack into
 // integers, wider rows into a reused byte buffer.
 type CodeSet struct {
 	w  int

@@ -6,7 +6,8 @@ package engine
 // their body-order positions — constant/duplicate selections, hash
 // joins on dictionary codes, anti-joins for negation, comparison
 // filters — and the semi-naive delta stays in code space from round to
-// round. Every columnar stratum of one run encodes into the run's one
+// round. A join or anti-join that reads its predicate whole probes an
+// index its step keeps for the whole evaluation (vecEval.index). Every columnar stratum of one run encodes into the run's one
 // dictionary (vecRun), and at its fixpoint a stratum hands each head
 // over to the fact set in code space (FactSet.setCoded): a later
 // columnar stratum binds that batch as it is, a read that fixes an
@@ -157,12 +158,19 @@ type vecCodes struct {
 	head  []uint32 // per head label: its constant's code
 }
 
-// stepCodes are one step's constants' codes and, for an order
-// comparison, its memo keyed by code pair.
+// stepCodes are one step's constants' codes and what the step keeps
+// for the whole evaluation: for a negated atom, or an atom it joins on a
+// key and reads whole (not as the delta), the hash index over its
+// selected rows (index); for an order comparison, its memo keyed by
+// code pair.
 type stepCodes struct {
 	consts []uint32 // stepAtom, stepAnti: constVals' codes
 	l, r   uint32   // stepFilter: the constant sides' codes
 	cmp    map[uint64]cmpResult
+
+	ix      *colset.Index // nil until the step first probes it
+	covered int           // the batch rows ix covers
+	sels    []int         // per constant, then duplicate filter: the covered rows it kept
 }
 
 type kernelStat struct{ calls, rows int }
@@ -477,19 +485,68 @@ func (ev *vecEval) record(kernel string, rows int) {
 }
 
 // atomSel applies the constant and duplicate-variable filters of an
-// atom step; nil means every row.
-func (ev *vecEval) atomSel(st *vecStep, consts []uint32, src *colset.Batch) []int32 {
+// atom step to src's rows from lo on, adding to sels[k] the rows filter k
+// kept; nil means every row from lo on.
+func atomSel(st *vecStep, consts []uint32, src *colset.Batch, lo int, sels []int) []int32 {
 	var sel []int32
 	rows := src.Len()
+	if lo > 0 && len(sels) > 0 {
+		sel = make([]int32, rows-lo)
+		for i := range sel {
+			sel[i] = int32(lo + i)
+		}
+	}
 	for k, li := range st.constCols {
 		sel = colset.SelectEq(src.Col(li), rows, sel, consts[k])
-		ev.record("select", len(sel))
+		sels[k] += len(sel)
 	}
 	for k := range st.dupA {
 		sel = colset.SelectColEq(src.Col(st.dupA[k]), src.Col(st.dupB[k]), rows, sel)
-		ev.record("select", len(sel))
+		sels[len(st.constCols)+k] += len(sel)
 	}
 	return sel
+}
+
+// accKeys returns an atom step's key columns in the accumulated valuation.
+func accKeys(st *vecStep, cols [][]uint32) [][]uint32 {
+	keys := make([][]uint32, len(st.keyAccCols))
+	for k, ac := range st.keyAccCols {
+		keys[k] = cols[ac]
+	}
+	return keys
+}
+
+// atomKeys returns an atom step's key columns in src.
+func atomKeys(st *vecStep, src *colset.Batch) [][]uint32 {
+	keys := make([][]uint32, len(st.keyAtom))
+	for k, li := range st.keyAtom {
+		keys[k] = src.Col(li)
+	}
+	return keys
+}
+
+// index returns the hash index of atom step st over src, the rows its
+// predicate has when the round starts. The step keeps it for the whole
+// evaluation: it is built on first use over the step's selected rows,
+// and extended by the rows advance has appended to src since, which only
+// a head of the stratum gains. So a predicate the stratum only reads is
+// indexed once, where a join per pass indexed it every round. Each
+// filter reports the rows it keeps among all of src, as a selection over
+// src would.
+func (ev *vecEval) index(st *vecStep, sc *stepCodes, src *colset.Batch) *colset.Index {
+	if sc.ix == nil {
+		sc.ix = colset.NewIndex(len(st.keyAtom))
+		sc.sels = make([]int, len(st.constCols)+len(st.dupA))
+	}
+	if hi := src.Len(); hi > sc.covered {
+		sel := atomSel(st, sc.consts, src, sc.covered, sc.sels)
+		sc.ix.Extend(atomKeys(st, src), sc.covered, hi, sel)
+		sc.covered = hi
+	}
+	for _, n := range sc.sels {
+		ev.record("select", n)
+	}
+	return sc.ix
 }
 
 // runPass evaluates one pass of rule ri: the full pass (deltaStep < 0)
@@ -501,7 +558,7 @@ func (ev *vecEval) runPass(ri, deltaStep, round int) error {
 	cols := make([][]uint32, vr.nvars)
 	n := 1 // the unit valuation: one row, no columns
 	for si := range vr.steps {
-		st := &vr.steps[si]
+		st, sc := &vr.steps[si], &vc.steps[si]
 		switch st.kind {
 		case stepAtom:
 			pr := &ev.rows[st.vp.id]
@@ -509,16 +566,19 @@ func (ev *vecEval) runPass(ri, deltaStep, round int) error {
 			if si == deltaStep {
 				src = pr.delta
 			}
-			sel := ev.atomSel(st, vc.steps[si].consts, src)
-			lkeys := make([][]uint32, len(st.keyAccCols))
-			for k, ac := range st.keyAccCols {
-				lkeys[k] = cols[ac]
+			var lidx, ridx []int32
+			if si == deltaStep || len(st.keyAtom) == 0 {
+				// A delta is new each round, and a step with no key
+				// column is a cross product: join for this pass only.
+				sels := make([]int, len(st.constCols)+len(st.dupA))
+				sel := atomSel(st, sc.consts, src, 0, sels)
+				for _, k := range sels {
+					ev.record("select", k)
+				}
+				lidx, ridx = colset.Join(accKeys(st, cols), n, nil, atomKeys(st, src), src.Len(), sel)
+			} else {
+				lidx, ridx = ev.index(st, sc, src).Probe(accKeys(st, cols), n, nil)
 			}
-			rkeys := make([][]uint32, len(st.keyAtom))
-			for k, li := range st.keyAtom {
-				rkeys[k] = src.Col(li)
-			}
-			lidx, ridx := colset.Join(lkeys, n, nil, rkeys, src.Len(), sel)
 			ev.record("join", len(lidx))
 			for ci, col := range cols {
 				if col != nil {
@@ -530,17 +590,7 @@ func (ev *vecEval) runPass(ri, deltaStep, round int) error {
 			}
 			n = len(lidx)
 		case stepAnti:
-			src := ev.rows[st.vp.id].cur
-			sel := ev.atomSel(st, vc.steps[si].consts, src)
-			lkeys := make([][]uint32, len(st.keyAccCols))
-			for k, ac := range st.keyAccCols {
-				lkeys[k] = cols[ac]
-			}
-			rkeys := make([][]uint32, len(st.keyAtom))
-			for k, li := range st.keyAtom {
-				rkeys[k] = src.Col(li)
-			}
-			keep := colset.AntiJoin(lkeys, n, nil, rkeys, src.Len(), sel)
+			keep := ev.index(st, sc, ev.rows[st.vp.id].cur).Missing(accKeys(st, cols), n, nil)
 			ev.record("antijoin", len(keep))
 			for ci, col := range cols {
 				if col != nil {
@@ -549,7 +599,7 @@ func (ev *vecEval) runPass(ri, deltaStep, round int) error {
 			}
 			n = len(keep)
 		case stepFilter:
-			keep, err := ev.runFilter(st, &vc.steps[si], cols, n)
+			keep, err := ev.runFilter(st, sc, cols, n)
 			if err != nil {
 				return err
 			}

@@ -382,3 +382,47 @@ func TestProgramReuseAcrossRuns(t *testing.T) {
 	same("after a canceled run", other)
 	same("after a canceled run, first EDB", small)
 }
+
+// A non-linear closure reads its own head at the non-delta position, so
+// each such step keeps an index that every round extends by the rows
+// the previous round derived — through no filter, a constant filter
+// (dst: 5) and a duplicate-variable one (tc(Y, Y)). The defaults must
+// agree with the row oracle on the facts, Firings, Steps and DeltaCurve.
+func TestKeptIndexExtendedDifferential(t *testing.T) {
+	const rules = `
+tc(src: X, dst: Y) <- edge(src: X, dst: Y).
+tc(src: X, dst: Z) <- tc(src: X, dst: Y), tc(src: Y, dst: Z).
+tc(src: X, dst: X) <- tc(src: X, dst: Y), tc(src: Y, dst: 5).
+tc(src: Y, dst: X) <- tc(src: X, dst: Y), tc(src: Y, dst: Y).
+`
+	ref, err := tryBuild(vecSchema, rules, rowOracle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tryBuild(vecSchema, rules, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ename, edb := range vecEDBs() {
+		c0, c := int64(0), int64(0)
+		oracle, err := ref.Run(edb.Clone(), &c0)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", ename, err)
+		}
+		got, err := p.Run(edb.Clone(), &c)
+		if err != nil {
+			t.Fatalf("%s: %v", ename, err)
+		}
+		want, st := ref.LastStats(), p.LastStats()
+		if !got.Equal(oracle) {
+			t.Fatalf("%s: diverged from the row oracle (%d vs %d facts)", ename, got.TotalSize(), oracle.TotalSize())
+		}
+		if fmt.Sprint(st.Firings, st.DeltaCurve, st.Steps) != fmt.Sprint(want.Firings, want.DeltaCurve, want.Steps) {
+			t.Fatalf("%s: Firings, DeltaCurve, Steps = %v %v %d, row = %v %v %d",
+				ename, st.Firings, st.DeltaCurve, st.Steps, want.Firings, want.DeltaCurve, want.Steps)
+		}
+		if ename != "empty" && st.VectorizedStrata == 0 {
+			t.Fatalf("%s: the closure did not run on the kernels", ename)
+		}
+	}
+}

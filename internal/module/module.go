@@ -613,16 +613,25 @@ type Maintained struct {
 // that answers goals over its set. When maint runs next's program, it
 // steps maint by the extensional delta d (diffed here when nil) and
 // checks the facts budget a derivation from scratch meets, so both
-// maintenance modes accept and reject alike. Otherwise, or when the step
-// fails, it builds one (NewMaintainer) on a fork of next's program under
-// opts: the run derive makes, so the call's tracer, context and budget
-// govern it, and the maintainer is handed over on a fork under maint's
-// options, where they end with the call.
+// maintenance modes accept and reject alike. Otherwise, when the call
+// tightens a budget axis the step does not bound (rounds, oids, time)
+// below maint's options, or when the step fails, it builds one
+// (NewMaintainer) on a fork of next's program under opts: the run
+// derive makes, so the call's tracer, context and budget govern it, and
+// the maintainer is handed over on a fork under maint's options, where
+// they end with the call.
 func successor(maint *engine.Maintainer, st, next *State, d *extDelta, opts engine.Options) (*Maintained, *engine.Program, error) {
 	start := time.Now()
 	next.E.Freeze()
 	why := "replace"
-	if prog, err := next.compiled(opts); err == nil && maint.Program().Shares(prog) {
+	prog, err := next.compiled(opts)
+	b, mb := opts.Budget, maint.Program().Options().Budget
+	switch {
+	case err != nil || !maint.Program().Shares(prog):
+		// maint does not run next's program: a replacement.
+	case b.MaxRounds != mb.MaxRounds || b.MaxOIDs != mb.MaxOIDs || b.Timeout != mb.Timeout:
+		why = "budget: the call bounds rounds, oids or time"
+	default:
 		if d == nil {
 			d = diffFacts(st.E, next.E, nil)
 		}
@@ -635,8 +644,7 @@ func successor(maint *engine.Maintainer, st, next *State, d *extDelta, opts engi
 		}
 		why = "fallback: " + err.Error()
 	}
-	prog, err := next.Program(opts)
-	if err != nil {
+	if prog, err = next.Program(opts); err != nil {
 		return nil, nil, err
 	}
 	m, err := engine.NewMaintainer(prog, next.E, next.Counter)
