@@ -224,6 +224,15 @@ func (c *Client) QueryProfile(ctx context.Context, name, goal string) (*Answer, 
 	return ans, trailer.Profile, nil
 }
 
+// lineScanner reads a stream's NDJSON lines, each up to 16 MiB. Its
+// buffer starts at bufio's 4 KiB and grows only as a line needs, so a
+// short reply costs no more than that.
+func lineScanner(body io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(nil, 16<<20)
+	return sc
+}
+
 // queryStream runs the NDJSON query protocol: header line, zero or
 // more chunk lines handed to fn, then the trailer (or an error line in
 // its place).
@@ -233,8 +242,7 @@ func (c *Client) queryStream(ctx context.Context, name string, req QueryRequest,
 		return nil, nil, err
 	}
 	defer body.Close()
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc := lineScanner(body)
 
 	if !sc.Scan() {
 		return nil, nil, fmt.Errorf("logres-server: empty query stream: %w", sc.Err())
@@ -281,8 +289,7 @@ func (c *Client) Instance(ctx context.Context, name string) ([]InstanceFact, err
 		return nil, err
 	}
 	defer body.Close()
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc := lineScanner(body)
 	var facts []InstanceFact
 	for sc.Scan() {
 		var trailer QueryTrailer
@@ -321,8 +328,7 @@ func (c *Client) Subscribe(ctx context.Context, name string, req SubscribeReques
 		return nil, err
 	}
 	defer body.Close()
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	sc := lineScanner(body)
 
 	if !sc.Scan() {
 		if ctx.Err() != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,6 +130,40 @@ func TestQueryStreamCallbackError(t *testing.T) {
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
+	}
+}
+
+// TestStreamLineAboveScanStart: a stream line longer than 64 KiB
+// decodes through Query and Instance, however small the scanner's
+// buffer starts.
+func TestStreamLineAboveScanStart(t *testing.T) {
+	big := strings.Repeat("x", 100<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		if strings.HasSuffix(r.URL.Path, "/instance") {
+			_ = enc.Encode(InstanceFact{Pred: "p", Fact: big})
+		} else {
+			_ = enc.Encode(QueryHeader{Vars: []string{"X"}})
+			_ = enc.Encode(QueryChunk{Rows: [][]string{{big}, {"y"}}})
+		}
+		_ = enc.Encode(QueryTrailer{Done: true, Total: 2})
+	}))
+	defer ts.Close()
+	c := New(ts.URL)
+	ans, err := c.Query(context.Background(), "db", "?- p(x: X).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Rows) != 2 || ans.Rows[0][0] != big || ans.Rows[1][0] != "y" {
+		t.Fatalf("query rows = %d, first %d bytes", len(ans.Rows), len(ans.Rows[0][0]))
+	}
+	facts, err := c.Instance(context.Background(), "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(facts) != 1 || facts[0].Fact != big {
+		t.Fatalf("instance facts = %d", len(facts))
 	}
 }
 

@@ -25,6 +25,11 @@
 // batch that only grows for a whole evaluation and extends it by the
 // rows appended since (Extend). The result pair set is the same either
 // way, and order-insensitive for the set-semantics callers.
+//
+// The engine's duplicate filter at the emit boundary is a CodeSet. Where
+// the evaluation's code domain is small enough (NewCodeSet) it is a
+// bitmap indexed by the packed row of codes, so a test is one bit and
+// the set never rehashes; otherwise it is a map of packed rows.
 package colset
 
 import (
@@ -385,7 +390,7 @@ func DedupRows(cols [][]uint32, rows int, sel []int32) []int32 {
 	out := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		r := selAt(sel, i)
-		if seen.addRow(cols, r) {
+		if seen.AddRow(cols, r) {
 			out = append(out, r)
 		}
 	}
@@ -393,21 +398,53 @@ func DedupRows(cols [][]uint32, rows int, sel []int32) []int32 {
 }
 
 // CodeSet is a set of packed code rows, used for membership tests at
-// the emit boundary (is this derived row already in the base
-// extension?). Key packing mirrors Index: one/two columns pack into
-// integers, wider rows into a reused byte buffer.
+// the emit boundary (is this derived row already in the base extension,
+// or derived already?). It has two forms. The dense form is a bitmap
+// over a domain of d codes: the width-0 row is bit 0, a width-1 row bit
+// c, a width-2 row bit c0·d+c1. The map form packs rows as Index packs
+// keys: one or two codes into an integer, wider rows into a reused byte
+// buffer. A dense set keeps a row holding a code ≥ d in the map form,
+// so every row is answered exactly.
 type CodeSet struct {
-	w  int
-	m1 map[uint32]struct{}
-	m2 map[uint64]struct{}
-	mn map[string]struct{}
+	w    int
+	n    int
+	d    uint64   // the dense form's domain; 0 in the map form
+	bits []uint64 // the dense form: bit i is packed row i
 
+	m1  map[uint32]struct{}
+	m2  map[uint64]struct{}
+	mn  map[string]struct{}
 	buf []byte
 }
 
-// NewCodeSet returns an empty set for rows of the given width.
-func NewCodeSet(width int) *CodeSet { return newCodeSet(width, 0) }
+// maxDenseBits caps a dense set at 128 KiB.
+const maxDenseBits = 1 << 20
 
+// NewCodeSet returns an empty set for rows of the given width whose
+// codes lie below domain, in an evaluation that bound rows rows. The
+// set is dense when the row is at most two codes wide and domain^width
+// bits are at most max(512, 256·rows) and at most 2^20; otherwise it is
+// the map form. The reason: a map holds a row in about 32 bytes over
+// its life (slots at most 7/8 full, plus the tables it outgrew), so a
+// bitmap of 256 bits per bound row costs no more than the map would
+// once the set holds as many rows as the evaluation bound, and 512
+// bits cost less than an empty map. The cap keeps a set whose rows stay
+// few from costing more than 128 KiB.
+func NewCodeSet(width, domain, rows int) *CodeSet {
+	if width == 0 {
+		domain = 1
+	}
+	bits := 1
+	for i := 0; i < width && bits <= maxDenseBits; i++ {
+		bits *= domain
+	}
+	if width > 2 || bits > maxDenseBits || bits > max(512, 256*rows) {
+		return newCodeSet(width, 0)
+	}
+	return &CodeSet{w: width, d: uint64(domain), bits: make([]uint64, (bits+63)/64)}
+}
+
+// newCodeSet returns an empty map-form set with room for hint rows.
 func newCodeSet(width, hint int) *CodeSet {
 	s := &CodeSet{w: width}
 	switch {
@@ -423,80 +460,85 @@ func newCodeSet(width, hint int) *CodeSet {
 }
 
 // Len reports the number of distinct rows added.
-func (s *CodeSet) Len() int {
-	switch {
-	case s.w <= 1:
-		return len(s.m1)
-	case s.w == 2:
-		return len(s.m2)
-	}
-	return len(s.mn)
-}
+func (s *CodeSet) Len() int { return s.n }
 
 // Add inserts the packed row and reports whether it was new.
 // len(row) must equal the set's width (zero-width rows are all equal).
 func (s *CodeSet) Add(row []uint32) bool {
-	switch {
-	case s.w == 0:
-		if _, ok := s.m1[0]; ok {
-			return false
-		}
-		s.m1[0] = struct{}{}
-		return true
-	case s.w == 1:
-		if _, ok := s.m1[row[0]]; ok {
-			return false
-		}
-		s.m1[row[0]] = struct{}{}
-		return true
-	case s.w == 2:
-		k := uint64(row[0])<<32 | uint64(row[1])
-		if _, ok := s.m2[k]; ok {
-			return false
-		}
-		s.m2[k] = struct{}{}
-		return true
+	switch s.w {
+	case 0:
+		return s.add(0, 0)
+	case 1:
+		return s.add(row[0], 0)
+	case 2:
+		return s.add(row[0], row[1])
 	}
 	for c, v := range row {
 		binary.LittleEndian.PutUint32(s.buf[4*c:], v)
 	}
-	if _, ok := s.mn[string(s.buf)]; ok {
-		return false
-	}
-	s.mn[string(s.buf)] = struct{}{}
-	return true
+	return s.addBuf()
 }
 
-// addRow is Add over one row of a column set.
-func (s *CodeSet) addRow(cols [][]uint32, r int32) bool {
-	switch {
-	case s.w == 0:
-		if _, ok := s.m1[0]; ok {
-			return false
-		}
-		s.m1[0] = struct{}{}
-		return true
-	case s.w == 1:
-		c := cols[0][r]
-		if _, ok := s.m1[c]; ok {
-			return false
-		}
-		s.m1[c] = struct{}{}
-		return true
-	case s.w == 2:
-		k := uint64(cols[0][r])<<32 | uint64(cols[1][r])
-		if _, ok := s.m2[k]; ok {
-			return false
-		}
-		s.m2[k] = struct{}{}
-		return true
+// AddRow is Add over row r of a column set.
+func (s *CodeSet) AddRow(cols [][]uint32, r int32) bool {
+	switch s.w {
+	case 0:
+		return s.add(0, 0)
+	case 1:
+		return s.add(cols[0][r], 0)
+	case 2:
+		return s.add(cols[0][r], cols[1][r])
 	}
 	for c, col := range cols {
 		binary.LittleEndian.PutUint32(s.buf[4*c:], col[r])
 	}
+	return s.addBuf()
+}
+
+// add inserts a row at most two codes wide, a and b (zero where the row
+// has none): as a bit when its codes lie in the dense domain, else into
+// the map.
+func (s *CodeSet) add(a, b uint32) bool {
+	if i := uint64(a); i < s.d && (s.w < 2 || uint64(b) < s.d) {
+		if s.w == 2 {
+			i = i*s.d + uint64(b)
+		}
+		word, bit := &s.bits[i/64], uint64(1)<<(i%64)
+		if *word&bit != 0 {
+			return false
+		}
+		*word |= bit
+		s.n++
+		return true
+	}
+	if s.w == 2 {
+		k := uint64(a)<<32 | uint64(b)
+		if _, ok := s.m2[k]; ok {
+			return false
+		}
+		if s.m2 == nil {
+			s.m2 = make(map[uint64]struct{})
+		}
+		s.m2[k] = struct{}{}
+	} else {
+		if _, ok := s.m1[a]; ok {
+			return false
+		}
+		if s.m1 == nil {
+			s.m1 = make(map[uint32]struct{})
+		}
+		s.m1[a] = struct{}{}
+	}
+	s.n++
+	return true
+}
+
+// addBuf inserts the wide row packed in buf.
+func (s *CodeSet) addBuf() bool {
 	if _, ok := s.mn[string(s.buf)]; ok {
 		return false
 	}
 	s.mn[string(s.buf)] = struct{}{}
+	s.n++
 	return true
 }

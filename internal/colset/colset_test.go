@@ -188,27 +188,29 @@ func TestDedupRows(t *testing.T) {
 }
 
 func TestCodeSetWidths(t *testing.T) {
-	for _, w := range []int{0, 1, 2, 3, 5} {
-		s := NewCodeSet(w)
-		row := make([]uint32, w)
-		if !s.Add(row) {
-			t.Fatalf("w=%d: first Add reported duplicate", w)
-		}
-		if s.Add(row) {
-			t.Fatalf("w=%d: duplicate Add reported new", w)
-		}
-		if w > 0 {
-			row[w-1] = 42
+	for _, domain := range []int{0, 64} { // D=0: no code has a bit; D=64: every code here does
+		for _, w := range []int{0, 1, 2, 3, 5} {
+			s := NewCodeSet(w, domain, 1000)
+			row := make([]uint32, w)
 			if !s.Add(row) {
-				t.Fatalf("w=%d: distinct row reported duplicate", w)
+				t.Fatalf("w=%d D=%d: first Add reported duplicate", w, domain)
 			}
-		}
-		wantLen := 2
-		if w == 0 {
-			wantLen = 1
-		}
-		if s.Len() != wantLen {
-			t.Fatalf("w=%d: Len = %d, want %d", w, s.Len(), wantLen)
+			if s.Add(row) {
+				t.Fatalf("w=%d D=%d: duplicate Add reported new", w, domain)
+			}
+			if w > 0 {
+				row[w-1] = 42
+				if !s.Add(row) {
+					t.Fatalf("w=%d D=%d: distinct row reported duplicate", w, domain)
+				}
+			}
+			wantLen := 2
+			if w == 0 {
+				wantLen = 1
+			}
+			if s.Len() != wantLen {
+				t.Fatalf("w=%d D=%d: Len = %d, want %d", w, domain, s.Len(), wantLen)
+			}
 		}
 	}
 }

@@ -506,7 +506,7 @@ func TestCodedRowsDecodeInKeyOrder(t *testing.T) {
 		value.Str(""), value.Str("b"), value.Str("aa"), value.Str("ab"), value.Str("zzzzzzzzzz"), value.Bool(true), value.Ref(4)}
 	for trial := 0; trial < 50; trial++ {
 		dict := colset.NewDict()
-		batch, seen := colset.NewBatch(3), colset.NewCodeSet(3)
+		batch, seen := colset.NewBatch(3), colset.NewCodeSet(3, 0, 0)
 		for i := 0; i < 40; i++ {
 			row := []uint32{dict.Code(vals[r.Intn(len(vals))]), dict.Code(vals[r.Intn(len(vals))]), dict.Code(vals[r.Intn(len(vals))])}
 			if seen.Add(row) {

@@ -351,11 +351,19 @@ func (vs *vecStratum) compileVecRule(r *crule) (*vecRule, string) {
 }
 
 // bind builds one evaluation's state: a batch per tracked predicate,
-// membership sets for head predicates, and the rule constants interned
-// in the run's dictionary. A predicate an earlier columnar stratum of
+// the rule constants interned in the run's dictionary, and membership
+// sets for head predicates. A predicate an earlier columnar stratum of
 // the same run handed over in code space is taken as that batch; any
 // other is encoded from cur by a walk of its store, in key order; no
 // result depends on the order rows are bound in.
+//
+// The membership sets come last, once the dictionary holds every code
+// an emit can produce: a columnar rule has no arithmetic or data
+// function (termConstruct), so each head code is a bound code or an
+// interned constant, and the dictionary's size D bounds them all for the
+// whole evaluation. Each set is sized by D, its width and the rows bound
+// (colset.NewCodeSet), and then holds the canonical base rows
+// appendFacts recorded.
 func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
 	ev := &vecEval{
 		vecRun:  run,
@@ -365,20 +373,21 @@ func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
 		kernels: map[string]*kernelStat{},
 		total:   cur.TotalSize(),
 	}
+	canon := make([][]int32, len(vs.order)) // per head: its canonical base rows
+	bound := 0
 	for _, vp := range vs.order {
 		pr := &ev.rows[vp.id]
-		if vp.head {
-			pr.member = colset.NewCodeSet(len(vp.labels))
-		} else if b := cur.codedBatch(vp.pred, run.dict); b != nil {
+		if !vp.head {
 			// A head of an earlier stratum of this run: nothing has read
 			// or written it since, so its batch is still its extension.
-			pr.batch = b
+			pr.batch = cur.codedBatch(vp.pred, run.dict)
 		}
 		if pr.batch == nil {
 			pr.batch = colset.NewBatch(len(vp.labels))
-			ev.appendFacts(vp, pr, cur, vp.pred)
+			canon[vp.id] = ev.appendFacts(vp, pr.batch, cur)
 		}
 		pr.base = pr.batch.Len()
+		bound += pr.base
 		pr.cur = pr.batch
 		if vp.head {
 			// A head's batch grows while a round runs; what the round
@@ -414,19 +423,30 @@ func (vs *vecStratum) bind(run *vecRun, cur *FactSet) *vecEval {
 			}
 		}
 	}
+	for _, hp := range vs.heads {
+		pr := &ev.rows[hp.id]
+		pr.member = colset.NewCodeSet(len(hp.labels), dict.Len(), bound)
+		cols := make([][]uint32, len(hp.labels))
+		for li := range cols {
+			cols[li] = pr.batch.Col(li)
+		}
+		for _, r := range canon[hp.id] {
+			pr.member.AddRow(cols, r)
+		}
+	}
 	return ev
 }
 
-// appendFacts encodes pred's extension in cur onto vp's batch. Only
-// canonical facts — association tuples with exactly the effective labels
-// in declaration order, the shape every derived fact has — enter the
-// membership set: a non-canonical base fact never Key-equals a derived
-// fact, so the row engine's Has filter would not suppress the
-// derivation either.
-func (ev *vecEval) appendFacts(vp *vecPred, pr *vecPredRows, cur *FactSet, pred string) {
+// appendFacts encodes vp's extension in cur onto b and, for a head,
+// returns the rows that belong in its membership set. Only canonical
+// facts — association tuples with exactly the effective labels in
+// declaration order, the shape every derived fact has — do: a
+// non-canonical base fact never Key-equals a derived fact, so the row
+// engine's Has filter would not suppress the derivation either.
+func (ev *vecEval) appendFacts(vp *vecPred, b *colset.Batch, cur *FactSet) (canon []int32) {
 	row := make([]uint32, len(vp.labels))
-	cur.Each(pred, func(fact Fact) bool {
-		canonical := pr.member != nil && !fact.IsClass && fact.Tuple.Len() == len(vp.labels)
+	cur.Each(vp.pred, func(fact Fact) bool {
+		canonical := vp.head && !fact.IsClass && fact.Tuple.Len() == len(vp.labels)
 		for li, lab := range vp.labels {
 			v, ok := fact.Tuple.Get(lab)
 			if !ok {
@@ -437,12 +457,13 @@ func (ev *vecEval) appendFacts(vp *vecPred, pr *vecPredRows, cur *FactSet, pred 
 				canonical = false
 			}
 		}
-		pr.batch.AppendRow(row)
 		if canonical {
-			pr.member.Add(row)
+			canon = append(canon, int32(b.Len()))
 		}
+		b.AppendRow(row)
 		return true
 	})
+	return canon
 }
 
 // advance closes a round: the rows emit appended since the last
@@ -676,7 +697,9 @@ func (ev *vecEval) runFilter(st *vecStep, sc *stepCodes, cols [][]uint32, n int)
 // every valuation (exactly like instantiateHead); the membership set
 // suppresses rows already present in the current set or already derived
 // this stratum — the same facts the row engine's Has filter suppresses —
-// and the rest are appended to the head predicate's batch as codes.
+// and the rest are appended to the head predicate's batch as codes. Every
+// head code is below the dictionary size bind sized the set by, so where
+// that set is dense each test is one bit.
 func (ev *vecEval) emit(vr *vecRule, headCodes []uint32, cols [][]uint32, n, round int) error {
 	if ev.p.stats != nil {
 		ev.p.stats.Firings[vr.r.id] += n

@@ -426,3 +426,50 @@ tc(src: Y, dst: X) <- tc(src: X, dst: Y), tc(src: Y, dst: Y).
 		}
 	}
 }
+
+// Head constants no fact holds (1000, 1001, 1002) are the last codes bind
+// interns, just below the domain D the dense membership sets are sized
+// by, and the rows they make sit beside rows of bound codes in one
+// set: (x, 1000) must not alias (x+1, 0), nor (1001, y) any row of
+// codes below D. The defaults must agree with the row oracle on the
+// facts, Firings, Steps and DeltaCurve.
+func TestHeadConstantInternedLastDifferential(t *testing.T) {
+	const rules = `
+pair(a: X, b: Y) <- tc(src: X, dst: Y).
+pair(a: X, b: 1000) <- edge(src: X, dst: _).
+pair(a: 1001, b: Y) <- edge(src: _, dst: Y).
+pair(a: 1001, b: 1000) <- edge(src: X, dst: X).
+hub(a: 1002) <- edge(src: _, dst: _).
+hub(a: X) <- edge(src: X, dst: 3).
+` + closureRules
+	ref, err := tryBuild(vecSchema, rules, rowOracle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tryBuild(vecSchema, rules, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ename, edb := range vecEDBs() {
+		c0, c := int64(0), int64(0)
+		oracle, err := ref.Run(edb.Clone(), &c0)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", ename, err)
+		}
+		got, err := p.Run(edb.Clone(), &c)
+		if err != nil {
+			t.Fatalf("%s: %v", ename, err)
+		}
+		want, st := ref.LastStats(), p.LastStats()
+		if !got.Equal(oracle) {
+			t.Fatalf("%s: diverged from the row oracle (%d vs %d facts)", ename, got.TotalSize(), oracle.TotalSize())
+		}
+		if fmt.Sprint(st.Firings, st.DeltaCurve, st.Steps) != fmt.Sprint(want.Firings, want.DeltaCurve, want.Steps) {
+			t.Fatalf("%s: Firings, DeltaCurve, Steps = %v %v %d, row = %v %v %d",
+				ename, st.Firings, st.DeltaCurve, st.Steps, want.Firings, want.DeltaCurve, want.Steps)
+		}
+		if ename != "empty" && st.VectorizedStrata < 2 {
+			t.Fatalf("%s: %d strata ran on the kernels, want the closure and the heads over it", ename, st.VectorizedStrata)
+		}
+	}
+}

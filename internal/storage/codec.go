@@ -36,8 +36,11 @@ const (
 	tagSequence
 )
 
+// writer is the encoding primitives' output: the snapshot codec writes
+// through a *bufio.Writer over its file, a WAL record straight into a
+// *bytes.Buffer.
 type writer struct {
-	w *bufio.Writer
+	w io.Writer
 	// crc, when non-nil, hashes every byte written — the snapshot codec
 	// uses it to accumulate the integrity trailer without a second pass.
 	crc hash.Hash32
@@ -79,7 +82,7 @@ func (w *writer) str(s string) {
 	if w.crc != nil {
 		_, _ = io.WriteString(w.crc, s)
 	}
-	_, w.err = w.w.WriteString(s)
+	_, w.err = io.WriteString(w.w, s)
 }
 
 // byteReader is the input the decoding primitives need; *bufio.Reader

@@ -32,9 +32,8 @@ func TestDecodeUnknownTypeTag(t *testing.T) {
 
 func TestDecodeOversizedString(t *testing.T) {
 	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
+	w := &writer{w: &buf}
 	w.uvarint(1 << 40) // absurd length prefix
-	_ = w.w.Flush()
 	r := &reader{r: bufio.NewReader(&buf)}
 	if _, err := r.str(); err == nil || !strings.Contains(err.Error(), "too large") {
 		t.Fatalf("oversized string accepted: %v", err)
@@ -43,11 +42,10 @@ func TestDecodeOversizedString(t *testing.T) {
 
 func TestTruncatedComposite(t *testing.T) {
 	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
+	w := &writer{w: &buf}
 	w.value(value.NewTuple(
 		value.Field{Label: "a", Value: value.NewSet(value.Int(1), value.Int(2))},
 	))
-	_ = w.w.Flush()
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
 		r := &reader{r: bufio.NewReader(bytes.NewReader(full[:cut]))}
@@ -111,7 +109,7 @@ func TestSnapshotNilLibrary(t *testing.T) {
 
 func TestWriterErrorSticky(t *testing.T) {
 	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
+	w := &writer{w: &buf}
 	w.value(struct{ value.Value }{}) // unencodable wrapper type
 	if w.err == nil {
 		t.Fatal("unencodable value accepted")

@@ -31,7 +31,8 @@ const (
 
 // SaveState writes a complete database state.
 func SaveState(dst io.Writer, st *module.State) error {
-	w := &writer{w: bufio.NewWriter(dst), crc: crc32.New(castagnoli)}
+	bw := bufio.NewWriter(dst)
+	w := &writer{w: bw, crc: crc32.New(castagnoli)}
 	w.str(magic)
 	w.byte(version)
 	w.schema(st.S)
@@ -66,7 +67,7 @@ func SaveState(dst io.Writer, st *module.State) error {
 	if w.err != nil {
 		return w.err
 	}
-	return w.w.Flush()
+	return bw.Flush()
 }
 
 func writeFactSet(w *writer, fs *engine.FactSet) {

@@ -19,13 +19,10 @@ import (
 func roundTripValue(t *testing.T, v value.Value) value.Value {
 	t.Helper()
 	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
+	w := &writer{w: &buf}
 	w.value(v)
 	if w.err != nil {
 		t.Fatal(w.err)
-	}
-	if err := w.w.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	r := &reader{r: bufio.NewReader(&buf)}
 	got, err := r.value()
@@ -74,9 +71,9 @@ func TestValueRoundTripProperty(t *testing.T) {
 			value.Field{Label: "seq", Value: value.NewSequence(elems...)},
 		)
 		var buf bytes.Buffer
-		w := &writer{w: bufio.NewWriter(&buf)}
+		w := &writer{w: &buf}
 		w.value(v)
-		if w.err != nil || w.w.Flush() != nil {
+		if w.err != nil {
 			return false
 		}
 		r := &reader{r: bufio.NewReader(&buf)}
@@ -98,13 +95,10 @@ func TestTypeRoundTrip(t *testing.T) {
 	}
 	for _, ty := range tys {
 		var buf bytes.Buffer
-		w := &writer{w: bufio.NewWriter(&buf)}
+		w := &writer{w: &buf}
 		w.typ(ty)
 		if w.err != nil {
 			t.Fatal(w.err)
-		}
-		if err := w.w.Flush(); err != nil {
-			t.Fatal(err)
 		}
 		r := &reader{r: bufio.NewReader(&buf)}
 		got, err := r.typ()
@@ -204,10 +198,9 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 	// Bad version.
 	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
+	w := &writer{w: &buf}
 	w.str(magic)
 	w.byte(99)
-	_ = w.w.Flush()
 	if _, err := LoadState(&buf); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("bad version accepted: %v", err)
 	}

@@ -30,6 +30,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -169,7 +170,14 @@ type Store struct {
 	closed          bool
 
 	tracer obs.Tracer
+	frame  bytes.Buffer // the frame AppendWith encodes a record into, reused under mu
 }
+
+// maxKeptFrame is the largest frame capacity a store keeps between
+// appends. A replace record carries a whole state, and keeping its
+// buffer would hold that much memory for the store's life; a delta
+// record is tens of bytes.
+const maxKeptFrame = 64 << 10
 
 func snapName(epoch uint64) string { return fmt.Sprintf("snap-%020d.snap", epoch) }
 
@@ -511,16 +519,19 @@ func (s *Store) AppendWith(t obs.Tracer, rec *WALRecord) error {
 	if rec.Epoch != s.epoch+1 {
 		return fmt.Errorf("storage: append epoch %d, want %d", rec.Epoch, s.epoch+1)
 	}
-	payload, err := encodeRecord(rec)
+	frame, err := encodeFrame(&s.frame, rec)
 	if err != nil {
 		return err
 	}
-	frame := frameRecord(payload)
 	if err := hooks.Fault("wal.append"); err != nil {
 		s.failed = true
 		return err
 	}
-	if _, err := s.wal.Write(frame); err != nil {
+	_, err = s.wal.Write(frame)
+	if s.frame.Cap() > maxKeptFrame {
+		s.frame = bytes.Buffer{}
+	}
+	if err != nil {
 		s.failed = true
 		return err
 	}

@@ -22,7 +22,6 @@
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -91,10 +90,15 @@ type WALRecord struct {
 	Source string
 }
 
-// encodeRecord renders the record payload (everything inside the frame).
-func encodeRecord(rec *WALRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	w := &writer{w: bufio.NewWriter(&buf)}
+// encodeFrame renders rec as one framed record into buf, which it
+// resets first: the frame's header is reserved, the payload encoded
+// after it, and the header then filled in over the payload in place.
+// The returned frame aliases buf.
+func encodeFrame(buf *bytes.Buffer, rec *WALRecord) ([]byte, error) {
+	buf.Reset()
+	var header [walFrameLen]byte
+	buf.Write(header[:])
+	w := &writer{w: buf}
 	w.byte(byte(rec.Type))
 	w.uvarint(rec.Epoch)
 	switch rec.Type {
@@ -117,10 +121,9 @@ func encodeRecord(rec *WALRecord) ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	if err := w.w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	frame := buf.Bytes()
+	sealFrame(frame)
+	return frame, nil
 }
 
 func writeFactList(w *writer, facts []engine.Fact) {
@@ -133,7 +136,7 @@ func writeFactList(w *writer, facts []engine.Fact) {
 
 // decodeRecord parses one framed payload.
 func decodeRecord(payload []byte) (*WALRecord, error) {
-	r := &reader{r: bufio.NewReader(bytes.NewReader(payload))}
+	r := &reader{r: bytes.NewReader(payload)}
 	t, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -213,13 +216,12 @@ func readFactList(r *reader) ([]engine.Fact, error) {
 	return facts, nil
 }
 
-// frameRecord wraps an encoded payload in its on-disk frame.
-func frameRecord(payload []byte) []byte {
-	frame := make([]byte, walFrameLen+len(payload))
+// sealFrame fills in the header of a frame whose payload follows it:
+// the payload's length and checksum.
+func sealFrame(frame []byte) {
+	payload := frame[walFrameLen:]
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[walFrameLen:], payload)
-	return frame
 }
 
 // readFrame reads one framed record from r. It distinguishes a clean

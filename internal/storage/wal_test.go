@@ -23,6 +23,23 @@ func intFact(pred string, x int) engine.Fact {
 		value.Field{Label: "x", Value: value.Int(int64(x))})}
 }
 
+// encodeRecord renders a record's payload, everything inside its frame.
+func encodeRecord(rec *WALRecord) ([]byte, error) {
+	frame, err := encodeFrame(new(bytes.Buffer), rec)
+	if err != nil {
+		return nil, err
+	}
+	return frame[walFrameLen:], nil
+}
+
+// frameRecord wraps an encoded payload in its on-disk frame.
+func frameRecord(payload []byte) []byte {
+	frame := make([]byte, walFrameLen+len(payload))
+	copy(frame[walFrameLen:], payload)
+	sealFrame(frame)
+	return frame
+}
+
 func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []*WALRecord{
 		{Type: RecDelta, Epoch: 1, Writes: []string{"p", "q"}, CounterDelta: 3,
@@ -678,5 +695,28 @@ func TestStoreCrashMatrix(t *testing.T) {
 				t.Fatalf("recovered state is not the epoch-%d state", rec.Epoch)
 			}
 		})
+	}
+}
+
+// A store reuses its frame buffer across appends, but not one a replace
+// record grew past maxKeptFrame: that would hold a whole state's bytes
+// for the store's life.
+func TestStoreKeepsNoLargeFrame(t *testing.T) {
+	s, err := Create(t.TempDir(), buildState(t), StoreOptions{Fsync: FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(&WALRecord{Type: RecDelta, Epoch: 1, Adds: []engine.Fact{intFact("p", 1)}}); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.frame.Cap(); c == 0 || c > maxKeptFrame {
+		t.Fatalf("after a delta the frame buffer holds %d bytes, want it kept", c)
+	}
+	if err := s.Append(&WALRecord{Type: RecReplace, Epoch: 2, State: make([]byte, 2*maxKeptFrame)}); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.frame.Cap(); c > maxKeptFrame {
+		t.Fatalf("after a %d-byte replace the frame buffer holds %d bytes", 2*maxKeptFrame, c)
 	}
 }
