@@ -180,12 +180,6 @@ func (r *Rule) String() string {
 	return strings.TrimSpace(b.String())
 }
 
-// IsFact reports whether the rule is a ground fact (no body).
-func (r *Rule) IsFact() bool { return r.Head != nil && len(r.Body) == 0 }
-
-// IsDenial reports whether the rule is a passive constraint.
-func (r *Rule) IsDenial() bool { return r.Head == nil }
-
 // Mode is a module application mode (§4.1).
 type Mode int
 

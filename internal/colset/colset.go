@@ -364,17 +364,6 @@ func Join(lkeys [][]uint32, lrows int, lsel []int32,
 	return ix.Probe(lkeys, lrows, lsel)
 }
 
-// AntiJoin returns the selected left rows whose key has no match among
-// the selected right rows. Zero key columns mean "drop everything when
-// the right side is non-empty".
-func AntiJoin(lkeys [][]uint32, lrows int, lsel []int32,
-	rkeys [][]uint32, rrows int, rsel []int32) []int32 {
-
-	ix := NewIndex(len(rkeys))
-	ix.Extend(rkeys, 0, rrows, rsel)
-	return ix.Missing(lkeys, lrows, lsel)
-}
-
 // DedupRows returns the first occurrence of each distinct packed row
 // among the selected rows, in selection order. With zero columns every
 // row is the same row, so at most one survives.

@@ -136,12 +136,14 @@ func TestJoinKernelWidths(t *testing.T) {
 					t.Fatalf("w=%d %v: spurious pair (%d,%d)", w, sizes, lidx[k], ridx[k])
 				}
 			}
-			// Anti-join complements the join on the left side.
+			// Missing complements the join on the left side.
 			matched := map[int32]bool{}
 			for _, l := range lidx {
 				matched[l] = true
 			}
-			anti := AntiJoin(lkeys, ln, nil, rkeys, rn, nil)
+			ix := NewIndex(w)
+			ix.Extend(rkeys, 0, rn, nil)
+			anti := ix.Missing(lkeys, ln, nil)
 			if len(anti)+len(matched) != ln {
 				t.Fatalf("w=%d %v: anti %d + matched %d != %d", w, sizes, len(anti), len(matched), ln)
 			}
@@ -159,11 +161,13 @@ func TestJoinCrossProduct(t *testing.T) {
 	if len(lidx) != 12 || len(ridx) != 12 {
 		t.Fatalf("cross product = %d pairs, want 12", len(lidx))
 	}
-	if anti := AntiJoin(nil, 3, nil, nil, 4, nil); len(anti) != 0 {
-		t.Fatalf("0-key anti-join vs non-empty right kept %d rows", len(anti))
+	ix := NewIndex(0)
+	if anti := ix.Missing(nil, 3, nil); len(anti) != 3 {
+		t.Fatalf("0-key Missing over an empty index kept %d rows, want 3", len(anti))
 	}
-	if anti := AntiJoin(nil, 3, nil, nil, 0, nil); len(anti) != 3 {
-		t.Fatalf("0-key anti-join vs empty right kept %d rows, want 3", len(anti))
+	ix.Extend(nil, 0, 4, nil)
+	if anti := ix.Missing(nil, 3, nil); len(anti) != 0 {
+		t.Fatalf("0-key Missing over a non-empty index kept %d rows", len(anti))
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"logres/internal/ast"
 	"logres/internal/types"
@@ -84,9 +85,109 @@ type crule struct {
 	body      []resolvedLit
 	vars      []string // all rule variables, sorted, for valuation-domain identity
 	inventive bool
+
+	// What the rule reads beyond the predicates its body matches
+	// (eachRead), found once by compileRule. Every plan, stratum,
+	// footprint and audit decision reads these and walks no term.
+	negates   bool     // a literal negates a class or association predicate
+	universal bool     // a negated literal enumerates the active domain
+	funcs     []string // the data functions its terms read, sorted, a defining rule's own included
+
 	// isa is set on the isa-propagation rules Compile generates (never on
 	// user-written rules): oneStep evaluates it in place of body and head.
 	isa *isaStep
+}
+
+// ruleFuncReadsAll returns the data functions whose extension r reads
+// through function-application terms, in its body or its head, sorted.
+// A defining rule's head member(X, f(…)) is a definition, not a read,
+// so of it only the argument and member terms are walked; its body may
+// still read f (the recursive definition of Example 3.2).
+func ruleFuncReadsAll(r *crule) []string {
+	var out []string
+	var walk func(t ast.Term)
+	walk = func(t ast.Term) {
+		switch x := t.(type) {
+		case ast.FuncApp:
+			if !slices.Contains(out, x.Name) {
+				out = append(out, x.Name)
+			}
+			for _, a := range x.Args {
+				walk(a)
+			}
+		case ast.BinExpr:
+			walk(x.L)
+			walk(x.R)
+		case ast.TupleTerm:
+			for _, a := range x.Args {
+				walk(a.Term)
+			}
+		case ast.SetTerm:
+			for _, e := range x.Elems {
+				walk(e)
+			}
+		case ast.MultisetTerm:
+			for _, e := range x.Elems {
+				walk(e)
+			}
+		case ast.SeqTerm:
+			for _, e := range x.Elems {
+				walk(e)
+			}
+		}
+	}
+	for _, l := range r.body {
+		if l.selfTerm != nil {
+			walk(l.selfTerm)
+		}
+		for _, c := range l.comps {
+			walk(c.term)
+		}
+		for _, a := range l.args {
+			walk(a)
+		}
+	}
+	if h := r.head; h != nil {
+		if h.selfTerm != nil {
+			walk(h.selfTerm)
+		}
+		for _, c := range h.comps {
+			walk(c.term)
+		}
+		if h.kind == hFunc {
+			if h.fnArg != nil {
+				walk(h.fnArg)
+			}
+			walk(h.fnMember)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// eachRead calls f, in body order, with each class or association
+// predicate r's body matches and whether the literal negates it.
+func (r *crule) eachRead(f func(pred string, negated bool)) {
+	for _, l := range r.body {
+		if l.kind == pkClass || l.kind == pkAssoc {
+			f(l.pred, l.negated)
+		}
+	}
+}
+
+// readsAny returns the first predicate r reads that in holds: a
+// predicate its body matches, positive or negated, in body order, then
+// a data function, by name; or "".
+func (r *crule) readsAny(in func(string) bool) string {
+	for _, l := range r.body {
+		if (l.kind == pkClass || l.kind == pkAssoc) && in(l.pred) {
+			return l.pred
+		}
+	}
+	if i := slices.IndexFunc(r.funcs, in); i >= 0 {
+		return r.funcs[i]
+	}
+	return ""
 }
 
 func (r *crule) String() string {

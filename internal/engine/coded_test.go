@@ -92,10 +92,10 @@ func checkCodedCounts(t *testing.T, step int, pairs []*codedPair) {
 		if a, b := pr.lazy.MaxOID(), pr.eager.MaxOID(); a != b {
 			t.Fatalf("step %d, set %d: MaxOID = %d, decoded %d", step, i, a, b)
 		}
-		if pr.lazy.Frozen() != pr.eager.Frozen() {
-			t.Fatalf("step %d, set %d: frozen %v, decoded %v", step, i, pr.lazy.Frozen(), pr.eager.Frozen())
+		if pr.lazy.frozen != pr.eager.frozen {
+			t.Fatalf("step %d, set %d: frozen %v, decoded %v", step, i, pr.lazy.frozen, pr.eager.frozen)
 		}
-		if pr.lazy.Frozen() && len(pr.lazy.coded) > 0 {
+		if pr.lazy.frozen && len(pr.lazy.coded) > 0 {
 			t.Fatalf("step %d, set %d: a frozen set holds code-space rows of %d predicates", step, i, len(pr.lazy.coded))
 		}
 	}
@@ -104,7 +104,7 @@ func checkCodedCounts(t *testing.T, step int, pairs []*codedPair) {
 // codedDifferential interprets ops as a sequence of steps over pairs of
 // sets — reads that decode (Facts, DiffPred, Equal), reads that fix an
 // argument and read code-space rows in code space (FactsByComponent,
-// lookup, Has), Clone, Freeze, Thaw and writes — applied alike to the
+// lookup, Has), Clone, Freeze and writes — applied alike to the
 // set a run left tc in code space in and to the same set decoded
 // eagerly. After every step the reads that never decode are compared on
 // every pair. Facts is compared in order (strict key order), a component
@@ -189,10 +189,9 @@ func codedDifferential(t *testing.T, p *Program, seed int64, ops []byte) {
 			pr.lazy.Freeze()
 			pr.eager.Freeze()
 		case 7:
-			pr.lazy.Thaw()
-			pr.eager.Thaw()
+			pr.lazy, pr.eager = pr.lazy.Clone(), pr.eager.Clone()
 		case 8:
-			if pr.lazy.Frozen() {
+			if pr.lazy.frozen {
 				continue
 			}
 			f := probes[next()%len(probes)]
@@ -254,7 +253,7 @@ func codedProgram(t testing.TB) *Program {
 // Property: a predicate a columnar stratum hands over in code space, on
 // top of base facts of the same predicate (the paper lets a predicate be
 // partly extensional), reads exactly as if it had been decoded at once,
-// through every accessor and across Clone, Freeze, Thaw and writes.
+// through every accessor and across Clone, Freeze and writes.
 func TestCodedPredicateDifferential(t *testing.T) {
 	p := codedProgram(t)
 

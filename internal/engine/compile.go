@@ -133,9 +133,6 @@ func (p *compiled) added(r *crule) bool { return r.id >= p.addedFrom && r.id < p
 // Schema returns the schema the program was compiled against.
 func (p *Program) Schema() *types.Schema { return p.schema }
 
-// Stratified reports whether the program admits perfect-model evaluation.
-func (p *Program) Stratified() bool { return p.stratified }
-
 // NumRules returns the number of compiled rules (including generated
 // constraint rules).
 func (p *Program) NumRules() int { return len(p.rules) }
@@ -313,6 +310,11 @@ func compileRule(schema *types.Schema, r *ast.Rule, id int) (*crule, error) {
 	if err := analyzeHead(schema, cr, bound); err != nil {
 		return nil, err
 	}
+	for _, l := range cr.body {
+		cr.negates = cr.negates || l.negated && (l.kind == pkClass || l.kind == pkAssoc)
+		cr.universal = cr.universal || len(l.adVars) > 0
+	}
+	cr.funcs = ruleFuncReadsAll(cr)
 	var lits []ast.Literal
 	if r.Head != nil {
 		lits = append(lits, *r.Head)

@@ -268,16 +268,61 @@ func TestRowForcingComponentsRunAfterTheirLevel(t *testing.T) {
 // inputs hold objects whose class facts disagree, which no commit would
 // accept, so that the condition shows in one step.
 func TestPlansMatchTheReferencePlan(t *testing.T) {
+	for _, c := range referencePlanCases() {
+		t.Run(c.name, func(t *testing.T) {
+			edb := NewFactSet()
+			for _, f := range c.edb {
+				edb.Add(f)
+			}
+			edb.Freeze()
+			for _, opts := range []Options{DefaultOptions(), rowOracle()} {
+				opts.Budget.MaxRounds = 60
+				p, err := tryBuild(c.schema, c.rules, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := compileReference(t, c.schema, c.rules, opts)
+				var results [2]*FactSet
+				var counters [2]int64
+				var errs [2]error
+				for i, q := range []*Program{p, ref} {
+					results[i], errs[i] = q.Run(edb, &counters[i])
+				}
+				if (errs[0] == nil) != (errs[1] == nil) {
+					t.Fatalf("vectorize %v: err %v; reference plan %v", opts.Vectorize, errs[0], errs[1])
+				}
+				if errs[0] == nil && (!results[0].Equal(results[1]) || counters[0] != counters[1]) {
+					t.Fatalf("vectorize %v: %d facts, counter %d; reference plan %d, %d", opts.Vectorize,
+						results[0].TotalSize(), counters[0], results[1].TotalSize(), counters[1])
+				}
+				out := p.Explain()
+				if settles := strings.Contains(out, "fixpoint: reached by its first step"); settles != c.settles {
+					t.Fatalf("a stratum stops after its first step: %v, want %v:\n%s", settles, c.settles, out)
+				}
+				if splits := len(p.strata) != len(ref.strata); splits != c.splits {
+					t.Fatalf("%d strata, reference %d:\n%s", len(p.strata), len(ref.strata), out)
+				}
+			}
+		})
+	}
+}
+
+// referencePlanCase is one program TestPlansMatchTheReferencePlan runs
+// beside the reference plan: whether a stratum of it settles in one step
+// and whether a level of it splits.
+type referencePlanCase struct {
+	name, schema, rules string
+	edb                 []Fact
+	settles, splits     bool
+}
+
+func referencePlanCases() []referencePlanCase {
 	obj := func(class string, oid value.OID, fields ...value.Field) Fact {
 		return Fact{Pred: class, IsClass: true, OID: oid, Tuple: value.NewTuple(fields...)}
 	}
 	str := func(label, v string) value.Field { return value.Field{Label: label, Value: value.Str(v)} }
 	num := func(label string, v int) value.Field { return value.Field{Label: label, Value: value.Int(int64(v))} }
-	cases := []struct {
-		name, schema, rules string
-		edb                 []Fact
-		settles, splits     bool
-	}{{
+	return []referencePlanCase{{
 		// o is an A and a B whose inherited names differ: the two isa
 		// steps into P overwrite each other round after round.
 		name: "two isa steps into one super",
@@ -357,43 +402,6 @@ c(self: S, v: X) <- e(s: X, d: 0).`,
 			{Pred: "e", Tuple: value.NewTuple(num("s", 2), num("d", 0))}},
 		settles: true, splits: true,
 	}}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			edb := NewFactSet()
-			for _, f := range c.edb {
-				edb.Add(f)
-			}
-			edb.Freeze()
-			for _, opts := range []Options{DefaultOptions(), rowOracle()} {
-				opts.Budget.MaxRounds = 60
-				p, err := tryBuild(c.schema, c.rules, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := compileReference(t, c.schema, c.rules, opts)
-				var results [2]*FactSet
-				var counters [2]int64
-				var errs [2]error
-				for i, q := range []*Program{p, ref} {
-					results[i], errs[i] = q.Run(edb, &counters[i])
-				}
-				if (errs[0] == nil) != (errs[1] == nil) {
-					t.Fatalf("vectorize %v: err %v; reference plan %v", opts.Vectorize, errs[0], errs[1])
-				}
-				if errs[0] == nil && (!results[0].Equal(results[1]) || counters[0] != counters[1]) {
-					t.Fatalf("vectorize %v: %d facts, counter %d; reference plan %d, %d", opts.Vectorize,
-						results[0].TotalSize(), counters[0], results[1].TotalSize(), counters[1])
-				}
-				out := p.Explain()
-				if settles := strings.Contains(out, "fixpoint: reached by its first step"); settles != c.settles {
-					t.Fatalf("a stratum stops after its first step: %v, want %v:\n%s", settles, c.settles, out)
-				}
-				if splits := len(p.strata) != len(ref.strata); splits != c.splits {
-					t.Fatalf("%d strata, reference %d:\n%s", len(p.strata), len(ref.strata), out)
-				}
-			}
-		})
-	}
 }
 
 var benchSink *FactSet

@@ -294,7 +294,7 @@ func TestDeltaJoinDifferential(t *testing.T) {
 				shadow := cur.Clone()
 				c := &evalCtx{p: p, f: shadow, counter: new(int64), stats: st}
 				got := NewFactSet()
-				if err := c.deltaPass(stratum, delta, shadow, shadow, func(r *crule, e *env) error {
+				if err := c.deltaPass(stratum, delta, shadow, func(r *crule, e *env) error {
 					return c.instantiateHead(r, e, got, nil)
 				}); err != nil {
 					return err

@@ -162,7 +162,7 @@ reach(n: 1).
 reach(n: Y) <- reach(n: X), edge(src: X, dst: Y).
 unreach(n: X) <- node(n: X), not reach(n: X).
 `)
-	if !p.Stratified() {
+	if !p.stratified {
 		t.Fatal("program should be stratified")
 	}
 	f := run(t, p)
@@ -507,7 +507,7 @@ tc(a: X, b: Y) <- e(a: X, b: Y).
 tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
 notc(a: X, b: Y) <- e(a: X, b: Y), not tc(a: X, b: Y).
 `)
-	if !p.Stratified() {
+	if !p.stratified {
 		t.Fatal("should be stratified")
 	}
 	if len(p.strata) < 2 {
@@ -524,7 +524,7 @@ associations
 p(n: 1).
 q(n: X) <- p(n: X), not q(n: X).
 `)
-	if p.Stratified() {
+	if p.stratified {
 		t.Fatal("negative cycle should be unstratified")
 	}
 	// Whole-program inflationary still assigns a meaning.
@@ -548,7 +548,7 @@ p(n: 1). p(n: 2).
 member(X, f(Y)) <- p(n: Y), p(n: X).
 g(s: S) <- p(n: Y), S = f(Y).
 `)
-	if !p.Stratified() {
+	if !p.stratified {
 		t.Fatal("should be stratified")
 	}
 	if len(p.strata) < 2 {

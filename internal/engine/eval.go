@@ -117,7 +117,7 @@ func (c *evalCtx) matchFacts(l resolvedLit, fixed []fixedArg, all bool, cs candi
 	cs.each(func(fact Fact) bool {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
-			if err = c.inRoundCheck(l.pred); err != nil {
+			if err = c.p.inRoundCheck(c.g, c.round, l.pred, c.factCount, c.invented()); err != nil {
 				return false
 			}
 		}
@@ -579,7 +579,7 @@ func (c *evalCtx) numberInventions(r *crule, dplus *FactSet) error {
 		c.traceInvent(r, fact.Pred, int64(fact.OID))
 		dplus.Add(fact)
 		if c.g != nil && n%inRoundCheckInterval == 0 {
-			if err := c.inRoundCheck(fact.Pred); err != nil {
+			if err := c.p.inRoundCheck(c.g, c.round, fact.Pred, c.factCount, c.invented()); err != nil {
 				return err
 			}
 		}
@@ -957,14 +957,14 @@ func (p *Program) CheckDenials(f *FactSet) error {
 
 // CheckDenialsReading is CheckDenials restricted to the denials an update
 // of the changed predicates can newly violate: those whose body reads one
-// of them (see readsAny) or enumerates the active domain, and, in a
+// of them (crule.readsAny) or enumerates the active domain, and, in a
 // program Extend built, the denials it added, which no state was checked
 // against. Every other denial holds on f whenever it held before the
 // update.
 func (p *Program) CheckDenialsReading(f *FactSet, changed map[string]bool) error {
 	var ds []*crule
 	for _, d := range p.denials {
-		if p.added(d) || enumeratesActiveDomain(d) || readsAny(d, changed) != "" {
+		if p.added(d) || d.universal || d.readsAny(func(pred string) bool { return changed[pred] }) != "" {
 			ds = append(ds, d)
 		}
 	}

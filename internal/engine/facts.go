@@ -516,12 +516,12 @@ func (cp *codedPred) holds(t value.Tuple) bool {
 // A FactSet can be frozen (Freeze): reads then never write the set, save
 // that the first probe of a label no index exists for builds it, once,
 // for every reader (see lazyIndexes), so the set is safe for concurrent
-// readers, and Add/Remove panic. Thaw re-enables mutation.
+// readers, and Add/Remove panic; its Clone is writable.
 //
 // A set can also carry a mark: the schema whose isa steps it is closed
 // under, which a run that verified it sets on its result (runGuarded).
 // Every Add or Remove that changes the set, and setCoded, clears it;
-// Clone, Freeze and Thaw keep it.
+// Clone and Freeze keep it.
 type FactSet struct {
 	preds  map[string]predStore  // pred → its facts (kept once created, even empty)
 	coded  map[string]*codedPred // pred → its rows still in code space (nil when none)
@@ -531,8 +531,7 @@ type FactSet struct {
 	// owner tags the store nodes this set may write in place; nil until
 	// the first write after NewFactSet or Clone. It is atomic because
 	// concurrent readers of a frozen set may clone it: the first clone
-	// retires the tag, so a set that was never cloned while frozen
-	// writes its own nodes in place again after Thaw.
+	// retires the tag.
 	owner atomic.Pointer[pmap.Owner]
 
 	// walks counts the All iterations of an unfrozen set in progress.
@@ -542,8 +541,8 @@ type FactSet struct {
 	walks  int
 	pinned bool
 
-	// lazy holds the indexes readers of the frozen set built; Clone and
-	// Thaw move them into the stores.
+	// lazy holds the indexes readers of the frozen set built; Clone
+	// moves them into its stores.
 	lazy lazyIndexes
 
 	// decodes counts the code-space predicates decoded into this set and
@@ -785,8 +784,8 @@ func (a *factsByKey) Swap(i, j int) {
 // Freeze decodes every code-space predicate and marks the set read-only:
 // a frozen set holds no code-space rows, and its reads write nothing but
 // the lazily built indexes (see lazyIndexes), so it is safe for
-// concurrent readers. Add and Remove panic until Thaw. Freezing an
-// already frozen set is a no-op.
+// concurrent readers. Add and Remove panic on it; its Clone is
+// writable. Freezing an already frozen set is a no-op.
 func (s *FactSet) Freeze() {
 	if s.frozen {
 		return
@@ -795,20 +794,6 @@ func (s *FactSet) Freeze() {
 	s.owner.Store(nil) // its readers' buckets are never written in place again
 	s.frozen = true
 }
-
-// Thaw re-enables mutation after Freeze. The indexes readers built while
-// the set was frozen move into its stores, where writes keep them.
-func (s *FactSet) Thaw() {
-	if !s.frozen {
-		return
-	}
-	s.frozen = false
-	s.adoptLazy(s)
-	s.lazy.built.Store(nil)
-}
-
-// Frozen reports whether the set is frozen.
-func (s *FactSet) Frozen() bool { return s.frozen }
 
 // adoptLazy installs in dst, a private set that shares s's stores, the
 // indexes readers of s built while it was frozen.

@@ -152,8 +152,8 @@ func TestFactSetCacheClassReplace(t *testing.T) {
 func TestFrozenConcurrentReaders(t *testing.T) {
 	fs := randomEdgeFacts(20, 200, 5)
 	fs.Freeze()
-	if !fs.Frozen() {
-		t.Fatal("Frozen() = false after Freeze")
+	if !fs.frozen {
+		t.Fatal("not frozen after Freeze")
 	}
 	if len(fs.preds["edge"].index) != 0 {
 		t.Fatal("Freeze built an index")
@@ -241,13 +241,6 @@ func TestFrozenConcurrentReaders(t *testing.T) {
 		fs.Remove(edgeFact(0, 1))
 	}()
 
-	fs.Thaw()
-	if !fs.Add(edgeFact(99, 99)) {
-		t.Fatal("Add after Thaw failed")
-	}
-	if got := fs.FactsByComponent("edge", "src", value.Int(99)); len(got) != 1 {
-		t.Fatalf("after Thaw the src index missed a write: %d facts", len(got))
-	}
 }
 
 // Freeze on a frozen set is a no-op; a missing label on a frozen set routes
@@ -333,7 +326,9 @@ func TestReturnedBucketNeverChanges(t *testing.T) {
 		}
 		b := fs.FactsByComponent("edge", "src", value.Int(1))
 		want := factKeys(b)
-		fs.Thaw()
+		if frozen {
+			fs = fs.Clone()
+		}
 		fs.Remove(edgeFact(1, 0))
 		fs.Add(edgeFact(1, 9))
 		if got := factKeys(b); !slices.Equal(got, want) {
@@ -463,8 +458,8 @@ func lookupKeys(fs *FactSet, pred string, eff types.Tuple, fixed []fixedArg) []s
 }
 
 // Property: per-predicate copy-on-write sharing is invisible. Random
-// interleavings of Add, Remove, class-oid replacement, Clone, Freeze and
-// Thaw over a set and its clones agree with deep copies after every step,
+// interleavings of Add, Remove, class-oid replacement, Clone and
+// Freeze (a frozen set is replaced by its clone) over a set and its clones agree with deep copies after every step,
 // on every live set: Facts, FactsByComponent, HasOID, Size, and Equal and
 // DiffPred between every pair.
 func TestFactSetCloneSharingDifferential(t *testing.T) {
@@ -531,7 +526,7 @@ func TestFactSetCloneSharingDifferential(t *testing.T) {
 		i := r.Intn(len(sets))
 		s, ref := sets[i], refs[i]
 		op := r.Intn(12)
-		if s.Frozen() && op < 7 {
+		if s.frozen && op < 7 {
 			op = 9 // a frozen set only clones, thaws or is read
 		}
 		switch {
@@ -566,8 +561,9 @@ func TestFactSetCloneSharingDifferential(t *testing.T) {
 				sets[j], refs[j] = c, cref
 			}
 		case op < 11: // freeze / thaw
-			if s.Frozen() {
-				s.Thaw()
+			if s.frozen {
+				s = s.Clone()
+				sets[i] = s
 			} else {
 				s.Freeze()
 			}
@@ -784,7 +780,7 @@ func handOff(s *FactSet, pick func(int) int) []Fact {
 // factSetModel interprets ops as steps over up to four fact sets, each
 // beside its reference map: Add (association and class ⊕ replacement),
 // Remove (present, absent and batched), Clone (either side written from
-// then on), Freeze, Thaw, a code-space hand-off, a walk that writes the
+// then on), Freeze, a frozen set's clone, a code-space hand-off, a walk that writes the
 // set it walks, and reads. After every step the touched set is compared
 // with its reference — Facts and Each in strict key order,
 // FactsByComponent as a set (bucket order carries no meaning), Size,
@@ -975,7 +971,7 @@ func factSetModel(t *testing.T, ops []byte) {
 			wrote = false
 		case 8: // freeze / thaw
 			if m.frozen {
-				m.fs.Thaw()
+				m.fs = m.fs.Clone()
 			} else {
 				m.fs.Freeze()
 			}
@@ -1009,7 +1005,7 @@ func randomOps(seed int64, n int) []byte {
 // Property: a FactSet is a set of facts, whatever its stores, indexes,
 // sharing and code-space rows do underneath. Checked against a plain map
 // plus sort over random interleavings of every write, Clone, Freeze,
-// Thaw, code-space hand-offs and reads.
+// code-space hand-offs and reads.
 func TestFactSetModelDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		factSetModel(t, randomOps(seed, 6000))

@@ -1,6 +1,9 @@
 package engine
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // RuleFootprint is the static predicate-level access analysis of one
 // compiled program: which predicates an evaluation may read and which it
@@ -68,17 +71,11 @@ func (p *compiled) footprint() RuleFootprint {
 	var fp RuleFootprint
 
 	scanBody := func(r *crule) {
-		for _, l := range r.body {
-			if l.kind == pkClass || l.kind == pkAssoc {
-				reads[l.pred] = true
-			}
-			if len(l.adVars) > 0 {
-				fp.Universal = true
-			}
-		}
-		for _, fn := range ruleFuncReadsAll(r) {
+		r.eachRead(func(pred string, _ bool) { reads[pred] = true })
+		for _, fn := range r.funcs {
 			reads[functionStore(fn)] = true
 		}
+		fp.Universal = fp.Universal || r.universal
 	}
 
 	// Seeds: every user-written rule may fire; generated rules only
@@ -138,21 +135,8 @@ func closeWrites(rules []*crule, writes, deletes map[string]bool) {
 			if writes[h] && (!r.head.negated || deletes[h]) {
 				continue
 			}
-			fires := false
-			for _, l := range r.body {
-				if (l.kind == pkClass || l.kind == pkAssoc) && writes[l.pred] {
-					fires = true
-					break
-				}
-			}
-			if !fires {
-				for _, fn := range ruleFuncReadsAll(r) {
-					if writes[functionStore(fn)] {
-						fires = true
-						break
-					}
-				}
-			}
+			fires := slices.ContainsFunc(r.funcs, func(fn string) bool { return writes[functionStore(fn)] })
+			r.eachRead(func(pred string, _ bool) { fires = fires || writes[pred] })
 			if fires {
 				if !writes[h] {
 					writes[h] = true
@@ -180,44 +164,16 @@ func (p *Program) DeltaBlocker(changed map[string]bool) string {
 		switch {
 		case r.inventive:
 			return "inventive rule"
-		case enumeratesActiveDomain(r):
+		case r.universal:
 			return "active domain"
 		case changed[r.head.pred]:
 			return "rule reads or heads " + r.head.pred
 		}
-		if pred := readsAny(r, changed); pred != "" {
+		if pred := r.readsAny(func(pred string) bool { return changed[pred] }); pred != "" {
 			return "rule reads or heads " + pred
 		}
 	}
 	return ""
-}
-
-// readsAny returns the first predicate of changed that r reads — through
-// a body literal, positive or negated, or a data-function application —
-// or "".
-func readsAny(r *crule, changed map[string]bool) string {
-	for _, l := range r.body {
-		if (l.kind == pkClass || l.kind == pkAssoc) && changed[l.pred] {
-			return l.pred
-		}
-	}
-	for _, fn := range ruleFuncReadsAll(r) {
-		if changed[fn] {
-			return fn
-		}
-	}
-	return ""
-}
-
-// enumeratesActiveDomain reports whether some literal of r ranges a
-// variable over the active domain, which every predicate feeds.
-func enumeratesActiveDomain(r *crule) bool {
-	for _, l := range r.body {
-		if len(l.adVars) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func sortedKeys(m map[string]bool) []string {

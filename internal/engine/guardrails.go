@@ -74,31 +74,40 @@ func (p *Program) armedGuard() *guard.Guard {
 // lower it.
 var inRoundCheckInterval = 1 << 12
 
-// inRoundCheck polls the armed guard mid-round. The fact count it
-// reports is coarse: the frozen base extension plus this context's head
-// instantiations (facts derived mid-round live in private deltas the
-// base set cannot see, and duplicates are counted) — an overestimate
-// never more than one interval stale. The oid count includes the
-// inventions still waiting for numberInventions. A trip emits a
-// guard.check trace event before surfacing the typed abort error.
-func (c *evalCtx) inRoundCheck(pred string) error {
-	invented := len(c.inventions)
-	if c.stats != nil {
-		invented += c.stats.Invented
-	}
-	err := c.g.Check(c.round, func() int { return c.f.TotalSize() + c.emitted }, invented)
-	if err != nil {
-		if t := c.p.opts.Tracer; t != nil {
-			t.Event(obs.Event{
-				Kind:    obs.KindGuardCheck,
-				Stratum: c.g.Stratum(),
-				Round:   c.round,
-				Pred:    pred,
-				Detail:  err.Error(),
-			})
-		}
+// inRoundCheck polls the armed guard g mid-round, on the row loop and
+// in the kernels' emit alike. The caller reports the fact and oid
+// counts, both coarse: the row loop counts the frozen base extension
+// plus its context's head instantiations (facts derived mid-round live
+// in private deltas the base set cannot see, and duplicates are
+// counted), the kernels the set as of the round's start plus the
+// valuations emitted — overestimates never more than one interval
+// stale; the oids include the inventions still waiting for
+// numberInventions. A trip emits a guard.check trace event before
+// surfacing the typed abort error.
+func (p *Program) inRoundCheck(g *guard.Guard, round int, pred string, facts func() int, invented int) error {
+	err := g.Check(round, facts, invented)
+	if err != nil && p.tracing() {
+		p.emit(obs.Event{
+			Kind:    obs.KindGuardCheck,
+			Stratum: g.Stratum(),
+			Round:   round,
+			Pred:    pred,
+			Detail:  err.Error(),
+		})
 	}
 	return err
+}
+
+// factCount and invented are the counts the row loop's in-round check
+// reports (inRoundCheck).
+func (c *evalCtx) factCount() int { return c.f.TotalSize() + c.emitted }
+
+func (c *evalCtx) invented() int {
+	n := len(c.inventions)
+	if c.stats != nil {
+		n += c.stats.Invented
+	}
+	return n
 }
 
 func (p *Program) invented() int {

@@ -51,7 +51,7 @@ func (c *evalCtx) isaPass(r *crule, dplus *FactSet) error {
 	visit := func(obj Fact) bool {
 		c.steps++
 		if c.g != nil && c.steps%inRoundCheckInterval == 0 {
-			if err = c.inRoundCheck(s.sub); err != nil {
+			if err = c.p.inRoundCheck(c.g, c.round, s.sub, c.factCount, c.invented()); err != nil {
 				return false
 			}
 		}

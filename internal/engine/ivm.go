@@ -141,8 +141,8 @@ func (m *Maintainer) Program() *Program { return m.prog }
 
 // deltaRound is deltaPass over a maintained stratum, handing each
 // derived head fact to emit.
-func deltaRound(c *evalCtx, plan *stratumPlan, delta, pre, post *FactSet, emit func(Fact) error) error {
-	return c.deltaPass(plan.rules, delta, pre, post, func(r *crule, e *env) error {
+func deltaRound(c *evalCtx, plan *stratumPlan, delta, view *FactSet, emit func(Fact) error) error {
+	return c.deltaPass(plan.rules, delta, view, func(r *crule, e *env) error {
 		fact, err := c.buildAssocFact(r.head, e)
 		if err != nil {
 			return err
@@ -348,7 +348,7 @@ func (m *Maintainer) updateDRed(plan *stratumPlan, pAdds, pRems []Fact, oldView,
 		lose(f)
 	}
 	if in := plan.reads(waveRemoves); in.TotalSize() > 0 {
-		if err := deltaRound(c, plan, in, oldView, oldView, func(f Fact) error {
+		if err := deltaRound(c, plan, in, oldView, func(f Fact) error {
 			lose(f)
 			return nil
 		}); err != nil {
@@ -449,7 +449,7 @@ func (m *Maintainer) updateDRed(plan *stratumPlan, pAdds, pRems []Fact, oldView,
 func frontierRounds(c *evalCtx, plan *stratumPlan, frontier, view *FactSet, keep func(Fact) bool) error {
 	for frontier.TotalSize() > 0 {
 		next := NewFactSet()
-		if err := deltaRound(c, plan, frontier, view, view, func(f Fact) error {
+		if err := deltaRound(c, plan, frontier, view, func(f Fact) error {
 			if keep(f) {
 				next.Add(f)
 			}
@@ -467,14 +467,14 @@ func frontierRounds(c *evalCtx, plan *stratumPlan, frontier, view *FactSet, keep
 func (plan *stratumPlan) reads(wave *FactSet) *FactSet {
 	out := NewFactSet()
 	for _, r := range plan.rules {
-		for _, l := range r.body {
-			if (l.kind == pkClass || l.kind == pkAssoc) && !slices.Contains(plan.heads, l.pred) {
-				wave.Each(l.pred, func(f Fact) bool {
+		r.eachRead(func(pred string, _ bool) {
+			if !slices.Contains(plan.heads, pred) {
+				wave.Each(pred, func(f Fact) bool {
 					out.Add(f)
 					return true
 				})
 			}
-		}
+		})
 	}
 	return out
 }

@@ -707,7 +707,7 @@ func TestMaintainerNextLeavesReceiver(t *testing.T) {
 			}
 			// The rebuilt view is frozen, as every successor's is: the
 			// concurrent Next calls below only read it.
-			if !m.view.Frozen() || !m.full.Frozen() {
+			if !m.view.frozen || !m.full.frozen {
 				t.Fatal("the rebuilt view or full set is not frozen")
 			}
 			for commit := 0; commit < 8; commit++ {

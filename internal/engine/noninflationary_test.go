@@ -77,7 +77,7 @@ blocker(k: X) <- seed(k: X), not once(k: 0).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pInf.Stratified() {
+	if pInf.stratified {
 		t.Fatal("once and blocker negate each other, yet the program is stratified")
 	}
 	c1 := int64(0)

@@ -108,9 +108,8 @@ func (p *Program) classify(sp *stratumPlan, rules []*crule) {
 	}
 	sound := p.opts.SemiNaive
 	for _, r := range rules {
-		reads := ruleFuncReadsAll(r)
-		sound = sound && semiNaiveSound(r, reads, sp.heads)
-		if construct := maintConstruct(r, reads); construct != "" && sp.maintWhy == nil {
+		sound = sound && semiNaiveSound(r, sp.heads)
+		if construct := maintConstruct(r); construct != "" && sp.maintWhy == nil {
 			sp.maintWhy = &reason{rule: r, construct: construct}
 		}
 	}
@@ -146,48 +145,30 @@ func headConstruct(r *crule) string {
 // operator: a deletion, oid invention, a class head (o-value overwrites)
 // or active-domain negation.
 func forcesRow(r *crule) bool {
-	if r.head.negated || r.inventive || r.head.kind == hClass {
-		return true
-	}
-	for _, l := range r.body {
-		if l.negated && len(l.adVars) > 0 {
-			return true
-		}
-	}
-	return false
+	return r.head.negated || r.inventive || r.head.kind == hClass || r.universal
 }
 
 // semiNaiveSound reports whether delta iteration is sound for a rule of
-// a stratum defining heads, given the data functions the rule reads:
-// with no row-forcing construct (forcesRow) the inflationary fixpoint is
-// the least one, and the rule may not read a data function the stratum
-// defines, whose new facts reach it through no positive literal.
-func semiNaiveSound(r *crule, reads, heads []string) bool {
-	if forcesRow(r) {
-		return false
-	}
-	for _, fn := range reads {
-		if slices.Contains(heads, fn) {
-			return false
-		}
-	}
-	return true
+// a stratum defining heads: with no row-forcing construct (forcesRow)
+// the inflationary fixpoint is the least one, and the rule may not read
+// a data function the stratum defines, whose new facts reach it through
+// no positive literal.
+func semiNaiveSound(r *crule, heads []string) bool {
+	return !forcesRow(r) && !slices.ContainsFunc(r.funcs, func(fn string) bool { return slices.Contains(heads, fn) })
 }
 
 // maintConstruct names the first construct of r outside the maintained
 // fragment, or "": plain association heads, no negated predicate
 // literals and no data-function reads. Comparisons and built-ins
 // evaluate over the bindings only.
-func maintConstruct(r *crule, reads []string) string {
+func maintConstruct(r *crule) string {
 	if construct := headConstruct(r); construct != "" {
 		return construct
 	}
-	for _, l := range r.body {
-		if l.negated && (l.kind == pkClass || l.kind == pkAssoc) {
-			return "negation"
-		}
-	}
-	if len(reads) > 0 {
+	switch {
+	case r.negates:
+		return "negation"
+	case len(r.funcs) > 0:
 		return "data-function read"
 	}
 	return ""
@@ -213,18 +194,8 @@ func settlesInOneStep(rules []*crule, heads []string) bool {
 	supers, invented := map[string]bool{}, map[string]bool{}
 	for _, r := range rules {
 		h := r.head
-		if h.negated || enumeratesActiveDomain(r) {
+		if h.negated || r.universal || r.readsAny(func(p string) bool { return slices.Contains(heads, p) }) != "" {
 			return false
-		}
-		for _, l := range r.body {
-			if (l.kind == pkClass || l.kind == pkAssoc) && slices.Contains(heads, l.pred) {
-				return false
-			}
-		}
-		for _, fn := range ruleFuncReadsAll(r) {
-			if slices.Contains(heads, fn) {
-				return false
-			}
 		}
 		if h.kind == hClass {
 			switch {

@@ -25,7 +25,7 @@ func (p *Program) semiNaive(stratum []*crule, cur *FactSet, counter *int64) (*Fa
 		// A head already in cur is suppressed by instantiateHead, so next
 		// receives exactly the round's new facts. A semi-naive stratum
 		// has no class heads, so no invention waits for numbering.
-		err := c.deltaPass(stratum, delta, cur, cur, func(r *crule, e *env) error {
+		err := c.deltaPass(stratum, delta, cur, func(r *crule, e *env) error {
 			return c.instantiateHead(r, e, next, nil)
 		})
 		delta = next
@@ -72,12 +72,12 @@ func (p *Program) deltaRounds(total func() int, round func(int) (int, error)) er
 
 // deltaPass runs one delta-restricted pass over rules: for every rule
 // and every positive predicate literal with facts in delta, it hands
-// yield the valuations with that literal over delta, earlier ones over
-// pre and later ones over post. A delta literal whose arguments need no
-// earlier binding is enumerated first; that changes the order of the
-// valuations, not the valuations (negation is bound; comparisons and
-// built-ins unify bound outputs).
-func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, yield func(*crule, *env) error) error {
+// yield the valuations with that literal over delta and the others
+// over view. A delta literal whose arguments need no earlier binding is
+// enumerated first; that changes the order of the valuations, not the
+// valuations (negation is bound; comparisons and built-ins unify bound
+// outputs).
+func (c *evalCtx) deltaPass(rules []*crule, delta, view *FactSet, yield func(*crule, *env) error) error {
 	for _, r := range rules {
 		emit := func(e *env) error { return yield(r, e) }
 		for pos, l := range r.body {
@@ -87,10 +87,10 @@ func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, yield fun
 			var err error
 			if allTermsEvaluableOrPattern(l, func(string) bool { return false }) {
 				err = c.matchPositive(l, delta, newEnv(), func(e *env) error {
-					return c.matchBodyMixed(r.body, 0, pos, nil, pre, post, e, emit)
+					return c.matchBodyMixed(r.body, 0, pos, nil, view, e, emit)
 				})
 			} else {
-				err = c.matchBodyMixed(r.body, 0, pos, delta, pre, post, newEnv(), emit)
+				err = c.matchBodyMixed(r.body, 0, pos, delta, view, newEnv(), emit)
 			}
 			if err != nil {
 				return fmt.Errorf("%w (in rule %s)", err, r)
@@ -100,16 +100,16 @@ func (c *evalCtx) deltaPass(rules []*crule, delta, pre, post *FactSet, yield fun
 	return nil
 }
 
-// matchBodyMixed walks body from position i: positions before pos match
-// pre, positions after it match post, and pos itself matches delta, or
-// is skipped when delta is nil because the caller bound it already.
+// matchBodyMixed walks body from position i: every positive predicate
+// literal matches view but the one at pos, which matches delta, or is
+// skipped when delta is nil because the caller bound it already.
 // Comparisons, built-ins and negations evaluate as usual.
-func (c *evalCtx) matchBodyMixed(body []resolvedLit, i, pos int, delta, pre, post *FactSet, e *env, yield func(*env) error) error {
+func (c *evalCtx) matchBodyMixed(body []resolvedLit, i, pos int, delta, view *FactSet, e *env, yield func(*env) error) error {
 	if i >= len(body) {
 		return yield(e)
 	}
 	next := func(e2 *env) error {
-		return c.matchBodyMixed(body, i+1, pos, delta, pre, post, e2, yield)
+		return c.matchBodyMixed(body, i+1, pos, delta, view, e2, yield)
 	}
 	l := body[i]
 	switch {
@@ -118,11 +118,7 @@ func (c *evalCtx) matchBodyMixed(body []resolvedLit, i, pos int, delta, pre, pos
 	case i == pos:
 		return c.matchPositive(l, delta, e, next)
 	case (l.kind == pkClass || l.kind == pkAssoc) && !l.negated:
-		src := post
-		if i < pos {
-			src = pre
-		}
-		return c.matchPositive(l, src, e, next)
+		return c.matchPositive(l, view, e, next)
 	}
 	return c.matchLit(l, e, next)
 }

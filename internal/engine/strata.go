@@ -3,7 +3,6 @@ package engine
 import (
 	"sort"
 
-	"logres/internal/ast"
 	"logres/internal/hooks"
 )
 
@@ -46,18 +45,22 @@ func (p *Program) computeStrata() {
 	for _, r := range p.rules {
 		h := headOf(r)
 		nodes[h] = true
-		strictAll := r.head.negated // deletions depend strictly on their body
-		for _, l := range r.body {
-			switch l.kind {
-			case pkClass, pkAssoc:
-				nodes[l.pred] = true
-				edges = append(edges, depEdge{from: h, to: l.pred, strict: strictAll || l.negated})
+		r.eachRead(func(pred string, negated bool) {
+			nodes[pred] = true
+			// Deletions depend strictly on their whole body.
+			edges = append(edges, depEdge{from: h, to: pred, strict: r.head.negated || negated})
+		})
+		// Data functions read anywhere in the rule are strict
+		// dependencies, but for a defining rule's read of its own
+		// function: that recursion is an ordinary positive cycle (the
+		// member set grows monotonically under the inflationary
+		// operator), not a stratification violation — the paper's
+		// Example 3.2 relies on it.
+		for _, fn := range r.funcs {
+			if r.head.kind != hFunc || fn != h {
+				nodes[fn] = true
+				edges = append(edges, depEdge{from: h, to: fn, strict: true})
 			}
-		}
-		// Data functions read anywhere in the rule are strict dependencies.
-		for _, fn := range ruleFuncReads(r) {
-			nodes[fn] = true
-			edges = append(edges, depEdge{from: h, to: fn, strict: true})
 		}
 	}
 
@@ -119,7 +122,7 @@ func (p *Program) computeStrata() {
 	for _, r := range p.rules {
 		c := comp[headOf(r)]
 		rowComp[c] = rowComp[c] || forcesRow(r)
-		whole[level[c]] = whole[level[c]] || p.reference || enumeratesActiveDomain(r)
+		whole[level[c]] = whole[level[c]] || p.reference || r.universal
 	}
 	byLevel := make([][2][]*crule, maxLevel+1) // the level's others, then its row-forcing components
 	for _, r := range p.rules {
@@ -140,96 +143,6 @@ func (p *Program) computeStrata() {
 	if len(p.strata) == 0 {
 		p.strata = [][]*crule{{}}
 	}
-}
-
-// ruleFuncReads returns the data functions whose extension the rule reads
-// through function-application terms (in body literals or the head). A
-// recursive function definition's read of its own function is excluded:
-// such recursion is an ordinary positive cycle (the member set grows
-// monotonically under the inflationary operator), not a stratification
-// violation — the paper's Example 3.2 relies on this. Use
-// ruleFuncReadsAll when self-reads matter (semi-naive eligibility).
-func ruleFuncReads(r *crule) []string {
-	out := ruleFuncReadsAll(r)
-	if r.head != nil && r.head.kind == hFunc {
-		filtered := out[:0]
-		for _, fn := range out {
-			if fn != r.head.pred {
-				filtered = append(filtered, fn)
-			}
-		}
-		out = filtered
-	}
-	return out
-}
-
-// ruleFuncReadsAll is ruleFuncReads including a defining rule's read of its
-// own function.
-func ruleFuncReadsAll(r *crule) []string {
-	seen := map[string]bool{}
-	var walk func(t ast.Term)
-	walk = func(t ast.Term) {
-		switch x := t.(type) {
-		case ast.FuncApp:
-			seen[x.Name] = true
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case ast.BinExpr:
-			walk(x.L)
-			walk(x.R)
-		case ast.TupleTerm:
-			for _, a := range x.Args {
-				walk(a.Term)
-			}
-		case ast.SetTerm:
-			for _, e := range x.Elems {
-				walk(e)
-			}
-		case ast.MultisetTerm:
-			for _, e := range x.Elems {
-				walk(e)
-			}
-		case ast.SeqTerm:
-			for _, e := range x.Elems {
-				walk(e)
-			}
-		}
-	}
-	for _, l := range r.body {
-		if l.selfTerm != nil {
-			walk(l.selfTerm)
-		}
-		for _, c := range l.comps {
-			walk(c.term)
-		}
-		for _, a := range l.args {
-			walk(a)
-		}
-	}
-	if h := r.head; h != nil {
-		if h.selfTerm != nil {
-			walk(h.selfTerm)
-		}
-		for _, c := range h.comps {
-			walk(c.term)
-		}
-		if h.kind == hFunc {
-			// The head literal member(X, f(a)) itself is a definition, not
-			// a read, so the head's own FuncApp is never walked — only its
-			// argument and member terms.
-			if h.fnArg != nil {
-				walk(h.fnArg)
-			}
-			walk(h.fnMember)
-		}
-	}
-	var out []string
-	for fn := range seen {
-		out = append(out, fn)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sccs computes strongly connected components; it returns a map from node

@@ -711,7 +711,7 @@ func (ev *vecEval) emit(vr *vecRule, headCodes []uint32, cols [][]uint32, n, rou
 	for i := 0; i < n; i++ {
 		ev.emitted++
 		if ev.g != nil && ev.emitted%inRoundCheckInterval == 0 {
-			if err := ev.guardCheck(round, hp.pred); err != nil {
+			if err := ev.p.inRoundCheck(ev.g, round, hp.pred, func() int { return ev.total + ev.emitted }, ev.p.invented()); err != nil {
 				return err
 			}
 		}
@@ -729,25 +729,6 @@ func (ev *vecEval) emit(vr *vecRule, headCodes []uint32, cols [][]uint32, n, rou
 	}
 	ev.record("emit", added)
 	return nil
-}
-
-// guardCheck mirrors evalCtx.inRoundCheck for the vectorized emit loop.
-func (ev *vecEval) guardCheck(round int, pred string) error {
-	invented := 0
-	if st := ev.p.stats; st != nil {
-		invented = st.Invented
-	}
-	err := ev.g.Check(round, func() int { return ev.total + ev.emitted }, invented)
-	if err != nil && ev.p.opts.Tracer != nil {
-		ev.p.emit(obs.Event{
-			Kind:    obs.KindGuardCheck,
-			Stratum: ev.g.Stratum(),
-			Round:   round,
-			Pred:    pred,
-			Detail:  err.Error(),
-		})
-	}
-	return err
 }
 
 // traceVecKernels reports the stratum's kernel counters as

@@ -235,8 +235,8 @@ func TestVectorizedRunFromLeavesInputUntouched(t *testing.T) {
 				if render(f0) != want {
 					t.Fatalf("%s: the run changed its input", name)
 				}
-				if f0.Frozen() != frozen {
-					t.Fatalf("%s: input frozen = %v after the run, want %v", name, f0.Frozen(), frozen)
+				if f0.frozen != frozen {
+					t.Fatalf("%s: input frozen = %v after the run, want %v", name, f0.frozen, frozen)
 				}
 				if !frozen {
 					continue

@@ -80,7 +80,7 @@ func TestEvolutionProperty(t *testing.T) {
 		n := int(steps%10) + 3
 		for i := 0; i < n; i++ {
 			m := mods[r.Intn(len(mods))]
-			res, err := ApplyDeclared(st, m, opts())
+			res, err := Apply(st, m, m.Mode, opts())
 			if err != nil {
 				// Rejected: the old state must still yield a consistent
 				// instance.
@@ -109,7 +109,7 @@ func TestEvolutionDeterministic(t *testing.T) {
 	apply := func() *State {
 		st := newState(t, evoSchema)
 		for _, i := range []int{0, 1, 2, 3, 5, 1} {
-			res, err := ApplyDeclared(st, mods[i], opts())
+			res, err := Apply(st, mods[i], mods[i].Mode, opts())
 			if err != nil {
 				continue
 			}
@@ -133,7 +133,7 @@ func TestEvolutionLongChain(t *testing.T) {
 	mods := evoModules(t)
 	sequence := []int{0, 1, 2, 5, 1, 2, 3, 4, 0}
 	for step, i := range sequence {
-		res, err := ApplyDeclared(st, mods[i], opts())
+		res, err := Apply(st, mods[i], mods[i].Mode, opts())
 		if err != nil {
 			t.Fatalf("step %d (module %d): %v", step, i, err)
 		}

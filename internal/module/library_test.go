@@ -6,6 +6,7 @@ import (
 
 	"logres/internal/ast"
 	"logres/internal/parser"
+	"logres/internal/types"
 )
 
 func TestLibraryRegisterCall(t *testing.T) {
@@ -30,7 +31,7 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ApplyDeclared(st, m, opts())
+	res, err := Apply(st, m, m.Mode, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ end.
 	if m.Mode != ast.RADV || !m.NonInflationary || len(m.Rules) != 2 {
 		t.Fatalf("module corrupted: %+v", m)
 	}
-	if !m.Schema.IsDomain("extra") {
+	if d, ok := m.Schema.Lookup("extra"); !ok || d.Kind != types.DeclDomain {
 		t.Fatal("module schema lost")
 	}
 }

@@ -319,7 +319,7 @@ type Result struct {
 // st: on success the result carries the new state; on rejection
 // (inconsistent new instance) the error describes the violation and the
 // original state remains valid. mode overrides the module's declared
-// default; pass m.Mode (or use ApplyDeclared) to honour the declaration.
+// default; pass m.Mode to honour the declaration.
 //
 // Apply trusts that st itself passed the audit — every state a database
 // publishes did, when it entered (commit, Load, recovery). A goal-only
@@ -384,12 +384,6 @@ func moduleOptions(m *ast.Module, opts engine.Options) engine.Options {
 		opts.NonInflationary = true
 	}
 	return opts
-}
-
-// ApplyDeclared applies the module with its declared mode (RIDI when none
-// was declared).
-func ApplyDeclared(st *State, m *ast.Module, opts engine.Options) (*Result, error) {
-	return Apply(st, m, m.Mode, opts)
 }
 
 // applyRIDI — Rule Invariant, Data Invariant: an ordinary query. S_M and

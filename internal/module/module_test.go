@@ -67,7 +67,7 @@ rules
   italian(name: X) <- roman(name: X).
 end.
 `)
-	res, err := ApplyDeclared(st, mod, opts())
+	res, err := Apply(st, mod, mod.Mode, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ rules
   tuscan(name: "dante").
 end.
 `)
-	res, err := ApplyDeclared(st, mod, opts())
+	res, err := Apply(st, mod, mod.Mode, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ rules
   person(self: X, name: N) <- arrival(name: N).
 end.
 `)
-	res, err := ApplyDeclared(st, mod, opts())
+	res, err := Apply(st, mod, mod.Mode, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ end.
 	}
 	// Re-applying the same module must not create a second object (VD
 	// dedup against the new E).
-	res2, err := ApplyDeclared(res.State, mod, opts())
+	res2, err := Apply(res.State, mod, mod.Mode, opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ rules
   italian(name: "ugo2") <- roman(name: "ugo").
 end.
 `)
-	res2, err := ApplyDeclared(mat, upd, opts())
+	res2, err := Apply(mat, upd, upd.Mode, opts())
 	if err != nil {
 		t.Fatal(err)
 	}

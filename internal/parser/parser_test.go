@@ -233,7 +233,7 @@ q(X) <- r(X), not s(X).
 	if !rules[0].Head.Negated {
 		t.Fatal("deletion head not negated")
 	}
-	if !rules[1].IsDenial() {
+	if rules[1].Head != nil {
 		t.Fatal("denial not recognized")
 	}
 	if !rules[2].Body[1].Negated {
@@ -250,7 +250,7 @@ p(x: 3, y: -4, z: 2.5, b: true, n: null).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rules[0].IsFact() {
+	if rules[0].Head == nil || len(rules[0].Body) != 0 {
 		t.Fatal("fact not recognized")
 	}
 	if c := rules[1].Head.Args[0].Term.(ast.Const); c.Val != value.Str("luca") {
@@ -511,8 +511,10 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Schema.IsDomain("a") || !m.Schema.IsDomain("b") {
-		t.Fatal("repeated sections lost declarations")
+	for _, name := range []string{"a", "b"} {
+		if d, ok := m.Schema.Lookup(name); !ok || d.Kind != types.DeclDomain {
+			t.Fatal("repeated sections lost declarations")
+		}
 	}
 	if len(m.Rules) != 2 {
 		t.Fatalf("rules = %d", len(m.Rules))

@@ -199,9 +199,6 @@ func (s *Schema) IsClass(name string) bool { return s.kindIs(name, DeclClass) }
 // IsAssociation reports whether name is an association.
 func (s *Schema) IsAssociation(name string) bool { return s.kindIs(name, DeclAssociation) }
 
-// IsDomain reports whether name is a domain.
-func (s *Schema) IsDomain(name string) bool { return s.kindIs(name, DeclDomain) }
-
 // IsFunction reports whether name is a data function.
 func (s *Schema) IsFunction(name string) bool { return s.kindIs(name, DeclFunction) }
 
@@ -229,18 +226,6 @@ func (s *Schema) DirectSupers(sub string) []IsaEdge {
 	return out
 }
 
-// DirectSubs returns the direct subclasses of super.
-func (s *Schema) DirectSubs(super string) []string {
-	super = Canon(super)
-	var out []string
-	for _, e := range s.isa {
-		if e.Super == super {
-			out = append(out, e.Sub)
-		}
-	}
-	return out
-}
-
 // Ancestors returns the transitive isa-ancestors of c (not including c),
 // in deterministic order.
 func (s *Schema) Ancestors(c string) []string {
@@ -263,41 +248,6 @@ func (s *Schema) Ancestors(c string) []string {
 	return out
 }
 
-// Descendants returns the transitive isa-descendants of c (not including c).
-func (s *Schema) Descendants(c string) []string {
-	seen := map[string]bool{}
-	var walk func(string)
-	walk = func(x string) {
-		for _, sub := range s.DirectSubs(x) {
-			if !seen[sub] {
-				seen[sub] = true
-				walk(sub)
-			}
-		}
-	}
-	walk(Canon(c))
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// IsaOrEq reports whether sub = super or sub transitively isa super.
-func (s *Schema) IsaOrEq(sub, super string) bool {
-	sub, super = Canon(sub), Canon(super)
-	if sub == super {
-		return true
-	}
-	for _, a := range s.Ancestors(sub) {
-		if a == super {
-			return true
-		}
-	}
-	return false
-}
-
 // SameHierarchy reports whether two classes belong to the same
 // generalization hierarchy, i.e. share a common ancestor (possibly one of
 // the two themselves). Objects of classes in different hierarchies can
@@ -316,29 +266,6 @@ func (s *Schema) SameHierarchy(c1, c2 string) bool {
 		}
 	}
 	return false
-}
-
-// Root returns the root of c's generalization hierarchy. With the
-// common-ancestor restriction on multiple inheritance every class reaches a
-// unique root; if the schema is invalid and several roots are reachable the
-// lexicographically least is returned.
-func (s *Schema) Root(c string) string {
-	c = Canon(c)
-	anc := s.Ancestors(c)
-	if len(anc) == 0 {
-		return c
-	}
-	var roots []string
-	for _, a := range append(anc, c) {
-		if len(s.DirectSupers(a)) == 0 {
-			roots = append(roots, a)
-		}
-	}
-	if len(roots) == 0 {
-		return c // cyclic; Validate reports this
-	}
-	sort.Strings(roots)
-	return roots[0]
 }
 
 // Clone returns a deep copy of the schema. Type descriptors are immutable

@@ -110,7 +110,7 @@ func TestLookupIsCaseInsensitive(t *testing.T) {
 	if _, ok := s.Lookup("player"); !ok {
 		t.Fatal("lower-case lookup failed")
 	}
-	if !s.IsClass("Player") || !s.IsAssociation("game") || !s.IsDomain("score") {
+	if !s.IsClass("Player") || !s.IsAssociation("game") || !s.kindIs("score", DeclDomain) {
 		t.Fatal("kind predicates wrong")
 	}
 }
@@ -199,15 +199,6 @@ func TestAncestorsDescendantsRoots(t *testing.T) {
 	s := universitySchema(t)
 	if got := s.Ancestors("student"); len(got) != 1 || got[0] != "person" {
 		t.Fatalf("Ancestors(student) = %v", got)
-	}
-	if got := s.Descendants("person"); len(got) != 2 {
-		t.Fatalf("Descendants(person) = %v", got)
-	}
-	if s.Root("student") != "person" || s.Root("person") != "person" || s.Root("school") != "school" {
-		t.Fatal("Root wrong")
-	}
-	if !s.IsaOrEq("student", "person") || !s.IsaOrEq("person", "person") || s.IsaOrEq("person", "student") {
-		t.Fatal("IsaOrEq wrong")
 	}
 	if !s.SameHierarchy("student", "professor") || s.SameHierarchy("student", "school") {
 		t.Fatal("SameHierarchy wrong")
@@ -436,22 +427,6 @@ func TestExpandDomainsThroughAssociationAlias(t *testing.T) {
 	if !ok || len(tup.Fields) != 4 {
 		t.Fatalf("expanded game = %v", et)
 	}
-}
-
-func TestRootOfIsolatedAndCyclic(t *testing.T) {
-	s := NewSchema()
-	_ = s.AddClass("X", Tuple{Fields: []Field{{Label: "v", Type: Int}}})
-	if s.Root("x") != "x" {
-		t.Fatal("isolated class root wrong")
-	}
-	// Cyclic hierarchies: Root degrades gracefully (Validate reports the
-	// cycle separately).
-	c := NewSchema()
-	_ = c.AddClass("A", Tuple{Fields: []Field{{Label: "v", Type: Int}}})
-	_ = c.AddClass("B", Tuple{Fields: []Field{{Label: "v", Type: Int}}})
-	_ = c.AddIsa("A", "", "B")
-	_ = c.AddIsa("B", "", "A")
-	_ = c.Root("a") // must not loop forever
 }
 
 func TestEffectiveTupleErrors(t *testing.T) {
